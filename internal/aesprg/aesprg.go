@@ -93,10 +93,12 @@ func (h *Hash) Sum(x block.Block, tweak uint64) block.Block {
 }
 
 // Stream is a deterministic AES-CTR pseudorandom stream seeded by a
-// block. It backs the IKNP column expansion and the LPN index matrix.
+// block: keystream block i is AES_seed(LE64(i) ‖ 0^64). It backs the
+// IKNP and SoftSpoken column expansion and the LPN index matrix.
 type Stream struct {
 	c   cipher.Block
 	ctr uint64
+	in  [16]byte // counter block, kept here so no AES call allocates it
 	buf [16]byte
 	n   int // bytes of buf already consumed
 }
@@ -110,19 +112,21 @@ func NewStream(seed block.Block) *Stream {
 	return &Stream{c: c, n: 16}
 }
 
-func (s *Stream) refill() {
-	var in [16]byte
-	binary.LittleEndian.PutUint64(in[:8], s.ctr)
+// next encrypts the next counter block into dst (16 bytes).
+func (s *Stream) next(dst []byte) {
+	binary.LittleEndian.PutUint64(s.in[:8], s.ctr)
 	s.ctr++
-	s.c.Encrypt(s.buf[:], in[:])
-	s.n = 0
+	s.c.Encrypt(dst, s.in[:])
 }
 
-// Fill overwrites p with pseudorandom bytes.
-func (s *Stream) Fill(p []byte) {
+// read copies the next len(p) stream bytes out of the block buffer. p
+// never reaches the cipher, so the small draws' stack arrays do not
+// escape: they go through here, not through Fill.
+func (s *Stream) read(p []byte) {
 	for len(p) > 0 {
 		if s.n == 16 {
-			s.refill()
+			s.next(s.buf[:])
+			s.n = 0
 		}
 		n := copy(p, s.buf[s.n:])
 		s.n += n
@@ -130,17 +134,28 @@ func (s *Stream) Fill(p []byte) {
 	}
 }
 
+// Fill overwrites p with pseudorandom bytes, encrypting whole blocks
+// straight into p once the previous block's buffered tail is drained.
+func (s *Stream) Fill(p []byte) {
+	head := min(16-s.n, len(p))
+	s.read(p[:head])
+	for p = p[head:]; len(p) >= 16; p = p[16:] {
+		s.next(p[:16])
+	}
+	s.read(p)
+}
+
 // Uint32 returns the next pseudorandom 32-bit value.
 func (s *Stream) Uint32() uint32 {
 	var b [4]byte
-	s.Fill(b[:])
+	s.read(b[:])
 	return binary.LittleEndian.Uint32(b[:])
 }
 
 // Uint64 returns the next pseudorandom 64-bit value.
 func (s *Stream) Uint64() uint64 {
 	var b [8]byte
-	s.Fill(b[:])
+	s.read(b[:])
 	return binary.LittleEndian.Uint64(b[:])
 }
 
@@ -163,7 +178,7 @@ func (s *Stream) Uint32n(n uint32) uint32 {
 // Block returns the next pseudorandom block.
 func (s *Stream) Block() block.Block {
 	var b [16]byte
-	s.Fill(b[:])
+	s.read(b[:])
 	return block.FromBytes(b[:])
 }
 
@@ -178,7 +193,7 @@ func (s *Stream) Blocks(dst []block.Block) {
 func (s *Stream) Bits(dst []bool) {
 	for i := 0; i < len(dst); i += 8 {
 		var b [1]byte
-		s.Fill(b[:])
+		s.read(b[:])
 		for j := 0; j < 8 && i+j < len(dst); j++ {
 			dst[i+j] = b[0]>>uint(j)&1 == 1
 		}

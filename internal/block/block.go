@@ -64,16 +64,6 @@ func (b Block) Bit(i int) int {
 	return int(b.Hi >> uint(i-64) & 1)
 }
 
-// SetBit returns a copy of b with bit i set to v (0 or 1).
-func (b Block) SetBit(i, v int) Block {
-	if i < 64 {
-		b.Lo = b.Lo&^(1<<uint(i)) | uint64(v)<<uint(i)
-	} else {
-		b.Hi = b.Hi&^(1<<uint(i-64)) | uint64(v)<<uint(i-64)
-	}
-	return b
-}
-
 // OnesCount returns the Hamming weight of b.
 func (b Block) OnesCount() int {
 	return bits.OnesCount64(b.Lo) + bits.OnesCount64(b.Hi)

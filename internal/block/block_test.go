@@ -41,21 +41,26 @@ func TestXorProperties(t *testing.T) {
 	}
 }
 
-func TestBitSetBit(t *testing.T) {
+func TestBit(t *testing.T) {
+	set := []int{0, 1, 7, 63, 64, 65, 127}
 	var b Block
-	for _, i := range []int{0, 1, 7, 63, 64, 65, 127} {
-		b = b.SetBit(i, 1)
-		if b.Bit(i) != 1 {
-			t.Fatalf("bit %d not set", i)
+	for _, i := range set {
+		if i < 64 {
+			b.Lo |= 1 << uint(i)
+		} else {
+			b.Hi |= 1 << uint(i-64)
 		}
 	}
-	if b.OnesCount() != 7 {
-		t.Fatalf("OnesCount = %d, want 7", b.OnesCount())
+	if b.OnesCount() != len(set) {
+		t.Fatalf("OnesCount = %d, want %d", b.OnesCount(), len(set))
 	}
-	for _, i := range []int{0, 63, 64, 127} {
-		b = b.SetBit(i, 0)
-		if b.Bit(i) != 0 {
-			t.Fatalf("bit %d not cleared", i)
+	want := make(map[int]int)
+	for _, i := range set {
+		want[i] = 1
+	}
+	for i := 0; i < 8*Size; i++ {
+		if b.Bit(i) != want[i] {
+			t.Fatalf("Bit(%d) = %d, want %d", i, b.Bit(i), want[i])
 		}
 	}
 }

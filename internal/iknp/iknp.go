@@ -14,6 +14,7 @@
 package iknp
 
 import (
+	"crypto/subtle"
 	"fmt"
 
 	"ironman/internal/aesprg"
@@ -28,16 +29,13 @@ const kappa = 128 // computational security parameter / matrix width
 type Sender struct {
 	conn  transport.Conn
 	Delta block.Block
-	keys  []block.Block // k_i^{s_i}
-	ctr   uint64        // PRG stream position, advanced per Extend
+	cols  []*aesprg.Stream // PRG(k_i^{s_i}), advanced by every Extend
 }
 
 // Receiver is the OT-extension receiver.
 type Receiver struct {
-	conn  transport.Conn
-	keys0 []block.Block
-	keys1 []block.Block
-	ctr   uint64
+	conn transport.Conn
+	cols [][2]*aesprg.Stream // PRG(k_i^0), PRG(k_i^1)
 }
 
 // NewSender establishes the extension sender: it runs kappa base OTs as
@@ -51,7 +49,7 @@ func NewSender(conn transport.Conn, delta block.Block) (*Sender, error) {
 	if err != nil {
 		return nil, fmt.Errorf("iknp: base OT: %w", err)
 	}
-	return &Sender{conn: conn, Delta: delta, keys: keys}, nil
+	return newSender(conn, delta, keys), nil
 }
 
 // NewReceiver establishes the extension receiver: it runs kappa base
@@ -61,29 +59,26 @@ func NewReceiver(conn transport.Conn) (*Receiver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("iknp: base OT: %w", err)
 	}
-	r := &Receiver{conn: conn, keys0: make([]block.Block, kappa), keys1: make([]block.Block, kappa)}
-	for i, p := range pairs {
-		r.keys0[i] = p[0]
-		r.keys1[i] = p[1]
-	}
-	return r, nil
+	return newReceiver(conn, pairs), nil
 }
 
-// stream returns an AES-CTR PRG positioned at offset ctr (in bytes) of
-// the keystream for key. Both parties advance ctr identically across
-// Extend calls so extensions are independent.
-func stream(key block.Block, ctr uint64) *aesprg.Stream {
-	s := aesprg.NewStream(key)
-	skip := make([]byte, 4096)
-	for ctr > 0 {
-		n := uint64(len(skip))
-		if ctr < n {
-			n = ctr
-		}
-		s.Fill(skip[:n])
-		ctr -= n
+// newSender and newReceiver key one persistent AES-CTR stream per
+// matrix column. Both parties draw the same number of bytes from every
+// column in every Extend, so the streams stay aligned.
+func newSender(conn transport.Conn, delta block.Block, keys []block.Block) *Sender {
+	s := &Sender{conn: conn, Delta: delta, cols: make([]*aesprg.Stream, kappa)}
+	for i, k := range keys {
+		s.cols[i] = aesprg.NewStream(k)
 	}
 	return s
+}
+
+func newReceiver(conn transport.Conn, pairs [][2]block.Block) *Receiver {
+	r := &Receiver{conn: conn, cols: make([][2]*aesprg.Stream, kappa)}
+	for i, p := range pairs {
+		r.cols[i] = [2]*aesprg.Stream{aesprg.NewStream(p[0]), aesprg.NewStream(p[1])}
+	}
+	return r
 }
 
 // Extend produces n more COT correlations: the returned blocks are the
@@ -98,18 +93,13 @@ func (s *Sender) Extend(n int) ([]block.Block, error) {
 		return nil, fmt.Errorf("iknp: expected %d matrix bytes, got %d", kappa*nb, len(u))
 	}
 	q := make([][]byte, kappa)
-	for i := 0; i < kappa; i++ {
-		col := make([]byte, nb)
-		stream(s.keys[i], s.ctr).Fill(col)
+	for i := range q {
+		q[i] = make([]byte, nb)
+		s.cols[i].Fill(q[i])
 		if s.Delta.Bit(i) == 1 {
-			ui := u[i*nb : (i+1)*nb]
-			for j := range col {
-				col[j] ^= ui[j]
-			}
+			subtle.XORBytes(q[i], q[i], u[i*nb:(i+1)*nb])
 		}
-		q[i] = col
 	}
-	s.ctr += uint64(nb)
 	return transpose(q, n), nil
 }
 
@@ -126,18 +116,15 @@ func (r *Receiver) Extend(choices []bool) ([]block.Block, error) {
 	}
 	t := make([][]byte, kappa)
 	u := make([]byte, kappa*nb)
-	for i := 0; i < kappa; i++ {
-		t0 := make([]byte, nb)
-		stream(r.keys0[i], r.ctr).Fill(t0)
-		t1 := make([]byte, nb)
-		stream(r.keys1[i], r.ctr).Fill(t1)
+	for i := range t {
+		t[i] = make([]byte, nb)
+		r.cols[i][0].Fill(t[i])
+		// u_i = t0 ⊕ t1 ⊕ x, built in its slot of the outgoing matrix.
 		ui := u[i*nb : (i+1)*nb]
-		for j := 0; j < nb; j++ {
-			ui[j] = t0[j] ^ t1[j] ^ x[j]
-		}
-		t[i] = t0
+		r.cols[i][1].Fill(ui)
+		subtle.XORBytes(ui, ui, t[i])
+		subtle.XORBytes(ui, ui, x)
 	}
-	r.ctr += uint64(nb)
 	if err := r.conn.Send(u); err != nil {
 		return nil, err
 	}
@@ -148,15 +135,6 @@ func (r *Receiver) Extend(choices []bool) ([]block.Block, error) {
 // has bit i equal to bit j of column i.
 func transpose(cols [][]byte, n int) []block.Block {
 	rows := make([]block.Block, n)
-	// Process 8 rows at a time: byte j8 of column i contributes one bit
-	// to each of rows 8j8..8j8+7.
-	for i := 0; i < kappa; i++ {
-		col := cols[i]
-		for j := 0; j < n; j++ {
-			if col[j/8]>>uint(j%8)&1 == 1 {
-				rows[j] = rows[j].SetBit(i, 1)
-			}
-		}
-	}
+	block.TransposeBits(rows, cols, 0, n)
 	return rows
 }

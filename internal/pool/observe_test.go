@@ -29,8 +29,11 @@ func TestObserverMatchesStats(t *testing.T) {
 	reg := obs.NewRegistry()
 	obsS := NewObserver(reg, obs.Labels("half", "sender"))
 	obsR := NewObserver(reg, obs.Labels("half", "receiver"))
+	// No retention cap: on a loaded box one half's goroutines can all
+	// finish before the other half's are scheduled, and this test is
+	// about counter consistency, not pacing.
 	p := NewDealt(dealtSlowSource(256, 200*time.Microsecond), Config{
-		Depth: 2, Obs: obsS, ObsReceiver: obsR,
+		Depth: 2, Obs: obsS, ObsReceiver: obsR, MaxBuffered: -1,
 	})
 	defer p.Close()
 

@@ -375,30 +375,89 @@ func (r *Receiver) Batch() int { return r.n }
 // xorInto dst ^= src (equal lengths).
 func xorInto(dst, src []byte) { subtle.XORBytes(dst, dst, src) }
 
-// transposeCols turns 128 column bit-vectors of m bits into m 128-bit
-// rows (row t bit c = bit t of cols[c]), sharded by row ranges so the
-// result is independent of the worker count.
-func transposeCols(cols [][]byte, m, workers int, tr *obs.Tracer, tid int) []block.Block {
-	rows := make([]block.Block, m)
-	sp := tr.Span("softspoken.transpose", "extend", tid)
-	parallel.ShardIndexed(workers, m, func(shard, lo, hi int) {
-		w := tr.Span("softspoken.transpose", "extend.worker", tid+1+shard)
-		for c := 0; c < kappa; c++ {
-			col := cols[c]
-			for t := lo; t < hi; t++ {
-				if col[t>>3]>>(uint(t)&7)&1 == 1 {
-					rows[t] = rows[t].SetBit(c, 1)
+// planes holds the 128 column bit-vectors of one Extend cut into row
+// strips of stripBytes bytes per column (2^16 rows, 1 MB a strip):
+// planes[s][c] is column c over the rows of strip s. A strip is one
+// allocation, so transposeRows can release it once its rows exist;
+// whole columns would stay live beside the rows for the length of the
+// transpose, and the collector sizes the heap at twice what is live.
+type planes [][][]byte
+
+const stripBytes = 8 << 10
+
+// xorCol XORs src into column c.
+func (p planes) xorCol(c int, src []byte) {
+	for s, strip := range p {
+		xorInto(strip[c], src[s*stripBytes:][:len(strip[c])])
+	}
+}
+
+// expandCols stretches every leaf stream by mb bytes and folds each
+// chunk's leaves into its k column planes: leaf a is XORed into plane b
+// for every set bit b of a⊕holes[j]. A nil stream (the sender's
+// punctured leaf) is skipped. With sums non-nil, all leaves of chunk j
+// are also XORed into sums[j·mb:(j+1)·mb]. Chunks shard across workers.
+func expandCols(streams []*aesprg.Stream, holes []int, k, mb, workers int, sums []byte, tr *obs.Tracer, tid int) planes {
+	exp := tr.Span("softspoken.expand", "extend", tid)
+	cols := make(planes, (mb+stripBytes-1)/stripBytes)
+	for s := range cols {
+		sb := min(stripBytes, mb-s*stripBytes)
+		strip := make([]byte, kappa*sb)
+		cols[s] = make([][]byte, kappa)
+		for c := range cols[s] {
+			cols[s][c] = strip[c*sb : (c+1)*sb]
+		}
+	}
+	leaves := 1 << uint(k)
+	parallel.ShardIndexed(workers, len(holes), func(shard, lo, hi int) {
+		sp := tr.Span("softspoken.expand", "extend.worker", tid+1+shard)
+		buf := make([]byte, mb)
+		for j := lo; j < hi; j++ {
+			for a, st := range streams[j*leaves : (j+1)*leaves] {
+				if st == nil {
+					continue
+				}
+				st.Fill(buf)
+				if sums != nil {
+					xorInto(sums[j*mb:(j+1)*mb], buf)
+				}
+				for b := 0; b < k; b++ {
+					if (a^holes[j])>>uint(b)&1 == 1 {
+						cols.xorCol(j*k+b, buf)
+					}
 				}
 			}
 		}
-		if w.Live() {
-			w.EndArgs(map[string]any{"rows": hi - lo})
+		if sp.Live() {
+			sp.EndArgs(map[string]any{"chunks": hi - lo})
 		}
 	})
-	if sp.Live() {
-		sp.EndArgs(map[string]any{"rows": m})
+	if exp.Live() {
+		exp.EndArgs(map[string]any{"chunks": len(holes), "rows": 8 * mb})
 	}
-	return rows
+	return cols
+}
+
+// transposeRows bit-transposes the column planes into dst (row t bit c
+// = bit t of column c) strip by strip, dropping each strip once its
+// rows exist. A strip shards over block.TransposeBits' 64-row tiles,
+// so the result is independent of the worker count.
+func transposeRows(dst []block.Block, cols planes, workers int, tr *obs.Tracer, tid int) {
+	sp := tr.Span("softspoken.transpose", "extend", tid)
+	for s, strip := range cols {
+		rows := dst[s*8*stripBytes : min((s+1)*8*stripBytes, len(dst))]
+		parallel.ShardIndexed(workers, (len(rows)+63)/64, func(shard, tlo, thi int) {
+			w := tr.Span("softspoken.transpose", "extend.worker", tid+1+shard)
+			block.TransposeBits(rows, strip, tlo*64, min(thi*64, len(rows)))
+			if w.Live() {
+				w.EndArgs(map[string]any{"tiles": thi - tlo})
+			}
+		})
+		cols[s] = nil
+	}
+	if sp.Live() {
+		sp.EndArgs(map[string]any{"rows": len(dst)})
+	}
 }
 
 // Extend runs one iteration on the receiver side and returns n choice
@@ -409,41 +468,17 @@ func (r *Receiver) Extend() ([]bool, []block.Block, error) {
 	ext := r.trace.Span("extend", "softspoken", ReceiverTID)
 	m := r.n + kappa
 	mb := m / 8
-	leaves := 1 << uint(r.k)
 	xb := make([]byte, mb)
 	r.rng.Fill(xb)
-	cols := make([][]byte, kappa)
+	// Correction columns c_j = (⊕_a r_a) ⊕ x, folded straight into
+	// their slots of the single outgoing message.
 	msg := make([]byte, r.nc*mb+block.Size+kappa*block.Size)
-	exp := r.trace.Span("softspoken.expand", "extend", ReceiverTID)
-	parallel.ShardIndexed(r.workers, r.nc, func(shard, lo, hi int) {
-		sp := r.trace.Span("softspoken.expand", "extend.worker", ReceiverTID+1+shard)
-		buf := make([]byte, mb)
-		for j := lo; j < hi; j++ {
-			// Correction column c_j = (⊕_a r_a) ⊕ x, written straight
-			// into its slot of the single outgoing message.
-			corr := msg[j*mb : (j+1)*mb]
-			for b := 0; b < r.k; b++ {
-				cols[j*r.k+b] = make([]byte, mb)
-			}
-			for a := 0; a < leaves; a++ {
-				r.streams[j*leaves+a].Fill(buf)
-				xorInto(corr, buf)
-				for b := 0; b < r.k; b++ {
-					if a>>uint(b)&1 == 1 {
-						xorInto(cols[j*r.k+b], buf)
-					}
-				}
-			}
-			xorInto(corr, xb)
-		}
-		if sp.Live() {
-			sp.EndArgs(map[string]any{"chunks": hi - lo})
-		}
-	})
-	if exp.Live() {
-		exp.EndArgs(map[string]any{"chunks": r.nc, "rows": m})
+	cols := expandCols(r.streams, make([]int, r.nc), r.k, mb, r.workers, msg[:r.nc*mb], r.trace, ReceiverTID)
+	for j := 0; j < r.nc; j++ {
+		xorInto(msg[j*mb:(j+1)*mb], xb)
 	}
-	y := transposeCols(cols, m, r.workers, r.trace, ReceiverTID)
+	y := make([]block.Block, m)
+	transposeRows(y, cols, r.workers, r.trace, ReceiverTID)
 	// Check-row sections: the last 128 rows' x bits and y blocks let
 	// the sender verify the correlation before trusting the batch.
 	off := r.nc * mb
@@ -471,40 +506,10 @@ func (s *Sender) Extend() ([]block.Block, error) {
 	ext := s.trace.Span("extend", "softspoken", SenderTID)
 	m := s.n + kappa
 	mb := m / 8
-	leaves := 1 << uint(s.k)
-	cols := make([][]byte, kappa)
-	exp := s.trace.Span("softspoken.expand", "extend", SenderTID)
-	parallel.ShardIndexed(s.workers, s.nc, func(shard, lo, hi int) {
-		sp := s.trace.Span("softspoken.expand", "extend.worker", SenderTID+1+shard)
-		buf := make([]byte, mb)
-		for j := lo; j < hi; j++ {
-			for b := 0; b < s.k; b++ {
-				cols[j*s.k+b] = make([]byte, mb)
-			}
-			hole := s.holes[j]
-			for a := 0; a < leaves; a++ {
-				if a == hole {
-					continue
-				}
-				s.streams[j*leaves+a].Fill(buf)
-				// Fold by the offset a⊕Δ_j: with the correction added
-				// below this lines the columns up as v^(b) ⊕
-				// bit_b(Δ_j)·x (the hole term has offset 0, no bits).
-				t := a ^ hole
-				for b := 0; b < s.k; b++ {
-					if t>>uint(b)&1 == 1 {
-						xorInto(cols[j*s.k+b], buf)
-					}
-				}
-			}
-		}
-		if sp.Live() {
-			sp.EndArgs(map[string]any{"chunks": hi - lo})
-		}
-	})
-	if exp.Live() {
-		exp.EndArgs(map[string]any{"chunks": s.nc, "rows": m})
-	}
+	// Folding by the offset a⊕Δ_j lines the columns up as v^(b) ⊕
+	// bit_b(Δ_j)·x once the correction is added below (the hole term
+	// has offset 0, no bits).
+	cols := expandCols(s.streams, s.holes, s.k, mb, s.workers, nil, s.trace, SenderTID)
 	msg, err := s.conn.Recv()
 	if err != nil {
 		return nil, fmt.Errorf("softspoken extend: %w", err)
@@ -513,15 +518,13 @@ func (s *Sender) Extend() ([]block.Block, error) {
 	if len(msg) != want {
 		return nil, fmt.Errorf("softspoken extend: correction message is %d bytes, want %d", len(msg), want)
 	}
-	for j := 0; j < s.nc; j++ {
-		corr := msg[j*mb : (j+1)*mb]
-		for b := 0; b < s.k; b++ {
-			if s.holes[j]>>uint(b)&1 == 1 {
-				xorInto(cols[j*s.k+b], corr)
-			}
+	for c := 0; c < kappa; c++ {
+		if s.delta.Bit(c) == 1 {
+			cols.xorCol(c, msg[c/s.k*mb:][:mb])
 		}
 	}
-	z := transposeCols(cols, m, s.workers, s.trace, SenderTID)
+	z := make([]block.Block, m)
+	transposeRows(z, cols, s.workers, s.trace, SenderTID)
 	xchk := msg[s.nc*mb : s.nc*mb+block.Size]
 	ychk := block.SliceFromBytes(msg[s.nc*mb+block.Size:])
 	for t := 0; t < kappa; t++ {

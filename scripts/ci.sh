@@ -157,6 +157,9 @@ echo "== embedded circuit end-to-end (examples/private-aes over real TCP) =="
 echo "== go test -race (includes the gmw + arith engines and the TCP pipeline) =="
 go test -race ./...
 
+echo "== column-pipeline kernel benchmarks (one iteration each, so they cannot rot) =="
+go test -run '^$' -bench 'TransposeBits|StreamFill' -benchtime 1x ./internal/block ./internal/aesprg
+
 echo "== engine metrics (ironman-bench -exp gmw,arith,extend -json) =="
 # One document carries the gmw metrics (AND/s, B/AND, wire reduction),
 # the arith metrics (triples/s, B/triple, matmul GFLOP-equiv), and the
