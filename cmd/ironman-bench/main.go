@@ -1,230 +1,124 @@
-// Command ironman-bench regenerates the paper's tables and figures.
+// Command ironman-bench regenerates the paper's tables and figures
+// from experiments.All.
 //
 // Usage:
 //
-//	ironman-bench [-quick] [-exp name[,name...]] [-backend name[,name...]] [-json]
+//	ironman-bench [-quick] [-exp name[,name...]] [-json]
 //
-// Experiment names: fig1a fig1b fig1c fig7 fig8 fig12 fig13 fig14
-// fig15 fig16 table2 table4 table5 table6 gmw arith extend circuit
-// all (default all); -exp accepts a comma-separated list, and
-// `-exp list` prints every experiment with its one-line description
-// and exits. "gmw" runs the real bitsliced GMW engine (batched 64-bit
-// comparison) and reports AND-gates/sec and wire bytes per AND gate;
-// "arith" runs the real arithmetic engine (COT-backed Beaver triples,
-// fixed-point matmul) and reports triples/sec and measured bytes per
-// triple; "extend" runs the real multicore Extend pipeline at
-// workers=1,2,4,8 — once per backend named by -backend (default: the
-// default extension backend) — and reports comparable COT/s scaling
-// curves with each backend's (constant) bytes per COT; "circuit"
-// evaluates the embedded Bristol circuits (AES-128, SHA-256, 64-bit
-// divide) SIMD-packed through the level-scheduling compiler and
-// cross-checks the exact cost model against the measured counters.
+// -exp takes a comma-separated list of experiment names or "all" (the
+// default); `-exp list` prints every experiment with its one-line
+// description and exits. Each rendered table is followed by the
+// experiment's headline quantity with the paper's reported value
+// beside it.
 //
 // With -json the selected experiments are emitted as one JSON
 // document on stdout — {"meta": {...}, "experiments": {name:
-// {"seconds": wall, "data": rows}}} — so successive runs can be
-// archived (BENCH_*.json) and diffed to track the perf trajectory.
+// {"seconds": wall, "data": rows, "headline": {...}}}}.
+//
+// Measured protocol throughput (COT/s, AND/s, triples/s, fleet
+// latency) is not here: `go run ./benchmark` is its one source.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"ironman/internal/experiments"
-	"ironman/internal/extension"
-	"ironman/internal/obs"
 )
 
-// experiment pairs a machine-readable result with its rendered view.
-type experiment struct {
-	name string
-	desc string
-	run  func(o experiments.Options) (data any, text string)
-}
-
-func both[T any](rows T, render func(T) string) (any, string) {
-	return rows, render(rows)
-}
-
-var all = []experiment{
-	{"table2", "protocol wire complexity per primitive", func(experiments.Options) (any, string) {
-		return experiments.Table2Data(), experiments.RenderTable2()
-	}},
-	{"table4", "Ferret LPN parameter sets", func(experiments.Options) (any, string) {
-		return experiments.Table4Data(), experiments.RenderTable4()
-	}},
-	{"table6", "NMP hardware area/power budget", func(experiments.Options) (any, string) {
-		return experiments.Table6Data(), experiments.RenderTable6()
-	}},
-	{"fig1a", "motivational OT share of 2PC runtime", func(experiments.Options) (any, string) {
-		return both(experiments.Figure1a(), experiments.RenderFig1a)
-	}},
-	{"fig1b", "motivational memory-boundedness of OTE", func(experiments.Options) (any, string) {
-		return both(experiments.Figure1b(), experiments.RenderFig1b)
-	}},
-	{"fig1c", "motivational roofline placement", func(experiments.Options) (any, string) {
-		return both(experiments.Figure1c(), experiments.RenderFig1c)
-	}},
-	{"fig7", "LPN access locality histogram", func(o experiments.Options) (any, string) {
-		return both(experiments.Figure7(o), experiments.RenderFig7)
-	}},
-	{"fig8", "SPCOT tree-expansion op counts", func(experiments.Options) (any, string) {
-		return both(experiments.Figure8(), experiments.RenderFig8)
-	}},
-	{"fig12", "OTE latency: CPU vs GPU vs NMP sweep", func(o experiments.Options) (any, string) {
-		return both(experiments.Figure12(o), experiments.RenderFig12)
-	}},
-	{"fig13", "SPCOT ablation and phase latency by ranks", func(o experiments.Options) (any, string) {
-		a, b := experiments.Figure13a(o), experiments.Figure13b(o)
-		return map[string]any{"a": a, "b": b}, experiments.RenderFig13(a, b)
-	}},
-	{"fig14", "memory-side cache capacity sweep", func(o experiments.Options) (any, string) {
-		return both(experiments.Figure14(o), experiments.RenderFig14)
-	}},
-	{"fig15", "end-to-end 2PC application speedups", func(o experiments.Options) (any, string) {
-		return both(experiments.Figure15(o), experiments.RenderFig15)
-	}},
-	{"fig16", "area/power breakdown", func(experiments.Options) (any, string) {
-		return both(experiments.Figure16(), experiments.RenderFig16)
-	}},
-	{"table5", "2PC workload latency comparison", func(o experiments.Options) (any, string) {
-		return both(experiments.Table5(o), experiments.RenderTable5)
-	}},
-	{"gmw", "real bitsliced GMW engine throughput", func(o experiments.Options) (any, string) {
-		return both(experiments.GMWBench(o), experiments.RenderGMW)
-	}},
-	{"arith", "real arithmetic engine (Beaver triples, matmul)", func(o experiments.Options) (any, string) {
-		return both(experiments.ArithBench(o), experiments.RenderArith)
-	}},
-	{"extend", "real Extend pipeline worker scaling per backend", func(o experiments.Options) (any, string) {
-		return both(experiments.ExtendBench(o), experiments.RenderExtend)
-	}},
-	{"circuit", "Bristol circuit evaluation vs cost model", func(o experiments.Options) (any, string) {
-		return both(experiments.CircuitBench(o), experiments.RenderCircuit)
-	}},
-	{"fleet", "sharded dispenser fleet under concurrent-session load", func(o experiments.Options) (any, string) {
-		return both(experiments.FleetBench(o), experiments.RenderFleet)
-	}},
-}
-
-// validNames lists every accepted -exp name (sorted, "all" and "list"
-// included) for error messages.
-func validNames() string {
-	names := make([]string, 0, len(all)+2)
-	for _, e := range all {
-		names = append(names, e.name)
-	}
-	names = append(names, "all", "list")
-	sort.Strings(names)
-	return strings.Join(names, " ")
-}
-
-// splitList parses a comma-separated flag value.
-func splitList(v string) []string {
-	var out []string
-	for _, name := range strings.Split(v, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			out = append(out, name)
-		}
-	}
-	return out
-}
-
 func main() {
-	quick := flag.Bool("quick", false, "reduced sample sizes")
-	exp := flag.String("exp", "all", "experiment(s) to run, comma-separated; \"list\" prints them")
-	backend := flag.String("backend", "", "extension backend(s) for the extend bench, comma-separated (default: the default backend)")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of rendered tables")
-	traceOut := flag.String("trace", "", "write phase spans from protocol benches as Chrome trace-event JSON (open in chrome://tracing or Perfetto)")
-	flag.Parse()
+	os.Exit(run(experiments.All, os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its inputs and outputs as parameters: it returns the
+// exit status (2 for a usage error, 1 for a failed experiment).
+func run(all []experiments.Experiment, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ironman-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "reduced sample sizes")
+	exp := fs.String("exp", "all", "experiment(s) to run, comma-separated; \"list\" prints them")
+	jsonOut := fs.Bool("json", false, "emit machine-readable JSON instead of rendered tables")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *exp == "list" {
 		// Machine-readable: one "name\tdescription" line per experiment.
 		for _, e := range all {
-			fmt.Printf("%s\t%s\n", e.name, e.desc)
+			fmt.Fprintf(stdout, "%s\t%s\n", e.Name, e.Desc)
 		}
-		return
+		return 0
 	}
 
-	sel := make(map[string]bool)
-	for _, name := range splitList(*exp) {
-		sel[name] = true
-	}
 	// Every requested name must exist: a typo in one list entry fails
-	// the run instead of silently dropping that experiment's metrics.
-	known := map[string]bool{"all": true}
+	// the run instead of silently dropping that experiment.
+	names := []string{"all"}
 	for _, e := range all {
-		known[e.name] = true
+		names = append(names, e.Name)
 	}
-	for name := range sel {
-		if !known[name] {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: %s)\n", name, validNames())
-			os.Exit(2)
-		}
-	}
-	// Backend names are validated up front the same way, against the
-	// extension registry.
-	backends := splitList(*backend)
-	for _, name := range backends {
-		if _, err := extension.ByName(name); err != nil {
-			fmt.Fprintf(os.Stderr, "unknown backend %q (valid: %s)\n", name, strings.Join(extension.Names(), " "))
-			os.Exit(2)
-		}
-	}
-	o := experiments.Options{Quick: *quick, Backends: backends}
-	if *traceOut != "" {
-		o.Trace = obs.NewTracer()
-	}
-	type result struct {
-		Seconds float64 `json:"seconds"`
-		Data    any     `json:"data"`
-	}
-	results := make(map[string]result)
-	ran := false
-	for _, e := range all {
-		if !sel["all"] && !sel[e.name] {
+	sel := make(map[string]bool)
+	for _, name := range strings.Split(*exp, ",") {
+		if name = strings.TrimSpace(name); name == "" {
 			continue
 		}
-		ran = true
+		if !slices.Contains(names, name) {
+			fmt.Fprintf(stderr, "unknown experiment %q (valid: %s list)\n", name, strings.Join(names, " "))
+			return 2
+		}
+		sel[name] = true
+	}
+	if len(sel) == 0 {
+		fmt.Fprintf(stderr, "no experiment selected by %q (valid: %s list)\n", *exp, strings.Join(names, " "))
+		return 2
+	}
+
+	type result struct {
+		Seconds  float64              `json:"seconds"`
+		Data     any                  `json:"data"`
+		Headline experiments.Headline `json:"headline"`
+	}
+	results := make(map[string]result)
+	for _, e := range all {
+		if !sel["all"] && !sel[e.Name] {
+			continue
+		}
 		start := time.Now()
-		data, text := e.run(o)
-		elapsed := time.Since(start).Seconds()
+		r, err := e.Run(*quick)
+		if err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", e.Name, err)
+			return 1
+		}
 		if *jsonOut {
-			results[e.name] = result{Seconds: elapsed, Data: data}
-		} else {
-			fmt.Print(text)
+			results[e.Name] = result{time.Since(start).Seconds(), r.Rows, r.Headline}
+			continue
 		}
-	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "no experiment selected by %q (valid: %s)\n", *exp, validNames())
-		os.Exit(2)
-	}
-	if o.Trace != nil {
-		if err := o.Trace.WriteFile(*traceOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "trace: %d events -> %s\n", len(o.Trace.Events()), *traceOut)
+		h := r.Headline
+		fmt.Fprintf(stdout, "%s  headline: %s = %.4g (paper: %s)\n", r.Text, h.Metric, h.Value, h.Paper)
 	}
 	if *jsonOut {
 		doc := map[string]any{
 			"meta": map[string]any{
 				"quick":     *quick,
-				"backends":  o.Backends,
 				"generated": time.Now().UTC().Format(time.RFC3339),
 			},
 			"experiments": results,
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
+	return 0
 }

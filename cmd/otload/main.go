@@ -2,11 +2,13 @@
 // over real TCP: it sustains many concurrent sessions across a bounded
 // set of connections, alternates sender/receiver draws, and reports
 // draw-latency percentiles, typed shed counts, and the per-shard
-// session balance as JSON — the committed BENCH_fleet.json artifact.
+// session balance as JSON. It is the smoke driver for real otd
+// processes (scripts/ci.sh); fleet numbers worth quoting come from the
+// fleet-steady and fleet-churn workloads of `go run ./benchmark`.
 //
 // Usage:
 //
-//	otload -addr 127.0.0.1:7600 -sessions 1024 -conns 64 -out BENCH_fleet.json
+//	otload -addr 127.0.0.1:7600 -sessions 1024 -conns 64 -out report.json
 //	otload -addr 127.0.0.1:7600 -quick          # CI smoke sizing
 package main
 

@@ -113,10 +113,15 @@ func TestTriplesAndMulVec(t *testing.T) {
 		ys[i] = rng.Uint64()
 	}
 	a, b := parties(t, 64*n)
+	var tripleWire int64
 	eval := func(p *Party, mineX bool) ([]uint64, error) {
+		base := p.conn.Stats().TotalBytes()
 		tr, err := p.NewTriples(n)
 		if err != nil {
 			return nil, err
+		}
+		if mineX {
+			tripleWire = p.conn.Stats().TotalBytes() - base
 		}
 		x := p.NewPrivate(xs, mineX)
 		y := p.NewPrivate(ys, !mineX)
@@ -137,6 +142,15 @@ func TestTriplesAndMulVec(t *testing.T) {
 	}
 	if a.Triples != n || a.Mults != n {
 		t.Fatalf("counter wrong: %d triples, %d mults", a.Triples, a.Mults)
+	}
+	// Measured cost of a triple against the ppml.ArithTripleCost model:
+	// 128 COTs (64 per direction) and 1056 B on the wire, the latter
+	// plus at most 5% of transport framing.
+	if used := a.Out.Used() + a.In.Used(); used != 128*n {
+		t.Fatalf("%d COTs for %d triples, want 128 per triple", used, n)
+	}
+	if per := float64(tripleWire) / n; per < 1056 || per > 1.05*1056 {
+		t.Fatalf("%.1f wire bytes per triple, want within [1056, 1.05*1056]", per)
 	}
 }
 

@@ -1,46 +1,67 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation. Each Figure/Table function returns a structured
-// result with a Render method that prints the same rows/series the
-// paper reports; cmd/ironman-bench and the top-level benchmark harness
-// are thin wrappers around this package. EXPERIMENTS.md records the
-// paper-reported values next to the regenerated ones.
+// paper's evaluation from the simulators (internal/sim/*) and the PPML
+// cost models (internal/ppml). All is the one enumeration: each entry
+// returns its rows, the rendered table the paper reports, and a
+// headline quantity with the paper's reported value beside it.
+// cmd/ironman-bench and BenchmarkPaper both iterate All; measured
+// protocol throughput is not here — that is benchmark/.
 package experiments
 
 import (
 	"fmt"
 	"strings"
 
-	"ironman/internal/extension"
 	"ironman/internal/ferret"
-	"ironman/internal/obs"
-
 	"ironman/internal/prg"
+	"ironman/internal/sim/area"
 	"ironman/internal/sim/cpu"
 	"ironman/internal/sim/gpu"
 	"ironman/internal/sim/nmp"
 )
 
-// Quick toggles reduced sample sizes for CI-speed runs. Trace, when
-// non-nil, collects phase spans from the protocol-backed benches
-// (currently ExtendBench) for chrome://tracing / Perfetto. Backends
-// selects the extension backends ExtendBench compares (nil runs the
-// default backend only).
-type Options struct {
-	Quick    bool
-	Trace    *obs.Tracer
-	Backends []string
+// Headline is the one quantity an experiment is quoted by, next to
+// what the paper reports for it.
+type Headline struct {
+	Metric string  `json:"metric"`
+	Value  float64 `json:"value"`
+	Paper  string  `json:"paper"`
 }
 
-// backends resolves the backend selection for the protocol benches.
-func (o Options) backends() []string {
-	if len(o.Backends) == 0 {
-		return []string{extension.Default}
-	}
-	return o.Backends
+// Result is one regenerated table or figure.
+type Result struct {
+	Rows     any    // JSON-marshalable rows ("data" in ironman-bench -json)
+	Text     string // the rendered table
+	Headline Headline
 }
 
-func (o Options) sampleRows() int {
-	if o.Quick {
+// Experiment is one table or figure of the paper. Run with quick set
+// trades sample sizes for CI speed.
+type Experiment struct {
+	Name string
+	Desc string
+	Run  func(quick bool) (Result, error)
+}
+
+// All lists the paper's evaluation; adding a figure is one row here.
+var All = []Experiment{
+	{"table2", "PRG cores: AES-128 vs ChaCha8 area and power (45 nm)", table2},
+	{"table4", "PCG-style OT-extension parameter sets", table4},
+	{"table6", "Ironman-NMP area and power overhead", table6},
+	{"fig1a", "execution-time breakdown across PPML frameworks", fig1a},
+	{"fig1b", "CPU OTE latency per execution: init, SPCOT, LPN", fig1b},
+	{"fig1c", "roofline placement of SPCOT and LPN", fig1c},
+	{"fig7", "m-ary GGM trees: ops, communication, WAN/LAN latency", fig7},
+	{"fig8", "GGM expansion schedules on the ChaCha pipeline", fig8},
+	{"fig12", "OTE latency: CPU vs GPU vs NMP sweep", fig12},
+	{"fig13", "SPCOT ablation and SPCOT-vs-LPN latency by ranks", fig13},
+	{"fig14", "memory-side cache capacity sweep", fig14},
+	{"fig15", "nonlinear-operator speedups, CPU vs Ironman OT backend", fig15},
+	{"fig16", "MatMul with and without the unified architecture", fig16},
+	{"table5", "end-to-end PPML latency, CPU vs Ironman OT backend", table5},
+}
+
+func sampleRows(quick bool) int {
+	if quick {
 		// Sampling distorts access density slightly (fewer rows over
 		// the same k columns); quick mode trades that for speed.
 		return 60_000
@@ -65,8 +86,8 @@ type Fig12Row struct {
 	HitRate    float64
 }
 
-// Figure12 sweeps rank counts x cache sizes x Table 4 sets.
-func Figure12(o Options) []Fig12Row {
+// fig12 sweeps rank counts x cache sizes x Table 4 sets.
+func fig12(quick bool) (Result, error) {
 	const totalOTs = 1 << 25
 	var rows []Fig12Row
 	host := cpu.Xeon5220R
@@ -74,10 +95,10 @@ func Figure12(o Options) []Fig12Row {
 		for _, ranks := range []int{2, 4, 8, 16} {
 			for _, params := range ferret.Table4 {
 				cfg := nmp.DefaultConfig(ranks, cacheKB<<10)
-				cfg.SampleRows = o.sampleRows()
+				cfg.SampleRows = sampleRows(quick)
 				res, err := nmp.SimulateOTE(cfg, params, prg.New(prg.ChaCha8, 4), nmp.SortFor(cfg), totalOTs)
 				if err != nil {
-					panic(err)
+					return Result{}, err
 				}
 				cpuSec := host.TotalOTsLatency(params, totalOTs)
 				rows = append(rows, Fig12Row{
@@ -93,11 +114,12 @@ func Figure12(o Options) []Fig12Row {
 			}
 		}
 	}
-	return rows
+	_, hi := speedupRange(rows, 1024, 16)
+	return Result{rows, renderFig12(rows), Headline{"peak-speedup-x", hi,
+		"39.2-237.4x at 16 ranks; our more conservative memory model lands lower"}}, nil
 }
 
-// RenderFig12 prints the sweep as a table.
-func RenderFig12(rows []Fig12Row) string {
+func renderFig12(rows []Fig12Row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 12: OTE latency for 2^25 OTs (normalized to CPU)\n")
 	fmt.Fprintf(&b, "%-6s %-6s %-6s %10s %10s %10s %9s %7s\n",
@@ -110,9 +132,9 @@ func RenderFig12(rows []Fig12Row) string {
 	return b.String()
 }
 
-// SpeedupRange scans Fig12 rows for the min/max speedup of a cache size
+// speedupRange scans Fig12 rows for the min/max speedup of a cache size
 // at the given rank count (the headline 39.2-237.4x band).
-func SpeedupRange(rows []Fig12Row, cacheKB, ranks int) (lo, hi float64) {
+func speedupRange(rows []Fig12Row, cacheKB, ranks int) (lo, hi float64) {
 	lo, hi = -1, -1
 	for _, r := range rows {
 		if r.CacheKB != cacheKB || r.Ranks != ranks {
@@ -140,36 +162,6 @@ type Fig13aRow struct {
 	Speedup float64 // vs 2-ary AES
 }
 
-// Figure13a runs the four §6.2 design points on the 2^20 set.
-func Figure13a(o Options) []Fig13aRow {
-	params := ferret.Table4[0]
-	cfg := nmp.DefaultConfig(16, 256<<10)
-	cfg.SampleRows = o.sampleRows()
-	designs := []struct {
-		name  string
-		kind  prg.Kind
-		arity int
-	}{
-		{"2-ary tree with AES", prg.AES, 2},
-		{"4-ary tree with AES", prg.AES, 4},
-		{"2-ary tree with ChaCha", prg.ChaCha8, 2},
-		{"4-ary tree with ChaCha", prg.ChaCha8, 4},
-	}
-	var rows []Fig13aRow
-	var base float64
-	for i, d := range designs {
-		st, err := nmp.SimulateSPCOT(cfg, prg.New(d.kind, d.arity), params.L, params.T)
-		if err != nil {
-			panic(err)
-		}
-		if i == 0 {
-			base = st.Seconds
-		}
-		rows = append(rows, Fig13aRow{Design: d.name, Ops: st.Ops, Seconds: st.Seconds, Speedup: base / st.Seconds})
-	}
-	return rows
-}
-
 // Fig13bRow compares phase latencies at one rank count.
 type Fig13bRow struct {
 	Ranks    int
@@ -177,45 +169,64 @@ type Fig13bRow struct {
 	LPNSec   float64
 }
 
-// Figure13b sweeps ranks, comparing SPCOT designs against LPN.
-func Figure13b(o Options) []Fig13bRow {
-	params := ferret.Table4[0]
-	var rows []Fig13bRow
-	for _, ranks := range []int{2, 4, 8, 16} {
-		cfg := nmp.DefaultConfig(ranks, 256<<10)
-		cfg.SampleRows = o.sampleRows()
-		lp, err := nmp.SimulateLPN(cfg, params, nmp.SortFor(cfg), ferret.DefaultCodeSeed)
-		if err != nil {
-			panic(err)
-		}
-		row := Fig13bRow{Ranks: ranks, LPNSec: lp.Seconds, SPCOTSec: map[string]float64{}}
-		for _, d := range []struct {
-			name  string
-			kind  prg.Kind
-			arity int
-		}{
-			{"AESx2", prg.AES, 2}, {"ChaChax2", prg.ChaCha8, 2}, {"AESx4", prg.AES, 4}, {"ChaChax4", prg.ChaCha8, 4},
-		} {
-			st, err := nmp.SimulateSPCOT(cfg, prg.New(d.kind, d.arity), params.L, params.T)
-			if err != nil {
-				panic(err)
-			}
-			row.SPCOTSec[d.name] = st.Seconds
-		}
-		rows = append(rows, row)
-	}
-	return rows
+// Fig13Rows holds both panels.
+type Fig13Rows struct {
+	A []Fig13aRow `json:"a"`
+	B []Fig13bRow `json:"b"`
 }
 
-// RenderFig13 prints both panels.
-func RenderFig13(a []Fig13aRow, b []Fig13bRow) string {
+// spcotDesigns are the four §6.2 tree-construction design points.
+var spcotDesigns = []struct {
+	name, short string
+	kind        prg.Kind
+	arity       int
+}{
+	{"2-ary tree with AES", "AESx2", prg.AES, 2},
+	{"4-ary tree with AES", "AESx4", prg.AES, 4},
+	{"2-ary tree with ChaCha", "ChaChax2", prg.ChaCha8, 2},
+	{"4-ary tree with ChaCha", "ChaChax4", prg.ChaCha8, 4},
+}
+
+// fig13 runs the four design points on the 2^20 set at 16 ranks (a),
+// then sweeps ranks comparing them against LPN (b).
+func fig13(quick bool) (Result, error) {
+	params := ferret.Table4[0]
+	var rows Fig13Rows
+	for _, ranks := range []int{2, 4, 8, 16} {
+		cfg := nmp.DefaultConfig(ranks, 256<<10)
+		cfg.SampleRows = sampleRows(quick)
+		lp, err := nmp.SimulateLPN(cfg, params, nmp.SortFor(cfg), ferret.DefaultCodeSeed)
+		if err != nil {
+			return Result{}, err
+		}
+		row := Fig13bRow{Ranks: ranks, LPNSec: lp.Seconds, SPCOTSec: map[string]float64{}}
+		for _, d := range spcotDesigns {
+			st, err := nmp.SimulateSPCOT(cfg, prg.New(d.kind, d.arity), params.L, params.T)
+			if err != nil {
+				return Result{}, err
+			}
+			row.SPCOTSec[d.short] = st.Seconds
+			if ranks == 16 {
+				rows.A = append(rows.A, Fig13aRow{Design: d.name, Ops: st.Ops, Seconds: st.Seconds})
+			}
+		}
+		rows.B = append(rows.B, row)
+	}
+	for i := range rows.A {
+		rows.A[i].Speedup = rows.A[0].Seconds / rows.A[i].Seconds
+	}
+	return Result{rows, renderFig13(rows), Headline{"spcot-ablation-x", rows.A[3].Speedup,
+		"6x from 4-ary + ChaCha, which hides SPCOT under LPN at 16 ranks"}}, nil
+}
+
+func renderFig13(rows Fig13Rows) string {
 	var sb strings.Builder
 	sb.WriteString("Figure 13(a): SPCOT ablation (2^20 set, 16 ranks)\n")
-	for _, r := range a {
+	for _, r := range rows.A {
 		fmt.Fprintf(&sb, "  %-24s ops=%-9d %8.3f ms  %5.2fx\n", r.Design, r.Ops, r.Seconds*1e3, r.Speedup)
 	}
 	sb.WriteString("Figure 13(b): SPCOT vs LPN latency by active ranks\n")
-	for _, r := range b {
+	for _, r := range rows.B {
 		fmt.Fprintf(&sb, "  %2d ranks: LPN %8.3f ms | SPCOT AESx2 %8.3f  ChaChax4 %8.3f ms\n",
 			r.Ranks, r.LPNSec*1e3, r.SPCOTSec["AESx2"]*1e3, r.SPCOTSec["ChaChax4"]*1e3)
 	}
@@ -235,38 +246,36 @@ type Fig14Row struct {
 	SRAMArea float64
 }
 
-// Figure14 sweeps cache capacity 32KB..2MB over the Table 4 sets.
-func Figure14(o Options) []Fig14Row {
+// fig14 sweeps cache capacity 32KB..2MB over the Table 4 sets.
+func fig14(quick bool) (Result, error) {
 	var rows []Fig14Row
+	var hit float64
 	sets := ferret.Table4[:4] // the paper plots 2^20..2^23
 	for _, kb := range []int{32, 64, 128, 256, 512, 1024, 2048} {
 		for _, params := range sets {
 			cfg := nmp.DefaultConfig(16, kb<<10)
-			cfg.SampleRows = o.sampleRows()
+			cfg.SampleRows = sampleRows(quick)
 			lp, err := nmp.SimulateLPN(cfg, params, nmp.SortFor(cfg), ferret.DefaultCodeSeed)
 			if err != nil {
-				panic(err)
+				return Result{}, err
+			}
+			if kb == 1024 && params.Name == "2^20" {
+				hit = lp.CacheHitRate
 			}
 			rows = append(rows, Fig14Row{
 				CacheKB:  kb,
 				ParamSet: params.Name,
 				HitRate:  lp.CacheHitRate,
 				LPNSec:   lp.Seconds,
-				SRAMArea: sramArea(kb),
+				SRAMArea: area.SRAMAreaMM2(kb << 10),
 			})
 		}
 	}
-	return rows
+	return Result{rows, renderFig14(rows), Headline{"hit-%@1MB", hit * 100,
+		"plotted, no number quoted: hit rate rises with capacity"}}, nil
 }
 
-func sramArea(kb int) float64 {
-	// internal/sim/area owns the law; duplicated import avoided by a
-	// tiny closure over its exported helper.
-	return areaSRAM(kb << 10)
-}
-
-// RenderFig14 prints hit rate and latency per cache size.
-func RenderFig14(rows []Fig14Row) string {
+func renderFig14(rows []Fig14Row) string {
 	var b strings.Builder
 	b.WriteString("Figure 14: memory-side cache sweep (16 ranks)\n")
 	fmt.Fprintf(&b, "%-8s %-6s %8s %12s %10s\n", "cache", "set", "hit%", "LPN(ms)", "SRAM(mm2)")

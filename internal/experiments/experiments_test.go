@@ -1,14 +1,88 @@
 package experiments
 
 import (
+	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
 
-var quick = Options{Quick: true}
+// quickResults memoizes each experiment's quick run, so the registry
+// test and the shape tests below pay for every sweep once between them.
+var quickResults = map[string]Result{}
+
+func quickResult(t *testing.T, name string) Result {
+	t.Helper()
+	if r, ok := quickResults[name]; ok {
+		return r
+	}
+	for _, e := range All {
+		if e.Name == name {
+			r, err := e.Run(true)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			quickResults[name] = r
+			return r
+		}
+	}
+	t.Fatalf("no experiment named %q", name)
+	return Result{}
+}
+
+// TestRegistry pins the one enumeration: exactly the paper's 14 items,
+// each producing rows, a rendered table and a headline.
+func TestRegistry(t *testing.T) {
+	want := strings.Fields("table2 table4 table5 table6 fig1a fig1b fig1c fig7 fig8 fig12 fig13 fig14 fig15 fig16")
+	seen := map[string]bool{}
+	for _, e := range All {
+		if seen[e.Name] {
+			t.Errorf("duplicate experiment %q", e.Name)
+		}
+		seen[e.Name] = true
+		if e.Desc == "" {
+			t.Errorf("%s: no description", e.Name)
+		}
+		r := quickResult(t, e.Name)
+		if !strings.HasSuffix(r.Text, "\n") {
+			t.Errorf("%s: rendered text %q must be non-empty whole lines", e.Name, r.Text)
+		}
+		h := r.Headline
+		if h.Metric == "" || h.Paper == "" || math.IsNaN(h.Value) || math.IsInf(h.Value, 0) {
+			t.Errorf("%s: headline %+v needs a metric, a finite value and the paper's side", e.Name, h)
+		}
+		if data, err := json.Marshal(r.Rows); err != nil || string(data) == "null" {
+			t.Errorf("%s: rows marshal to %q, %v", e.Name, data, err)
+		}
+	}
+	for _, name := range want {
+		if !seen[name] {
+			t.Errorf("paper item %q missing from All", name)
+		}
+	}
+	if len(All) != len(want) {
+		t.Errorf("All has %d entries, the paper's evaluation has %d", len(All), len(want))
+	}
+}
+
+func BenchmarkPaper(b *testing.B) {
+	for _, e := range All {
+		b.Run(e.Name, func(b *testing.B) {
+			var r Result
+			for i := 0; i < b.N; i++ {
+				var err error
+				if r, err = e.Run(true); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(r.Headline.Value, r.Headline.Metric)
+		})
+	}
+}
 
 func TestFigure1bMonotone(t *testing.T) {
-	rows := Figure1b()
+	res := quickResult(t, "fig1b")
+	rows := res.Rows.([]Fig1bRow)
 	if len(rows) != 5 {
 		t.Fatalf("want 5 rows, got %d", len(rows))
 	}
@@ -20,20 +94,20 @@ func TestFigure1bMonotone(t *testing.T) {
 		}
 		prev = total
 	}
-	if !strings.Contains(RenderFig1b(rows), "2^24") {
+	if !strings.Contains(res.Text, "2^24") {
 		t.Fatal("render missing rows")
 	}
 }
 
 func TestFigure1cRenders(t *testing.T) {
-	out := RenderFig1c(Figure1c())
+	out := quickResult(t, "fig1c").Text
 	if !strings.Contains(out, "compute-bound") || !strings.Contains(out, "memory-bound") {
 		t.Fatal("roofline must show both regimes")
 	}
 }
 
 func TestFigure7Trends(t *testing.T) {
-	rows := Figure7(quick)
+	rows := quickResult(t, "fig7").Rows.([]Fig7Row)
 	if len(rows) != 5 {
 		t.Fatalf("want 5 arities")
 	}
@@ -49,12 +123,11 @@ func TestFigure7Trends(t *testing.T) {
 	if f := float64(rows[0].Ops) / float64(rows[1].Ops); f < 2.8 || f > 3.2 {
 		t.Fatalf("m=4 op reduction %.2f, want ~3", f)
 	}
-	_ = RenderFig7(rows)
 }
 
 func TestFigure8Renders(t *testing.T) {
-	rows := Figure8()
-	out := RenderFig8(rows)
+	res := quickResult(t, "fig8")
+	rows, out := res.Rows.([]Fig8Row), res.Text
 	for _, s := range []string{"depth-first", "breadth-first", "hybrid"} {
 		if !strings.Contains(out, s) {
 			t.Fatalf("missing schedule %s", s)
@@ -73,7 +146,7 @@ func TestFigure8Renders(t *testing.T) {
 }
 
 func TestFigure12Shape(t *testing.T) {
-	rows := Figure12(quick)
+	rows := quickResult(t, "fig12").Rows.([]Fig12Row)
 	if len(rows) != 2*4*5 {
 		t.Fatalf("want 40 rows, got %d", len(rows))
 	}
@@ -92,26 +165,25 @@ func TestFigure12Shape(t *testing.T) {
 		}
 	}
 	// Cache scaling: 1MB beats 256KB at 16 ranks for the small sets.
-	lo256, _ := SpeedupRange(rows, 256, 16)
-	lo1024, hi1024 := SpeedupRange(rows, 1024, 16)
+	lo256, _ := speedupRange(rows, 256, 16)
+	lo1024, hi1024 := speedupRange(rows, 1024, 16)
 	if lo1024 <= lo256 {
 		t.Fatalf("1MB speedups (%.1f) should dominate 256KB (%.1f)", lo1024, lo256)
 	}
 	if hi1024 < 5 {
 		t.Fatalf("peak speedup %.1f implausibly low", hi1024)
 	}
-	_ = RenderFig12(rows)
 }
 
 func TestFigure13(t *testing.T) {
-	a := Figure13a(quick)
+	rows := quickResult(t, "fig13").Rows.(Fig13Rows)
+	a, b := rows.A, rows.B
 	if len(a) != 4 {
 		t.Fatal("want 4 ablation points")
 	}
 	if a[3].Speedup < 5.5 || a[3].Speedup > 6.5 {
 		t.Fatalf("combined ablation speedup %.2f, want ~6", a[3].Speedup)
 	}
-	b := Figure13b(quick)
 	for i, r := range b {
 		// The optimized design hides under LPN at every rank count (the
 		// §6.2 conclusion), and the op ablation holds at every point.
@@ -125,16 +197,16 @@ func TestFigure13(t *testing.T) {
 		// ranks, so the AES baseline's share of the overlap budget grows
 		// with rank count — the §6.2 argument for optimizing SPCOT.
 		// (Our conservative LPN model keeps the crossover beyond 16
-		// ranks; EXPERIMENTS.md discusses the gap to the paper's plot.)
+		// ranks; the fig13 headline ironman-bench prints has the paper's
+		// side.)
 		if i > 0 && r.SPCOTSec["AESx2"]/r.LPNSec <= b[i-1].SPCOTSec["AESx2"]/b[i-1].LPNSec {
 			t.Fatalf("AESx2/LPN ratio should grow with ranks")
 		}
 	}
-	_ = RenderFig13(a, b)
 }
 
 func TestFigure14Shape(t *testing.T) {
-	rows := Figure14(quick)
+	rows := quickResult(t, "fig14").Rows.([]Fig14Row)
 	// Bigger cache -> hit rate never falls for a given set.
 	bySet := map[string][]Fig14Row{}
 	for _, r := range rows {
@@ -147,22 +219,18 @@ func TestFigure14Shape(t *testing.T) {
 			}
 		}
 	}
-	_ = RenderFig14(rows)
 }
 
 func TestFigure15Band(t *testing.T) {
-	rows := Figure15(quick)
-	for _, r := range rows {
+	for _, r := range quickResult(t, "fig15").Rows.([]Fig15Row) {
 		if r.Speedup < 1.5 {
 			t.Fatalf("%s/%s: operator speedup %.2f too low", r.Framework, r.Op, r.Speedup)
 		}
 	}
-	_ = RenderFig15(rows)
 }
 
 func TestFigure16Ratios(t *testing.T) {
-	rows := Figure16()
-	for _, r := range rows {
+	for _, r := range quickResult(t, "fig16").Rows.([]Fig16Row) {
 		if float64(r.CommBase)/float64(r.CommUni) != 2 {
 			t.Fatal("comm ratio must be 2")
 		}
@@ -171,11 +239,10 @@ func TestFigure16Ratios(t *testing.T) {
 			t.Fatalf("latency ratio %.2f, want ~1.4", lr)
 		}
 	}
-	_ = RenderFig16(rows)
 }
 
 func TestTable5Structure(t *testing.T) {
-	rows := Table5(quick)
+	rows := quickResult(t, "table5").Rows.([]Table5Row)
 	if len(rows) != (6+6+4)*2 {
 		t.Fatalf("want 32 rows, got %d", len(rows))
 	}
@@ -184,17 +251,16 @@ func TestTable5Structure(t *testing.T) {
 			t.Errorf("%s/%s/%s: speedup %.2f should exceed 1", r.Framework, r.Model, r.Network, r.Speedup)
 		}
 	}
-	_ = RenderTable5(rows)
 }
 
 func TestStaticTablesRender(t *testing.T) {
-	if !strings.Contains(RenderTable2(), "ChaCha8") {
+	if !strings.Contains(quickResult(t, "table2").Text, "ChaCha8") {
 		t.Fatal("table 2 render")
 	}
-	if !strings.Contains(RenderTable4(), "2^24") {
+	if !strings.Contains(quickResult(t, "table4").Text, "2^24") {
 		t.Fatal("table 4 render")
 	}
-	if !strings.Contains(RenderTable6(), "cache=1024KB") {
+	if !strings.Contains(quickResult(t, "table6").Text, "cache=1024KB") {
 		t.Fatal("table 6 render")
 	}
 }

@@ -9,15 +9,12 @@ import (
 	"ironman/internal/ferret"
 	"ironman/internal/ggm"
 	"ironman/internal/prg"
-	"ironman/internal/sim/area"
 	"ironman/internal/sim/cpu"
 	"ironman/internal/sim/roofline"
 	"ironman/internal/simnet"
 	"ironman/internal/spcot"
 	"ironman/internal/transport"
 )
-
-func areaSRAM(bytes int) float64 { return area.SRAMAreaMM2(bytes) }
 
 // ---------------------------------------------------------------------
 // Figure 1(b): CPU OTE latency vs #OTs with Init/SPCOT/LPN breakdown.
@@ -31,18 +28,19 @@ type Fig1bRow struct {
 	LPN      float64
 }
 
-// Figure1b prices one single-threaded protocol execution per set.
-func Figure1b() []Fig1bRow {
+// fig1b prices one single-threaded protocol execution per set.
+func fig1b(bool) (Result, error) {
 	var rows []Fig1bRow
 	for _, p := range ferret.Table4 {
 		b := cpu.Xeon5220R.OTELatency(p, prg.AES, 2, 1, true)
 		rows = append(rows, Fig1bRow{ParamSet: p.Name, Init: b.Init, SPCOT: b.SPCOT, LPN: b.LPN})
 	}
-	return rows
+	last := rows[len(rows)-1]
+	return Result{rows, renderFig1b(rows), Headline{"s@2^24", last.Init + last.SPCOT + last.LPN,
+		"~2.8 s (and ~0.5 s at 2^20), the anchors sim/cpu is calibrated against"}}, nil
 }
 
-// RenderFig1b prints the stacked-bar data.
-func RenderFig1b(rows []Fig1bRow) string {
+func renderFig1b(rows []Fig1bRow) string {
 	var b strings.Builder
 	b.WriteString("Figure 1(b): CPU OTE latency per protocol execution (single thread)\n")
 	fmt.Fprintf(&b, "%-6s %8s %8s %8s %8s\n", "set", "init(s)", "spcot(s)", "lpn(s)", "total")
@@ -56,11 +54,14 @@ func RenderFig1b(rows []Fig1bRow) string {
 // Figure 1(c): roofline.
 // ---------------------------------------------------------------------
 
-// Figure1c returns the roofline points.
-func Figure1c() []roofline.Point { return roofline.Figure1c(roofline.Xeon5220R) }
+// fig1c places SPCOT and LPN on the host roofline.
+func fig1c(bool) (Result, error) {
+	pts := roofline.Figure1c(roofline.Xeon5220R)
+	return Result{pts, renderFig1c(pts), Headline{"spcot/lpn-x", pts[0].Attainable / pts[len(pts)-1].Attainable,
+		"SPCOT at the compute roof, LPN memory-bound far below it"}}, nil
+}
 
-// RenderFig1c prints the points.
-func RenderFig1c(pts []roofline.Point) string {
+func renderFig1c(pts []roofline.Point) string {
 	var b strings.Builder
 	m := roofline.Xeon5220R
 	fmt.Fprintf(&b, "Figure 1(c): roofline (peak %.2f G AES/s, BW %.0f GB/s, ridge %.3f AES/B)\n",
@@ -89,12 +90,12 @@ type Fig7Row struct {
 	LANSeconds float64
 }
 
-// Figure7 measures the real SPCOT protocol traffic at each arity and
+// fig7 measures the real SPCOT protocol traffic at each arity and
 // prices it on the two networks (plus the NMP compute time).
-func Figure7(o Options) []Fig7Row {
+func fig7(quick bool) (Result, error) {
 	const leaves = 4096
 	trees := 480
-	if o.Quick {
+	if quick {
 		trees = 48
 	}
 	var rows []Fig7Row
@@ -102,25 +103,10 @@ func Figure7(o Options) []Fig7Row {
 		p := prg.New(prg.ChaCha8, m)
 		ops := trees * ggm.OpsForTree(p, leaves)
 
-		// Run one real SPCOT to measure per-tree traffic and flights.
-		sp, rp, err := cot.RandomPools(spcot.COTBudget(leaves))
+		st, err := spcotTraffic(p, leaves)
 		if err != nil {
-			panic(err)
+			return Result{}, fmt.Errorf("SPCOT at m=%d: %w", m, err)
 		}
-		h := aesprg.NewHash()
-		a, b := transport.Pipe()
-		done := make(chan error, 1)
-		go func() {
-			_, err := spcot.Send(a, sp, h, p, leaves)
-			done <- err
-		}()
-		if _, err := spcot.Receive(b, rp, h, p, leaves, 1); err != nil {
-			panic(err)
-		}
-		if err := <-done; err != nil {
-			panic(err)
-		}
-		st := a.Stats()
 		batchBytes := st.TotalBytes() * int64(trees)
 		// Deployed implementations batch the per-level OT messages of
 		// all t trees into one flight (Ferret processes trees level-
@@ -138,11 +124,35 @@ func Figure7(o Options) []Fig7Row {
 			LANSeconds: simnet.LAN.Latency(batchBytes, batchFlights) + compute,
 		})
 	}
-	return rows
+	return Result{rows, renderFig7(rows), Headline{"m4-op-reduction-x", float64(rows[0].Ops) / float64(rows[1].Ops),
+		"2.99x fewer PRG calls at m=4 than m=2"}}, nil
 }
 
-// RenderFig7 prints the three panels.
-func RenderFig7(rows []Fig7Row) string {
+// spcotTraffic runs one real SPCOT over a pipe and returns the sending
+// endpoint's traffic and flight counters.
+func spcotTraffic(p prg.PRG, leaves int) (transport.Stats, error) {
+	sp, rp, err := cot.RandomPools(spcot.COTBudget(leaves))
+	if err != nil {
+		return transport.Stats{}, err
+	}
+	h := aesprg.NewHash()
+	a, b := transport.Pipe()
+	done := make(chan error, 1)
+	go func() {
+		_, err := spcot.Send(a, sp, h, p, leaves)
+		done <- err
+	}()
+	_, err = spcot.Receive(b, rp, h, p, leaves, 1)
+	if err != nil {
+		_ = a.Close() // the sender may be parked on a reply that will never come
+	}
+	if sendErr := <-done; err == nil {
+		err = sendErr
+	}
+	return a.Stats(), err
+}
+
+func renderFig7(rows []Fig7Row) string {
 	var b strings.Builder
 	b.WriteString("Figure 7: m-ary tree expansion (ℓ=4096, batch of trees)\n")
 	fmt.Fprintf(&b, "%-4s %12s %12s %10s %10s\n", "m", "ops", "comm(MB)", "WAN(s)", "LAN(s)")
@@ -164,21 +174,25 @@ type Fig8Row struct {
 	ggm.PipelineStats
 }
 
-// Figure8 compares the three schedules on a batch of 4-ary trees.
-func Figure8() []Fig8Row {
+// fig8 compares the three schedules on a batch of 4-ary trees.
+func fig8(bool) (Result, error) {
 	arities := ggm.LevelArities(4096, 4)
 	var rows []Fig8Row
+	var util float64
 	for _, trees := range []int{1, 4, 16} {
 		for _, s := range []ggm.Schedule{ggm.DepthFirst, ggm.BreadthFirst, ggm.Hybrid} {
 			st := ggm.SimulateSchedule(ggm.PipelineConfig{Stages: 8, Arities: arities, Trees: trees}, s)
 			rows = append(rows, Fig8Row{Schedule: s.String(), Trees: trees, PipelineStats: st})
+			if s == ggm.Hybrid && trees == 16 {
+				util = st.Utilization
+			}
 		}
 	}
-	return rows
+	return Result{rows, renderFig8(rows), Headline{"hybrid-util-%@16trees", util * 100,
+		"100%: the hybrid schedule keeps the pipeline full"}}, nil
 }
 
-// RenderFig8 prints the comparison.
-func RenderFig8(rows []Fig8Row) string {
+func renderFig8(rows []Fig8Row) string {
 	var b strings.Builder
 	b.WriteString("Figure 8: GGM expansion schedules (8-stage ChaCha pipeline, 4-ary ℓ=4096)\n")
 	fmt.Fprintf(&b, "%-14s %6s %8s %8s %8s %6s %10s\n", "schedule", "trees", "ops", "cycles", "bubbles", "util", "peak buf")

@@ -22,9 +22,9 @@ type Fig1aRow struct {
 	Lat       ppml.Latency
 }
 
-// Figure1a reproduces the breakdown study on the LAN with the CPU OT
+// fig1a reproduces the breakdown study on the LAN with the CPU OT
 // backend (the configuration whose OTE share motivates the paper).
-func Figure1a() []Fig1aRow {
+func fig1a(bool) (Result, error) {
 	base := ppml.DefaultCPUBaseline()
 	var rows []Fig1aRow
 	add := func(f ppml.Framework, models ...ppml.Model) {
@@ -38,11 +38,15 @@ func Figure1a() []Fig1aRow {
 	add(ppml.Cheetah, ppml.SqueezeNet, ppml.ResNet50, ppml.DenseNet121)
 	add(ppml.CrypTFlow2, ppml.SqueezeNet, ppml.ResNet50, ppml.DenseNet121)
 	add(ppml.Bolt, ppml.BERTBase, ppml.BERTLarge, ppml.GPT2Large)
-	return rows
+	var share float64
+	for _, r := range rows {
+		share += r.Lat.OTE / r.Lat.Total()
+	}
+	return Result{rows, renderFig1a(rows), Headline{"mean-OTE-%", 100 * share / float64(len(rows)),
+		"OT extension takes 51-69% of end-to-end time"}}, nil
 }
 
-// RenderFig1a prints the percentage stack.
-func RenderFig1a(rows []Fig1aRow) string {
+func renderFig1a(rows []Fig1aRow) string {
 	var b strings.Builder
 	b.WriteString("Figure 1(a): execution-time breakdown (LAN, CPU OT backend)\n")
 	fmt.Fprintf(&b, "%-11s %-12s %8s %8s %8s %8s %8s\n",
@@ -69,13 +73,13 @@ type Fig15Row struct {
 	Speedup   float64
 }
 
-// Figure15 benches LayerNorm/GELU/Softmax/ReLU batches under
-// EzPC-SiRNN and Bolt, CPU vs Ironman OT backends.
-func Figure15(o Options) []Fig15Row {
+// fig15 benches LayerNorm/GELU/Softmax/ReLU batches under EzPC-SiRNN
+// and Bolt, CPU vs Ironman OT backends.
+func fig15(quick bool) (Result, error) {
 	const elems = 1 << 20
 	base := ppml.DefaultCPUBaseline()
 	iron := ppml.DefaultIronman()
-	iron.Cfg.SampleRows = o.sampleRows()
+	iron.Cfg.SampleRows = sampleRows(quick)
 	var rows []Fig15Row
 	bench := func(f ppml.Framework, ops []ppml.Op) {
 		for _, op := range ops {
@@ -90,11 +94,15 @@ func Figure15(o Options) []Fig15Row {
 	}
 	bench(ppml.SiRNN, []ppml.Op{ppml.LayerNorm, ppml.GELU, ppml.Softmax, ppml.ReLU})
 	bench(ppml.Bolt, []ppml.Op{ppml.LayerNorm, ppml.GELU, ppml.Softmax})
-	return rows
+	var mean float64
+	for _, r := range rows {
+		mean += r.Speedup
+	}
+	return Result{rows, renderFig15(rows), Headline{"mean-op-speedup-x", mean / float64(len(rows)),
+		"3.9-4.4x per operator"}}, nil
 }
 
-// RenderFig15 prints the operator table.
-func RenderFig15(rows []Fig15Row) string {
+func renderFig15(rows []Fig15Row) string {
 	var b strings.Builder
 	b.WriteString("Figure 15: nonlinear operators, 2^20 elements (LAN)\n")
 	fmt.Fprintf(&b, "%-11s %-10s %10s %10s %8s\n", "framework", "op", "base(s)", "ironman(s)", "speedup")
@@ -117,8 +125,8 @@ type Fig16Row struct {
 	LatUni   float64
 }
 
-// Figure16 runs the three §6.4 dimensions on the LAN.
-func Figure16() []Fig16Row {
+// fig16 runs the three §6.4 dimensions on the LAN.
+func fig16(bool) (Result, error) {
 	var rows []Fig16Row
 	for _, d := range []ppml.MatMul{{M: 64, K: 768, N: 768}, {M: 64, K: 768, N: 64}, {M: 64, K: 4096, N: 64}} {
 		rows = append(rows, Fig16Row{
@@ -129,11 +137,11 @@ func Figure16() []Fig16Row {
 			LatUni:   d.Latency(simnet.LAN, true),
 		})
 	}
-	return rows
+	return Result{rows, renderFig16(rows), Headline{"latency-x", rows[0].LatBase / rows[0].LatUni,
+		"~1.4x lower latency at 2x less communication"}}, nil
 }
 
-// RenderFig16 prints the comparison.
-func RenderFig16(rows []Fig16Row) string {
+func renderFig16(rows []Fig16Row) string {
 	var b strings.Builder
 	b.WriteString("Figure 16: MatMul with/without unified architecture (LAN)\n")
 	fmt.Fprintf(&b, "%-16s %12s %12s %8s %10s %10s %8s\n",
@@ -161,12 +169,13 @@ type Table5Row struct {
 	Speedup   float64
 }
 
-// Table5 generates the full table.
-func Table5(o Options) []Table5Row {
+// table5 generates the full table.
+func table5(quick bool) (Result, error) {
 	base := ppml.DefaultCPUBaseline()
 	iron := ppml.DefaultIronman()
-	iron.Cfg.SampleRows = o.sampleRows()
+	iron.Cfg.SampleRows = sampleRows(quick)
 	var rows []Table5Row
+	var best float64
 	for _, e := range ppml.Table5Frameworks() {
 		for _, m := range e.Models {
 			for _, net := range []simnet.Network{simnet.WAN, simnet.LAN} {
@@ -175,14 +184,15 @@ func Table5(o Options) []Table5Row {
 					Framework: e.FW.Name, Model: m.Name, Network: net.Name,
 					BaseSec: b.Total(), IronSec: ir.Total(), Speedup: sp,
 				})
+				best = max(best, sp)
 			}
 		}
 	}
-	return rows
+	return Result{rows, renderTable5(rows), Headline{"best-e2e-x", best,
+		"up to 3.40x (BERT-Large)"}}, nil
 }
 
-// RenderTable5 prints the table.
-func RenderTable5(rows []Table5Row) string {
+func renderTable5(rows []Table5Row) string {
 	var b strings.Builder
 	b.WriteString("Table 5: end-to-end PPML latency (seconds)\n")
 	fmt.Fprintf(&b, "%-11s %-12s %-20s %10s %10s %8s\n", "framework", "model", "network", "base", "ironman", "speedup")
@@ -197,47 +207,43 @@ func RenderTable5(rows []Table5Row) string {
 // Tables 2, 4, 6.
 // ---------------------------------------------------------------------
 
-// Table2Data returns the PRG cores Table 2 compares (for the JSON
-// emitter; RenderTable2 is the human view).
-func Table2Data() []area.PRGCore { return []area.PRGCore{area.AES128, area.ChaCha8} }
-
-// Table4Data returns the Table 4 parameter sets.
-func Table4Data() []ferret.Params { return ferret.Table4 }
-
-// Table6Data returns the two Table 6 design points.
-func Table6Data() []area.Ironman { return []area.Ironman{area.Default256K, area.Default1M} }
-
-// RenderTable2 prints the PRG comparison.
-func RenderTable2() string {
+// table2 compares the two PRG cores.
+func table2(bool) (Result, error) {
+	cores := []area.PRGCore{area.AES128, area.ChaCha8}
 	var b strings.Builder
 	b.WriteString("Table 2: PRG comparison (45nm)\n")
-	for _, c := range Table2Data() {
+	for _, c := range cores {
 		fmt.Fprintf(&b, "  %-8s out=%3db area=%.3fmm2 perf/area=%.3fx power=%.2fmW power/block=%.3fx\n",
 			c.Name, c.OutputBits, c.AreaMM2, area.PerfPerAreaRatio(c), c.PowerMW, area.PowerPerBlockRatio(c))
 	}
-	return b.String()
+	return Result{cores, b.String(), Headline{"chacha8-perf/area-x", area.PerfPerAreaRatio(area.ChaCha8),
+		"4.49x"}}, nil
 }
 
-// RenderTable4 prints the parameter sets with derived budgets.
-func RenderTable4() string {
+// table4 prints the parameter sets with derived budgets.
+func table4(bool) (Result, error) {
 	var b strings.Builder
 	b.WriteString("Table 4: PCG-style OT-extension parameter sets\n")
 	fmt.Fprintf(&b, "%-6s %10s %6s %8s %6s %8s %10s %8s\n", "set", "n", "l", "k", "t", "bitsec", "usable", "reserve")
-	for _, p := range Table4Data() {
+	for _, p := range ferret.Table4 {
 		fmt.Fprintf(&b, "%-6s %10d %6d %8d %6d %8.1f %10d %8d\n",
 			p.Name, p.N, p.L, p.K, p.T, p.BitSec, p.Usable(), p.Reserve())
 	}
 	fmt.Fprintf(&b, "  (COT budget per tree: log2(l); e.g. l=4096 -> %d)\n", spcot.COTBudget(4096))
-	return b.String()
+	last := ferret.Table4[len(ferret.Table4)-1]
+	return Result{ferret.Table4, b.String(), Headline{"usable/nominal@2^24", float64(last.Usable()) / float64(last.NumOTs),
+		"1: the paper counts the 2^24 row at its nominal yield"}}, nil
 }
 
-// RenderTable6 prints the design overheads.
-func RenderTable6() string {
+// table6 prints the two design points' overheads.
+func table6(bool) (Result, error) {
+	designs := []area.Ironman{area.Default256K, area.Default1M}
 	var b strings.Builder
 	b.WriteString("Table 6: Ironman-NMP design overhead\n")
-	for _, ir := range Table6Data() {
+	for _, ir := range designs {
 		fmt.Fprintf(&b, "  %s\n", ir.Report())
 	}
 	fmt.Fprintf(&b, "  ChaCha8 core: %.3f mm2, %.2f mW\n", area.ChaCha8.AreaMM2, area.ChaCha8.PowerMW)
-	return b.String()
+	return Result{designs, b.String(), Headline{"mm2@1MB", area.Default1M.TotalAreaMM2(),
+		"2.995 mm2 and 1.430 W (1.482 mm2, 1.301 W at 256 KB)"}}, nil
 }

@@ -46,8 +46,8 @@ func (p Params) Reserve() int { return p.K + p.T*spcot.COTBudget(p.L) }
 
 // Usable is the COT yield of one Extend after self-sustaining the next
 // iteration. For the 2^24 row this is ~0.13% below the nominal NumOTs
-// (the paper's accounting is slightly more generous); EXPERIMENTS.md
-// discusses the gap.
+// (the paper's accounting is slightly more generous); the table4
+// headline `ironman-bench` prints is that ratio.
 func (p Params) Usable() int { return p.N - p.Reserve() }
 
 // SPCOTOutputs is the total GGM leaf count of one execution, t·ℓ.

@@ -116,20 +116,19 @@ type Report struct {
 
 // tally accumulates worker results under one lock.
 type tally struct {
-	mu           sync.Mutex
-	drawLat      []time.Duration
-	helloLat     []time.Duration
-	opened       int
-	failed       int
-	draws        uint64
-	blocks       uint64
-	quota        uint64
-	dry          uint64
-	lease        uint64
-	other        uint64
-	shardSess    map[uint64]int
-	shardDraws   map[uint64]uint64
-	sampleStride int
+	mu         sync.Mutex
+	drawLat    []time.Duration
+	helloLat   []time.Duration
+	opened     int
+	failed     int
+	draws      uint64
+	blocks     uint64
+	quota      uint64
+	dry        uint64
+	lease      uint64
+	other      uint64
+	shardSess  map[uint64]int
+	shardDraws map[uint64]uint64
 }
 
 func (t *tally) countErr(err error) {

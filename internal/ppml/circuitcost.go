@@ -7,8 +7,8 @@ import "ironman/internal/circuit"
 // engine. Unlike the closed-form layer models above, this one is
 // exact: it walks the compiled level schedule and applies the engine's
 // real wire format, so it matches the measured gmw.Party counters and
-// transport byte deltas to the byte (experiments.CircuitBench asserts
-// this on every run).
+// transport byte deltas to the byte (circuit.TestCircuitCostExact
+// asserts this).
 type GMWCircuitCost struct {
 	// ANDGates is the total AND gates evaluated: circuit ANDs x
 	// instances.

@@ -18,7 +18,8 @@
 //
 // The constants are calibrated once, here, against the paper's CPU
 // anchor points (Fig 1(b): ~0.5 s at 2^20 to ~2.8 s at 2^24, single
-// protocol execution, init included); EXPERIMENTS.md records both.
+// protocol execution, init included); the fig1b headline
+// `ironman-bench` prints puts the two side by side.
 package cpu
 
 import (

@@ -1,32 +1,11 @@
 #!/usr/bin/env sh
 # CI gate: formatting, vet, builds (including every example and
-# command binary), the full test suite under the race detector, and
-# the engine's headline perf metrics. Run from the repo root:
+# command binary), live-process smokes of the dispenser and the fleet,
+# the full test suite under the race detector, and one pass over the
+# paper-figure registry. Measured performance is not gated here: that
+# is `go run ./benchmark`. Run from the repo root:
 #
 #   ./scripts/ci.sh
-#
-# Set BENCH_JSON=path to archive the ironman-bench metrics (gmw: AND
-# gates/sec, bytes per AND, wire reduction; arith: triples/sec, bytes
-# per triple, matmul GFLOP-equivalent; extend: the multicore Extend
-# worker-scaling curve, COT/s and bytes per COT at workers=1,2,4,8) as
-# a BENCH_*.json trajectory point instead of printing them.
-#
-# The committed trajectory point lives at the repo root; to refresh it
-# after a perf-relevant change, run
-#
-#   BENCH_JSON=BENCH_extend.json ./scripts/ci.sh
-#
-# on a quiet machine and commit the regenerated file alongside the
-# change (numbers are machine-dependent — compare trends, not runs
-# from different hosts). TRACE_JSON=path additionally archives the
-# extend phase-span trace (Chrome trace-event JSON) from the same run.
-#
-# CIRCUIT_JSON=path likewise archives the circuit-frontend metrics
-# (embedded Bristol circuits through the level-scheduled SIMD
-# evaluator, exchange/wire counters asserted against ppml.CircuitCost);
-# the committed point is BENCH_circuit.json, refreshed with
-#
-#   CIRCUIT_JSON=BENCH_circuit.json ./scripts/ci.sh
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -88,11 +67,7 @@ echo "== dispenser fleet smoke test (3 shards + router + otload) =="
 # Boot a 3-shard fleet behind the consistent-hash router, drive it with
 # the load generator in quick mode over real TCP, and smoke the fleet
 # observability surface: the router's /metrics and /shards plus each
-# shard's per-shard /sessions dump. FLEET_JSON=path archives the otload
-# report (draw-latency p50/p95/p99, typed shed counts, per-shard
-# balance) as the committed BENCH_fleet.json trajectory point:
-#
-#   FLEET_JSON=BENCH_fleet.json ./scripts/ci.sh
+# shard's per-shard /sessions dump.
 "$bindir/otd" -listen 127.0.0.1:17121 -shard-id 1 -tiny -params tiny -max-sessions 2048 -admin 127.0.0.1:17131 &
 shard1_pid=$!
 "$bindir/otd" -listen 127.0.0.1:17122 -shard-id 2 -tiny -params tiny -max-sessions 2048 -admin 127.0.0.1:17132 &
@@ -117,17 +92,12 @@ until curl -sf http://127.0.0.1:17130/metrics 2>/dev/null | grep -q '^ironman_ro
     sleep 0.1
 done
 curl -sf http://127.0.0.1:17130/healthz | grep -q '^ok$'
-fleet_json=${FLEET_JSON:-$bindir/fleet.json}
-if [ -n "${FLEET_JSON:-}" ]; then
-    # Archiving: the committed trajectory point is the full sizing —
-    # 1024 concurrent sessions over 64 connections.
-    "$bindir/otload" -addr 127.0.0.1:17120 -sessions 1024 -conns 64 \
-        -draws 8 -n 128 -depth 128 -tenants 8 -out "$fleet_json" > /dev/null
-    grep -q '"sessions_opened": 1024' "$fleet_json"
-else
-    "$bindir/otload" -addr 127.0.0.1:17120 -quick -n 64 -depth 128 -out "$fleet_json" > /dev/null
-    grep -q '"sessions_opened": 96' "$fleet_json"
-fi
+fleet_json=$bindir/fleet.json
+"$bindir/otload" -addr 127.0.0.1:17120 -quick -n 64 -depth 128 -out "$fleet_json" > /dev/null
+# A clean run: every session opened, none failed, no untyped error.
+grep -q '"sessions_opened": 96' "$fleet_json"
+grep -q '"sessions_failed": 0' "$fleet_json"
+grep -q '"other_errors": 0' "$fleet_json"
 grep -q '"balance_max_over_even"' "$fleet_json"
 # Router surface: live-shard gauge and placement counter moved.
 fleet_metrics=$(curl -sf http://127.0.0.1:17130/metrics)
@@ -142,9 +112,6 @@ curl -sf http://127.0.0.1:17130/shards | grep -q '"state": "live"'
 for port in 17131 17132 17133; do
     curl -sf "http://127.0.0.1:$port/sessions" | grep -q '"sessions_opened"'
 done
-if [ -n "${FLEET_JSON:-}" ]; then
-    echo "archived to $fleet_json"
-fi
 kill "$shard1_pid" "$shard2_pid" "$shard3_pid" "$router_pid"
 wait "$shard1_pid" "$shard2_pid" "$shard3_pid" "$router_pid" 2>/dev/null || true
 echo "fleet OK"
@@ -160,39 +127,7 @@ go test -race ./...
 echo "== column-pipeline kernel benchmarks (one iteration each, so they cannot rot) =="
 go test -run '^$' -bench 'TransposeBits|StreamFill' -benchtime 1x ./internal/block ./internal/aesprg
 
-echo "== engine metrics (ironman-bench -exp gmw,arith,extend -json) =="
-# One document carries the gmw metrics (AND/s, B/AND, wire reduction),
-# the arith metrics (triples/s, B/triple, matmul GFLOP-equiv), and the
-# extend worker-scaling curves for BOTH extension backends on the same
-# parameter set (COT/s per worker count, constant B/COT; the run panics
-# if either backend's measured wire bytes drift from its Cost model).
-trace_json=${TRACE_JSON:-$bindir/extend-trace.json}
-if [ -n "${BENCH_JSON:-}" ]; then
-    go run ./cmd/ironman-bench -quick -exp gmw,arith,extend -backend ferret,softspoken -json -trace "$trace_json" > "$BENCH_JSON"
-    echo "archived to $BENCH_JSON"
-else
-    go run ./cmd/ironman-bench -quick -exp gmw,arith,extend -backend ferret,softspoken -json -trace "$trace_json"
-fi
-
-echo "== circuit frontend metrics (ironman-bench -exp circuit) =="
-# The quick set evaluates embedded AES-128 and div64 SIMD-packed over
-# the engine; the run itself panics if the measured exchange/wire
-# counters drift from the exact ppml.CircuitCost model.
-if [ -n "${CIRCUIT_JSON:-}" ]; then
-    go run ./cmd/ironman-bench -quick -exp circuit -json > "$CIRCUIT_JSON"
-    echo "archived to $CIRCUIT_JSON"
-else
-    go run ./cmd/ironman-bench -quick -exp circuit -json
-fi
-
-echo "== trace artifact sanity (chrome trace-event JSON) =="
-# The extend bench above also emitted its phase spans; the artifact
-# must be well-formed and contain the span taxonomy DESIGN.md names.
-grep -q '"traceEvents"' "$trace_json"
-grep -q '"extend"' "$trace_json"
-grep -q '"lpn.encode"' "$trace_json"
-grep -q '"spcot.expand"' "$trace_json"
-grep -q '"softspoken.expand"' "$trace_json"
-echo "trace artifact OK ($trace_json)"
+echo "== paper-figure registry (ironman-bench -quick -exp all, so it cannot rot) =="
+go run ./cmd/ironman-bench -quick -exp all -json > /dev/null
 
 echo "CI OK"
