@@ -75,11 +75,11 @@ func main() {
 			delta, _ := sess.Delta()
 
 			start := time.Now()
-			z, err := sess.Sender().COTs(n)
+			z, err := sess.SenderCOTs(n)
 			if err != nil {
 				log.Fatal(err)
 			}
-			bits, y, err := sess.Receiver().COTs(n)
+			bits, y, err := sess.ReceiverCOTs(n)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -10,7 +10,6 @@ import (
 
 	"ironman/internal/block"
 	"ironman/internal/otserv/wire"
-	"ironman/internal/pool"
 	"ironman/internal/transport"
 )
 
@@ -100,8 +99,6 @@ type SessionConfig struct {
 	// Depth requests a prefetch depth in batches (0 = server default;
 	// the server caps it).
 	Depth int
-	// LowWater overrides the session pool's refill trigger.
-	LowWater int
 	// Workers requests an Extend worker-goroutine cap for the session's
 	// refills (0 = server default; the server clamps to its own cap).
 	Workers int
@@ -141,7 +138,6 @@ func (c *Client) NewSession(cfg SessionConfig) (*Session, error) {
 		Backend:   cfg.Backend,
 		BinaryAES: cfg.BinaryAES,
 		Depth:     cfg.Depth,
-		LowWater:  cfg.LowWater,
 		Workers:   cfg.Workers,
 		Tenant:    cfg.Tenant,
 		LeaseMS:   cfg.Lease.Milliseconds(),
@@ -332,72 +328,3 @@ func (s *Session) ReceiverCOTs(n int) ([]bool, []block.Block, error) {
 	}
 	return bits, blocks, nil
 }
-
-// poolStats converts a STATS half back to the pool.Stats shape, so
-// remote drawers report through the same type as local pools.
-func poolStats(h HalfStats) pool.Stats {
-	return pool.Stats{
-		Generated:    h.Generated,
-		Dispensed:    h.Dispensed,
-		Refills:      h.Refills,
-		Draws:        h.Draws,
-		BlockedDraws: h.BlockedDraws,
-		BlockedTime:  time.Duration(h.BlockedNS),
-		Buffered:     h.Buffered,
-	}
-}
-
-// The remote drawers satisfy the pool source contracts, so a dispenser
-// session slots in anywhere a local pool or dealt half does.
-var (
-	_ pool.SenderSource   = (*RemoteSender)(nil)
-	_ pool.ReceiverSource = (*RemoteReceiver)(nil)
-)
-
-// RemoteSender adapts a session to the draw API of ironman.Sender and
-// the pool.SenderSource contract, so code written against either can
-// consume from a dispenser unchanged.
-type RemoteSender struct{ s *Session }
-
-// Sender returns the sender-half draw adapter.
-func (s *Session) Sender() *RemoteSender { return &RemoteSender{s} }
-
-// COTs draws n sender-half correlations.
-func (r *RemoteSender) COTs(n int) ([]block.Block, error) { return r.s.SenderCOTs(n) }
-
-// Stats reports the session's server-side sender-half pool counters
-// (zero value if the STATS round trip fails — the drawer contract has
-// no error channel for stats).
-func (r *RemoteSender) Stats() pool.Stats {
-	st, err := r.s.Stats()
-	if err != nil {
-		return pool.Stats{}
-	}
-	return poolStats(st.Sender)
-}
-
-// Close drops the underlying session handle's reference.
-func (r *RemoteSender) Close() error { return r.s.Close() }
-
-// RemoteReceiver adapts a session to the draw API of ironman.Receiver
-// and the pool.ReceiverSource contract.
-type RemoteReceiver struct{ s *Session }
-
-// Receiver returns the receiver-half draw adapter.
-func (s *Session) Receiver() *RemoteReceiver { return &RemoteReceiver{s} }
-
-// COTs draws n receiver-half correlations.
-func (r *RemoteReceiver) COTs(n int) ([]bool, []block.Block, error) { return r.s.ReceiverCOTs(n) }
-
-// Stats reports the session's server-side receiver-half pool counters
-// (zero value if the STATS round trip fails).
-func (r *RemoteReceiver) Stats() pool.Stats {
-	st, err := r.s.Stats()
-	if err != nil {
-		return pool.Stats{}
-	}
-	return poolStats(st.Receiver)
-}
-
-// Close drops the underlying session handle's reference.
-func (r *RemoteReceiver) Close() error { return r.s.Close() }

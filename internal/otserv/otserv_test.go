@@ -15,7 +15,6 @@ import (
 	"ironman/internal/extension"
 	"ironman/internal/ferret"
 	"ironman/internal/otserv/wire"
-	"ironman/internal/pool"
 )
 
 // testResolve serves small parameter sets so sessions are cheap.
@@ -100,12 +99,12 @@ func TestConcurrentSessions(t *testing.T) {
 			// Uneven draw sizes exercise batch-boundary buffering.
 			for d := 0; d < draws; d++ {
 				n := 150 + 97*d + 13*i
-				z, err := sess.Sender().COTs(n)
+				z, err := sess.SenderCOTs(n)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				bits, y, err := sess.Receiver().COTs(n)
+				bits, y, err := sess.ReceiverCOTs(n)
 				if err != nil {
 					t.Error(err)
 					return
@@ -318,12 +317,15 @@ func TestStatsAndTeardown(t *testing.T) {
 	if _, err := sess.SenderCOTs(100); err != nil {
 		t.Fatal(err)
 	}
+	if _, _, err := sess.ReceiverCOTs(100); err != nil {
+		t.Fatal(err)
+	}
 
 	st, err := sess.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Sender.Dispensed != 100 || st.Refs != 1 || st.Params != "small" {
+	if st.Sender.Dispensed != 100 || st.Receiver.Dispensed != 100 || st.Refs != 1 || st.Params != "small" {
 		t.Fatalf("session stats: %+v", st)
 	}
 	if st.Sender.Generated < 100 || st.Sender.Refills == 0 {
@@ -544,41 +546,5 @@ func TestHelloVersioning(t *testing.T) {
 	}
 	if dump.SessionsOpened != 0 || dump.Sessions != 0 {
 		t.Fatalf("rejected HELLOs left session state: %+v", dump)
-	}
-}
-
-// TestRemoteDrawersAreSources: the remote drawer adapters satisfy the
-// pool source contracts end to end — stats round-trip through the
-// server and Close releases the session.
-func TestRemoteDrawersAreSources(t *testing.T) {
-	addr, _ := startServer(t, Config{})
-	c := dial(t, addr)
-	sess, err := c.NewSession(SessionConfig{Params: "small"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var src pool.SenderSource = sess.Sender()
-	if _, err := src.COTs(80); err != nil {
-		t.Fatal(err)
-	}
-	var rsrc pool.ReceiverSource = sess.Receiver()
-	if _, _, err := rsrc.COTs(80); err != nil {
-		t.Fatal(err)
-	}
-	if st := src.Stats(); st.Dispensed != 80 || st.Generated < 80 {
-		t.Fatalf("sender source stats: %+v", st)
-	}
-	if st := rsrc.Stats(); st.Dispensed != 80 {
-		t.Fatalf("receiver source stats: %+v", st)
-	}
-	if err := src.Close(); err != nil {
-		t.Fatal(err)
-	}
-	dump, err := c.ServerStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dump.Sessions != 0 {
-		t.Fatalf("source Close did not release the session: %+v", dump)
 	}
 }

@@ -302,7 +302,6 @@ func (s *Server) handleHello(body []byte, owned map[uint64]*attachment) []byte {
 		Backend:   req.Backend,
 		BinaryAES: req.BinaryAES,
 		Depth:     req.Depth,
-		LowWater:  req.LowWater,
 		Workers:   req.Workers,
 		Tenant:    req.Tenant,
 		Lease:     time.Duration(req.LeaseMS) * time.Millisecond,

@@ -218,8 +218,7 @@ func (r *Registry) Open(req OpenRequest) (*Session, error) {
 		"session", fmt.Sprint(sess.id), "half", "receiver", "params", name))
 	// Start prefetching only once the session is registered.
 	sess.pool = pool.NewDealt(src, pool.Config{
-		Depth: depth, LowWater: req.LowWater,
-		MaxWait: r.cfg.DrawWait, MaxWaiters: r.cfg.DrawWaiters,
+		Depth: depth, MaxWait: r.cfg.DrawWait, MaxWaiters: r.cfg.DrawWaiters,
 		Obs: sess.obsS, ObsReceiver: sess.obsR,
 	})
 	r.sessions[sess.id] = sess

@@ -190,7 +190,6 @@ type OpenRequest struct {
 	Backend   string
 	BinaryAES bool
 	Depth     int
-	LowWater  int
 	Workers   int
 	// Tenant names the accounting principal; "" is the anonymous
 	// default tenant.

@@ -113,6 +113,44 @@ func TestLeaseExpiryTypedError(t *testing.T) {
 	}
 }
 
+// TestLeaseExpiryTypedErrorBuffered is TestLeaseExpiryTypedError with
+// the race taken out: the pool provably holds more than the draw asks
+// for when the lease runs out, and the expired session still dispenses
+// nothing.
+func TestLeaseExpiryTypedErrorBuffered(t *testing.T) {
+	now := time.Unix(1000, 0)
+	cfg := testConfig()
+	cfg.now = func() time.Time { return now }
+	r := newTestRegistry(t, cfg)
+
+	sess, err := r.Open(OpenRequest{Lease: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.DrawSender(8); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := sess.PoolStats()
+	if before.Buffered < 8 {
+		t.Fatalf("only %d buffered after the first draw, the case needs 8", before.Buffered)
+	}
+	r.Detach(sess.ID(), true)
+	if n := r.Expire(now.Add(60 * time.Millisecond)); n != 1 {
+		t.Fatalf("expired %d sessions past the lease, want 1", n)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := sess.DrawSender(8); !errors.Is(err, wire.ErrLeaseExpired) {
+			t.Fatalf("sender draw %d on expired session: err = %v, want ErrLeaseExpired", i, err)
+		}
+		if _, _, err := sess.DrawReceiver(8); !errors.Is(err, wire.ErrLeaseExpired) {
+			t.Fatalf("receiver draw %d on expired session: err = %v, want ErrLeaseExpired", i, err)
+		}
+	}
+	if after, _ := sess.PoolStats(); after.Dispensed != before.Dispensed {
+		t.Fatalf("expired session dispensed %d -> %d", before.Dispensed, after.Dispensed)
+	}
+}
+
 // TestReconnectResumesPoolPosition: draws before an orphan/reconnect
 // cycle and after it stitch into one contiguous correlation stream —
 // the reconnect resumed the exact pool position, byte-identically.

@@ -200,7 +200,6 @@ type HelloReq struct {
 	Backend   string `json:"backend,omitempty"`
 	BinaryAES bool   `json:"binary_aes,omitempty"`
 	Depth     int    `json:"depth,omitempty"` // prefetch batches; 0 = server default
-	LowWater  int    `json:"low_water,omitempty"`
 	// Workers is the session's Extend worker-goroutine cap; 0 selects
 	// the server default. Requests are clamped to the server's cap so
 	// one greedy session cannot oversubscribe the host.

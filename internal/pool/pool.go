@@ -8,16 +8,24 @@
 // synchronous buffer — the drawing goroutine runs the source inline,
 // exactly the seed code path. With Depth > 0 a worker goroutine keeps
 // up to Depth batches ready, refilling whenever the ready count falls
-// below the low-water mark (classic double-buffer hysteresis: dip
-// below low water, fill back up to high water).
+// below half of that (classic double-buffer hysteresis: dip below low
+// water, fill back up to high water).
+//
+// There is one implementation: a stream (source, refill state, worker)
+// feeding one ready buffer (half) per direction it serves. Dealt is the
+// general case, a lockstep source feeding a sender half and a receiver
+// half; Sender and Receiver are views on a stream's one half — their
+// own, when built over a one-sided source by NewSender/NewReceiver, or
+// a Dealt's, from SenderHalf/ReceiverHalf. Every draw, on any of them,
+// is the same fill-or-await-then-pop step.
 //
 // Because the source is usually an interactive two-party protocol,
 // asynchronous refills put protocol traffic on the pool's conn from a
 // background goroutine. The conn must therefore be dedicated to
 // correlation generation while a Depth > 0 pool is open; multiplex
-// application traffic onto a second conn. Dealt keeps both endpoints
-// of an in-process pair in lockstep under one worker, which is what
-// the otserv dispenser builds sessions from.
+// application traffic onto a second conn. A Dealt's source drives both
+// endpoints of an in-process pair in lockstep, which is what the otserv
+// dispenser builds sessions from.
 //
 // The ready buffer is compacted as it drains: unlike the seed's
 // `buf = buf[n:]` pattern, a consumed prefix never pins the backing
@@ -40,7 +48,8 @@ import (
 	"ironman/internal/block"
 )
 
-// ErrClosed is returned by draws on a closed pool.
+// ErrClosed is returned by draws on a closed pool, whether or not it
+// still has correlations buffered.
 var ErrClosed = errors.New("pool: closed")
 
 // ErrRetained is returned by a Dealt draw that cannot be satisfied
@@ -69,17 +78,14 @@ type Config struct {
 	// background worker: draws run the source inline on the calling
 	// goroutine, which is the synchronous seed behaviour.
 	Depth int
-	// LowWater is the ready-correlation count that triggers a
-	// background refill. 0 selects half the high-water mark. Ignored
-	// when Depth == 0.
-	LowWater int
 	// MaxBuffered caps how many ready correlations either half of a
-	// Dealt pool may retain (correlations are pairwise, so a consumer
-	// that drains only one half grows the other with every refill).
-	// When the cap blocks generation, draws on the starved half fail
-	// with ErrRetained instead of exhausting memory. 0 selects
-	// (Depth+8) batches; negative disables the cap. Ignored by Sender
-	// and Receiver pools, whose single buffer is bounded by demand.
+	// two-half stream (NewDealt and its views) may retain: correlations
+	// are pairwise, so a consumer that drains only one half grows the
+	// other with every refill. When the cap blocks generation, draws on
+	// the starved half fail with ErrRetained instead of exhausting
+	// memory. 0 selects (Depth+8) batches; negative disables the cap. A
+	// stream with one half (NewSender, NewReceiver) has nothing to
+	// retain — its buffer is bounded by the demand on it.
 	MaxBuffered int
 	// MaxWait bounds how long one blocked draw waits for generation
 	// before shedding with ErrDry; 0 waits forever. A serving layer
@@ -95,7 +101,7 @@ type Config struct {
 	// Dealt pool: the sender half). nil disables mirroring.
 	Obs *Observer
 	// ObsReceiver is the receiver half's observer of a Dealt pool;
-	// ignored by Sender and Receiver pools.
+	// ignored by NewSender and NewReceiver.
 	ObsReceiver *Observer
 }
 
@@ -111,459 +117,400 @@ type Stats struct {
 	Buffered     int           // ready correlations right now
 }
 
-// core holds the state shared by all pool flavours. Methods are called
-// with mu held unless noted.
-type core struct {
+// stream is the one correlation stream behind every pool flavour: a
+// source producing lockstep batches, one ready buffer per direction it
+// serves (both for a Dealt, one for a Sender or Receiver), and the
+// refill state. Methods are called with mu held unless noted.
+type stream struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	cfg     Config
-	batch   int // observed source batch size; 0 until the first refill
+	src     DealtRefill
+	s, r    *half // sender / receiver direction; nil when the source is one-sided
+	batch   int   // observed source batch size; 0 until the first refill
 	filling bool
-	demand  int // largest unsatisfied draw, 0 when none waits
 	waiters int // draws currently blocked on generation
 	err     error
 	closed  bool
 	wg      sync.WaitGroup
 }
 
-func (c *core) init(cfg Config) {
-	c.cfg = cfg
-	c.cond = sync.NewCond(&c.mu)
-	c.filling = true // prefetch to high water right away
+// newStream builds the stream over its halves and, with cfg.Depth > 0,
+// starts the worker prefetching to high water right away.
+func newStream(src DealtRefill, cfg Config, s, r *half) *stream {
+	st := &stream{cfg: cfg, src: src, s: s, r: r, filling: true}
+	st.cond = sync.NewCond(&st.mu)
+	if cfg.Depth > 0 {
+		st.wg.Add(1)
+		go st.runWorker()
+	}
+	return st
 }
 
-// needRefill decides whether the worker should run the source, given
-// the current ready count (of the most-depleted buffer).
-func (c *core) needRefill(ready int) bool {
-	if c.closed || c.err != nil {
+// half is one direction's draining ready buffer with its counters.
+type half struct {
+	blocks []block.Block
+	bits   []bool // choice bits aligned with blocks; nil on a sender half
+	head   int
+	stats  Stats
+	obs    *Observer
+	// demand is the largest unmet draw on this half, 0 when none waits.
+	// It drives refills past the water marks, and capBlocked discounts
+	// it so correlations a waiting draw will immediately consume don't
+	// count as retained.
+	demand int
+}
+
+func (h *half) ready() int { return len(h.blocks) - h.head }
+
+// push appends one source batch; dur is how long the source ran
+// (observability only).
+func (h *half) push(blocks []block.Block, bits []bool, dur time.Duration) {
+	h.blocks = append(h.blocks, blocks...)
+	h.bits = append(h.bits, bits...)
+	h.stats.Refills++
+	h.stats.Generated += uint64(len(blocks))
+	h.obs.noteRefill(len(blocks), h.ready(), dur)
+}
+
+// pop dispenses n correlations: it copies them out and compacts the
+// buffer once the consumed prefix dominates, so dispensed correlations
+// never pin the pool's backing array.
+func (h *half) pop(n int) (blocks []block.Block, bits []bool) {
+	blocks = make([]block.Block, n)
+	copy(blocks, h.blocks[h.head:h.head+n])
+	if h.bits != nil {
+		bits = make([]bool, n)
+		copy(bits, h.bits[h.head:h.head+n])
+	}
+	h.head += n
+	if h.head >= compactMin && h.head*2 >= len(h.blocks) {
+		rest := copy(h.blocks, h.blocks[h.head:])
+		h.blocks = h.blocks[:rest]
+		if h.bits != nil {
+			copy(h.bits, h.bits[h.head:])
+			h.bits = h.bits[:rest]
+		}
+		h.head = 0
+	}
+	h.stats.Dispensed += uint64(n)
+	h.obs.noteDispensed(n, h.ready())
+	return blocks, bits
+}
+
+func (h *half) snapshot() Stats {
+	s := h.stats
+	s.Buffered = h.ready()
+	return s
+}
+
+// retentionCap resolves Config.MaxBuffered: the per-half correlation
+// limit, or -1 while unlimited/unknown. Only a stream with two halves
+// can retain: a single buffer is bounded by the demand on it.
+func (st *stream) retentionCap() int {
+	if st.s == nil || st.r == nil || st.cfg.MaxBuffered < 0 || st.batch == 0 {
+		return -1
+	}
+	if st.cfg.MaxBuffered > 0 {
+		return st.cfg.MaxBuffered
+	}
+	return (st.cfg.Depth + 8) * st.batch
+}
+
+// capBlocked reports whether another refill would push the fuller half
+// past the retention cap. Pending draw demand is discounted: a half
+// that a blocked draw is about to drain is not "retained", so a large
+// lockstep draw on both halves never trips the cap.
+func (st *stream) capBlocked() bool {
+	limit := st.retentionCap()
+	if limit < 0 {
 		return false
 	}
-	if c.demand > ready {
-		return true
+	return max(st.s.ready()-st.s.demand, st.r.ready()-st.r.demand)+st.batch > limit
+}
+
+// needRefill decides whether the worker should run the source: on
+// unmet demand, else by double-buffer hysteresis on the more depleted
+// half — dip below low water (half the high-water mark), fill back up
+// to high water.
+func (st *stream) needRefill() bool {
+	if st.capBlocked() {
+		// Park regardless of demand: draws on the starved half fail
+		// with ErrRetained instead. Hysteresis restarts from the
+		// low-water test once the other half drains.
+		st.filling = false
+		return false
 	}
-	if c.batch == 0 {
-		return true // bootstrap: no batch size known yet
-	}
-	hw := c.cfg.Depth * c.batch
-	lw := c.cfg.LowWater
-	if lw <= 0 {
-		lw = hw / 2
-	}
-	if lw > hw {
-		lw = hw
-	}
-	if c.filling {
-		if ready < hw {
+	ready := -1
+	for _, h := range [2]*half{st.s, st.r} {
+		if h == nil {
+			continue
+		}
+		if h.demand > h.ready() {
 			return true
 		}
-		c.filling = false
-		return false
+		if ready < 0 || h.ready() < ready {
+			ready = h.ready()
+		}
 	}
-	if ready < lw {
-		c.filling = true
-		return true
+	if st.batch == 0 {
+		return true // bootstrap: no batch size known yet
 	}
-	return false
+	hw := st.cfg.Depth * st.batch
+	if st.filling {
+		st.filling = ready < hw
+		return st.filling
+	}
+	st.filling = ready < hw/2
+	return st.filling
 }
 
-// noteBatch records a completed refill of n correlations.
-func (c *core) noteBatch(n int) error {
-	if c.batch == 0 {
+// ingest appends one source batch to every half of the stream.
+func (st *stream) ingest(z []block.Block, bits []bool, y []block.Block, dur time.Duration) error {
+	n := len(z)
+	if st.s == nil {
+		n = len(y)
+	}
+	if st.r != nil && (len(bits) != n || len(y) != n) {
+		return fmt.Errorf("pool: source length mismatch %d/%d/%d", len(z), len(bits), len(y))
+	}
+	if st.batch == 0 {
 		if n == 0 {
 			return errors.New("pool: source produced an empty batch")
 		}
-		c.batch = n
+		st.batch = n
+	}
+	if st.s != nil {
+		st.s.push(z, nil, dur)
+	}
+	if st.r != nil {
+		st.r.push(y, bits, dur)
 	}
 	return nil
 }
 
-// runWorker is the background refill loop. ready and refill are
-// supplied by the concrete pool; refill runs the (interactive) source
-// outside the lock and appends under it.
-func (c *core) runWorker(ready func() int, refill func() error) {
-	defer c.wg.Done()
+// refill runs the source once and ingests the batch, recording a
+// failure in st.err. For the worker (Depth > 0) mu is released while
+// the source — usually an interactive protocol iteration — runs, so
+// draws from the buffer proceed meanwhile; an inline refill keeps mu,
+// which is what serialises concurrent draws' iterations on the conn.
+func (st *stream) refill() error {
+	async := st.cfg.Depth > 0
+	if async {
+		st.mu.Unlock()
+	}
+	begin := time.Now()
+	z, bits, y, err := st.src()
+	dur := time.Since(begin)
+	if async {
+		st.mu.Lock()
+	}
+	if err == nil {
+		err = st.ingest(z, bits, y, dur)
+	}
+	if err != nil {
+		st.err = err
+	}
+	return err
+}
+
+// runWorker is the background refill loop; it exits on Close or on the
+// first source failure.
+func (st *stream) runWorker() {
+	defer st.wg.Done()
+	st.mu.Lock()
+	defer st.mu.Unlock()
 	for {
-		c.mu.Lock()
-		for !c.closed && c.err == nil && !c.needRefill(ready()) {
-			c.cond.Wait()
+		for !st.closed && st.err == nil && !st.needRefill() {
+			st.cond.Wait()
 		}
-		stop := c.closed || c.err != nil
-		c.mu.Unlock()
-		if stop {
+		if st.closed || st.err != nil {
 			return
 		}
-		err := refill()
-		c.mu.Lock()
-		if err != nil {
-			c.err = err
-		}
-		c.cond.Broadcast()
-		c.mu.Unlock()
-		if err != nil {
-			return
-		}
+		_ = st.refill() // a failure is in st.err, which ends the loop
+		st.cond.Broadcast()
 	}
 }
 
-// await blocks until ready() >= n, the pool closes, the source fails,
-// stalled (optional) reports that generation cannot proceed, or the
-// backpressure bounds (Config.MaxWait / MaxWaiters) shed the draw with
-// ErrDry. Returns with mu held. stats is the half being drawn from;
-// pending (optional) mirrors the unmet demand for that half so cap
-// accounting can discount correlations a waiting draw is about to
-// consume. Waiters re-assert demand every iteration, so clearing it on
-// exit is safe with other draws still queued.
-func (c *core) await(n int, ready func() int, stats *Stats, o *Observer, stalled func() error, pending *int) error {
+// await returns once h holds n ready correlations: with Depth == 0 it
+// runs the source inline until it does, with Depth > 0 it blocks on the
+// worker until it does or the backpressure bounds (Config.MaxWait /
+// MaxWaiters) shed the draw with ErrDry. It fails if the pool is closed
+// (checked first: a closed pool dispenses nothing, buffered or not),
+// the source has failed and the buffer cannot cover n, or the retention
+// cap blocks generation. Waiters re-assert their demand every
+// iteration, so clearing it on exit is safe with other draws on the
+// same half still queued.
+func (st *stream) await(h *half, n int) error {
 	blocked := false
 	var begin, deadline time.Time
 	var timer *time.Timer
 	defer func() {
 		if blocked {
 			d := time.Since(begin)
-			stats.BlockedTime += d
-			o.noteBlockedTime(d)
-			c.waiters--
+			h.stats.BlockedTime += d
+			h.obs.noteBlockedTime(d)
+			st.waiters--
 			if timer != nil {
 				timer.Stop()
 			}
 		}
-		c.demand = 0
-		if pending != nil {
-			*pending = 0
-		}
+		h.demand = 0
 	}()
-	for ready() < n {
-		if c.closed {
+	for {
+		if st.closed {
 			return ErrClosed
 		}
-		if c.err != nil {
-			return c.err
+		if h.ready() >= n {
+			return nil
 		}
-		if n > c.demand {
-			c.demand = n
+		if st.err != nil {
+			return st.err
 		}
-		if pending != nil && n > *pending {
-			*pending = n
+		if n > h.demand {
+			h.demand = n
 		}
-		if stalled != nil {
-			if err := stalled(); err != nil {
-				o.noteStalled()
+		if st.capBlocked() {
+			// Generation cannot proceed, so this draw can never be
+			// satisfied.
+			h.obs.noteStalled()
+			return fmt.Errorf("%w (max %d buffered)", ErrRetained, st.retentionCap())
+		}
+		if st.cfg.Depth <= 0 {
+			if err := st.refill(); err != nil {
 				return err
 			}
+			continue
 		}
 		if !blocked {
-			if c.cfg.MaxWaiters > 0 && c.waiters >= c.cfg.MaxWaiters {
-				o.noteStalled()
-				return fmt.Errorf("%w: %d draws already waiting on generation", ErrDry, c.waiters)
+			if st.cfg.MaxWaiters > 0 && st.waiters >= st.cfg.MaxWaiters {
+				h.obs.noteStalled()
+				return fmt.Errorf("%w: %d draws already waiting on generation", ErrDry, st.waiters)
 			}
 			blocked = true
-			c.waiters++
-			stats.BlockedDraws++
-			o.noteBlockedDraw()
+			st.waiters++
+			h.stats.BlockedDraws++
+			h.obs.noteBlockedDraw()
 			begin = time.Now()
-			if c.cfg.MaxWait > 0 {
-				deadline = begin.Add(c.cfg.MaxWait)
+			if st.cfg.MaxWait > 0 {
+				deadline = begin.Add(st.cfg.MaxWait)
 				// The timer only wakes the wait loop; the deadline
 				// check below decides. Broadcast under the lock so
 				// the wakeup cannot slip between the check and Wait.
-				timer = time.AfterFunc(c.cfg.MaxWait, func() {
-					c.mu.Lock()
-					c.cond.Broadcast()
-					c.mu.Unlock()
+				timer = time.AfterFunc(st.cfg.MaxWait, func() {
+					st.mu.Lock()
+					st.cond.Broadcast()
+					st.mu.Unlock()
 				})
 			}
 		} else if !deadline.IsZero() && !time.Now().Before(deadline) {
-			o.noteStalled()
-			return fmt.Errorf("%w: draw of %d waited %v for generation", ErrDry, n, c.cfg.MaxWait)
+			h.obs.noteStalled()
+			return fmt.Errorf("%w: draw of %d waited %v for generation", ErrDry, n, st.cfg.MaxWait)
 		}
-		c.cond.Broadcast() // wake the worker
-		c.cond.Wait()
+		st.cond.Broadcast() // wake the worker
+		st.cond.Wait()
 	}
+}
+
+// draw hands out n correlations from h, generating (or waiting for
+// generation) as needed; mu is not held. The returned slices are owned
+// by the caller; bits is nil for a sender half.
+func (st *stream) draw(h *half, n int) ([]block.Block, []bool, error) {
+	if n < 0 {
+		return nil, nil, fmt.Errorf("pool: negative draw %d", n)
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	h.stats.Draws++
+	h.obs.noteDraw()
+	if err := st.await(h, n); err != nil {
+		return nil, nil, err
+	}
+	blocks, bits := h.pop(n)
+	st.cond.Broadcast() // the draw may have crossed the low-water mark
+	return blocks, bits, nil
+}
+
+// stats snapshots one half's counters; mu is not held.
+func (st *stream) stats(h *half) Stats {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return h.snapshot()
+}
+
+// Close stops the worker; after it no draw returns correlations,
+// buffered or not. If the worker is mid-iteration inside an interactive
+// source, Close blocks until that iteration completes; interrupt a
+// wedged iteration by closing the underlying conn first. Views of one
+// Dealt share its stream, so closing any of them closes all.
+func (st *stream) Close() error {
+	st.mu.Lock()
+	st.closed = true
+	st.cond.Broadcast()
+	st.mu.Unlock()
+	st.wg.Wait()
 	return nil
-}
-
-// close marks the pool closed and waits for the worker to exit. If the
-// worker is mid-iteration inside an interactive source, close blocks
-// until that iteration completes; interrupt a wedged iteration by
-// closing the underlying conn first.
-func (c *core) close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	c.wg.Wait()
-}
-
-// blockBuf is a draining block buffer with prefix compaction.
-type blockBuf struct {
-	buf  []block.Block
-	head int
-}
-
-func (b *blockBuf) ready() int { return len(b.buf) - b.head }
-
-func (b *blockBuf) push(z []block.Block) { b.buf = append(b.buf, z...) }
-
-// pop copies out n correlations and compacts the buffer once the
-// consumed prefix dominates, so dispensed correlations never pin the
-// pool's backing array.
-func (b *blockBuf) pop(n int) []block.Block {
-	out := make([]block.Block, n)
-	copy(out, b.buf[b.head:b.head+n])
-	b.head += n
-	if b.head >= compactMin && b.head*2 >= len(b.buf) {
-		rest := copy(b.buf, b.buf[b.head:])
-		b.buf = b.buf[:rest]
-		b.head = 0
-	}
-	return out
-}
-
-// bitBuf is the receiver-half twin: choice bits plus r_b blocks.
-type bitBuf struct {
-	bits   []bool
-	blocks []block.Block
-	head   int
-}
-
-func (b *bitBuf) ready() int { return len(b.bits) - b.head }
-
-func (b *bitBuf) push(bits []bool, blocks []block.Block) {
-	b.bits = append(b.bits, bits...)
-	b.blocks = append(b.blocks, blocks...)
-}
-
-func (b *bitBuf) pop(n int) ([]bool, []block.Block) {
-	bits := make([]bool, n)
-	blocks := make([]block.Block, n)
-	copy(bits, b.bits[b.head:b.head+n])
-	copy(blocks, b.blocks[b.head:b.head+n])
-	b.head += n
-	if b.head >= compactMin && b.head*2 >= len(b.bits) {
-		rest := copy(b.bits, b.bits[b.head:])
-		copy(b.blocks, b.blocks[b.head:])
-		b.bits = b.bits[:rest]
-		b.blocks = b.blocks[:rest]
-		b.head = 0
-	}
-	return bits, blocks
 }
 
 // SenderRefill produces one batch of sender-half correlations
 // (r0 blocks under the pool owner's Δ). ferret.(*Sender).Extend fits.
 type SenderRefill func() ([]block.Block, error)
 
-// Sender buffers the sender half of a correlation stream.
-type Sender struct {
-	core
-	src   SenderRefill
-	buf   blockBuf
-	stats Stats
-}
-
-// NewSender builds a pool over src. With cfg.Depth > 0 a background
-// worker starts prefetching immediately.
-func NewSender(src SenderRefill, cfg Config) *Sender {
-	p := &Sender{src: src}
-	p.init(cfg)
-	if cfg.Depth > 0 {
-		p.wg.Add(1)
-		go p.runWorker(p.buf.ready, p.refill)
-	}
-	return p
-}
-
-// ingest appends one source batch; called with mu held. dur is how
-// long the source ran (observability only).
-func (p *Sender) ingest(z []block.Block, dur time.Duration) error {
-	if err := p.noteBatch(len(z)); err != nil {
-		return err
-	}
-	p.buf.push(z)
-	p.stats.Refills++
-	p.stats.Generated += uint64(len(z))
-	p.cfg.Obs.noteRefill(len(z), p.buf.ready(), dur)
-	return nil
-}
-
-// refill runs one source batch; called by the worker outside the lock.
-func (p *Sender) refill() error {
-	begin := time.Now()
-	z, err := p.src()
-	if err != nil {
-		return err
-	}
-	dur := time.Since(begin)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ingest(z, dur)
-}
-
-// COTs draws n correlations, waiting for (or, when Depth == 0,
-// running) generation as needed. The returned slice is owned by the
-// caller.
-func (p *Sender) COTs(n int) ([]block.Block, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("pool: negative draw %d", n)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats.Draws++
-	p.cfg.Obs.noteDraw()
-	if p.cfg.Depth <= 0 {
-		for p.buf.ready() < n {
-			if p.closed {
-				return nil, ErrClosed
-			}
-			if p.err != nil {
-				return nil, p.err
-			}
-			begin := time.Now()
-			z, err := p.src()
-			if err == nil {
-				err = p.ingest(z, time.Since(begin))
-			}
-			if err != nil {
-				p.err = err
-				return nil, err
-			}
-		}
-	} else if err := p.await(n, p.buf.ready, &p.stats, p.cfg.Obs, nil, nil); err != nil {
-		return nil, err
-	}
-	out := p.buf.pop(n)
-	p.stats.Dispensed += uint64(n)
-	p.cfg.Obs.noteDispensed(n, p.buf.ready())
-	p.cond.Broadcast() // the draw may have crossed the low-water mark
-	return out, nil
-}
-
-// Stats snapshots the counters.
-func (p *Sender) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := p.stats
-	s.Buffered = p.buf.ready()
-	return s
-}
-
-// Close stops the worker and fails subsequent draws. See core.close
-// for the in-flight-iteration caveat.
-func (p *Sender) Close() error {
-	p.close()
-	return nil
-}
-
 // ReceiverRefill produces one batch of receiver-half correlations
 // (choice bits and r_b blocks).
 type ReceiverRefill func() ([]bool, []block.Block, error)
-
-// Receiver buffers the receiver half of a correlation stream.
-type Receiver struct {
-	core
-	src   ReceiverRefill
-	buf   bitBuf
-	stats Stats
-}
-
-// NewReceiver builds a pool over src; see NewSender.
-func NewReceiver(src ReceiverRefill, cfg Config) *Receiver {
-	p := &Receiver{src: src}
-	p.init(cfg)
-	if cfg.Depth > 0 {
-		p.wg.Add(1)
-		go p.runWorker(p.buf.ready, p.refill)
-	}
-	return p
-}
-
-// ingest appends one source batch; called with mu held.
-func (p *Receiver) ingest(bits []bool, blocks []block.Block, dur time.Duration) error {
-	if len(bits) != len(blocks) {
-		return fmt.Errorf("pool: source bits/blocks mismatch %d/%d", len(bits), len(blocks))
-	}
-	if err := p.noteBatch(len(bits)); err != nil {
-		return err
-	}
-	p.buf.push(bits, blocks)
-	p.stats.Refills++
-	p.stats.Generated += uint64(len(bits))
-	p.cfg.Obs.noteRefill(len(bits), p.buf.ready(), dur)
-	return nil
-}
-
-func (p *Receiver) refill() error {
-	begin := time.Now()
-	bits, blocks, err := p.src()
-	if err != nil {
-		return err
-	}
-	dur := time.Since(begin)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ingest(bits, blocks, dur)
-}
-
-// COTs draws n correlations: choice bits and matching r_b blocks.
-func (p *Receiver) COTs(n int) ([]bool, []block.Block, error) {
-	if n < 0 {
-		return nil, nil, fmt.Errorf("pool: negative draw %d", n)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats.Draws++
-	p.cfg.Obs.noteDraw()
-	if p.cfg.Depth <= 0 {
-		for p.buf.ready() < n {
-			if p.closed {
-				return nil, nil, ErrClosed
-			}
-			if p.err != nil {
-				return nil, nil, p.err
-			}
-			begin := time.Now()
-			bits, blocks, err := p.src()
-			if err == nil {
-				err = p.ingest(bits, blocks, time.Since(begin))
-			}
-			if err != nil {
-				p.err = err
-				return nil, nil, err
-			}
-		}
-	} else if err := p.await(n, p.buf.ready, &p.stats, p.cfg.Obs, nil, nil); err != nil {
-		return nil, nil, err
-	}
-	bits, blocks := p.buf.pop(n)
-	p.stats.Dispensed += uint64(n)
-	p.cfg.Obs.noteDispensed(n, p.buf.ready())
-	p.cond.Broadcast()
-	return bits, blocks, nil
-}
-
-// Stats snapshots the counters.
-func (p *Receiver) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := p.stats
-	s.Buffered = p.buf.ready()
-	return s
-}
-
-// Close stops the worker and fails subsequent draws.
-func (p *Receiver) Close() error {
-	p.close()
-	return nil
-}
 
 // DealtRefill runs one lockstep iteration of both endpoints of an
 // in-process pair and returns the sender half (z) and the receiver
 // half (bits, y) of the fresh batch.
 type DealtRefill func() (z []block.Block, bits []bool, y []block.Block, err error)
+
+// Sender draws the sender half of a correlation stream: its own
+// (NewSender) or a Dealt's (SenderHalf).
+type Sender struct{ *stream }
+
+// NewSender builds a pool over src. With cfg.Depth > 0 a background
+// worker starts prefetching immediately.
+func NewSender(src SenderRefill, cfg Config) *Sender {
+	lifted := func() ([]block.Block, []bool, []block.Block, error) {
+		z, err := src()
+		return z, nil, nil, err
+	}
+	return &Sender{newStream(lifted, cfg, &half{obs: cfg.Obs}, nil)}
+}
+
+// COTs draws n correlations' r0 blocks (r1 = r0 ⊕ Δ implied), waiting
+// for (or, when Depth == 0, running) generation as needed. The
+// returned slice is owned by the caller.
+func (p *Sender) COTs(n int) ([]block.Block, error) {
+	z, _, err := p.draw(p.s, n)
+	return z, err
+}
+
+// Stats snapshots the counters.
+func (p *Sender) Stats() Stats { return p.stats(p.s) }
+
+// Receiver draws the receiver half of a correlation stream: its own
+// (NewReceiver) or a Dealt's (ReceiverHalf).
+type Receiver struct{ *stream }
+
+// NewReceiver builds a pool over src; see NewSender.
+func NewReceiver(src ReceiverRefill, cfg Config) *Receiver {
+	lifted := func() ([]block.Block, []bool, []block.Block, error) {
+		bits, y, err := src()
+		return nil, bits, y, err
+	}
+	return &Receiver{newStream(lifted, cfg, nil, &half{obs: cfg.Obs})}
+}
+
+// COTs draws n correlations: choice bits and matching r_b blocks.
+func (p *Receiver) COTs(n int) ([]bool, []block.Block, error) {
+	y, bits, err := p.draw(p.r, n)
+	return bits, y, err
+}
+
+// Stats snapshots the counters.
+func (p *Receiver) Stats() Stats { return p.stats(p.r) }
 
 // Dealt buffers both halves of an in-process dealt correlation stream
 // under a single worker, so sender-half and receiver-half draws can
@@ -573,263 +520,37 @@ type DealtRefill func() (z []block.Block, bits []bool, y []block.Block, err erro
 // Config.MaxBuffered bounds that growth, failing draws on the starved
 // half with ErrRetained once the cap blocks generation (see
 // DESIGN.md).
-type Dealt struct {
-	core
-	src    DealtRefill
-	sbuf   blockBuf
-	rbuf   bitBuf
-	sstats Stats
-	rstats Stats
-	// Unmet draw demand per half (mu held); capBlocked discounts it so
-	// correlations a waiting draw will immediately consume don't count
-	// as retained.
-	demandS int
-	demandR int
-}
+type Dealt struct{ *stream }
 
 // NewDealt builds the two-halves pool; see NewSender for Depth
 // semantics.
 func NewDealt(src DealtRefill, cfg Config) *Dealt {
-	p := &Dealt{src: src}
-	p.init(cfg)
-	if cfg.Depth > 0 {
-		p.wg.Add(1)
-		go p.runWorker(p.workerReady, p.refill)
-	}
-	return p
-}
-
-func (p *Dealt) minReady() int {
-	s, r := p.sbuf.ready(), p.rbuf.ready()
-	if r < s {
-		return r
-	}
-	return s
-}
-
-// retentionCap resolves Config.MaxBuffered (mu held): the per-half
-// correlation limit, or -1 while unlimited/unknown.
-func (p *Dealt) retentionCap() int {
-	if p.cfg.MaxBuffered < 0 || p.batch == 0 {
-		return -1
-	}
-	if p.cfg.MaxBuffered > 0 {
-		return p.cfg.MaxBuffered
-	}
-	return (p.cfg.Depth + 8) * p.batch
-}
-
-// capBlocked reports (mu held) whether another refill would push the
-// fuller half past the retention cap. Pending draw demand is
-// discounted: a half that a blocked draw is about to drain is not
-// "retained", so a large lockstep draw on both halves never trips the
-// cap.
-func (p *Dealt) capBlocked() bool {
-	limit := p.retentionCap()
-	if limit < 0 {
-		return false
-	}
-	max := p.sbuf.ready() - p.demandS
-	if r := p.rbuf.ready() - p.demandR; r > max {
-		max = r
-	}
-	return max+p.batch > limit
-}
-
-// workerReady is the worker's view of the ready count: while the
-// retention cap blocks generation it reports "plenty", parking the
-// worker regardless of demand on the starved half (draws there fail
-// with ErrRetained instead).
-func (p *Dealt) workerReady() int {
-	if p.capBlocked() {
-		return int(^uint(0) >> 1)
-	}
-	return p.minReady()
-}
-
-// stalled is the await hook: a draw that still needs correlations
-// while the cap blocks generation can never be satisfied.
-func (p *Dealt) stalled() error {
-	if p.capBlocked() {
-		return fmt.Errorf("%w (max %d buffered)", ErrRetained, p.retentionCap())
-	}
-	return nil
-}
-
-func (p *Dealt) refill() error {
-	begin := time.Now()
-	z, bits, y, err := p.src()
-	if err != nil {
-		return err
-	}
-	dur := time.Since(begin)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ingest(z, bits, y, dur)
-}
-
-// ingest appends one lockstep batch to both halves; called with mu
-// held.
-func (p *Dealt) ingest(z []block.Block, bits []bool, y []block.Block, dur time.Duration) error {
-	if len(z) != len(bits) || len(z) != len(y) {
-		return fmt.Errorf("pool: dealt source length mismatch %d/%d/%d", len(z), len(bits), len(y))
-	}
-	if err := p.noteBatch(len(z)); err != nil {
-		return err
-	}
-	p.sbuf.push(z)
-	p.rbuf.push(bits, y)
-	p.sstats.Refills++
-	p.rstats.Refills++
-	p.sstats.Generated += uint64(len(z))
-	p.rstats.Generated += uint64(len(z))
-	p.cfg.Obs.noteRefill(len(z), p.sbuf.ready(), dur)
-	p.cfg.ObsReceiver.noteRefill(len(z), p.rbuf.ready(), dur)
-	return nil
-}
-
-func (p *Dealt) syncFill(need func() int, o *Observer) error {
-	for need() < 0 {
-		if p.closed {
-			return ErrClosed
-		}
-		if p.err != nil {
-			return p.err
-		}
-		if err := p.stalled(); err != nil {
-			o.noteStalled()
-			return err
-		}
-		begin := time.Now()
-		z, bits, y, err := p.src()
-		if err == nil {
-			err = p.ingest(z, bits, y, time.Since(begin))
-		}
-		if err != nil {
-			p.err = err
-			return err
-		}
-	}
-	return nil
+	return &Dealt{newStream(src, cfg, &half{obs: cfg.Obs}, &half{obs: cfg.ObsReceiver})}
 }
 
 // SenderCOTs draws n sender-half correlations (r0 blocks).
 func (p *Dealt) SenderCOTs(n int) ([]block.Block, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("pool: negative draw %d", n)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.sstats.Draws++
-	p.cfg.Obs.noteDraw()
-	if p.cfg.Depth <= 0 {
-		p.demandS = n
-		err := p.syncFill(func() int { return p.sbuf.ready() - n }, p.cfg.Obs)
-		p.demandS = 0
-		if err != nil {
-			return nil, err
-		}
-	} else if err := p.await(n, p.sbuf.ready, &p.sstats, p.cfg.Obs, p.stalled, &p.demandS); err != nil {
-		return nil, err
-	}
-	out := p.sbuf.pop(n)
-	p.sstats.Dispensed += uint64(n)
-	p.cfg.Obs.noteDispensed(n, p.sbuf.ready())
-	p.cond.Broadcast()
-	return out, nil
+	z, _, err := p.draw(p.s, n)
+	return z, err
 }
 
 // ReceiverCOTs draws n receiver-half correlations (bits, r_b blocks).
 func (p *Dealt) ReceiverCOTs(n int) ([]bool, []block.Block, error) {
-	if n < 0 {
-		return nil, nil, fmt.Errorf("pool: negative draw %d", n)
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.rstats.Draws++
-	p.cfg.ObsReceiver.noteDraw()
-	if p.cfg.Depth <= 0 {
-		p.demandR = n
-		err := p.syncFill(func() int { return p.rbuf.ready() - n }, p.cfg.ObsReceiver)
-		p.demandR = 0
-		if err != nil {
-			return nil, nil, err
-		}
-	} else if err := p.await(n, p.rbuf.ready, &p.rstats, p.cfg.ObsReceiver, p.stalled, &p.demandR); err != nil {
-		return nil, nil, err
-	}
-	bits, blocks := p.rbuf.pop(n)
-	p.rstats.Dispensed += uint64(n)
-	p.cfg.ObsReceiver.noteDispensed(n, p.rbuf.ready())
-	p.cond.Broadcast()
-	return bits, blocks, nil
+	y, bits, err := p.draw(p.r, n)
+	return bits, y, err
 }
 
 // Stats snapshots both halves' counters.
 func (p *Dealt) Stats() (sender, receiver Stats) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	s, r := p.sstats, p.rstats
-	s.Buffered = p.sbuf.ready()
-	r.Buffered = p.rbuf.ready()
-	return s, r
+	return p.s.snapshot(), p.r.snapshot()
 }
-
-// Close stops the worker and fails subsequent draws.
-func (p *Dealt) Close() error {
-	p.close()
-	return nil
-}
-
-// SenderSource is the exported drawer contract for the sender half of
-// a correlation stream: anything that dispenses r0 blocks under one Δ.
-// The prefetching Sender pool, a Dealt pair's SenderHalf, and the
-// otserv remote dispenser client all satisfy it, so consumers (the
-// ironman endpoints, serving layers) program against one shape
-// regardless of where correlations come from.
-type SenderSource interface {
-	// COTs draws n correlations' r0 blocks (r1 = r0 ⊕ Δ implied).
-	COTs(n int) ([]block.Block, error)
-	// Stats snapshots this drawer's pool counters.
-	Stats() Stats
-	// Close releases the drawer (stops workers / closes sessions);
-	// draws after Close fail.
-	Close() error
-}
-
-// ReceiverSource is the receiver-half drawer contract: choice bits and
-// the matching r_b blocks. Same implementations as SenderSource.
-type ReceiverSource interface {
-	COTs(n int) ([]bool, []block.Block, error)
-	Stats() Stats
-	Close() error
-}
-
-// The prefetching pools satisfy the drawer contracts directly.
-var (
-	_ SenderSource   = (*Sender)(nil)
-	_ ReceiverSource = (*Receiver)(nil)
-)
-
-// senderHalf / receiverHalf adapt one shared Dealt to the drawer
-// contracts. Close on either half closes the shared pool (idempotent),
-// since a dealt pair's generator serves both directions.
-type senderHalf struct{ d *Dealt }
-
-func (h senderHalf) COTs(n int) ([]block.Block, error) { return h.d.SenderCOTs(n) }
-func (h senderHalf) Stats() Stats                      { s, _ := h.d.Stats(); return s }
-func (h senderHalf) Close() error                      { return h.d.Close() }
-
-type receiverHalf struct{ d *Dealt }
-
-func (h receiverHalf) COTs(n int) ([]bool, []block.Block, error) { return h.d.ReceiverCOTs(n) }
-func (h receiverHalf) Stats() Stats                              { _, r := h.d.Stats(); return r }
-func (h receiverHalf) Close() error                              { return h.d.Close() }
 
 // SenderHalf views the dealt pair's sender direction as a standalone
 // drawer; Close closes the SHARED generator, stopping both halves.
-func (p *Dealt) SenderHalf() SenderSource { return senderHalf{p} }
+func (p *Dealt) SenderHalf() *Sender { return &Sender{p.stream} }
 
 // ReceiverHalf is the receiver-direction view; the same shared-Close
 // caveat applies.
-func (p *Dealt) ReceiverHalf() ReceiverSource { return receiverHalf{p} }
+func (p *Dealt) ReceiverHalf() *Receiver { return &Receiver{p.stream} }

@@ -173,11 +173,167 @@ func TestCloseUnblocksDraw(t *testing.T) {
 	p.Close()
 }
 
+// seqBatch is the shared seeded sequence behind the view tests: batch
+// correlations numbered from *next, choice bit set on every third.
+func seqBatch(next *uint64, batch int) (z []block.Block, bits []bool, y []block.Block) {
+	z = make([]block.Block, batch)
+	bits = make([]bool, batch)
+	y = make([]block.Block, batch)
+	for i := range z {
+		z[i] = block.Block{Lo: *next}
+		y[i] = block.Block{Lo: *next, Hi: 1}
+		bits[i] = *next%3 == 0
+		*next++
+	}
+	return z, bits, y
+}
+
+// drawer is one half of a stream as the view tests see it.
+type drawer struct {
+	name  string
+	draw  func(n int) ([]block.Block, []bool, error)
+	stats func() Stats
+	*stream
+}
+
+func senderDrawer(name string, p *Sender) drawer {
+	return drawer{name, func(n int) ([]block.Block, []bool, error) {
+		z, err := p.COTs(n)
+		return z, nil, err
+	}, p.Stats, p.stream}
+}
+
+func receiverDrawer(name string, p *Receiver) drawer {
+	return drawer{name, func(n int) ([]block.Block, []bool, error) {
+		bits, y, err := p.COTs(n)
+		return y, bits, err
+	}, p.Stats, p.stream}
+}
+
+// seqDrawers opens the same seeded sequence four ways: a Sender, a
+// Receiver, and the two halves of a Dealt (whose stream they share).
+func seqDrawers(batch int, cfg Config) []drawer {
+	var ns, nr, nd uint64
+	s := NewSender(func() ([]block.Block, error) {
+		z, _, _ := seqBatch(&ns, batch)
+		return z, nil
+	}, cfg)
+	r := NewReceiver(func() ([]bool, []block.Block, error) {
+		_, bits, y := seqBatch(&nr, batch)
+		return bits, y, nil
+	}, cfg)
+	d := NewDealt(func() ([]block.Block, []bool, []block.Block, error) {
+		z, bits, y := seqBatch(&nd, batch)
+		return z, bits, y, nil
+	}, cfg)
+	return []drawer{
+		senderDrawer("Sender", s), receiverDrawer("Receiver", r),
+		senderDrawer("Dealt.SenderHalf", d.SenderHalf()), receiverDrawer("Dealt.ReceiverHalf", d.ReceiverHalf()),
+	}
+}
+
+// TestDrawAfterClose: a closed pool dispenses nothing — not even
+// correlations it provably still has buffered — on every view, inline
+// and prefetching.
 func TestDrawAfterClose(t *testing.T) {
+	const batch, n = 64, 8
+	for _, depth := range []int{0, 2} {
+		for i := 0; i < 4; i++ {
+			// A fresh set per case: the Dealt's halves share one Close.
+			ds := seqDrawers(batch, Config{Depth: depth})
+			d := ds[i]
+			// The first draw returns only once a batch is in, so the
+			// buffer holds at least batch-n afterwards.
+			if _, _, err := d.draw(n); err != nil {
+				t.Fatalf("%s depth %d: %v", d.name, depth, err)
+			}
+			before := d.stats()
+			if before.Buffered < n {
+				t.Fatalf("%s depth %d: only %d buffered, the case needs %d", d.name, depth, before.Buffered, n)
+			}
+			d.Close()
+			if _, _, err := d.draw(n); !errors.Is(err, ErrClosed) {
+				t.Errorf("%s depth %d: draw after Close: err = %v, want ErrClosed", d.name, depth, err)
+			}
+			if after := d.stats(); after.Dispensed != before.Dispensed {
+				t.Errorf("%s depth %d: dispensed %d -> %d across Close", d.name, depth, before.Dispensed, after.Dispensed)
+			}
+			for _, d := range ds {
+				d.Close()
+			}
+		}
+	}
+	// Closed before anything was generated.
 	p := NewSender(seqSource(8, 0), Config{})
 	p.Close()
 	if _, err := p.COTs(1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
+	}
+}
+
+// TestViewsDrawOneStream: the same seeded sequence drawn through a
+// Sender, a Receiver and the matching halves of a Dealt yields the
+// identical dispensed stream and identical counters per half, inline
+// and prefetching.
+func TestViewsDrawOneStream(t *testing.T) {
+	const batch = 64
+	// With a worker, draw only while it is parked and never more than
+	// the low-water mark (one batch at Depth 2): then no draw blocks
+	// and the refill schedule is a function of the draw sequence alone.
+	// needRefill is the worker's own test, so evaluating it here moves
+	// the hysteresis state exactly as the worker's next look would.
+	quiesce := func(d drawer) {
+		for d.cfg.Depth > 0 {
+			d.mu.Lock()
+			parked := !d.needRefill()
+			d.mu.Unlock()
+			if parked {
+				return
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	for _, depth := range []int{0, 2} {
+		ds := seqDrawers(batch, Config{Depth: depth})
+		var next uint64
+		for _, n := range []int{10, 64, 1, 50, 33, 64, 0, 7, 64, 64, 21} {
+			wantZ, wantBits, wantY := seqBatch(&next, n)
+			for i, d := range ds {
+				quiesce(d)
+				blocks, bits, err := d.draw(n)
+				if err != nil {
+					t.Fatalf("%s depth %d: %v", d.name, depth, err)
+				}
+				want, wantB := wantZ, []bool(nil)
+				if i%2 == 1 { // receiver halves
+					want, wantB = wantY, wantBits
+				}
+				if len(blocks) != n || len(bits) != len(wantB) {
+					t.Fatalf("%s depth %d: drew %d blocks, %d bits for n = %d", d.name, depth, len(blocks), len(bits), n)
+				}
+				for j := range bits {
+					if bits[j] != wantB[j] {
+						t.Fatalf("%s depth %d: bit %d of a %d-draw differs", d.name, depth, j, n)
+					}
+				}
+				for j := range blocks {
+					if blocks[j] != want[j] {
+						t.Fatalf("%s depth %d: block %d of a %d-draw differs", d.name, depth, j, n)
+					}
+				}
+			}
+		}
+		for i, d := range ds {
+			quiesce(d)
+			got, ref := d.stats(), ds[i%2].stats()
+			if got.Generated != ref.Generated || got.Dispensed != ref.Dispensed ||
+				got.Refills != ref.Refills || got.Draws != ref.Draws {
+				t.Errorf("depth %d: %s stats %+v != %s stats %+v", depth, d.name, got, ds[i%2].name, ref)
+			}
+		}
+		for _, d := range ds {
+			d.Close()
+		}
 	}
 }
 
@@ -195,7 +351,7 @@ func TestCompactionBoundsBuffer(t *testing.T) {
 		off += batch / 2
 	}
 	p.mu.Lock()
-	bufLen, head := len(p.buf.buf), p.buf.head
+	bufLen, head := len(p.s.blocks), p.s.head
 	p.mu.Unlock()
 	// Without compaction the buffer would have accumulated 64*1024
 	// consumed entries; with it, the live window stays within a few
@@ -365,7 +521,7 @@ func TestDealtRetentionCap(t *testing.T) {
 			t.Fatalf("depth %d: cap tripped after only %d draws", depth, draws)
 		}
 		p.mu.Lock()
-		retained := p.rbuf.ready()
+		retained := p.r.ready()
 		p.mu.Unlock()
 		if retained > 3*batch {
 			t.Fatalf("depth %d: receiver half retained %d > cap", depth, retained)
@@ -423,7 +579,7 @@ func TestPrewarmedDrawLatency(t *testing.T) {
 		// contention from a concurrent refill append.
 		for {
 			warmPool.mu.Lock()
-			ready := warmPool.sbuf.ready() >= n && !warmPool.filling
+			ready := warmPool.s.ready() >= n && !warmPool.filling
 			warmPool.mu.Unlock()
 			if ready {
 				break
@@ -491,7 +647,7 @@ func BenchmarkDrawPrewarmed(b *testing.B) {
 		// measures dispensing latency, not refill lock contention.
 		for {
 			p.mu.Lock()
-			ready := p.sbuf.ready() >= n && !p.filling
+			ready := p.s.ready() >= n && !p.filling
 			p.mu.Unlock()
 			if ready {
 				break

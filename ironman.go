@@ -22,7 +22,6 @@ import (
 	"net"
 	"reflect"
 	"sync/atomic"
-	"time"
 
 	"ironman/internal/aesprg"
 	"ironman/internal/arith"
@@ -113,9 +112,6 @@ type Options struct {
 	// conn first (interrupting any in-flight background iteration) and
 	// then call Close.
 	Prefetch int
-	// LowWater overrides the refill trigger (in correlations) when
-	// Prefetch > 0; 0 selects half the prefetched total.
-	LowWater int
 	// MaxBuffered caps how many correlations a dealt pair's undrawn
 	// half may retain before one-sided draws fail with ErrRetained
 	// (correlations are pairwise, so the lagging half keeps every
@@ -151,7 +147,7 @@ func (o Options) backend() (extension.Backend, error) {
 }
 
 func (o Options) poolCfg() pool.Config {
-	return pool.Config{Depth: o.Prefetch, LowWater: o.LowWater, MaxBuffered: o.MaxBuffered}
+	return pool.Config{Depth: o.Prefetch, MaxBuffered: o.MaxBuffered}
 }
 
 // ErrRetained is returned by a dealt-pair draw whose paired half has
@@ -162,39 +158,17 @@ var ErrRetained = pool.ErrRetained
 // DefaultOptions is the Ironman design point.
 func DefaultOptions() Options { return Options{FourAryChaCha: true} }
 
-// PoolStats mirrors internal/pool.Stats for one endpoint's correlation
-// buffer: how many correlations the protocol generated and dispensed,
-// how many Extend refills ran, and how long draws spent blocked on
-// generation.
-type PoolStats struct {
-	Generated    uint64
-	Dispensed    uint64
-	Refills      uint64
-	Draws        uint64
-	BlockedDraws uint64
-	BlockedTime  time.Duration
-	Buffered     int
-}
-
-func poolStats(s pool.Stats) PoolStats {
-	return PoolStats{
-		Generated:    s.Generated,
-		Dispensed:    s.Dispensed,
-		Refills:      s.Refills,
-		Draws:        s.Draws,
-		BlockedDraws: s.BlockedDraws,
-		BlockedTime:  s.BlockedTime,
-		Buffered:     s.Buffered,
-	}
-}
+// PoolStats is one endpoint's correlation-buffer counters: how many
+// correlations the protocol generated and dispensed, how many Extend
+// refills ran, and how long draws spent blocked on generation.
+type PoolStats = pool.Stats
 
 // Sender produces correlations r0/r1 = r0 ⊕ Δ and converts them to OTs.
-// Its buffer is any pool.SenderSource: a standalone prefetching pool
-// for network endpoints, or one half of a shared lockstep pool.Dealt
-// for dealt pairs.
+// Its buffer is a standalone prefetching pool for network endpoints, or
+// the sender half of a shared lockstep pool.Dealt for dealt pairs.
 type Sender struct {
 	ext  extension.Sender
-	p    pool.SenderSource
+	p    *pool.Sender
 	h    *aesprg.Hash
 	otct uint64
 	// conn is the endpoint's protocol conn; busy marks it off-limits to
@@ -214,7 +188,7 @@ type Sender struct {
 // Receiver holds choice bits and r_b blocks.
 type Receiver struct {
 	ext      extension.Receiver
-	p        pool.ReceiverSource
+	p        *pool.Receiver
 	h        *aesprg.Hash
 	otct     uint64
 	conn     Conn
@@ -224,22 +198,28 @@ type Receiver struct {
 	trace    *obs.Tracer
 }
 
-func newSender(ext extension.Sender, conn Conn, opts Options) *Sender {
-	s := &Sender{
-		ext: ext, p: pool.NewSender(ext.Extend, opts.poolCfg()), h: aesprg.NewHash(),
-		conn: conn, busy: new(atomic.Bool), workers: opts.Workers, trace: opts.Trace,
+// newSender wraps an extension endpoint and the pool view it draws
+// from; busy is shared by the two endpoints of a prefetching dealt pair.
+func newSender(ext extension.Sender, p *pool.Sender, conn Conn, busy *atomic.Bool, opts Options) *Sender {
+	return &Sender{
+		ext: ext, p: p, h: aesprg.NewHash(),
+		conn: conn, busy: busy, workers: opts.Workers, trace: opts.Trace,
 	}
-	s.busy.Store(opts.Prefetch > 0)
-	return s
 }
 
-func newReceiver(ext extension.Receiver, conn Conn, opts Options) *Receiver {
-	r := &Receiver{
-		ext: ext, p: pool.NewReceiver(ext.Extend, opts.poolCfg()), h: aesprg.NewHash(),
-		conn: conn, busy: new(atomic.Bool), workers: opts.Workers, trace: opts.Trace,
+func newReceiver(ext extension.Receiver, p *pool.Receiver, conn Conn, busy *atomic.Bool, opts Options) *Receiver {
+	return &Receiver{
+		ext: ext, p: p, h: aesprg.NewHash(),
+		conn: conn, busy: busy, workers: opts.Workers, trace: opts.Trace,
 	}
-	r.busy.Store(opts.Prefetch > 0)
-	return r
+}
+
+// busyFlag is a fresh conn-busy flag: set while a prefetch worker
+// owns the protocol conn.
+func (o Options) busyFlag() *atomic.Bool {
+	busy := new(atomic.Bool)
+	busy.Store(o.Prefetch > 0)
+	return busy
 }
 
 // NewSender initializes the sending endpoint (runs the selected
@@ -256,7 +236,7 @@ func NewSender(conn Conn, delta Block, params Params, opts Options) (*Sender, er
 	if err != nil {
 		return nil, err
 	}
-	return newSender(ext, conn, opts), nil
+	return newSender(ext, pool.NewSender(ext.Extend, opts.poolCfg()), conn, opts.busyFlag(), opts), nil
 }
 
 // NewReceiver initializes the receiving endpoint.
@@ -269,7 +249,7 @@ func NewReceiver(conn Conn, params Params, opts Options) (*Receiver, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newReceiver(ext, conn, opts), nil
+	return newReceiver(ext, pool.NewReceiver(ext.Extend, opts.poolCfg()), conn, opts.busyFlag(), opts), nil
 }
 
 // lockstepSource adapts extension.ExtendLockstep to the pool.Dealt
@@ -304,15 +284,14 @@ func NewDealtPair(connS, connR Conn, delta Block, params Params, opts Options) (
 		d := pool.NewDealt(lockstepSource(es, er), opts.poolCfg())
 		// One flag for the pair: closing either half stops the shared
 		// generator, so both conns become idle together.
-		busy := new(atomic.Bool)
-		busy.Store(true)
-		s := &Sender{ext: es, p: d.SenderHalf(), h: aesprg.NewHash(),
-			conn: connS, peerConn: connR, busy: busy, workers: opts.Workers, trace: opts.Trace}
-		r := &Receiver{ext: er, p: d.ReceiverHalf(), h: aesprg.NewHash(),
-			conn: connR, peerConn: connS, busy: busy, workers: opts.Workers, trace: opts.Trace}
+		busy := opts.busyFlag()
+		s := newSender(es, d.SenderHalf(), connS, busy, opts)
+		r := newReceiver(er, d.ReceiverHalf(), connR, busy, opts)
+		s.peerConn, r.peerConn = connR, connS
 		return s, r, nil
 	}
-	return newSender(es, connS, opts), newReceiver(er, connR, opts), nil
+	return newSender(es, pool.NewSender(es.Extend, opts.poolCfg()), connS, opts.busyFlag(), opts),
+		newReceiver(er, pool.NewReceiver(er.Extend, opts.poolCfg()), connR, opts.busyFlag(), opts), nil
 }
 
 // RandomDelta samples a fresh global correlation.
@@ -334,7 +313,7 @@ func (s *Sender) Delta() Block { return s.ext.Delta() }
 func (s *Sender) COTs(n int) ([]Block, error) { return s.p.COTs(n) }
 
 // PoolStats reports the endpoint's correlation-pool counters.
-func (s *Sender) PoolStats() PoolStats { return poolStats(s.p.Stats()) }
+func (s *Sender) PoolStats() PoolStats { return s.p.Stats() }
 
 // Close stops the endpoint's prefetch worker (a no-op for synchronous
 // endpoints). Dealt-pair endpoints share their generator, so closing
@@ -355,7 +334,7 @@ func (s *Sender) Close() error {
 func (r *Receiver) COTs(n int) ([]bool, []Block, error) { return r.p.COTs(n) }
 
 // PoolStats reports the endpoint's correlation-pool counters.
-func (r *Receiver) PoolStats() PoolStats { return poolStats(r.p.Stats()) }
+func (r *Receiver) PoolStats() PoolStats { return r.p.Stats() }
 
 // Close stops the endpoint's prefetch worker (a no-op for synchronous
 // endpoints); the same shared-generator and conn-first caveats as
