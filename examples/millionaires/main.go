@@ -76,13 +76,13 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		xs := partyA.NewPrivate(gmw.Uint64Bits(x, bitWidth), true)
-		ys := partyA.NewPrivate(nil2(bitWidth), false)
-		gt, err := partyA.GreaterThan(xs, ys)
+		xs := partyA.NewPrivateVec([]uint64{x}, bitWidth, true)
+		ys := partyA.NewPrivateVec([]uint64{0}, bitWidth, false)
+		gt, err := partyA.GreaterThanVec(xs, ys)
 		if err != nil {
 			log.Fatal(err)
 		}
-		open, err := partyA.Reveal(gt)
+		open, err := partyA.RevealPacked(gt)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -95,13 +95,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	xsB := partyB.NewPrivate(nil2(bitWidth), false)
-	ysB := partyB.NewPrivate(gmw.Uint64Bits(y, bitWidth), true)
-	gtB, err := partyB.GreaterThan(xsB, ysB)
+	xsB := partyB.NewPrivateVec([]uint64{0}, bitWidth, false)
+	ysB := partyB.NewPrivateVec([]uint64{y}, bitWidth, true)
+	gtB, err := partyB.GreaterThanVec(xsB, ysB)
 	if err != nil {
 		log.Fatal(err)
 	}
-	openB, err := partyB.Reveal(gtB)
+	openB, err := partyB.RevealPacked(gtB)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -144,5 +144,3 @@ func extendReceiver(r *ferret.Receiver) *cot.ReceiverPool {
 	}
 	return pool
 }
-
-func nil2(n int) []bool { return make([]bool, n) }

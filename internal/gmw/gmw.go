@@ -14,12 +14,10 @@
 // # Round model and level batching
 //
 // The engine is round-batched: every independent AND gate of a circuit
-// level should be evaluated in ONE two-flight OT exchange. Shares come
-// in two layouts — the legacy bool-vector Share, whose And gates ride
-// full 128-bit OT payloads (cot.SendChosen), and the word-packed
-// PackedShare, whose AndPacked/AndPackedMany gates ride bit-packed OT
-// frames (cot.SendChosenBits, ~3 bits of wire per OT instead of ~33
-// bytes). Multi-level circuits like GreaterThanVec are built as
+// level should be evaluated in ONE two-flight OT exchange. Shares are
+// word-packed PackedShare bit vectors, and AndPacked/AndPackedMany
+// gates ride bit-packed OT frames (cot.SendChosenBits, ~3 bits of wire
+// per OT). Multi-level circuits like GreaterThanVec are built as
 // parallel-prefix networks so depth — and therefore network flights —
 // is logarithmic in the operand width.
 //
@@ -46,8 +44,9 @@ import (
 
 // ErrRoleConflict is returned by NewParty when the role handshake
 // discovers both parties set (or both cleared) the first flag — a
-// misconfiguration that would otherwise silently corrupt Not/NewPublic
-// results or deadlock the AND-gate message interleaving.
+// misconfiguration that would otherwise silently corrupt
+// NotPacked/NewPublicPacked results or deadlock the AND-gate message
+// interleaving.
 var ErrRoleConflict = errors.New("gmw: role conflict")
 
 // handshakeMagic tags the NewParty negotiation message.
@@ -167,33 +166,8 @@ func NewSeededParty(conn transport.Conn, out *cot.SenderPool, in *cot.ReceiverPo
 	return p, nil
 }
 
-// Share is an XOR-shared bit vector in the legacy bool layout: each
-// party holds one of these and the logical value is the element-wise
-// XOR. New code should prefer PackedShare.
-type Share []bool
-
-// NewPublic builds a share of a public constant: the first party holds
-// the value, the other zero.
-func (p *Party) NewPublic(bits []bool) Share {
-	s := make(Share, len(bits))
-	if p.first {
-		copy(s, bits)
-	}
-	return s
-}
-
-// NewPrivate builds a share of this party's private input: this party
-// holds the bits, the peer's share is zero. Both parties must call it
-// in matching order, with owner telling whose input it is.
-func (p *Party) NewPrivate(bits []bool, mine bool) Share {
-	s := make(Share, len(bits))
-	if mine {
-		copy(s, bits)
-	}
-	return s
-}
-
-// NewPublicPacked is NewPublic in the packed layout.
+// NewPublicPacked builds a share of a public constant: the first party
+// holds the value, the other zero.
 func (p *Party) NewPublicPacked(bits []bool) PackedShare {
 	if p.first {
 		return PackBools(bits)
@@ -201,7 +175,9 @@ func (p *Party) NewPublicPacked(bits []bool) PackedShare {
 	return NewPacked(len(bits))
 }
 
-// NewPrivatePacked is NewPrivate in the packed layout.
+// NewPrivatePacked builds a share of this party's private input: this
+// party holds the bits, the peer's share is zero. Both parties must
+// call it in matching order, with mine telling whose input it is.
 func (p *Party) NewPrivatePacked(bits []bool, mine bool) PackedShare {
 	if mine {
 		return PackBools(bits)
@@ -234,44 +210,6 @@ func zeroPlanes(n, width int) []PackedShare {
 	return planes
 }
 
-// Xor is a free local gate. A length mismatch is reported as an
-// error, matching the error discipline of the pool-exhaustion paths.
-func Xor(a, b Share) (Share, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("gmw: Xor length mismatch: %d vs %d", len(a), len(b))
-	}
-	return xorShares(a, b), nil
-}
-
-// xorShares is Xor for call sites with already-validated lengths.
-func xorShares(a, b Share) Share {
-	out := make(Share, len(a))
-	for i := range a {
-		out[i] = a[i] != b[i]
-	}
-	return out
-}
-
-// Not flips a shared bit: only the first party flips its share.
-func (p *Party) Not(a Share) Share {
-	out := make(Share, len(a))
-	copy(out, a)
-	if p.first {
-		for i := range out {
-			out[i] = !out[i]
-		}
-	}
-	return out
-}
-
-// bitBlock embeds a bit in a block's LSB.
-func bitBlock(b bool) block.Block {
-	if b {
-		return block.New(1, 0)
-	}
-	return block.Block{}
-}
-
 // checkBudget fails an AND layer before any network traffic when the
 // pools cannot cover it. Both parties' pools advance in lockstep, so
 // both sides fail locally and loudly instead of deadlocking with one
@@ -299,7 +237,7 @@ type Budget struct {
 
 // Preflight verifies both direction pools can cover an entire schedule
 // before any of it runs. The per-layer checkBudget guard inside
-// And/AndPacked only catches exhaustion at the layer that trips it —
+// AndPacked only catches exhaustion at the layer that trips it —
 // by then earlier layers have consumed their correlations and the
 // computation dies mid-circuit. Preflighting the whole budget makes an
 // under-provisioned pool fail loudly before the first flight, on both
@@ -314,88 +252,6 @@ func (p *Party) Preflight(b Budget) error {
 			b.ANDGates, b.Exchanges, cot.ErrExhausted, out, in)
 	}
 	return nil
-}
-
-// And evaluates element-wise AND over legacy bool shares, consuming
-// two chosen OTs per element (one in each direction), each carrying a
-// full 128-bit payload. This is the legacy path — AndPacked moves the
-// same gates with ~16x less wire traffic.
-func (p *Party) And(a, b Share) (Share, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("gmw: And length mismatch")
-	}
-	n := len(a)
-	if err := p.checkBudget(n); err != nil {
-		return nil, err
-	}
-	out := make(Share, n)
-	// Local term a_i·b_i.
-	for i := range out {
-		out[i] = a[i] && b[i]
-	}
-	if n == 0 {
-		return out, nil
-	}
-	var sp obs.Span
-	var preBytes int64
-	if p.observing() {
-		preBytes = p.conn.Stats().TotalBytes()
-		sp = p.trace.Span("gmw.exchange", "gmw", p.tid)
-	}
-
-	send := func() error {
-		// This party is OT sender for the cross term (my a) x (peer b):
-		// messages (s, s ⊕ a_i) under a fresh secret mask s; my share
-		// gains s.
-		msgs := make([][2]block.Block, n)
-		masks := make([]bool, n)
-		buf := make([]byte, (n+7)/8)
-		p.prg.Fill(buf)
-		for i := range msgs {
-			mbit := buf[i/8]>>uint(i%8)&1 == 1
-			masks[i] = mbit
-			msgs[i][0] = bitBlock(mbit)
-			msgs[i][1] = bitBlock(mbit != a[i])
-		}
-		if err := cot.SendChosen(p.conn, p.Out, p.hash, msgs); err != nil {
-			return err
-		}
-		for i := range out {
-			out[i] = out[i] != masks[i]
-		}
-		return nil
-	}
-	recv := func() error {
-		// This party is OT receiver with choice bits b: learns s ⊕ a·b.
-		got, err := cot.ReceiveChosen(p.conn, p.In, p.hash, b)
-		if err != nil {
-			return err
-		}
-		for i := range out {
-			out[i] = out[i] != (got[i].Bit(0) == 1)
-		}
-		return nil
-	}
-
-	var err error
-	if p.first {
-		if err = send(); err == nil {
-			err = recv()
-		}
-	} else {
-		if err = recv(); err == nil {
-			err = send()
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	if p.observing() {
-		p.noteExchange(sp, n, preBytes)
-	}
-	p.ANDGates += n
-	p.Exchanges++
-	return out, nil
 }
 
 // maskLimbs draws n fresh mask bits from the party's PRG, packed.
@@ -511,28 +367,6 @@ func (p *Party) AndPackedMany(pairs [][2]PackedShare) ([]PackedShare, error) {
 	return out, nil
 }
 
-// Reveal opens a legacy share to both parties.
-func (p *Party) Reveal(a Share) ([]bool, error) {
-	if p.first {
-		if err := transport.SendBits(p.conn, a); err != nil {
-			return nil, err
-		}
-		peer, err := transport.RecvBits(p.conn, len(a))
-		if err != nil {
-			return nil, err
-		}
-		return xorShares(a, peer), nil
-	}
-	peer, err := transport.RecvBits(p.conn, len(a))
-	if err != nil {
-		return nil, err
-	}
-	if err := transport.SendBits(p.conn, a); err != nil {
-		return nil, err
-	}
-	return xorShares(a, peer), nil
-}
-
 // revealRaw opens a packed share, returning the plaintext still packed.
 func (p *Party) revealRaw(a PackedShare) (PackedShare, error) {
 	wire := transport.PackedToWire(a.limbs, a.n)
@@ -599,38 +433,20 @@ func (p *Party) RevealPlanes(planes []PackedShare) ([]PackedShare, error) {
 }
 
 // RevealVec opens a bit-plane vector in a single exchange, returning
-// the plaintext values.
+// the plaintext values. All planes must have the same length; a
+// mismatch fails before any traffic, so both parties (passing
+// matching shapes) fail locally and stay in sync.
 func (p *Party) RevealVec(planes []PackedShare) ([]uint64, error) {
+	for i, pl := range planes {
+		if pl.n != planes[0].n {
+			return nil, fmt.Errorf("gmw: RevealVec plane %d length mismatch: %d vs %d", i, pl.n, planes[0].n)
+		}
+	}
 	opened, err := p.RevealPlanes(planes)
 	if err != nil {
 		return nil, err
 	}
 	return UnpackVec(opened), nil
-}
-
-// GreaterThan compares two shared unsigned integers given LSB-first
-// bit shares, returning a 1-bit share of (x > y). It routes through
-// the parallel-prefix comparator, so a width-w compare costs
-// 1+ceil(log2 w) batched exchanges instead of the 2w sequential
-// exchanges of a ripple comparator.
-func (p *Party) GreaterThan(x, y Share) (Share, error) {
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("gmw: GreaterThan length mismatch")
-	}
-	if len(x) == 0 {
-		return make(Share, 1), nil
-	}
-	xp := make([]PackedShare, len(x))
-	yp := make([]PackedShare, len(y))
-	for i := range x {
-		xp[i] = PackBools(x[i : i+1])
-		yp[i] = PackBools(y[i : i+1])
-	}
-	gt, err := p.GreaterThanVec(xp, yp)
-	if err != nil {
-		return nil, err
-	}
-	return Share{gt.Bit(0)}, nil
 }
 
 // GreaterThanVec compares n pairs of width-w values held as LSB-first
@@ -704,30 +520,11 @@ func ComparatorExchanges(width int) int {
 	return 1 + bits.Len(uint(width-1))
 }
 
-// Mux selects bit-wise between two legacy shared vectors by a shared
-// condition bit: out = c ? a : b = b ⊕ c·(a⊕b). Costs len(a) AND
-// gates. This is the multiplexer CrypTFlow2 builds ReLU from (§5.2
-// mentions its two-directional OT use).
-func (p *Party) Mux(c Share, a, b Share) (Share, error) {
-	if len(c) != 1 || len(a) != len(b) {
-		return nil, fmt.Errorf("gmw: Mux shape mismatch")
-	}
-	d := xorShares(a, b)
-	cs := make(Share, len(a))
-	for i := range cs {
-		cs[i] = c[0]
-	}
-	t, err := p.And(cs, d)
-	if err != nil {
-		return nil, err
-	}
-	return xorShares(b, t), nil
-}
-
 // MuxVec selects element-wise between two bit-plane vectors by an
-// n-bit shared condition vector: out_j = c_j ? a_j : b_j. The whole
-// layer — every plane of every element — is one batched exchange of
-// n·w AND gates.
+// n-bit shared condition vector: out_j = c_j ? a_j : b_j =
+// b_j ⊕ c_j·(a_j⊕b_j) — the multiplexer CrypTFlow2 builds ReLU from
+// (§5.2 mentions its two-directional OT use). The whole layer — every
+// plane of every element — is one batched exchange of n·w AND gates.
 func (p *Party) MuxVec(c PackedShare, a, b []PackedShare) ([]PackedShare, error) {
 	if len(a) != len(b) {
 		return nil, fmt.Errorf("gmw: MuxVec width mismatch: %d vs %d", len(a), len(b))
@@ -764,24 +561,4 @@ func (p *Party) ReLUVec(x []PackedShare) ([]PackedShare, error) {
 		pairs[i] = [2]PackedShare{keep, x[i]}
 	}
 	return p.AndPackedMany(pairs)
-}
-
-// Uint64Bits returns the LSB-first bit decomposition of v.
-func Uint64Bits(v uint64, width int) []bool {
-	bits := make([]bool, width)
-	for i := range bits {
-		bits[i] = v>>uint(i)&1 == 1
-	}
-	return bits
-}
-
-// BitsUint64 re-composes LSB-first bits.
-func BitsUint64(bits []bool) uint64 {
-	var v uint64
-	for i, b := range bits {
-		if b {
-			v |= 1 << uint(i)
-		}
-	}
-	return v
 }

@@ -87,194 +87,159 @@ func TestRoleHandshakeConflict(t *testing.T) {
 	}
 }
 
+// TestAndTruthTable evaluates the four (x_A, y_B) rows of the AND truth
+// table as the four lanes of one AndPacked layer: x is party A's
+// private input, y party B's.
 func TestAndTruthTable(t *testing.T) {
-	for _, xa := range []bool{false, true} {
-		for _, yb := range []bool{false, true} {
-			a, b := parties(t, 8)
-			var ra, rb Share
-			run2(t, func() error {
-				xs := a.NewPrivate([]bool{xa}, true)
-				ys := a.NewPrivate([]bool{false}, false)
-				z, err := a.And(xs, ys)
-				if err != nil {
-					return err
-				}
-				open, err := a.Reveal(z)
-				ra = open
-				return err
-			}, func() error {
-				xs := b.NewPrivate([]bool{false}, false)
-				ys := b.NewPrivate([]bool{yb}, true)
-				z, err := b.And(xs, ys)
-				if err != nil {
-					return err
-				}
-				open, err := b.Reveal(z)
-				rb = open
-				return err
-			})
-			want := xa && yb
-			if ra[0] != want || rb[0] != want {
-				t.Fatalf("AND(%v,%v) = %v/%v, want %v", xa, yb, ra[0], rb[0], want)
-			}
+	xa := []bool{false, false, true, true}
+	yb := []bool{false, true, false, true}
+	a, b := parties(t, 8)
+	var ra, rb []bool
+	run2(t, func() error {
+		z, err := a.AndPacked(a.NewPrivatePacked(xa, true), a.NewPrivatePacked(make([]bool, 4), false))
+		if err != nil {
+			return err
 		}
+		ra, err = a.RevealPacked(z)
+		return err
+	}, func() error {
+		z, err := b.AndPacked(b.NewPrivatePacked(make([]bool, 4), false), b.NewPrivatePacked(yb, true))
+		if err != nil {
+			return err
+		}
+		rb, err = b.RevealPacked(z)
+		return err
+	})
+	for i := range xa {
+		want := xa[i] && yb[i]
+		if ra[i] != want || rb[i] != want {
+			t.Fatalf("AND(%v,%v) = %v/%v, want %v", xa[i], yb[i], ra[i], rb[i], want)
+		}
+	}
+	if a.ANDGates != 4 || a.Exchanges != 1 {
+		t.Fatalf("truth table cost %d ANDs in %d exchanges, want 4 in 1", a.ANDGates, a.Exchanges)
 	}
 }
 
+// TestXorNotLocal checks the free gates at a length that spills one
+// bit into a second limb: XorPacked is element-wise, NotPacked flips
+// only the first party's share, and neither sets a bit past Len().
 func TestXorNotLocal(t *testing.T) {
-	a, _ := parties(t, 1)
-	x := Share{true, false, true}
-	y := Share{true, true, false}
-	z, err := Xor(x, y)
+	const n = 65
+	a, b := parties(t, 1)
+	rng := rand.New(rand.NewSource(5))
+	xb := make([]bool, n)
+	yb := make([]bool, n)
+	for i := range xb {
+		xb[i] = rng.Intn(2) == 1
+		yb[i] = rng.Intn(2) == 1
+	}
+	x, y := PackBools(xb), PackBools(yb)
+	z, err := XorPacked(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if z[0] || !z[1] || !z[2] {
-		t.Fatal("Xor wrong")
+	for i := 0; i < n; i++ {
+		if z.Bit(i) != (xb[i] != yb[i]) {
+			t.Fatalf("XorPacked bit %d wrong", i)
+		}
 	}
-	n := a.Not(Share{false})
-	if !n[0] {
-		t.Fatal("first party must flip on Not")
+	na, nb := a.NotPacked(x), b.NotPacked(x)
+	for i := 0; i < n; i++ {
+		if na.Bit(i) == xb[i] {
+			t.Fatalf("first party must flip bit %d on NotPacked", i)
+		}
+		if nb.Bit(i) != xb[i] {
+			t.Fatalf("second party must not flip bit %d on NotPacked", i)
+		}
+	}
+	for _, s := range []PackedShare{z, na, nb} {
+		if tail := s.limbs[1] >> 1; tail != 0 {
+			t.Fatalf("bits past Len() set: %#x", tail)
+		}
 	}
 }
 
+// TestGreaterThanExhaustive4Bit compares every 4-bit (x, y) pair in one
+// GreaterThanVec call, one pair per lane: x is party A's private input,
+// y party B's.
 func TestGreaterThanExhaustive4Bit(t *testing.T) {
-	for x := uint64(0); x < 16; x++ {
-		for y := uint64(0); y < 16; y++ {
-			a, b := parties(t, 64)
-			var got bool
-			run2(t, func() error {
-				xs := a.NewPrivate(Uint64Bits(x, 4), true)
-				ys := a.NewPrivate(make([]bool, 4), false)
-				gt, err := a.GreaterThan(xs, ys)
-				if err != nil {
-					return err
-				}
-				open, err := a.Reveal(gt)
-				if err != nil {
-					return err
-				}
-				got = open[0]
-				return nil
-			}, func() error {
-				xs := b.NewPrivate(make([]bool, 4), false)
-				ys := b.NewPrivate(Uint64Bits(y, 4), true)
-				gt, err := b.GreaterThan(xs, ys)
-				if err != nil {
-					return err
-				}
-				_, err = b.Reveal(gt)
-				return err
-			})
-			if got != (x > y) {
-				t.Fatalf("GreaterThan(%d,%d) = %v", x, y, got)
-			}
+	const w, n = 4, 256
+	xs := make([]uint64, n)
+	ys := make([]uint64, n)
+	for i := range xs {
+		xs[i], ys[i] = uint64(i>>w), uint64(i&(1<<w-1))
+	}
+	a, b := parties(t, (3*w-2)*n)
+	var got []bool
+	run2(t, func() error {
+		gt, err := a.GreaterThanVec(a.NewPrivateVec(xs, w, true), a.NewPrivateVec(make([]uint64, n), w, false))
+		if err != nil {
+			return err
 		}
+		got, err = a.RevealPacked(gt)
+		return err
+	}, func() error {
+		gt, err := b.GreaterThanVec(b.NewPrivateVec(make([]uint64, n), w, false), b.NewPrivateVec(ys, w, true))
+		if err != nil {
+			return err
+		}
+		_, err = b.RevealPacked(gt)
+		return err
+	})
+	for i := range xs {
+		if got[i] != (xs[i] > ys[i]) {
+			t.Fatalf("GreaterThanVec(%d,%d) = %v", xs[i], ys[i], got[i])
+		}
+	}
+	if a.ANDGates != 10*n {
+		t.Fatalf("%d ANDs, want %d", a.ANDGates, 10*n)
+	}
+	if a.Exchanges != ComparatorExchanges(w) {
+		t.Fatalf("%d exchanges, want %d", a.Exchanges, ComparatorExchanges(w))
 	}
 }
 
-func TestGreaterThanRandom32Bit(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 5; trial++ {
-		x := uint64(rng.Uint32())
-		y := uint64(rng.Uint32())
-		a, b := parties(t, 3*32+8)
-		var got bool
-		run2(t, func() error {
-			xs := a.NewPrivate(Uint64Bits(x, 32), true)
-			ys := a.NewPrivate(make([]bool, 32), false)
-			gt, err := a.GreaterThan(xs, ys)
-			if err != nil {
-				return err
-			}
-			open, err := a.Reveal(gt)
-			got = open[0]
-			return err
-		}, func() error {
-			xs := b.NewPrivate(make([]bool, 32), false)
-			ys := b.NewPrivate(Uint64Bits(y, 32), true)
-			gt, err := b.GreaterThan(xs, ys)
-			if err != nil {
-				return err
-			}
-			_, err = b.Reveal(gt)
-			return err
-		})
-		if got != (x > y) {
-			t.Fatalf("GreaterThan(%d,%d) = %v", x, y, got)
-		}
-		// Parallel-prefix comparator: (3w-2) AND gates in
-		// 1+ceil(log2 w) batched exchanges.
-		if a.ANDGates != 3*32-2 {
-			t.Fatalf("32-bit compare should cost %d ANDs, used %d", 3*32-2, a.ANDGates)
-		}
-		if a.Exchanges != ComparatorExchanges(32) {
-			t.Fatalf("32-bit compare should take %d exchanges, took %d",
-				ComparatorExchanges(32), a.Exchanges)
-		}
+// TestRevealVecUnequalPlanes opens a bit-plane vector whose planes
+// differ in length: both parties must fail with an error before any
+// traffic and stay in sync for the next exchange.
+func TestRevealVecUnequalPlanes(t *testing.T) {
+	a, b := parties(t, 1)
+	base := a.conn.Stats().TotalBytes()
+	bad := func() []PackedShare { return []PackedShare{NewPacked(128), NewPacked(1)} }
+	var errA, errB error
+	run2(t, func() error {
+		_, errA = a.RevealVec(bad())
+		return nil
+	}, func() error {
+		_, errB = b.RevealVec(bad())
+		return nil
+	})
+	if errA == nil || errB == nil {
+		t.Fatalf("want an error on both sides, got %v / %v", errA, errB)
 	}
-}
-
-func TestMux(t *testing.T) {
-	for _, c := range []bool{false, true} {
-		a, b := parties(t, 32)
-		av := Uint64Bits(0xA5, 8)
-		bv := Uint64Bits(0x3C, 8)
-		var got uint64
-		run2(t, func() error {
-			cs := a.NewPrivate([]bool{c}, true)
-			x := a.NewPublic(av)
-			y := a.NewPublic(bv)
-			z, err := a.Mux(cs, x, y)
-			if err != nil {
-				return err
-			}
-			open, err := a.Reveal(z)
-			got = BitsUint64(open)
-			return err
-		}, func() error {
-			cs := b.NewPrivate([]bool{false}, false)
-			x := b.NewPublic(av)
-			y := b.NewPublic(bv)
-			z, err := b.Mux(cs, x, y)
-			if err != nil {
-				return err
-			}
-			_, err = b.Reveal(z)
-			return err
-		})
-		want := uint64(0x3C)
-		if c {
-			want = 0xA5
-		}
-		if got != want {
-			t.Fatalf("Mux(c=%v) = %#x, want %#x", c, got, want)
-		}
+	if moved := a.conn.Stats().TotalBytes() - base; moved != 0 {
+		t.Fatalf("rejected RevealVec moved %d bytes", moved)
 	}
-}
-
-func TestBitHelpers(t *testing.T) {
-	v := uint64(0b1011)
-	bits := Uint64Bits(v, 6)
-	if !bits[0] || !bits[1] || bits[2] || !bits[3] || bits[4] {
-		t.Fatal("Uint64Bits wrong")
-	}
-	if BitsUint64(bits) != v {
-		t.Fatal("BitsUint64 round trip")
+	vals := []uint64{3, 1, 2}
+	var got []uint64
+	run2(t, func() error {
+		var err error
+		got, err = a.RevealVec(a.NewPrivateVec(vals, 2, true))
+		return err
+	}, func() error {
+		_, err := b.RevealVec(b.NewPrivateVec(make([]uint64, len(vals)), 2, false))
+		return err
+	})
+	for i := range vals {
+		if got[i] != vals[i] {
+			t.Fatalf("RevealVec after rejection: elem %d = %d, want %d", i, got[i], vals[i])
+		}
 	}
 }
 
 func TestShapeMismatchErrors(t *testing.T) {
 	a, _ := parties(t, 4)
-	if _, err := a.And(Share{true}, Share{true, false}); err == nil {
-		t.Fatal("And must reject length mismatch")
-	}
-	if _, err := a.GreaterThan(Share{true}, Share{}); err == nil {
-		t.Fatal("GreaterThan must reject length mismatch")
-	}
-	if _, err := a.Mux(Share{true, false}, Share{true}, Share{true}); err == nil {
-		t.Fatal("Mux must reject bad condition shape")
-	}
 	if _, err := a.AndPacked(PackBools([]bool{true}), NewPacked(2)); err == nil {
 		t.Fatal("AndPacked must reject length mismatch")
 	}
@@ -289,9 +254,6 @@ func TestShapeMismatchErrors(t *testing.T) {
 	}
 	if _, err := a.AddVec(zeroPlanes(4, 2), zeroPlanes(4, 3)); err == nil {
 		t.Fatal("AddVec must reject width mismatch")
-	}
-	if _, err := Xor(Share{true}, Share{}); err == nil {
-		t.Fatal("Xor must reject length mismatch")
 	}
 	if _, err := XorPacked(NewPacked(1), NewPacked(2)); err == nil {
 		t.Fatal("XorPacked must reject length mismatch")

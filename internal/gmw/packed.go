@@ -8,9 +8,9 @@ import (
 
 // PackedShare is a word-packed XOR-shared bit vector: 64 bits per
 // uint64 limb, LSB-first, with the invariant that bits at index >=
-// Len() are zero in every limb. It is the bitsliced counterpart of
-// Share — XOR and NOT touch 64 gates per word op, and a batched AND
-// layer ships the whole vector through one bit-packed OT exchange.
+// Len() are zero in every limb. It is the engine's one share layout:
+// XOR and NOT touch 64 gates per word op, and a batched AND layer
+// ships the whole vector through one bit-packed OT exchange.
 type PackedShare struct {
 	n     int
 	limbs []uint64
@@ -21,7 +21,7 @@ func NewPacked(n int) PackedShare {
 	return PackedShare{n: n, limbs: make([]uint64, transport.PackedLimbs(n))}
 }
 
-// PackBools packs a bool-vector share.
+// PackBools packs a bool vector, one bit per element.
 func PackBools(bits []bool) PackedShare {
 	s := NewPacked(len(bits))
 	for i, b := range bits {
@@ -38,7 +38,7 @@ func (s PackedShare) Len() int { return s.n }
 // Bit reads bit i.
 func (s PackedShare) Bit(i int) bool { return s.limbs[i/64]>>(uint(i)%64)&1 == 1 }
 
-// Bools unpacks to a bool vector (the legacy Share layout).
+// Bools unpacks to a bool vector, one element per bit.
 func (s PackedShare) Bools() []bool {
 	out := make([]bool, s.n)
 	for i := range out {
@@ -139,6 +139,8 @@ func PackVec(vals []uint64, width int) []PackedShare {
 }
 
 // UnpackVec recomposes bit-planes into values (the inverse of PackVec).
+// All planes must have equal lengths (RevealVec checks this before any
+// traffic).
 func UnpackVec(planes []PackedShare) []uint64 {
 	if len(planes) == 0 {
 		return nil

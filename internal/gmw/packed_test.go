@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ironman/internal/cot"
-	"ironman/internal/transport"
 )
 
 func TestPackedShareRoundTrip(t *testing.T) {
@@ -81,10 +80,10 @@ func TestPackUnpackVec(t *testing.T) {
 	}
 }
 
-// TestRandomCircuitsCrossCheck runs randomized circuits over both the
-// packed (bit-OT) and legacy (block-OT) paths, cross-checking every
-// wire against a plaintext reference evaluation. The circuit structure
-// is public (derived from a shared seed), the inputs private.
+// TestRandomCircuitsCrossCheck runs randomized circuits over packed
+// shares, cross-checking every wire against a plaintext reference
+// evaluation. The circuit structure is public (derived from a shared
+// seed), the inputs private.
 func TestRandomCircuitsCrossCheck(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		rng := rand.New(rand.NewSource(int64(100 + trial)))
@@ -119,62 +118,40 @@ func TestRandomCircuitsCrossCheck(t *testing.T) {
 			copy(cur, ref)
 		}
 
-		for _, packed := range []bool{false, true} {
-			budget := n*depth + 8
-			a, b := parties(t, budget)
-			eval := func(p *Party, mineA bool) ([]bool, error) {
-				if packed {
-					x := p.NewPrivatePacked(xa, mineA)
-					y := p.NewPrivatePacked(xb, !mineA)
-					for _, op := range ops {
-						var err error
-						switch op {
-						case 0:
-							x, err = XorPacked(x, y)
-						case 1:
-							x, err = p.AndPacked(x, y)
-						case 2:
-							x, err = p.AndPacked(p.NotPacked(x), y)
-						}
-						if err != nil {
-							return nil, err
-						}
-					}
-					return p.RevealPacked(x)
+		a, b := parties(t, n*depth+8)
+		eval := func(p *Party, mineA bool) ([]bool, error) {
+			x := p.NewPrivatePacked(xa, mineA)
+			y := p.NewPrivatePacked(xb, !mineA)
+			for _, op := range ops {
+				var err error
+				switch op {
+				case 0:
+					x, err = XorPacked(x, y)
+				case 1:
+					x, err = p.AndPacked(x, y)
+				case 2:
+					x, err = p.AndPacked(p.NotPacked(x), y)
 				}
-				x := p.NewPrivate(xa, mineA)
-				y := p.NewPrivate(xb, !mineA)
-				for _, op := range ops {
-					var err error
-					switch op {
-					case 0:
-						x, err = Xor(x, y)
-					case 1:
-						x, err = p.And(x, y)
-					case 2:
-						x, err = p.And(p.Not(x), y)
-					}
-					if err != nil {
-						return nil, err
-					}
+				if err != nil {
+					return nil, err
 				}
-				return p.Reveal(x)
 			}
-			var openA, openB []bool
-			run2(t, func() error {
-				open, err := eval(a, true)
-				openA = open
-				return err
-			}, func() error {
-				open, err := eval(b, false)
-				openB = open
-				return err
-			})
-			for i := range ref {
-				if openA[i] != ref[i] || openB[i] != ref[i] {
-					t.Fatalf("trial %d packed=%v: wire %d = %v/%v, want %v",
-						trial, packed, i, openA[i], openB[i], ref[i])
-				}
+			return p.RevealPacked(x)
+		}
+		var openA, openB []bool
+		run2(t, func() error {
+			open, err := eval(a, true)
+			openA = open
+			return err
+		}, func() error {
+			open, err := eval(b, false)
+			openB = open
+			return err
+		})
+		for i := range ref {
+			if openA[i] != ref[i] || openB[i] != ref[i] {
+				t.Fatalf("trial %d: wire %d = %v/%v, want %v",
+					trial, i, openA[i], openB[i], ref[i])
 			}
 		}
 	}
@@ -184,7 +161,7 @@ func TestRandomCircuitsCrossCheck(t *testing.T) {
 // edges plus random widths in between.
 func TestGreaterThanVecWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, w := range []int{1, 2, 3, 5, 17, 33, 64} {
+	for _, w := range []int{1, 2, 3, 5, 17, 32, 33, 64} {
 		const n = 100
 		mask := ^uint64(0)
 		if w < 64 {
@@ -316,13 +293,6 @@ func TestZeroLengthShares(t *testing.T) {
 		if err != nil || z.Len() != 0 {
 			t.Errorf("packed zero-length AND: %v, len %d", err, z.Len())
 		}
-		zs, err := a.And(Share{}, Share{})
-		if err != nil || len(zs) != 0 {
-			t.Errorf("legacy zero-length AND: %v, len %d", err, len(zs))
-		}
-		if _, err := a.Reveal(Share{}); err != nil {
-			t.Errorf("zero-length Reveal: %v", err)
-		}
 		open, err := a.RevealPacked(NewPacked(0))
 		if err != nil || len(open) != 0 {
 			t.Errorf("zero-length RevealPacked: %v", err)
@@ -330,12 +300,6 @@ func TestZeroLengthShares(t *testing.T) {
 		return nil
 	}, func() error {
 		if _, err := b.AndPacked(NewPacked(0), NewPacked(0)); err != nil {
-			return err
-		}
-		if _, err := b.And(Share{}, Share{}); err != nil {
-			return err
-		}
-		if _, err := b.Reveal(Share{}); err != nil {
 			return err
 		}
 		_, err := b.RevealPacked(NewPacked(0))
@@ -371,50 +335,26 @@ func TestPoolExhaustionBatchedLayer(t *testing.T) {
 	}
 }
 
-// TestPackedWireEfficiency checks the headline wire saving: a batched
-// packed AND layer must move at least 10x fewer bytes per gate than
-// the legacy block-payload path.
+// TestPackedWireEfficiency pins the bytes one AndPacked layer of n
+// gates moves through the first party's conn, both directions, handshake
+// excluded: two bit-payload OT exchanges of 3·⌈n/8⌉ bytes each, so
+// 0.75 B/AND once n fills whole bytes.
 func TestPackedWireEfficiency(t *testing.T) {
-	const n = 4096
-	measure := func(packed bool) float64 {
-		connA, connB := transport.Pipe()
-		sAB, rAB, _ := cot.RandomPools(n + 8)
-		sBA, rBA, _ := cot.RandomPools(n + 8)
-		ch := make(chan *Party, 1)
-		go func() {
-			p, err := NewParty(connA, sAB, rBA, true)
-			if err != nil {
-				t.Error(err)
-			}
-			ch <- p
-		}()
-		b, err := NewParty(connB, sBA, rAB, false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := <-ch
-		base := connA.Stats().TotalBytes() // exclude the handshake
+	for _, tc := range []struct {
+		n     int
+		bytes int64
+	}{{1, 6}, {65, 54}, {4096, 3072}} {
+		a, b := parties(t, tc.n)
+		base := a.conn.Stats().TotalBytes()
 		run2(t, func() error {
-			if packed {
-				_, err := a.AndPacked(NewPacked(n), NewPacked(n))
-				return err
-			}
-			_, err := a.And(make(Share, n), make(Share, n))
+			_, err := a.AndPacked(NewPacked(tc.n), NewPacked(tc.n))
 			return err
 		}, func() error {
-			if packed {
-				_, err := b.AndPacked(NewPacked(n), NewPacked(n))
-				return err
-			}
-			_, err := b.And(make(Share, n), make(Share, n))
+			_, err := b.AndPacked(NewPacked(tc.n), NewPacked(tc.n))
 			return err
 		})
-		return float64(connA.Stats().TotalBytes()-base) / float64(n)
-	}
-	legacy := measure(false)
-	bitPacked := measure(true)
-	if legacy/bitPacked < 10 {
-		t.Fatalf("bytes/AND legacy %.2f vs packed %.2f: reduction %.1fx < 10x",
-			legacy, bitPacked, legacy/bitPacked)
+		if got := a.conn.Stats().TotalBytes() - base; got != tc.bytes {
+			t.Fatalf("n=%d: AND layer moved %d bytes, want %d", tc.n, got, tc.bytes)
+		}
 	}
 }

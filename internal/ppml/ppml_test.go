@@ -202,8 +202,8 @@ func TestGMWLayerCosts(t *testing.T) {
 	if c.Exchanges != 7 {
 		t.Fatalf("64-bit comparison exchanges %d, want 7", c.Exchanges)
 	}
-	// 6 bits per AND gate -> 0.75 B/AND, ~86x under the 64.25 B/AND
-	// block path and comfortably >= 10x.
+	// 6 bits per AND gate -> 0.75 B/AND (two bit-payload chosen OTs
+	// of 3 wire bits each).
 	if bpa := c.BytesPerAND(); bpa < 0.7 || bpa > 0.8 {
 		t.Fatalf("bytes/AND %.3f outside the bit-packed band", bpa)
 	}

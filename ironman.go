@@ -504,9 +504,7 @@ func (r *Receiver) ReceiveChosen(conn Conn, choices []bool) ([]Block, error) {
 type (
 	// GMWParty is one side of a GMW evaluation.
 	GMWParty = gmw.Party
-	// GMWShare is the legacy bool-vector share layout.
-	GMWShare = gmw.Share
-	// GMWPacked is the word-packed (bitsliced) share layout.
+	// GMWPacked is the engine's word-packed (bitsliced) share type.
 	GMWPacked = gmw.PackedShare
 	// GMWSenderPool / GMWReceiverPool hold materialized correlations
 	// for one OT direction of a GMW party.

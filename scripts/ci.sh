@@ -122,6 +122,11 @@ echo "== embedded circuit end-to-end (examples/private-aes over real TCP) =="
 # four SIMD-packed blocks, ciphertexts verified against crypto/aes.
 "$bindir/private-aes"
 
+echo "== private comparison end-to-end (examples/millionaires) =="
+# Parallel-prefix GreaterThanVec over two Ferret-fed pools; exits
+# non-zero on a wrong comparison.
+"$bindir/millionaires"
+
 echo "== draw-after-close flake guard (25 repeats of the scheduling-dependent path) =="
 # A closed pool must dispense nothing even with correlations buffered;
 # the session-level symptom showed up in a few percent of runs.
