@@ -23,44 +23,32 @@ var fixedKeys = [4][16]byte{
 	{0x13, 0x57, 0x9b, 0xdf, 0x24, 0x68, 0xac, 0xe0, 0xff, 0xee, 0xdd, 0xcc, 0xbb, 0xaa, 0x99, 0x88},
 }
 
-// Doubler is a length-doubling (or length-m-tupling) PRG built from m
-// fixed-key AES instances: child_i(s) = AES_{k_i}(s) ⊕ s.
-type Doubler struct {
-	ciphers []cipher.Block
-}
+// MaxArity is the widest expansion Expand supports: one fixed key per
+// child.
+const MaxArity = len(fixedKeys)
 
-// NewDoubler returns a PRG that expands one block into arity children.
-// arity must be between 2 and 4 (the paper's design space).
-func NewDoubler(arity int) *Doubler {
-	if arity < 2 || arity > len(fixedKeys) {
-		panic("aesprg: arity out of range")
-	}
-	d := &Doubler{ciphers: make([]cipher.Block, arity)}
-	for i := 0; i < arity; i++ {
-		c, err := aes.NewCipher(fixedKeys[i][:])
-		if err != nil {
+// fixed holds one AES cipher per fixed key, built once and shared by
+// every expansion and hash (a cipher.Block is safe for concurrent use).
+var fixed = func() (c [MaxArity]cipher.Block) {
+	for i := range fixedKeys {
+		var err error
+		if c[i], err = aes.NewCipher(fixedKeys[i][:]); err != nil {
 			panic(err) // unreachable: key length is fixed at 16
 		}
-		d.ciphers[i] = c
 	}
-	return d
-}
+	return c
+}()
 
-// Arity returns the number of children per expansion.
-func (d *Doubler) Arity() int { return len(d.ciphers) }
-
-// Expand writes the first len(children) children of parent into
-// children; len(children) must be between 1 and Arity(). Each child
-// costs exactly one AES call, so a full expansion is Arity() AES ops —
-// the quantity Figures 6/7a count.
-func (d *Doubler) Expand(parent block.Block, children []block.Block) {
-	if len(children) < 1 || len(children) > len(d.ciphers) {
-		panic("aesprg: children slice has wrong length")
-	}
+// Expand is the length-m-tupling PRG built from fixed-key AES: it
+// writes child_i(s) = AES_{k_i}(s) ⊕ s for each of the first
+// len(children) children of parent; len(children) must be between 1
+// and MaxArity. Each child costs exactly one AES call, so a full m-ary
+// expansion is m AES ops — the quantity Figures 6/7a count.
+func Expand(parent block.Block, children []block.Block) {
 	var in, out [16]byte
 	parent.Put(in[:])
 	for i := range children {
-		d.ciphers[i].Encrypt(out[:], in[:])
+		fixed[i].Encrypt(out[:], in[:])
 		children[i] = block.FromBytes(out[:]).Xor(parent)
 	}
 }
@@ -73,14 +61,9 @@ type Hash struct {
 	c cipher.Block
 }
 
-// NewHash returns the standard CRHF instance.
-func NewHash() *Hash {
-	c, err := aes.NewCipher(fixedKeys[0][:])
-	if err != nil {
-		panic(err)
-	}
-	return &Hash{c: c}
-}
+// NewHash returns the standard CRHF instance, keyed with the first
+// fixed key.
+func NewHash() *Hash { return &Hash{c: fixed[0]} }
 
 // Sum computes H(x ⊕ tweak).
 func (h *Hash) Sum(x block.Block, tweak uint64) block.Block {

@@ -10,61 +10,6 @@ import (
 	"ironman/internal/block"
 )
 
-func TestDoublerDeterministicAndDistinct(t *testing.T) {
-	for arity := 2; arity <= 4; arity++ {
-		d := NewDoubler(arity)
-		if d.Arity() != arity {
-			t.Fatalf("arity = %d, want %d", d.Arity(), arity)
-		}
-		parent := block.New(42, 43)
-		a := make([]block.Block, arity)
-		b := make([]block.Block, arity)
-		d.Expand(parent, a)
-		d.Expand(parent, b)
-		if !block.Equal(a, b) {
-			t.Fatal("expansion not deterministic")
-		}
-		seen := map[block.Block]bool{parent: true}
-		for _, c := range a {
-			if seen[c] {
-				t.Fatal("duplicate child")
-			}
-			seen[c] = true
-		}
-	}
-}
-
-func TestDoublerSeedSensitivity(t *testing.T) {
-	d := NewDoubler(2)
-	f := func(lo1, hi1, lo2, hi2 uint64) bool {
-		p1, p2 := block.New(lo1, hi1), block.New(lo2, hi2)
-		c1 := make([]block.Block, 2)
-		c2 := make([]block.Block, 2)
-		d.Expand(p1, c1)
-		d.Expand(p2, c2)
-		if p1 == p2 {
-			return block.Equal(c1, c2)
-		}
-		return c1[0] != c2[0] && c1[1] != c2[1]
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDoublerBadArity(t *testing.T) {
-	for _, arity := range []int{0, 1, 5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("NewDoubler(%d) should panic", arity)
-				}
-			}()
-			NewDoubler(arity)
-		}()
-	}
-}
-
 func TestHashTweakSeparation(t *testing.T) {
 	h := NewHash()
 	x := block.New(1, 2)
@@ -207,16 +152,6 @@ func TestStreamBits(t *testing.T) {
 	}
 	if ones < 400 || ones > 600 {
 		t.Fatalf("ones = %d out of 1000, badly unbalanced", ones)
-	}
-}
-
-func BenchmarkDoublerExpand2(b *testing.B) {
-	d := NewDoubler(2)
-	children := make([]block.Block, 2)
-	p := block.New(1, 2)
-	b.SetBytes(32)
-	for i := 0; i < b.N; i++ {
-		d.Expand(p, children)
 	}
 }
 

@@ -10,7 +10,7 @@
 //     code (a call-graph walk from transport Send sites).
 //   - randsrc — math/rand is banned in internal/ protocol code and
 //     crypto/rand is restricted to setup-time call sites; mid-protocol
-//     randomness comes from the seeded aesprg/chacha/prg streams.
+//     randomness comes from the seeded aesprg streams.
 //   - secretleak — Δ-correlations, GGM/PRG seeds, attach tokens, and
 //     correlation block buffers must not flow into fmt/log/obs sinks.
 //   - wireerr — errors from the module's protocol calls must not be

@@ -13,7 +13,7 @@ import (
 // internal/ code: math/rand is banned outright (it is neither
 // cryptographically secure nor transcript-safe), and crypto/rand may
 // only appear at setup-time call sites — mid-protocol randomness must
-// come from the seeded aesprg/chacha/prg streams so dealt runs replay
+// come from the seeded aesprg streams so dealt runs replay
 // byte-identically. "Setup-time" means the enclosing function is a
 // constructor or dealer (name prefix new/deal/setup/open, any case) or
 // the whole package is setup-phase (base-OT initialization). Anything
@@ -21,7 +21,7 @@ import (
 var Randsrc = &analysis.Analyzer{
 	Name: "randsrc",
 	Doc: "ban math/rand and restrict crypto/rand to setup-time call sites in internal/ packages\n\n" +
-		"Mid-protocol randomness must come from the seeded PRG streams; audited exceptions use //ironman:allow(randsrc) <reason>.",
+		"Mid-protocol randomness must come from the seeded aesprg streams; audited exceptions use //ironman:allow(randsrc) <reason>.",
 	Run: runRandsrc,
 }
 
@@ -60,7 +60,7 @@ func runRandsrc(pass *analysis.Pass) (interface{}, error) {
 			switch strings.Trim(imp.Path.Value, `"`) {
 			case "math/rand", "math/rand/v2":
 				report(pass, idx, imp.Pos(), fmt.Sprintf(
-					"%s imported in protocol code; use the seeded aesprg/chacha/prg streams (math/rand is neither secure nor replay-deterministic)",
+					"%s imported in protocol code; use the seeded aesprg streams (math/rand is neither secure nor replay-deterministic)",
 					strings.Trim(imp.Path.Value, `"`)))
 			}
 		}

@@ -63,8 +63,8 @@ var DefaultCodeSeed = block.New(0x69726f6e6d616e21, 0x6c706e2d636f6465)
 
 // Options configures a protocol instance.
 type Options struct {
-	// PRG is the GGM expansion PRG; nil selects the Ironman design
-	// point, the 4-ary ChaCha8 construction.
+	// PRG is the GGM expansion PRG; the zero value selects the Ironman
+	// design point, the 4-ary ChaCha8 construction.
 	PRG prg.PRG
 	// CodeSeed overrides the public LPN code seed.
 	CodeSeed block.Block
@@ -99,7 +99,7 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.PRG == nil {
+	if o.PRG == (prg.PRG{}) {
 		o.PRG = prg.New(prg.ChaCha8, 4)
 	}
 	if o.CodeSeed == (block.Block{}) {

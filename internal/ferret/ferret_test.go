@@ -1,6 +1,8 @@
 package ferret
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 
@@ -69,6 +71,57 @@ func TestExtendWithDealerSmall(t *testing.T) {
 func TestExtendBinaryAESMatchesProtocol(t *testing.T) {
 	// The classic Ferret configuration: binary trees, AES PRG.
 	runIterations(t, smallParams(), Options{PRG: prg.New(prg.AES, 2)}, 2)
+}
+
+// TestExtendGolden pins a seeded dealt run byte for byte under both
+// ends of the Figure 6 design space: SHA-256 of z‖y‖x over two
+// lockstep Extends, and the traffic through the sender's conn. The
+// values were recorded while the PRG was still an interface with one
+// implementation per primitive.
+func TestExtendGolden(t *testing.T) {
+	for _, g := range []struct {
+		prg   prg.PRG
+		hash  string
+		bytes int64
+	}{
+		{prg.New(prg.ChaCha8, 4), "abc7dd6fb44a6bc31b0ef4adf5735c0b39259fe7fc053d79fecb7b1cfbf55e95", 4944},
+		{prg.New(prg.AES, 2), "a76feabfc6bdbb3b2afad7c969cb752d97f58f797a4044420d8ce1421d74ee7b", 2896},
+	} {
+		connS, connR := transport.Pipe()
+		delta := block.New(0x0123456789abcdef, 0xfedcba9876543210)
+		opts := Options{PRG: g.prg, Workers: 3, Seed: determinismSeed}
+		s, r, err := DealPools(connS, connR, delta, smallParams(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for it := 0; it < 2; it++ {
+			z, out, err := ExtendLockstep(s, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := Check(delta, z, out); err != nil {
+				t.Fatal(err)
+			}
+			h.Write(block.ToBytes(z))
+			h.Write(block.ToBytes(out.Blocks))
+			for _, bit := range out.Bits {
+				if bit {
+					h.Write([]byte{1})
+				} else {
+					h.Write([]byte{0})
+				}
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != g.hash {
+			t.Errorf("%s: sha256(z‖y‖x) = %s, want %s", g.prg.Name(), got, g.hash)
+		}
+		if got := connS.Stats().TotalBytes(); got != g.bytes {
+			t.Errorf("%s: sender conn carried %d bytes, want %d", g.prg.Name(), got, g.bytes)
+		}
+		connS.Close()
+		connR.Close()
+	}
 }
 
 func TestExtendPartialCover(t *testing.T) {

@@ -69,7 +69,6 @@ func Digits(alpha int, arities []int) []int {
 
 // Tree is a fully expanded GGM tree held by the sender.
 type Tree struct {
-	prg     prg.PRG
 	arities []int
 	// levels[0] is the root (1 node); levels[i] has Π_{j<i} arities[j]
 	// * arities[i-1]... i.e. levels[i] holds the nodes at depth i.
@@ -79,7 +78,7 @@ type Tree struct {
 // Expand computes the full tree from seed with the given per-level
 // arities. Every arity must be <= p.Arity().
 func Expand(p prg.PRG, seed block.Block, arities []int) *Tree {
-	t := &Tree{prg: p, arities: arities}
+	t := &Tree{arities: arities}
 	t.levels = make([][]block.Block, len(arities)+1)
 	t.levels[0] = []block.Block{seed}
 	width := 1
@@ -100,9 +99,6 @@ func Expand(p prg.PRG, seed block.Block, arities []int) *Tree {
 
 // Depth returns the number of expansion levels.
 func (t *Tree) Depth() int { return len(t.arities) }
-
-// Arities returns the per-level arities.
-func (t *Tree) Arities() []int { return t.arities }
 
 // Leaves returns the final level of the tree. The slice is shared with
 // the tree; callers must not modify it.
@@ -139,20 +135,9 @@ func (t *Tree) AllLevelSums() [][]block.Block {
 	return out
 }
 
-// Ops returns the number of primitive PRG core invocations the
-// expansion consumed — the quantity Figures 6 and 7(a) count.
-func (t *Tree) Ops() int {
-	ops := 0
-	width := 1
-	for _, a := range t.arities {
-		ops += width * t.prg.OpsFor(a)
-		width *= a
-	}
-	return ops
-}
-
 // OpsForTree computes the primitive op count of expanding a tree with
-// the given number of leaves using p, without expanding it.
+// the given number of leaves using p, without expanding it — the
+// quantity Figures 6 and 7(a) count.
 func OpsForTree(p prg.PRG, leaves int) int {
 	ops := 0
 	width := 1
@@ -216,10 +201,4 @@ func Reconstruct(p prg.PRG, arities []int, alpha int, sums [][]block.Block) *Pun
 		known = next
 	}
 	return &Punctured{Alpha: hole, Leaves: known}
-}
-
-// XorKnownLeaves returns the XOR of every reconstructed leaf (the
-// punctured slot is zero so it does not contribute).
-func (r *Punctured) XorKnownLeaves() block.Block {
-	return block.XorAll(r.Leaves)
 }

@@ -122,35 +122,22 @@ func (c Config) AlphasFrom(s *aesprg.Stream) []int {
 // crypto/rand.
 func (c Config) RandomSeeds() ([]block.Block, error) {
 	buf := make([]byte, c.T*block.Size)
-	//ironman:allow(randsrc) fresh GGM root seeds per extend are protocol randomness by design; deterministic runs pass explicit seeds via SendWith/RecvWith
+	//ironman:allow(randsrc) fresh GGM root seeds per extend are protocol randomness by design; deterministic runs pass explicit seeds to SendSeeded and draw alphas with AlphasFrom
 	if _, err := rand.Read(buf); err != nil {
 		return nil, err
 	}
 	return block.SliceFromBytes(buf), nil
 }
 
-// Send runs the sender side: t SPCOT executions whose leaves are
-// concatenated and truncated to n blocks (the vector w). Sequential
-// single-worker variant of SendSeeded with fresh random seeds.
-func Send(conn transport.Conn, pool *cot.SenderPool, h *aesprg.Hash, p prg.PRG, cfg Config) ([]block.Block, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	seeds, err := cfg.RandomSeeds()
-	if err != nil {
-		return nil, err
-	}
-	return SendSeeded(conn, pool, h, p, cfg, seeds, 1)
-}
-
-// SendSeeded is the two-phase sender: phase one expands all t GGM trees
-// locally (concurrently across up to `workers` goroutines — the trees
-// are independent, which is what makes the paper's 4-ary construction
-// embarrassingly parallel across buckets); phase two runs the
-// puncturing flights strictly sequentially in bucket order, exactly as
-// the sequential path does, so the wire transcript is byte-identical
-// for every worker count. seeds supplies one GGM root per bucket
-// (deterministic runs pass a derived stream; Send draws fresh ones).
+// SendSeeded runs the sender side: t SPCOT executions whose leaves are
+// concatenated and truncated to n blocks (the vector w). Phase one
+// expands all t GGM trees locally (concurrently across up to `workers`
+// goroutines — the trees are independent, which is what makes the
+// paper's 4-ary construction embarrassingly parallel across buckets);
+// phase two runs the puncturing flights strictly sequentially in
+// bucket order, so the wire transcript is byte-identical for every
+// worker count. seeds supplies one GGM root per bucket (deterministic
+// runs pass a derived stream, others RandomSeeds).
 func SendSeeded(conn transport.Conn, pool *cot.SenderPool, h *aesprg.Hash, p prg.PRG, cfg Config, seeds []block.Block, workers int) ([]block.Block, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -197,20 +184,15 @@ func SendSeeded(conn transport.Conn, pool *cot.SenderPool, h *aesprg.Hash, p prg
 	return w, nil
 }
 
-// Receive runs the receiver side with one punctured position per
+// ReceiveWorkers runs the receiver side with one punctured position per
 // bucket. It returns v (length n); together with the one-hot positions
 // alphas the outputs satisfy w = v ⊕ u·Δ with u = Σ e_{alpha_i}.
 // Alphas beyond N are allowed (their tree output is discarded) but each
-// alphas[i] must fall inside bucket i.
-func Receive(conn transport.Conn, pool *cot.ReceiverPool, h *aesprg.Hash, p prg.PRG, cfg Config, alphas []int) ([]block.Block, error) {
-	return ReceiveWorkers(conn, pool, h, p, cfg, alphas, 1)
-}
-
-// ReceiveWorkers is the two-phase receiver: phase one runs the
-// puncturing flights strictly sequentially in bucket order (matching
-// SendSeeded's wire phase); phase two reconstructs the t punctured
-// trees locally, concurrently across up to `workers` goroutines. The
-// wire transcript is byte-identical for every worker count.
+// alphas[i] must fall inside bucket i. Phase one runs the puncturing
+// flights strictly sequentially in bucket order (matching SendSeeded's
+// wire phase); phase two reconstructs the t punctured trees locally,
+// concurrently across up to `workers` goroutines. The wire transcript
+// is byte-identical for every worker count.
 func ReceiveWorkers(conn transport.Conn, pool *cot.ReceiverPool, h *aesprg.Hash, p prg.PRG, cfg Config, alphas []int, workers int) ([]block.Block, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -18,6 +18,7 @@ func run(t *testing.T, cfg Config, alphas []int) (block.Block, []block.Block, []
 		t.Fatal(err)
 	}
 	h := aesprg.NewHash()
+	seeds := freshSeeds(t, cfg)
 	a, b := transport.Pipe()
 	type sres struct {
 		w   []block.Block
@@ -25,10 +26,10 @@ func run(t *testing.T, cfg Config, alphas []int) (block.Block, []block.Block, []
 	}
 	ch := make(chan sres, 1)
 	go func() {
-		w, err := Send(a, sp, h, p, cfg)
+		w, err := SendSeeded(a, sp, h, p, cfg, seeds, 1)
 		ch <- sres{w, err}
 	}()
-	v, err := Receive(b, rp, h, p, cfg, alphas)
+	v, err := ReceiveWorkers(b, rp, h, p, cfg, alphas, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,6 +38,16 @@ func run(t *testing.T, cfg Config, alphas []int) (block.Block, []block.Block, []
 		t.Fatal(s.err)
 	}
 	return sp.Delta, s.w, v
+}
+
+// freshSeeds draws one GGM root per bucket from crypto/rand.
+func freshSeeds(t *testing.T, cfg Config) []block.Block {
+	t.Helper()
+	seeds, err := cfg.RandomSeeds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seeds
 }
 
 // checkMulti verifies w = v ⊕ u·Δ with u the indicator of alphas.
@@ -64,9 +75,9 @@ func TestExactCover(t *testing.T) {
 	checkMulti(t, delta, w, v, alphas)
 }
 
-// TestWorkersMatchSequential: the two-phase SendSeeded/ReceiveWorkers
-// path produces the same w/v as the sequential wrappers for any worker
-// count, given identical seeds, alphas, and pool contents.
+// TestWorkersMatchSequential: SendSeeded/ReceiveWorkers produce the
+// same w/v for any worker count as for one worker, given identical
+// seeds, alphas, and pool contents.
 func TestWorkersMatchSequential(t *testing.T) {
 	cfg := Config{N: 100, Leaves: 16, T: 8}
 	p := prg.New(prg.ChaCha8, 4)
@@ -169,9 +180,10 @@ func TestCOTBudget(t *testing.T) {
 	p := prg.New(prg.ChaCha8, 4)
 	sp, rp, _ := cot.RandomPools(cfg.COTBudget())
 	h := aesprg.NewHash()
+	seeds := freshSeeds(t, cfg)
 	a, b := transport.Pipe()
-	go func() { _, _ = Send(a, sp, h, p, cfg) }()
-	if _, err := Receive(b, rp, h, p, cfg, []int{0, 16, 32, 48}); err != nil {
+	go func() { _, _ = SendSeeded(a, sp, h, p, cfg, seeds, 1) }()
+	if _, err := ReceiveWorkers(b, rp, h, p, cfg, []int{0, 16, 32, 48}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if sp.Used() != cfg.COTBudget() {
@@ -202,13 +214,14 @@ func TestValidation(t *testing.T) {
 	h := aesprg.NewHash()
 	a, _ := transport.Pipe()
 	cfg := Config{N: 64, Leaves: 16, T: 4}
-	if _, err := Receive(a, rp, h, p, cfg, []int{0, 0, 32, 48}); err == nil {
+	if _, err := ReceiveWorkers(a, rp, h, p, cfg, []int{0, 0, 32, 48}, 1); err == nil {
 		t.Fatal("alpha outside its bucket must be rejected")
 	}
-	if _, err := Receive(a, rp, h, p, cfg, []int{0}); err == nil {
+	if _, err := ReceiveWorkers(a, rp, h, p, cfg, []int{0}, 1); err == nil {
 		t.Fatal("wrong alpha count must be rejected")
 	}
-	if _, err := Send(a, sp, h, p, Config{N: 0, Leaves: 2, T: 1}); err == nil {
-		t.Fatal("bad config must be rejected in Send")
+	empty := Config{N: 0, Leaves: 2, T: 1}
+	if _, err := SendSeeded(a, sp, h, p, empty, freshSeeds(t, empty), 1); err == nil {
+		t.Fatal("bad config must be rejected in SendSeeded")
 	}
 }

@@ -2,6 +2,7 @@ package pool
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -545,6 +546,8 @@ func benchParams() ferret.Params { return ferret.TestParams(20000, 64, 2048, 32)
 // than the synchronous seed path, which runs the Extend iteration
 // inline. The observed gap is orders of magnitude (memcpy vs an
 // interactive protocol iteration), so the 5x bound has wide margin.
+// It compares the fastest draw of each kind: one preempted draw on a
+// loaded machine must not decide the verdict.
 func TestPrewarmedDrawLatency(t *testing.T) {
 	params := benchParams()
 	n := params.Usable()
@@ -554,13 +557,13 @@ func TestPrewarmedDrawLatency(t *testing.T) {
 	syncPool := NewDealt(syncSrc, Config{})
 	defer syncPool.Close()
 	const rounds = 3
-	syncTime := time.Duration(0)
+	syncTime := time.Duration(math.MaxInt64)
 	for i := 0; i < rounds; i++ {
 		start := time.Now()
 		if _, err := syncPool.SenderCOTs(n); err != nil {
 			t.Fatal(err)
 		}
-		syncTime += time.Since(start)
+		syncTime = min(syncTime, time.Since(start))
 		// Keep the receiver half from accumulating unboundedly.
 		if _, _, err := syncPool.ReceiverCOTs(n); err != nil {
 			t.Fatal(err)
@@ -572,7 +575,7 @@ func TestPrewarmedDrawLatency(t *testing.T) {
 	warmSrc, _ := ferretDealtSource(t, params)
 	warmPool := NewDealt(warmSrc, Config{Depth: rounds + 1})
 	defer warmPool.Close()
-	warmTime := time.Duration(0)
+	warmTime := time.Duration(math.MaxInt64)
 	for i := 0; i < rounds; i++ {
 		// Wait until the batch is ready AND the worker has parked, so
 		// the timed draw measures pure dispensing latency without lock
@@ -590,17 +593,17 @@ func TestPrewarmedDrawLatency(t *testing.T) {
 		if _, err := warmPool.SenderCOTs(n); err != nil {
 			t.Fatal(err)
 		}
-		warmTime += time.Since(start)
+		warmTime = min(warmTime, time.Since(start))
 		if _, _, err := warmPool.ReceiverCOTs(n); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	t.Logf("sync %v, warm %v (%.1fx)", syncTime/rounds, warmTime/rounds,
+	t.Logf("fastest sync %v, fastest warm %v (%.1fx)", syncTime, warmTime,
 		float64(syncTime)/float64(warmTime))
 	if warmTime*5 > syncTime {
-		t.Fatalf("pre-warmed draw %v not 5x faster than synchronous %v",
-			warmTime/rounds, syncTime/rounds)
+		t.Fatalf("fastest pre-warmed draw %v not 5x faster than fastest synchronous %v",
+			warmTime, syncTime)
 	}
 	ss, _ := warmPool.Stats()
 	if ss.BlockedDraws != 0 {

@@ -1,6 +1,9 @@
 package prg
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 
@@ -25,10 +28,10 @@ func TestExpandDeterministicAllKinds(t *testing.T) {
 		if !block.Equal(a, b) {
 			t.Fatalf("%s: not deterministic", p.Name())
 		}
-		seen := make(map[block.Block]bool)
+		seen := map[block.Block]bool{parent: true}
 		for _, c := range a {
 			if seen[c] {
-				t.Fatalf("%s: duplicate children", p.Name())
+				t.Fatalf("%s: a child repeats a sibling or the parent", p.Name())
 			}
 			seen[c] = true
 		}
@@ -66,7 +69,12 @@ func TestSeedSensitivity(t *testing.T) {
 			if p1 == p2 {
 				return block.Equal(x, y)
 			}
-			return x[0] != y[0]
+			for i := range x {
+				if x[i] == y[i] {
+					return false
+				}
+			}
+			return true
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 			t.Fatalf("%s: %v", p.Name(), err)
@@ -74,20 +82,22 @@ func TestSeedSensitivity(t *testing.T) {
 	}
 }
 
+// TestOpsPerExpand pins the primitive cost of one full expansion, the
+// per-node quantity Figure 6 draws.
 func TestOpsPerExpand(t *testing.T) {
 	cases := []struct {
 		kind  Kind
 		arity int
 		want  int
 	}{
-		{AES, 2, 2}, {AES, 4, 4},
+		{AES, 2, 2}, {AES, 3, 3}, {AES, 4, 4},
 		{ChaCha8, 2, 1}, {ChaCha8, 4, 1},
 		{ChaCha8, 8, 2}, {ChaCha8, 16, 4}, {ChaCha8, 32, 8},
 	}
 	for _, c := range cases {
-		got := New(c.kind, c.arity).OpsPerExpand()
-		if got != c.want {
-			t.Errorf("%v x%d: OpsPerExpand = %d, want %d", c.kind, c.arity, got, c.want)
+		p := New(c.kind, c.arity)
+		if got := p.OpsFor(p.Arity()); got != c.want {
+			t.Errorf("%s: OpsFor(Arity()) = %d, want %d", p.Name(), got, c.want)
 		}
 	}
 }
@@ -129,6 +139,8 @@ func TestNewPanics(t *testing.T) {
 		func() { New(ChaCha8, 3) },
 		func() { New(ChaCha8, 64) },
 		func() { New(Kind(99), 2) },
+		func() { New(AES, 0) },
+		func() { New(AES, 1) },
 		func() { New(AES, 5) },
 	} {
 		func() {
@@ -139,6 +151,60 @@ func TestNewPanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestExpandGolden pins the expansion bytes of every (kind, arity)
+// point: one SHA-256 over 64 chained full expansions, each parent the
+// last child of the previous expansion. The hashes were recorded while
+// the ChaCha8 core still lived in its own stream-cipher package and the
+// AES arm still built its ciphers per instance.
+func TestExpandGolden(t *testing.T) {
+	golden := map[string]string{
+		"AESx2":      "f6b0cbe1c23c3245223b26fa04405feb1b183807698606524457a67d5dc73537",
+		"AESx3":      "67fbc2cb887944fc355187a6e29638f821b887cfa5d63b93eb0f2210b0b983c4",
+		"AESx4":      "1ae1664b5580ba716522ec351f9032b12a9e4cf7fcbe470d7cff6d530dbd041f",
+		"ChaCha8x2":  "90e18d4fed23d80e72d85bafaaf473ac6cdcbb639b3bf8c69e5fa1b72bd07e8a",
+		"ChaCha8x4":  "112deb442ff0a2c016d294ab87fa667000b849066132e5f1f35aade6fbc632b9",
+		"ChaCha8x8":  "ca4a5e7d762516a4fbed48384684018a4fbaea35f199d705d8c196444de7515a",
+		"ChaCha8x16": "e26323cbbc4f2ab9a12a194340b00ffeb0f86bb5d45ec4416fde15c5b711185e",
+		"ChaCha8x32": "91bb99a45add71513df7ff4f06bdef6546675ac89d9cb29f909fe5751a13a5f7",
+	}
+	for _, p := range allPRGs() {
+		h := sha256.New()
+		parent := block.New(0x0123456789abcdef, 0xfedcba9876543210)
+		children := make([]block.Block, p.Arity())
+		for i := 0; i < 64; i++ {
+			p.Expand(parent, children)
+			h.Write(block.ToBytes(children))
+			parent = children[len(children)-1]
+		}
+		got := hex.EncodeToString(h.Sum(nil))
+		if want := golden[p.Name()]; got != want {
+			t.Errorf("%s: sha256 of chained expansions = %s, want %s", p.Name(), got, want)
+		}
+	}
+}
+
+// TestChaChaBlockRFC8439 checks the core against the RFC 8439 §2.3.2
+// ChaCha20 block-function vector; Expand runs the same code at 8 rounds.
+func TestChaChaBlockRFC8439(t *testing.T) {
+	key, _ := hex.DecodeString("000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
+	nonce, _ := hex.DecodeString("000000090000004a00000000")
+	in := [16]uint32{0x61707865, 0x3320646e, 0x79622d32, 0x6b206574}
+	for i := 0; i < 8; i++ {
+		in[4+i] = binary.LittleEndian.Uint32(key[4*i:])
+	}
+	in[12] = 1
+	for i := 0; i < 3; i++ {
+		in[13+i] = binary.LittleEndian.Uint32(nonce[4*i:])
+	}
+	var out [64]byte
+	chachaBlock(&out, &in, 20)
+	const want = "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e" +
+		"d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"
+	if got := hex.EncodeToString(out[:]); got != want {
+		t.Fatalf("block mismatch:\n got %s\nwant %s", got, want)
 	}
 }
 

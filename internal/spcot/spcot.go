@@ -68,8 +68,7 @@ type SenderTree struct {
 // position sums. The m-ary levels' gadget seeds are derived from the
 // secret root with domain separation, so the subsequent SendFlights is
 // a deterministic function of (seed, pool state). Safe to call
-// concurrently (p must be stateless, which all internal/prg
-// constructions are).
+// concurrently (a prg.PRG is a stateless value).
 func ExpandSender(p prg.PRG, leaves int, seed block.Block) *SenderTree {
 	arities := ggm.LevelArities(leaves, p.Arity())
 	tree := ggm.Expand(p, seed, arities)
@@ -199,7 +198,7 @@ func ReceiveFlights(conn transport.Conn, pool *cot.ReceiverPool, h *aesprg.Hash,
 func (f *ReceiverFlights) Reconstruct(p prg.PRG) []block.Block {
 	rec := ggm.Reconstruct(p, f.arities, f.alpha, f.sums)
 	v := rec.Leaves
-	v[f.alpha] = f.c.Xor(rec.XorKnownLeaves())
+	v[f.alpha] = f.c.Xor(block.XorAll(rec.Leaves))
 	return v
 }
 
