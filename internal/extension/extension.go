@@ -25,7 +25,6 @@ import (
 
 	"ironman/internal/block"
 	"ironman/internal/ferret"
-	"ironman/internal/lpn"
 	"ironman/internal/obs"
 	"ironman/internal/transport"
 )
@@ -51,10 +50,6 @@ type Options struct {
 	// backends with an m-ary tree choice (ferret; SoftSpoken's trees
 	// are always binary AES).
 	BinaryAES bool
-	// Code injects a pre-derived LPN code on backends that use one
-	// (ferret); callers opening many endpoints on one parameter set
-	// share the derivation this way.
-	Code *lpn.Code
 	// FieldBits is the SoftSpoken subfield size k (1, 2, 4 or 8; 0
 	// selects the backend default). Ignored by ferret.
 	FieldBits int

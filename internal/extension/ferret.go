@@ -23,7 +23,7 @@ func (ferretBackend) Name() string { return "ferret" }
 func (ferretBackend) Batch(p Params) int { return p.Usable() }
 
 func (ferretBackend) options(o Options) ferret.Options {
-	fo := ferret.Options{Workers: o.Workers, Seed: o.Seed, Trace: o.Trace, Code: o.Code}
+	fo := ferret.Options{Workers: o.Workers, Seed: o.Seed, Trace: o.Trace}
 	if o.BinaryAES {
 		fo.PRG = prg.New(prg.AES, 2)
 	}

@@ -22,6 +22,8 @@ package ferret
 import (
 	"crypto/rand"
 	"fmt"
+	"sync"
+	"weak"
 
 	"ironman/internal/aesprg"
 	"ironman/internal/block"
@@ -61,13 +63,68 @@ var (
 // code of real deployments.
 var DefaultCodeSeed = block.New(0x69726f6e6d616e21, 0x6c706e2d636f6465)
 
-// Options configures a protocol instance.
+// codeKey names one LPN code shape; the seed is always DefaultCodeSeed.
+type codeKey struct{ n, k, d int }
+
+// codes memoises the public LPN code per shape so every endpoint in
+// the process (both halves of a dealt pair, every dispenser session on
+// every shard) shares one read-only derivation. Entries are weak: the
+// memo never keeps a code alive, so once no endpoint holds it the GC
+// frees it (the 2^24 index matrix alone is ~690 MB) and the next
+// caller derives it again. A dead entry is one pointer per shape ever
+// used, so it is left in place.
+var codes = struct {
+	sync.Mutex
+	live     map[codeKey]weak.Pointer[lpn.Code]
+	inflight map[codeKey]*codeCall
+}{
+	live:     map[codeKey]weak.Pointer[lpn.Code]{},
+	inflight: map[codeKey]*codeCall{},
+}
+
+// codeCall is one derivation in flight; code is set before done closes.
+type codeCall struct {
+	done chan struct{}
+	code *lpn.Code
+}
+
+// sharedCode returns the live code for params' shape, deriving it when
+// none is held. The lock is not held while lpn.New runs: callers for
+// the same shape wait on the one derivation in flight, callers for
+// another shape are not blocked. params must have passed Validate.
+func sharedCode(params Params) *lpn.Code {
+	key := codeKey{params.N, params.K, params.D}
+	codes.Lock()
+	if code := codes.live[key].Value(); code != nil {
+		codes.Unlock()
+		return code
+	}
+	if call, ok := codes.inflight[key]; ok {
+		codes.Unlock()
+		<-call.done
+		return call.code
+	}
+	call := &codeCall{done: make(chan struct{})}
+	codes.inflight[key] = call
+	codes.Unlock()
+
+	call.code = lpn.New(DefaultCodeSeed, key.n, key.k, key.d)
+
+	codes.Lock()
+	codes.live[key] = weak.Make(call.code)
+	delete(codes.inflight, key)
+	codes.Unlock()
+	close(call.done)
+	return call.code
+}
+
+// Options configures a protocol instance. The LPN code is not an
+// option: it is public and fixed per parameter shape, so every
+// endpoint resolves it through the process-wide sharedCode memo.
 type Options struct {
 	// PRG is the GGM expansion PRG; the zero value selects the Ironman
 	// design point, the 4-ary ChaCha8 construction.
 	PRG prg.PRG
-	// CodeSeed overrides the public LPN code seed.
-	CodeSeed block.Block
 	// Workers caps the goroutines Extend's local phases use (the
 	// rank-parallel LPN encode, the concurrent GGM tree
 	// expansion/reconstruction). 0 — the default — selects
@@ -75,11 +132,6 @@ type Options struct {
 	// wire transcript is byte-identical for every value: only local
 	// compute is sharded.
 	Workers int
-	// Code overrides the LPN code derived from CodeSeed. The matrix
-	// must match the endpoint's params; callers that open many
-	// endpoints on one parameter set share one derivation this way
-	// (the 2^24 index matrix alone is ~690 MB).
-	Code *lpn.Code
 	// Seed, when non-zero, derives every endpoint-local random draw —
 	// the dealt first reserve (DealPools), per-iteration GGM tree
 	// seeds, and the receiver's noise positions — from deterministic
@@ -102,23 +154,6 @@ func (o *Options) fill() {
 	if o.PRG == (prg.PRG{}) {
 		o.PRG = prg.New(prg.ChaCha8, 4)
 	}
-	if o.CodeSeed == (block.Block{}) {
-		o.CodeSeed = DefaultCodeSeed
-	}
-}
-
-// code resolves the LPN code: the injected override (whose shape must
-// match params — a mismatch would otherwise panic mid-protocol, on the
-// background refill goroutine under Prefetch) or a fresh derivation.
-func (o *Options) code(params Params) (*lpn.Code, error) {
-	if o.Code != nil {
-		if o.Code.N != params.N || o.Code.K != params.K || o.Code.D != params.D {
-			return nil, fmt.Errorf("ferret: Options.Code is (n=%d,k=%d,d=%d), params %s need (n=%d,k=%d,d=%d)",
-				o.Code.N, o.Code.K, o.Code.D, params.Name, params.N, params.K, params.D)
-		}
-		return o.Code, nil
-	}
-	return lpn.New(o.CodeSeed, params.N, params.K, params.D), nil
 }
 
 // stream returns the domain-separated deterministic stream for one
@@ -176,11 +211,7 @@ func NewSender(conn transport.Conn, delta block.Block, params Params, opts Optio
 		return nil, err
 	}
 	opts.fill()
-	// Resolve (and shape-check) the code before any wire traffic.
-	code, err := opts.code(params)
-	if err != nil {
-		return nil, err
-	}
+	code := sharedCode(params)
 	ik, err := iknp.NewSender(conn, delta)
 	if err != nil {
 		return nil, fmt.Errorf("ferret init: %w", err)
@@ -209,10 +240,7 @@ func NewReceiver(conn transport.Conn, params Params, opts Options) (*Receiver, e
 		return nil, err
 	}
 	opts.fill()
-	code, err := opts.code(params)
-	if err != nil {
-		return nil, err
-	}
+	code := sharedCode(params)
 	ik, err := iknp.NewReceiver(conn)
 	if err != nil {
 		return nil, fmt.Errorf("ferret init: %w", err)
@@ -396,10 +424,7 @@ func DealPools(connS, connR transport.Conn, delta block.Block, params Params, op
 	if err != nil {
 		return nil, nil, err
 	}
-	code, err := opts.code(params)
-	if err != nil {
-		return nil, nil, err
-	}
+	code := sharedCode(params)
 	s := &Sender{
 		conn: connS, params: params, prg: opts.PRG, hash: aesprg.NewHash(),
 		code: code, pool: sp, Delta: delta,

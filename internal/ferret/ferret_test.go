@@ -214,11 +214,20 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		{Name: "zero"},
 		{Name: "nosustain", N: 10, L: 32, K: 100, T: 8, D: 4},
 		{Name: "lowk", N: 600, L: 32, K: 2, T: 8, D: 4},
+		// A 48-leaf tree used to validate and then panic in the first
+		// Extend's GGM worker goroutine.
+		TestParams(600, 48, 128, 16),
 	}
 	for _, p := range bad {
 		if err := p.Validate(); err == nil {
-			t.Errorf("%s should fail validation", p.Name)
+			t.Errorf("%s (ℓ=%d) should fail validation", p.Name, p.L)
 		}
+	}
+	a, b := transport.Pipe()
+	defer a.Close()
+	defer b.Close()
+	if _, _, err := DealPools(a, b, block.New(1, 2), TestParams(600, 48, 128, 16), Options{}); err == nil {
+		t.Fatal("DealPools accepted a non-power-of-two tree size")
 	}
 }
 

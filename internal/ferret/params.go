@@ -2,6 +2,7 @@ package ferret
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ironman/internal/lpn"
 	"ironman/internal/spcot"
@@ -53,10 +54,14 @@ func (p Params) Usable() int { return p.N - p.Reserve() }
 // SPCOTOutputs is the total GGM leaf count of one execution, t·ℓ.
 func (p Params) SPCOTOutputs() int { return p.T * p.L }
 
-// Validate performs structural sanity checks.
+// Validate performs structural sanity checks, so a bad set fails at
+// construction rather than panicking in an Extend worker goroutine.
 func (p Params) Validate() error {
 	if p.N < 1 || p.L < 2 || p.K < 1 || p.T < 1 || p.D < 1 {
 		return fmt.Errorf("ferret: bad params %+v", p)
+	}
+	if bits.OnesCount(uint(p.L)) != 1 {
+		return fmt.Errorf("ferret: params %s tree size ℓ=%d is not a power of two", p.Name, p.L)
 	}
 	if p.Usable() <= 0 {
 		return fmt.Errorf("ferret: params %s cannot self-sustain (usable %d)", p.Name, p.Usable())

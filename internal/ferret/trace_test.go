@@ -6,14 +6,13 @@ import (
 	"testing"
 
 	"ironman/internal/block"
-	"ironman/internal/lpn"
 	"ironman/internal/obs"
 	"ironman/internal/transport"
 )
 
 // runExtendsTraced is runExtends with a live tracer attached — the
 // instrumented twin of the determinism reference runs.
-func runExtendsTraced(t *testing.T, params Params, code *lpn.Code, workers, iters int, tr *obs.Tracer) extendRun {
+func runExtendsTraced(t *testing.T, params Params, workers, iters int, tr *obs.Tracer) extendRun {
 	t.Helper()
 	connS, connR := transport.Pipe()
 	defer connS.Close()
@@ -21,7 +20,7 @@ func runExtendsTraced(t *testing.T, params Params, code *lpn.Code, workers, iter
 	recS := &recordingConn{Conn: connS}
 	recR := &recordingConn{Conn: connR}
 	delta := block.New(11, 22)
-	opts := Options{Workers: workers, Seed: determinismSeed, Code: code, Trace: tr}
+	opts := Options{Workers: workers, Seed: determinismSeed, Trace: tr}
 	s, r, err := DealPools(recS, recR, delta, params, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -49,11 +48,10 @@ func runExtendsTraced(t *testing.T, params Params, code *lpn.Code, workers, iter
 // run — tracing observes, it never participates.
 func TestExtendTraceTranscriptInvariant(t *testing.T) {
 	params := TestParams(600, 32, 128, 8)
-	code := lpn.New(DefaultCodeSeed, params.N, params.K, params.D)
-	ref := runExtends(t, params, code, 1, 3)
+	ref := runExtends(t, params, 1, 3)
 	for _, workers := range []int{1, 8} {
 		tr := obs.NewTracer()
-		got := runExtendsTraced(t, params, code, workers, 3, tr)
+		got := runExtendsTraced(t, params, workers, 3, tr)
 		compareRuns(t, ref, got, workers)
 		if len(tr.Events()) == 0 {
 			t.Fatalf("workers=%d: tracer attached but no spans recorded", workers)
@@ -86,9 +84,8 @@ func mainTIDPhases(events []obs.TraceEvent, tid int) (phases map[string]float64,
 // went rather than leaving gaps.
 func TestExtendTracePhaseCoverage(t *testing.T) {
 	params := TestParams(6000, 64, 256, 16)
-	code := lpn.New(DefaultCodeSeed, params.N, params.K, params.D)
 	tr := obs.NewTracer()
-	runExtendsTraced(t, params, code, 4, 2, tr)
+	runExtendsTraced(t, params, 4, 2, tr)
 
 	events := tr.Events()
 	wantPhases := map[int][]string{

@@ -10,6 +10,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
+	"math/bits"
 
 	"ironman/internal/aesprg"
 	"ironman/internal/block"
@@ -38,13 +39,13 @@ type Config struct {
 	TID int
 }
 
-// Validate checks the basic shape of the configuration. t·ℓ may be
-// smaller than n (two of the paper's Table 4 rows have this): positions
-// beyond t·ℓ then carry no noise — u, w and v are zero there, which
-// only shortens the effective noise support, never breaks the output
-// correlation.
+// Validate checks the basic shape of the configuration: ℓ must be a
+// power of two >= 2 (the GGM tree shape). t·ℓ may be smaller than n
+// (two of the paper's Table 4 rows have this): positions beyond t·ℓ
+// then carry no noise — u, w and v are zero there, which only shortens
+// the effective noise support, never breaks the output correlation.
 func (c Config) Validate() error {
-	if c.N < 1 || c.Leaves < 2 || c.T < 1 {
+	if c.N < 1 || c.Leaves < 2 || c.T < 1 || bits.OnesCount(uint(c.Leaves)) != 1 {
 		return fmt.Errorf("mpcot: bad config %+v", c)
 	}
 	return nil

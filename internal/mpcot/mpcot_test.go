@@ -195,6 +195,7 @@ func TestValidation(t *testing.T) {
 	bad := []Config{
 		{N: 0, Leaves: 16, T: 4},
 		{N: 16, Leaves: 1, T: 16},
+		{N: 96, Leaves: 48, T: 2},
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"testing"
@@ -123,6 +126,57 @@ func TestDrawFraming(t *testing.T) {
 	id, err = ParseSession(sreq[1:])
 	if err != nil || id != 9 {
 		t.Fatalf("ParseSession = (%d, %v)", id, err)
+	}
+}
+
+// frameGolden is sha256 over the length-prefixed frames TestFrameGolden
+// builds. A change to it is a wire change: bump ProtoVersion or explain
+// why old peers still interoperate.
+const frameGolden = "54ce37a92282dc23522a70226d7b3929dae2a09dd5096c8821253cd4e3044bbb"
+
+// TestFrameGolden pins the bytes of every frame a session lifetime
+// carries (HELLO -> DRAW_S/DRAW_R -> STATS/CLOSE, and the OK and typed
+// error responses) over fixed inputs, so a refactor that claims no wire
+// change can prove it.
+func TestFrameGolden(t *testing.T) {
+	hello, err := HelloBody(HelloReq{
+		V: ProtoVersion, Params: "2^20", Backend: "ferret", BinaryAES: true,
+		Depth: 2, Workers: 3, Tenant: "acme", LeaseMS: 1500, SessionToken: "aabbcc",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	helloResp, err := json.Marshal(HelloResp{
+		Session: SessionID(2, 7), Shard: 2, Params: "2^20", Backend: "ferret",
+		Batch: 1 << 20, DeltaLo: 0x0123456789abcdef, DeltaHi: 0xfedcba9876543210,
+		SessionToken: "aabbcc", LeaseMS: 1500, SenderToken: "s-tok", ReceiverToken: "r-tok",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := [][]byte{
+		hello,
+		DrawReq(OpDrawS, SessionID(2, 7), 4096),
+		DrawReq(OpDrawR, SessionID(2, 7), 4096),
+		SessionReq(OpStats, SessionID(2, 7)),
+		SessionReq(OpClose, SessionID(2, 7)),
+		DrawRResp([]bool{true, false, true, true, false, false, true, false, true},
+			[]block.Block{{Lo: 1, Hi: 2}, {Lo: 3, Hi: 4}, {Lo: 5, Hi: 6}, {Lo: 7, Hi: 8}, {Lo: 9, Hi: 10},
+				{Lo: 11, Hi: 12}, {Lo: 13, Hi: 14}, {Lo: 15, Hi: 16}, {Lo: 17, Hi: 18}}),
+		OKResponse(helloResp),
+	}
+	for _, sentinel := range statusErrs {
+		if sentinel != nil {
+			frames = append(frames, ErrResponse(sentinel))
+		}
+	}
+	h := sha256.New()
+	for _, f := range frames {
+		h.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(f))))
+		h.Write(f)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != frameGolden {
+		t.Fatalf("sha256 over %d frames = %s, want %s", len(frames), got, frameGolden)
 	}
 }
 

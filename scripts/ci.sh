@@ -127,10 +127,13 @@ echo "== private comparison end-to-end (examples/millionaires) =="
 # non-zero on a wrong comparison.
 "$bindir/millionaires"
 
-echo "== draw-after-close flake guard (25 repeats of the scheduling-dependent path) =="
+echo "== scheduling flake guard (25 repeats of the scheduling-dependent paths) =="
 # A closed pool must dispense nothing even with correlations buffered;
 # the session-level symptom showed up in a few percent of runs.
 go test -count=25 -run 'DrawAfterClose|LeaseExpiryTypedError|ConcurrentExpiryVsDraw' ./internal/pool ./internal/otserv/session
+# Concurrent endpoints on one shape must wait on one LPN code
+# derivation and all share its pointer.
+go test -count=25 -run 'CodeShared' ./internal/ferret
 
 echo "== go test -race (includes the gmw + arith engines and the TCP pipeline) =="
 go test -race ./...
