@@ -6,8 +6,10 @@
 // random bit b with r_b = r0 ⊕ b·Δ. The package converts pools of such
 // correlations into:
 //
-//   - chosen-message 1-out-of-2 OT (SendChosen/ReceiveChosen), the
-//     classic Beaver derandomization plus a correlation-robust hash;
+//   - chosen-message 1-out-of-2 OT with block, bit or word messages
+//     (SendChosen, SendChosenBits, SendChosenWords and their receive
+//     twins): one exchange, the classic Beaver derandomization plus a
+//     correlation-robust hash, at every message width;
 //   - (m-1)-out-of-m OT (SendAllButOne/ReceiveAllButOne), realized with
 //     an m-leaf GGM tree at a cost of only log2(m) COTs (§4.2), which is
 //     what makes m-ary SPCOT correlation-neutral.
@@ -101,65 +103,105 @@ func (p *ReceiverPool) take(n int) (int, []bool, []block.Block, error) {
 	return off, p.bits[off : off+n], p.blocks[off : off+n], nil
 }
 
-// SendChosen runs the sender side of len(msgs) chosen-message 1-of-2
-// OTs, consuming one COT each. msgs[i] is the pair (m_i^0, m_i^1).
+// One chosen-OT exchange serves every payload width. n instances with
+// w_i-bit messages (m0_i, m1_i), w_i in [0, 128], consume one COT each:
 //
-// Wire format: receiver sends the correction bits d_i = c_i ⊕ b_i; the
-// sender replies with (m0 ⊕ H(r_{d}), m1 ⊕ H(r_{1-d})) per instance,
-// where H is tweaked by the pool offset so every instance gets an
-// independent oracle.
-func SendChosen(conn transport.Conn, pool *SenderPool, h *aesprg.Hash, msgs [][2]block.Block) error {
-	n := len(msgs)
-	off, r0, err := pool.take(n)
-	if err != nil {
-		return err
-	}
-	ds, err := transport.RecvBits(conn, n)
-	if err != nil {
-		return err
-	}
-	cts := make([]block.Block, 2*n)
-	for i := 0; i < n; i++ {
-		rd := r0[i]
-		rnd := r0[i].Xor(pool.Delta)
-		if ds[i] {
-			rd, rnd = rnd, rd
-		}
-		tweak := uint64(off + i)
-		cts[2*i] = msgs[i][0].Xor(h.Sum(rd, tweak))
-		cts[2*i+1] = msgs[i][1].Xor(h.Sum(rnd, tweak))
-	}
-	return transport.SendBlocks(conn, cts)
+//  1. both parties take the next n COTs from their pools; with off the
+//     pool cursor before the take, instance i hashes under tweak off+i,
+//     so tweaks restart with every pool and stay in lockstep because
+//     the two pools do;
+//  2. the receiver sends the packed corrections d_i = c_i ⊕ b_i
+//     (⌈n/8⌉ bytes);
+//  3. the sender replies with one ciphertext frame holding ct0_i then
+//     ct1_i for each instance in order, w_i bits each, packed tightly
+//     LSB-first at a running bit offset (⌈2·Σw_i/8⌉ bytes), where
+//
+//	ct0_i = (m0_i ⊕ H(r_{d_i}, off+i))   mod 2^w_i
+//	ct1_i = (m1_i ⊕ H(r_{1-d_i}, off+i)) mod 2^w_i
+//
+//     with r_d = r0 ⊕ d·Δ; the receiver, holding r_{b_i}, can unmask
+//     exactly ct_{c_i}.
+//
+// SendChosen (w = 128: SPCOT's puncturing), SendChosenBits (w = 1: GMW
+// AND gates) and SendChosenWords (w_i ≤ 64: Gilboa products) differ
+// only in how they read and write messages. Each keeps its own
+// per-instance loop over the shared helpers below, so the hot loops
+// stay monomorphic. Both peers derive the frame size from their
+// arguments, so SendBytes' chunked framing reassembles frames past
+// transport.MaxMessage.
+
+// ChosenBytes is the wire traffic of one exchange of n chosen OTs with
+// w-bit messages: the receiver's correction frame plus the sender's
+// ciphertext frame. Cost models price chosen OT through it.
+func ChosenBytes(n, w int) int { return packedBytes(n) + packedBytes(2*n*w) }
+
+// packedBytes is the size of an LSB-first frame of the given bit count.
+func packedBytes(bits int) int { return (bits + 7) / 8 }
+
+// sendExchange is the sender's state once the corrections arrived.
+type sendExchange struct {
+	off   int
+	r0    []block.Block
+	delta block.Block
+	ds    []uint64
 }
 
-// ReceiveChosen runs the receiver side; choices[i] selects which of the
-// sender's two messages instance i yields.
-func ReceiveChosen(conn transport.Conn, pool *ReceiverPool, h *aesprg.Hash, choices []bool) ([]block.Block, error) {
-	n := len(choices)
-	off, bits, rb, err := pool.take(n)
+// open takes n COTs and receives the peer's packed corrections.
+func (p *SenderPool) open(conn transport.Conn, n int) (sendExchange, error) {
+	off, r0, err := p.take(n)
 	if err != nil {
-		return nil, err
+		return sendExchange{}, err
 	}
-	ds := make([]bool, n)
-	for i := range ds {
-		ds[i] = choices[i] != bits[i]
-	}
-	if err := transport.SendBits(conn, ds); err != nil {
-		return nil, err
-	}
-	cts, err := transport.RecvBlocks(conn, 2*n)
+	msg, err := conn.Recv()
 	if err != nil {
-		return nil, err
+		return sendExchange{}, err
 	}
-	out := make([]block.Block, n)
-	for i := 0; i < n; i++ {
-		ct := cts[2*i]
-		if choices[i] {
-			ct = cts[2*i+1]
+	ds, err := transport.WireToPacked(msg, n)
+	return sendExchange{off: off, r0: r0, delta: p.Delta, ds: ds}, err
+}
+
+// pads returns the pads H(r_{d_i}) and H(r_{1-d_i}) that mask m0_i and
+// m1_i.
+func (x *sendExchange) pads(h *aesprg.Hash, i int) (block.Block, block.Block) {
+	r, rn := x.r0[i], x.r0[i].Xor(x.delta)
+	if bit(x.ds, i) == 1 {
+		r, rn = rn, r
+	}
+	t := uint64(x.off + i)
+	return h.Sum(r, t), h.Sum(rn, t)
+}
+
+// recvExchange is the receiver's state once its corrections are sent.
+type recvExchange struct {
+	off int
+	rb  []block.Block
+}
+
+// open takes n COTs and sends the corrections for the limb-packed
+// choices; choice bits past n are ignored.
+func (p *ReceiverPool) open(conn transport.Conn, choices []uint64, n int) (recvExchange, error) {
+	off, bits, rb, err := p.take(n)
+	if err != nil {
+		return recvExchange{}, err
+	}
+	ds := make([]uint64, transport.PackedLimbs(n))
+	for i, b := range bits {
+		if b {
+			setBit(ds, i, 1)
 		}
-		out[i] = ct.Xor(h.Sum(rb[i], uint64(off+i)))
 	}
-	return out, nil
+	for j := range ds {
+		ds[j] ^= choices[j]
+	}
+	if r := uint(n % 64); r != 0 {
+		ds[len(ds)-1] &= 1<<r - 1
+	}
+	return recvExchange{off: off, rb: rb}, conn.Send(transport.PackedToWire(ds, n))
+}
+
+// pad returns H(r_{b_i}), which unmasks instance i's chosen ciphertext.
+func (x *recvExchange) pad(h *aesprg.Hash, i int) block.Block {
+	return h.Sum(x.rb[i], uint64(x.off+i))
 }
 
 // bit reads bit i of a limb-packed vector.
@@ -168,53 +210,117 @@ func bit(limbs []uint64, i int) uint64 { return limbs[i/64] >> (uint(i) % 64) & 
 // setBit ORs v (0 or 1) into bit i of a limb-packed vector.
 func setBit(limbs []uint64, i int, v uint64) { limbs[i/64] |= v << (uint(i) % 64) }
 
-// SendChosenBits runs the sender side of n chosen-message 1-of-2 OTs
-// whose messages are single bits, consuming one COT each. m0 and m1
-// are limb-packed bit vectors (64 bits per uint64, LSB-first): bit i
-// of m0/m1 is the message pair of instance i.
-//
-// Wire format (the bit-packed chosen-OT frame): the receiver sends
-// packed correction bits d_i = c_i ⊕ b_i (⌈n/8⌉ bytes); the sender
-// replies with a single 2·⌈n/8⌉-byte frame ct0 || ct1 where
-//
-//	ct0_i = m0_i ⊕ lsb(H(r_{d_i}))    ct1_i = m1_i ⊕ lsb(H(r_{1-d_i}))
-//
-// and H is tweaked by the pool offset exactly as in SendChosen. Versus
-// SendChosen's two 16-byte blocks per instance the reply carries 2
-// bits, a 128x payload reduction — this is what makes GMW AND gates
-// (1-bit secrets) cheap on the wire.
+// mask is the low-w-bit mask, w in [0, 64] (a Go shift by 64 yields 0).
+func mask(w int) uint64 { return 1<<uint(w) - 1 }
+
+// putField ORs v mod 2^w into the limb-packed frame f at bit offset
+// off, w in [0, 64]; a 128-bit field is two 64-bit ones.
+func putField(f []uint64, off int, v uint64, w int) {
+	if w == 0 {
+		return
+	}
+	v &= mask(w)
+	i, s := off/64, uint(off%64)
+	f[i] |= v << s
+	if s+uint(w) > 64 {
+		f[i+1] |= v >> (64 - s)
+	}
+}
+
+// getField reads the w-bit field at bit offset off of the frame f.
+func getField(f []uint64, off int, w int) uint64 {
+	if w == 0 {
+		return 0
+	}
+	i, s := off/64, uint(off%64)
+	v := f[i] >> s
+	if s+uint(w) > 64 {
+		v |= f[i+1] << (64 - s)
+	}
+	return v & mask(w)
+}
+
+// sendFrame ships the first bits bits of the ciphertext frame f.
+func sendFrame(conn transport.Conn, f []uint64, bits int) error {
+	return transport.SendBytes(conn, transport.PackedToWire(f, bits))
+}
+
+// recvFrame receives a ciphertext frame of the given bit count.
+func recvFrame(conn transport.Conn, bits int) ([]uint64, error) {
+	buf, err := transport.RecvBytes(conn, packedBytes(bits))
+	if err != nil {
+		return nil, fmt.Errorf("cot: chosen-OT frame: %w", err)
+	}
+	return transport.WireToPacked(buf, bits)
+}
+
+// SendChosen runs the sender side of len(msgs) chosen OTs with 128-bit
+// messages: msgs[i] is the pair (m0_i, m1_i).
+func SendChosen(conn transport.Conn, pool *SenderPool, h *aesprg.Hash, msgs [][2]block.Block) error {
+	n := len(msgs)
+	x, err := pool.open(conn, n)
+	if err != nil {
+		return err
+	}
+	f := make([]uint64, 4*n)
+	for i, m := range msgs {
+		p0, p1 := x.pads(h, i)
+		ct0, ct1 := m[0].Xor(p0), m[1].Xor(p1)
+		putField(f, 256*i, ct0.Lo, 64)
+		putField(f, 256*i+64, ct0.Hi, 64)
+		putField(f, 256*i+128, ct1.Lo, 64)
+		putField(f, 256*i+192, ct1.Hi, 64)
+	}
+	return sendFrame(conn, f, 256*n)
+}
+
+// ReceiveChosen runs the receiver side of SendChosen; choices[i]
+// selects which of the sender's two messages instance i yields.
+func ReceiveChosen(conn transport.Conn, pool *ReceiverPool, h *aesprg.Hash, choices []bool) ([]block.Block, error) {
+	n := len(choices)
+	cs := make([]uint64, transport.PackedLimbs(n))
+	for i, c := range choices {
+		if c {
+			setBit(cs, i, 1)
+		}
+	}
+	x, err := pool.open(conn, cs, n)
+	if err != nil {
+		return nil, err
+	}
+	f, err := recvFrame(conn, 256*n)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]block.Block, n)
+	for i := range out {
+		off := 256*i + 128*int(bit(cs, i))
+		ct := block.New(getField(f, off, 64), getField(f, off+64, 64))
+		out[i] = ct.Xor(x.pad(h, i))
+	}
+	return out, nil
+}
+
+// SendChosenBits runs the sender side of n chosen OTs with 1-bit
+// messages: m0 and m1 are limb-packed bit vectors (64 bits per uint64,
+// LSB-first) whose bit i is instance i's message pair. Against
+// SendChosen's 256 ciphertext bits per instance the reply carries 2,
+// which is what makes GMW AND gates cheap on the wire.
 func SendChosenBits(conn transport.Conn, pool *SenderPool, h *aesprg.Hash, m0, m1 []uint64, n int) error {
 	if limbs := transport.PackedLimbs(n); len(m0) < limbs || len(m1) < limbs {
 		return fmt.Errorf("cot: SendChosenBits needs %d limbs for %d bits, got %d/%d", limbs, n, len(m0), len(m1))
 	}
-	off, r0, err := pool.take(n)
+	x, err := pool.open(conn, n)
 	if err != nil {
 		return err
 	}
-	msg, err := conn.Recv()
-	if err != nil {
-		return err
-	}
-	ds, err := transport.WireToPacked(msg, n)
-	if err != nil {
-		return err
-	}
-	ct0 := make([]uint64, transport.PackedLimbs(n))
-	ct1 := make([]uint64, transport.PackedLimbs(n))
+	f := make([]uint64, transport.PackedLimbs(2*n))
 	for i := 0; i < n; i++ {
-		rd := r0[i]
-		rnd := r0[i].Xor(pool.Delta)
-		if bit(ds, i) == 1 {
-			rd, rnd = rnd, rd
-		}
-		tweak := uint64(off + i)
-		setBit(ct0, i, bit(m0, i)^h.Sum(rd, tweak).Lo&1)
-		setBit(ct1, i, bit(m1, i)^h.Sum(rnd, tweak).Lo&1)
+		p0, p1 := x.pads(h, i)
+		putField(f, 2*i, bit(m0, i)^p0.Lo, 1)
+		putField(f, 2*i+1, bit(m1, i)^p1.Lo, 1)
 	}
-	frame := append(transport.PackedToWire(ct0, n), transport.PackedToWire(ct1, n)...)
-	// Both peers compute the frame size from n, so the chunked byte
-	// framing reassembles oversized batches transparently.
-	return transport.SendBytes(conn, frame)
+	return sendFrame(conn, f, 2*n)
 }
 
 // ReceiveChosenBits runs the receiver side of SendChosenBits: choices
@@ -225,167 +331,65 @@ func ReceiveChosenBits(conn transport.Conn, pool *ReceiverPool, h *aesprg.Hash, 
 	if len(choices) < limbs {
 		return nil, fmt.Errorf("cot: ReceiveChosenBits needs %d limbs for %d bits, got %d", limbs, n, len(choices))
 	}
-	off, bits, rb, err := pool.take(n)
+	x, err := pool.open(conn, choices, n)
 	if err != nil {
 		return nil, err
 	}
-	ds := make([]uint64, limbs)
-	for i := 0; i < n; i++ {
-		c := bit(choices, i)
-		b := uint64(0)
-		if bits[i] {
-			b = 1
-		}
-		setBit(ds, i, c^b)
-	}
-	if err := conn.Send(transport.PackedToWire(ds, n)); err != nil {
-		return nil, err
-	}
-	half := (n + 7) / 8
-	frame, err := transport.RecvBytes(conn, 2*half)
-	if err != nil {
-		return nil, fmt.Errorf("cot: bit-OT frame: %w", err)
-	}
-	ct0, err := transport.WireToPacked(frame[:half], n)
-	if err != nil {
-		return nil, err
-	}
-	ct1, err := transport.WireToPacked(frame[half:], n)
+	f, err := recvFrame(conn, 2*n)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]uint64, limbs)
 	for i := 0; i < n; i++ {
-		ct := bit(ct0, i)
-		if bit(choices, i) == 1 {
-			ct = bit(ct1, i)
-		}
-		setBit(out, i, ct^h.Sum(rb[i], uint64(off+i)).Lo&1)
+		ct := getField(f, 2*i+int(bit(choices, i)), 1)
+		setBit(out, i, ct^x.pad(h, i).Lo&1)
 	}
 	return out, nil
 }
 
-// bitWriter tightly packs variable-width bit fields, LSB-first — the
-// wire layout of the word-payload chosen-OT ciphertext frame, where
-// instance i contributes exactly widths[i] bits per ciphertext.
-type bitWriter struct {
-	buf  []byte
-	nbit int
-}
-
-func (w *bitWriter) write(v uint64, width int) {
-	for width > 0 {
-		if w.nbit%8 == 0 {
-			w.buf = append(w.buf, 0)
+// wordBits checks that every word width is in [0, 64] and returns
+// their sum.
+func wordBits(widths []int) (int, error) {
+	sum := 0
+	for i, w := range widths {
+		if w < 0 || w > 64 {
+			return 0, fmt.Errorf("cot: word OT %d has width %d, want 0..64", i, w)
 		}
-		off := uint(w.nbit % 8)
-		take := 8 - int(off)
-		if take > width {
-			take = width
-		}
-		w.buf[len(w.buf)-1] |= byte(v&(1<<uint(take)-1)) << off
-		v >>= uint(take)
-		width -= take
-		w.nbit += take
+		sum += w
 	}
+	return sum, nil
 }
 
-// bitReader is the inverse of bitWriter.
-type bitReader struct {
-	buf  []byte
-	nbit int
-}
-
-func (r *bitReader) read(width int) (uint64, error) {
-	var v uint64
-	shift := uint(0)
-	for width > 0 {
-		if r.nbit/8 >= len(r.buf) {
-			return 0, fmt.Errorf("cot: word-OT frame truncated at bit %d", r.nbit)
-		}
-		off := uint(r.nbit % 8)
-		take := 8 - int(off)
-		if take > width {
-			take = width
-		}
-		v |= uint64(r.buf[r.nbit/8]>>off&(1<<uint(take)-1)) << shift
-		shift += uint(take)
-		width -= take
-		r.nbit += take
-	}
-	return v, nil
-}
-
-// wordMask returns the low-w-bit mask (w in [0, 64]).
-func wordMask(w int) uint64 {
-	if w >= 64 {
-		return ^uint64(0)
-	}
-	return 1<<uint(w) - 1
-}
-
-// wordFrameBytes is the ciphertext frame size of n word OTs: 2·widths[i]
-// bits per instance, rounded up to whole bytes once.
-func wordFrameBytes(widths []int) int {
-	total := 0
-	for _, w := range widths {
-		total += 2 * w
-	}
-	return (total + 7) / 8
-}
-
-// SendChosenWords runs the sender side of len(widths) chosen-message
-// 1-of-2 OTs whose messages are uint64 words taken mod 2^widths[i],
-// consuming one COT each. The reply frame packs each ciphertext to
-// exactly widths[i] bits, so callers whose high message bits are
-// irrelevant (Gilboa multiplication: bit i of the multiplier only
-// needs the product mod 2^(64-i)) pay only for the bits that matter —
-// at widths 64..1 that is 2x less payload than fixed 64-bit words and
-// 3.9x less than riding SendChosen's two 128-bit blocks.
-//
-// Wire format: the receiver sends packed correction bits d_i = c_i ⊕
-// b_i (⌈n/8⌉ bytes); the sender replies with one tightly bit-packed
-// frame of pairs (ct0_i, ct1_i), widths[i] bits each, where
-//
-//	ct0_i = (m0_i ⊕ lo64(H(r_{d_i})))   mod 2^widths[i]
-//	ct1_i = (m1_i ⊕ lo64(H(r_{1-d_i}))) mod 2^widths[i]
-//
-// and H is tweaked by the pool offset exactly as in SendChosen. A
-// width of 0 is legal: the instance consumes its COT (keeping both
-// pools in lockstep) but ships no ciphertext bits.
+// SendChosenWords runs the sender side of len(widths) chosen OTs whose
+// messages are uint64 words taken mod 2^widths[i], widths[i] in
+// [0, 64]. Callers whose high message bits are irrelevant (Gilboa
+// multiplication: bit i of the multiplier only needs the product mod
+// 2^(64-i)) pay only for the bits that matter — at widths 64..1 that
+// is 2x less payload than fixed 64-bit words and 3.9x less than
+// SendChosen's 128-bit blocks. A width of 0 is legal: the instance
+// consumes its COT, keeping both pools in lockstep, but ships no bits.
 func SendChosenWords(conn transport.Conn, pool *SenderPool, h *aesprg.Hash, m0, m1 []uint64, widths []int) error {
 	n := len(widths)
 	if len(m0) != n || len(m1) != n {
 		return fmt.Errorf("cot: SendChosenWords needs %d messages per side, got %d/%d", n, len(m0), len(m1))
 	}
-	off, r0, err := pool.take(n)
+	bits, err := wordBits(widths)
 	if err != nil {
 		return err
 	}
-	msg, err := conn.Recv()
+	x, err := pool.open(conn, n)
 	if err != nil {
 		return err
 	}
-	ds, err := transport.WireToPacked(msg, n)
-	if err != nil {
-		return err
+	f := make([]uint64, transport.PackedLimbs(2*bits))
+	off := 0
+	for i, w := range widths {
+		p0, p1 := x.pads(h, i)
+		putField(f, off, m0[i]^p0.Lo, w)
+		putField(f, off+w, m1[i]^p1.Lo, w)
+		off += 2 * w
 	}
-	w := bitWriter{buf: make([]byte, 0, wordFrameBytes(widths))}
-	for i := 0; i < n; i++ {
-		rd := r0[i]
-		rnd := r0[i].Xor(pool.Delta)
-		if bit(ds, i) == 1 {
-			rd, rnd = rnd, rd
-		}
-		tweak := uint64(off + i)
-		mask := wordMask(widths[i])
-		w.write((m0[i]^h.Sum(rd, tweak).Lo)&mask, widths[i])
-		w.write((m1[i]^h.Sum(rnd, tweak).Lo)&mask, widths[i])
-	}
-	// A large Gilboa batch (>~127k triples, or one big matmul's flattened
-	// products) exceeds MaxMessage; both peers derive the frame size
-	// from widths, so the chunked byte framing keeps them in sync.
-	return transport.SendBytes(conn, w.buf)
+	return sendFrame(conn, f, 2*bits)
 }
 
 // ReceiveChosenWords runs the receiver side of SendChosenWords:
@@ -397,41 +401,24 @@ func ReceiveChosenWords(conn transport.Conn, pool *ReceiverPool, h *aesprg.Hash,
 	if limbs := transport.PackedLimbs(n); len(choices) < limbs {
 		return nil, fmt.Errorf("cot: ReceiveChosenWords needs %d limbs for %d choices, got %d", limbs, n, len(choices))
 	}
-	off, bits, rb, err := pool.take(n)
+	bits, err := wordBits(widths)
 	if err != nil {
 		return nil, err
 	}
-	ds := make([]uint64, transport.PackedLimbs(n))
-	for i := 0; i < n; i++ {
-		b := uint64(0)
-		if bits[i] {
-			b = 1
-		}
-		setBit(ds, i, bit(choices, i)^b)
-	}
-	if err := conn.Send(transport.PackedToWire(ds, n)); err != nil {
+	x, err := pool.open(conn, choices, n)
+	if err != nil {
 		return nil, err
 	}
-	frame, err := transport.RecvBytes(conn, wordFrameBytes(widths))
+	f, err := recvFrame(conn, 2*bits)
 	if err != nil {
-		return nil, fmt.Errorf("cot: word-OT frame: %w", err)
+		return nil, err
 	}
-	r := bitReader{buf: frame}
 	out := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		ct0, err := r.read(widths[i])
-		if err != nil {
-			return nil, err
-		}
-		ct1, err := r.read(widths[i])
-		if err != nil {
-			return nil, err
-		}
-		ct := ct0
-		if bit(choices, i) == 1 {
-			ct = ct1
-		}
-		out[i] = (ct ^ h.Sum(rb[i], uint64(off+i)).Lo) & wordMask(widths[i])
+	off := 0
+	for i, w := range widths {
+		ct := getField(f, off+int(bit(choices, i))*w, w)
+		out[i] = ct ^ x.pad(h, i).Lo&mask(w)
+		off += 2 * w
 	}
 	return out, nil
 }

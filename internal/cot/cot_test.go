@@ -105,21 +105,77 @@ func TestChosenOTSequentialBatches(t *testing.T) {
 	}
 }
 
+// TestPoolExhaustion: an exchange larger than the pool fails with
+// ErrExhausted on both sides, for every payload width, before any I/O
+// and without moving either pool's cursor.
 func TestPoolExhaustion(t *testing.T) {
-	sp, rp := pools(t, 1)
 	h := aesprg.NewHash()
-	a, b := transport.Pipe()
-	msgs := make([][2]block.Block, 2)
-	go func() {
-		// Receiver side will fail before sending; unblock the sender by
-		// closing the pipe.
-		_, _ = ReceiveChosen(b, rp, h, make([]bool, 2))
-		b.Close()
+	two := []uint64{0, 0}
+	for _, tc := range []struct {
+		name string
+		send func(transport.Conn, *SenderPool) error
+		recv func(transport.Conn, *ReceiverPool) error
+	}{
+		{"blocks",
+			func(c transport.Conn, p *SenderPool) error { return SendChosen(c, p, h, make([][2]block.Block, 2)) },
+			func(c transport.Conn, p *ReceiverPool) error {
+				_, err := ReceiveChosen(c, p, h, make([]bool, 2))
+				return err
+			}},
+		{"bits",
+			func(c transport.Conn, p *SenderPool) error { return SendChosenBits(c, p, h, two, two, 2) },
+			func(c transport.Conn, p *ReceiverPool) error {
+				_, err := ReceiveChosenBits(c, p, h, two, 2)
+				return err
+			}},
+		{"words",
+			func(c transport.Conn, p *SenderPool) error { return SendChosenWords(c, p, h, two, two, []int{64, 1}) },
+			func(c transport.Conn, p *ReceiverPool) error {
+				_, err := ReceiveChosenWords(c, p, h, two, []int{64, 1})
+				return err
+			}},
+	} {
+		sp, rp := pools(t, 1)
+		a, b := transport.Pipe()
+		// No peer runs: a take that failed after any I/O would block here.
+		if err := tc.send(a, sp); !errors.Is(err, ErrExhausted) {
+			t.Errorf("%s: sender err = %v, want ErrExhausted", tc.name, err)
+		}
+		if err := tc.recv(b, rp); !errors.Is(err, ErrExhausted) {
+			t.Errorf("%s: receiver err = %v, want ErrExhausted", tc.name, err)
+		}
+		if sp.Used() != 0 || rp.Used() != 0 {
+			t.Errorf("%s: failed exchange moved the pools to %d/%d", tc.name, sp.Used(), rp.Used())
+		}
+		if a.Stats().TotalBytes() != 0 {
+			t.Errorf("%s: failed exchange moved %d bytes", tc.name, a.Stats().TotalBytes())
+		}
+	}
+}
+
+// TestChosenWordsRejectsBadWidths: a word width outside [0, 64] is an
+// error on both sides, raised before the pools move or any byte is
+// sent.
+func TestChosenWordsRejectsBadWidths(t *testing.T) {
+	h := aesprg.NewHash()
+	for _, widths := range [][]int{{-8}, {65}, {100}, {3, -1}, {64, 128}} {
+		n := len(widths)
+		sp, rp := pools(t, n)
+		a, b := transport.Pipe()
+		// Closed ends: an exchange that got past validation fails on
+		// I/O instead of blocking.
 		a.Close()
-	}()
-	err := SendChosen(a, sp, h, msgs)
-	if !errors.Is(err, ErrExhausted) && err == nil {
-		t.Fatalf("err = %v, want exhaustion or closed pipe", err)
+		b.Close()
+		words := make([]uint64, n)
+		if err := SendChosenWords(a, sp, h, words, words, widths); err == nil || errors.Is(err, transport.ErrClosed) {
+			t.Errorf("widths %v: sender err = %v, want a width error", widths, err)
+		}
+		if _, err := ReceiveChosenWords(b, rp, h, words, widths); err == nil || errors.Is(err, transport.ErrClosed) {
+			t.Errorf("widths %v: receiver err = %v, want a width error", widths, err)
+		}
+		if sp.Used() != 0 || rp.Used() != 0 {
+			t.Errorf("widths %v: rejected exchange moved the pools to %d/%d", widths, sp.Used(), rp.Used())
+		}
 	}
 }
 
@@ -164,8 +220,9 @@ func TestChosenBitsOT(t *testing.T) {
 		if sp.Used() != n || rp.Used() != n {
 			t.Fatalf("n=%d: pools must advance by one per OT", n)
 		}
-		// Wire budget: d frame + ct0||ct1 frame, ~3 bits per OT.
-		wantBytes := int64(3 * ((n + 7) / 8))
+		// Wire budget: d frame + interleaved ct0‖ct1 frame, ~3 bits per
+		// OT.
+		wantBytes := int64((n+7)/8 + (2*n+7)/8)
 		if got := a.Stats().TotalBytes(); got != wantBytes {
 			t.Fatalf("n=%d: moved %d wire bytes, want %d", n, got, wantBytes)
 		}
@@ -302,18 +359,65 @@ func TestAllButOneRejectsBadArgs(t *testing.T) {
 	}
 }
 
-func BenchmarkChosenOT(b *testing.B) {
+// BenchmarkChosen times one exchange of 2^16 chosen OTs per payload
+// width, both parties over a pipe, and reports the cost per OT.
+func BenchmarkChosen(b *testing.B) {
+	const n = 1 << 16
 	h := aesprg.NewHash()
-	const batch = 128
-	msgs := make([][2]block.Block, batch)
-	choices := make([]bool, batch)
-	for i := 0; i < b.N; i++ {
-		sp, rp, _ := RandomPools(batch)
-		x, y := transport.Pipe()
-		go func() { _ = SendChosen(x, sp, h, msgs) }()
-		if _, err := ReceiveChosen(y, rp, h, choices); err != nil {
-			b.Fatal(err)
-		}
+	rng := rand.New(rand.NewSource(1))
+	m0, m1, choices := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+	msgs, picks := make([][2]block.Block, n), make([]bool, n)
+	ladder := make([]int, n)
+	for i := range m0 {
+		m0[i], m1[i], choices[i] = rng.Uint64(), rng.Uint64(), rng.Uint64()
+		msgs[i] = [2]block.Block{block.New(m0[i], m1[i]), block.New(m1[i], m0[i])}
+		picks[i] = choices[i]&1 == 1
+		ladder[i] = 64 - i%64 // one Gilboa product's widths
+	}
+	for _, bc := range []struct {
+		name string
+		send func(transport.Conn, *SenderPool) error
+		recv func(transport.Conn, *ReceiverPool) error
+	}{
+		{"w=1",
+			func(c transport.Conn, p *SenderPool) error { return SendChosenBits(c, p, h, m0, m1, n) },
+			func(c transport.Conn, p *ReceiverPool) error {
+				_, err := ReceiveChosenBits(c, p, h, choices, n)
+				return err
+			}},
+		{"w=64..1",
+			func(c transport.Conn, p *SenderPool) error { return SendChosenWords(c, p, h, m0, m1, ladder) },
+			func(c transport.Conn, p *ReceiverPool) error {
+				_, err := ReceiveChosenWords(c, p, h, choices, ladder)
+				return err
+			}},
+		{"w=128",
+			func(c transport.Conn, p *SenderPool) error { return SendChosen(c, p, h, msgs) },
+			func(c transport.Conn, p *ReceiverPool) error {
+				_, err := ReceiveChosen(c, p, h, picks)
+				return err
+			}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sp, rp, err := RandomPools(n)
+				if err != nil {
+					b.Fatal(err)
+				}
+				x, y := transport.Pipe()
+				b.StartTimer()
+				errCh := make(chan error, 1)
+				go func() { errCh <- bc.send(x, sp) }()
+				if err := bc.recv(y, rp); err != nil {
+					b.Fatal(err)
+				}
+				if err := <-errCh; err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/OT")
+		})
 	}
 }
 
@@ -355,7 +459,7 @@ func TestChosenWordOT(t *testing.T) {
 		if choices[i/64]>>uint(i%64)&1 == 1 {
 			want = m1[i]
 		}
-		want &= wordMask(widths[i])
+		want &= mask(widths[i])
 		if got[i] != want {
 			t.Fatalf("word OT wrong at %d (width %d): got %x want %x", i, widths[i], got[i], want)
 		}

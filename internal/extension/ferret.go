@@ -4,6 +4,7 @@ import (
 	"math/bits"
 
 	"ironman/internal/block"
+	"ironman/internal/cot"
 	"ironman/internal/ferret"
 	"ironman/internal/ggm"
 	"ironman/internal/prg"
@@ -30,12 +31,6 @@ func (ferretBackend) options(o Options) ferret.Options {
 	return fo
 }
 
-// Per-gadget chosen-OT wire cost: one packed choice byte from the
-// receiver plus two ciphertext blocks from the sender (cot.SendChosen
-// with a single instance, which is how spcot's sequential per-tree
-// flights always invoke it).
-const chosenOTBytes = 1 + 2*block.Size
-
 // Cost models one Extend's SPCOT puncturing traffic exactly: per tree,
 // every binary GGM level is one direct chosen OT; every m-ary level is
 // an all-but-one transfer (log2(m) gadget chosen OTs plus m masked
@@ -47,6 +42,9 @@ func (b ferretBackend) Cost(p Params, o Options) Cost {
 	if o.BinaryAES {
 		arity = 2
 	}
+	// Every gadget chosen OT is one 128-bit instance: spcot's sequential
+	// per-tree flights always invoke cot.SendChosen that way.
+	chosenOTBytes := int64(cot.ChosenBytes(1, 128))
 	perTree := int64(block.Size) // node-recovery block
 	flights := 0
 	for _, a := range ggm.LevelArities(p.L, arity) {

@@ -343,7 +343,7 @@ func TestPackedWireEfficiency(t *testing.T) {
 	for _, tc := range []struct {
 		n     int
 		bytes int64
-	}{{1, 6}, {65, 54}, {4096, 3072}} {
+	}{{1, 4}, {65, 52}, {4096, 3072}} {
 		a, b := parties(t, tc.n)
 		base := a.conn.Stats().TotalBytes()
 		run2(t, func() error {

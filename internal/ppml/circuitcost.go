@@ -1,6 +1,9 @@
 package ppml
 
-import "ironman/internal/circuit"
+import (
+	"ironman/internal/circuit"
+	"ironman/internal/cot"
+)
 
 // GMWCircuitCost prices one SIMD-packed secure evaluation of a
 // compiled Bristol circuit (internal/circuit) under the bitsliced GMW
@@ -25,8 +28,8 @@ type GMWCircuitCost struct {
 	Exchanges int
 	// WireBytes is the exact online traffic at one endpoint, both
 	// directions, reveal excluded: each exchange of n packed gate-bits
-	// moves one ceil(n/8)-byte correction frame and one 2*ceil(n/8)-
-	// byte ciphertext frame per OT direction, 6*ceil(n/8) bytes total.
+	// is one n-instance 1-bit chosen-OT exchange per OT direction,
+	// cot.ChosenBytes(n, 1) = ceil(n/8) + ceil(2n/8) bytes each.
 	WireBytes int64
 }
 
@@ -40,8 +43,7 @@ func CircuitCost(prog *circuit.Program, instances int) GMWCircuitCost {
 	}
 	c.OTs = 2 * c.ANDGates
 	for _, w := range prog.LevelANDs() {
-		bits := int64(w) * int64(instances)
-		c.WireBytes += 6 * ((bits + 7) / 8)
+		c.WireBytes += 2 * int64(cot.ChosenBytes(w*instances, 1))
 	}
 	return c
 }

@@ -347,11 +347,11 @@ func PackedLimbs(n int) int { return (n + 63) / 64 }
 // the PackBits wire layout (8 bits per byte, little-endian within
 // bytes and limbs). Bits at index >= n must be zero.
 func PackedToWire(limbs []uint64, n int) []byte {
-	buf := make([]byte, (n+7)/8)
-	for i := range buf {
-		buf[i] = byte(limbs[i/8] >> (uint(i%8) * 8))
+	buf := make([]byte, 8*PackedLimbs(n))
+	for i := range len(buf) / 8 {
+		binary.LittleEndian.PutUint64(buf[8*i:], limbs[i])
 	}
-	return buf
+	return buf[:(n+7)/8]
 }
 
 // WireToPacked parses an n-bit PackBits wire buffer into uint64 limbs,
@@ -361,8 +361,12 @@ func WireToPacked(buf []byte, n int) ([]uint64, error) {
 		return nil, fmt.Errorf("transport: expected %d packed bits, got %d bytes", n, len(buf))
 	}
 	limbs := make([]uint64, PackedLimbs(n))
-	for i, b := range buf {
-		limbs[i/8] |= uint64(b) << (uint(i%8) * 8)
+	full := len(buf) / 8
+	for i := range full {
+		limbs[i] = binary.LittleEndian.Uint64(buf[8*i:])
+	}
+	for i := 8 * full; i < len(buf); i++ {
+		limbs[full] |= uint64(buf[i]) << (uint(i%8) * 8)
 	}
 	if r := uint(n % 64); r != 0 {
 		limbs[len(limbs)-1] &= 1<<r - 1
@@ -370,54 +374,9 @@ func WireToPacked(buf []byte, n int) ([]uint64, error) {
 	return limbs, nil
 }
 
-// SendBits packs a bit slice as one message.
-func SendBits(c Conn, bits []bool) error {
-	return c.Send(PackBits(bits))
-}
-
-// RecvBits receives exactly n packed bits.
-func RecvBits(c Conn, n int) ([]bool, error) {
-	msg, err := c.Recv()
-	if err != nil {
-		return nil, err
-	}
-	if len(msg) != (n+7)/8 {
-		return nil, fmt.Errorf("transport: expected %d bits, got %d bytes", n, len(msg))
-	}
-	return UnpackBits(msg, n), nil
-}
-
-// SendUints marshals a uint32 slice as one message.
-func SendUints(c Conn, v []uint32) error {
-	buf := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(buf[4*i:], x)
-	}
-	return c.Send(buf)
-}
-
-// RecvUints receives exactly n uint32 values.
-func RecvUints(c Conn, n int) ([]uint32, error) {
-	msg, err := c.Recv()
-	if err != nil {
-		return nil, err
-	}
-	if len(msg) != 4*n {
-		return nil, fmt.Errorf("transport: expected %d uints, got %d bytes", n, len(msg))
-	}
-	v := make([]uint32, n)
-	for i := range v {
-		v[i] = binary.LittleEndian.Uint32(msg[4*i:])
-	}
-	return v, nil
-}
-
 // chunkWords is the word-helper twin of chunkBlocks: arith reveals and
 // Beaver opens ride SendWords, so a >2^23-element open must chunk for
-// the same mid-protocol-desync reason block messages do. (SendBits and
-// SendUints payloads stay orders of magnitude below MaxMessage on
-// every protocol path — bit vectors ship 1 bit per correlation — so
-// they keep the single-frame fast path.)
+// the same mid-protocol-desync reason block messages do.
 var chunkWords = MaxMessage / 8
 
 // SendWords marshals a uint64 slice as one logical message — the wire

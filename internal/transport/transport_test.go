@@ -488,35 +488,25 @@ func TestWordChunkingBoundary(t *testing.T) {
 }
 
 func TestBitHelpers(t *testing.T) {
-	a, b := Pipe()
 	bits := []bool{true, false, true, true, false, false, false, true, true}
-	if err := SendBits(a, bits); err != nil {
-		t.Fatal(err)
+	wire := PackBits(bits)
+	if !reflect.DeepEqual(wire, []byte{0x8d, 0x01}) {
+		t.Fatalf("PackBits = %x, want 8d01", wire)
 	}
-	got, err := RecvBits(b, len(bits))
+	if got := UnpackBits(wire, len(bits)); !reflect.DeepEqual(got, bits) {
+		t.Fatalf("UnpackBits = %v, want %v", got, bits)
+	}
+	limbs, err := WireToPacked(wire, len(bits))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, bits) {
-		t.Fatalf("bits = %v, want %v", got, bits)
+	if !reflect.DeepEqual(limbs, []uint64{0x18d}) {
+		t.Fatalf("WireToPacked = %x, want [18d]", limbs)
 	}
-}
-
-func TestUintHelpers(t *testing.T) {
-	a, b := Pipe()
-	v := []uint32{0, 1, 1 << 31, 42}
-	if err := SendUints(a, v); err != nil {
-		t.Fatal(err)
+	if got := PackedToWire(limbs, len(bits)); !reflect.DeepEqual(got, wire) {
+		t.Fatalf("PackedToWire = %x, want %x", got, wire)
 	}
-	got, err := RecvUints(b, len(v))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, v) {
-		t.Fatal("uints mismatch")
-	}
-	_ = SendUints(a, v)
-	if _, err := RecvUints(b, 5); err == nil {
+	if _, err := WireToPacked(wire, 17); err == nil {
 		t.Fatal("expected length error")
 	}
 }

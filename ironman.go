@@ -435,32 +435,20 @@ func (r *Receiver) RandomOTs(n int) ([]bool, []Block, error) {
 }
 
 // SendChosen runs chosen-message 1-of-2 OTs for the given pairs,
-// consuming one fresh COT each (peer: ReceiveChosen). While the
+// consuming one fresh COT each (peer: ReceiveChosen). The COTs are
+// drawn as one GMWPool and exchanged by cot.SendChosen, so hash tweaks
+// restart with every call, as they do with every pool. While the
 // endpoint prefetches (Options.Prefetch > 0) its protocol conn is
 // rejected with ErrConnBusy — background iterations own that stream.
 func (s *Sender) SendChosen(conn Conn, msgs [][2]Block) error {
 	if s.busy.Load() && (sameConn(conn, s.conn) || sameConn(conn, s.peerConn)) {
 		return ErrConnBusy
 	}
-	pairs, err := s.RandomOTs(len(msgs))
+	p, err := s.GMWPool(len(msgs))
 	if err != nil {
 		return err
 	}
-	// Beaver derandomization against the random OTs.
-	ds, err := transport.RecvBits(conn, len(msgs))
-	if err != nil {
-		return err
-	}
-	cts := make([]Block, 2*len(msgs))
-	for i := range msgs {
-		p0, p1 := pairs[i][0], pairs[i][1]
-		if ds[i] {
-			p0, p1 = p1, p0
-		}
-		cts[2*i] = msgs[i][0].Xor(p0)
-		cts[2*i+1] = msgs[i][1].Xor(p1)
-	}
-	return transport.SendBlocks(conn, cts)
+	return cot.SendChosen(conn, p, s.h, msgs)
 }
 
 // ReceiveChosen selects one message per pair. The same ErrConnBusy
@@ -469,30 +457,11 @@ func (r *Receiver) ReceiveChosen(conn Conn, choices []bool) ([]Block, error) {
 	if r.busy.Load() && (sameConn(conn, r.conn) || sameConn(conn, r.peerConn)) {
 		return nil, ErrConnBusy
 	}
-	bits, keys, err := r.RandomOTs(len(choices))
+	p, err := r.GMWPool(len(choices))
 	if err != nil {
 		return nil, err
 	}
-	ds := make([]bool, len(choices))
-	for i := range ds {
-		ds[i] = choices[i] != bits[i]
-	}
-	if err := transport.SendBits(conn, ds); err != nil {
-		return nil, err
-	}
-	cts, err := transport.RecvBlocks(conn, 2*len(choices))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Block, len(choices))
-	for i := range out {
-		ct := cts[2*i]
-		if choices[i] {
-			ct = cts[2*i+1]
-		}
-		out[i] = ct.Xor(keys[i])
-	}
-	return out, nil
+	return cot.ReceiveChosen(conn, p, r.h, choices)
 }
 
 // GMW engine re-exports: the bitsliced two-party Boolean engine layered

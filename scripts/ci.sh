@@ -138,9 +138,10 @@ go test -count=25 -run 'CodeShared' ./internal/ferret
 echo "== go test -race (includes the gmw + arith engines and the TCP pipeline) =="
 go test -race ./...
 
-echo "== kernel benchmarks: column pipeline and GGM expander (one iteration each, so they cannot rot) =="
+echo "== kernel benchmarks: column pipeline, GGM expander, chosen OT (one iteration each, so they cannot rot) =="
 go test -run '^$' -bench 'TransposeBits|StreamFill' -benchtime 1x ./internal/block ./internal/aesprg
 go test -run '^$' -bench 'Expand' -benchtime 1x ./internal/prg ./internal/ggm
+go test -run '^$' -bench 'Chosen' -benchtime 1x ./internal/cot
 
 echo "== paper-figure registry (ironman-bench -quick -exp all, so it cannot rot) =="
 go run ./cmd/ironman-bench -quick -exp all -json > /dev/null
