@@ -137,7 +137,7 @@ func TestUint32nZeroPanics(t *testing.T) {
 			t.Fatal("Uint32n(0) must panic")
 		}
 	}()
-	NewStream(block.Zero).Uint32n(0)
+	NewStream(block.Block{}).Uint32n(0)
 }
 
 func TestStreamBits(t *testing.T) {

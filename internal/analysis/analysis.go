@@ -1,6 +1,7 @@
-// Package analysis is ironman-vet: a suite of five domain-specific
-// static analyzers that make the repo's hardest-won protocol
-// invariants machine-checked at vet time instead of replay time.
+// Package analysis is ironman-vet: five domain-specific static
+// analyzers that make the repo's hardest-won protocol invariants
+// machine-checked at vet time instead of replay time, plus one
+// module-wide check.
 //
 // The invariants and their analyzers:
 //
@@ -19,17 +20,28 @@
 //   - locknet — no network I/O while holding a mutex (the pool/otserv
 //     metric points hold locks; a send under one serializes the fleet).
 //
-// Every analyzer honors the audited suppression directive
+// The module check, deadexport (deadexport.go): an exported name in a
+// package under internal/ is dead when no non-test file of the module
+// references it. Exempt are methods that implement an interface method
+// (the module's or the standard library's), embedded fields and tagged
+// struct fields; fields of unnamed struct types match by name. Root
+// ironman and package main directories are not scanned, though their
+// uses count. The uses come from dependents, so it is not an Analyzer:
+// it runs in `go test ./internal/analysis`, not under the vettool.
+//
+// Every check honors the audited suppression directive
 //
 //	//ironman:allow(<analyzer>[,<analyzer>...]) <reason>
 //
-// on the offending line or the line above; the reason is mandatory.
+// trailing the offending line or alone on the line above; the reason is
+// mandatory, and a directive that suppresses nothing is itself a
+// finding.
 //
-// The suite runs two ways: as a go vet tool
+// The analyzers run two ways: as a go vet tool
 // (go vet -vettool=$(which ironman-vet) ./..., see cmd/ironman-vet)
-// and in-process over the whole module via CheckModule, which the
-// vet-clean test uses so a plain `go test ./...` catches invariant
-// regressions without the vettool.
+// and in-process over the whole module, which the vet-clean test uses
+// so a plain `go test ./...` catches invariant regressions without the
+// vettool.
 package analysis
 
 import "golang.org/x/tools/go/analysis"

@@ -21,11 +21,10 @@ var Detrange = &analysis.Analyzer{
 	Doc: "flag nondeterministic values (map ranges, time.Now, math/rand, GOMAXPROCS) on paths that reach a transport send\n\n" +
 		"Wire transcripts must be a deterministic function of the protocol inputs at any worker count; " +
 		"suppress audited exceptions with //ironman:allow(detrange) <reason>.",
-	Run: runDetrange,
+	Run: allowRun(runDetrange),
 }
 
-func runDetrange(pass *analysis.Pass) (interface{}, error) {
-	idx := buildAllowIndex(pass)
+func runDetrange(pass *analysis.Pass, idx *allowIndex) {
 	g := buildCallGraph(pass)
 	involved := g.sendInvolved()
 	for obj, fd := range g.decls {
@@ -53,7 +52,6 @@ func runDetrange(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // isCollectionRange recognizes the first half of the compliant

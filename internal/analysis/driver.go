@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -13,7 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
@@ -22,10 +23,10 @@ import (
 // This file is the in-process driver: it loads every package of the
 // module with full type information (export data for dependencies,
 // source for the packages under analysis — the same shape the go vet
-// unitchecker sees) and runs the suite over them. The vet-clean test
-// uses it so plain `go test ./...` enforces the invariants without a
-// vettool; it is also what keeps the analyzers honest about working
-// from a Pass alone.
+// unitchecker sees) and runs the suite over them. The module tests use
+// one load for the analyzers and for deadexport, so plain `go test
+// ./...` enforces both without a vettool; it is also what keeps the
+// analyzers honest about working from a Pass alone.
 
 // Finding is one diagnostic from an analyzer, positioned in the
 // module's source.
@@ -44,18 +45,31 @@ func (f Finding) String() string {
 type listedPackage struct {
 	ImportPath string
 	Dir        string
-	Standard   bool
 	Export     string
 	GoFiles    []string
 }
 
-// CheckModule runs the analyzers over every package of the module
-// rooted at dir (as `go vet ./...` would, minus test files) and
-// returns the surviving findings sorted by position. It shells out to
-// the go tool for package metadata and export data, then type-checks
-// each module package from source.
-func CheckModule(dir string, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,Standard,Export,GoFiles", "./...")
+// loadedPackage is one module package type-checked from source.
+type loadedPackage struct {
+	files []*ast.File
+	pkg   *types.Package
+	info  *types.Info
+}
+
+// module is every package of one Go module, each type-checked from its
+// non-test files against export data for its imports — the shape the go
+// vet unitchecker sees.
+type module struct {
+	fset *token.FileSet
+	pkgs []*loadedPackage
+}
+
+// loadModule loads every package of the module rooted at dir (as `go
+// vet ./...` would, minus test files). It shells out to the go tool for
+// package metadata and export data, then type-checks each module
+// package from source.
+func loadModule(dir string) (*module, error) {
+	cmd := exec.Command("go", "list", "-export", "-deps", "-json=ImportPath,Dir,Export,GoFiles", "./...")
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -74,47 +88,49 @@ func CheckModule(dir string, analyzers []*analysis.Analyzer) ([]Finding, error) 
 		} else if err != nil {
 			return nil, fmt.Errorf("go list decode: %v", err)
 		}
-		cp := p
-		byPath[p.ImportPath] = &cp
+		byPath[p.ImportPath] = &p
 		if p.ImportPath == "ironman" || strings.HasPrefix(p.ImportPath, "ironman/") {
-			targets = append(targets, &cp)
+			targets = append(targets, &p)
 		}
 	}
 
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+	m := &module{fset: token.NewFileSet()}
+	imp := importer.ForCompiler(m.fset, "gc", func(path string) (io.ReadCloser, error) {
 		p, ok := byPath[path]
 		if !ok || p.Export == "" {
 			return nil, fmt.Errorf("no export data for %q", path)
 		}
 		return os.Open(p.Export)
 	})
-
-	var findings []Finding
 	for _, p := range targets {
-		fs, err := CheckPackage(fset, imp, p.ImportPath, p.Dir, p.GoFiles, analyzers)
+		lp, err := checkPackage(m.fset, imp, p.ImportPath, p.Dir, p.GoFiles)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %v", p.ImportPath, err)
 		}
-		findings = append(findings, fs...)
+		m.pkgs = append(m.pkgs, lp)
 	}
-	sort.Slice(findings, func(i, j int) bool {
-		a, b := findings[i], findings[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		return a.Analyzer < b.Analyzer
-	})
-	return findings, nil
+	return m, nil
 }
 
-// CheckPackage parses and type-checks one package from source and runs
-// the analyzers over it. Shared by CheckModule and the fixture test
-// harness (which supplies its own importer over testdata/src).
-func CheckPackage(fset *token.FileSet, imp types.Importer, path, dir string, goFiles []string, analyzers []*analysis.Analyzer) ([]Finding, error) {
+// vet runs the analyzers over every package of the module and returns
+// the findings sorted by position.
+func (m *module) vet(analyzers []*analysis.Analyzer) []Finding {
+	var findings []Finding
+	for _, p := range m.pkgs {
+		findings = append(findings, RunAnalyzers(m.fset, p.files, p.pkg, p.info, analyzers)...)
+	}
+	sortFindings(findings)
+	return findings
+}
+
+func sortFindings(findings []Finding) {
+	slices.SortFunc(findings, func(a, b Finding) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename), a.Pos.Line-b.Pos.Line, strings.Compare(a.Analyzer, b.Analyzer))
+	})
+}
+
+// checkPackage parses and type-checks one package from source.
+func checkPackage(fset *token.FileSet, imp types.Importer, path, dir string, goFiles []string) (*loadedPackage, error) {
 	var files []*ast.File
 	for _, name := range goFiles {
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
@@ -123,7 +139,19 @@ func CheckPackage(fset *token.FileSet, imp types.Importer, path, dir string, goF
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{
+	info := newInfo()
+	conf := types.Config{Importer: imp}
+	pkg, err := conf.Check(path, fset, files, info)
+	if err != nil {
+		return nil, fmt.Errorf("typecheck: %v", err)
+	}
+	return &loadedPackage{files: files, pkg: pkg, info: info}, nil
+}
+
+// newInfo returns a types.Info recording everything an analyzer may ask
+// of a Pass.
+func newInfo() *types.Info {
+	return &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
@@ -132,12 +160,6 @@ func CheckPackage(fset *token.FileSet, imp types.Importer, path, dir string, goF
 		Scopes:     make(map[ast.Node]*types.Scope),
 		Instances:  make(map[*ast.Ident]types.Instance),
 	}
-	conf := types.Config{Importer: imp}
-	pkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("typecheck: %v", err)
-	}
-	return RunAnalyzers(fset, files, pkg, info, analyzers), nil
 }
 
 // RunAnalyzers drives each analyzer over one loaded package,
@@ -146,7 +168,6 @@ func CheckPackage(fset *token.FileSet, imp types.Importer, path, dir string, goF
 func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, info *types.Info, analyzers []*analysis.Analyzer) []Finding {
 	var findings []Finding
 	for _, a := range analyzers {
-		a := a
 		pass := &analysis.Pass{
 			Analyzer:   a,
 			Fset:       fset,

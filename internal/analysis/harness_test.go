@@ -37,13 +37,7 @@ type fixtureImporter struct {
 	fset  *token.FileSet
 	root  string
 	std   types.Importer
-	cache map[string]*fixturePkg
-}
-
-type fixturePkg struct {
-	pkg   *types.Package
-	files []*ast.File
-	info  *types.Info
+	cache map[string]*loadedPackage
 }
 
 var fixtureLoader = struct {
@@ -59,7 +53,7 @@ func loader(t *testing.T) *fixtureImporter {
 			fset:  fset,
 			root:  filepath.Join("testdata", "src"),
 			std:   importer.ForCompiler(fset, "source", nil),
-			cache: make(map[string]*fixturePkg),
+			cache: make(map[string]*loadedPackage),
 		}
 	})
 	return fixtureLoader.imp
@@ -73,7 +67,7 @@ func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
 	return p.pkg, nil
 }
 
-func (fi *fixtureImporter) load(path string) (*fixturePkg, error) {
+func (fi *fixtureImporter) load(path string) (*loadedPackage, error) {
 	if p, ok := fi.cache[path]; ok {
 		return p, nil
 	}
@@ -83,7 +77,7 @@ func (fi *fixtureImporter) load(path string) (*fixturePkg, error) {
 		if err != nil {
 			return nil, err
 		}
-		p := &fixturePkg{pkg: pkg}
+		p := &loadedPackage{pkg: pkg}
 		fi.cache[path] = p
 		return p, nil
 	}
@@ -102,21 +96,13 @@ func (fi *fixtureImporter) load(path string) (*fixturePkg, error) {
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
-	}
+	info := newInfo()
 	conf := types.Config{Importer: fi}
 	pkg, err := conf.Check(path, fi.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %v", path, err)
 	}
-	p := &fixturePkg{pkg: pkg, files: files, info: info}
+	p := &loadedPackage{pkg: pkg, files: files, info: info}
 	fi.cache[path] = p
 	return p, nil
 }
@@ -166,9 +152,13 @@ func runFixture(t *testing.T, a *analysis.Analyzer, path string) {
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", path, err)
 	}
-	findings := RunAnalyzers(fi.fset, p.files, p.pkg, p.info, []*analysis.Analyzer{a})
-	wants := parseWants(t, fi.fset, p.files)
+	checkWants(t, fi.fset, p.files, RunAnalyzers(fi.fset, p.files, p.pkg, p.info, []*analysis.Analyzer{a}))
+}
 
+// checkWants diffs findings against the // want comments in files.
+func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, findings []Finding) {
+	t.Helper()
+	wants := parseWants(t, fset, files)
 	matched := make([]bool, len(wants))
 	for _, f := range findings {
 		hit := false
@@ -194,6 +184,6 @@ func runFixture(t *testing.T, a *analysis.Analyzer, path string) {
 			got = append(got, f.String())
 		}
 		sort.Strings(got)
-		t.Logf("all diagnostics from %s on %s:\n%s", a.Name, path, strings.Join(got, "\n"))
+		t.Logf("all diagnostics:\n%s", strings.Join(got, "\n"))
 	}
 }

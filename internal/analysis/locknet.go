@@ -24,7 +24,7 @@ var Locknet = &analysis.Analyzer{
 	Name: "locknet",
 	Doc: "flag network I/O (transport send/recv, net dials) while holding a sync mutex\n\n" +
 		"Move the I/O outside the critical section or suppress with //ironman:allow(locknet) <reason>.",
-	Run: runLocknet,
+	Run: allowRun(runLocknet),
 }
 
 // lockKind classifies a call as acquiring or releasing a sync lock,
@@ -66,21 +66,19 @@ func netIO(f *types.Func, reach map[*types.Func]bool) string {
 	return ""
 }
 
-func runLocknet(pass *analysis.Pass) (interface{}, error) {
-	idx := buildAllowIndex(pass)
+func runLocknet(pass *analysis.Pass, idx *allowIndex) {
 	g := buildCallGraph(pass)
 	reach := g.reachesSend()
 	for _, fd := range g.decls {
 		held := make(map[string]bool)
 		scanLocknet(pass, idx, reach, fd.Body.List, held)
 	}
-	return nil, nil
 }
 
 // scanLocknet walks a statement list in order, tracking the held-lock
 // set. Branch bodies get a copy of the set so an early-return unlock
 // in one arm does not bleed into the fall-through path.
-func scanLocknet(pass *analysis.Pass, idx allowIndex, reach map[*types.Func]bool, stmts []ast.Stmt, held map[string]bool) {
+func scanLocknet(pass *analysis.Pass, idx *allowIndex, reach map[*types.Func]bool, stmts []ast.Stmt, held map[string]bool) {
 	copyHeld := func() map[string]bool {
 		c := make(map[string]bool, len(held))
 		for k := range held {
@@ -148,7 +146,7 @@ func scanLocknet(pass *analysis.Pass, idx allowIndex, reach map[*types.Func]bool
 // and, while any lock is held, network I/O. Function literals are
 // scanned with a fresh held set: they execute later, on their own
 // goroutine or call path.
-func checkCalls(pass *analysis.Pass, idx allowIndex, reach map[*types.Func]bool, n ast.Node, held map[string]bool) {
+func checkCalls(pass *analysis.Pass, idx *allowIndex, reach map[*types.Func]bool, n ast.Node, held map[string]bool) {
 	if n == nil {
 		return
 	}

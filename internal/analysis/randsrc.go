@@ -22,7 +22,7 @@ var Randsrc = &analysis.Analyzer{
 	Name: "randsrc",
 	Doc: "ban math/rand and restrict crypto/rand to setup-time call sites in internal/ packages\n\n" +
 		"Mid-protocol randomness must come from the seeded aesprg streams; audited exceptions use //ironman:allow(randsrc) <reason>.",
-	Run: runRandsrc,
+	Run: allowRun(runRandsrc),
 }
 
 // setupPackages run once at initialization (base OTs and the IKNP
@@ -46,14 +46,13 @@ func isSetupFunc(name string) bool {
 	return false
 }
 
-func runRandsrc(pass *analysis.Pass) (interface{}, error) {
+func runRandsrc(pass *analysis.Pass, idx *allowIndex) {
 	path := pass.Pkg.Path()
 	if !strings.Contains(path, "/internal/") || setupPackages[path] {
-		return nil, nil
+		return
 	}
-	idx := buildAllowIndex(pass)
 	for _, file := range pass.Files {
-		if isTestFile(pass, file) {
+		if isTestFile(pass.Fset, file.Pos()) {
 			continue
 		}
 		for _, imp := range file.Imports {
@@ -88,7 +87,6 @@ func runRandsrc(pass *analysis.Pass) (interface{}, error) {
 			})
 		}
 	}
-	return nil, nil
 }
 
 func isCryptoRand(f *types.Func) bool {

@@ -23,7 +23,7 @@ var Secretleak = &analysis.Analyzer{
 	Name: "secretleak",
 	Doc: "flag secret material (Δ, seeds, tokens, correlation blocks) flowing into fmt/log/obs sinks\n\n" +
 		"Suppress audited exceptions with //ironman:allow(secretleak) <reason>.",
-	Run: runSecretleak,
+	Run: allowRun(runSecretleak),
 }
 
 const obsPath = "ironman/internal/obs"
@@ -84,10 +84,9 @@ func sinkKind(f *types.Func) string {
 	return ""
 }
 
-func runSecretleak(pass *analysis.Pass) (interface{}, error) {
-	idx := buildAllowIndex(pass)
+func runSecretleak(pass *analysis.Pass, idx *allowIndex) {
 	for _, file := range pass.Files {
-		if isTestFile(pass, file) {
+		if isTestFile(pass.Fset, file.Pos()) {
 			continue
 		}
 		for _, decl := range file.Decls {
@@ -116,7 +115,6 @@ func runSecretleak(pass *analysis.Pass) (interface{}, error) {
 			})
 		}
 	}
-	return nil, nil
 }
 
 // taintedLocals runs two fixpoint rounds over the function's

@@ -62,7 +62,7 @@ func buildCallGraph(pass *analysis.Pass) *callGraph {
 		sends: make(map[*types.Func]bool),
 	}
 	for _, file := range pass.Files {
-		if isTestFile(pass, file) {
+		if isTestFile(pass.Fset, file.Pos()) {
 			continue
 		}
 		for _, decl := range file.Decls {

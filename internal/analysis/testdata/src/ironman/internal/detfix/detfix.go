@@ -92,7 +92,10 @@ func badDirective(c transport.Conn, m map[int][]byte) error {
 	return nil
 }
 
-// wrongAnalyzer names a different analyzer: no suppression.
+// wrongAnalyzer names a different analyzer: no suppression. Detrange
+// indexes only directives naming it, so the directive is not its
+// finding either; randsrc, run here, would report it as suppressing
+// nothing.
 func wrongAnalyzer(c transport.Conn, m map[int][]byte) error {
 	//ironman:allow(randsrc) fixture: names the wrong analyzer
 	for _, v := range m { // want "map iteration order in wrongAnalyzer is transcript-relevant"

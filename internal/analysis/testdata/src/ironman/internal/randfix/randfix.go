@@ -37,3 +37,18 @@ func audited() ([]byte, error) {
 	_, err := rand.Read(b)
 	return b, err
 }
+
+// trailing audits its first draw only: a trailing directive claims its
+// own line, not the next one.
+func trailing() {
+	a, b := make([]byte, 16), make([]byte, 16)
+	rand.Read(a) //ironman:allow(randsrc) fixture: only this draw is audited
+	rand.Read(b) // want "crypto/rand.Read outside a setup-time function \(trailing\)"
+}
+
+// stale keeps a directive whose draw is gone: the directive is the
+// finding.
+func stale() []byte {
+	//ironman:allow(randsrc) fixture: the draw moved out // want "ironman:allow\(randsrc\) suppresses nothing"
+	return make([]byte, 16)
+}

@@ -4,8 +4,45 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
+
+var moduleLoad struct {
+	once sync.Once
+	m    *module
+	err  error
+}
+
+// loadedModule loads the whole module once for every test that checks
+// it.
+func loadedModule(t *testing.T) *module {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("skipping whole-module analysis in -short mode")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skipf("go tool not on PATH: %v", err)
+	}
+	moduleLoad.once.Do(func() { moduleLoad.m, moduleLoad.err = loadModule("../..") })
+	if moduleLoad.err != nil {
+		t.Fatalf("loadModule: %v", moduleLoad.err)
+	}
+	return moduleLoad.m
+}
+
+func failFindings(t *testing.T, findings []Finding, what string) {
+	t.Helper()
+	if len(findings) == 0 {
+		return
+	}
+	var lines []string
+	for _, f := range findings {
+		lines = append(lines, f.String())
+	}
+	t.Errorf("%d %s; fix them or add //ironman:allow(<analyzer>) <reason>:\n%s",
+		len(findings), what, strings.Join(lines, "\n"))
+}
 
 // TestModuleVetClean runs the whole ironman-vet suite over the whole
 // module in-process, so a plain `go test ./...` enforces the protocol
@@ -13,24 +50,15 @@ import (
 // is a regression: pre-existing ones were fixed or carry an audited
 // //ironman:allow directive.
 func TestModuleVetClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping whole-module analysis in -short mode")
-	}
-	if _, err := exec.LookPath("go"); err != nil {
-		t.Skipf("go tool not on PATH: %v", err)
-	}
-	findings, err := CheckModule("../..", Analyzers)
-	if err != nil {
-		t.Fatalf("CheckModule: %v", err)
-	}
-	if len(findings) > 0 {
-		var lines []string
-		for _, f := range findings {
-			lines = append(lines, f.String())
-		}
-		t.Errorf("ironman-vet found %d invariant violation(s); fix them or add //ironman:allow(<analyzer>) <reason>:\n%s",
-			len(findings), strings.Join(lines, "\n"))
-	}
+	m := loadedModule(t)
+	failFindings(t, m.vet(Analyzers), "ironman-vet invariant violation(s)")
+}
+
+// TestModuleNoDeadExports holds internal/ to exported names some
+// non-test file in the module uses (see deadexport.go).
+func TestModuleNoDeadExports(t *testing.T) {
+	m := loadedModule(t)
+	failFindings(t, deadExports(m.fset, m.pkgs), "dead export(s)")
 }
 
 // TestOneMeasurementPath keeps the pre-ledger benchmark stack from

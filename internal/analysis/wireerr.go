@@ -23,7 +23,7 @@ var Wireerr = &analysis.Analyzer{
 	Name: "wireerr",
 	Doc: "flag discarded errors from ironman protocol calls (transport/cot/gmw/otserv send-recv-close paths)\n\n" +
 		"Handle the error, assign it to _, or suppress with //ironman:allow(wireerr) <reason>.",
-	Run: runWireerr,
+	Run: allowRun(runWireerr),
 }
 
 // ironmanPath reports whether a package path belongs to this module's
@@ -75,8 +75,7 @@ func returnsError(f *types.Func) bool {
 	return types.Identical(last, types.Universe.Lookup("error").Type())
 }
 
-func runWireerr(pass *analysis.Pass) (interface{}, error) {
-	idx := buildAllowIndex(pass)
+func runWireerr(pass *analysis.Pass, idx *allowIndex) {
 	check := func(call *ast.CallExpr, how string) {
 		f := calleeOf(pass.TypesInfo, call)
 		name := wireScoped(pass.TypesInfo, call, f)
@@ -88,7 +87,7 @@ func runWireerr(pass *analysis.Pass) (interface{}, error) {
 			how, name))
 	}
 	for _, file := range pass.Files {
-		if isTestFile(pass, file) {
+		if isTestFile(pass.Fset, file.Pos()) {
 			continue
 		}
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -105,5 +104,4 @@ func runWireerr(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
-	return nil, nil
 }

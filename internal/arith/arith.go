@@ -126,16 +126,6 @@ func (p *Party) NewPrivate(vals []uint64, mine bool) Share {
 	return s
 }
 
-// NewPublic builds a share of a public constant: the first party holds
-// the value, the other zero.
-func (p *Party) NewPublic(vals []uint64) Share {
-	s := make(Share, len(vals))
-	if p.first {
-		copy(s, vals)
-	}
-	return s
-}
-
 // randomVec draws a fresh local random vector from the party's PRG.
 func (p *Party) randomVec(n int) []uint64 {
 	v := make([]uint64, n)
@@ -155,43 +145,6 @@ func Add(a, b Share) (Share, error) {
 		out[i] = a[i] + b[i]
 	}
 	return out, nil
-}
-
-// Sub is a free local gate: out = a - b element-wise.
-func Sub(a, b Share) (Share, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("arith: Sub length mismatch: %d vs %d", len(a), len(b))
-	}
-	out := make(Share, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out, nil
-}
-
-// AddPublic adds a public vector: only the first party shifts its
-// share (the sum of a public constant is free).
-func (p *Party) AddPublic(a Share, c []uint64) (Share, error) {
-	if len(a) != len(c) {
-		return nil, fmt.Errorf("arith: AddPublic length mismatch: %d vs %d", len(a), len(c))
-	}
-	out := make(Share, len(a))
-	copy(out, a)
-	if p.first {
-		for i := range out {
-			out[i] += c[i]
-		}
-	}
-	return out, nil
-}
-
-// MulPublic scales by a public constant: both parties scale locally.
-func MulPublic(a Share, c uint64) Share {
-	out := make(Share, len(a))
-	for i := range a {
-		out[i] = a[i] * c
-	}
-	return out
 }
 
 // openWords exchanges share vectors (one flight per direction, ordered

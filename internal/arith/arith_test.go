@@ -75,22 +75,13 @@ func TestLocalOpsAndReveal(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		s, err = p.AddPublic(s, []uint64{100, 100, 100, 100})
-		if err != nil {
-			return nil, err
-		}
-		s = MulPublic(s, 3)
-		d, err := Sub(s, x)
-		if err != nil {
-			return nil, err
-		}
-		return p.Reveal(d)
+		return p.Reveal(s)
 	}
 	var openA, openB []uint64
 	run2(t, func() error { o, err := eval(a, true); openA = o; return err },
 		func() error { o, err := eval(b, false); openB = o; return err })
 	for i := range xs {
-		want := 3*(xs[i]+ys[i]+100) - xs[i]
+		want := xs[i] + ys[i]
 		if openA[i] != want || openB[i] != want {
 			t.Fatalf("local ops wrong at %d: %d/%d want %d", i, openA[i], openB[i], want)
 		}
@@ -98,90 +89,21 @@ func TestLocalOpsAndReveal(t *testing.T) {
 	if _, err := Add(Share{1}, Share{}); err == nil {
 		t.Fatal("Add must reject length mismatch")
 	}
-	if _, err := Sub(Share{1}, Share{1, 2}); err == nil {
-		t.Fatal("Sub must reject length mismatch")
-	}
-}
-
-func TestTriplesAndMulVec(t *testing.T) {
-	const n = 33
-	rng := rand.New(rand.NewSource(11))
-	xs := make([]uint64, n)
-	ys := make([]uint64, n)
-	for i := range xs {
-		xs[i] = rng.Uint64()
-		ys[i] = rng.Uint64()
-	}
-	a, b := parties(t, 64*n)
-	var tripleWire int64
-	eval := func(p *Party, mineX bool) ([]uint64, error) {
-		base := p.conn.Stats().TotalBytes()
-		tr, err := p.NewTriples(n)
-		if err != nil {
-			return nil, err
-		}
-		if mineX {
-			tripleWire = p.conn.Stats().TotalBytes() - base
-		}
-		x := p.NewPrivate(xs, mineX)
-		y := p.NewPrivate(ys, !mineX)
-		z, err := p.MulVec(x, y, tr)
-		if err != nil {
-			return nil, err
-		}
-		return p.Reveal(z)
-	}
-	var openA, openB []uint64
-	run2(t, func() error { o, err := eval(a, true); openA = o; return err },
-		func() error { o, err := eval(b, false); openB = o; return err })
-	for i := range xs {
-		want := xs[i] * ys[i]
-		if openA[i] != want || openB[i] != want {
-			t.Fatalf("MulVec wrong at %d: %x/%x want %x", i, openA[i], openB[i], want)
-		}
-	}
-	if a.Triples != n || a.Mults != n {
-		t.Fatalf("counter wrong: %d triples, %d mults", a.Triples, a.Mults)
-	}
-	// Measured cost of a triple against the ppml.ArithTripleCost model:
-	// 128 COTs (64 per direction) and 1056 B on the wire, the latter
-	// plus at most 5% of transport framing.
-	if used := a.Out.Used() + a.In.Used(); used != 128*n {
-		t.Fatalf("%d COTs for %d triples, want 128 per triple", used, n)
-	}
-	if per := float64(tripleWire) / n; per < 1056 || per > 1.05*1056 {
-		t.Fatalf("%.1f wire bytes per triple, want within [1056, 1.05*1056]", per)
-	}
 }
 
 func TestTriplesExhaustAndBudget(t *testing.T) {
 	a, b := parties(t, 64*2)
-	run2(t, func() error {
-		tr, err := a.NewTriples(2)
-		if err != nil {
+	check := func(p *Party) error {
+		if _, err := p.NewMatTriple(1, 2, 1); err != nil {
 			return err
-		}
-		if _, err := a.MulVec(make(Share, 3), make(Share, 3), tr); !errors.Is(err, cot.ErrExhausted) {
-			t.Errorf("MulVec beyond triple batch: got %v", err)
 		}
 		// Pool budget exhausted before any traffic: symmetric local error.
-		if _, err := a.NewTriples(1); !errors.Is(err, cot.ErrExhausted) {
-			t.Errorf("NewTriples beyond pool: got %v", err)
+		if _, err := p.NewMatTriple(1, 1, 1); !errors.Is(err, cot.ErrExhausted) {
+			t.Errorf("NewMatTriple beyond pool: got %v", err)
 		}
 		return nil
-	}, func() error {
-		tr, err := b.NewTriples(2)
-		if err != nil {
-			return err
-		}
-		if _, err := b.MulVec(make(Share, 3), make(Share, 3), tr); !errors.Is(err, cot.ErrExhausted) {
-			t.Errorf("MulVec beyond triple batch: got %v", err)
-		}
-		if _, err := b.NewTriples(1); !errors.Is(err, cot.ErrExhausted) {
-			t.Errorf("NewTriples beyond pool: got %v", err)
-		}
-		return nil
-	})
+	}
+	run2(t, func() error { return check(a) }, func() error { return check(b) })
 }
 
 func TestMatMul(t *testing.T) {
@@ -195,11 +117,17 @@ func TestMatMul(t *testing.T) {
 	for i := range ys {
 		ys[i] = rng.Uint64()
 	}
-	a, b := parties(t, 64*m*k*n)
+	const prods = m * k * n
+	a, b := parties(t, 64*prods)
+	var tripleWire int64
 	eval := func(p *Party, mineX bool) ([]uint64, error) {
+		base := p.conn.Stats().TotalBytes()
 		tr, err := p.NewMatTriple(m, k, n)
 		if err != nil {
 			return nil, err
+		}
+		if mineX {
+			tripleWire = p.conn.Stats().TotalBytes() - base
 		}
 		x := p.NewPrivate(xs, mineX)
 		y := p.NewPrivate(ys, !mineX)
@@ -217,6 +145,18 @@ func TestMatMul(t *testing.T) {
 		if openA[i] != want[i] || openB[i] != want[i] {
 			t.Fatalf("MatMul wrong at %d: %x/%x want %x", i, openA[i], openB[i], want[i])
 		}
+	}
+	if a.Triples != prods || a.Mults != prods {
+		t.Fatalf("counter wrong: %d triples, %d mults", a.Triples, a.Mults)
+	}
+	// Measured cost of a scalar triple against the ppml.ArithTripleCost
+	// model: 128 COTs (64 per direction) and 1056 B on the wire, the
+	// latter plus at most 5% of transport framing.
+	if used := a.Out.Used() + a.In.Used(); used != 128*prods {
+		t.Fatalf("%d COTs for %d triples, want 128 per triple", used, prods)
+	}
+	if per := float64(tripleWire) / prods; per < 1056 || per > 1.05*1056 {
+		t.Fatalf("%.1f wire bytes per triple, want within [1056, 1.05*1056]", per)
 	}
 }
 
@@ -241,20 +181,26 @@ func TestMatTripleSingleUse(t *testing.T) {
 	run2(t, func() error { return check(a) }, func() error { return check(b) })
 }
 
+// TestFixedPointMulTrunc multiplies fixed-point vectors element-wise as
+// diag(x)·y and truncates the product.
 func TestFixedPointMulTrunc(t *testing.T) {
 	f := Fixed{Frac: 16}
 	xs := []float64{1.5, -2.25, 0.125, -100.0, 3.14159}
 	ys := []float64{2.0, 0.5, -8.0, 0.01, -2.71828}
 	n := len(xs)
-	a, b := parties(t, 64*n)
+	diag := make([]float64, n*n)
+	for i, x := range xs {
+		diag[i*n+i] = x
+	}
+	a, b := parties(t, 64*n*n)
 	eval := func(p *Party, mineX bool) ([]float64, error) {
-		tr, err := p.NewTriples(n)
+		tr, err := p.NewMatTriple(n, n, 1)
 		if err != nil {
 			return nil, err
 		}
-		x := p.NewPrivate(f.EncodeVec(xs), mineX)
+		x := p.NewPrivate(f.EncodeVec(diag), mineX)
 		y := p.NewPrivate(f.EncodeVec(ys), !mineX)
-		z, err := p.MulVec(x, y, tr)
+		z, err := p.MatVec(x, y, tr)
 		if err != nil {
 			return nil, err
 		}

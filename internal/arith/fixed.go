@@ -49,7 +49,7 @@ func (f Fixed) DecodeVec(us []uint64) []float64 {
 // the no-wrap assumption fails and the result is off by ~±2^(64-frac).
 // Callers must keep values well below 2^63 (fixed-point ML activations
 // are <= 2^30 or so, giving failure odds <= 2^-33 per element) and
-// must only truncate RANDOMIZED shares — outputs of MulVec/MatMul/B2A,
+// must only truncate RANDOMIZED shares — outputs of MatMul/B2A,
 // not freshly-shared NewPrivate values whose peer share is zero.
 func (p *Party) TruncVec(x Share, frac int) Share {
 	out := make(Share, len(x))

@@ -128,89 +128,6 @@ func (p *Party) crossProducts(a, b []uint64) ([]uint64, error) {
 	return out, nil
 }
 
-// Triples is a batch of Beaver triples (a, b, c = a·b element-wise),
-// consumed front to back by MulVec like a correlation pool.
-type Triples struct {
-	A, B, C Share
-	used    int
-}
-
-// Remaining reports how many unconsumed triples are left.
-func (t *Triples) Remaining() int { return len(t.A) - t.used }
-
-func (t *Triples) take(n int) (a, b, c Share, err error) {
-	if t.Remaining() < n {
-		return nil, nil, nil, fmt.Errorf("arith: need %d triples, have %d: %w", n, t.Remaining(), cot.ErrExhausted)
-	}
-	off := t.used
-	t.used += n
-	return t.A[off : off+n], t.B[off : off+n], t.C[off : off+n], nil
-}
-
-// NewTriples generates n Beaver triples from correlated OT: both
-// parties sample local random a and b shares, then one batched Gilboa
-// exchange (64 COTs per direction per triple) yields shares of the
-// cross terms a_A·b_B + a_B·b_A, completing c = a·b.
-func (p *Party) NewTriples(n int) (*Triples, error) {
-	if err := p.checkBudget(n); err != nil {
-		return nil, err
-	}
-	a := p.randomVec(n)
-	b := p.randomVec(n)
-	c := make([]uint64, n)
-	for i := range c {
-		c[i] = a[i] * b[i]
-	}
-	if n > 0 {
-		cross, err := p.crossProducts(a, b)
-		if err != nil {
-			return nil, err
-		}
-		for i := range c {
-			c[i] += cross[i]
-		}
-	}
-	p.Triples += n
-	p.mTriples.Add(uint64(n))
-	return &Triples{A: a, B: b, C: c}, nil
-}
-
-// MulVec multiplies two shared vectors element-wise, consuming len(x)
-// Beaver triples and ONE open exchange: d = x-a and e = y-b are
-// revealed together, then z = c + d·b + e·a (+ d·e at the first
-// party) is local.
-func (p *Party) MulVec(x, y Share, t *Triples) (Share, error) {
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("arith: MulVec length mismatch: %d vs %d", len(x), len(y))
-	}
-	n := len(x)
-	a, b, c, err := t.take(n)
-	if err != nil {
-		return nil, err
-	}
-	// One concatenated open: [d | e].
-	de := make([]uint64, 2*n)
-	for i := 0; i < n; i++ {
-		de[i] = x[i] - a[i]
-		de[n+i] = y[i] - b[i]
-	}
-	open, err := p.openWords(de)
-	if err != nil {
-		return nil, err
-	}
-	d, e := open[:n], open[n:]
-	z := make(Share, n)
-	for i := 0; i < n; i++ {
-		z[i] = c[i] + d[i]*b[i] + e[i]*a[i]
-		if p.first {
-			z[i] += d[i] * e[i]
-		}
-	}
-	p.Mults += n
-	p.Exchanges++
-	return z, nil
-}
-
 // MatTriple is a Beaver matrix triple: random shared A (m×k), B
 // (k×n) and shares of C = A·B, all row-major. One triple serves one
 // MatMul of the same shape; MatMul enforces the single-use contract.
@@ -291,8 +208,7 @@ func (p *Party) NewMatTriple(m, k, n int) (*MatTriple, error) {
 // with a matching Beaver matrix triple, consuming ONE open exchange
 // (D and E revealed together): Z = C + D·B + A·E (+ D·E at the first
 // party). The triple is single-use — opening a second D = X'-A under
-// the same A would reveal X-X' to the peer — so reuse is rejected,
-// matching the scalar path's Triples cursor.
+// the same A would reveal X-X' to the peer — so reuse is rejected.
 func (p *Party) MatMul(x, y Share, t *MatTriple) (Share, error) {
 	m, k, n := t.M, t.K, t.N
 	if t.used {

@@ -17,42 +17,31 @@ func TestObserveOpenAndTriples(t *testing.T) {
 	labels := obs.Labels("party", "a")
 	a.Observe(reg, tr, labels)
 
-	run2(t, func() error {
-		ta, err := a.NewTriples(4)
+	// x (4×1) times a scalar 2 that party a holds.
+	eval := func(p *Party, mine bool) error {
+		tr, err := p.NewMatTriple(4, 1, 1)
 		if err != nil {
 			return err
 		}
-		x := a.NewPrivate([]uint64{3, 5, 7, 9}, true)
-		y := a.NewPublic([]uint64{2, 2, 2, 2})
-		z, err := a.MulVec(x, y, ta)
+		x := p.NewPrivate([]uint64{3, 5, 7, 9}, mine)
+		y := p.NewPrivate([]uint64{2}, mine)
+		z, err := p.MatMul(x, y, tr)
 		if err != nil {
 			return err
 		}
-		_, err = a.Reveal(z)
+		_, err = p.Reveal(z)
 		return err
-	}, func() error {
-		tb, err := b.NewTriples(4)
-		if err != nil {
-			return err
-		}
-		x := b.NewPrivate([]uint64{0, 0, 0, 0}, false)
-		y := b.NewPublic([]uint64{2, 2, 2, 2})
-		z, err := b.MulVec(x, y, tb)
-		if err != nil {
-			return err
-		}
-		_, err = b.Reveal(z)
-		return err
-	})
+	}
+	run2(t, func() error { return eval(a, true) }, func() error { return eval(b, false) })
 
 	if got := reg.Counter(obs.Name("ironman_arith_triples_total", labels)).Value(); got != uint64(a.Triples) {
 		t.Fatalf("triples counter %d != party total %d", got, a.Triples)
 	}
 	opens := reg.Counter(obs.Name("ironman_arith_opens_total", labels)).Value()
 	words := reg.Counter(obs.Name("ironman_arith_open_words_total", labels)).Value()
-	// MulVec opens [d|e] (8 words), Reveal opens z (4 words).
-	if opens != 2 || words != 12 {
-		t.Fatalf("open accounting: %d opens / %d words, want 2 / 12", opens, words)
+	// MatMul opens [D|E] (4+1 words), Reveal opens z (4 words).
+	if opens != 2 || words != 9 {
+		t.Fatalf("open accounting: %d opens / %d words, want 2 / 9", opens, words)
 	}
 	spans := 0
 	for _, e := range tr.Events() {

@@ -9,7 +9,6 @@ package block
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 )
 
 // Size is the byte length of a Block.
@@ -19,9 +18,6 @@ const Size = 16
 type Block struct {
 	Lo, Hi uint64
 }
-
-// Zero is the all-zero block.
-var Zero Block
 
 // New builds a block from its two limbs.
 func New(lo, hi uint64) Block { return Block{Lo: lo, Hi: hi} }
@@ -50,29 +46,12 @@ func (b Block) Put(dst []byte) {
 // Xor returns b ^ o.
 func (b Block) Xor(o Block) Block { return Block{Lo: b.Lo ^ o.Lo, Hi: b.Hi ^ o.Hi} }
 
-// And returns b & o.
-func (b Block) And(o Block) Block { return Block{Lo: b.Lo & o.Lo, Hi: b.Hi & o.Hi} }
-
-// IsZero reports whether b is all zero.
-func (b Block) IsZero() bool { return b.Lo == 0 && b.Hi == 0 }
-
 // Bit returns bit i (0 = least significant bit of Lo).
 func (b Block) Bit(i int) int {
 	if i < 64 {
 		return int(b.Lo >> uint(i) & 1)
 	}
 	return int(b.Hi >> uint(i-64) & 1)
-}
-
-// OnesCount returns the Hamming weight of b.
-func (b Block) OnesCount() int {
-	return bits.OnesCount64(b.Lo) + bits.OnesCount64(b.Hi)
-}
-
-// MulBit returns b if bit==1 and the zero block otherwise, branch-free.
-func (b Block) MulBit(bit uint64) Block {
-	m := -(bit & 1) // all ones or all zeros
-	return Block{Lo: b.Lo & m, Hi: b.Hi & m}
 }
 
 // Sigma applies the linear orthomorphism σ(a||b) = (a⊕b)||a used by the
@@ -87,29 +66,7 @@ func (b Block) Sigma() Block {
 //ironman:allow(secretleak) String is the one sanctioned hex renderer; leaks are caught where blocks meet fmt/log/obs call sites, which covers implicit String uses
 func (b Block) String() string { return fmt.Sprintf("%016x%016x", b.Hi, b.Lo) }
 
-// XorSlices sets dst[i] = a[i] ^ b[i] for every i. The three slices must
-// have equal length; dst may alias a or b.
-func XorSlices(dst, a, b []Block) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		panic("block: XorSlices length mismatch")
-	}
-	for i := range dst {
-		dst[i] = Block{Lo: a[i].Lo ^ b[i].Lo, Hi: a[i].Hi ^ b[i].Hi}
-	}
-}
-
-// XorInto sets dst[i] ^= src[i].
-func XorInto(dst, src []Block) {
-	if len(dst) != len(src) {
-		panic("block: XorInto length mismatch")
-	}
-	for i := range dst {
-		dst[i].Lo ^= src[i].Lo
-		dst[i].Hi ^= src[i].Hi
-	}
-}
-
-// XorAll returns the XOR of every block in s (Zero for an empty slice).
+// XorAll returns the XOR of every block in s (zero for an empty slice).
 func XorAll(s []Block) Block {
 	var acc Block
 	for _, b := range s {
@@ -138,17 +95,4 @@ func SliceFromBytes(b []byte) []Block {
 		out[i] = FromBytes(b[i*Size:])
 	}
 	return out
-}
-
-// Equal reports whether two block slices are identical.
-func Equal(a, b []Block) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

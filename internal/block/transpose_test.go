@@ -3,6 +3,7 @@ package block
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -40,7 +41,7 @@ func TestTransposeBitsMatchesNaive(t *testing.T) {
 		want := transposeNaive(cols, m)
 		got := make([]Block, m)
 		TransposeBits(got, cols, 0, m)
-		if !Equal(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("m=%d: blocked transpose differs from the naive reference", m)
 		}
 	}
@@ -58,7 +59,7 @@ func TestTransposeBitsUnalignedShards(t *testing.T) {
 		for i := 0; i+1 < len(cuts); i++ {
 			TransposeBits(got, cols, cuts[i], cuts[i+1])
 		}
-		if !Equal(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("shard cuts %v: result differs from the naive reference", cuts)
 		}
 	}

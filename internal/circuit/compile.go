@@ -54,19 +54,6 @@ type Program struct {
 	OutputSlots []int32
 }
 
-// LevelANDs returns the AND gate count of each exchange level — the
-// per-level batch widths (one instance; multiply by K for the packed
-// exchange size).
-func (p *Program) LevelANDs() []int {
-	w := make([]int, 0, p.ANDLevels)
-	for i := range p.Levels {
-		if n := len(p.Levels[i].AndA); n > 0 {
-			w = append(w, n)
-		}
-	}
-	return w
-}
-
 // Budget returns the gmw pool budget one evaluation of instances
 // packed instances consumes — the preflight handed to
 // gmw.Party.Preflight before the first flight.

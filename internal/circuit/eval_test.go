@@ -13,7 +13,6 @@ import (
 	"ironman/internal/circuit"
 	"ironman/internal/cot"
 	"ironman/internal/gmw"
-	"ironman/internal/ppml"
 	"ironman/internal/transport"
 )
 
@@ -448,19 +447,20 @@ func TestPreflightBudget(t *testing.T) {
 	}
 }
 
-// TestCircuitCostExact cross-checks ppml.CircuitCost against the
-// measured gmw.Party counters and the transport byte delta: the model
-// must match to the byte. K=5 leaves most level batches at a non-
-// multiple of 8 bits, exercising the per-level ceiling.
+// TestCircuitCostExact cross-checks the circuit wire model against the
+// measured gmw.Party counters and the transport byte delta: one
+// exchange per AND level, each one n-instance 1-bit chosen-OT exchange
+// per OT direction at cot.ChosenBytes(n, 1) bytes, must match to the
+// byte. K=5 leaves most level batches at a non-multiple of 8 bits,
+// exercising the per-level ceiling.
 func TestCircuitCostExact(t *testing.T) {
 	c, prog := buildAdder32(t)
 	const k = 5
-	cost := ppml.CircuitCost(prog, k)
-	if cost.Exchanges != prog.ANDLevels {
-		t.Fatalf("model exchanges %d, want AND depth %d", cost.Exchanges, prog.ANDLevels)
-	}
-	if cost.ANDGates != int64(prog.ANDs)*k {
-		t.Fatalf("model ANDs %d, want %d", cost.ANDGates, prog.ANDs*k)
+	var wantWire int64
+	for _, lv := range prog.Levels {
+		if n := len(lv.AndA); n > 0 {
+			wantWire += 2 * int64(cot.ChosenBytes(n*k, 1))
+		}
 	}
 
 	rng := rand.New(rand.NewSource(0xc057))
@@ -476,13 +476,13 @@ func TestCircuitCostExact(t *testing.T) {
 	preANDs := a.ANDGates
 	_, ex, wire := secureEval(t, prog, a, b, connA,
 		splitPlanes(t, c, insts, true), splitPlanes(t, c, insts, false))
-	if ex != cost.Exchanges {
-		t.Fatalf("measured %d exchanges, model says %d", ex, cost.Exchanges)
+	if ex != prog.ANDLevels {
+		t.Fatalf("measured %d exchanges, want AND depth %d", ex, prog.ANDLevels)
 	}
-	if wire != cost.WireBytes {
-		t.Fatalf("measured %d wire bytes, model says %d", wire, cost.WireBytes)
+	if wire != wantWire {
+		t.Fatalf("measured %d wire bytes, model says %d", wire, wantWire)
 	}
-	if got := int64(a.ANDGates - preANDs); got != cost.ANDGates {
-		t.Fatalf("party counted %d AND gates, model says %d", got, cost.ANDGates)
+	if got := a.ANDGates - preANDs; got != prog.ANDs*k {
+		t.Fatalf("party counted %d AND gates, want %d", got, prog.ANDs*k)
 	}
 }

@@ -10,9 +10,9 @@
 //     (SendChosen, SendChosenBits, SendChosenWords and their receive
 //     twins): one exchange, the classic Beaver derandomization plus a
 //     correlation-robust hash, at every message width;
-//   - (m-1)-out-of-m OT (SendAllButOne/ReceiveAllButOne), realized with
-//     an m-leaf GGM tree at a cost of only log2(m) COTs (§4.2), which is
-//     what makes m-ary SPCOT correlation-neutral.
+//   - (m-1)-out-of-m OT (SendAllButOneSeeded/ReceiveAllButOne), realized
+//     with an m-leaf GGM tree at a cost of only log2(m) COTs (§4.2),
+//     which is what makes m-ary SPCOT correlation-neutral.
 package cot
 
 import (
@@ -428,24 +428,13 @@ func ReceiveChosenWords(conn transport.Conn, pool *ReceiverPool, h *aesprg.Hash,
 // of tree PRG (it is a different, tiny tree).
 func abOnePRG() prg.PRG { return prg.New(prg.AES, 2) }
 
-// SendAllButOne transfers len(msgs) messages such that the receiver
-// learns every message except the one at its secret index. len(msgs)
-// must be a power of two >= 2. Consumes log2(len(msgs)) COTs.
-func SendAllButOne(conn transport.Conn, pool *SenderPool, h *aesprg.Hash, msgs []block.Block) error {
-	var seedBytes [block.Size]byte
-	//ironman:allow(randsrc) the gadget tree root must be fresh system entropy per transfer; the deterministic variant is SendAllButOneSeeded
-	if _, err := rand.Read(seedBytes[:]); err != nil {
-		return err
-	}
-	return SendAllButOneSeeded(conn, pool, h, msgs, block.FromBytes(seedBytes[:]))
-}
-
-// SendAllButOneSeeded is SendAllButOne with a caller-provided gadget
-// tree seed. The seed must be secret and fresh per call (SendAllButOne
-// draws it from crypto/rand; spcot derives it from each execution's
-// secret GGM root so a whole sender flight is a deterministic function
-// of that root — what the parallel-vs-sequential transcript
-// cross-checks rely on).
+// SendAllButOneSeeded transfers len(msgs) messages such that the
+// receiver learns every message except the one at its secret index.
+// len(msgs) must be a power of two >= 2. Consumes log2(len(msgs)) COTs.
+// The gadget tree seed must be secret and fresh per call: spcot derives
+// it from each execution's secret GGM root, so a whole sender flight is
+// a deterministic function of that root — what the
+// parallel-vs-sequential transcript cross-checks rely on.
 func SendAllButOneSeeded(conn transport.Conn, pool *SenderPool, h *aesprg.Hash, msgs []block.Block, seed block.Block) error {
 	m := len(msgs)
 	if m < 2 || bits.OnesCount(uint(m)) != 1 {

@@ -313,7 +313,7 @@ func TestAllButOne(t *testing.T) {
 			}
 			a, b := transport.Pipe()
 			errCh := make(chan error, 1)
-			go func() { errCh <- SendAllButOne(a, sp, h, msgs) }()
+			go func() { errCh <- SendAllButOneSeeded(a, sp, h, msgs, block.New(uint64(alpha), 7)) }()
 			got, err := ReceiveAllButOne(b, rp, h, m, alpha)
 			if err != nil {
 				t.Fatal(err)
@@ -323,7 +323,7 @@ func TestAllButOne(t *testing.T) {
 			}
 			for j := 0; j < m; j++ {
 				if j == alpha {
-					if !got[j].IsZero() {
+					if got[j] != (block.Block{}) {
 						t.Fatalf("m=%d alpha=%d: punctured slot not zero", m, alpha)
 					}
 					continue
@@ -348,7 +348,7 @@ func TestAllButOneRejectsBadArgs(t *testing.T) {
 	sp, rp := pools(t, 8)
 	h := aesprg.NewHash()
 	a, _ := transport.Pipe()
-	if err := SendAllButOne(a, sp, h, make([]block.Block, 3)); err == nil {
+	if err := SendAllButOneSeeded(a, sp, h, make([]block.Block, 3), block.New(1, 2)); err == nil {
 		t.Fatal("expected error for non-power-of-two count")
 	}
 	if _, err := ReceiveAllButOne(a, rp, h, 4, 4); err == nil {

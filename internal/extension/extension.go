@@ -8,7 +8,7 @@
 // message flight per batch, no LPN compute). DESIGN.md's "Extension
 // backends" section has the selection guidance.
 //
-// A Backend is stateless and registered by name; endpoints produced by
+// A Backend is stateless and looked up by name; endpoints produced by
 // it carry all per-instance state. Every backend must uphold the two
 // repo-wide guarantees its consumers rely on: a byte-identical wire
 // transcript at any Options.Workers count, and an exact Cost model —
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"ironman/internal/block"
 	"ironman/internal/ferret"
@@ -88,7 +87,7 @@ type Receiver interface {
 // stateless values safe for concurrent use; all per-instance state
 // lives in the endpoints they construct.
 type Backend interface {
-	// Name is the registry key ("ferret", "softspoken").
+	// Name is the key ByName resolves ("ferret", "softspoken").
 	Name() string
 	// Batch is the usable correlations one Extend yields under p.
 	Batch(p Params) int
@@ -110,25 +109,14 @@ type Backend interface {
 // paper's design point.
 const Default = "ferret"
 
-// ErrUnknown is the sentinel wrapped by ByName for unregistered
+// ErrUnknown is the sentinel wrapped by ByName for unknown
 // backend names; match with errors.Is.
 var ErrUnknown = errors.New("extension: unknown backend")
 
-var (
-	mu       sync.RWMutex
-	registry = map[string]Backend{}
-)
-
-// Register adds a backend under its Name; registering a duplicate
-// name panics (two protocol families must not alias).
-func Register(b Backend) {
-	mu.Lock()
-	defer mu.Unlock()
-	name := b.Name()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("extension: backend %q registered twice", name))
-	}
-	registry[name] = b
+// backends is every backend, keyed by its Name.
+var backends = map[string]Backend{
+	"ferret":     ferretBackend{},
+	"softspoken": softSpokenBackend{},
 }
 
 // ByName resolves a backend; "" selects Default. Unknown names fail
@@ -137,33 +125,20 @@ func ByName(name string) (Backend, error) {
 	if name == "" {
 		name = Default
 	}
-	mu.RLock()
-	defer mu.RUnlock()
-	if b, ok := registry[name]; ok {
+	if b, ok := backends[name]; ok {
 		return b, nil
 	}
-	return nil, fmt.Errorf("%w %q (valid: %s)", ErrUnknown, name, namesLocked())
+	return nil, fmt.Errorf("%w %q (valid: %s)", ErrUnknown, name, strings.Join(Names(), " "))
 }
 
-// Names lists the registered backends, sorted.
+// Names lists the backends, sorted.
 func Names() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
+	names := make([]string, 0, len(backends))
+	for name := range backends {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
-}
-
-func namesLocked() string {
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return strings.Join(names, " ")
 }
 
 // ExtendLockstep runs one iteration of both endpoints of an

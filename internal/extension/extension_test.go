@@ -23,6 +23,11 @@ func TestRegistry(t *testing.T) {
 	if len(names) != 2 || names[0] != "ferret" || names[1] != "softspoken" {
 		t.Fatalf("Names() = %v, want [ferret softspoken]", names)
 	}
+	for _, name := range names {
+		if b, err := ByName(name); err != nil || b.Name() != name {
+			t.Fatalf("ByName(%q) = %v, %v; want the backend of that Name", name, b, err)
+		}
+	}
 	b, err := ByName("")
 	if err != nil || b.Name() != Default {
 		t.Fatalf("ByName(\"\") = %v, %v; want the %q backend", b, err, Default)

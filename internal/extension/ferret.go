@@ -11,8 +11,6 @@ import (
 	"ironman/internal/transport"
 )
 
-func init() { Register(ferretBackend{}) }
-
 // ferretBackend adapts internal/ferret (PCG-style LPN extension, the
 // paper's design point) to the Backend contract.
 type ferretBackend struct{}

@@ -6,8 +6,6 @@ import (
 	"ironman/internal/transport"
 )
 
-func init() { Register(softSpokenBackend{}) }
-
 // softSpokenBackend adapts internal/softspoken (small-field
 // subfield-VOLE, eprint 2022/192) to the Backend contract. The
 // softspoken endpoints satisfy the Sender/Receiver interfaces

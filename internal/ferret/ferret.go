@@ -373,7 +373,7 @@ func (r *Receiver) Extend() (*ReceiverOutput, error) {
 	}
 	// Noise positions in [N, t·ℓ) sit in the truncated tail of the
 	// output range: their tree output was discarded by MPCOT, so they
-	// carry no noise and are dropped here ON PURPOSE — EncodeBits
+	// carry no noise and are dropped here ON PURPOSE — EncodeBitsSpans
 	// itself rejects out-of-range points as caller bugs.
 	points := make([]int, 0, len(alphas))
 	for _, a := range alphas {
@@ -439,33 +439,6 @@ func DealPools(connS, connR transport.Conn, delta block.Block, params Params, op
 	}
 	return s, r, nil
 }
-
-// ExtendLockstep runs one iteration of both endpoints of an
-// in-process pair concurrently and joins the results. Serving layers
-// (pool.Dealt sources) use it to keep a dealt pair's iteration counts
-// aligned under a single driver.
-func ExtendLockstep(s *Sender, r *Receiver) ([]block.Block, *ReceiverOutput, error) {
-	var z []block.Block
-	var serr error
-	done := make(chan struct{})
-	go func() {
-		z, serr = s.Extend()
-		close(done)
-	}()
-	out, rerr := r.Extend()
-	<-done
-	if serr != nil {
-		return nil, nil, serr
-	}
-	if rerr != nil {
-		return nil, nil, rerr
-	}
-	return z, out, nil
-}
-
-// Params returns the active parameter set.
-func (s *Sender) Params() Params   { return s.params }
-func (r *Receiver) Params() Params { return r.params }
 
 // Check verifies a batch of correlations against Δ: z[i] must equal
 // y[i] ⊕ x[i]·Δ. Only tests and the examples use it (a real receiver

@@ -15,6 +15,25 @@ import (
 // 32 leaves (256 noise support), k=128 input COTs.
 func smallParams() Params { return TestParams(600, 32, 128, 8) }
 
+// extendLockstep runs one iteration of both endpoints of an in-process
+// pair concurrently (extension.ExtendLockstep, which this package cannot
+// import).
+func extendLockstep(s *Sender, r *Receiver) ([]block.Block, *ReceiverOutput, error) {
+	var z []block.Block
+	var serr error
+	done := make(chan struct{})
+	go func() {
+		z, serr = s.Extend()
+		close(done)
+	}()
+	out, rerr := r.Extend()
+	<-done
+	if serr != nil {
+		return nil, nil, serr
+	}
+	return z, out, rerr
+}
+
 func runIterations(t *testing.T, params Params, opts Options, iters int) {
 	t.Helper()
 	a, b := transport.Pipe()
@@ -96,7 +115,7 @@ func TestExtendGolden(t *testing.T) {
 		}
 		h := sha256.New()
 		for it := 0; it < 2; it++ {
-			z, out, err := ExtendLockstep(s, r)
+			z, out, err := extendLockstep(s, r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,10 +133,10 @@ func TestExtendGolden(t *testing.T) {
 			}
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != g.hash {
-			t.Errorf("%s: sha256(z‖y‖x) = %s, want %s", g.prg.Name(), got, g.hash)
+			t.Errorf("%v: sha256(z‖y‖x) = %s, want %s", g.prg, got, g.hash)
 		}
 		if got := connS.Stats().TotalBytes(); got != g.bytes {
-			t.Errorf("%s: sender conn carried %d bytes, want %d", g.prg.Name(), got, g.bytes)
+			t.Errorf("%v: sender conn carried %d bytes, want %d", g.prg, got, g.bytes)
 		}
 		connS.Close()
 		connR.Close()
@@ -193,8 +212,8 @@ func TestTable4Parameters(t *testing.T) {
 			t.Errorf("%s: bit security %f below target", p.Name, p.BitSec)
 		}
 		// SPCOT support covers all but a small tail of the code length.
-		if float64(p.SPCOTOutputs()) < 0.94*float64(p.N) {
-			t.Errorf("%s: SPCOT covers only %d of %d", p.Name, p.SPCOTOutputs(), p.N)
+		if float64(p.T*p.L) < 0.94*float64(p.N) {
+			t.Errorf("%s: SPCOT covers only %d of %d", p.Name, p.T*p.L, p.N)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ironman/internal/block"
@@ -57,7 +58,7 @@ func runExtends(t *testing.T, params Params, workers, iters int) extendRun {
 	}
 	var run extendRun
 	for i := 0; i < iters; i++ {
-		z, out, err := ExtendLockstep(s, r)
+		z, out, err := extendLockstep(s, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,10 +85,10 @@ func compareRuns(t *testing.T, want, got extendRun, workers int) {
 			workers, len(got.wireR), len(want.wireR))
 	}
 	for it := range want.z {
-		if !block.Equal(want.z[it], got.z[it]) {
+		if !slices.Equal(want.z[it], got.z[it]) {
 			t.Fatalf("workers=%d iteration %d: sender output differs", workers, it)
 		}
-		if !block.Equal(want.blocks[it], got.blocks[it]) {
+		if !slices.Equal(want.blocks[it], got.blocks[it]) {
 			t.Fatalf("workers=%d iteration %d: receiver blocks differ", workers, it)
 		}
 		for i := range want.bits[it] {

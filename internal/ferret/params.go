@@ -51,9 +51,6 @@ func (p Params) Reserve() int { return p.K + p.T*spcot.COTBudget(p.L) }
 // headline `ironman-bench` prints is that ratio.
 func (p Params) Usable() int { return p.N - p.Reserve() }
 
-// SPCOTOutputs is the total GGM leaf count of one execution, t·ℓ.
-func (p Params) SPCOTOutputs() int { return p.T * p.L }
-
 // Validate performs structural sanity checks, so a bad set fails at
 // construction rather than panicking in an Extend worker goroutine.
 func (p Params) Validate() error {

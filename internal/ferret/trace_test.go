@@ -27,7 +27,7 @@ func runExtendsTraced(t *testing.T, params Params, workers, iters int, tr *obs.T
 	}
 	var run extendRun
 	for i := 0; i < iters; i++ {
-		z, out, err := ExtendLockstep(s, r)
+		z, out, err := extendLockstep(s, r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -104,9 +104,6 @@ func (t *Tree) Depth() int { return len(t.arities) }
 // the tree; callers must not modify it.
 func (t *Tree) Leaves() []block.Block { return t.levels[len(t.levels)-1] }
 
-// Level returns the nodes at depth i (0 = root).
-func (t *Tree) Level(i int) []block.Block { return t.levels[i] }
-
 // LevelSums computes the position-wise XOR sums of level i (1-based:
 // the children produced by expansion level i-1). sums[c] is the XOR of
 // every node at depth i whose child-position within its parent is c.

@@ -2,6 +2,7 @@ package ggm
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -80,11 +81,11 @@ func TestExpandShapeAndDeterminism(t *testing.T) {
 	if len(tr.Leaves()) != 32 {
 		t.Fatalf("leaves = %d, want 32", len(tr.Leaves()))
 	}
-	if len(tr.Level(0)) != 1 || len(tr.Level(1)) != 4 || len(tr.Level(2)) != 16 {
+	if len(tr.levels[0]) != 1 || len(tr.levels[1]) != 4 || len(tr.levels[2]) != 16 {
 		t.Fatal("level widths wrong")
 	}
 	tr2 := Expand(p, seed, arities)
-	if !block.Equal(tr.Leaves(), tr2.Leaves()) {
+	if !slices.Equal(tr.Leaves(), tr2.Leaves()) {
 		t.Fatal("expansion not deterministic")
 	}
 }
@@ -94,7 +95,7 @@ func TestLevelSumsDefinition(t *testing.T) {
 	tr := Expand(p, block.New(3, 4), []int{2, 2, 2})
 	for level := 1; level <= 3; level++ {
 		sums := tr.LevelSums(level)
-		nodes := tr.Level(level)
+		nodes := tr.levels[level]
 		var even, odd block.Block
 		for j, n := range nodes {
 			if j%2 == 0 {
@@ -133,17 +134,17 @@ func TestReconstructAllAlphas(t *testing.T) {
 		for alpha := 0; alpha < leaves; alpha++ {
 			rec := Reconstruct(cfg.p, cfg.arities, alpha, sums)
 			if rec.Alpha != alpha {
-				t.Fatalf("%s %v: Alpha = %d, want %d", cfg.p.Name(), cfg.arities, rec.Alpha, alpha)
+				t.Fatalf("%v %v: Alpha = %d, want %d", cfg.p, cfg.arities, rec.Alpha, alpha)
 			}
 			for i := range rec.Leaves {
 				if i == alpha {
-					if !rec.Leaves[i].IsZero() {
+					if rec.Leaves[i] != (block.Block{}) {
 						t.Fatalf("punctured slot %d not zero", i)
 					}
 					continue
 				}
 				if rec.Leaves[i] != tr.Leaves()[i] {
-					t.Fatalf("%s %v alpha=%d: leaf %d mismatch", cfg.p.Name(), cfg.arities, alpha, i)
+					t.Fatalf("%v %v alpha=%d: leaf %d mismatch", cfg.p, cfg.arities, alpha, i)
 				}
 			}
 		}
@@ -203,7 +204,7 @@ func TestOpsMatchesFigure6(t *testing.T) {
 	}
 	for _, c := range cases {
 		if got := OpsForTree(c.p, c.leaves); got != c.want {
-			t.Errorf("%s: OpsForTree(%d) = %d, want %d", c.p.Name(), c.leaves, got, c.want)
+			t.Errorf("%v: OpsForTree(%d) = %d, want %d", c.p, c.leaves, got, c.want)
 		}
 	}
 }
@@ -258,7 +259,7 @@ func TestRandomizedLargeTree(t *testing.T) {
 	for trial := 0; trial < 16; trial++ {
 		alpha := rng.Intn(4096)
 		rec := Reconstruct(p, arities, alpha, sums)
-		if rec.Leaves[alpha] != block.Zero {
+		if rec.Leaves[alpha] != (block.Block{}) {
 			t.Fatal("hole not zero")
 		}
 		// Spot-check a few positions plus the full XOR.
@@ -294,9 +295,12 @@ func equalInts(a, b []int) bool {
 }
 
 func BenchmarkExpand4096(b *testing.B) {
-	for _, p := range []prg.PRG{prg.New(prg.AES, 2), prg.New(prg.ChaCha8, 4)} {
-		p := p
-		b.Run(p.Name(), func(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		p    prg.PRG
+	}{{"AESx2", prg.New(prg.AES, 2)}, {"ChaCha8x4", prg.New(prg.ChaCha8, 4)}} {
+		p := c.p
+		b.Run(c.name, func(b *testing.B) {
 			arities := LevelArities(4096, p.Arity())
 			b.SetBytes(4096 * 16)
 			for i := 0; i < b.N; i++ {

@@ -185,15 +185,6 @@ func (p *Party) NewPrivatePacked(bits []bool, mine bool) PackedShare {
 	return NewPacked(len(bits))
 }
 
-// NewPublicVec shares a public vector of width-bit values as
-// bit-planes (see PackVec).
-func (p *Party) NewPublicVec(vals []uint64, width int) []PackedShare {
-	if p.first {
-		return PackVec(vals, width)
-	}
-	return zeroPlanes(len(vals), width)
-}
-
 // NewPrivateVec shares this party's private value vector as bit-planes.
 func (p *Party) NewPrivateVec(vals []uint64, width int, mine bool) []PackedShare {
 	if mine {

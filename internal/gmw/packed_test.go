@@ -228,8 +228,8 @@ func TestMuxVecAndReLUVec(t *testing.T) {
 	var muxed, relued []uint64
 	run2(t, func() error {
 		c := a.NewPrivatePacked(cv, true)
-		x := a.NewPublicVec(av, w)
-		y := a.NewPublicVec(bv, w)
+		x := a.NewPrivateVec(av, w, true)
+		y := a.NewPrivateVec(bv, w, true)
 		m, err := a.MuxVec(c, x, y)
 		if err != nil {
 			return err
@@ -248,8 +248,8 @@ func TestMuxVecAndReLUVec(t *testing.T) {
 		return err
 	}, func() error {
 		c := b.NewPrivatePacked(make([]bool, n), false)
-		x := b.NewPublicVec(av, w)
-		y := b.NewPublicVec(bv, w)
+		x := b.NewPrivateVec(av, w, false)
+		y := b.NewPrivateVec(bv, w, false)
 		m, err := b.MuxVec(c, x, y)
 		if err != nil {
 			return err

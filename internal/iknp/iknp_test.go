@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ironman/internal/aesprg"
@@ -93,7 +94,7 @@ func TestExtendTwiceIndependent(t *testing.T) {
 		r0, _ := extendBoth(t, delta, s, r, choices)
 		if round == 0 {
 			first = r0
-		} else if block.Equal(first, r0) {
+		} else if slices.Equal(first, r0) {
 			t.Fatal("two Extend calls produced identical correlations")
 		}
 	}

@@ -63,23 +63,14 @@ func New(seed block.Block, n, k, d int) *Code {
 	return c
 }
 
-// Row returns the column indices of row i (shared storage, do not
-// modify).
-func (c *Code) Row(i int) []uint32 { return c.idx[i*c.D : (i+1)*c.D] }
-
-// EncodeBlocks computes out[i] = w[i] ⊕ XOR_j r[A_i,j] for every row.
-// w may be nil, in which case the pure syndrome r·A is produced.
-// out must have length N and r length K.
-func (c *Code) EncodeBlocks(out, r, w []block.Block) {
-	c.EncodeBlocksParallel(out, r, w, 1)
-}
-
-// EncodeBlocksParallel is EncodeBlocks sharded across up to `workers`
-// goroutines by contiguous row ranges — the software analog of the
-// paper's rank-parallel encode. Rows are independent (each writes only
-// out[i] and reads the shared r/w), so the output is identical to the
-// sequential encode for any worker count; workers <= 0 selects
-// runtime.GOMAXPROCS, 1 is the sequential path.
+// EncodeBlocksParallel computes out[i] = w[i] ⊕ XOR_j r[A_i,j] for
+// every row, sharded across up to `workers` goroutines by contiguous row
+// ranges — the software analog of the paper's rank-parallel encode. w
+// may be nil, in which case the pure syndrome r·A is produced; out must
+// have length N and r length K. Rows are independent (each writes only
+// out[i] and reads the shared r/w), so the output is identical for any
+// worker count; workers <= 0 selects runtime.GOMAXPROCS, 1 is the
+// sequential path.
 func (c *Code) EncodeBlocksParallel(out, r, w []block.Block, workers int) {
 	c.EncodeBlocksSpans(out, r, w, workers, nil, 0)
 }
@@ -92,10 +83,10 @@ func (c *Code) EncodeBlocksParallel(out, r, w []block.Block, workers int) {
 // EncodeBlocksParallel.
 func (c *Code) EncodeBlocksSpans(out, r, w []block.Block, workers int, tr *obs.Tracer, tidBase int) {
 	if len(out) != c.N || len(r) != c.K {
-		panic("lpn: EncodeBlocks dimension mismatch")
+		panic("lpn: EncodeBlocksSpans dimension mismatch")
 	}
 	if w != nil && len(w) != c.N {
-		panic("lpn: EncodeBlocks w dimension mismatch")
+		panic("lpn: EncodeBlocksSpans w dimension mismatch")
 	}
 	parallel.ShardIndexed(workers, c.N, func(shard, lo, hi int) {
 		sp := tr.Span("lpn.encode", "extend.worker", tidBase+1+shard)
@@ -116,19 +107,15 @@ func (c *Code) EncodeBlocksSpans(out, r, w []block.Block, workers int, tr *obs.T
 	})
 }
 
-// EncodeBits computes out[i] = u[i] ⊕ XOR_j e[A_i,j] over GF(2).
-// u is given as a sparse set of positions (the MPCOT noise positions);
-// every position must lie in [0, N) — an out-of-range point means the
-// caller's noise vector does not match this code, which would silently
-// break the output correlation, so it is reported as an error instead.
-func (c *Code) EncodeBits(out, e []bool, points []int) error {
-	return c.EncodeBitsParallel(out, e, points, 1)
-}
-
-// EncodeBitsParallel is EncodeBits sharded across up to `workers`
-// goroutines by contiguous row ranges. The sparse noise points are
-// validated up front and applied after the dense phase completes, so
-// the result is identical for any worker count.
+// EncodeBitsParallel computes out[i] = u[i] ⊕ XOR_j e[A_i,j] over
+// GF(2), sharded across up to `workers` goroutines by contiguous row
+// ranges. u is given as a sparse set of positions (the MPCOT noise
+// positions); every position must lie in [0, N) — an out-of-range point
+// means the caller's noise vector does not match this code, which would
+// silently break the output correlation, so it is reported as an error
+// instead. The points are validated up front and applied after the
+// dense phase completes, so the result is identical for any worker
+// count.
 func (c *Code) EncodeBitsParallel(out, e []bool, points []int, workers int) error {
 	return c.EncodeBitsSpans(out, e, points, workers, nil, 0)
 }
@@ -137,7 +124,7 @@ func (c *Code) EncodeBitsParallel(out, e []bool, points []int, workers int) erro
 // spans on threads tidBase+1+shard (see EncodeBlocksSpans).
 func (c *Code) EncodeBitsSpans(out, e []bool, points []int, workers int, tr *obs.Tracer, tidBase int) error {
 	if len(out) != c.N || len(e) != c.K {
-		panic("lpn: EncodeBits dimension mismatch")
+		panic("lpn: EncodeBitsSpans dimension mismatch")
 	}
 	for _, p := range points {
 		if p < 0 || p >= c.N {
@@ -161,20 +148,4 @@ func (c *Code) EncodeBitsSpans(out, e []bool, points []int, workers int, tr *obs
 		out[p] = !out[p]
 	}
 	return nil
-}
-
-// AccessTrace invokes f for every input-vector access the encoder makes
-// in natural row order. Used by the cache and DRAM simulators; the
-// element addresses are indices into the length-K input vector.
-func (c *Code) AccessTrace(f func(col uint32)) {
-	for _, j := range c.idx {
-		f(j)
-	}
-}
-
-// FootprintBytes returns the resident size of the input vector plus the
-// index matrix, the quantity §3.2 compares against CPU caches (>900 MB
-// at 2^24 outputs).
-func (c *Code) FootprintBytes() int64 {
-	return int64(c.K)*block.Size + int64(len(c.idx))*4
 }

@@ -16,7 +16,7 @@ func TestNewCodeRegular(t *testing.T) {
 		t.Fatal("index storage wrong size")
 	}
 	for i := 0; i < c.N; i++ {
-		row := c.Row(i)
+		row := c.idx[i*c.D : (i+1)*c.D]
 		seen := make(map[uint32]bool, len(row))
 		for _, j := range row {
 			if j >= uint32(c.K) {
@@ -67,15 +67,19 @@ func TestEncodeLinearity(t *testing.T) {
 	w1, w2 := randBlocks(64), randBlocks(64)
 	out1 := make([]block.Block, 64)
 	out2 := make([]block.Block, 64)
-	c.EncodeBlocks(out1, r1, w1)
-	c.EncodeBlocks(out2, r2, w2)
+	c.EncodeBlocksParallel(out1, r1, w1, 1)
+	c.EncodeBlocksParallel(out2, r2, w2, 1)
 
 	r12 := make([]block.Block, 32)
 	w12 := make([]block.Block, 64)
-	block.XorSlices(r12, r1, r2)
-	block.XorSlices(w12, w1, w2)
+	for i := range r12 {
+		r12[i] = r1[i].Xor(r2[i])
+	}
+	for i := range w12 {
+		w12[i] = w1[i].Xor(w2[i])
+	}
 	out12 := make([]block.Block, 64)
-	c.EncodeBlocks(out12, r12, w12)
+	c.EncodeBlocksParallel(out12, r12, w12, 1)
 	for i := range out12 {
 		if out12[i] != out1[i].Xor(out2[i]) {
 			t.Fatalf("linearity broken at %d", i)
@@ -121,9 +125,9 @@ func TestCOTPreservation(t *testing.T) {
 	z := make([]block.Block, n)
 	y := make([]block.Block, n)
 	x := make([]bool, n)
-	c.EncodeBlocks(z, r, w)
-	c.EncodeBlocks(y, s, v)
-	if err := c.EncodeBits(x, e, points); err != nil {
+	c.EncodeBlocksParallel(z, r, w, 1)
+	c.EncodeBlocksParallel(y, s, v, 1)
+	if err := c.EncodeBitsParallel(x, e, points, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
@@ -141,7 +145,7 @@ func TestEncodeBitsSparsePoints(t *testing.T) {
 	c := testCode(32, 16)
 	e := make([]bool, 16) // all zero
 	out := make([]bool, 32)
-	if err := c.EncodeBits(out, e, []int{5, 31}); err != nil {
+	if err := c.EncodeBitsParallel(out, e, []int{5, 31}, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range out {
@@ -160,12 +164,12 @@ func TestEncodeBitsRejectsBadPoints(t *testing.T) {
 	e := make([]bool, 16)
 	out := make([]bool, 32)
 	for _, points := range [][]int{{40}, {32}, {-1}, {5, 31, 32}} {
-		if err := c.EncodeBits(out, e, points); err == nil {
+		if err := c.EncodeBitsParallel(out, e, points, 1); err == nil {
 			t.Fatalf("points %v: expected error", points)
 		}
 	}
 	// A failed call must not have flipped any valid point it validated.
-	if err := c.EncodeBits(out, e, nil); err != nil {
+	if err := c.EncodeBitsParallel(out, e, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i, b := range out {
@@ -176,7 +180,7 @@ func TestEncodeBitsRejectsBadPoints(t *testing.T) {
 }
 
 // TestEncodeParallelDeterminism: sharded encodes must be bit-identical
-// to the sequential path for every worker count, including counts that
+// to one worker's for every worker count, including counts that
 // exceed the row count.
 func TestEncodeParallelDeterminism(t *testing.T) {
 	const n, k = 257, 64 // odd n exercises uneven shard boundaries
@@ -195,9 +199,9 @@ func TestEncodeParallelDeterminism(t *testing.T) {
 	points := []int{0, 100, n - 1}
 
 	wantB := make([]block.Block, n)
-	c.EncodeBlocks(wantB, r, w)
+	c.EncodeBlocksParallel(wantB, r, w, 1)
 	wantX := make([]bool, n)
-	if err := c.EncodeBits(wantX, e, points); err != nil {
+	if err := c.EncodeBitsParallel(wantX, e, points, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8, n + 5} {
@@ -209,16 +213,18 @@ func TestEncodeParallelDeterminism(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			if gotB[i] != wantB[i] || gotX[i] != wantX[i] {
-				t.Fatalf("workers=%d: row %d differs from sequential encode", workers, i)
+				t.Fatalf("workers=%d: row %d differs from one worker", workers, i)
 			}
 		}
 	}
 }
 
+// TestAccessTraceLength: the sorted view's access stream (what the
+// Rank-NMP model replays) touches every row's D indices, all in range.
 func TestAccessTraceLength(t *testing.T) {
 	c := testCode(100, 40)
 	count := 0
-	c.AccessTrace(func(col uint32) {
+	c.Sort(DefaultSort()).AccessTrace(func(col uint32) {
 		if col >= 40 {
 			t.Fatalf("trace column %d out of range", col)
 		}
@@ -229,20 +235,12 @@ func TestAccessTraceLength(t *testing.T) {
 	}
 }
 
-func TestFootprint(t *testing.T) {
-	c := testCode(1000, 400)
-	want := int64(400*16 + 1000*DefaultD*4)
-	if got := c.FootprintBytes(); got != want {
-		t.Fatalf("FootprintBytes = %d, want %d", got, want)
-	}
-}
-
 func TestPanicsOnBadDims(t *testing.T) {
 	for _, f := range []func(){
-		func() { New(block.Zero, 0, 10, 4) },
-		func() { New(block.Zero, 10, 3, 4) },
-		func() { testCode(10, 40).EncodeBlocks(make([]block.Block, 9), make([]block.Block, 40), nil) },
-		func() { testCode(10, 40).EncodeBits(make([]bool, 10), make([]bool, 39), nil) },
+		func() { New(block.Block{}, 0, 10, 4) },
+		func() { New(block.Block{}, 10, 3, 4) },
+		func() { testCode(10, 40).EncodeBlocksParallel(make([]block.Block, 9), make([]block.Block, 40), nil, 1) },
+		func() { testCode(10, 40).EncodeBitsParallel(make([]bool, 10), make([]bool, 39), nil, 1) },
 	} {
 		func() {
 			defer func() {
@@ -263,7 +261,7 @@ func BenchmarkEncodeBlocks(b *testing.B) {
 	b.SetBytes(int64(n * DefaultD * block.Size))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.EncodeBlocks(out, r, nil)
+		c.EncodeBlocksParallel(out, r, nil, 1)
 	}
 }
 

@@ -2,6 +2,7 @@ package lpn
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ironman/internal/block"
@@ -23,7 +24,7 @@ func TestSortedEncodePreservesOutput(t *testing.T) {
 		w[i] = block.New(rng.Uint64(), rng.Uint64())
 	}
 	want := make([]block.Block, n)
-	c.EncodeBlocks(want, r, w)
+	c.EncodeBlocksParallel(want, r, w, 1)
 
 	for _, opts := range []SortOptions{
 		{ColumnSwap: true},
@@ -33,7 +34,7 @@ func TestSortedEncodePreservesOutput(t *testing.T) {
 		s := c.Sort(opts)
 		got := make([]block.Block, n)
 		s.EncodeBlocks(got, s.PermuteInput(r), w)
-		if !block.Equal(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("opts %+v: sorted encode differs from natural encode", opts)
 		}
 	}
@@ -81,6 +82,16 @@ func TestSortDeterministic(t *testing.T) {
 	}
 }
 
+// naturalTrace is the unsorted encoder's input-access stream, in row
+// order.
+func naturalTrace(c *Code) func(func(uint32)) {
+	return func(f func(col uint32)) {
+		for _, j := range c.idx {
+			f(j)
+		}
+	}
+}
+
 // TestColumnSwapImprovesSpatialLocality: under first-use relabeling the
 // very first accesses are strictly sequential (0,1,2,...), so the mean
 // distance between consecutive accesses early in the trace must shrink.
@@ -104,7 +115,7 @@ func TestColumnSwapImprovesSpatialLocality(t *testing.T) {
 		})
 		return total / count
 	}
-	base := meanStride(c.AccessTrace)
+	base := meanStride(naturalTrace(c))
 	s := c.Sort(SortOptions{ColumnSwap: true})
 	swapped := meanStride(s.AccessTrace)
 	if swapped >= base {
@@ -131,7 +142,7 @@ func TestLookaheadImprovesCacheHits(t *testing.T) {
 		})
 		return float64(hits) / float64(total)
 	}
-	base := hitRate(c.AccessTrace)
+	base := hitRate(naturalTrace(c))
 	sorted := c.Sort(SortOptions{ColumnSwap: true, LookaheadWindow: 32, CacheLines: 64, LineWords: 4})
 	opt := hitRate(sorted.AccessTrace)
 	if opt <= base {

@@ -51,14 +51,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Covered returns how many of the n output positions can carry noise.
-func (c Config) Covered() int {
-	if c.T*c.Leaves < c.N {
-		return c.T * c.Leaves
-	}
-	return c.N
-}
-
 // COTBudget is the number of COT correlations one execution consumes.
 func (c Config) COTBudget() int { return c.T * spcot.COTBudget(c.Leaves) }
 

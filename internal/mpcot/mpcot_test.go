@@ -1,6 +1,7 @@
 package mpcot
 
 import (
+	"slices"
 	"testing"
 
 	"ironman/internal/aesprg"
@@ -118,7 +119,7 @@ func TestWorkersMatchSequential(t *testing.T) {
 	checkMulti(t, delta, wantW, wantV, []int{3, 16, 40, 63, 64, 86, 96})
 	for _, workers := range []int{2, 4, 16} {
 		gotW, gotV := runOnce(workers)
-		if !block.Equal(gotW, wantW) || !block.Equal(gotV, wantV) {
+		if !slices.Equal(gotW, wantW) || !slices.Equal(gotV, wantV) {
 			t.Fatalf("workers=%d: outputs differ from sequential", workers)
 		}
 	}
@@ -206,9 +207,6 @@ func TestValidation(t *testing.T) {
 	part := Config{N: 100, Leaves: 16, T: 4}
 	if err := part.Validate(); err != nil {
 		t.Fatalf("partial cover should validate: %v", err)
-	}
-	if part.Covered() != 64 {
-		t.Fatalf("Covered = %d, want 64", part.Covered())
 	}
 	p := prg.New(prg.ChaCha8, 4)
 	sp, rp, _ := cot.RandomPools(64)

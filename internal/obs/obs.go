@@ -70,14 +70,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add moves the gauge by delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() int64 {
 	if g == nil {
@@ -156,19 +148,10 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	}
 }
 
-// Quantile estimates the q-quantile (0 < q < 1) by linear
+// quantileLocked estimates the q-quantile (0 < q < 1) by linear
 // interpolation within the covering bucket; samples in the +Inf bucket
 // report the last finite bound (a floor, clearly marked by saturating
-// there).
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
-}
-
+// there). h.mu must be held.
 func (h *Histogram) quantileLocked(q float64) float64 {
 	if h.count == 0 {
 		return 0

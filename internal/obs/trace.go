@@ -80,9 +80,6 @@ type Span struct {
 	begin time.Time
 }
 
-// End closes the span and records it.
-func (s Span) End() { s.EndArgs(nil) }
-
 // EndArgs closes the span with key/value annotations (rendered in the
 // trace viewer's args pane). Allocate the map only when the span is
 // live: callers should guard with Live() or build args inline.

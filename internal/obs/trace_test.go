@@ -14,7 +14,7 @@ func TestTracerSpans(t *testing.T) {
 	sp := tr.Span("lpn.encode", "extend", 1)
 	time.Sleep(2 * time.Millisecond)
 	sp.EndArgs(map[string]any{"rows": 100})
-	tr.Span("spcot.expand", "extend.worker", 2).End()
+	tr.Span("spcot.expand", "extend.worker", 2).EndArgs(nil)
 
 	events := tr.Events()
 	if len(events) != 2 {
@@ -45,7 +45,7 @@ func TestTracerSpans(t *testing.T) {
 func TestTracerJSONValid(t *testing.T) {
 	tr := NewTracer()
 	tr.NameThread(1, "ferret.sender")
-	tr.Span("extend", "extend", 1).End()
+	tr.Span("extend", "extend", 1).EndArgs(nil)
 
 	var b bytes.Buffer
 	if err := tr.WriteJSON(&b); err != nil {
@@ -86,7 +86,7 @@ func TestTracerNil(t *testing.T) {
 	if sp.Live() {
 		t.Fatal("nil tracer span must be inert")
 	}
-	sp.End()
+	sp.EndArgs(nil)
 	sp.EndArgs(map[string]any{"a": 1})
 	tr.NameThread(1, "x")
 	if tr.Events() != nil {
@@ -108,7 +108,7 @@ func TestTracerConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				tr.Span("work", "test", w).End()
+				tr.Span("work", "test", w).EndArgs(nil)
 			}
 		}(w)
 	}

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"ironman/internal/pool"
 )
 
 func adminGet(t *testing.T, ts *httptest.Server, path string) (int, string, string) {
@@ -117,10 +115,11 @@ func TestAdminHandler(t *testing.T) {
 
 // TestStatsDrawStormConsistency is the STATS-staleness regression
 // test: after a concurrent draw storm over the wire protocol, the
-// registry-served STATS totals must equal the pool's own Stats() for
-// both halves — exactly, not approximately.
+// registry-served STATS totals must count every dispensed correlation
+// — exactly, not approximately. The session layer's test of the same
+// name holds those totals to the pool's own Stats().
 func TestStatsDrawStormConsistency(t *testing.T) {
-	addr, srv := startServer(t, Config{})
+	addr, _ := startServer(t, Config{})
 	c := dial(t, addr)
 	sess, err := c.NewSession(SessionConfig{Params: "small", Depth: 2})
 	if err != nil {
@@ -137,11 +136,11 @@ func TestStatsDrawStormConsistency(t *testing.T) {
 		wg.Add(2)
 		// Each drawer gets its own protocol conn so draws truly race
 		// inside the server, not in a client-side mutex.
-		snd, err := dial(t, addr).Attach(sess.ID(), sess.SenderToken())
+		snd, err := attach(dial(t, addr), sess.ID(), sess.SenderToken())
 		if err != nil {
 			t.Fatal(err)
 		}
-		rcv, err := dial(t, addr).Attach(sess.ID(), sess.ReceiverToken())
+		rcv, err := attach(dial(t, addr), sess.ID(), sess.ReceiverToken())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,37 +172,5 @@ func TestStatsDrawStormConsistency(t *testing.T) {
 	want := uint64(pairs * draws * n)
 	if st.Sender.Dispensed != want || st.Receiver.Dispensed != want {
 		t.Fatalf("dispensed %d/%d, want %d each", st.Sender.Dispensed, st.Receiver.Dispensed, want)
-	}
-
-	// Pull the live session out of the session layer and compare the
-	// registry-backed view STATS serves against pool.Stats().
-	live, ok := srv.Sessions().Get(sess.ID())
-	if !ok {
-		t.Fatal("session vanished")
-	}
-	ps, pr := live.PoolStats()
-	served, err := srv.Sessions().Stats(sess.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if served.Sender != asHalfStats(ps) {
-		t.Errorf("sender half: STATS %+v != pool %+v", served.Sender, asHalfStats(ps))
-	}
-	if served.Receiver != asHalfStats(pr) {
-		t.Errorf("receiver half: STATS %+v != pool %+v", served.Receiver, asHalfStats(pr))
-	}
-}
-
-// asHalfStats mirrors the session layer's pool.Stats -> wire.HalfStats
-// conversion for the consistency check.
-func asHalfStats(st pool.Stats) HalfStats {
-	return HalfStats{
-		Generated:    st.Generated,
-		Dispensed:    st.Dispensed,
-		Refills:      st.Refills,
-		Draws:        st.Draws,
-		BlockedDraws: st.BlockedDraws,
-		BlockedNS:    st.BlockedTime.Nanoseconds(),
-		Buffered:     st.Buffered,
 	}
 }

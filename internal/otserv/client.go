@@ -116,11 +116,6 @@ type Session struct {
 	c        *Client
 	id       uint64
 	token    string // fleet routing token (reconnect handle)
-	params   string
-	backend  string
-	batch    int
-	lease    time.Duration
-	role     Role
 	tokenS   string
 	tokenR   string
 	delta    block.Block
@@ -160,22 +155,11 @@ func (c *Client) NewSession(cfg SessionConfig) (*Session, error) {
 		c:        c,
 		id:       resp.Session,
 		token:    resp.SessionToken,
-		params:   resp.Params,
-		backend:  resp.Backend,
-		batch:    resp.Batch,
-		lease:    time.Duration(resp.LeaseMS) * time.Millisecond,
-		role:     RoleBoth,
 		tokenS:   resp.SenderToken,
 		tokenR:   resp.ReceiverToken,
 		delta:    block.Block{Lo: resp.DeltaLo, Hi: resp.DeltaHi},
 		hasDelta: true,
 	}, nil
-}
-
-// Attach joins an existing session with one of its tokens, to consume
-// the half the token authorizes. Attached handles do not learn Δ.
-func (c *Client) Attach(id uint64, token string) (*Session, error) {
-	return c.attach(wire.AttachReq{Session: id, Token: token})
 }
 
 // AttachToken joins a session by its fleet-wide routing token — the
@@ -184,24 +168,11 @@ func (c *Client) Attach(id uint64, token string) (*Session, error) {
 // capability token, and resumes drawing at the exact pool position it
 // left, as long as the lease has not expired (then: ErrLeaseExpired).
 func (c *Client) AttachToken(sessionToken, token string) (*Session, error) {
-	return c.attach(wire.AttachReq{SessionToken: sessionToken, Token: token})
-}
-
-func (c *Client) attach(req wire.AttachReq) (*Session, error) {
 	var resp wire.AttachResp
-	if err := c.roundTripJSON(wire.OpAttach, req, &resp); err != nil {
+	if err := c.roundTripJSON(wire.OpAttach, wire.AttachReq{SessionToken: sessionToken, Token: token}, &resp); err != nil {
 		return nil, err
 	}
-	return &Session{
-		c:       c,
-		id:      resp.Session,
-		token:   req.SessionToken,
-		params:  resp.Params,
-		backend: resp.Backend,
-		batch:   resp.Batch,
-		lease:   time.Duration(resp.LeaseMS) * time.Millisecond,
-		role:    resp.Role,
-	}, nil
+	return &Session{c: c, id: resp.Session, token: sessionToken}, nil
 }
 
 // ServerStats fetches the server-wide counters (per-shard when
@@ -218,33 +189,17 @@ func (c *Client) ServerStats() (*StatsDump, error) {
 	return &dump, nil
 }
 
-// ID is the server-assigned session id (share it for Attach; in fleet
-// mode the shard id is in the top bits, wire.ShardOf).
+// ID is the server-assigned session id (in fleet mode the shard id is
+// in the top bits, wire.ShardOf).
 func (s *Session) ID() uint64 { return s.id }
 
 // Token is the session's fleet-wide routing token: the handle for
 // AttachToken reconnects. It routes but does not authorize.
 func (s *Session) Token() string { return s.token }
 
-// Params names the session's parameter set.
-func (s *Session) Params() string { return s.params }
-
-// Backend names the session's negotiated extension backend.
-func (s *Session) Backend() string { return s.backend }
-
-// Batch is the session's per-Extend correlation yield.
-func (s *Session) Batch() int { return s.batch }
-
-// Lease is the session's orphan grace window: how long it survives a
-// dropped connection before the server reclaims it.
-func (s *Session) Lease() time.Duration { return s.lease }
-
 // Delta returns the session's global correlation. ok is false on
 // attached handles, which are not told Δ.
 func (s *Session) Delta() (delta block.Block, ok bool) { return s.delta, s.hasDelta }
-
-// Role reports which halves this handle may draw.
-func (s *Session) Role() Role { return s.role }
 
 // SenderToken is the attach capability for the sender half (empty on
 // attached handles).

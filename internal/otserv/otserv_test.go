@@ -61,6 +61,16 @@ func dial(t *testing.T, addr string) *Client {
 	return c
 }
 
+// attach joins session id with one of its attach tokens (ATTACH by id;
+// clients reconnect with AttachToken).
+func attach(c *Client, id uint64, token string) (*Session, error) {
+	var resp wire.AttachResp
+	if err := c.roundTripJSON(wire.OpAttach, wire.AttachReq{Session: id, Token: token}, &resp); err != nil {
+		return nil, err
+	}
+	return &Session{c: c, id: resp.Session}, nil
+}
+
 // verify checks a drawn batch under its session's Δ with the public
 // API's VerifyCOTs.
 func verify(t *testing.T, delta block.Block, z []block.Block, bits []bool, y []block.Block) {
@@ -158,19 +168,15 @@ func TestAttachSplitsHalves(t *testing.T) {
 	delta, _ := sess.Delta()
 
 	other := dial(t, addr)
-	attached, err := other.Attach(sess.ID(), sess.ReceiverToken())
+	attached, err := attach(other, sess.ID(), sess.ReceiverToken())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := attached.Delta(); ok {
 		t.Fatal("attached handle must not learn delta")
 	}
-	if attached.Role() != RoleReceiver {
-		t.Fatalf("role = %q, want receiver", attached.Role())
-	}
-	if attached.Batch() != sess.Batch() || attached.Params() != sess.Params() {
-		t.Fatalf("attach metadata mismatch: %d/%s vs %d/%s",
-			attached.Batch(), attached.Params(), sess.Batch(), sess.Params())
+	if st, err := attached.Stats(); err != nil || st.ID != sess.ID() || st.Params != "small" {
+		t.Fatalf("attached handle sees %+v, %v; want session %d on small", st, err, sess.ID())
 	}
 	// The receiver token must not authorize sender-half draws — with
 	// both halves, an attacher could reconstruct Δ.
@@ -211,7 +217,7 @@ func TestDrawChunking(t *testing.T) {
 	}
 	delta, _ := sess.Delta()
 	// 5 batches' worth in one call (batch = 432 for the small set).
-	n := 5 * sess.Batch()
+	const n = 5 * 432
 	z, err := sess.SenderCOTs(n)
 	if err != nil {
 		t.Fatal(err)
@@ -245,13 +251,13 @@ func TestDrawRequiresAttachment(t *testing.T) {
 		t.Fatal(err)
 	}
 	stranger := dial(t, addr)
-	forged := &Session{c: stranger, id: sess.ID(), batch: sess.Batch()}
+	forged := &Session{c: stranger, id: sess.ID()}
 	if _, err := forged.SenderCOTs(10); err == nil ||
 		!strings.Contains(err.Error(), "not attached") {
 		t.Fatalf("err = %v, want attachment error", err)
 	}
 	// A guessed session id without a token gets nothing.
-	if _, err := stranger.Attach(sess.ID(), "deadbeef"); err == nil {
+	if _, err := attach(stranger, sess.ID(), "deadbeef"); err == nil {
 		t.Fatal("attach without the right token must fail")
 	}
 }
@@ -265,7 +271,7 @@ func TestDuplicateHandlesCountReferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := c.Attach(s1.ID(), s1.ReceiverToken())
+	s2, err := attach(c, s1.ID(), s1.ReceiverToken())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +299,7 @@ func TestBadHandshakes(t *testing.T) {
 	if _, err := c.NewSession(SessionConfig{Params: "nope"}); err == nil {
 		t.Fatal("unknown params must fail")
 	}
-	if _, err := c.Attach(9999, "deadbeef"); err == nil {
+	if _, err := attach(c, 9999, "deadbeef"); err == nil {
 		t.Fatal("attach to missing session must fail")
 	}
 	// Wrong protocol version.
@@ -442,9 +448,6 @@ func TestBackendNegotiation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if sess.Backend() != name {
-			t.Fatalf("session backend = %q, want %q", sess.Backend(), name)
-		}
 		delta, _ := sess.Delta()
 		z, err := sess.SenderCOTs(100)
 		if err != nil {
@@ -462,12 +465,12 @@ func TestBackendNegotiation(t *testing.T) {
 		if st.Backend != name {
 			t.Fatalf("session stats backend = %q, want %q", st.Backend, name)
 		}
-		attached, err := c.Attach(sess.ID(), sess.ReceiverToken())
+		attached, err := attach(c, sess.ID(), sess.ReceiverToken())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if attached.Backend() != name {
-			t.Fatalf("attached backend = %q, want %q", attached.Backend(), name)
+		if st, err := attached.Stats(); err != nil || st.Backend != name {
+			t.Fatalf("attached backend = %q (%v), want %q", st.Backend, err, name)
 		}
 	}
 	// An empty request gets the default backend.
@@ -475,8 +478,8 @@ func TestBackendNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.Backend() != extension.Default {
-		t.Fatalf("default backend = %q, want %q", sess.Backend(), extension.Default)
+	if st, err := sess.Stats(); err != nil || st.Backend != extension.Default {
+		t.Fatalf("default backend = %q (%v), want %q", st.Backend, err, extension.Default)
 	}
 }
 
@@ -486,10 +489,10 @@ func TestBackendNegotiation(t *testing.T) {
 func TestBackendRejection(t *testing.T) {
 	addr, _ := startServer(t, Config{Backends: []string{"ferret"}})
 	c := dial(t, addr)
-	if _, err := c.NewSession(SessionConfig{Params: "small", Backend: "softspoken"}); !errors.Is(err, ErrBackendUnsupported) {
+	if _, err := c.NewSession(SessionConfig{Params: "small", Backend: "softspoken"}); !errors.Is(err, wire.ErrBackendUnsupported) {
 		t.Fatalf("err = %v, want ErrBackendUnsupported", err)
 	}
-	if _, err := c.NewSession(SessionConfig{Params: "small", Backend: "iknp-classic"}); !errors.Is(err, ErrBackendUnsupported) {
+	if _, err := c.NewSession(SessionConfig{Params: "small", Backend: "iknp-classic"}); !errors.Is(err, wire.ErrBackendUnsupported) {
 		t.Fatalf("err = %v, want ErrBackendUnsupported", err)
 	}
 	dump, err := c.ServerStats()
@@ -520,15 +523,15 @@ func TestHelloVersioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.roundTrip(append([]byte{wire.OpHello, 3}, body...)); !errors.Is(err, ErrVersionMismatch) {
+	if _, err := c.roundTrip(append([]byte{wire.OpHello, 3}, body...)); !errors.Is(err, wire.ErrVersionMismatch) {
 		t.Fatalf("err = %v, want ErrVersionMismatch", err)
 	}
 	// A frame/body version disagreement.
-	if _, err := c.roundTrip(append([]byte{wire.OpHello, ProtoVersion}, body...)); !errors.Is(err, ErrVersionMismatch) {
+	if _, err := c.roundTrip(append([]byte{wire.OpHello, wire.ProtoVersion}, body...)); !errors.Is(err, wire.ErrVersionMismatch) {
 		t.Fatalf("err = %v, want ErrVersionMismatch", err)
 	}
 	// An empty HELLO body.
-	if _, err := c.roundTrip([]byte{wire.OpHello}); !errors.Is(err, ErrVersionMismatch) {
+	if _, err := c.roundTrip([]byte{wire.OpHello}); !errors.Is(err, wire.ErrVersionMismatch) {
 		t.Fatalf("err = %v, want ErrVersionMismatch", err)
 	}
 	// Legacy v1 (bare JSON body, no version byte): the one-release
@@ -537,7 +540,7 @@ func TestHelloVersioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.roundTrip(append([]byte{wire.OpHello}, legacy...)); !errors.Is(err, ErrVersionMismatch) {
+	if _, err := c.roundTrip(append([]byte{wire.OpHello}, legacy...)); !errors.Is(err, wire.ErrVersionMismatch) {
 		t.Fatalf("legacy v1 HELLO: err = %v, want ErrVersionMismatch", err)
 	}
 	dump, err := c.ServerStats()

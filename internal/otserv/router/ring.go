@@ -68,19 +68,6 @@ func buildRing(addrs []string, vnodes int) ring {
 	return ring{entries: entries}
 }
 
-// lookup returns the address owning key, or "" on an empty ring.
-func (rg ring) lookup(key string) string {
-	if len(rg.entries) == 0 {
-		return ""
-	}
-	h := hashKey(key)
-	i := sort.Search(len(rg.entries), func(i int) bool { return rg.entries[i].hash >= h })
-	if i == len(rg.entries) {
-		i = 0
-	}
-	return rg.entries[i].addr
-}
-
 // sequence returns the owner of key followed by every other distinct
 // address in circle order — the retry order for placement when the
 // owner is draining or dead.

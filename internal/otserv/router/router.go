@@ -145,9 +145,6 @@ func New(cfg Config) *Router {
 	return r
 }
 
-// Registry exposes the router's metrics registry.
-func (r *Router) Registry() *obs.Registry { return r.reg }
-
 // AddShard joins a shard into the fleet (live add). The shard is
 // probed immediately; if unreachable it starts dead and the health
 // loop keeps trying.

@@ -396,7 +396,7 @@ func TestRouterAllShardsDownTypedError(t *testing.T) {
 	if err == nil {
 		t.Fatal("HELLO with no live shards should fail")
 	}
-	if !errors.Is(err, otserv.ErrDraining) && !errors.Is(err, otserv.ErrLeaseExpired) {
+	if !errors.Is(err, wire.ErrDraining) && !errors.Is(err, otserv.ErrLeaseExpired) {
 		t.Fatalf("no-shard HELLO error is untyped: %v", err)
 	}
 }

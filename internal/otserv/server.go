@@ -31,10 +31,6 @@ type Config = session.Config
 // Aliases for the wire protocol's client-visible types, so dispenser
 // consumers import only otserv.
 type (
-	// Role names which half an attachment may draw.
-	Role = wire.Role
-	// HalfStats is one pool half's counters as served by STATS.
-	HalfStats = wire.HalfStats
 	// SessionStats is one session's STATS view.
 	SessionStats = wire.SessionStats
 	// StatsDump is the shard-wide STATS view.
@@ -42,26 +38,15 @@ type (
 )
 
 const (
-	// RoleSender may draw r0 blocks.
-	RoleSender = wire.RoleSender
-	// RoleReceiver may draw choice bits and r_b blocks.
-	RoleReceiver = wire.RoleReceiver
-	// RoleBoth is the session creator's view.
-	RoleBoth = wire.RoleBoth
 	// MaxDraw is the per-request draw cap (clients chunk above it).
 	MaxDraw = wire.MaxDraw
-	// ProtoVersion is the wire protocol version.
-	ProtoVersion = wire.ProtoVersion
 )
 
 // Typed failures clients can match with errors.Is.
 var (
-	ErrVersionMismatch    = wire.ErrVersionMismatch
-	ErrBackendUnsupported = wire.ErrBackendUnsupported
-	ErrQuotaExceeded      = wire.ErrQuotaExceeded
-	ErrLeaseExpired       = wire.ErrLeaseExpired
-	ErrPoolDry            = wire.ErrPoolDry
-	ErrDraining           = wire.ErrDraining
+	ErrQuotaExceeded = wire.ErrQuotaExceeded
+	ErrLeaseExpired  = wire.ErrLeaseExpired
+	ErrPoolDry       = wire.ErrPoolDry
 )
 
 // attachment is one conn's view of a session: which halves it may
@@ -96,10 +81,6 @@ func NewServer(cfg Config) *Server {
 		conns:    make(map[transport.Conn]struct{}),
 	}
 }
-
-// Registry exposes the server's metrics registry (scraped by the admin
-// endpoint's /metrics; callers may add their own series).
-func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Sessions exposes the session layer (tests and embedders drive leases
 // and drain directly; the wire protocol covers everything clients need).

@@ -99,9 +99,6 @@ func (r *Registry) ShardID() uint64 { return r.cfg.ShardID }
 // Obs is the metrics registry the sessions report into.
 func (r *Registry) Obs() *obs.Registry { return r.reg }
 
-// Backends is the extension-backend allowlist this registry serves.
-func (r *Registry) Backends() []string { return r.cfg.Backends }
-
 func (r *Registry) janitor() {
 	defer close(r.done)
 	tick := time.NewTicker(r.cfg.Sweep)
@@ -390,28 +387,11 @@ func (r *Registry) Draining() bool {
 	return r.draining
 }
 
-// Get looks up a live session by id (diagnostic/test hook; transports
-// go through Open/Attach*).
-func (r *Registry) Get(id uint64) (*Session, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sess, ok := r.sessions[id]
-	return sess, ok
-}
-
 // Len is the live session count.
 func (r *Registry) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.sessions)
-}
-
-// Idle reports whether the shard has fully served out: draining with
-// zero live sessions.
-func (r *Registry) Idle() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.draining && len(r.sessions) == 0
 }
 
 // Close stops the janitor and tears down every session in id order.

@@ -64,7 +64,7 @@ type Config struct {
 	// Backends is the extension-backend allowlist this registry serves;
 	// opens naming anything else are rejected with
 	// wire.ErrBackendUnsupported before any session state is created.
-	// nil serves every registered backend (extension.Names).
+	// nil serves every backend (extension.Names).
 	Backends []string
 	// Workers is the per-session Extend worker cap applied when an open
 	// requests none, and the clamp for opens that request more. 0
@@ -247,9 +247,6 @@ func (s *Session) Params() string { return s.paramsName }
 // Backend names the session's negotiated extension backend.
 func (s *Session) Backend() string { return s.backendName }
 
-// Tenant names the session's accounting principal.
-func (s *Session) Tenant() string { return s.tenant }
-
 // Batch is the per-Extend correlation yield.
 func (s *Session) Batch() int { return s.batch }
 
@@ -335,13 +332,6 @@ func (s *Session) stats(refs int, expiresIn time.Duration) wire.SessionStats {
 		st.ExpiresInMS = expiresIn.Milliseconds()
 	}
 	return st
-}
-
-// PoolStats returns the raw pool counters for both halves — the
-// ground truth the registry-backed STATS view must agree with
-// (diagnostic/test hook).
-func (s *Session) PoolStats() (sender, receiver pool.Stats) {
-	return s.pool.Stats()
 }
 
 func halfStats(st pool.Stats) wire.HalfStats {

@@ -130,7 +130,7 @@ func TestLeaseExpiryTypedErrorBuffered(t *testing.T) {
 	if _, err := sess.DrawSender(8); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := sess.PoolStats()
+	before := sess.pool.SenderHalf().Stats()
 	if before.Buffered < 8 {
 		t.Fatalf("only %d buffered after the first draw, the case needs 8", before.Buffered)
 	}
@@ -146,8 +146,53 @@ func TestLeaseExpiryTypedErrorBuffered(t *testing.T) {
 			t.Fatalf("receiver draw %d on expired session: err = %v, want ErrLeaseExpired", i, err)
 		}
 	}
-	if after, _ := sess.PoolStats(); after.Dispensed != before.Dispensed {
+	if after := sess.pool.SenderHalf().Stats(); after.Dispensed != before.Dispensed {
 		t.Fatalf("expired session dispensed %d -> %d", before.Dispensed, after.Dispensed)
+	}
+}
+
+// TestStatsDrawStormConsistency: after concurrent draws on both
+// halves, the registry-served STATS totals must equal the pool's own
+// Stats() for both halves — exactly, not approximately.
+func TestStatsDrawStormConsistency(t *testing.T) {
+	r := newTestRegistry(t, testConfig())
+	sess, err := r.Open(OpenRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				if _, err := sess.DrawSender(64); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				if _, _, err := sess.DrawReceiver(64); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	served, err := r.Stats(sess.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, pr := sess.pool.SenderHalf().Stats(), sess.pool.ReceiverHalf().Stats()
+	if served.Sender != halfStats(ps) {
+		t.Errorf("sender half: STATS %+v != pool %+v", served.Sender, halfStats(ps))
+	}
+	if served.Receiver != halfStats(pr) {
+		t.Errorf("receiver half: STATS %+v != pool %+v", served.Receiver, halfStats(pr))
 	}
 }
 
@@ -297,11 +342,11 @@ func TestDrainRefusesOpens(t *testing.T) {
 	if _, err := sess.DrawSender(32); err != nil {
 		t.Fatalf("existing session must keep serving through drain: %v", err)
 	}
-	if r.Idle() {
+	if r.Len() == 0 {
 		t.Fatal("shard with a live session is not idle")
 	}
 	r.Detach(sess.ID(), false)
-	if !r.Idle() {
+	if r.Len() != 0 {
 		t.Fatal("drained shard with zero sessions must report idle")
 	}
 }

@@ -256,8 +256,6 @@ const (
 	RoleSender Role = "sender"
 	// RoleReceiver may draw choice bits and r_b blocks (DRAW_R).
 	RoleReceiver Role = "receiver"
-	// RoleBoth is the session creator's view (it knows Δ anyway).
-	RoleBoth Role = "both"
 )
 
 // AttachResp echoes the session an ATTACH landed on. Session carries

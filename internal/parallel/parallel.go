@@ -1,11 +1,11 @@
-// Package parallel provides the worker-sharding primitives behind the
+// Package parallel provides the worker-sharding primitive behind the
 // multicore Extend pipeline: contiguous-range sharding for row-parallel
 // kernels (the software analog of the paper's rank-parallel LPN encode)
-// and per-item fan-out for independent tree expansions.
+// and for independent tree expansions.
 //
-// Both helpers run the unit of work inline when a single worker (or a
-// single item) makes goroutine fan-out pure overhead, so a Workers=1
-// pipeline is exactly the sequential code path.
+// The unit of work runs inline when a single worker (or a single item)
+// makes goroutine fan-out pure overhead, so a Workers=1 pipeline is
+// exactly the sequential code path.
 package parallel
 
 import (
@@ -22,20 +22,15 @@ func Workers(requested int) int {
 	return requested
 }
 
-// Shard splits [0, n) into at most `workers` contiguous half-open
-// ranges and runs f(lo, hi) on each, one goroutine per range, waiting
-// for all of them. Ranges differ in size by at most one element, so
-// regular workloads (LPN rows, hash batches) stay balanced. With
-// workers <= 1 or n <= 1 the single range runs inline on the caller.
-func Shard(workers, n int, f func(lo, hi int)) {
-	ShardIndexed(workers, n, func(_, lo, hi int) { f(lo, hi) })
-}
-
-// ShardIndexed is Shard with the shard index (a stable 0-based worker
-// id) passed to f — the hook per-worker observability spans hang off:
-// the index is a deterministic function of (workers, n), never of
-// goroutine scheduling, so a trace's worker lanes line up across
-// iterations.
+// ShardIndexed splits [0, n) into at most `workers` contiguous
+// half-open ranges and runs f(shard, lo, hi) on each, one goroutine per
+// range, waiting for all of them. Ranges differ in size by at most one
+// element, so regular workloads (LPN rows, hash batches) stay balanced.
+// With workers <= 1 or n <= 1 the single range runs inline on the
+// caller. The shard index is a stable 0-based worker id — the hook
+// per-worker observability spans hang off: it is a deterministic
+// function of (workers, n), never of goroutine scheduling, so a trace's
+// worker lanes line up across iterations.
 func ShardIndexed(workers, n int, f func(shard, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -64,16 +59,4 @@ func ShardIndexed(workers, n int, f func(shard, lo, hi int)) {
 		lo = hi
 	}
 	wg.Wait()
-}
-
-// Each runs f(i) for every i in [0, n) across at most `workers`
-// goroutines, assigning items to workers in contiguous ranges (worker
-// goroutines never contend on a shared index). Used for the t
-// independent GGM tree expansions of one MPCOT execution.
-func Each(workers, n int, f func(i int)) {
-	Shard(workers, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f(i)
-		}
-	})
 }

@@ -24,7 +24,7 @@ func TestShardCoversExactly(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 7, 64} {
 		for _, n := range []int{0, 1, 2, 6, 7, 8, 63, 64, 65} {
 			seen := make([]int32, n)
-			Shard(workers, n, func(lo, hi int) {
+			ShardIndexed(workers, n, func(_, lo, hi int) {
 				if lo < 0 || hi > n || lo > hi {
 					t.Errorf("workers=%d n=%d: bad range [%d,%d)", workers, n, lo, hi)
 					return
@@ -46,7 +46,7 @@ func TestShardCoversExactly(t *testing.T) {
 func TestShardBalance(t *testing.T) {
 	var min, max atomic.Int64
 	min.Store(1 << 30)
-	Shard(4, 103, func(lo, hi int) {
+	ShardIndexed(4, 103, func(_, lo, hi int) {
 		size := int64(hi - lo)
 		for {
 			m := min.Load()
@@ -63,16 +63,5 @@ func TestShardBalance(t *testing.T) {
 	})
 	if max.Load()-min.Load() > 1 {
 		t.Fatalf("shard sizes range %d..%d, want spread <= 1", min.Load(), max.Load())
-	}
-}
-
-func TestEachVisitsAll(t *testing.T) {
-	const n = 37
-	seen := make([]int32, n)
-	Each(5, n, func(i int) { atomic.AddInt32(&seen[i], 1) })
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("index %d visited %d times", i, c)
-		}
 	}
 }

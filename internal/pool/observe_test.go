@@ -61,7 +61,7 @@ func TestObserverMatchesStats(t *testing.T) {
 	}
 	wg.Wait()
 
-	s, r := p.Stats()
+	s, r := p.SenderHalf().Stats(), p.ReceiverHalf().Stats()
 	if got := obsS.Snapshot(); got != s {
 		t.Errorf("sender half: registry snapshot %+v != pool stats %+v", got, s)
 	}

@@ -540,13 +540,6 @@ func (p *Dealt) ReceiverCOTs(n int) ([]bool, []block.Block, error) {
 	return bits, y, err
 }
 
-// Stats snapshots both halves' counters.
-func (p *Dealt) Stats() (sender, receiver Stats) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.s.snapshot(), p.r.snapshot()
-}
-
 // SenderHalf views the dealt pair's sender direction as a standalone
 // drawer; Close closes the SHARED generator, stopping both halves.
 func (p *Dealt) SenderHalf() *Sender { return &Sender{p.stream} }

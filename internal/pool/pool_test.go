@@ -459,7 +459,7 @@ func TestDealtLockstepVerifies(t *testing.T) {
 	if err := ferret.Check(delta, zs, &ferret.ReceiverOutput{Bits: bits, Blocks: ys}); err != nil {
 		t.Fatal(err)
 	}
-	ss, rs := p.Stats()
+	ss, rs := p.SenderHalf().Stats(), p.ReceiverHalf().Stats()
 	if ss.Dispensed != 800 || rs.Dispensed != 800 {
 		t.Fatalf("dispensed %d/%d", ss.Dispensed, rs.Dispensed)
 	}
@@ -605,7 +605,7 @@ func TestPrewarmedDrawLatency(t *testing.T) {
 		t.Fatalf("fastest pre-warmed draw %v not 5x faster than fastest synchronous %v",
 			warmTime, syncTime)
 	}
-	ss, _ := warmPool.Stats()
+	ss := warmPool.SenderHalf().Stats()
 	if ss.BlockedDraws != 0 {
 		t.Fatalf("warm draws blocked: %+v", ss)
 	}

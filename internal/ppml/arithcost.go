@@ -26,7 +26,8 @@ type ArithCost struct {
 // bits.
 const gilboaProductBits = 64 + 2*2080
 
-// ArithTripleCost prices generating n Beaver triples (arith.NewTriples).
+// ArithTripleCost prices generating n scalar Beaver triples (the scalar
+// products arith.NewMatTriple batches).
 func ArithTripleCost(n int64) ArithCost {
 	return ArithCost{
 		Products:  n,
@@ -41,14 +42,6 @@ func ArithTripleCost(n int64) ArithCost {
 // batched exchange per direction.
 func ArithMatTripleCost(m, k, n int) ArithCost {
 	return ArithTripleCost(int64(m) * int64(k) * int64(n))
-}
-
-// ArithMatMulOnlineCost prices the online half of a Beaver matmul
-// (arith.MatMul): both parties open D (m×k) and E (k×n) words in one
-// exchange; no OTs.
-func ArithMatMulOnlineCost(m, k, n int) ArithCost {
-	words := int64(m)*int64(k) + int64(k)*int64(n)
-	return ArithCost{WireBytes: 2 * 8 * words, Exchanges: 1}
 }
 
 // ArithB2ACost prices converting elems width-bit Boolean vectors to
@@ -75,12 +68,4 @@ func ArithB2ACost(elems int64, width int) ArithCost {
 // priced like any other GMW layer.
 func ArithA2BCost(elems int64, width int) GMWLayerCost {
 	return gmwCost(elems*int64(gmw.AdderANDGates(width)), gmw.AdderExchanges(width))
-}
-
-// BytesPerTriple is the modeled wire cost per scalar triple.
-func (c ArithCost) BytesPerTriple() float64 {
-	if c.Products == 0 {
-		return 0
-	}
-	return float64(c.WireBytes) / float64(c.Products)
 }

@@ -238,16 +238,12 @@ func TestArithCostModels(t *testing.T) {
 		t.Fatalf("triple cost %+v", tr)
 	}
 	// 528 B per product per direction.
-	if got := tr.BytesPerTriple(); got != 1056 {
-		t.Fatalf("bytes/triple = %v, want 1056", got)
+	if got := tr.WireBytes; got != 1000*1056 {
+		t.Fatalf("wire bytes = %v, want 1056 per triple", got)
 	}
 	mt := ArithMatTripleCost(8, 16, 4)
 	if mt.Products != 8*16*4 {
 		t.Fatalf("mat triple products %+v", mt)
-	}
-	on := ArithMatMulOnlineCost(8, 16, 4)
-	if on.WireBytes != 2*8*(8*16+16*4) || on.COTs != 0 {
-		t.Fatalf("matmul online cost %+v", on)
 	}
 	b2a := ArithB2ACost(100, 64)
 	if b2a.COTs != 100*63 {
@@ -256,9 +252,6 @@ func TestArithCostModels(t *testing.T) {
 	a2b := ArithA2BCost(100, 64)
 	if a2b.ANDGates != 100*int64(gmw.AdderANDGates(64)) {
 		t.Fatalf("a2b cost %+v", a2b)
-	}
-	if (ArithCost{}).BytesPerTriple() != 0 {
-		t.Fatal("empty cost has no per-triple bytes")
 	}
 }
 

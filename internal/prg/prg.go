@@ -89,9 +89,6 @@ func (p PRG) OpsFor(n int) int {
 	return (n + 3) / 4
 }
 
-// Name identifies the construction, e.g. "ChaCha8x4".
-func (p PRG) Name() string { return fmt.Sprintf("%vx%d", p.kind, p.arity) }
-
 // Expand writes the first len(children) children of parent into
 // children; 1 <= len(children) <= Arity(). Producing fewer children
 // than Arity yields a prefix of the full expansion, which is what a

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -25,13 +27,13 @@ func TestExpandDeterministicAllKinds(t *testing.T) {
 		parent := block.New(0x1234, 0x5678)
 		p.Expand(parent, a)
 		p.Expand(parent, b)
-		if !block.Equal(a, b) {
-			t.Fatalf("%s: not deterministic", p.Name())
+		if !slices.Equal(a, b) {
+			t.Fatalf("%s: not deterministic", name(p))
 		}
 		seen := map[block.Block]bool{parent: true}
 		for _, c := range a {
 			if seen[c] {
-				t.Fatalf("%s: a child repeats a sibling or the parent", p.Name())
+				t.Fatalf("%s: a child repeats a sibling or the parent", name(p))
 			}
 			seen[c] = true
 		}
@@ -47,12 +49,12 @@ func TestChaChaPrefixConsistency(t *testing.T) {
 	New(ChaCha8, 4).Expand(parent, c4)
 	c32 := make([]block.Block, 32)
 	New(ChaCha8, 32).Expand(parent, c32)
-	if !block.Equal(c4, c32[:4]) {
+	if !slices.Equal(c4, c32[:4]) {
 		t.Fatal("4-ary expansion should be a prefix of the 32-ary expansion")
 	}
 	c2 := make([]block.Block, 2)
 	New(ChaCha8, 2).Expand(parent, c2)
-	if !block.Equal(c2, c32[:2]) {
+	if !slices.Equal(c2, c32[:2]) {
 		t.Fatal("2-ary expansion should be a prefix of the 32-ary expansion")
 	}
 }
@@ -67,7 +69,7 @@ func TestSeedSensitivity(t *testing.T) {
 			p.Expand(p1, x)
 			p.Expand(p2, y)
 			if p1 == p2 {
-				return block.Equal(x, y)
+				return slices.Equal(x, y)
 			}
 			for i := range x {
 				if x[i] == y[i] {
@@ -77,7 +79,7 @@ func TestSeedSensitivity(t *testing.T) {
 			return true
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-			t.Fatalf("%s: %v", p.Name(), err)
+			t.Fatalf("%s: %v", name(p), err)
 		}
 	}
 }
@@ -97,7 +99,7 @@ func TestOpsPerExpand(t *testing.T) {
 	for _, c := range cases {
 		p := New(c.kind, c.arity)
 		if got := p.OpsFor(p.Arity()); got != c.want {
-			t.Errorf("%s: OpsFor(Arity()) = %d, want %d", p.Name(), got, c.want)
+			t.Errorf("%s: OpsFor(Arity()) = %d, want %d", name(p), got, c.want)
 		}
 	}
 }
@@ -112,8 +114,8 @@ func TestPartialExpandIsPrefix(t *testing.T) {
 		for n := 1; n < p.Arity(); n++ {
 			part := make([]block.Block, n)
 			p.Expand(parent, part)
-			if !block.Equal(part, full[:n]) {
-				t.Fatalf("%s: partial expand of %d children is not a prefix", p.Name(), n)
+			if !slices.Equal(part, full[:n]) {
+				t.Fatalf("%s: partial expand of %d children is not a prefix", name(p), n)
 			}
 		}
 	}
@@ -180,8 +182,8 @@ func TestExpandGolden(t *testing.T) {
 			parent = children[len(children)-1]
 		}
 		got := hex.EncodeToString(h.Sum(nil))
-		if want := golden[p.Name()]; got != want {
-			t.Errorf("%s: sha256 of chained expansions = %s, want %s", p.Name(), got, want)
+		if want := golden[name(p)]; got != want {
+			t.Errorf("%s: sha256 of chained expansions = %s, want %s", name(p), got, want)
 		}
 	}
 }
@@ -208,6 +210,10 @@ func TestChaChaBlockRFC8439(t *testing.T) {
 	}
 }
 
+// name identifies a construction in messages and benchmark names, e.g.
+// "ChaCha8x4".
+func name(p PRG) string { return fmt.Sprintf("%vx%d", p.kind, p.arity) }
+
 func TestKindString(t *testing.T) {
 	if AES.String() != "AES" || ChaCha8.String() != "ChaCha8" {
 		t.Fatal("Kind.String broken")
@@ -220,7 +226,7 @@ func TestKindString(t *testing.T) {
 func BenchmarkExpand(b *testing.B) {
 	for _, p := range []PRG{New(AES, 2), New(AES, 4), New(ChaCha8, 2), New(ChaCha8, 4)} {
 		p := p
-		b.Run(p.Name(), func(b *testing.B) {
+		b.Run(name(p), func(b *testing.B) {
 			children := make([]block.Block, p.Arity())
 			parent := block.New(1, 2)
 			b.SetBytes(int64(16 * p.Arity()))

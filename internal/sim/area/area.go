@@ -38,10 +38,6 @@ func PowerPerBlockRatio(c PRGCore) float64 {
 	return (c.PowerMW / float64(c.BlocksPerOp)) / base
 }
 
-// PowerRatio is the raw power ratio versus AES-128 (the 3.092x entry of
-// Table 2 normalizes per-op power... the table reports the raw ratio).
-func PowerRatio(c PRGCore) float64 { return c.PowerMW / AES128.PowerMW }
-
 // SRAM area law fitted to the paper's two whole-accelerator anchors
 // (Table 6: 1.482 mm^2 with 2x256 KB caches, 2.995 mm^2 with 2x1 MB)
 // assuming area-linear SRAM beyond a fixed logic base:

@@ -47,12 +47,6 @@ func New(sizeBytes, lineBytes, ways int) *Cache {
 	return c
 }
 
-// LineBytes returns the configured line size.
-func (c *Cache) LineBytes() int { return c.lineBytes }
-
-// SizeBytes returns the configured capacity.
-func (c *Cache) SizeBytes() int { return c.sets * c.ways * c.lineBytes }
-
 // Access simulates one read of the given byte address, returning true
 // on a hit. Misses allocate the line (evicting LRU).
 func (c *Cache) Access(addr uint64) bool {
@@ -81,9 +75,6 @@ func (c *Cache) Access(addr uint64) bool {
 	return false
 }
 
-// Stats returns (hits, misses).
-func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
-
 // HitRate returns hits/(hits+misses), 0 when no accesses happened.
 func (c *Cache) HitRate() float64 {
 	total := c.hits + c.misses
@@ -91,13 +82,4 @@ func (c *Cache) HitRate() float64 {
 		return 0
 	}
 	return float64(c.hits) / float64(total)
-}
-
-// Reset clears contents and statistics.
-func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-		c.lru[i] = 0
-	}
-	c.clock, c.hits, c.misses = 0, 0, 0
 }

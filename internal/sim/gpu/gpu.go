@@ -6,11 +6,6 @@
 // CUDA performance model — see the substitution table in DESIGN.md.
 package gpu
 
-import (
-	"ironman/internal/ferret"
-	"ironman/internal/sim/cpu"
-)
-
 // Model captures the paper's A6000 datapoints.
 type Model struct {
 	// SpeedupOverCPU is the throughput gain over the 24-thread CPU.
@@ -30,18 +25,4 @@ var A6000 = Model{
 	SPCOTShare:     0.441,
 	LPNShare:       0.502,
 	PowerWatts:     120.9, // implied by 84.5x over Ironman's 1.43 W
-}
-
-// TotalOTsLatency estimates GPU latency for generating totalOTs
-// correlations with the given parameter set.
-func (g Model) TotalOTsLatency(host cpu.Model, params ferret.Params, totalOTs int) float64 {
-	return host.TotalOTsLatency(params, totalOTs) / g.SpeedupOverCPU
-}
-
-// Breakdown splits a total latency into the reported phase shares.
-func (g Model) Breakdown(total float64) (spcot, lpn, other float64) {
-	spcot = total * g.SPCOTShare
-	lpn = total * g.LPNShare
-	other = total - spcot - lpn
-	return
 }

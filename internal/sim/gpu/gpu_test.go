@@ -3,31 +3,23 @@ package gpu
 import (
 	"math"
 	"testing"
-
-	"ironman/internal/ferret"
-	"ironman/internal/sim/cpu"
 )
 
+// TestGPUFasterThanCPU pins the §6.1 anchor every GPU latency divides
+// the full-thread CPU latency by.
 func TestGPUFasterThanCPU(t *testing.T) {
-	p, _ := ferret.ParamsByName("2^20")
-	cpuLat := cpu.Xeon5220R.TotalOTsLatency(p, 1<<25)
-	gpuLat := A6000.TotalOTsLatency(cpu.Xeon5220R, p, 1<<25)
-	r := cpuLat / gpuLat
-	if math.Abs(r-5.88) > 1e-9 {
-		t.Fatalf("GPU speedup %.2f, want 5.88 (§6.1)", r)
+	if math.Abs(A6000.SpeedupOverCPU-5.88) > 1e-9 {
+		t.Fatalf("GPU speedup %.2f, want 5.88 (§6.1)", A6000.SpeedupOverCPU)
 	}
 }
 
 func TestBreakdownShares(t *testing.T) {
-	spcot, lpn, other := A6000.Breakdown(1.0)
-	if math.Abs(spcot-0.441) > 1e-9 || math.Abs(lpn-0.502) > 1e-9 {
-		t.Fatalf("breakdown %f/%f wrong", spcot, lpn)
+	other := 1 - A6000.SPCOTShare - A6000.LPNShare
+	if math.Abs(A6000.SPCOTShare-0.441) > 1e-9 || math.Abs(A6000.LPNShare-0.502) > 1e-9 {
+		t.Fatalf("breakdown %f/%f wrong", A6000.SPCOTShare, A6000.LPNShare)
 	}
 	if other < 0 || other > 0.1 {
 		t.Fatalf("other share %f implausible", other)
-	}
-	if math.Abs(spcot+lpn+other-1.0) > 1e-9 {
-		t.Fatal("shares must sum to the total")
 	}
 }
 

@@ -80,15 +80,6 @@ func SortFor(cfg Config) lpn.SortOptions {
 	}
 }
 
-// DIMMs returns the number of DIMM modules implied by the rank count.
-func (c Config) DIMMs() int {
-	d := c.Ranks / c.RanksPerDIMM
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
-
 func (c Config) validate() error {
 	if c.Ranks < 1 || c.RanksPerDIMM < 1 || c.CacheBytes < c.LineBytes ||
 		c.ChaChaCores < 1 || c.LogicFreqMHz < 1 || c.ElemsPerCycle < 1 {

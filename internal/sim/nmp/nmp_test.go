@@ -175,12 +175,3 @@ func TestBadConfigRejected(t *testing.T) {
 		t.Fatal("expected config error")
 	}
 }
-
-func TestDIMMCount(t *testing.T) {
-	if DefaultConfig(16, 1<<20).DIMMs() != 8 {
-		t.Fatal("16 ranks should be 8 DIMMs")
-	}
-	if DefaultConfig(1, 1<<20).DIMMs() != 1 {
-		t.Fatal("DIMMs must be at least 1")
-	}
-}

@@ -5,8 +5,6 @@
 // statistics of a real run or from a modeled byte count.
 package simnet
 
-import "ironman/internal/transport"
-
 // Network is a bandwidth/latency pair.
 type Network struct {
 	Name         string
@@ -24,9 +22,4 @@ var (
 // bytes in the given number of flights (direction changes).
 func (n Network) Latency(bytes int64, flights int) float64 {
 	return float64(bytes)*8/n.BandwidthBps + float64(flights)*n.RTTSeconds
-}
-
-// LatencyOf prices a finished protocol run from its transport stats.
-func (n Network) LatencyOf(s transport.Stats) float64 {
-	return n.Latency(s.TotalBytes(), s.Flights)
 }

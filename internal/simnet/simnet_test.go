@@ -41,9 +41,14 @@ func TestLatencyOfStats(t *testing.T) {
 	_ = b.Send(make([]byte, 500))
 	_, _ = a.Recv()
 	st := a.Stats()
-	want := LAN.Latency(1500, st.Flights)
-	if got := LAN.LatencyOf(st); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("LatencyOf = %g, want %g", got, want)
+	// A finished run is priced from its transport stats: both
+	// directions' bytes and its flights.
+	if st.TotalBytes() != 1500 {
+		t.Fatalf("stats count %d bytes, want 1500", st.TotalBytes())
+	}
+	want := 1500*8/LAN.BandwidthBps + float64(st.Flights)*LAN.RTTSeconds
+	if got := LAN.Latency(st.TotalBytes(), st.Flights); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("Latency = %g, want %g", got, want)
 	}
 }
 

@@ -368,10 +368,6 @@ func DealPair(connS, connR transport.Conn, delta block.Block, n int, opts Option
 // Delta returns the sender's global correlation.
 func (s *Sender) Delta() block.Block { return s.delta }
 
-// Batch returns the usable correlations per Extend.
-func (s *Sender) Batch() int   { return s.n }
-func (r *Receiver) Batch() int { return r.n }
-
 // xorInto dst ^= src (equal lengths).
 func xorInto(dst, src []byte) { subtle.XORBytes(dst, dst, src) }
 
@@ -541,26 +537,4 @@ func (s *Sender) Extend() ([]block.Block, error) {
 		ext.EndArgs(map[string]any{"iteration": s.Iterations, "n": s.n})
 	}
 	return z[:s.n], nil
-}
-
-// ExtendLockstep runs one iteration of both endpoints of an
-// in-process pair concurrently and joins the results, mirroring
-// ferret.ExtendLockstep.
-func ExtendLockstep(s *Sender, r *Receiver) ([]block.Block, []bool, []block.Block, error) {
-	var z []block.Block
-	var serr error
-	done := make(chan struct{})
-	go func() {
-		z, serr = s.Extend()
-		close(done)
-	}()
-	bits, y, rerr := r.Extend()
-	<-done
-	if serr != nil {
-		return nil, nil, nil, serr
-	}
-	if rerr != nil {
-		return nil, nil, nil, rerr
-	}
-	return z, bits, y, nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"slices"
 	"testing"
 
 	"ironman/internal/block"
@@ -15,6 +16,25 @@ import (
 const testN = 1024
 
 var testSeed = block.New(0x736f6674, 0x74657374)
+
+// extendLockstep runs one iteration of both endpoints of an in-process
+// pair concurrently (extension.ExtendLockstep, which this package cannot
+// import).
+func extendLockstep(s *Sender, r *Receiver) ([]block.Block, []bool, []block.Block, error) {
+	var z []block.Block
+	var serr error
+	done := make(chan struct{})
+	go func() {
+		z, serr = s.Extend()
+		close(done)
+	}()
+	bits, y, rerr := r.Extend()
+	<-done
+	if serr != nil {
+		return nil, nil, nil, serr
+	}
+	return z, bits, y, rerr
+}
 
 func checkCorrelation(t *testing.T, delta block.Block, z []block.Block, bits []bool, y []block.Block) {
 	t.Helper()
@@ -43,7 +63,7 @@ func TestDealtCorrelationAllFieldSizes(t *testing.T) {
 		// Several iterations: the persistent leaf streams must stay in
 		// lockstep across Extends.
 		for it := 0; it < 3; it++ {
-			z, bits, y, err := ExtendLockstep(s, r)
+			z, bits, y, err := extendLockstep(s, r)
 			if err != nil {
 				t.Fatalf("k=%d it=%d: %v", k, it, err)
 			}
@@ -76,7 +96,7 @@ func TestNetworkSetup(t *testing.T) {
 		t.Fatal(sr.err)
 	}
 	for it := 0; it < 2; it++ {
-		z, bits, y, err := ExtendLockstep(sr.s, r)
+		z, bits, y, err := extendLockstep(sr.s, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +113,7 @@ func TestRandomDeltaChunks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		z, bits, y, err := ExtendLockstep(s, r)
+		z, bits, y, err := extendLockstep(s, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +148,7 @@ func runSeeded(t *testing.T, workers int) (wire []byte, z []block.Block, bits []
 		t.Fatal(err)
 	}
 	for it := 0; it < 2; it++ {
-		z, bits, y, err = ExtendLockstep(s, r)
+		z, bits, y, err = extendLockstep(s, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +167,7 @@ func TestTranscriptDeterminismAcrossWorkers(t *testing.T) {
 		if !bytes.Equal(wire1, wireN) {
 			t.Fatalf("workers=%d changed the wire transcript (%d vs %d bytes)", workers, len(wireN), len(wire1))
 		}
-		if !block.Equal(z1, zN) || !block.Equal(y1, yN) {
+		if !slices.Equal(z1, zN) || !slices.Equal(y1, yN) {
 			t.Fatalf("workers=%d changed the outputs", workers)
 		}
 		for i := range bits1 {
@@ -173,7 +193,7 @@ func goldenRun(t *testing.T, n, k, workers int) [3]string {
 	}
 	hz, hy := sha256.New(), sha256.New()
 	for it := 0; it < 2; it++ {
-		z, bits, y, err := ExtendLockstep(s, r)
+		z, bits, y, err := extendLockstep(s, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +251,7 @@ func TestWireBytesExact(t *testing.T) {
 		}
 		const iters = 3
 		for it := 0; it < iters; it++ {
-			if _, _, _, err := ExtendLockstep(s, r); err != nil {
+			if _, _, _, err := extendLockstep(s, r); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -295,7 +315,7 @@ func BenchmarkExtend(b *testing.B) {
 	b.SetBytes(n * block.Size)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := ExtendLockstep(s, r); err != nil {
+		if _, _, _, err := extendLockstep(s, r); err != nil {
 			b.Fatal(err)
 		}
 	}

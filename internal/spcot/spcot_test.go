@@ -100,10 +100,10 @@ func TestCOTBudgetIndependentOfArity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if sp.Used() != 8 {
-			t.Fatalf("%s: consumed %d COTs, want log2(256)=8", p.Name(), sp.Used())
+			t.Fatalf("%v: consumed %d COTs, want log2(256)=8", p, sp.Used())
 		}
 		if rp.Used() != 8 {
-			t.Fatalf("%s: receiver consumed %d", p.Name(), rp.Used())
+			t.Fatalf("%v: receiver consumed %d", p, rp.Used())
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -296,7 +297,7 @@ func TestBlockHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !block.Equal(got, blocks) {
+	if !slices.Equal(got, blocks) {
 		t.Fatal("blocks mismatch")
 	}
 	_ = SendBlocks(a, blocks)
@@ -337,7 +338,7 @@ func TestBlockChunkingBoundary(t *testing.T) {
 		if err := <-errCh; err != nil {
 			t.Fatalf("n=%d: send: %v", tc.n, err)
 		}
-		if !block.Equal(got, blocks) {
+		if !slices.Equal(got, blocks) {
 			t.Fatalf("n=%d: blocks mismatch", tc.n)
 		}
 		st := a.Stats()
@@ -377,7 +378,7 @@ func TestBlockChunkingOverTCP(t *testing.T) {
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
-	if !block.Equal(got, blocks) {
+	if !slices.Equal(got, blocks) {
 		t.Fatal("blocks mismatch over TCP chunked framing")
 	}
 }

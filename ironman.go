@@ -597,8 +597,6 @@ type (
 	ArithParty = arith.Party
 	// ArithShare is an additively-shared vector over Z_2^64.
 	ArithShare = arith.Share
-	// ArithTriples is a batch of Beaver triples consumed by MulVec.
-	ArithTriples = arith.Triples
 	// ArithMatTriple is a Beaver matrix triple consumed by MatMul.
 	ArithMatTriple = arith.MatTriple
 	// FixedPoint is the two's-complement fixed-point encoding used by
