@@ -212,7 +212,7 @@ func arithWorkload(t *testing.T, backend string) []uint64 {
 	return ra.vals
 }
 
-// circuitWorkload evaluates the embedded 64-bit divider (two SIMD
+// circuitWorkload evaluates the reference 64-bit divider (two SIMD
 // instances) on the given backend and returns the opened output bits.
 func circuitWorkload(t *testing.T, backend string) [][]bool {
 	t.Helper()

@@ -6,7 +6,7 @@ import (
 	"fmt"
 )
 
-// BuildAES128 constructs the AES-128 encryption circuit: inputs
+// buildAES128 constructs the AES-128 encryption circuit: inputs
 // (plaintext 128 bits, key 128 bits), output (ciphertext 128 bits),
 // all in BytesBits layout (bit j of byte i at wire 8i+j). The key
 // schedule runs in-circuit, so the key may itself be secret-shared —
@@ -22,7 +22,7 @@ import (
 //
 // The circuit is self-checked against crypto/aes before it is
 // returned.
-func BuildAES128() (*Circuit, error) {
+func buildAES128() (*Circuit, error) {
 	b := NewBuilder()
 	ptBits := b.Input(128)
 	keyBits := b.Input(128)

@@ -5,7 +5,9 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -29,7 +31,9 @@ import (
 // before use (so Gates is topologically ordered on return); the gate
 // count must match the header; and every wire — in particular every
 // output wire — must be driven by an input or a gate (no dangling
-// wires).
+// wires). Declared counts past the int32 wire-handle range are
+// rejected, and memory grows with the gates read, not with the
+// header's claims.
 func Load(r io.Reader) (*Circuit, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
@@ -74,10 +78,19 @@ func (s *lineScanner) next() (fields []string, line int, ok bool) {
 	return nil, s.line, false
 }
 
+// maxCount bounds every count a netlist declares — gates, wires,
+// values, widths, operands. Wires are int32 handles, so no circuit
+// past it is representable, and a header is rejected on its own line
+// before anything is allocated from it.
+const maxCount = math.MaxInt32
+
 func parseCount(tok, what string, line int) (int, error) {
 	v, err := strconv.Atoi(tok)
 	if err != nil || v < 0 {
 		return 0, fmt.Errorf("circuit: line %d: bad %s %q", line, what, tok)
+	}
+	if v > maxCount {
+		return 0, fmt.Errorf("circuit: line %d: %s %d exceeds the limit %d", line, what, v, maxCount)
 	}
 	return v, nil
 }
@@ -166,13 +179,12 @@ func load(r io.Reader) (*Circuit, error) {
 		return nil, fmt.Errorf("circuit: line %d: %d input + %d output wires exceed %d total wires", l2, inBits, outBits, nwires)
 	}
 
-	// defined[w] tracks single assignment and definition-before-use.
-	defined := make([]bool, nwires)
-	for w := 0; w < inBits; w++ {
-		defined[w] = true
-	}
-
-	c.Gates = make([]Gate, 0, ngates)
+	// Nothing below is sized by the header's counts: the gates and
+	// their line numbers grow with the gate lines actually read, and
+	// checkDefinitions sizes its tracking by the outputs those gates
+	// drive.
+	var lines []int // 1-based source line of each gate
+	driven := 0     // gate output wires read
 	for {
 		if !haveGate {
 			gateFields, gateLine, haveGate = ls.next()
@@ -180,11 +192,13 @@ func load(r io.Reader) (*Circuit, error) {
 				break
 			}
 		}
-		g, err := parseGate(gateFields, gateLine, nwires, defined)
+		g, err := parseGate(gateFields, gateLine, nwires)
 		if err != nil {
 			return nil, err
 		}
 		c.Gates = append(c.Gates, g)
+		lines = append(lines, gateLine)
+		driven += len(g.Out)
 		haveGate = false
 		if len(c.Gates) > ngates {
 			return nil, fmt.Errorf("circuit: line %d: more gates than the declared %d", gateLine, ngates)
@@ -196,12 +210,50 @@ func load(r io.Reader) (*Circuit, error) {
 	if len(c.Gates) != ngates {
 		return nil, fmt.Errorf("circuit: line %d: header declares %d gates but %d found", ls.line, ngates, len(c.Gates))
 	}
-	for w, def := range defined {
-		if !def {
-			return nil, fmt.Errorf("circuit: dangling wire %d: never driven by an input or gate output", w)
-		}
+	if err := checkDefinitions(c.Gates, lines, inBits, nwires, driven); err != nil {
+		return nil, err
 	}
 	return c, nil
+}
+
+// checkDefinitions enforces that every wire is defined exactly once
+// and before it is used, and that none dangles. Input wires are
+// defined from the start, so only the nwires-inBits wires gates must
+// drive are tracked, and only once the gates drive at least that many
+// outputs; with fewer, one of the first driven+1 gate wires is never
+// driven and is reported as dangling.
+func checkDefinitions(gates []Gate, lines []int, inBits, nwires, driven int) error {
+	if driven < nwires-inBits {
+		hit := make([]bool, driven+1)
+		for _, g := range gates {
+			for _, w := range g.Out {
+				if i := int(w) - inBits; i >= 0 && i <= driven {
+					hit[i] = true
+				}
+			}
+		}
+		return fmt.Errorf("circuit: dangling wire %d: never driven by an input or gate output", inBits+slices.Index(hit, false))
+	}
+	// At least as many outputs as gate wires: once no wire is defined
+	// twice, every one of them is driven.
+	defined := make([]bool, nwires-inBits)
+	isDefined := func(w int32) bool { return int(w) < inBits || defined[int(w)-inBits] }
+	for gi, g := range gates {
+		if g.Op != EQ {
+			for _, w := range g.In {
+				if !isDefined(w) {
+					return fmt.Errorf("circuit: line %d: wire %d used before it is defined (gates out of order?)", lines[gi], w)
+				}
+			}
+		}
+		for _, w := range g.Out {
+			if isDefined(w) {
+				return fmt.Errorf("circuit: line %d: wire %d defined twice", lines[gi], w)
+			}
+			defined[int(w)-inBits] = true
+		}
+	}
+	return nil
 }
 
 func parseValueDecl(f []string, what string, line int) ([]int, error) {
@@ -257,7 +309,7 @@ func opFor(tok string) (Op, bool) {
 	return 0, false
 }
 
-func parseGate(f []string, line, nwires int, defined []bool) (Gate, error) {
+func parseGate(f []string, line, nwires int) (Gate, error) {
 	opTok := f[len(f)-1]
 	op, ok := opFor(opTok)
 	if !ok {
@@ -306,9 +358,6 @@ func parseGate(f []string, line, nwires int, defined []bool) (Gate, error) {
 			if v < 0 || v >= nwires {
 				return Gate{}, fmt.Errorf("circuit: line %d: input wire %d out of range [0,%d)", line, v, nwires)
 			}
-			if !defined[v] {
-				return Gate{}, fmt.Errorf("circuit: line %d: wire %d used before it is defined (gates out of order?)", line, v)
-			}
 		}
 		g.In[i] = int32(v)
 	}
@@ -320,10 +369,6 @@ func parseGate(f []string, line, nwires int, defined []bool) (Gate, error) {
 		if v < 0 || v >= nwires {
 			return Gate{}, fmt.Errorf("circuit: line %d: output wire %d out of range [0,%d)", line, v, nwires)
 		}
-		if defined[v] {
-			return Gate{}, fmt.Errorf("circuit: line %d: wire %d defined twice", line, v)
-		}
-		defined[v] = true
 		g.Out[i] = int32(v)
 	}
 	return g, nil

@@ -110,24 +110,6 @@ func TestLoadGzip(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	c, err := circuit.Load(strings.NewReader(fashionAdder))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := c.Marshal(&buf); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := circuit.Load(&buf)
-	if err != nil {
-		t.Fatalf("reloading marshaled circuit: %v", err)
-	}
-	if len(c2.Gates) != len(c.Gates) || c2.Wires != c.Wires {
-		t.Fatalf("round trip mismatch: %d/%d gates, %d/%d wires", len(c2.Gates), len(c.Gates), c2.Wires, c.Wires)
-	}
-}
-
 // TestLoadErrors exercises the strict validator: every malformed input
 // must fail, and structural errors must carry the offending 1-based
 // line number.
@@ -155,6 +137,11 @@ func TestLoadErrors(t *testing.T) {
 		{"too many gates", "1 4\n2 1 1\n1 1\n\n2 1 0 1 2 XOR\n2 1 0 1 3 AND\n", "more gates than the declared"},
 		{"too few gates", "3 5\n2 1 1\n1 1\n\n2 1 0 1 2 XOR\n2 1 0 1 3 AND\n", "declares 3 gates but 2 found"},
 		{"dangling wire", "1 4\n2 1 1\n1 1\n\n2 1 0 1 3 XOR\n", "dangling wire 2"},
+		// Header counts past the int32 wire range are refused on line 1;
+		// counts inside it allocate nothing the gates do not back.
+		{"huge wire count", "1 274877906944\n1 1\n1 1\n\n2 1 0 0 1 XOR\n", "line 1"},
+		{"max wire count dangling", "1 2147483647\n1 1\n1 1\n\n2 1 0 0 2147483646 XOR\n", "dangling wire 1"},
+		{"max gate count", "2147483647 3\n1 2\n1 1\n\n2 1 0 1 2 XOR\n", "declares 2147483647 gates but 1 found"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

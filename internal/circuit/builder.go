@@ -3,7 +3,7 @@ package circuit
 import "fmt"
 
 // Builder is a small netlist DSL for constructing Bristol circuits
-// programmatically — the source of the embedded reference circuits.
+// programmatically — the one source of the reference circuits.
 // Wires are int32 handles; Input declares input values (before any
 // gate), the gate methods emit gates, and Finish relabels the chosen
 // output wires into the trailing positions Bristol requires.

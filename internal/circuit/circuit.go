@@ -5,9 +5,10 @@
 // exchange, and evaluates K independent instances of the same circuit
 // SIMD-packed across the word lanes of the engine's bitsliced shares.
 //
-// The pipeline is Load -> Compile -> Eval:
+// The pipeline is Load (or a built reference circuit) -> Compile ->
+// Eval:
 //
-//	c, _ := circuit.LoadFile("aes128.btl.gz")
+//	c, _ := circuit.LoadFile("adder64.txt") // or circuit.AES128()
 //	prog, _ := circuit.Compile(c)
 //	out, _ := prog.Eval(party, inputs, nil) // inputs: one K-bit plane per input wire
 //
@@ -20,11 +21,7 @@
 // layers of the Ironman paper's PPML scenarios) cheap per instance.
 package circuit
 
-import (
-	"fmt"
-	"io"
-	"strings"
-)
+import "fmt"
 
 // Op is a Bristol gate type.
 type Op uint8
@@ -165,47 +162,6 @@ func (c *Circuit) EvalPlain(inputs [][]bool) ([][]bool, error) {
 	return out, nil
 }
 
-// Marshal serializes the circuit in Bristol Fashion text form — the
-// inverse of Load for circuits built programmatically.
-func (c *Circuit) Marshal(w io.Writer) error {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d %d\n", len(c.Gates), c.Wires)
-	fmt.Fprintf(&b, "%d", len(c.Inputs))
-	for _, n := range c.Inputs {
-		fmt.Fprintf(&b, " %d", n)
-	}
-	b.WriteByte('\n')
-	fmt.Fprintf(&b, "%d", len(c.Outputs))
-	for _, n := range c.Outputs {
-		fmt.Fprintf(&b, " %d", n)
-	}
-	b.WriteString("\n\n")
-	if _, err := io.WriteString(w, b.String()); err != nil {
-		return err
-	}
-	// Gates stream through a reused builder so marshaling a
-	// multi-hundred-thousand-gate circuit does not hold two copies of
-	// the text in memory.
-	for gi := range c.Gates {
-		b.Reset()
-		g := &c.Gates[gi]
-		fmt.Fprintf(&b, "%d %d", len(g.In), len(g.Out))
-		for _, x := range g.In {
-			fmt.Fprintf(&b, " %d", x)
-		}
-		for _, x := range g.Out {
-			fmt.Fprintf(&b, " %d", x)
-		}
-		b.WriteByte(' ')
-		b.WriteString(g.Op.String())
-		b.WriteByte('\n')
-		if _, err := io.WriteString(w, b.String()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Uint64Bits returns the LSB-first width-bit decomposition of v — the
 // bit layout circuit inputs use.
 func Uint64Bits(v uint64, width int) []bool {
@@ -229,7 +185,7 @@ func BitsUint64(bits []bool) uint64 {
 
 // BytesBits returns the LSB-first-per-byte bit decomposition of a byte
 // string: bit j of byte i lands at index 8i+j. This is the layout the
-// embedded AES-128 circuit uses for plaintext, key, and ciphertext.
+// AES128 circuit uses for plaintext, key, and ciphertext.
 func BytesBits(p []byte) []bool {
 	bits := make([]bool, 8*len(p))
 	for i, by := range p {

@@ -2,7 +2,7 @@ package circuit
 
 import "fmt"
 
-// BuildDivide64 constructs the 64-bit unsigned division circuit:
+// buildDivide64 constructs the 64-bit unsigned division circuit:
 // inputs (dividend, divisor), outputs (quotient, remainder), all
 // LSB-first (Uint64Bits layout).
 //
@@ -19,7 +19,7 @@ import "fmt"
 //
 // The circuit is self-checked against native division before it is
 // returned.
-func BuildDivide64() (*Circuit, error) {
+func buildDivide64() (*Circuit, error) {
 	b := NewBuilder()
 	x := b.Input(64) // dividend
 	d := b.Input(64) // divisor

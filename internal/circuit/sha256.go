@@ -18,7 +18,7 @@ var sha256K = [64]uint64{
 	0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 }
 
-// BuildSHA256 constructs the SHA-256 compression-function circuit:
+// buildSHA256 constructs the SHA-256 compression-function circuit:
 // inputs (512-bit message block, 256-bit chaining value), output (new
 // 256-bit chaining value). Bytes use BytesBits layout; the chaining
 // value is the big-endian digest encoding, so feeding the standard IV
@@ -33,7 +33,7 @@ var sha256K = [64]uint64{
 //
 // The circuit is self-checked against crypto/sha256 before it is
 // returned.
-func BuildSHA256() (*Circuit, error) {
+func buildSHA256() (*Circuit, error) {
 	b := NewBuilder()
 	blk := b.Input(512)
 	chain := b.Input(256)

@@ -49,9 +49,6 @@ type Options struct {
 	// backends with an m-ary tree choice (ferret; SoftSpoken's trees
 	// are always binary AES).
 	BinaryAES bool
-	// FieldBits is the SoftSpoken subfield size k (1, 2, 4 or 8; 0
-	// selects the backend default). Ignored by ferret.
-	FieldBits int
 }
 
 // Cost is a backend's exact per-Extend wire model plus its setup

@@ -26,21 +26,15 @@ func (softSpokenBackend) Batch(p Params) int {
 }
 
 func (softSpokenBackend) options(o Options) softspoken.Options {
-	return softspoken.Options{FieldBits: o.FieldBits, Workers: o.Workers, Seed: o.Seed, Trace: o.Trace}
-}
-
-func fieldBits(o Options) int {
-	if o.FieldBits == 0 {
-		return softspoken.DefaultFieldBits
-	}
-	return o.FieldBits
+	return softspoken.Options{Workers: o.Workers, Seed: o.Seed, Trace: o.Trace}
 }
 
 // Cost: one receiver→sender message per Extend, sized exactly by
-// softspoken.WireBytes (asserted byte-for-byte by the extend bench).
-func (b softSpokenBackend) Cost(p Params, o Options) Cost {
+// softspoken.WireBytes at the default subfield size (asserted
+// byte-for-byte by the extend bench).
+func (b softSpokenBackend) Cost(p Params, _ Options) Cost {
 	n := b.Batch(p)
-	extend := softspoken.WireBytes(n, fieldBits(o))
+	extend := softspoken.WireBytes(n, softspoken.DefaultFieldBits)
 	return Cost{
 		ExtendBytes: extend,
 		BytesPerCOT: float64(extend) / float64(n),

@@ -362,9 +362,11 @@ func (r *Router) dropToken(token string) {
 // reattachCandidates orders the shards to try for a token reconnect:
 // the cached placement first, then every routable shard (live or
 // draining — a draining shard still serves its leases) in address
-// order.
+// order. The list is built under r.mu: setState writes shard state
+// there.
 func (r *Router) reattachCandidates(token string) []string {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	cached, hasCached := r.tokens[token]
 	var all []*shard
 	for _, sh := range r.shards {
@@ -375,7 +377,6 @@ func (r *Router) reattachCandidates(token string) []string {
 			hasCached = false
 		}
 	}
-	r.mu.Unlock()
 	sort.Slice(all, func(i, j int) bool { return all[i].addr < all[j].addr })
 	var rest []string
 	for _, sh := range all {

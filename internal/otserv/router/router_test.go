@@ -400,3 +400,57 @@ func TestRouterAllShardsDownTypedError(t *testing.T) {
 		t.Fatalf("no-shard HELLO error is untyped: %v", err)
 	}
 }
+
+// TestReattachCandidatesRacesStateFlips reads the candidate list while
+// another goroutine flips a shard between dead and live, the interleaving
+// a health probe and a token reconnect produce. Under -race it fails if
+// reattachCandidates reads shard state outside the router's lock; in any
+// mode the list must hold each routable shard once, the cached one first
+// whenever it is routable.
+func TestReattachCandidatesRacesStateFlips(t *testing.T) {
+	r := New(Config{Probe: time.Hour})
+	t.Cleanup(func() { r.Close() })
+	r.mu.Lock()
+	for _, addr := range []string{"a", "b", "c"} {
+		r.shards[addr] = &shard{addr: addr, state: shardLive}
+	}
+	r.tokens["tok"] = "b"
+	r.mu.Unlock()
+
+	stop := make(chan struct{})
+	flipped := make(chan struct{})
+	go func() {
+		defer close(flipped)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st := shardLive
+			if i%2 == 0 {
+				st = shardDead
+			}
+			r.setState("b", st, 0, false)
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-flipped
+	}()
+	for i := 0; i < 2000; i++ {
+		got := r.reattachCandidates("tok")
+		switch len(got) {
+		case 2:
+			if got[0] != "a" || got[1] != "c" {
+				t.Fatalf("candidates %v with b dead, want [a c]", got)
+			}
+		case 3:
+			if got[0] != "b" || got[1] != "a" || got[2] != "c" {
+				t.Fatalf("candidates %v with b live, want [b a c]", got)
+			}
+		default:
+			t.Fatalf("candidates %v", got)
+		}
+	}
+}

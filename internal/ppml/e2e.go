@@ -3,14 +3,13 @@ package ppml
 import (
 	"fmt"
 
-	"ironman/internal/block"
+	"ironman/internal/extension"
 	"ironman/internal/ferret"
 	"ironman/internal/prg"
 	"ironman/internal/sim/cpu"
 	"ironman/internal/sim/gpu"
 	"ironman/internal/sim/nmp"
 	"ironman/internal/simnet"
-	"ironman/internal/spcot"
 )
 
 // OTBackend prices the OT-extension preprocessing phase.
@@ -32,14 +31,18 @@ func mustParams(name string) ferret.Params {
 	return p
 }
 
-// PreprocBytesFor models the (sublinear) OTE communication per
-// produced correlation under a parameter set: per execution, each of
-// the T GGM trees exchanges log2(ℓ) puncture messages — one chosen OT
-// each, a correction byte up and two ciphertext blocks down — plus one
-// consistency block, amortized over the Usable() yield.
+// PreprocBytesFor is the (sublinear) OTE communication per produced
+// correlation under a parameter set: the ferret backend's exact wire
+// model over binary AES GGM trees, the construction the CPU model
+// prices. Per execution, each of the T trees runs log2(ℓ) one-instance
+// chosen OTs plus one node-recovery block, amortized over the
+// Usable() yield.
 func PreprocBytesFor(p ferret.Params) float64 {
-	perTree := spcot.COTBudget(p.L)*(1+2*block.Size) + block.Size
-	return float64(p.T) * float64(perTree) / float64(p.Usable())
+	b, err := extension.ByName("ferret")
+	if err != nil {
+		panic(err)
+	}
+	return b.Cost(p, extension.Options{BinaryAES: true}).BytesPerCOT
 }
 
 // PreprocBytesPerOT is PreprocBytesFor at the parameter set all

@@ -4,11 +4,13 @@ import (
 	"math"
 	"testing"
 
+	"ironman/internal/block"
 	"ironman/internal/ferret"
 	"ironman/internal/gmw"
 	"ironman/internal/sim/gpu"
 	"ironman/internal/sim/nmp"
 	"ironman/internal/simnet"
+	"ironman/internal/spcot"
 )
 
 // testIronman uses a sampled NMP sim to keep tests fast.
@@ -257,11 +259,17 @@ func TestArithCostModels(t *testing.T) {
 
 func TestPreprocBytesDerivation(t *testing.T) {
 	// The modeled preprocessing communication must be sublinear (well
-	// under a block per correlation) and track the parameter set.
+	// under a block per correlation), track the parameter set, and
+	// equal the per-tree count by hand: log2(ℓ) chosen OTs of a
+	// correction byte up and two blocks down, plus one block.
 	for _, p := range ferret.Table4 {
 		b := PreprocBytesFor(p)
 		if b <= 0 || b >= 1 {
 			t.Fatalf("%s: preproc bytes/OT %v out of the sublinear range", p.Name, b)
+		}
+		perTree := spcot.COTBudget(p.L)*(1+2*block.Size) + block.Size
+		if want := float64(p.T) * float64(perTree) / float64(p.Usable()); b != want {
+			t.Fatalf("%s: preproc bytes/OT %v, per-tree count gives %v", p.Name, b, want)
 		}
 	}
 	if PreprocBytesPerOT != PreprocBytesFor(oteParams) {

@@ -565,22 +565,24 @@ func RevealCircuitOutputs(p *GMWParty, planes []GMWPacked) ([][]bool, error) {
 	return circuit.Reveal(p, planes)
 }
 
-// CircuitAES128 returns the embedded AES-128 encryption circuit
-// (plaintext, key -> ciphertext, 51200 ANDs, depth 40); inputs and
-// outputs use the BytesBits layout. Treat as read-only.
+// CircuitAES128 returns the AES-128 encryption circuit (plaintext,
+// key -> ciphertext, 51200 ANDs, depth 40), built and self-checked
+// against crypto/aes on first use; inputs and outputs use the
+// BytesBits layout. Treat as read-only.
 func CircuitAES128() *Circuit { return circuit.AES128() }
 
-// CircuitSHA256 returns the embedded SHA-256 compression circuit
-// (padded block, chaining value -> new chaining value). Treat as
+// CircuitSHA256 returns the SHA-256 compression circuit (padded block,
+// chaining value -> new chaining value), built on first use. Treat as
 // read-only.
 func CircuitSHA256() *Circuit { return circuit.SHA256() }
 
-// CircuitDivide64 returns the embedded 64-bit unsigned divider
-// (dividend, divisor -> quotient, remainder). Treat as read-only.
+// CircuitDivide64 returns the 64-bit unsigned divider (dividend,
+// divisor -> quotient, remainder), built on first use. Treat as
+// read-only.
 func CircuitDivide64() *Circuit { return circuit.Divide64() }
 
 // BytesBits explodes a byte string into the LSB-first-per-byte bit
-// layout the embedded byte-oriented circuits use; BitsBytes inverts.
+// layout the byte-oriented reference circuits use; BitsBytes inverts.
 func BytesBits(p []byte) []bool { return circuit.BytesBits(p) }
 
 // BitsBytes recomposes BytesBits output into a byte string.

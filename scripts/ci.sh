@@ -121,7 +121,7 @@ kill "$shard1_pid" "$shard2_pid" "$shard3_pid" "$router_pid"
 wait "$shard1_pid" "$shard2_pid" "$shard3_pid" "$router_pid" 2>/dev/null || true
 echo "fleet OK"
 
-echo "== embedded circuit end-to-end (examples/private-aes over real TCP) =="
+echo "== reference circuit end-to-end (examples/private-aes over real TCP) =="
 # Threshold AES through the Bristol circuit frontend: XOR-split key,
 # four SIMD-packed blocks, ciphertexts verified against crypto/aes.
 "$bindir/private-aes"
@@ -142,10 +142,11 @@ go test -count=25 -run 'CodeShared' ./internal/ferret
 echo "== go test -race (includes the gmw + arith engines and the TCP pipeline) =="
 go test -race ./...
 
-echo "== kernel benchmarks: column pipeline, GGM expander, chosen OT (one iteration each, so they cannot rot) =="
+echo "== kernel benchmarks: column pipeline, GGM expander, chosen OT, reference-circuit build (one iteration each, so they cannot rot) =="
 go test -run '^$' -bench 'TransposeBits|StreamFill' -benchtime 1x ./internal/block ./internal/aesprg
 go test -run '^$' -bench 'Expand' -benchtime 1x ./internal/prg ./internal/ggm
 go test -run '^$' -bench 'Chosen' -benchtime 1x ./internal/cot
+go test -run '^$' -bench 'Build' -benchtime 1x ./internal/circuit
 
 echo "== paper-figure registry (ironman-bench -quick -exp all, so it cannot rot) =="
 go run ./cmd/ironman-bench -quick -exp all -json > /dev/null
