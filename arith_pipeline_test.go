@@ -5,6 +5,8 @@ import (
 	"net"
 	"testing"
 
+	"ironman/internal/arith"
+	"ironman/internal/cot"
 	"ironman/internal/ferret"
 )
 
@@ -47,7 +49,7 @@ func tcpPair(t *testing.T) (Conn, Conn) {
 // -race by scripts/ci.sh.
 func TestArithPipelineOverTCP(t *testing.T) {
 	const m, k = 8, 12
-	f := FixedPoint{Frac: 12}
+	f := arith.Fixed{Frac: 12}
 
 	// Pool-fed correlations: one prefetching dealt pair per OT
 	// direction, drawn through the async pool layer.
@@ -55,7 +57,7 @@ func TestArithPipelineOverTCP(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Prefetch = 2
 	budget := 64*m*k + 900*m
-	mkPools := func() (*GMWSenderPool, *GMWReceiverPool) {
+	mkPools := func() (*cot.SenderPool, *cot.ReceiverPool) {
 		t.Helper()
 		connS, connR := Pipe()
 		delta, err := RandomDelta()
@@ -75,7 +77,7 @@ func TestArithPipelineOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.PoolStats().Dispensed == 0 || r.PoolStats().Dispensed == 0 {
+		if s.PoolStats().Dispensed == 0 || r.p.Stats().Dispensed == 0 {
 			t.Fatal("pools did not feed the draw")
 		}
 		return sp, rp
@@ -94,8 +96,8 @@ func TestArithPipelineOverTCP(t *testing.T) {
 		x[i] = math.Cos(float64(3 * i))
 	}
 
-	eval := func(conn Conn, out *GMWSenderPool, in *GMWReceiverPool, first bool) ([]float64, error) {
-		p, err := NewArithParty(conn, out, in, first)
+	eval := func(conn Conn, out *cot.SenderPool, in *cot.ReceiverPool, first bool) ([]float64, error) {
+		p, err := arith.NewParty(conn, out, in, first)
 		if err != nil {
 			return nil, err
 		}

@@ -5,9 +5,12 @@ import (
 	"reflect"
 	"testing"
 
+	"ironman/internal/arith"
 	"ironman/internal/circuit"
+	"ironman/internal/cot"
 	"ironman/internal/extension"
 	"ironman/internal/ferret"
+	"ironman/internal/gmw"
 )
 
 // The backend-parity suite runs identical seeded workloads through
@@ -30,7 +33,7 @@ func parityOpts(backend string, seed uint64) Options {
 
 // parityPools deals one seeded pair on the named backend and
 // materializes both halves into GMW-consumable pools.
-func parityPools(t *testing.T, backend string, seed uint64, budget int) (*GMWSenderPool, *GMWReceiverPool) {
+func parityPools(t *testing.T, backend string, seed uint64, budget int) (*cot.SenderPool, *cot.ReceiverPool) {
 	t.Helper()
 	connS, connR := Pipe()
 	delta := Block{Lo: 0xdead0000 + seed, Hi: 0xbeef}
@@ -104,7 +107,7 @@ func gmwCompareWorkload(t *testing.T, backend string) []bool {
 	var openA []bool
 	done := make(chan error, 1)
 	go func() {
-		pa, err := NewGMWParty(connA, sAB, rBA, true)
+		pa, err := gmw.NewParty(connA, sAB, rBA, true)
 		if err != nil {
 			done <- err
 			return
@@ -117,7 +120,7 @@ func gmwCompareWorkload(t *testing.T, backend string) []bool {
 		openA, err = pa.RevealPacked(gt)
 		done <- err
 	}()
-	pb, err := NewGMWParty(connB, sBA, rAB, false)
+	pb, err := gmw.NewParty(connB, sBA, rAB, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +152,7 @@ func gmwCompareWorkload(t *testing.T, backend string) []bool {
 func arithWorkload(t *testing.T, backend string) []uint64 {
 	t.Helper()
 	const m, k = 6, 10
-	f := FixedPoint{Frac: 12}
+	f := arith.Fixed{Frac: 12}
 	budget := 64*m*k + 900*m
 	sAB, rAB := parityPools(t, backend, 3, budget)
 	sBA, rBA := parityPools(t, backend, 4, budget)
@@ -162,8 +165,8 @@ func arithWorkload(t *testing.T, backend string) []uint64 {
 	for i := range x {
 		x[i] = math.Cos(float64(3 * i))
 	}
-	eval := func(conn Conn, out *GMWSenderPool, in *GMWReceiverPool, first bool) ([]uint64, error) {
-		p, err := NewArithParty(conn, out, in, first)
+	eval := func(conn Conn, out *cot.SenderPool, in *cot.ReceiverPool, first bool) ([]uint64, error) {
+		p, err := arith.NewParty(conn, out, in, first)
 		if err != nil {
 			return nil, err
 		}
@@ -216,7 +219,7 @@ func arithWorkload(t *testing.T, backend string) []uint64 {
 // instances) on the given backend and returns the opened output bits.
 func circuitWorkload(t *testing.T, backend string) [][]bool {
 	t.Helper()
-	prog, err := CompileCircuit(CircuitDivide64())
+	prog, err := circuit.Compile(circuit.Reference("div64"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +228,7 @@ func circuitWorkload(t *testing.T, backend string) [][]bool {
 	sAB, rAB := parityPools(t, backend, 5, budget)
 	sBA, rBA := parityPools(t, backend, 6, budget)
 
-	planes := func(mine bool) []GMWPacked {
+	planes := func(mine bool) []gmw.PackedShare {
 		dividends := make([][]bool, len(vecs))
 		divisors := make([][]bool, len(vecs))
 		if mine {
@@ -234,11 +237,11 @@ func circuitWorkload(t *testing.T, backend string) [][]bool {
 				divisors[i] = circuit.Uint64Bits(v[1], 64)
 			}
 		}
-		dp, err := ShareCircuitInputs(dividends, 64, mine)
+		dp, err := circuit.SharePlanes(dividends, 64, mine)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vp, err := ShareCircuitInputs(divisors, 64, mine)
+		vp, err := circuit.SharePlanes(divisors, 64, mine)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,28 +255,28 @@ func circuitWorkload(t *testing.T, backend string) [][]bool {
 	}
 	ch := make(chan res, 1)
 	go func() {
-		pa, err := NewGMWParty(connA, sAB, rBA, true)
+		pa, err := gmw.NewParty(connA, sAB, rBA, true)
 		if err != nil {
 			ch <- res{nil, err}
 			return
 		}
-		out, err := EvalCircuit(pa, prog, planes(true))
+		out, err := prog.Eval(pa, planes(true), nil)
 		if err != nil {
 			ch <- res{nil, err}
 			return
 		}
-		outs, err := RevealCircuitOutputs(pa, out)
+		outs, err := circuit.Reveal(pa, out)
 		ch <- res{outs, err}
 	}()
-	pb, err := NewGMWParty(connB, sBA, rAB, false)
+	pb, err := gmw.NewParty(connB, sBA, rAB, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := EvalCircuit(pb, prog, planes(false))
+	out, err := prog.Eval(pb, planes(false), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outsB, err := RevealCircuitOutputs(pb, out)
+	outsB, err := circuit.Reveal(pb, out)
 	if err != nil {
 		t.Fatal(err)
 	}

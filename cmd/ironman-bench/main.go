@@ -1,9 +1,10 @@
 // Command ironman-bench regenerates the paper's tables and figures
-// from experiments.All.
+// from experiments.All, or prices one private inference.
 //
 // Usage:
 //
 //	ironman-bench [-quick] [-exp name[,name...]] [-json]
+//	ironman-bench -price framework,model,network,backend
 //
 // -exp takes a comma-separated list of experiment names or "all" (the
 // default); `-exp list` prints every experiment with its one-line
@@ -14,6 +15,12 @@
 // With -json the selected experiments are emitted as one JSON
 // document on stdout — {"meta": {...}, "experiments": {name:
 // {"seconds": wall, "data": rows, "headline": {...}}}}.
+//
+// -price prints the end-to-end breakdown of one inference from the
+// model behind table5 and fig1a (ppml.EndToEnd) and runs no
+// experiment, e.g. `-price Cheetah,ResNet50,lan,ironman`: framework
+// CrypTFlow2, Cheetah, Bolt or EzPC-SiRNN; a model-zoo entry; network
+// lan or wan; OT backend cpu, gpu or ironman (16 ranks, 1 MB cache).
 //
 // Measured protocol throughput (COT/s, AND/s, triples/s, fleet
 // latency) is not here: `go run ./benchmark` is its one source.
@@ -45,11 +52,15 @@ func run(all []experiments.Experiment, args []string, stdout, stderr io.Writer) 
 	quick := fs.Bool("quick", false, "reduced sample sizes")
 	exp := fs.String("exp", "all", "experiment(s) to run, comma-separated; \"list\" prints them")
 	jsonOut := fs.Bool("json", false, "emit machine-readable JSON instead of rendered tables")
+	priceSpec := fs.String("price", "", "price one inference: framework,model,network,backend (runs no experiment)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
 		}
 		return 2
+	}
+	if *priceSpec != "" {
+		return price(*priceSpec, stdout, stderr)
 	}
 
 	if *exp == "list" {

@@ -38,6 +38,8 @@ func TestRun(t *testing.T) {
 		{"empty selection", []string{"-exp", ","}, 2, "", "no experiment selected"},
 		{"failing run", []string{"-exp", "all"}, 1, "OK table\n", "broken: simulator exploded\n"},
 		{"bad flag", []string{"-backend", "ferret"}, 2, "", "flag provided but not defined"},
+		{"price", []string{"-price", "Cheetah,ResNet50,lan,cpu"}, 0, "Cheetah / ResNet50 on LAN(3Gbps,0.15ms) with OT backend CPU(4 threads)\n", ""},
+		{"price unknown framework", []string{"-price", "Delphi,ResNet50,lan,cpu"}, 2, "", `unknown framework "Delphi"`},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(fake, tc.args, &stdout, &stderr); code != tc.code {

@@ -25,8 +25,9 @@ import (
 	"net"
 
 	"ironman"
-
+	"ironman/internal/circuit"
 	"ironman/internal/cot"
+	"ironman/internal/gmw"
 )
 
 // blocks is the SIMD instance count: plaintext blocks encrypted per
@@ -34,8 +35,7 @@ import (
 const blocks = 4
 
 func main() {
-	circ := ironman.CircuitAES128()
-	prog, err := ironman.CompileCircuit(circ)
+	prog, err := circuit.Compile(circuit.AES128())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func main() {
 	}
 	resA := make(chan result, 1)
 	go func() { // party A: plaintexts + key share kA
-		party, err := ironman.NewGMWParty(connA, sAB, rBA, true)
+		party, err := gmw.NewParty(connA, sAB, rBA, true)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -101,24 +101,24 @@ func main() {
 		ptBits := make([][]bool, blocks)
 		keyBits := make([][]bool, blocks)
 		for k := range ptBits {
-			ptBits[k] = ironman.BytesBits(pts[k])
-			keyBits[k] = ironman.BytesBits(kA[:]) // same share every instance
+			ptBits[k] = circuit.BytesBits(pts[k])
+			keyBits[k] = circuit.BytesBits(kA[:]) // same share every instance
 		}
-		ptPlanes, err := ironman.ShareCircuitInputs(ptBits, 128, true)
+		ptPlanes, err := circuit.SharePlanes(ptBits, 128, true)
 		if err != nil {
 			log.Fatal(err)
 		}
 		// Threshold input: BOTH parties pass their key share with
 		// mine=true; the circuit sees the XOR, i.e. K itself.
-		keyPlanes, err := ironman.ShareCircuitInputs(keyBits, 128, true)
+		keyPlanes, err := circuit.SharePlanes(keyBits, 128, true)
 		if err != nil {
 			log.Fatal(err)
 		}
-		out, err := ironman.EvalCircuit(party, prog, append(ptPlanes, keyPlanes...))
+		out, err := prog.Eval(party, append(ptPlanes, keyPlanes...), nil)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cts, err := ironman.RevealCircuitOutputs(party, out)
+		cts, err := circuit.Reveal(party, out)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -127,27 +127,27 @@ func main() {
 	}()
 
 	// Party B: no plaintext (zero shares), key share kB.
-	party, err := ironman.NewGMWParty(<-connB, sBA, rAB, false)
+	party, err := gmw.NewParty(<-connB, sBA, rAB, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ptPlanes, err := ironman.ShareCircuitInputs(make([][]bool, blocks), 128, false)
+	ptPlanes, err := circuit.SharePlanes(make([][]bool, blocks), 128, false)
 	if err != nil {
 		log.Fatal(err)
 	}
 	keyBits := make([][]bool, blocks)
 	for k := range keyBits {
-		keyBits[k] = ironman.BytesBits(kB[:])
+		keyBits[k] = circuit.BytesBits(kB[:])
 	}
-	keyPlanes, err := ironman.ShareCircuitInputs(keyBits, 128, true)
+	keyPlanes, err := circuit.SharePlanes(keyBits, 128, true)
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, err := ironman.EvalCircuit(party, prog, append(ptPlanes, keyPlanes...))
+	out, err := prog.Eval(party, append(ptPlanes, keyPlanes...), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctsB, err := ironman.RevealCircuitOutputs(party, out)
+	ctsB, err := circuit.Reveal(party, out)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -166,8 +166,8 @@ func main() {
 	for k := range pts {
 		want := make([]byte, 16)
 		cipher.Encrypt(want, pts[k])
-		gotA := ironman.BitsBytes(ra.cts[k])
-		gotB := ironman.BitsBytes(ctsB[k])
+		gotA := circuit.BitsBytes(ra.cts[k])
+		gotB := circuit.BitsBytes(ctsB[k])
 		if !bytes.Equal(gotA, want) || !bytes.Equal(gotB, want) {
 			log.Fatalf("block %d: threshold ciphertext mismatch", k)
 		}

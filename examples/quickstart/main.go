@@ -1,5 +1,6 @@
-// Quickstart: generate correlated OTs with the Ironman library, convert
-// a few to chosen-message OTs, and verify everything.
+// Quickstart: generate correlated OTs with the Ironman library, spend
+// a few on chosen-message OTs, and verify everything (exits non-zero
+// on a wrong result).
 //
 //	go run ./examples/quickstart
 package main
@@ -77,8 +78,10 @@ func main() {
 	if err := <-errCh; err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("chosen OT results: %v %v (want %v %v)\n",
-		got[0], got[1], msgs[0][1], msgs[1][0])
+	if got[0] != msgs[0][1] || got[1] != msgs[1][0] {
+		log.Fatalf("chosen OT results: %v %v, want %v %v", got[0], got[1], msgs[0][1], msgs[1][0])
+	}
+	fmt.Printf("chosen OT results verified: %v %v\n", got[0], got[1])
 }
 
 func blockOf(v uint64) ironman.Block {

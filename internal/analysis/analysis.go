@@ -21,13 +21,14 @@
 //     metric points hold locks; a send under one serializes the fleet).
 //
 // The module check, deadexport (deadexport.go): an exported name in a
-// package under internal/ is dead when no non-test file of the module
+// package under internal/ or in the root package (whose import path is
+// the module path) is dead when no non-test file of the module
 // references it. Exempt are methods that implement an interface method
 // (the module's or the standard library's), embedded fields and tagged
-// struct fields; fields of unnamed struct types match by name. Root
-// ironman and package main directories are not scanned, though their
-// uses count. The uses come from dependents, so it is not an Analyzer:
-// it runs in `go test ./internal/analysis`, not under the vettool.
+// struct fields; fields of unnamed struct types match by name. Package
+// main directories are not scanned, though their uses count. The uses
+// come from dependents, so it is not an Analyzer: it runs in
+// `go test ./internal/analysis`, not under the vettool.
 //
 // Every check honors the audited suppression directive
 //

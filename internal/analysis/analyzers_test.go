@@ -12,12 +12,13 @@ func TestWireerr(t *testing.T)    { runFixture(t, Wireerr, "ironman/internal/wir
 func TestLocknet(t *testing.T)    { runFixture(t, Locknet, "ironman/internal/lockfix") }
 
 // TestDeadexport runs the module check over the deadmod fixture module:
-// an internal library, its test file, and an internal package main.
+// its root package, an internal library, its test file, and an internal
+// package main.
 func TestDeadexport(t *testing.T) {
 	fi := loader(t)
 	var pkgs []*loadedPackage
 	var files []*ast.File
-	for _, path := range []string{"deadmod/internal/lib", "deadmod/internal/gen"} {
+	for _, path := range []string{"deadmod", "deadmod/internal/lib", "deadmod/internal/gen"} {
 		p, err := fi.load(path)
 		if err != nil {
 			t.Fatalf("load fixture %s: %v", path, err)
@@ -25,7 +26,7 @@ func TestDeadexport(t *testing.T) {
 		pkgs = append(pkgs, p)
 		files = append(files, p.files...)
 	}
-	checkWants(t, fi.fset, files, deadExports(fi.fset, pkgs))
+	checkWants(t, fi.fset, files, deadExports(fi.fset, "deadmod", pkgs))
 }
 
 // TestStubsClean runs every analyzer over the stub packages: compliant

@@ -32,10 +32,11 @@ type exportDecl struct {
 	method *types.Func // set for methods, which an interface may require
 }
 
-// deadExports runs the check over the loaded packages and returns its
-// findings, including every //ironman:allow(deadexport) directive that
-// suppressed nothing, sorted by position.
-func deadExports(fset *token.FileSet, pkgs []*loadedPackage) []Finding {
+// deadExports runs the check over the loaded packages of the module
+// whose path is modPath and returns its findings, including every
+// //ironman:allow(deadexport) directive that suppressed nothing, sorted
+// by position.
+func deadExports(fset *token.FileSet, modPath string, pkgs []*loadedPackage) []Finding {
 	enc := new(objectpath.Encoder)
 	used := make(map[objKey]bool)
 	for _, p := range pkgs {
@@ -44,7 +45,7 @@ func deadExports(fset *token.FileSet, pkgs []*loadedPackage) []Finding {
 	ifaces := interfaceMethods(pkgs)
 	var findings []Finding
 	for _, p := range pkgs {
-		if p.pkg.Name() == "main" || !strings.Contains("/"+p.pkg.Path()+"/", "/internal/") {
+		if p.pkg.Name() == "main" || p.pkg.Path() != modPath && !strings.Contains("/"+p.pkg.Path()+"/", "/internal/") {
 			continue
 		}
 		var files []*ast.File

@@ -64,6 +64,9 @@ type module struct {
 	pkgs []*loadedPackage
 }
 
+// modulePath is the path of the module loadModule checks.
+const modulePath = "ironman"
+
 // loadModule loads every package of the module rooted at dir (as `go
 // vet ./...` would, minus test files). It shells out to the go tool for
 // package metadata and export data, then type-checks each module
@@ -89,7 +92,7 @@ func loadModule(dir string) (*module, error) {
 			return nil, fmt.Errorf("go list decode: %v", err)
 		}
 		byPath[p.ImportPath] = &p
-		if p.ImportPath == "ironman" || strings.HasPrefix(p.ImportPath, "ironman/") {
+		if p.ImportPath == modulePath || strings.HasPrefix(p.ImportPath, modulePath+"/") {
 			targets = append(targets, &p)
 		}
 	}

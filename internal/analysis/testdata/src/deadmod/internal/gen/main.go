@@ -2,11 +2,15 @@
 // exports are not scanned.
 package main
 
-import "deadmod/internal/lib"
+import (
+	"deadmod"
+	"deadmod/internal/lib"
+)
 
 func Exported() {}
 
 func main() {
+	deadmod.Public()
 	lib.OnlyMain()
 	lib.Used()
 }

@@ -54,11 +54,12 @@ func TestModuleVetClean(t *testing.T) {
 	failFindings(t, m.vet(Analyzers), "ironman-vet invariant violation(s)")
 }
 
-// TestModuleNoDeadExports holds internal/ to exported names some
-// non-test file in the module uses (see deadexport.go).
+// TestModuleNoDeadExports holds internal/ and the root package to
+// exported names some non-test file in the module uses (see
+// deadexport.go).
 func TestModuleNoDeadExports(t *testing.T) {
 	m := loadedModule(t)
-	failFindings(t, deadExports(m.fset, m.pkgs), "dead export(s)")
+	failFindings(t, deadExports(m.fset, modulePath, m.pkgs), "dead export(s)")
 }
 
 // TestOneMeasurementPath keeps the pre-ledger benchmark stack from

@@ -6,13 +6,12 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"slices"
 	"strconv"
 	"strings"
 )
 
-// Load parses a Bristol circuit from r. Both header dialects are
+// load parses a Bristol circuit from r. Both header dialects are
 // accepted:
 //
 //	"Bristol Fashion" (new):        "Bristol Format" (legacy):
@@ -34,7 +33,7 @@ import (
 // wires). Declared counts past the int32 wire-handle range are
 // rejected, and memory grows with the gates read, not with the
 // header's claims.
-func Load(r io.Reader) (*Circuit, error) {
+func load(r io.Reader) (*Circuit, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	if magic, err := br.Peek(2); err == nil && magic[0] == 0x1f && magic[1] == 0x8b {
 		zr, err := gzip.NewReader(br)
@@ -42,23 +41,9 @@ func Load(r io.Reader) (*Circuit, error) {
 			return nil, fmt.Errorf("circuit: gzip header: %w", err)
 		}
 		defer zr.Close()
-		return load(bufio.NewReaderSize(zr, 1<<16))
+		return parse(bufio.NewReaderSize(zr, 1<<16))
 	}
-	return load(br)
-}
-
-// LoadFile is Load over a file path.
-func LoadFile(path string) (*Circuit, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	c, err := Load(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return c, nil
+	return parse(br)
 }
 
 // lineScanner yields non-blank lines with their 1-based line numbers.
@@ -95,7 +80,7 @@ func parseCount(tok, what string, line int) (int, error) {
 	return v, nil
 }
 
-func load(r io.Reader) (*Circuit, error) {
+func parse(r io.Reader) (*Circuit, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
 	ls := &lineScanner{sc: sc}

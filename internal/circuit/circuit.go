@@ -1,15 +1,15 @@
 // Package circuit is the standard-circuit frontend of the GMW engine:
-// it loads Bristol-fashion Boolean circuits (the interchange format
-// AES, SHA-2 and integer arithmetic netlists are published in),
-// levels the gate DAG so every AND level becomes ONE batched OT
-// exchange, and evaluates K independent instances of the same circuit
-// SIMD-packed across the word lanes of the engine's bitsliced shares.
+// it builds Boolean circuits in the Bristol-fashion gate model (the
+// interchange format AES, SHA-2 and integer arithmetic netlists are
+// published in, which the package's parser reads), levels the gate DAG
+// so every AND level becomes ONE batched OT exchange, and evaluates K
+// independent instances of the same circuit SIMD-packed across the
+// word lanes of the engine's bitsliced shares.
 //
-// The pipeline is Load (or a built reference circuit) -> Compile ->
-// Eval:
+// The pipeline is a circuit (a reference circuit, or one from
+// NewBuilder) -> Compile -> Eval:
 //
-//	c, _ := circuit.LoadFile("adder64.txt") // or circuit.AES128()
-//	prog, _ := circuit.Compile(c)
+//	prog, _ := circuit.Compile(circuit.AES128())
 //	out, _ := prog.Eval(party, inputs, nil) // inputs: one K-bit plane per input wire
 //
 // XOR/INV/EQ/EQW gates are local (free); AND and MAND gates consume

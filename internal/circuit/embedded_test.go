@@ -92,7 +92,7 @@ func shaPad(msg []byte) [64]byte {
 // owns the message blocks, party B the (public, but shared as B's
 // input) chaining value.
 func TestEmbeddedSHA256TCP(t *testing.T) {
-	c := circuit.SHA256()
+	c := circuit.Reference("sha256")
 	prog, err := circuit.Compile(c)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestEmbeddedSHA256TCP(t *testing.T) {
 // (513 AND levels) over real TCP, including the division-by-zero
 // convention.
 func TestEmbeddedDivide64TCP(t *testing.T) {
-	c := circuit.Divide64()
+	c := circuit.Reference("div64")
 	prog, err := circuit.Compile(c)
 	if err != nil {
 		t.Fatal(err)
@@ -203,16 +203,15 @@ func circuitDigest(t *testing.T, c *circuit.Circuit) string {
 func TestReferenceCircuitGolden(t *testing.T) {
 	cases := []struct {
 		name string
-		circ func() *circuit.Circuit
 		want string
 	}{
-		{"aes128", circuit.AES128, "d0d498de975985c7c2eb980913c9e6db4fb10186067f99bb7bb52ddcd8e439e3"},
-		{"sha256", circuit.SHA256, "7d376a84e6dfd23530e899adf8e4cc2cc6ad65138fe949006d03991bff60aeb3"},
-		{"div64", circuit.Divide64, "7820a9e78899b888c0d0fff76d248d1ea710532f2d0d2741afd39bf97a7ab513"},
+		{"aes128", "d0d498de975985c7c2eb980913c9e6db4fb10186067f99bb7bb52ddcd8e439e3"},
+		{"sha256", "7d376a84e6dfd23530e899adf8e4cc2cc6ad65138fe949006d03991bff60aeb3"},
+		{"div64", "7820a9e78899b888c0d0fff76d248d1ea710532f2d0d2741afd39bf97a7ab513"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := circuitDigest(t, tc.circ()); got != tc.want {
+			if got := circuitDigest(t, circuit.Reference(tc.name)); got != tc.want {
 				t.Fatalf("%s digest %s, want %s", tc.name, got, tc.want)
 			}
 		})

@@ -465,9 +465,19 @@ type ReceiverRefill func() ([]bool, []block.Block, error)
 // half (bits, y) of the fresh batch.
 type DealtRefill func() (z []block.Block, bits []bool, y []block.Block, err error)
 
+// view is one half of a correlation stream: the only half of a
+// standalone pool, or one direction of a Dealt.
+type view struct {
+	*stream
+	h *half
+}
+
+// Stats snapshots the counters of the view's half.
+func (v view) Stats() Stats { return v.stats(v.h) }
+
 // Sender draws the sender half of a correlation stream: its own
 // (NewSender) or a Dealt's (SenderHalf).
-type Sender struct{ *stream }
+type Sender struct{ view }
 
 // NewSender builds a pool over src. With cfg.Depth > 0 a background
 // worker starts prefetching immediately.
@@ -476,23 +486,21 @@ func NewSender(src SenderRefill, cfg Config) *Sender {
 		z, err := src()
 		return z, nil, nil, err
 	}
-	return &Sender{newStream(lifted, cfg, &half{obs: cfg.Obs}, nil)}
+	st := newStream(lifted, cfg, &half{obs: cfg.Obs}, nil)
+	return &Sender{view{st, st.s}}
 }
 
 // COTs draws n correlations' r0 blocks (r1 = r0 ⊕ Δ implied), waiting
 // for (or, when Depth == 0, running) generation as needed. The
 // returned slice is owned by the caller.
 func (p *Sender) COTs(n int) ([]block.Block, error) {
-	z, _, err := p.draw(p.s, n)
+	z, _, err := p.draw(p.h, n)
 	return z, err
 }
 
-// Stats snapshots the counters.
-func (p *Sender) Stats() Stats { return p.stats(p.s) }
-
 // Receiver draws the receiver half of a correlation stream: its own
 // (NewReceiver) or a Dealt's (ReceiverHalf).
-type Receiver struct{ *stream }
+type Receiver struct{ view }
 
 // NewReceiver builds a pool over src; see NewSender.
 func NewReceiver(src ReceiverRefill, cfg Config) *Receiver {
@@ -500,17 +508,15 @@ func NewReceiver(src ReceiverRefill, cfg Config) *Receiver {
 		bits, y, err := src()
 		return nil, bits, y, err
 	}
-	return &Receiver{newStream(lifted, cfg, nil, &half{obs: cfg.Obs})}
+	st := newStream(lifted, cfg, nil, &half{obs: cfg.Obs})
+	return &Receiver{view{st, st.r}}
 }
 
 // COTs draws n correlations: choice bits and matching r_b blocks.
 func (p *Receiver) COTs(n int) ([]bool, []block.Block, error) {
-	y, bits, err := p.draw(p.r, n)
+	y, bits, err := p.draw(p.h, n)
 	return bits, y, err
 }
-
-// Stats snapshots the counters.
-func (p *Receiver) Stats() Stats { return p.stats(p.r) }
 
 // Dealt buffers both halves of an in-process dealt correlation stream
 // under a single worker, so sender-half and receiver-half draws can
@@ -542,8 +548,8 @@ func (p *Dealt) ReceiverCOTs(n int) ([]bool, []block.Block, error) {
 
 // SenderHalf views the dealt pair's sender direction as a standalone
 // drawer; Close closes the SHARED generator, stopping both halves.
-func (p *Dealt) SenderHalf() *Sender { return &Sender{p.stream} }
+func (p *Dealt) SenderHalf() *Sender { return &Sender{view{p.stream, p.s}} }
 
 // ReceiverHalf is the receiver-direction view; the same shared-Close
 // caveat applies.
-func (p *Dealt) ReceiverHalf() *Receiver { return &Receiver{p.stream} }
+func (p *Dealt) ReceiverHalf() *Receiver { return &Receiver{view{p.stream, p.r}} }

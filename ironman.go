@@ -5,11 +5,13 @@
 // "Ironman: Accelerating Oblivious Transfer Extension for
 // Privacy-Preserving AI with Near-Memory Processing").
 //
-// The two-party protocol runs over any transport.Conn; this package
-// re-exports in-process pipes and TCP framing, wraps the Ferret
-// endpoints with buffering so callers can draw any number of
-// correlations, and converts COTs into random and chosen-message OTs
-// through the correlation-robust hash.
+// The root package is the COT endpoint and nothing else. The two-party
+// protocol runs over any transport.Conn; this package re-exports
+// in-process pipes and TCP framing, wraps the extension endpoints with
+// buffering so callers can draw any number of correlations, runs
+// chosen-message OTs, and hands drawn correlations to the engines
+// (internal/gmw, internal/arith, internal/circuit) as pools through
+// GMWPool.
 //
 // Security model: semi-honest adversaries, 128-bit computational
 // security. See DESIGN.md for scope notes.
@@ -18,21 +20,15 @@ package ironman
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"reflect"
 	"sync/atomic"
 
 	"ironman/internal/aesprg"
-	"ironman/internal/arith"
 	"ironman/internal/block"
-	"ironman/internal/circuit"
 	"ironman/internal/cot"
 	"ironman/internal/extension"
 	"ironman/internal/ferret"
-	"ironman/internal/gmw"
-	"ironman/internal/obs"
-	"ironman/internal/parallel"
 	"ironman/internal/pool"
 	"ironman/internal/transport"
 )
@@ -43,29 +39,14 @@ type Block = block.Block
 // Conn is the two-party message channel.
 type Conn = transport.Conn
 
-// Stats re-exports traffic accounting.
-type Stats = transport.Stats
-
 // Pipe returns two connected in-process endpoints.
 func Pipe() (Conn, Conn) { return transport.Pipe() }
-
-// Tracer re-exports the phase-trace recorder (internal/obs) so callers
-// outside the module can drive Options.Trace.
-type Tracer = obs.Tracer
-
-// NewTracer returns an enabled trace recorder; hand it to
-// Options.Trace on any number of endpoints (thread ids keep the two
-// protocol roles apart) and serialize with Tracer.WriteFile.
-func NewTracer() *Tracer { return obs.NewTracer() }
 
 // NewTCPConn frames an established network connection.
 func NewTCPConn(nc net.Conn) Conn { return transport.NewTCP(nc) }
 
 // Params is a Table 4 parameter set name: "2^20" .. "2^24".
 type Params = ferret.Params
-
-// ParamSets lists the five Table 4 rows.
-func ParamSets() []Params { return append([]Params(nil), ferret.Table4...) }
 
 // ParamsByName resolves a set by name.
 func ParamsByName(name string) (Params, error) { return ferret.ParamsByName(name) }
@@ -86,12 +67,10 @@ type Options struct {
 	// ignored).
 	FourAryChaCha bool
 	// Workers caps the goroutines the Extend hot path's local phases
-	// use — the rank-parallel LPN encode, concurrent GGM tree
-	// expansion, and the batched correlation-robust hash of the
-	// OT-conversion helpers. 0 — the default — selects
-	// runtime.GOMAXPROCS; 1 is the strictly sequential path. The wire
-	// transcript is byte-identical for every value, so the two peers
-	// may use different worker counts.
+	// use — the rank-parallel LPN encode and concurrent GGM tree
+	// expansion. 0 — the default — selects runtime.GOMAXPROCS; 1 is the
+	// strictly sequential path. The wire transcript is byte-identical
+	// for every value, so the two peers may use different worker counts.
 	Workers int
 	// Prefetch is the number of Extend batches a background worker
 	// keeps generated ahead of demand (see internal/pool). 0 — the
@@ -112,21 +91,6 @@ type Options struct {
 	// conn first (interrupting any in-flight background iteration) and
 	// then call Close.
 	Prefetch int
-	// MaxBuffered caps how many correlations a dealt pair's undrawn
-	// half may retain before one-sided draws fail with ErrRetained
-	// (correlations are pairwise, so the lagging half keeps every
-	// batch until drawn). 0 selects Prefetch+8 batches; negative
-	// disables the cap. Only meaningful for NewDealtPair endpoints
-	// with Prefetch > 0.
-	MaxBuffered int
-	// Trace, when non-nil, records the Extend phase timeline (GGM
-	// expansion, puncture flights, LPN encode) plus the conversion
-	// hash ("crhf.hash") of this endpoint into a Chrome trace-event
-	// document (internal/obs; write it with Tracer.WriteFile and open
-	// in chrome://tracing or Perfetto). Tracing never touches the wire
-	// transcript; nil — the default — compiles down to a nil check on
-	// the hot paths.
-	Trace *obs.Tracer
 	// Seed, when non-zero, derives every endpoint-local random draw
 	// from deterministic streams — NOT secure; the backend-parity and
 	// determinism tests and the benchmark harness use it to make a
@@ -135,10 +99,7 @@ type Options struct {
 }
 
 func (o Options) extOpts() extension.Options {
-	return extension.Options{
-		Workers: o.Workers, Trace: o.Trace, Seed: o.Seed,
-		BinaryAES: !o.FourAryChaCha,
-	}
+	return extension.Options{Workers: o.Workers, Seed: o.Seed, BinaryAES: !o.FourAryChaCha}
 }
 
 // backend resolves Options.Backend against the registry.
@@ -147,13 +108,8 @@ func (o Options) backend() (extension.Backend, error) {
 }
 
 func (o Options) poolCfg() pool.Config {
-	return pool.Config{Depth: o.Prefetch, MaxBuffered: o.MaxBuffered}
+	return pool.Config{Depth: o.Prefetch}
 }
-
-// ErrRetained is returned by a dealt-pair draw whose paired half has
-// hit Options.MaxBuffered: generating more would grow the undrawn
-// half without bound. Drain the other endpoint or raise the cap.
-var ErrRetained = pool.ErrRetained
 
 // DefaultOptions is the Ironman design point.
 func DefaultOptions() Options { return Options{FourAryChaCha: true} }
@@ -163,14 +119,13 @@ func DefaultOptions() Options { return Options{FourAryChaCha: true} }
 // refills ran, and how long draws spent blocked on generation.
 type PoolStats = pool.Stats
 
-// Sender produces correlations r0/r1 = r0 ⊕ Δ and converts them to OTs.
-// Its buffer is a standalone prefetching pool for network endpoints, or
-// the sender half of a shared lockstep pool.Dealt for dealt pairs.
+// Sender produces correlations r0/r1 = r0 ⊕ Δ. Its buffer is a
+// standalone prefetching pool for network endpoints, or the sender half
+// of a shared lockstep pool.Dealt for dealt pairs.
 type Sender struct {
-	ext  extension.Sender
-	p    *pool.Sender
-	h    *aesprg.Hash
-	otct uint64
+	ext extension.Sender
+	p   *pool.Sender
+	h   *aesprg.Hash
 	// conn is the endpoint's protocol conn; busy marks it off-limits to
 	// chosen-OT calls while a prefetch worker puts traffic on it
 	// (atomic: Close clears it concurrently with chosen-OT calls).
@@ -181,37 +136,25 @@ type Sender struct {
 	conn     Conn
 	peerConn Conn
 	busy     *atomic.Bool
-	workers  int
-	trace    *obs.Tracer
 }
 
 // Receiver holds choice bits and r_b blocks.
 type Receiver struct {
-	ext      extension.Receiver
 	p        *pool.Receiver
 	h        *aesprg.Hash
-	otct     uint64
 	conn     Conn
 	peerConn Conn
 	busy     *atomic.Bool
-	workers  int
-	trace    *obs.Tracer
 }
 
 // newSender wraps an extension endpoint and the pool view it draws
 // from; busy is shared by the two endpoints of a prefetching dealt pair.
-func newSender(ext extension.Sender, p *pool.Sender, conn Conn, busy *atomic.Bool, opts Options) *Sender {
-	return &Sender{
-		ext: ext, p: p, h: aesprg.NewHash(),
-		conn: conn, busy: busy, workers: opts.Workers, trace: opts.Trace,
-	}
+func newSender(ext extension.Sender, p *pool.Sender, conn Conn, busy *atomic.Bool) *Sender {
+	return &Sender{ext: ext, p: p, h: aesprg.NewHash(), conn: conn, busy: busy}
 }
 
-func newReceiver(ext extension.Receiver, p *pool.Receiver, conn Conn, busy *atomic.Bool, opts Options) *Receiver {
-	return &Receiver{
-		ext: ext, p: p, h: aesprg.NewHash(),
-		conn: conn, busy: busy, workers: opts.Workers, trace: opts.Trace,
-	}
+func newReceiver(p *pool.Receiver, conn Conn, busy *atomic.Bool) *Receiver {
+	return &Receiver{p: p, h: aesprg.NewHash(), conn: conn, busy: busy}
 }
 
 // busyFlag is a fresh conn-busy flag: set while a prefetch worker
@@ -236,7 +179,7 @@ func NewSender(conn Conn, delta Block, params Params, opts Options) (*Sender, er
 	if err != nil {
 		return nil, err
 	}
-	return newSender(ext, pool.NewSender(ext.Extend, opts.poolCfg()), conn, opts.busyFlag(), opts), nil
+	return newSender(ext, pool.NewSender(ext.Extend, opts.poolCfg()), conn, opts.busyFlag()), nil
 }
 
 // NewReceiver initializes the receiving endpoint.
@@ -249,7 +192,7 @@ func NewReceiver(conn Conn, params Params, opts Options) (*Receiver, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newReceiver(ext, pool.NewReceiver(ext.Extend, opts.poolCfg()), conn, opts.busyFlag(), opts), nil
+	return newReceiver(pool.NewReceiver(ext.Extend, opts.poolCfg()), conn, opts.busyFlag()), nil
 }
 
 // lockstepSource adapts extension.ExtendLockstep to the pool.Dealt
@@ -266,11 +209,11 @@ func lockstepSource(es extension.Sender, er extension.Receiver) pool.DealtRefill
 //
 // With Options.Prefetch > 0 the pair shares a single lockstep
 // generator (pool.Dealt): draws in any order are deadlock-free, and a
-// one-sided draw is bounded only by Options.MaxBuffered (the undrawn
-// half retains every generated batch; past the cap the draw fails
-// with ErrRetained instead of exhausting memory). Because the
-// generator is shared, Close on either endpoint stops prefetching for
-// both.
+// one-sided draw is bounded by pool's default retention cap of
+// Prefetch+8 batches (the undrawn half retains every generated batch;
+// past the cap the draw fails instead of exhausting memory). Because
+// the generator is shared, Close on either endpoint stops prefetching
+// for both.
 func NewDealtPair(connS, connR Conn, delta Block, params Params, opts Options) (*Sender, *Receiver, error) {
 	b, err := opts.backend()
 	if err != nil {
@@ -285,13 +228,13 @@ func NewDealtPair(connS, connR Conn, delta Block, params Params, opts Options) (
 		// One flag for the pair: closing either half stops the shared
 		// generator, so both conns become idle together.
 		busy := opts.busyFlag()
-		s := newSender(es, d.SenderHalf(), connS, busy, opts)
-		r := newReceiver(er, d.ReceiverHalf(), connR, busy, opts)
+		s := newSender(es, d.SenderHalf(), connS, busy)
+		r := newReceiver(d.ReceiverHalf(), connR, busy)
 		s.peerConn, r.peerConn = connR, connS
 		return s, r, nil
 	}
-	return newSender(es, pool.NewSender(es.Extend, opts.poolCfg()), connS, opts.busyFlag(), opts),
-		newReceiver(er, pool.NewReceiver(er.Extend, opts.poolCfg()), connR, opts.busyFlag(), opts), nil
+	return newSender(es, pool.NewSender(es.Extend, opts.poolCfg()), connS, opts.busyFlag()),
+		newReceiver(pool.NewReceiver(er.Extend, opts.poolCfg()), connR, opts.busyFlag()), nil
 }
 
 // RandomDelta samples a fresh global correlation.
@@ -302,9 +245,6 @@ func RandomDelta() (Block, error) {
 	}
 	return sp.Delta, nil
 }
-
-// Delta returns the sender's global correlation.
-func (s *Sender) Delta() Block { return s.ext.Delta() }
 
 // COTs returns n correlations' r0 blocks (r1 = r0 ⊕ Δ implied),
 // running protocol iterations with the peer as needed. With
@@ -333,9 +273,6 @@ func (s *Sender) Close() error {
 // COTs returns n correlations: choice bits and r_b blocks.
 func (r *Receiver) COTs(n int) ([]bool, []Block, error) { return r.p.COTs(n) }
 
-// PoolStats reports the endpoint's correlation-pool counters.
-func (r *Receiver) PoolStats() PoolStats { return r.p.Stats() }
-
 // Close stops the endpoint's prefetch worker (a no-op for synchronous
 // endpoints); the same shared-generator and conn-first caveats as
 // Sender.Close apply.
@@ -363,75 +300,6 @@ func sameConn(a, b Conn) bool {
 		return false
 	}
 	return a == b
-}
-
-// hashShardMin is the batch size below which the conversion hash runs
-// inline: fanning goroutines out costs more than a few thousand
-// fixed-key AES calls.
-const hashShardMin = 4096
-
-// hashWorkers resolves the worker count for an n-instance hash batch.
-func hashWorkers(workers, n int) int {
-	if n < hashShardMin {
-		return 1
-	}
-	return workers
-}
-
-// RandomOTs converts n COTs into random OTs: the sender gets message
-// pairs (H(r0), H(r1)); the matching Receiver.RandomOTs yields
-// (choice, H(r_choice)). Figure 2's online conversion. Large batches
-// shard the correlation-robust hash over worker-local chunks
-// (Options.Workers).
-func (s *Sender) RandomOTs(n int) ([][2]Block, error) {
-	r0, err := s.COTs(n)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][2]Block, n)
-	base := s.otct
-	s.otct += uint64(n)
-	hash := s.trace.Span("crhf.hash", "convert", ferret.SenderTID)
-	parallel.ShardIndexed(hashWorkers(s.workers, n), n, func(shard, lo, hi int) {
-		sp := s.trace.Span("crhf.hash", "convert.worker", ferret.SenderTID+1+shard)
-		for i := lo; i < hi; i++ {
-			tweak := base + uint64(i)
-			out[i][0] = s.h.Sum(r0[i], tweak)
-			out[i][1] = s.h.Sum(r0[i].Xor(s.ext.Delta()), tweak)
-		}
-		if sp.Live() {
-			sp.EndArgs(map[string]any{"ots": hi - lo})
-		}
-	})
-	if hash.Live() {
-		hash.EndArgs(map[string]any{"ots": n})
-	}
-	return out, nil
-}
-
-// RandomOTs is the receiver half of the conversion.
-func (r *Receiver) RandomOTs(n int) ([]bool, []Block, error) {
-	bits, blks, err := r.COTs(n)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]Block, n)
-	base := r.otct
-	r.otct += uint64(n)
-	hash := r.trace.Span("crhf.hash", "convert", ferret.ReceiverTID)
-	parallel.ShardIndexed(hashWorkers(r.workers, n), n, func(shard, lo, hi int) {
-		sp := r.trace.Span("crhf.hash", "convert.worker", ferret.ReceiverTID+1+shard)
-		for i := lo; i < hi; i++ {
-			out[i] = r.h.Sum(blks[i], base+uint64(i))
-		}
-		if sp.Live() {
-			sp.EndArgs(map[string]any{"ots": hi - lo})
-		}
-	})
-	if hash.Live() {
-		hash.EndArgs(map[string]any{"ots": n})
-	}
-	return bits, out, nil
 }
 
 // SendChosen runs chosen-message 1-of-2 OTs for the given pairs,
@@ -464,38 +332,11 @@ func (r *Receiver) ReceiveChosen(conn Conn, choices []bool) ([]Block, error) {
 	return cot.ReceiveChosen(conn, p, r.h, choices)
 }
 
-// GMW engine re-exports: the bitsliced two-party Boolean engine layered
-// on chosen OTs (internal/gmw; see the GMW section of DESIGN.md for the
-// round model and the level-batching contract). A GMWParty needs a
-// correlation pool per OT direction, so a two-party deployment runs two
-// endpoint pairs with swapped roles — the paper's §5.2 role-switching
-// scenario.
-type (
-	// GMWParty is one side of a GMW evaluation.
-	GMWParty = gmw.Party
-	// GMWPacked is the engine's word-packed (bitsliced) share type.
-	GMWPacked = gmw.PackedShare
-	// GMWSenderPool / GMWReceiverPool hold materialized correlations
-	// for one OT direction of a GMW party.
-	GMWSenderPool   = cot.SenderPool
-	GMWReceiverPool = cot.ReceiverPool
-)
-
-// ErrRoleConflict is returned by NewGMWParty when both parties claim
-// (or both disclaim) the initiator role.
-var ErrRoleConflict = gmw.ErrRoleConflict
-
-// NewGMWParty assembles a GMW party from one pool per OT direction and
-// runs the role handshake over conn (the peer must call it
-// concurrently with the opposite first flag). Draw the pools with
-// Sender.GMWPool / Receiver.GMWPool.
-func NewGMWParty(conn Conn, out *GMWSenderPool, in *GMWReceiverPool, first bool) (*GMWParty, error) {
-	return gmw.NewParty(conn, out, in, first)
-}
-
-// GMWPool materializes n correlations from this endpoint into a pool
-// the GMW engine can consume (this party as OT sender).
-func (s *Sender) GMWPool(n int) (*GMWSenderPool, error) {
+// GMWPool materializes n correlations from this endpoint into the pool
+// the engines consume (this party as OT sender): hand it to
+// gmw.NewParty or arith.NewParty, together with a receiver pool from an
+// endpoint pair running in the opposite direction.
+func (s *Sender) GMWPool(n int) (*cot.SenderPool, error) {
 	r0, err := s.COTs(n)
 	if err != nil {
 		return nil, err
@@ -503,116 +344,14 @@ func (s *Sender) GMWPool(n int) (*GMWSenderPool, error) {
 	return cot.NewSenderPool(s.ext.Delta(), r0), nil
 }
 
-// GMWPool materializes n correlations from this endpoint into a pool
-// the GMW engine can consume (this party as OT receiver).
-func (r *Receiver) GMWPool(n int) (*GMWReceiverPool, error) {
+// GMWPool materializes n correlations from this endpoint into the pool
+// the engines consume (this party as OT receiver).
+func (r *Receiver) GMWPool(n int) (*cot.ReceiverPool, error) {
 	bits, blocks, err := r.COTs(n)
 	if err != nil {
 		return nil, err
 	}
 	return cot.NewReceiverPool(bits, blocks)
-}
-
-// Circuit frontend re-exports: the Bristol-fashion frontend of the GMW
-// engine (internal/circuit; see the "Circuit frontend" section of
-// DESIGN.md). Load or build a circuit, compile it once into a level
-// schedule, then evaluate any number of SIMD-packed instance batches:
-// each AND level of the schedule is ONE batched OT exchange regardless
-// of the instance count.
-type (
-	// Circuit is a parsed Bristol-fashion Boolean circuit.
-	Circuit = circuit.Circuit
-	// CircuitProgram is a compiled level schedule over a recycled
-	// register file; safe for concurrent Eval calls on different
-	// parties.
-	CircuitProgram = circuit.Program
-)
-
-// LoadCircuit parses a Bristol circuit ("Bristol Fashion" or legacy
-// "Bristol Format" headers; gzip is detected transparently).
-func LoadCircuit(r io.Reader) (*Circuit, error) { return circuit.Load(r) }
-
-// LoadCircuitFile is LoadCircuit over a file path.
-func LoadCircuitFile(path string) (*Circuit, error) { return circuit.LoadFile(path) }
-
-// CompileCircuit levels the gate DAG into a batched exchange schedule
-// and allocates wires into recycled registers (memory scales with the
-// maximum live-wire frontier, not the wire count).
-func CompileCircuit(c *Circuit) (*CircuitProgram, error) { return circuit.Compile(c) }
-
-// EvalCircuit securely evaluates a compiled circuit: inputs is one
-// K-bit plane per circuit input wire (K = SIMD instance count; build
-// the planes with ShareCircuitInputs), the result one K-bit plane per
-// output wire. The peer must run EvalCircuit concurrently on the same
-// program. The whole OT budget is preflighted against the party's
-// pools before the first flight.
-func EvalCircuit(p *GMWParty, prog *CircuitProgram, inputs []GMWPacked) ([]GMWPacked, error) {
-	return prog.Eval(p, inputs, nil)
-}
-
-// ShareCircuitInputs XOR-shares K instances of one circuit input
-// value: the owner passes its per-instance plaintext bits, the peer
-// passes mine=false with the instance count (len(instances)) and nil
-// bit vectors. For threshold inputs neither party knows, both pass
-// their local share with mine=true.
-func ShareCircuitInputs(instances [][]bool, bits int, mine bool) ([]GMWPacked, error) {
-	return circuit.SharePlanes(instances, bits, mine)
-}
-
-// RevealCircuitOutputs opens output planes to both parties (one
-// exchange) and unpacks them into K per-instance bit vectors.
-func RevealCircuitOutputs(p *GMWParty, planes []GMWPacked) ([][]bool, error) {
-	return circuit.Reveal(p, planes)
-}
-
-// CircuitAES128 returns the AES-128 encryption circuit (plaintext,
-// key -> ciphertext, 51200 ANDs, depth 40), built and self-checked
-// against crypto/aes on first use; inputs and outputs use the
-// BytesBits layout. Treat as read-only.
-func CircuitAES128() *Circuit { return circuit.AES128() }
-
-// CircuitSHA256 returns the SHA-256 compression circuit (padded block,
-// chaining value -> new chaining value), built on first use. Treat as
-// read-only.
-func CircuitSHA256() *Circuit { return circuit.SHA256() }
-
-// CircuitDivide64 returns the 64-bit unsigned divider (dividend,
-// divisor -> quotient, remainder), built on first use. Treat as
-// read-only.
-func CircuitDivide64() *Circuit { return circuit.Divide64() }
-
-// BytesBits explodes a byte string into the LSB-first-per-byte bit
-// layout the byte-oriented reference circuits use; BitsBytes inverts.
-func BytesBits(p []byte) []bool { return circuit.BytesBits(p) }
-
-// BitsBytes recomposes BytesBits output into a byte string.
-func BitsBytes(bits []bool) []byte { return circuit.BitsBytes(bits) }
-
-// Arithmetic engine re-exports: additive secret sharing over Z_2^64
-// with COT-backed Beaver triples and A2B/B2A bridges into the GMW
-// engine (internal/arith; see the arith section of DESIGN.md). An
-// ArithParty consumes the same two-directional pools as a GMWParty —
-// in fact it embeds one (the Bool field) on the same conn, so one
-// session mixes linear algebra and Boolean nonlinearities.
-type (
-	// ArithParty is one side of an arithmetic evaluation.
-	ArithParty = arith.Party
-	// ArithShare is an additively-shared vector over Z_2^64.
-	ArithShare = arith.Share
-	// ArithMatTriple is a Beaver matrix triple consumed by MatMul.
-	ArithMatTriple = arith.MatTriple
-	// FixedPoint is the two's-complement fixed-point encoding used by
-	// the arithmetic layer's ML-shaped workloads.
-	FixedPoint = arith.Fixed
-)
-
-// NewArithParty assembles an arithmetic party from one pool per OT
-// direction and runs the role handshake over conn (the peer must call
-// it concurrently with the opposite first flag). Draw the pools with
-// Sender.GMWPool / Receiver.GMWPool — arithmetic word OTs and GMW bit
-// OTs share the same correlations.
-func NewArithParty(conn Conn, out *GMWSenderPool, in *GMWReceiverPool, first bool) (*ArithParty, error) {
-	return arith.NewParty(conn, out, in, first)
 }
 
 // VerifyCOTs checks z = y ⊕ x·Δ for a batch (test/diagnostic helper —

@@ -1,8 +1,10 @@
 package ironman
 
 import (
+	"slices"
 	"testing"
 
+	"ironman/internal/cot"
 	"ironman/internal/ferret"
 	"ironman/internal/gmw"
 )
@@ -47,46 +49,8 @@ func TestCOTsAcrossIterations(t *testing.T) {
 	if err := VerifyCOTs(delta, sr.z, bits, blocks); err != nil {
 		t.Fatal(err)
 	}
-	if s.Delta() != delta {
-		t.Fatal("Delta accessor wrong")
-	}
-}
-
-func TestRandomOTsConsistent(t *testing.T) {
-	_, _, _, s, r := dealtPair(t, smallParams())
-	const n = 64
-	type sres struct {
-		pairs [][2]Block
-		err   error
-	}
-	ch := make(chan sres, 1)
-	go func() {
-		p, err := s.RandomOTs(n)
-		ch <- sres{p, err}
-	}()
-	bits, keys, err := r.RandomOTs(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr := <-ch
-	if sr.err != nil {
-		t.Fatal(sr.err)
-	}
-	for i := 0; i < n; i++ {
-		want := sr.pairs[i][0]
-		if bits[i] {
-			want = sr.pairs[i][1]
-		}
-		if keys[i] != want {
-			t.Fatalf("random OT %d: key mismatch", i)
-		}
-		other := sr.pairs[i][1]
-		if bits[i] {
-			other = sr.pairs[i][0]
-		}
-		if keys[i] == other {
-			t.Fatalf("random OT %d: both keys equal", i)
-		}
+	if s.ext.Delta() != delta {
+		t.Fatal("sender holds the wrong Delta")
 	}
 }
 
@@ -211,84 +175,58 @@ func TestChosenOTRejectsBusyConn(t *testing.T) {
 	}
 }
 
-// TestWorkersOptionEndToEnd: a Workers > 1 pair yields correlations
-// that verify and convert exactly like the sequential path.
+// TestWorkersOptionEndToEnd: every worker count yields correlations
+// that verify, and a seeded pair draws exactly the same correlations
+// at every worker count (the transcript does not depend on Workers).
 func TestWorkersOptionEndToEnd(t *testing.T) {
-	a, b := Pipe()
-	delta, err := RandomDelta()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.Workers = 4
-	s, r, err := NewDealtPair(a, b, delta, smallParams(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	delta := Block{Lo: 0x3017, Hi: 0x4e55}
 	n := smallParams().Usable() + 50 // cross an iteration boundary
-	type sres struct {
-		z   []Block
-		err error
-	}
-	ch := make(chan sres, 1)
-	go func() {
-		z, err := s.COTs(n)
-		ch <- sres{z, err}
-	}()
-	bits, blocks, err := r.COTs(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr := <-ch
-	if sr.err != nil {
-		t.Fatal(sr.err)
-	}
-	if err := VerifyCOTs(delta, sr.z, bits, blocks); err != nil {
-		t.Fatal(err)
-	}
-	// The sharded hash conversion must agree across the two parties.
-	// The batch exceeds hashShardMin so the parallel.Shard branch (not
-	// the small-batch inline loop) is what runs — and runs under -race.
-	const otBatch = hashShardMin + 512
-	pch := make(chan sres, 1)
-	go func() {
-		p, err := s.RandomOTs(otBatch)
+	var ref []Block
+	for _, workers := range []int{1, 2, 4} {
+		a, b := Pipe()
+		opts := DefaultOptions()
+		opts.Workers = workers
+		opts.Seed = Block{Lo: 0x776f726b657273} // "workers"
+		s, r, err := NewDealtPair(a, b, delta, smallParams(), opts)
 		if err != nil {
-			pch <- sres{nil, err}
-			return
+			t.Fatal(err)
 		}
-		flat := make([]Block, 0, 2*otBatch)
-		for _, pair := range p {
-			flat = append(flat, pair[0], pair[1])
+		type sres struct {
+			z   []Block
+			err error
 		}
-		pch <- sres{flat, nil}
-	}()
-	rb, keys, err := r.RandomOTs(otBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := <-pch
-	if pr.err != nil {
-		t.Fatal(pr.err)
-	}
-	for i := 0; i < otBatch; i++ {
-		want := pr.z[2*i]
-		if rb[i] {
-			want = pr.z[2*i+1]
+		ch := make(chan sres, 1)
+		go func() {
+			z, err := s.COTs(n)
+			ch <- sres{z, err}
+		}()
+		bits, blocks, err := r.COTs(n)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if keys[i] != want {
-			t.Fatalf("random OT %d: sharded hash mismatch", i)
+		sr := <-ch
+		if sr.err != nil {
+			t.Fatal(sr.err)
+		}
+		if err := VerifyCOTs(delta, sr.z, bits, blocks); err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if ref == nil {
+			ref = sr.z
+		} else if !slices.Equal(sr.z, ref) {
+			t.Fatalf("workers %d: seeded draws differ from workers 1", workers)
 		}
 	}
 }
 
 func TestParamSets(t *testing.T) {
-	sets := ParamSets()
-	if len(sets) != 5 {
-		t.Fatalf("want 5 sets, got %d", len(sets))
+	if len(ferret.Table4) != 5 {
+		t.Fatalf("want 5 sets, got %d", len(ferret.Table4))
 	}
-	if _, err := ParamsByName("2^21"); err != nil {
-		t.Fatal(err)
+	for _, want := range ferret.Table4 {
+		if got, err := ParamsByName(want.Name); err != nil || got != want {
+			t.Fatalf("ParamsByName(%q) = %+v, %v", want.Name, got, err)
+		}
 	}
 	if _, err := ParamsByName("2^99"); err == nil {
 		t.Fatal("expected error")
@@ -343,9 +281,9 @@ func TestGMWOverPublicAPI(t *testing.T) {
 	budget := (3*width - 2) * elems
 	_, _, _, s1, r1 := dealtPair(t, smallParams())
 	_, _, _, s2, r2 := dealtPair(t, smallParams())
-	drawPair := func(s *Sender, r *Receiver) (*GMWSenderPool, *GMWReceiverPool) {
+	drawPair := func(s *Sender, r *Receiver) (*cot.SenderPool, *cot.ReceiverPool) {
 		t.Helper()
-		ch := make(chan *GMWSenderPool, 1)
+		ch := make(chan *cot.SenderPool, 1)
 		go func() {
 			sp, err := s.GMWPool(budget)
 			if err != nil {
@@ -372,7 +310,7 @@ func TestGMWOverPublicAPI(t *testing.T) {
 	var openA []bool
 	done := make(chan error, 1)
 	go func() {
-		pa, err := NewGMWParty(connA, out1, in2, true)
+		pa, err := gmw.NewParty(connA, out1, in2, true)
 		if err != nil {
 			done <- err
 			return
@@ -385,7 +323,7 @@ func TestGMWOverPublicAPI(t *testing.T) {
 		openA, err = pa.RevealPacked(gt)
 		done <- err
 	}()
-	pb, err := NewGMWParty(connB, out2, in1, false)
+	pb, err := gmw.NewParty(connB, out2, in1, false)
 	if err != nil {
 		t.Fatal(err)
 	}

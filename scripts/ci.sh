@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # CI gate: formatting, vet, builds (including every example and
-# command binary), live-process smokes of the dispenser and the fleet,
-# a repeat-run flake guard on pool close, the full test suite under the
-# race detector, and one pass over the paper-figure registry. Measured
-# performance is not gated here: that is `go run ./benchmark`. Run from
-# the repo root:
+# command binary), live-process smokes of the dispenser and the fleet, a
+# run of every example, a repeat-run flake guard on pool close, the full
+# test suite under the race detector, and one pass over the
+# paper-figure registry. Measured performance is not gated here: that
+# is `go run ./benchmark`. Run from the repo root:
 #
 #   ./scripts/ci.sh
 set -eu
@@ -36,10 +36,11 @@ echo "== ironman-vet (protocol-invariant analysis suite) =="
 # locknet) run through the standard vet driver; every finding is either
 # fixed or carries an audited //ironman:allow(<analyzer>) <reason>, and
 # a directive that suppresses nothing is itself a finding. The sixth
-# check, deadexport (an exported name under internal/ that no non-test
-# file references), needs the whole module at once, so it is not a vet
-# analyzer: it runs in `go test ./internal/analysis`, which the race
-# step below includes. See the "Enforced invariants" section of DESIGN.md.
+# check, deadexport (an exported name under internal/ or in the root
+# ironman package that no non-test file references), needs the whole
+# module at once, so it is not a vet analyzer: it runs in
+# `go test ./internal/analysis`, which the race step below includes. See
+# the "Enforced invariants" section of DESIGN.md.
 go vet -vettool="$bindir/ironman-vet" ./...
 
 echo "== otd admin endpoint smoke test =="
@@ -121,15 +122,18 @@ kill "$shard1_pid" "$shard2_pid" "$shard3_pid" "$router_pid"
 wait "$shard1_pid" "$shard2_pid" "$shard3_pid" "$router_pid" 2>/dev/null || true
 echo "fleet OK"
 
-echo "== reference circuit end-to-end (examples/private-aes over real TCP) =="
-# Threshold AES through the Bristol circuit frontend: XOR-split key,
-# four SIMD-packed blocks, ciphertexts verified against crypto/aes.
-"$bindir/private-aes"
-
-echo "== private comparison end-to-end (examples/millionaires) =="
-# Parallel-prefix GreaterThanVec over two Ferret-fed pools; exits
-# non-zero on a wrong comparison.
-"$bindir/millionaires"
+echo "== examples end-to-end (all seven) =="
+# Every example checks its own result and exits non-zero when it is
+# wrong: quickstart (COTs under Δ, chosen OTs), roleswitch (both OT
+# directions under their own Δ), dispenser (four otserv sessions plus a
+# reconnect), millionaires (parallel-prefix comparison over Ferret-fed
+# pools), private-aes (threshold AES over real TCP through the circuit
+# frontend, against crypto/aes), secure-mlp and transformer-gelu
+# (fixed-point arith + GMW layers against plaintext).
+for ex in quickstart roleswitch dispenser millionaires private-aes secure-mlp transformer-gelu; do
+    echo "-- $ex"
+    "$bindir/$ex"
+done
 
 echo "== scheduling flake guard (25 repeats of the scheduling-dependent paths) =="
 # A closed pool must dispense nothing even with correlations buffered;
