@@ -1,6 +1,8 @@
 package ironman
 
 import (
+	"bytes"
+	"crypto/aes"
 	"math"
 	"reflect"
 	"testing"
@@ -16,7 +18,7 @@ import (
 // The backend-parity suite runs identical seeded workloads through
 // NewDealtPair on every registered extension backend and requires
 // plaintext-identical results: the GMW comparison engine, the
-// arithmetic fixed-point pipeline, and the Bristol circuit frontend
+// arithmetic fixed-point pipeline, and the AES-128 circuit
 // must not be able to tell the backends apart.
 
 func parityParams() Params { return ferret.TestParams(60_000, 1024, 6000, 32) }
@@ -215,37 +217,45 @@ func arithWorkload(t *testing.T, backend string) []uint64 {
 	return ra.vals
 }
 
-// circuitWorkload evaluates the reference 64-bit divider (two SIMD
-// instances) on the given backend and returns the opened output bits.
+// circuitWorkload evaluates the AES-128 circuit (two SIMD instances,
+// plaintexts from party A and keys from party B) on the given backend
+// and returns the opened ciphertext bits.
 func circuitWorkload(t *testing.T, backend string) [][]bool {
 	t.Helper()
-	prog, err := circuit.Compile(circuit.Reference("div64"))
+	prog, err := circuit.Compile(circuit.AES128())
 	if err != nil {
 		t.Fatal(err)
 	}
-	vecs := [][2]uint64{{0xdeadbeefcafebabe, 0x1337}, {7, 0}}
-	budget := prog.ANDs * len(vecs)
+	var pts, keys [2][16]byte
+	for i := range pts[0] {
+		pts[0][i], keys[0][i] = byte(0x11*i), byte(i) // FIPS-197 appendix C
+		pts[1][i], keys[1][i] = byte(7*i), byte(0xf0-i)
+	}
+	budget := prog.ANDs * len(pts)
 	sAB, rAB := parityPools(t, backend, 5, budget)
 	sBA, rBA := parityPools(t, backend, 6, budget)
 
-	planes := func(mine bool) []gmw.PackedShare {
-		dividends := make([][]bool, len(vecs))
-		divisors := make([][]bool, len(vecs))
-		if mine {
-			for i, v := range vecs {
-				dividends[i] = circuit.Uint64Bits(v[0], 64)
-				divisors[i] = circuit.Uint64Bits(v[1], 64)
+	// planes XOR-shares the plaintexts (party A's input) and the keys
+	// (party B's); the other party holds zero shares.
+	planes := func(partyA bool) []gmw.PackedShare {
+		ptBits := make([][]bool, len(pts))
+		keyBits := make([][]bool, len(keys))
+		for i := range pts {
+			if partyA {
+				ptBits[i] = circuit.BytesBits(pts[i][:])
+			} else {
+				keyBits[i] = circuit.BytesBits(keys[i][:])
 			}
 		}
-		dp, err := circuit.SharePlanes(dividends, 64, mine)
+		pp, err := circuit.SharePlanes(ptBits, 128, partyA)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vp, err := circuit.SharePlanes(divisors, 64, mine)
+		kp, err := circuit.SharePlanes(keyBits, 128, !partyA)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return append(dp, vp...)
+		return append(pp, kp...)
 	}
 
 	connA, connB := Pipe()
@@ -284,16 +294,15 @@ func circuitWorkload(t *testing.T, backend string) [][]bool {
 	if ra.err != nil {
 		t.Fatal(ra.err)
 	}
-	for i, v := range vecs {
-		x, d := v[0], v[1]
-		wantQ, wantR := ^uint64(0), x
-		if d != 0 {
-			wantQ, wantR = x/d, x%d
+	for i := range pts {
+		blk, err := aes.NewCipher(keys[i][:])
+		if err != nil {
+			t.Fatal(err)
 		}
-		gotQ := circuit.BitsUint64(ra.outs[i][:64])
-		gotR := circuit.BitsUint64(ra.outs[i][64:])
-		if gotQ != wantQ || gotR != wantR {
-			t.Fatalf("%s: %d/%d: got q=%d r=%d, want q=%d r=%d", backend, x, d, gotQ, gotR, wantQ, wantR)
+		var want [16]byte
+		blk.Encrypt(want[:], pts[i][:])
+		if got := circuit.BitsBytes(ra.outs[i]); !bytes.Equal(got, want[:]) {
+			t.Fatalf("%s: instance %d: ciphertext %x, want %x", backend, i, got, want)
 		}
 		if !reflect.DeepEqual(ra.outs[i], outsB[i]) {
 			t.Fatalf("%s: instance %d: the two parties opened different outputs", backend, i)

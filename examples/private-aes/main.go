@@ -2,9 +2,9 @@
 //
 // The AES-128 key is XOR-split between two parties — K = kA ^ kB,
 // neither side ever holds K — and party A additionally holds the
-// plaintext blocks. The parties jointly evaluate the reference AES-128
-// Bristol circuit (key schedule included, so the split key enters the
-// circuit as shares) under GMW, and both learn only the ciphertexts.
+// plaintext blocks. The parties jointly evaluate the AES-128 circuit
+// (key schedule included, so the split key enters the circuit as
+// shares) under GMW, and both learn only the ciphertexts.
 // This is the classic distributed-HSM / threshold-signing workload:
 // no single machine is a key-theft target.
 //

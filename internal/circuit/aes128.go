@@ -4,7 +4,23 @@ import (
 	"bytes"
 	"crypto/aes"
 	"fmt"
+	"sync"
 )
+
+// AES128 returns the AES-128 encryption circuit. Inputs (plaintext,
+// key) are 128 bits each in BytesBits layout and the output is the
+// 128-bit ciphertext: 51200 ANDs at AND depth 40. It is built and
+// self-checked on first use and shared for the life of the process —
+// treat it as read-only.
+func AES128() *Circuit { return aes128() }
+
+var aes128 = sync.OnceValue(func() *Circuit {
+	c, err := buildAES128()
+	if err != nil {
+		panic(fmt.Sprintf("circuit: AES-128 circuit: %v", err))
+	}
+	return c
+})
 
 // buildAES128 constructs the AES-128 encryption circuit: inputs
 // (plaintext 128 bits, key 128 bits), output (ciphertext 128 bits),

@@ -1,29 +1,28 @@
-// Package circuit is the standard-circuit frontend of the GMW engine:
-// it builds Boolean circuits in the Bristol-fashion gate model (the
-// interchange format AES, SHA-2 and integer arithmetic netlists are
-// published in, which the package's parser reads), levels the gate DAG
-// so every AND level becomes ONE batched OT exchange, and evaluates K
-// independent instances of the same circuit SIMD-packed across the
-// word lanes of the engine's bitsliced shares.
+// Package circuit is the circuit frontend of the GMW engine: it builds
+// Boolean circuits in the Bristol-fashion gate model (XOR, AND, INV, EQ
+// and EQW over numbered wires, inputs first and outputs last), levels
+// the gate DAG so every AND level becomes ONE batched OT exchange, and
+// evaluates K independent instances of the same circuit SIMD-packed
+// across the word lanes of the engine's bitsliced shares. Its one
+// built-in circuit is AES-128; others come from NewBuilder.
 //
-// The pipeline is a circuit (a reference circuit, or one from
-// NewBuilder) -> Compile -> Eval:
+// The pipeline is a circuit -> Compile -> Eval:
 //
 //	prog, _ := circuit.Compile(circuit.AES128())
 //	out, _ := prog.Eval(party, inputs, nil) // inputs: one K-bit plane per input wire
 //
-// XOR/INV/EQ/EQW gates are local (free); AND and MAND gates consume
-// chosen OTs through gmw.AndPackedMany, with all AND gates of equal
-// circuit depth batched into a single two-flight exchange. Evaluating
-// K instances at once multiplies every exchange's payload by K but
-// leaves the exchange (network round) count unchanged — the
-// amortization that makes OT-hungry Boolean workloads (the nonlinear
-// layers of the Ironman paper's PPML scenarios) cheap per instance.
+// XOR/INV/EQ/EQW gates are local (free); AND gates consume chosen OTs
+// through gmw.AndPackedMany, with all AND gates of equal circuit depth
+// batched into a single two-flight exchange. Evaluating K instances at
+// once multiplies every exchange's payload by K but leaves the
+// exchange (network round) count unchanged — the amortization that
+// makes OT-hungry Boolean workloads (the nonlinear layers of the
+// Ironman paper's PPML scenarios) cheap per instance.
 package circuit
 
 import "fmt"
 
-// Op is a Bristol gate type.
+// Op is a gate type of the Bristol-fashion gate model.
 type Op uint8
 
 const (
@@ -31,19 +30,16 @@ const (
 	XOR Op = iota
 	// AND is the 2-input AND gate (2 chosen OTs under GMW).
 	AND
-	// INV is the 1-input NOT gate (free; NOT is accepted as an alias).
+	// INV is the 1-input NOT gate (free).
 	INV
 	// EQ assigns a constant bit: its "input" operand is the literal 0
 	// or 1, not a wire.
 	EQ
 	// EQW copies a wire (free).
 	EQW
-	// MAND is the multi-AND extension gate: 2k inputs a_1..a_k
-	// b_1..b_k produce k outputs c_i = a_i AND b_i.
-	MAND
 )
 
-// String returns the Bristol keyword of the op.
+// String returns the gate keyword of the op.
 func (op Op) String() string {
 	switch op {
 	case XOR:
@@ -56,24 +52,23 @@ func (op Op) String() string {
 		return "EQ"
 	case EQW:
 		return "EQW"
-	case MAND:
-		return "MAND"
 	}
 	return fmt.Sprintf("Op(%d)", uint8(op))
 }
 
-// Gate is one Bristol gate. In holds input wire indices, except for
-// EQ, where In[0] is the constant bit value (0 or 1).
+// Gate is one gate of a Circuit. In holds input wire indices, except
+// for EQ, where In[0] is the constant bit value (0 or 1).
 type Gate struct {
 	Op  Op
 	In  []int32
 	Out []int32
 }
 
-// Circuit is a parsed Bristol circuit. Wires are numbered 0..Wires-1:
-// the first sum(Inputs) wires are the circuit inputs in declaration
-// order, the last sum(Outputs) wires are the outputs, and Gates is in
-// topological order (the parser rejects use-before-definition).
+// Circuit is a Boolean circuit in the Bristol-fashion layout. Wires are
+// numbered 0..Wires-1: the first sum(Inputs) wires are the circuit
+// inputs in declaration order, the last sum(Outputs) wires are the
+// outputs, and Gates is in topological order (every gate reads only
+// inputs and earlier gates' outputs).
 type Circuit struct {
 	Gates   []Gate
 	Wires   int
@@ -95,16 +90,13 @@ func sum(v []int) int {
 	return t
 }
 
-// NumANDs counts the AND gates (MAND counts its full width) — the
-// circuit's total OT-consuming gate count per evaluated instance.
+// NumANDs counts the AND gates — the circuit's total OT-consuming gate
+// count per evaluated instance.
 func (c *Circuit) NumANDs() int {
 	n := 0
 	for i := range c.Gates {
-		switch c.Gates[i].Op {
-		case AND:
+		if c.Gates[i].Op == AND {
 			n++
-		case MAND:
-			n += len(c.Gates[i].Out)
 		}
 	}
 	return n
@@ -143,11 +135,6 @@ func (c *Circuit) EvalPlain(inputs [][]bool) ([][]bool, error) {
 			wires[g.Out[0]] = g.In[0] == 1
 		case EQW:
 			wires[g.Out[0]] = wires[g.In[0]]
-		case MAND:
-			k := len(g.Out)
-			for j := 0; j < k; j++ {
-				wires[g.Out[j]] = wires[g.In[j]] && wires[g.In[k+j]]
-			}
 		default:
 			return nil, fmt.Errorf("circuit: EvalPlain: unknown op %v", g.Op)
 		}
@@ -160,27 +147,6 @@ func (c *Circuit) EvalPlain(inputs [][]bool) ([][]bool, error) {
 		w += n
 	}
 	return out, nil
-}
-
-// Uint64Bits returns the LSB-first width-bit decomposition of v — the
-// bit layout circuit inputs use.
-func Uint64Bits(v uint64, width int) []bool {
-	bits := make([]bool, width)
-	for i := range bits {
-		bits[i] = v>>uint(i)&1 == 1
-	}
-	return bits
-}
-
-// BitsUint64 recomposes LSB-first bits into a value.
-func BitsUint64(bits []bool) uint64 {
-	var v uint64
-	for i, b := range bits {
-		if b {
-			v |= 1 << uint(i)
-		}
-	}
-	return v
 }
 
 // BytesBits returns the LSB-first-per-byte bit decomposition of a byte

@@ -89,7 +89,7 @@ func Compile(c *Circuit) (*Program, error) {
 
 	// Pass 1: wire levels and the AND depth.
 	level := make([]int32, c.Wires)
-	gateLevel := make([]int32, len(c.Gates)) // AND/MAND: exchange level; locals: availability level
+	gateLevel := make([]int32, len(c.Gates)) // AND: exchange level; locals: availability level
 	depth := int32(0)
 	for gi := range c.Gates {
 		g := &c.Gates[gi]
@@ -109,39 +109,23 @@ func Compile(c *Circuit) (*Program, error) {
 			level[g.Out[0]] = l
 			gateLevel[gi] = l
 			depth = max32(depth, l)
-		case MAND:
-			// Each constituent AND levels independently; the gate's
-			// outputs may land at different depths.
-			k := len(g.Out)
-			for j := 0; j < k; j++ {
-				l := max32(level[g.In[j]], level[g.In[k+j]]) + 1
-				level[g.Out[j]] = l
-				depth = max32(depth, l)
-			}
 		default:
 			return nil, fmt.Errorf("circuit: Compile: unknown op %v", g.Op)
 		}
 	}
 
 	// Pass 2: schedule gates into levels. Locals keep their relative
-	// file order inside a level (the parser's topological order makes
-	// that dependency-safe); AND gates batch by output depth.
+	// circuit order inside a level (the netlist's topological order
+	// makes that dependency-safe); AND gates batch by output depth.
 	type andRef struct{ a, b, out int32 }
 	locals := make([][]int, depth+1)     // gate indices, by availability level
 	batches := make([][]andRef, depth+1) // batches[L] produces the depth-L wires
 	for gi := range c.Gates {
 		g := &c.Gates[gi]
-		switch g.Op {
-		case AND:
+		if g.Op == AND {
 			l := level[g.Out[0]]
 			batches[l] = append(batches[l], andRef{g.In[0], g.In[1], g.Out[0]})
-		case MAND:
-			k := len(g.Out)
-			for j := 0; j < k; j++ {
-				l := level[g.Out[j]]
-				batches[l] = append(batches[l], andRef{g.In[j], g.In[int32(k+j)], g.Out[j]})
-			}
-		default:
+		} else {
 			locals[gateLevel[gi]] = append(locals[gateLevel[gi]], gi)
 		}
 	}

@@ -193,7 +193,7 @@ func (prog *Program) Eval(p *gmw.Party, inputs []gmw.PackedShare, opts *EvalOpts
 
 // Reveal opens output planes to both parties and unpacks them into K
 // per-instance output bit vectors — the convenience tail of a
-// Load/Compile/Eval pipeline. One exchange opens all planes.
+// Compile/Eval pipeline. One exchange opens all planes.
 func Reveal(p *gmw.Party, planes []gmw.PackedShare) ([][]bool, error) {
 	if len(planes) == 0 {
 		return nil, nil

@@ -175,7 +175,7 @@ func randCircuit(rng *rand.Rand) *circuit.Circuit {
 	var gates []circuit.Gate
 	ngates := 5 + rng.Intn(30)
 	for g := 0; g < ngates; g++ {
-		switch rng.Intn(6) {
+		switch rng.Intn(5) {
 		case 0:
 			gates = append(gates, circuit.Gate{Op: circuit.AND, In: []int32{pick(), pick()}, Out: []int32{next}})
 			next++
@@ -191,18 +191,6 @@ func randCircuit(rng *rand.Rand) *circuit.Circuit {
 		case 4:
 			gates = append(gates, circuit.Gate{Op: circuit.EQW, In: []int32{pick()}, Out: []int32{next}})
 			next++
-		case 5:
-			k := 1 + rng.Intn(3)
-			in := make([]int32, 2*k)
-			outs := make([]int32, k)
-			for i := range in {
-				in[i] = pick()
-			}
-			for i := range outs {
-				outs[i] = next
-				next++
-			}
-			gates = append(gates, circuit.Gate{Op: circuit.MAND, In: in, Out: outs})
 		}
 	}
 	return &circuit.Circuit{
@@ -214,7 +202,7 @@ func randCircuit(rng *rand.Rand) *circuit.Circuit {
 }
 
 // TestRandomCircuitsSecureVsPlain fuzzes the compiler and evaluator:
-// random netlists (all six ops, MAND included) are compiled, run
+// random netlists over all five ops are compiled, run
 // SIMD-packed over real TCP, and every instance's outputs are compared
 // against the plaintext reference evaluator.
 func TestRandomCircuitsSecureVsPlain(t *testing.T) {
@@ -260,14 +248,56 @@ func TestRandomCircuitsSecureVsPlain(t *testing.T) {
 	}
 }
 
+// uint64Bits returns the LSB-first width-bit decomposition of v, the
+// layout the adder's inputs use.
+func uint64Bits(v uint64, width int) []bool {
+	bits := make([]bool, width)
+	for i := range bits {
+		bits[i] = v>>uint(i)&1 == 1
+	}
+	return bits
+}
+
+// bitsUint64 recomposes LSB-first bits into a value.
+func bitsUint64(bits []bool) uint64 {
+	var v uint64
+	for i, b := range bits {
+		if b {
+			v |= 1 << uint(i)
+		}
+	}
+	return v
+}
+
+func TestBitHelpers(t *testing.T) {
+	if v := bitsUint64(uint64Bits(0xdeadbeef, 64)); v != 0xdeadbeef {
+		t.Fatalf("uint64Bits round trip: %x", v)
+	}
+	p := []byte{0x01, 0x80, 0xff, 0x00}
+	if got := circuit.BitsBytes(circuit.BytesBits(p)); !bytes.Equal(got, p) {
+		t.Fatalf("BytesBits round trip: %x", got)
+	}
+}
+
 // buildAdder32 is the SIMD workhorse circuit for the packing tests: a
-// 32-bit adder from the Builder (Sklansky prefix network).
+// 32-bit ripple-carry adder, sum_i = x_i^y_i^c_i with the carry
+// c_{i+1} = maj(x_i, y_i, c_i) = x_i ^ ((x_i^y_i) & (x_i^c_i)) — one
+// AND per bit and one AND level per carry, 31 in all.
 func buildAdder32(t *testing.T) (*circuit.Circuit, *circuit.Program) {
 	t.Helper()
 	b := circuit.NewBuilder()
 	x := b.Input(32)
 	y := b.Input(32)
-	c, err := b.Finish(b.Add(x, y))
+	sum := make([]int32, 32)
+	carry := b.Const(0)
+	for i := range sum {
+		xy := b.Xor(x[i], y[i])
+		sum[i] = b.Xor(xy, carry)
+		if i+1 < len(sum) {
+			carry = b.Xor(x[i], b.And(xy, b.Xor(x[i], carry)))
+		}
+	}
+	c, err := b.Finish(sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +322,8 @@ func TestSIMDPackedVsSerial(t *testing.T) {
 		x, y := rng.Uint32(), rng.Uint32()
 		wantSum[i] = x + y
 		insts[i] = [][]bool{
-			circuit.Uint64Bits(uint64(x), 32),
-			circuit.Uint64Bits(uint64(y), 32),
+			uint64Bits(uint64(x), 32),
+			uint64Bits(uint64(y), 32),
 		}
 	}
 
@@ -316,7 +346,7 @@ func TestSIMDPackedVsSerial(t *testing.T) {
 		if got, want := circuit.BitsBytes(out[0]), circuit.BitsBytes(packed[i]); !bytes.Equal(got, want) {
 			t.Fatalf("instance %d: serial output %x, packed output %x", i, got, want)
 		}
-		if got := uint32(circuit.BitsUint64(out[0])); got != wantSum[i] {
+		if got := uint32(bitsUint64(out[0])); got != wantSum[i] {
 			t.Fatalf("instance %d: sum %d, want %d", i, got, wantSum[i])
 		}
 	}
@@ -391,8 +421,8 @@ func TestTranscriptDeterminism(t *testing.T) {
 	insts := make([][][]bool, k)
 	for i := range insts {
 		insts[i] = [][]bool{
-			circuit.Uint64Bits(uint64(rng.Uint32()), 32),
-			circuit.Uint64Bits(uint64(rng.Uint32()), 32),
+			uint64Bits(uint64(rng.Uint32()), 32),
+			uint64Bits(uint64(rng.Uint32()), 32),
 		}
 	}
 	out1, wireA1, wireB1 := transcriptRun(t, c, prog, insts)
@@ -423,8 +453,8 @@ func TestPreflightBudget(t *testing.T) {
 	insts := make([][][]bool, k)
 	for i := range insts {
 		insts[i] = [][]bool{
-			circuit.Uint64Bits(uint64(3*i+1), 32),
-			circuit.Uint64Bits(uint64(5*i+2), 32),
+			uint64Bits(uint64(3*i+1), 32),
+			uint64Bits(uint64(5*i+2), 32),
 		}
 	}
 	connA, connB := tcpPair(t)
@@ -467,8 +497,8 @@ func TestCircuitCostExact(t *testing.T) {
 	insts := make([][][]bool, k)
 	for i := range insts {
 		insts[i] = [][]bool{
-			circuit.Uint64Bits(uint64(rng.Uint32()), 32),
-			circuit.Uint64Bits(uint64(rng.Uint32()), 32),
+			uint64Bits(uint64(rng.Uint32()), 32),
+			uint64Bits(uint64(rng.Uint32()), 32),
 		}
 	}
 	connA, connB := tcpPair(t)

@@ -57,7 +57,7 @@ func (pc *proxyConn) upstream(addr string) (transport.Conn, error) {
 	if up, ok := pc.upstreams[addr]; ok {
 		return up, nil
 	}
-	nc, err := net.DialTimeout("tcp", addr, pc.r.cfg.DialTimeout)
+	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}

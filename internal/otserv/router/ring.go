@@ -48,11 +48,11 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// vnodes is the virtual-node count per shard on the circle.
+const vnodes = 256
+
 // buildRing places vnodes virtual nodes per address on the circle.
-func buildRing(addrs []string, vnodes int) ring {
-	if vnodes <= 0 {
-		vnodes = 256
-	}
+func buildRing(addrs []string) ring {
 	entries := make([]ringEntry, 0, len(addrs)*vnodes)
 	for _, addr := range addrs {
 		for i := 0; i < vnodes; i++ {

@@ -49,41 +49,26 @@ type shard struct {
 	state shardState
 }
 
-// Config tunes the fleet router.
+// Config tunes the fleet router. The router owns its metrics registry
+// (served on its admin /metrics) and fixes the rest: 256 virtual nodes
+// per shard on the hash ring, a 2 s upstream dial timeout, and a
+// token-placement cache of at most 1<<16 entries.
 type Config struct {
 	// Shards is the initial membership (dispenser listen addresses).
 	// Unreachable shards start dead and join when the health loop
 	// reaches them.
 	Shards []string
-	// VNodes is the virtual-node count per shard on the hash ring.
-	// Default 256.
-	VNodes int
 	// Probe is the health loop's re-probe interval for dead shards and
 	// drain detection. Default 1 s.
 	Probe time.Duration
-	// DialTimeout bounds upstream connection attempts. Default 2 s.
-	DialTimeout time.Duration
-	// MaxTokens bounds the token-placement cache. Default 1<<16.
-	MaxTokens int
-	// Registry receives the router's metrics. nil creates one.
-	Registry *obs.Registry
 }
 
-func (c Config) withDefaults() Config {
-	if c.VNodes <= 0 {
-		c.VNodes = 256
-	}
-	if c.Probe <= 0 {
-		c.Probe = time.Second
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 2 * time.Second
-	}
-	if c.MaxTokens <= 0 {
-		c.MaxTokens = 1 << 16
-	}
-	return c
-}
+const (
+	// dialTimeout bounds upstream connection attempts.
+	dialTimeout = 2 * time.Second
+	// maxTokens bounds the token-placement cache.
+	maxTokens = 1 << 16
+)
 
 // Router fronts a dispenser fleet: it speaks the same wire protocol as
 // a shard, places HELLOs by consistent hash of the session's routing
@@ -118,11 +103,10 @@ type Router struct {
 // health loop. Shards that answer a probe join the ring immediately;
 // the rest start dead and join when they come up.
 func New(cfg Config) *Router {
-	cfg = cfg.withDefaults()
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
+	if cfg.Probe <= 0 {
+		cfg.Probe = time.Second
 	}
+	reg := obs.NewRegistry()
 	r := &Router{
 		cfg:         cfg,
 		reg:         reg,
@@ -210,14 +194,14 @@ func (r *Router) rebuildLocked() {
 			live = append(live, sh.addr)
 		}
 	}
-	r.ring = buildRing(live, r.cfg.VNodes)
+	r.ring = buildRing(live)
 	r.mShardsLive.Set(int64(len(live)))
 }
 
 // probe health-checks one shard over a fresh connection: a STATS(0)
 // round trip teaches the router the shard's id and drain state.
 func (r *Router) probe(addr string) {
-	nc, err := net.DialTimeout("tcp", addr, r.cfg.DialTimeout)
+	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		r.setState(addr, shardDead, 0, false)
 		return
@@ -345,7 +329,7 @@ func (r *Router) addrForShard(id uint64) (string, bool) {
 func (r *Router) recordToken(token, addr string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.tokens) >= r.cfg.MaxTokens {
+	if len(r.tokens) >= maxTokens {
 		r.tokens = make(map[string]string)
 	}
 	r.tokens[token] = addr

@@ -22,6 +22,10 @@ const tombTTL = 5 * time.Minute
 // with less detail, never to a hang).
 const maxTombs = 4096
 
+// errTokenInUse refuses an open that pins the routing token of a live
+// session.
+var errTokenInUse = errors.New("session: routing token already in use")
+
 // tenant is one accounting principal's shard-local state: its open
 // session count (sessions-per-tenant cap) and its draw-rate bucket,
 // shared across the tenant's sessions.
@@ -172,11 +176,9 @@ func (r *Registry) Open(req OpenRequest) (*Session, error) {
 		r.mu.Unlock()
 		return nil, fmt.Errorf("%w: tenant session limit %d reached", wire.ErrQuotaExceeded, cap)
 	}
-	if req.Token != "" {
-		if _, dup := r.byToken[req.Token]; dup {
-			r.mu.Unlock()
-			return nil, errors.New("session: routing token already in use")
-		}
+	if req.Token != "" && r.byToken[req.Token] != nil {
+		r.mu.Unlock()
+		return nil, errTokenInUse
 	}
 	tn.open++
 	r.pending++
@@ -193,18 +195,28 @@ func (r *Registry) Open(req OpenRequest) (*Session, error) {
 	sess.bucket = tn.bucket
 	sess.reg = r
 
+	// Registration re-checks everything the pair construction ran
+	// outside the lock for: a drain or close, and a concurrent open that
+	// pinned the same routing token and registered first. One live
+	// session per token is what lets unregisterLocked drop the token
+	// entry unconditionally.
 	r.mu.Lock()
 	r.pending--
-	if r.shut || r.draining {
+	var refuse error
+	switch {
+	case r.draining:
+		refuse = fmt.Errorf("%w: shard %d is draining", wire.ErrDraining, r.cfg.ShardID)
+	case r.shut:
+		refuse = errors.New("session: registry closed")
+	case r.byToken[sess.token] != nil:
+		refuse = errTokenInUse
+	}
+	if refuse != nil {
 		tn.open--
-		drain := r.draining
 		r.mu.Unlock()
 		_ = sess.connA.Close()
 		_ = sess.connB.Close()
-		if drain {
-			return nil, fmt.Errorf("%w: shard %d is draining", wire.ErrDraining, r.cfg.ShardID)
-		}
-		return nil, errors.New("session: registry closed")
+		return nil, refuse
 	}
 	r.seq++
 	sess.id = wire.SessionID(r.cfg.ShardID, r.seq)
@@ -215,7 +227,7 @@ func (r *Registry) Open(req OpenRequest) (*Session, error) {
 		"session", fmt.Sprint(sess.id), "half", "receiver", "params", name))
 	// Start prefetching only once the session is registered.
 	sess.pool = pool.NewDealt(src, pool.Config{
-		Depth: depth, MaxWait: r.cfg.DrawWait, MaxWaiters: r.cfg.DrawWaiters,
+		Depth: depth, MaxWait: drawWait, MaxWaiters: drawWaiters,
 		Obs: sess.obsS, ObsReceiver: sess.obsR,
 	})
 	r.sessions[sess.id] = sess

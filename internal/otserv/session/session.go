@@ -46,7 +46,9 @@ import (
 
 // Config tunes the session registry. The zero value is usable: Table 4
 // parameter lookup, "2^20" default set, depth-2 prefetch, 64 sessions,
-// 15 s leases.
+// 15 s leases. Three bounds are fixed rather than tuned: client lease
+// requests clamp to 2 min, and a draw sheds with wire.ErrPoolDry after
+// waiting 30 s or when 256 draws already wait on its session.
 type Config struct {
 	// Resolve maps a handshake params name to a parameter set; nil
 	// selects ferret.ParamsByName (Table 4).
@@ -78,16 +80,6 @@ type Config struct {
 	// connection loss, not CLOSE) keeps its pool position before the
 	// janitor expires it. Default 15 s.
 	Lease time.Duration
-	// MaxLease clamps client-requested leases. Default 2 m.
-	MaxLease time.Duration
-	// DrawWait bounds how long one draw may block on correlation
-	// generation before shedding with wire.ErrPoolDry. Default 30 s;
-	// negative disables the bound.
-	DrawWait time.Duration
-	// DrawWaiters bounds how many draws may be blocked on one session's
-	// generation at once; excess sheds with wire.ErrPoolDry. Default
-	// 256; negative disables the bound.
-	DrawWaiters int
 	// Sweep is the janitor's lease-expiry scan interval. Default 500 ms.
 	Sweep time.Duration
 	// Quota shapes the per-tenant admission control; the zero value is
@@ -101,6 +93,17 @@ type Config struct {
 	// now overrides the clock in tests (in-package only).
 	now func() time.Time
 }
+
+const (
+	// maxLease clamps client-requested leases.
+	maxLease = 2 * time.Minute
+	// drawWait bounds how long one draw may block on correlation
+	// generation before shedding with wire.ErrPoolDry.
+	drawWait = 30 * time.Second
+	// drawWaiters bounds how many draws may be blocked on one session's
+	// generation at once; excess sheds with wire.ErrPoolDry.
+	drawWaiters = 256
+)
 
 func (c Config) withDefaults() Config {
 	if c.Resolve == nil {
@@ -126,21 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Lease <= 0 {
 		c.Lease = 15 * time.Second
-	}
-	if c.MaxLease <= 0 {
-		c.MaxLease = 2 * time.Minute
-	}
-	switch {
-	case c.DrawWait == 0:
-		c.DrawWait = 30 * time.Second
-	case c.DrawWait < 0:
-		c.DrawWait = 0
-	}
-	switch {
-	case c.DrawWaiters == 0:
-		c.DrawWaiters = 256
-	case c.DrawWaiters < 0:
-		c.DrawWaiters = 0
 	}
 	if c.Sweep <= 0 {
 		c.Sweep = 500 * time.Millisecond
@@ -195,7 +183,7 @@ type OpenRequest struct {
 	// default tenant.
 	Tenant string
 	// Lease requests the orphan grace window (0 = registry default;
-	// clamped to Config.MaxLease).
+	// clamped to maxLease).
 	Lease time.Duration
 	// Token pins the fleet-wide routing token (the router injects the
 	// consistent-hash key here); "" mints a fresh one.
@@ -400,8 +388,8 @@ func openSession(cfg Config, name string, backend extension.Backend, params ferr
 	if lease <= 0 {
 		lease = cfg.Lease
 	}
-	if lease > cfg.MaxLease {
-		lease = cfg.MaxLease
+	if lease > maxLease {
+		lease = maxLease
 	}
 
 	sess := &Session{

@@ -2,6 +2,7 @@ package session
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -436,5 +437,67 @@ func TestBackendAllowlist(t *testing.T) {
 	}
 	if r.Len() != 0 {
 		t.Fatal("refused open leaked session state")
+	}
+}
+
+// TestPinnedTokenOneLiveSession: concurrent opens that pin the same
+// routing token leave exactly one live session. The losers fail with
+// errTokenInUse, and the winner stays reachable by token after every
+// loser is gone — a second registration under the token would let the
+// loser's teardown delete the winner's entry.
+func TestPinnedTokenOneLiveSession(t *testing.T) {
+	r := newTestRegistry(t, testConfig())
+	const opens = 8
+	for round := 0; round < 4; round++ {
+		token := fmt.Sprintf("pinned-%d", round)
+		var (
+			wg   sync.WaitGroup
+			mu   sync.Mutex
+			won  []*Session
+			errs []error
+		)
+		start := make(chan struct{})
+		for i := 0; i < opens; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				sess, err := r.Open(OpenRequest{Token: token})
+				mu.Lock()
+				defer mu.Unlock()
+				if err != nil {
+					errs = append(errs, err)
+					return
+				}
+				won = append(won, sess)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for _, err := range errs {
+			if !errors.Is(err, errTokenInUse) {
+				t.Fatalf("round %d: losing open failed with %v, want errTokenInUse", round, err)
+			}
+		}
+		// Close all but the last winner, then reconnect to it by token.
+		for _, sess := range won[:len(won)-1] {
+			r.Detach(sess.ID(), false)
+		}
+		last := won[len(won)-1]
+		got, _, err := r.AttachByToken(token, last.SenderToken())
+		if err != nil {
+			t.Fatalf("round %d: reconnect to the live session: %v", round, err)
+		}
+		if len(won) != 1 {
+			t.Fatalf("round %d: %d of %d opens pinning one token succeeded, want 1", round, len(won), opens)
+		}
+		if got != last {
+			t.Fatalf("round %d: token attached to session %d, want %d", round, got.ID(), last.ID())
+		}
+		r.Detach(last.ID(), false)
+		r.Detach(last.ID(), false)
+	}
+	if n := r.Len(); n != 0 {
+		t.Fatalf("%d sessions still live", n)
 	}
 }

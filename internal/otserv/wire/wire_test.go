@@ -134,17 +134,17 @@ func TestDrawFraming(t *testing.T) {
 // why old peers still interoperate.
 const frameGolden = "54ce37a92282dc23522a70226d7b3929dae2a09dd5096c8821253cd4e3044bbb"
 
-// TestFrameGolden pins the bytes of every frame a session lifetime
-// carries (HELLO -> DRAW_S/DRAW_R -> STATS/CLOSE, and the OK and typed
-// error responses) over fixed inputs, so a refactor that claims no wire
-// change can prove it.
-func TestFrameGolden(t *testing.T) {
+// goldenFrames builds every frame a session lifetime carries (HELLO
+// body -> DRAW_S/DRAW_R -> STATS/CLOSE, and the OK and typed error
+// responses) over fixed inputs.
+func goldenFrames(tb testing.TB) [][]byte {
+	tb.Helper()
 	hello, err := HelloBody(HelloReq{
 		V: ProtoVersion, Params: "2^20", Backend: "ferret", BinaryAES: true,
 		Depth: 2, Workers: 3, Tenant: "acme", LeaseMS: 1500, SessionToken: "aabbcc",
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	helloResp, err := json.Marshal(HelloResp{
 		Session: SessionID(2, 7), Shard: 2, Params: "2^20", Backend: "ferret",
@@ -152,7 +152,7 @@ func TestFrameGolden(t *testing.T) {
 		SessionToken: "aabbcc", LeaseMS: 1500, SenderToken: "s-tok", ReceiverToken: "r-tok",
 	})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	frames := [][]byte{
 		hello,
@@ -170,6 +170,13 @@ func TestFrameGolden(t *testing.T) {
 			frames = append(frames, ErrResponse(sentinel))
 		}
 	}
+	return frames
+}
+
+// TestFrameGolden pins the bytes of the golden frames, so a refactor
+// that claims no wire change can prove it.
+func TestFrameGolden(t *testing.T) {
+	frames := goldenFrames(t)
 	h := sha256.New()
 	for _, f := range frames {
 		h.Write(binary.LittleEndian.AppendUint32(nil, uint32(len(f))))
@@ -178,6 +185,32 @@ func TestFrameGolden(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != frameGolden {
 		t.Fatalf("sha256 over %d frames = %s, want %s", len(frames), got, frameGolden)
 	}
+}
+
+// FuzzParseHello feeds arbitrary HELLO bodies to ParseHello, seeded
+// with the golden frames. It must never panic, and a body it accepts
+// must survive the HelloBody -> ParseHello round trip unchanged.
+func FuzzParseHello(f *testing.F) {
+	for _, frame := range goldenFrames(f) {
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := ParseHello(body)
+		if err != nil {
+			return
+		}
+		again, err := HelloBody(req)
+		if err != nil {
+			t.Fatalf("accepted request %+v does not re-encode: %v", req, err)
+		}
+		back, err := ParseHello(again)
+		if err != nil {
+			t.Fatalf("re-encoded request %+v rejected: %v", req, err)
+		}
+		if back != req {
+			t.Fatalf("round trip: got %+v, want %+v", back, req)
+		}
+	})
 }
 
 func TestDrawRRespRoundTrip(t *testing.T) {

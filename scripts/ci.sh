@@ -2,8 +2,8 @@
 # CI gate: formatting, vet, builds (including every example and
 # command binary), live-process smokes of the dispenser and the fleet, a
 # run of every example, a repeat-run flake guard on pool close, the full
-# test suite under the race detector, and one pass over the
-# paper-figure registry. Measured performance is not gated here: that
+# test suite under the race detector, bounded fuzzing of the two
+# untrusted-byte parsers, and one pass over the paper-figure registry. Measured performance is not gated here: that
 # is `go run ./benchmark`. Run from the repo root:
 #
 #   ./scripts/ci.sh
@@ -146,7 +146,14 @@ go test -count=25 -run 'CodeShared' ./internal/ferret
 echo "== go test -race (includes the gmw + arith engines and the TCP pipeline) =="
 go test -race ./...
 
-echo "== kernel benchmarks: column pipeline, GGM expander, chosen OT, reference-circuit build (one iteration each, so they cannot rot) =="
+echo "== fuzz the untrusted-byte parsers (10 s each) =="
+# HELLO bodies through wire.ParseHello, and whole request frames through
+# the dispenser's dispatch on a tiny-parameter server. Plain go test
+# above already ran their seeds.
+go test -run '^$' -fuzz '^FuzzParseHello$' -fuzztime 10s ./internal/otserv/wire
+go test -run '^$' -fuzz '^FuzzDispatch$' -fuzztime 10s ./internal/otserv
+
+echo "== kernel benchmarks: column pipeline, GGM expander, chosen OT, AES-128 circuit build (one iteration each, so they cannot rot) =="
 go test -run '^$' -bench 'TransposeBits|StreamFill' -benchtime 1x ./internal/block ./internal/aesprg
 go test -run '^$' -bench 'Expand' -benchtime 1x ./internal/prg ./internal/ggm
 go test -run '^$' -bench 'Chosen' -benchtime 1x ./internal/cot
