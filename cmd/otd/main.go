@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"ironman/internal/extension"
-	"ironman/internal/ferret"
 	"ironman/internal/otserv"
 	"ironman/internal/otserv/router"
 )
@@ -55,7 +54,6 @@ func main() {
 	workers := flag.Int("workers", 0, "per-session Extend worker goroutines (0 = GOMAXPROCS)")
 	shardID := flag.Uint64("shard-id", 0, "fleet shard id stamped into session ids (0 = standalone)")
 	lease := flag.Duration("lease", 0, "default session lease for orphaned sessions (0 = server default)")
-	tiny := flag.Bool("tiny", false, "also serve the test-scale parameter sets tiny/small (CI fleets)")
 	route := flag.Bool("route", false, "run as the fleet router instead of a dispenser shard")
 	shards := flag.String("shards", "", "router mode: comma-separated shard addresses")
 	drainWait := flag.Duration("drain", 10*time.Second, "graceful shutdown budget on SIGTERM before forcing connections closed")
@@ -71,94 +69,71 @@ func main() {
 		dumpStats(*connect)
 		return
 	}
+
+	var (
+		d    daemon
+		stop func()
+	)
 	if *route {
-		runRouter(*listen, *shards, *admin)
-		return
-	}
-
-	// Validate the backend allowlist at startup, not at first HELLO.
-	var backendList []string
-	for _, name := range strings.Split(*backends, ",") {
-		if name = strings.TrimSpace(name); name == "" {
-			continue
-		}
-		if _, err := extension.ByName(name); err != nil {
-			log.Fatalf("otd: -backends: unknown backend %q (valid: %s)", name, strings.Join(extension.Names(), " "))
-		}
-		backendList = append(backendList, name)
-	}
-
-	cfg := otserv.Config{
-		DefaultParams: *params,
-		Depth:         *prefetch,
-		MaxDepth:      *maxDepth,
-		MaxSessions:   *maxSessions,
-		Workers:       *workers,
-		Backends:      backendList,
-		ShardID:       *shardID,
-		Lease:         *lease,
-	}
-	if *tiny {
-		cfg.Resolve = testScaleResolve
-	}
-	srv := otserv.NewServer(cfg)
-	ln, err := net.Listen("tcp", *listen)
-	if err != nil {
-		log.Fatal(err)
-	}
-	served := backendList
-	if len(served) == 0 {
-		served = extension.Names()
-	}
-	log.Printf("otd: dispensing on %s (shard %d, params %s, backends %s, prefetch %d, max %d sessions)",
-		ln.Addr(), *shardID, *params, strings.Join(served, ","), *prefetch, *maxSessions)
-
-	if *admin != "" {
-		aln, err := net.Listen("tcp", *admin)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("otd: admin endpoint on http://%s (/metrics /healthz /sessions /drain /debug/pprof)", aln.Addr())
-		go func() {
-			if err := http.Serve(aln, srv.AdminHandler()); err != nil {
-				log.Printf("otd: admin listener: %v", err)
+		r, addrs := newRouter(*shards)
+		d, stop = r, func() {
+			log.Print("otd: router shutting down")
+			if err := r.Close(); err != nil {
+				log.Printf("otd: close: %v", err)
 			}
-		}()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		// Drain first: stop accepting, let in-flight requests finish,
-		// tear sessions down in order, then exit. A second signal (or
-		// the drain budget running out) forces the remaining
-		// connections closed.
-		log.Printf("otd: draining (budget %s)", *drainWait)
-		if err := srv.Shutdown(*drainWait); err != nil {
-			log.Printf("otd: shutdown: %v", err)
 		}
-		os.Exit(0)
-	}()
-	if err := srv.Serve(ln); err != nil {
-		log.Fatal(err)
+		log.Printf("otd: routing on %s across %d shards (%s)", *listen, len(addrs), strings.Join(addrs, ","))
+	} else {
+		// Validate the backend allowlist at startup, not at first HELLO.
+		var backendList []string
+		for _, name := range strings.Split(*backends, ",") {
+			if name = strings.TrimSpace(name); name == "" {
+				continue
+			}
+			if _, err := extension.ByName(name); err != nil {
+				log.Fatalf("otd: -backends: unknown backend %q (valid: %s)", name, strings.Join(extension.Names(), " "))
+			}
+			backendList = append(backendList, name)
+		}
+		srv := otserv.NewServer(otserv.Config{
+			DefaultParams: *params,
+			Depth:         *prefetch,
+			MaxDepth:      *maxDepth,
+			MaxSessions:   *maxSessions,
+			Workers:       *workers,
+			Backends:      backendList,
+			ShardID:       *shardID,
+			Lease:         *lease,
+		})
+		d, stop = srv, func() {
+			// Drain first: stop accepting, let in-flight requests
+			// finish, tear sessions down in order, then exit. The drain
+			// budget running out forces the remaining connections
+			// closed.
+			log.Printf("otd: draining (budget %s)", *drainWait)
+			if err := srv.Shutdown(*drainWait); err != nil {
+				log.Printf("otd: shutdown: %v", err)
+			}
+		}
+		served := backendList
+		if len(served) == 0 {
+			served = extension.Names()
+		}
+		log.Printf("otd: dispensing on %s (shard %d, params %s, backends %s, prefetch %d, max %d sessions)",
+			*listen, *shardID, *params, strings.Join(served, ","), *prefetch, *maxSessions)
 	}
+	serve(d, *listen, *admin, stop)
 }
 
-// testScaleResolve layers the CI-scale parameter sets over the paper's
-// Table 4 names so a laptop fleet can open hundreds of sessions.
-func testScaleResolve(name string) (ferret.Params, error) {
-	switch name {
-	case "tiny":
-		return ferret.TestParams(600, 32, 128, 8), nil
-	case "small":
-		return ferret.TestParams(3000, 32, 512, 16), nil
-	}
-	return ferret.ParamsByName(name)
+// daemon is what otd serves in either mode: a dispenser shard
+// (*otserv.Server) or the fleet router (*router.Router).
+type daemon interface {
+	Serve(net.Listener) error
+	AdminHandler() http.Handler
 }
 
-// runRouter serves the fleet-router mode of otd.
-func runRouter(listen, shardCSV, admin string) {
+// newRouter builds the fleet router over the -shards list.
+func newRouter(shardCSV string) (*router.Router, []string) {
 	var addrs []string
 	for _, a := range strings.Split(shardCSV, ",") {
 		if a = strings.TrimSpace(a); a != "" {
@@ -168,21 +143,24 @@ func runRouter(listen, shardCSV, admin string) {
 	if len(addrs) == 0 {
 		log.Fatal("otd: -route needs -shards host:port,host:port,...")
 	}
-	r := router.New(router.Config{Shards: addrs})
+	return router.New(router.Config{Shards: addrs}), addrs
+}
+
+// serve runs d on listen, with its admin surface on admin when set,
+// until SIGINT or SIGTERM runs stop and exits.
+func serve(d daemon, listen, admin string, stop func()) {
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("otd: routing on %s across %d shards (%s)", ln.Addr(), len(addrs), strings.Join(addrs, ","))
-
 	if admin != "" {
 		aln, err := net.Listen("tcp", admin)
 		if err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("otd: router admin on http://%s (/metrics /healthz /shards)", aln.Addr())
+		log.Printf("otd: admin endpoint on http://%s", aln.Addr())
 		go func() {
-			if err := http.Serve(aln, r.AdminHandler()); err != nil {
+			if err := http.Serve(aln, d.AdminHandler()); err != nil {
 				log.Printf("otd: admin listener: %v", err)
 			}
 		}()
@@ -192,13 +170,10 @@ func runRouter(listen, shardCSV, admin string) {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-sig
-		log.Print("otd: router shutting down")
-		if err := r.Close(); err != nil {
-			log.Printf("otd: close: %v", err)
-		}
+		stop()
 		os.Exit(0)
 	}()
-	if err := r.Serve(ln); err != nil {
+	if err := d.Serve(ln); err != nil {
 		log.Fatal(err)
 	}
 }

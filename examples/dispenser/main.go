@@ -1,20 +1,23 @@
-// Dispenser example: run an OT-dispenser server in-process, open four
-// concurrent sessions against it, draw correlated OTs from each, and
-// verify every batch under its session's Δ.
+// Dispenser example: open four concurrent sessions against an OT
+// dispenser, draw correlated OTs from each, verify every batch under
+// its session's Δ, then drop a connection and resume a session by its
+// routing token.
 //
-// In a real deployment the server side is the otd daemon
-// (cmd/otd) and each client is a separate process:
-//
-//	otd -listen :7117 -params 2^20 &
-//	... otserv.Dial("localhost:7117") ...
+// With no argument the dispenser runs in-process. Given an address,
+// the example drives a running otd daemon or fleet router instead
+// (cmd/otd); through the router the reconnect also exercises the
+// token's shard placement:
 //
 //	go run ./examples/dispenser
+//	otd -listen :7117 -params 2^20 &
+//	go run ./examples/dispenser 127.0.0.1:7117
 package main
 
 import (
 	"fmt"
 	"log"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"time"
@@ -25,28 +28,37 @@ import (
 )
 
 func main() {
-	// An in-process dispenser on a loopback port, sharing a metrics
-	// registry with this process — the same registry otd exposes on
-	// its -admin /metrics endpoint.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	srv := otserv.NewServer(otserv.Config{DefaultParams: "2^20", Depth: 2, Registry: reg})
-	go func() {
-		// Serve returns nil once Close shuts the listener down.
-		if err := srv.Serve(ln); err != nil {
+	var (
+		addr string
+		reg  *obs.Registry
+	)
+	if len(os.Args) > 1 {
+		addr = os.Args[1]
+		fmt.Printf("dispenser at %s\n", addr)
+	} else {
+		// An in-process dispenser on a loopback port, sharing a
+		// metrics registry with this process — the same registry otd
+		// exposes on its -admin /metrics endpoint.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
 			log.Fatal(err)
 		}
-	}()
-	defer func() {
-		if err := srv.Close(); err != nil {
-			log.Printf("dispenser: close: %v", err)
-		}
-	}()
-	addr := ln.Addr().String()
-	fmt.Printf("dispenser on %s\n", addr)
+		reg = obs.NewRegistry()
+		srv := otserv.NewServer(otserv.Config{DefaultParams: "2^20", Depth: 2, Registry: reg})
+		go func() {
+			// Serve returns nil once Close shuts the listener down.
+			if err := srv.Serve(ln); err != nil {
+				log.Fatal(err)
+			}
+		}()
+		defer func() {
+			if err := srv.Close(); err != nil {
+				log.Printf("dispenser: close: %v", err)
+			}
+		}()
+		addr = ln.Addr().String()
+		fmt.Printf("dispenser on %s\n", addr)
+	}
 
 	const sessions = 4
 	const n = 1 << 18 // draws per session
@@ -160,10 +172,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// On exit, dump the registry the server maintained: the server-wide
-	// lifecycle series plus every live session's pool counters and
-	// draw-latency quantiles — the in-process view of what a Prometheus
-	// scrape of `otd -admin` would collect.
+	// On exit, dump the registry the in-process server maintained: the
+	// server-wide lifecycle series plus every live session's pool
+	// counters and draw-latency quantiles — the in-process view of what
+	// a Prometheus scrape of `otd -admin` would collect.
+	if reg == nil {
+		return
+	}
 	fmt.Println("\nregistry metrics at exit:")
 	for _, m := range reg.Snapshot() {
 		switch {

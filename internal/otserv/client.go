@@ -166,7 +166,7 @@ func (c *Client) NewSession(cfg SessionConfig) (*Session, error) {
 // reconnect path. A client whose connection died re-dials (the router
 // lands it on the owning shard), presents the session token plus its
 // capability token, and resumes drawing at the exact pool position it
-// left, as long as the lease has not expired (then: ErrLeaseExpired).
+// left, as long as the lease has not expired (then: wire.ErrLeaseExpired).
 func (c *Client) AttachToken(sessionToken, token string) (*Session, error) {
 	var resp wire.AttachResp
 	if err := c.roundTripJSON(wire.OpAttach, wire.AttachReq{SessionToken: sessionToken, Token: token}, &resp); err != nil {

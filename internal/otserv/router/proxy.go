@@ -16,29 +16,13 @@ import (
 // which sessions a client owns.
 type proxyConn struct {
 	r         *Router
-	client    transport.Conn
 	upstreams map[string]transport.Conn
 }
 
-func (r *Router) handleConn(client transport.Conn) {
-	pc := &proxyConn{r: r, client: client, upstreams: make(map[string]transport.Conn)}
-	defer func() {
-		pc.closeUpstreams()
-		_ = client.Close()
-		r.mu.Lock()
-		delete(r.conns, client)
-		r.mu.Unlock()
-		r.wg.Done()
-	}()
-	for {
-		msg, err := client.Recv()
-		if err != nil {
-			return
-		}
-		if err := client.Send(pc.route(msg)); err != nil {
-			return
-		}
-	}
+// open starts one client connection's proxy state for the shared Loop.
+func (r *Router) open() (handle func([]byte) []byte, done func()) {
+	pc := &proxyConn{r: r, upstreams: make(map[string]transport.Conn)}
+	return pc.route, pc.closeUpstreams
 }
 
 func (pc *proxyConn) closeUpstreams() {
@@ -251,7 +235,7 @@ func (pc *proxyConn) mergedStats() []byte {
 			continue
 		}
 		var dump wire.StatsDump
-		if err := unmarshalDump(resp[1:], &dump); err != nil {
+		if err := json.Unmarshal(resp[1:], &dump); err != nil {
 			continue
 		}
 		if !gotAny {
@@ -275,8 +259,4 @@ func (pc *proxyConn) mergedStats() []byte {
 		return wire.ErrResponse(err)
 	}
 	return wire.OKResponse(body)
-}
-
-func unmarshalDump(body []byte, dump *wire.StatsDump) error {
-	return json.Unmarshal(body, dump)
 }

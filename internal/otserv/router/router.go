@@ -3,7 +3,6 @@ package router
 import (
 	"crypto/rand"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"net"
 	"sort"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"ironman/internal/obs"
+	"ironman/internal/otserv"
 	"ironman/internal/otserv/wire"
 	"ironman/internal/transport"
 )
@@ -84,10 +84,7 @@ type Router struct {
 	byID   map[uint64]*shard
 	ring   ring
 	tokens map[string]string // routing token -> owning shard addr
-	ln     net.Listener
-	conns  map[transport.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	loop   otserv.Loop
 
 	stop chan struct{}
 	done chan struct{}
@@ -113,7 +110,6 @@ func New(cfg Config) *Router {
 		shards:      make(map[string]*shard),
 		byID:        make(map[uint64]*shard),
 		tokens:      make(map[string]string),
-		conns:       make(map[transport.Conn]struct{}),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 		mShardsLive: reg.Gauge("ironman_router_shards_live"),
@@ -199,16 +195,23 @@ func (r *Router) rebuildLocked() {
 }
 
 // probe health-checks one shard over a fresh connection: a STATS(0)
-// round trip teaches the router the shard's id and drain state.
+// round trip teaches the router the shard's id and drain state. Dial
+// and round trip together are bounded by dialTimeout, so a shard that
+// accepts but never answers is marked dead instead of stalling New,
+// the health loop, Close and /shards/add.
 func (r *Router) probe(addr string) {
+	deadline := time.Now().Add(dialTimeout)
 	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		r.setState(addr, shardDead, 0, false)
 		return
 	}
-	conn := transport.NewTCP(nc)
-	defer func() { _ = conn.Close() }()
-	dump, err := statsRoundTrip(conn)
+	c := otserv.NewClient(transport.NewTCP(nc))
+	defer func() { _ = c.Close() }()
+	var dump *wire.StatsDump
+	if err = nc.SetDeadline(deadline); err == nil {
+		dump, err = c.ServerStats()
+	}
 	if err != nil {
 		r.setState(addr, shardDead, 0, false)
 		return
@@ -218,22 +221,6 @@ func (r *Router) probe(addr string) {
 		return
 	}
 	r.setState(addr, shardLive, dump.Shard, true)
-}
-
-// statsRoundTrip fetches a shard's StatsDump over conn.
-func statsRoundTrip(conn transport.Conn) (wire.StatsDump, error) {
-	var dump wire.StatsDump
-	if err := conn.Send(wire.SessionReq(wire.OpStats, 0)); err != nil {
-		return dump, err
-	}
-	resp, err := conn.Recv()
-	if err != nil {
-		return dump, err
-	}
-	if len(resp) < 1 || resp[0] != wire.StatusOK {
-		return dump, errors.New("router: shard STATS failed")
-	}
-	return dump, unmarshalDump(resp[1:], &dump)
 }
 
 // setState records a shard's probed state and rebuilds the ring on
@@ -293,6 +280,13 @@ func (r *Router) health() {
 			return
 		case <-tick.C:
 			for _, addr := range r.deadShards() {
+				// Close waits for this loop: stop between probes, so
+				// it waits for at most the one in flight.
+				select {
+				case <-r.stop:
+					return
+				default:
+				}
 				r.probe(addr)
 			}
 		}
@@ -387,60 +381,15 @@ func newRouteToken() (string, error) {
 // Serve accepts dispenser clients on ln until the listener fails or
 // the router is closed. It blocks; run it on its own goroutine when
 // the caller needs to keep working.
-func (r *Router) Serve(ln net.Listener) error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return errors.New("router: closed")
-	}
-	r.ln = ln
-	r.mu.Unlock()
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			r.mu.Lock()
-			closed := r.closed
-			r.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		conn := transport.NewTCP(nc)
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			_ = conn.Close()
-			return nil
-		}
-		r.conns[conn] = struct{}{}
-		r.wg.Add(1)
-		r.mu.Unlock()
-		go r.handleConn(conn)
-	}
-}
+func (r *Router) Serve(ln net.Listener) error { return r.loop.Serve(ln, r.open) }
 
-// Close stops the router: the health loop, the listener, and every
-// client connection (whose upstream conns close with them — shards
-// then orphan the affected sessions into their lease windows).
+// Close stops the router: the listener, every client connection (whose
+// upstream conns close with them — shards then orphan the affected
+// sessions into their lease windows), and the health loop.
 func (r *Router) Close() error {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		<-r.done
-		return nil
+	if r.loop.Close() {
+		close(r.stop)
 	}
-	r.closed = true
-	ln := r.ln
-	for conn := range r.conns {
-		_ = conn.Close()
-	}
-	r.mu.Unlock()
-	if ln != nil {
-		_ = ln.Close()
-	}
-	close(r.stop)
-	r.wg.Wait()
 	<-r.done
 	return nil
 }

@@ -2,7 +2,9 @@ package router
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -80,30 +82,179 @@ func dialRouter(t *testing.T, addr string) *otserv.Client {
 	return c
 }
 
+// TestPlacementBalanceAcrossShards opens sessions through the router
+// and requires every shard to hold within 2x of an even share. The
+// concurrent case is the fleet's load shape: sessions open at once over
+// a bounded set of shared client conns and alternate sender and
+// receiver draws, with no failed open, no untyped error and no hang.
 func TestPlacementBalanceAcrossShards(t *testing.T) {
-	shards := []*testShard{startShard(t, 1), startShard(t, 2), startShard(t, 3)}
-	_, addr := startRouter(t, shards...)
-	c := dialRouter(t, addr)
+	for _, tc := range []struct {
+		name                   string
+		sessions, conns, draws int
+		concurrent             bool
+	}{
+		{name: "sequential", sessions: 60, conns: 1},
+		{name: "concurrent", sessions: 96, conns: 12, draws: 4, concurrent: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			shards := []*testShard{startShard(t, 1), startShard(t, 2), startShard(t, 3)}
+			_, addr := startRouter(t, shards...)
+			clients := make([]*otserv.Client, tc.conns)
+			for i := range clients {
+				clients[i] = dialRouter(t, addr)
+			}
 
-	const n = 60
-	perShard := map[uint64]int{}
-	for i := 0; i < n; i++ {
-		sess, err := c.NewSession(otserv.SessionConfig{Params: "tiny", Depth: 256})
-		if err != nil {
-			t.Fatalf("session %d: %v", i, err)
-		}
-		perShard[wire.ShardOf(sess.ID())]++
+			var (
+				mu       sync.Mutex
+				perShard = map[uint64]int{}
+				sheds    int
+				errs     []error
+			)
+			// check sorts one draw or close result: typed sheds are the
+			// contract's answer under load, anything else fails.
+			check := func(i int, err error) {
+				mu.Lock()
+				defer mu.Unlock()
+				switch {
+				case err == nil:
+				case errors.Is(err, wire.ErrQuotaExceeded), errors.Is(err, wire.ErrPoolDry),
+					errors.Is(err, wire.ErrLeaseExpired):
+					sheds++
+				default:
+					errs = append(errs, fmt.Errorf("session %d: untyped error: %w", i, err))
+				}
+			}
+			// run is one session's life: open, alternate sender and
+			// receiver draws, close.
+			run := func(i int) {
+				sess, err := clients[i%tc.conns].NewSession(otserv.SessionConfig{Params: "tiny", Depth: 256})
+				mu.Lock()
+				if err != nil {
+					errs = append(errs, fmt.Errorf("session %d: open: %w", i, err))
+				} else {
+					perShard[wire.ShardOf(sess.ID())]++
+				}
+				mu.Unlock()
+				if err != nil {
+					return
+				}
+				for d := 0; d < tc.draws; d++ {
+					if d%2 == 0 {
+						_, err = sess.SenderCOTs(64)
+					} else {
+						_, _, err = sess.ReceiverCOTs(64)
+					}
+					check(i, err)
+				}
+				if tc.draws > 0 {
+					check(i, sess.Close())
+				}
+			}
+			if !tc.concurrent {
+				for i := 0; i < tc.sessions; i++ {
+					run(i)
+				}
+			} else {
+				var wg sync.WaitGroup
+				for i := 0; i < tc.sessions; i++ {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						run(i)
+					}(i)
+				}
+				done := make(chan struct{})
+				go func() {
+					wg.Wait()
+					close(done)
+				}()
+				select {
+				case <-done:
+				case <-time.After(60 * time.Second):
+					t.Fatal("concurrent sessions still running after 60 s (hang)")
+				}
+			}
+
+			for _, err := range errs {
+				t.Error(err)
+			}
+			if t.Failed() {
+				t.FailNow()
+			}
+			if sheds > 0 {
+				t.Logf("%d typed sheds", sheds)
+			}
+			if len(perShard) != 3 {
+				t.Fatalf("placements landed on %d shards, want 3: %v", len(perShard), perShard)
+			}
+			// Acceptance bar: per-shard balance within 2x of even.
+			even := tc.sessions / 3
+			for id, got := range perShard {
+				if got > 2*even || got < even/2 {
+					t.Fatalf("shard %d holds %d of %d sessions (balance beyond 2x of even %d): %v",
+						id, got, tc.sessions, even, perShard)
+				}
+			}
+		})
 	}
-	if len(perShard) != 3 {
-		t.Fatalf("placements landed on %d shards, want 3: %v", len(perShard), perShard)
+}
+
+// TestStalledShardProbeTimesOut points the router at a shard address
+// that accepts TCP but never answers. Each probe must give up within
+// dialTimeout: New returns with the shard dead, and Close returns even
+// with a health-loop probe of that shard in flight.
+func TestStalledShardProbeTimesOut(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
 	}
-	// Acceptance bar: per-shard balance within 2x of even.
-	even := n / 3
-	for id, got := range perShard {
-		if got > 2*even || got < even/2 {
-			t.Fatalf("shard %d holds %d of %d sessions (balance beyond 2x of even %d): %v",
-				id, got, n, even, perShard)
+	var (
+		mu   sync.Mutex
+		held []net.Conn
+	)
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, nc)
+			mu.Unlock()
 		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, nc := range held {
+			nc.Close()
+		}
+	})
+
+	const bound = dialTimeout + 3*time.Second
+	built := make(chan *Router, 1)
+	go func() { built <- New(Config{Shards: []string{ln.Addr().String()}, Probe: 50 * time.Millisecond}) }()
+	var r *Router
+	select {
+	case r = <-built:
+	case <-time.After(bound):
+		t.Fatalf("New still blocked after %v probing a shard that never answers", bound)
+	}
+	if views := r.Shards(); len(views) != 1 || views[0].State != "dead" {
+		t.Fatalf("stalled shard: %+v, want one dead shard", views)
+	}
+	// Let the health loop start re-probing the stalled shard.
+	time.Sleep(200 * time.Millisecond)
+	closed := make(chan struct{})
+	go func() {
+		r.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(bound):
+		t.Fatalf("Close still blocked after %v behind a stalled probe", bound)
 	}
 }
 
@@ -238,7 +389,7 @@ func TestKilledShardYieldsTypedLeaseErrorNeverHangs(t *testing.T) {
 	}()
 	select {
 	case err := <-done:
-		if !errors.Is(err, otserv.ErrLeaseExpired) {
+		if !errors.Is(err, wire.ErrLeaseExpired) {
 			t.Fatalf("draw on killed shard: got %v, want ErrLeaseExpired", err)
 		}
 	case <-time.After(10 * time.Second):
@@ -267,7 +418,7 @@ func TestKilledShardYieldsTypedLeaseErrorNeverHangs(t *testing.T) {
 	// A reconnect-with-token for a session the dead shard held fails
 	// with the typed lease error (no shard holds it), never hangs.
 	_, err := c.AttachToken(victim.Token(), victim.SenderToken())
-	if !errors.Is(err, otserv.ErrLeaseExpired) {
+	if !errors.Is(err, wire.ErrLeaseExpired) {
 		t.Fatalf("reattach to killed shard's session: got %v, want ErrLeaseExpired", err)
 	}
 
@@ -315,7 +466,7 @@ func TestKilledShardYieldsTypedLeaseErrorNeverHangs(t *testing.T) {
 		t.Fatal("no placement reached the restarted shard")
 	}
 	_, err = c.AttachToken(victim.Token(), victim.SenderToken())
-	if !errors.Is(err, otserv.ErrLeaseExpired) {
+	if !errors.Is(err, wire.ErrLeaseExpired) {
 		t.Fatalf("reattach after shard restart: got %v, want ErrLeaseExpired", err)
 	}
 }
@@ -396,7 +547,7 @@ func TestRouterAllShardsDownTypedError(t *testing.T) {
 	if err == nil {
 		t.Fatal("HELLO with no live shards should fail")
 	}
-	if !errors.Is(err, wire.ErrDraining) && !errors.Is(err, otserv.ErrLeaseExpired) {
+	if !errors.Is(err, wire.ErrDraining) && !errors.Is(err, wire.ErrLeaseExpired) {
 		t.Fatalf("no-shard HELLO error is untyped: %v", err)
 	}
 }

@@ -4,8 +4,8 @@
 // the session layer (package session). The split is load-bearing for
 // fleet mode: a shard is exactly this server around a shard-scoped
 // session.Registry, and the router (package router) proxies the same
-// wire protocol across many shards without understanding sessions at
-// all.
+// wire protocol across many shards, on the same accept and request
+// Loop, without understanding sessions at all.
 package otserv
 
 import (
@@ -14,14 +14,12 @@ import (
 	"fmt"
 	"net"
 	"sort"
-	"sync"
 	"time"
 
 	"ironman/internal/block"
 	"ironman/internal/obs"
 	"ironman/internal/otserv/session"
 	"ironman/internal/otserv/wire"
-	"ironman/internal/transport"
 )
 
 // Config tunes the dispenser; it is the session layer's Config (the
@@ -42,13 +40,6 @@ const (
 	MaxDraw = wire.MaxDraw
 )
 
-// Typed failures clients can match with errors.Is.
-var (
-	ErrQuotaExceeded = wire.ErrQuotaExceeded
-	ErrLeaseExpired  = wire.ErrLeaseExpired
-	ErrPoolDry       = wire.ErrPoolDry
-)
-
 // attachment is one conn's view of a session: which halves it may
 // draw and how many references (HELLO/ATTACH minus CLOSE) it holds.
 type attachment struct {
@@ -58,28 +49,19 @@ type attachment struct {
 	count    int
 }
 
-// Server is the dispenser's transport layer: one accept loop, one
-// request loop per connection, all state in the session registry.
+// Server is the dispenser's transport layer: the shared accept and
+// request Loop, with all state in the session registry.
 type Server struct {
 	sessions *session.Registry
 	reg      *obs.Registry
-
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[transport.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
+	loop     Loop
 }
 
 // NewServer builds a dispenser (one fleet shard, or the whole daemon
 // in standalone mode) with the given config.
 func NewServer(cfg Config) *Server {
 	reg := session.NewRegistry(cfg)
-	return &Server{
-		sessions: reg,
-		reg:      reg.Obs(),
-		conns:    make(map[transport.Conn]struct{}),
-	}
+	return &Server{sessions: reg, reg: reg.Obs()}
 }
 
 // Sessions exposes the session layer (tests and embedders drive leases
@@ -95,58 +77,12 @@ func (s *Server) Drain() { s.sessions.Drain() }
 // Serve accepts dispenser clients on ln until the listener fails or
 // the server is closed. It blocks; run it on its own goroutine when
 // the caller needs to keep working.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return errors.New("otserv: server closed")
-	}
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		conn := transport.NewTCP(nc)
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return nil
-		}
-		s.conns[conn] = struct{}{}
-		s.wg.Add(1)
-		s.mu.Unlock()
-		go s.handleConn(conn)
-	}
-}
+func (s *Server) Serve(ln net.Listener) error { return s.loop.Serve(ln, s.open) }
 
 // Close shuts the server down immediately: stops accepting,
 // disconnects clients, and tears down every session (no lease grace).
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.sessions.Close()
-		return nil
-	}
-	s.closed = true
-	ln := s.ln
-	for conn := range s.conns {
-		_ = conn.Close()
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		_ = ln.Close()
-	}
-	s.wg.Wait()
+	s.loop.Close()
 	// Registry close tears down every remaining session in id order
 	// (conn teardown orphans rather than closes, so "remaining" is
 	// usually all of them).
@@ -161,54 +97,20 @@ func (s *Server) Close() error {
 // registry retires all metric series as part of teardown, so the obs
 // registry is left holding only process-lifetime counters.
 func (s *Server) Shutdown(timeout time.Duration) error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.sessions.Close()
-		return nil
-	}
-	s.closed = true
-	ln := s.ln
-	s.mu.Unlock()
-	if ln != nil {
-		_ = ln.Close()
-	}
-	s.sessions.Drain()
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case <-done:
-	case <-timer.C:
-		s.mu.Lock()
-		for conn := range s.conns {
-			_ = conn.Close()
-		}
-		s.mu.Unlock()
-		<-done
-	}
+	s.loop.shutdown(timeout, s.sessions.Drain)
 	s.sessions.Close()
 	return nil
 }
 
-// handleConn serves one client connection: a sequential request loop.
-// Draws run outside the server lock, so a slow draw on one conn never
-// stalls other clients. A dying connection orphans its sessions (the
-// lease clock starts) instead of closing them — reconnect-with-token
-// resumes them; only an explicit CLOSE (or lease expiry) tears down.
-func (s *Server) handleConn(conn transport.Conn) {
-	defer s.wg.Done()
+// open starts one client connection's state. Draws run outside any
+// server lock, so a slow draw on one conn never stalls other clients.
+// A dying connection orphans its sessions (the lease clock starts)
+// instead of closing them — reconnect-with-token resumes them; only an
+// explicit CLOSE (or lease expiry) tears down.
+func (s *Server) open() (handle func([]byte) []byte, done func()) {
 	owned := make(map[uint64]*attachment)
-	defer func() {
-		_ = conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
+	handle = func(msg []byte) []byte { return s.dispatch(msg, owned) }
+	done = func() {
 		ids := make([]uint64, 0, len(owned))
 		for id := range owned {
 			ids = append(ids, id)
@@ -219,16 +121,8 @@ func (s *Server) handleConn(conn transport.Conn) {
 				s.sessions.Detach(id, true)
 			}
 		}
-	}()
-	for {
-		msg, err := conn.Recv()
-		if err != nil {
-			return
-		}
-		if err := conn.Send(s.dispatch(msg, owned)); err != nil {
-			return
-		}
 	}
+	return handle, done
 }
 
 func respJSON(v any) []byte {
