@@ -138,6 +138,7 @@ func TestMatMul(t *testing.T) {
 		return p.Reveal(z)
 	}
 	var openA, openB []uint64
+	pooled := a.Out.Remaining() + a.In.Remaining()
 	run2(t, func() error { o, err := eval(a, true); openA = o; return err },
 		func() error { o, err := eval(b, false); openB = o; return err })
 	want := matMulPlain(xs, ys, m, k, n)
@@ -152,7 +153,7 @@ func TestMatMul(t *testing.T) {
 	// Measured cost of a scalar triple against the ppml.ArithTripleCost
 	// model: 128 COTs (64 per direction) and 1056 B on the wire, the
 	// latter plus at most 5% of transport framing.
-	if used := a.Out.Used() + a.In.Used(); used != 128*prods {
+	if used := pooled - a.Out.Remaining() - a.In.Remaining(); used != 128*prods {
 		t.Fatalf("%d COTs for %d triples, want 128 per triple", used, prods)
 	}
 	if per := float64(tripleWire) / prods; per < 1056 || per > 1.05*1056 {

@@ -4,27 +4,22 @@
 // A COT correlation (Figure 2 of the paper) gives the sender random
 // blocks r0 with a global Δ (r1 = r0 ⊕ Δ implied) and the receiver a
 // random bit b with r_b = r0 ⊕ b·Δ. The package converts pools of such
-// correlations into:
-//
-//   - chosen-message 1-out-of-2 OT with block, bit or word messages
-//     (SendChosen, SendChosenBits, SendChosenWords and their receive
-//     twins): one exchange, the classic Beaver derandomization plus a
-//     correlation-robust hash, at every message width;
-//   - (m-1)-out-of-m OT (SendAllButOneSeeded/ReceiveAllButOne), realized
-//     with an m-leaf GGM tree at a cost of only log2(m) COTs (§4.2),
-//     which is what makes m-ary SPCOT correlation-neutral.
+// correlations into chosen-message 1-out-of-2 OT with block, bit or
+// word messages (SendChosen, SendChosenBits, SendChosenWords and their
+// receive twins): one exchange, the classic Beaver derandomization plus
+// a correlation-robust hash, at every message width. The exchange
+// itself (SenderPool.Open, ReceiverPool.Open) is exported for
+// protocols that frame their own reply, such as spcot's batched
+// puncturing.
 package cot
 
 import (
 	"crypto/rand"
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"ironman/internal/aesprg"
 	"ironman/internal/block"
-	"ironman/internal/ggm"
-	"ironman/internal/prg"
 	"ironman/internal/transport"
 )
 
@@ -64,11 +59,6 @@ func NewReceiverPool(bits []bool, blocks []block.Block) (*ReceiverPool, error) {
 // Remaining reports how many unconsumed correlations are left.
 func (p *SenderPool) Remaining() int   { return len(p.r0) - p.used }
 func (p *ReceiverPool) Remaining() int { return len(p.bits) - p.used }
-
-// Used reports how many correlations have been consumed; both parties
-// consume in lockstep, so Used doubles as the hash-tweak base.
-func (p *SenderPool) Used() int   { return p.used }
-func (p *ReceiverPool) Used() int { return p.used }
 
 // TakeBlocks consumes n correlations, returning their r0 blocks. Used
 // when correlations feed a local computation (the LPN input) rather
@@ -122,9 +112,10 @@ func (p *ReceiverPool) take(n int) (int, []bool, []block.Block, error) {
 //     with r_d = r0 ⊕ d·Δ; the receiver, holding r_{b_i}, can unmask
 //     exactly ct_{c_i}.
 //
-// SendChosen (w = 128: SPCOT's puncturing), SendChosenBits (w = 1: GMW
-// AND gates) and SendChosenWords (w_i ≤ 64: Gilboa products) differ
-// only in how they read and write messages. Each keeps its own
+// SendChosen (w = 128: the endpoints' chosen OT), SendChosenBits
+// (w = 1: GMW AND gates) and SendChosenWords (w_i ≤ 64: Gilboa
+// products) differ only in how they read and write messages; spcot
+// frames its own 128-bit reply on SenderPool.Open. Each keeps its own
 // per-instance loop over the shared helpers below, so the hot loops
 // stay monomorphic. Both peers derive the frame size from their
 // arguments, so SendBytes' chunked framing reassembles frames past
@@ -138,51 +129,59 @@ func ChosenBytes(n, w int) int { return packedBytes(n) + packedBytes(2*n*w) }
 // packedBytes is the size of an LSB-first frame of the given bit count.
 func packedBytes(bits int) int { return (bits + 7) / 8 }
 
-// sendExchange is the sender's state once the corrections arrived.
-type sendExchange struct {
+// SendExchange is the sender's state of one exchange once the
+// receiver's corrections arrived: steps 1 and 2 above. The caller
+// masks instance i's pair with Pads(h, i) and ships the reply frame.
+type SendExchange struct {
 	off   int
 	r0    []block.Block
 	delta block.Block
 	ds    []uint64
 }
 
-// open takes n COTs and receives the peer's packed corrections.
-func (p *SenderPool) open(conn transport.Conn, n int) (sendExchange, error) {
+// Open takes n COTs and receives the peer's packed corrections, a
+// frame of exactly ⌈n/8⌉ bytes.
+func (p *SenderPool) Open(conn transport.Conn, n int) (SendExchange, error) {
 	off, r0, err := p.take(n)
 	if err != nil {
-		return sendExchange{}, err
+		return SendExchange{}, err
 	}
 	msg, err := conn.Recv()
 	if err != nil {
-		return sendExchange{}, err
+		return SendExchange{}, err
 	}
 	ds, err := transport.WireToPacked(msg, n)
-	return sendExchange{off: off, r0: r0, delta: p.Delta, ds: ds}, err
+	return SendExchange{off: off, r0: r0, delta: p.Delta, ds: ds}, err
 }
 
-// pads returns the pads H(r_{d_i}) and H(r_{1-d_i}) that mask m0_i and
+// Pos is the pool cursor of instance i — its hash tweak.
+func (x *SendExchange) Pos(i int) int { return x.off + i }
+
+// Pads returns the pads H(r_{d_i}) and H(r_{1-d_i}) that mask m0_i and
 // m1_i.
-func (x *sendExchange) pads(h *aesprg.Hash, i int) (block.Block, block.Block) {
+func (x *SendExchange) Pads(h *aesprg.Hash, i int) (block.Block, block.Block) {
 	r, rn := x.r0[i], x.r0[i].Xor(x.delta)
 	if bit(x.ds, i) == 1 {
 		r, rn = rn, r
 	}
-	t := uint64(x.off + i)
+	t := uint64(x.Pos(i))
 	return h.Sum(r, t), h.Sum(rn, t)
 }
 
-// recvExchange is the receiver's state once its corrections are sent.
-type recvExchange struct {
+// RecvExchange is the receiver's state of one exchange once its
+// corrections are sent. Pad(h, i) unmasks instance i's chosen
+// ciphertext.
+type RecvExchange struct {
 	off int
 	rb  []block.Block
 }
 
-// open takes n COTs and sends the corrections for the limb-packed
+// Open takes n COTs and sends the corrections for the limb-packed
 // choices; choice bits past n are ignored.
-func (p *ReceiverPool) open(conn transport.Conn, choices []uint64, n int) (recvExchange, error) {
+func (p *ReceiverPool) Open(conn transport.Conn, choices []uint64, n int) (RecvExchange, error) {
 	off, bits, rb, err := p.take(n)
 	if err != nil {
-		return recvExchange{}, err
+		return RecvExchange{}, err
 	}
 	ds := make([]uint64, transport.PackedLimbs(n))
 	for i, b := range bits {
@@ -196,12 +195,15 @@ func (p *ReceiverPool) open(conn transport.Conn, choices []uint64, n int) (recvE
 	if r := uint(n % 64); r != 0 {
 		ds[len(ds)-1] &= 1<<r - 1
 	}
-	return recvExchange{off: off, rb: rb}, conn.Send(transport.PackedToWire(ds, n))
+	return RecvExchange{off: off, rb: rb}, conn.Send(transport.PackedToWire(ds, n))
 }
 
-// pad returns H(r_{b_i}), which unmasks instance i's chosen ciphertext.
-func (x *recvExchange) pad(h *aesprg.Hash, i int) block.Block {
-	return h.Sum(x.rb[i], uint64(x.off+i))
+// Pos is the pool cursor of instance i — its hash tweak.
+func (x *RecvExchange) Pos(i int) int { return x.off + i }
+
+// Pad returns H(r_{b_i}), which unmasks instance i's chosen ciphertext.
+func (x *RecvExchange) Pad(h *aesprg.Hash, i int) block.Block {
+	return h.Sum(x.rb[i], uint64(x.Pos(i)))
 }
 
 // bit reads bit i of a limb-packed vector.
@@ -258,13 +260,13 @@ func recvFrame(conn transport.Conn, bits int) ([]uint64, error) {
 // messages: msgs[i] is the pair (m0_i, m1_i).
 func SendChosen(conn transport.Conn, pool *SenderPool, h *aesprg.Hash, msgs [][2]block.Block) error {
 	n := len(msgs)
-	x, err := pool.open(conn, n)
+	x, err := pool.Open(conn, n)
 	if err != nil {
 		return err
 	}
 	f := make([]uint64, 4*n)
 	for i, m := range msgs {
-		p0, p1 := x.pads(h, i)
+		p0, p1 := x.Pads(h, i)
 		ct0, ct1 := m[0].Xor(p0), m[1].Xor(p1)
 		putField(f, 256*i, ct0.Lo, 64)
 		putField(f, 256*i+64, ct0.Hi, 64)
@@ -284,7 +286,7 @@ func ReceiveChosen(conn transport.Conn, pool *ReceiverPool, h *aesprg.Hash, choi
 			setBit(cs, i, 1)
 		}
 	}
-	x, err := pool.open(conn, cs, n)
+	x, err := pool.Open(conn, cs, n)
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +298,7 @@ func ReceiveChosen(conn transport.Conn, pool *ReceiverPool, h *aesprg.Hash, choi
 	for i := range out {
 		off := 256*i + 128*int(bit(cs, i))
 		ct := block.New(getField(f, off, 64), getField(f, off+64, 64))
-		out[i] = ct.Xor(x.pad(h, i))
+		out[i] = ct.Xor(x.Pad(h, i))
 	}
 	return out, nil
 }
@@ -310,13 +312,13 @@ func SendChosenBits(conn transport.Conn, pool *SenderPool, h *aesprg.Hash, m0, m
 	if limbs := transport.PackedLimbs(n); len(m0) < limbs || len(m1) < limbs {
 		return fmt.Errorf("cot: SendChosenBits needs %d limbs for %d bits, got %d/%d", limbs, n, len(m0), len(m1))
 	}
-	x, err := pool.open(conn, n)
+	x, err := pool.Open(conn, n)
 	if err != nil {
 		return err
 	}
 	f := make([]uint64, transport.PackedLimbs(2*n))
 	for i := 0; i < n; i++ {
-		p0, p1 := x.pads(h, i)
+		p0, p1 := x.Pads(h, i)
 		putField(f, 2*i, bit(m0, i)^p0.Lo, 1)
 		putField(f, 2*i+1, bit(m1, i)^p1.Lo, 1)
 	}
@@ -331,7 +333,7 @@ func ReceiveChosenBits(conn transport.Conn, pool *ReceiverPool, h *aesprg.Hash, 
 	if len(choices) < limbs {
 		return nil, fmt.Errorf("cot: ReceiveChosenBits needs %d limbs for %d bits, got %d", limbs, n, len(choices))
 	}
-	x, err := pool.open(conn, choices, n)
+	x, err := pool.Open(conn, choices, n)
 	if err != nil {
 		return nil, err
 	}
@@ -342,7 +344,7 @@ func ReceiveChosenBits(conn transport.Conn, pool *ReceiverPool, h *aesprg.Hash, 
 	out := make([]uint64, limbs)
 	for i := 0; i < n; i++ {
 		ct := getField(f, 2*i+int(bit(choices, i)), 1)
-		setBit(out, i, ct^x.pad(h, i).Lo&1)
+		setBit(out, i, ct^x.Pad(h, i).Lo&1)
 	}
 	return out, nil
 }
@@ -377,14 +379,14 @@ func SendChosenWords(conn transport.Conn, pool *SenderPool, h *aesprg.Hash, m0, 
 	if err != nil {
 		return err
 	}
-	x, err := pool.open(conn, n)
+	x, err := pool.Open(conn, n)
 	if err != nil {
 		return err
 	}
 	f := make([]uint64, transport.PackedLimbs(2*bits))
 	off := 0
 	for i, w := range widths {
-		p0, p1 := x.pads(h, i)
+		p0, p1 := x.Pads(h, i)
 		putField(f, off, m0[i]^p0.Lo, w)
 		putField(f, off+w, m1[i]^p1.Lo, w)
 		off += 2 * w
@@ -405,7 +407,7 @@ func ReceiveChosenWords(conn transport.Conn, pool *ReceiverPool, h *aesprg.Hash,
 	if err != nil {
 		return nil, err
 	}
-	x, err := pool.open(conn, choices, n)
+	x, err := pool.Open(conn, choices, n)
 	if err != nil {
 		return nil, err
 	}
@@ -417,88 +419,8 @@ func ReceiveChosenWords(conn transport.Conn, pool *ReceiverPool, h *aesprg.Hash,
 	off := 0
 	for i, w := range widths {
 		ct := getField(f, off+int(bit(choices, i))*w, w)
-		out[i] = ct ^ x.pad(h, i).Lo&mask(w)
+		out[i] = ct ^ x.Pad(h, i).Lo&mask(w)
 		off += 2 * w
-	}
-	return out, nil
-}
-
-// abOnePRG is the fixed PRG used inside the all-but-one GGM gadget.
-// A binary AES PRG keeps the gadget independent of the caller's choice
-// of tree PRG (it is a different, tiny tree).
-func abOnePRG() prg.PRG { return prg.New(prg.AES, 2) }
-
-// SendAllButOneSeeded transfers len(msgs) messages such that the
-// receiver learns every message except the one at its secret index.
-// len(msgs) must be a power of two >= 2. Consumes log2(len(msgs)) COTs.
-// The gadget tree seed must be secret and fresh per call: spcot derives
-// it from each execution's secret GGM root, so a whole sender flight is
-// a deterministic function of that root — what the
-// parallel-vs-sequential transcript cross-checks rely on.
-func SendAllButOneSeeded(conn transport.Conn, pool *SenderPool, h *aesprg.Hash, msgs []block.Block, seed block.Block) error {
-	m := len(msgs)
-	if m < 2 || bits.OnesCount(uint(m)) != 1 {
-		return fmt.Errorf("cot: all-but-one needs a power-of-two message count, got %d", m)
-	}
-	p := abOnePRG()
-	arities := ggm.LevelArities(m, 2)
-	tree := ggm.Expand(p, seed, arities)
-
-	// Per level, offer (K0, K1) through a chosen OT; the receiver takes
-	// the sum opposite its path digit.
-	for level := 1; level <= tree.Depth(); level++ {
-		sums := tree.LevelSums(level)
-		if err := SendChosen(conn, pool, h, [][2]block.Block{{sums[0], sums[1]}}); err != nil {
-			return err
-		}
-	}
-	// Mask each message with a hash of its leaf.
-	leaves := tree.Leaves()
-	cts := make([]block.Block, m)
-	base := uint64(pool.Used()) << 32 // domain-separate from the OT tweaks
-	for j := 0; j < m; j++ {
-		cts[j] = msgs[j].Xor(h.Sum(leaves[j], base+uint64(j)))
-	}
-	return transport.SendBlocks(conn, cts)
-}
-
-// ReceiveAllButOne receives every message except msgs[alpha]. The
-// returned slice has the punctured slot zeroed.
-func ReceiveAllButOne(conn transport.Conn, pool *ReceiverPool, h *aesprg.Hash, m, alpha int) ([]block.Block, error) {
-	if m < 2 || bits.OnesCount(uint(m)) != 1 {
-		return nil, fmt.Errorf("cot: all-but-one needs a power-of-two message count, got %d", m)
-	}
-	if alpha < 0 || alpha >= m {
-		return nil, fmt.Errorf("cot: alpha %d out of range [0,%d)", alpha, m)
-	}
-	p := abOnePRG()
-	arities := ggm.LevelArities(m, 2)
-	digits := ggm.Digits(alpha, arities)
-
-	sums := make([][]block.Block, len(arities))
-	for i := range arities {
-		// Binary level: ask for the sum at position 1-digit.
-		want := digits[i] == 0 // true selects message index 1
-		got, err := ReceiveChosen(conn, pool, h, []bool{want})
-		if err != nil {
-			return nil, err
-		}
-		sums[i] = make([]block.Block, 2)
-		sums[i][1-digits[i]] = got[0]
-	}
-	rec := ggm.Reconstruct(p, arities, alpha, sums)
-
-	cts, err := transport.RecvBlocks(conn, m)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]block.Block, m)
-	base := uint64(pool.Used()) << 32
-	for j := 0; j < m; j++ {
-		if j == alpha {
-			continue
-		}
-		out[j] = cts[j].Xor(h.Sum(rec.Leaves[j], base+uint64(j)))
 	}
 	return out, nil
 }

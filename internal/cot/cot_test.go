@@ -68,7 +68,7 @@ func TestChosenOT(t *testing.T) {
 			t.Fatalf("OT %d wrong message", i)
 		}
 	}
-	if sp.Used() != 32 || rp.Used() != 32 {
+	if sp.used != 32 || rp.used != 32 {
 		t.Fatal("pools must advance by one per OT")
 	}
 }
@@ -144,8 +144,8 @@ func TestPoolExhaustion(t *testing.T) {
 		if err := tc.recv(b, rp); !errors.Is(err, ErrExhausted) {
 			t.Errorf("%s: receiver err = %v, want ErrExhausted", tc.name, err)
 		}
-		if sp.Used() != 0 || rp.Used() != 0 {
-			t.Errorf("%s: failed exchange moved the pools to %d/%d", tc.name, sp.Used(), rp.Used())
+		if sp.used != 0 || rp.used != 0 {
+			t.Errorf("%s: failed exchange moved the pools to %d/%d", tc.name, sp.used, rp.used)
 		}
 		if a.Stats().TotalBytes() != 0 {
 			t.Errorf("%s: failed exchange moved %d bytes", tc.name, a.Stats().TotalBytes())
@@ -173,8 +173,8 @@ func TestChosenWordsRejectsBadWidths(t *testing.T) {
 		if _, err := ReceiveChosenWords(b, rp, h, words, widths); err == nil || errors.Is(err, transport.ErrClosed) {
 			t.Errorf("widths %v: receiver err = %v, want a width error", widths, err)
 		}
-		if sp.Used() != 0 || rp.Used() != 0 {
-			t.Errorf("widths %v: rejected exchange moved the pools to %d/%d", widths, sp.Used(), rp.Used())
+		if sp.used != 0 || rp.used != 0 {
+			t.Errorf("widths %v: rejected exchange moved the pools to %d/%d", widths, sp.used, rp.used)
 		}
 	}
 }
@@ -217,7 +217,7 @@ func TestChosenBitsOT(t *testing.T) {
 				t.Fatalf("n=%d: bit OT %d wrong", n, i)
 			}
 		}
-		if sp.Used() != n || rp.Used() != n {
+		if sp.used != n || rp.used != n {
 			t.Fatalf("n=%d: pools must advance by one per OT", n)
 		}
 		// Wire budget: d frame + interleaved ct0‖ct1 frame, ~3 bits per
@@ -275,7 +275,7 @@ func TestChosenBitsInterleavedWithBlocks(t *testing.T) {
 			t.Fatalf("bit %d wrong after block batch", i)
 		}
 	}
-	if sp.Used() != 2+n || rp.Used() != 2+n {
+	if sp.used != 2+n || rp.used != 2+n {
 		t.Fatal("pool cursor out of lockstep")
 	}
 }
@@ -299,63 +299,6 @@ func TestChosenBitsExhaustionAndShape(t *testing.T) {
 	}
 	if _, err := ReceiveChosenBits(a, rp, h, nil, 64); err == nil {
 		t.Fatal("short choice slice must be rejected")
-	}
-}
-
-func TestAllButOne(t *testing.T) {
-	for _, m := range []int{2, 4, 8, 16} {
-		for alpha := 0; alpha < m; alpha++ {
-			sp, rp := pools(t, 16)
-			h := aesprg.NewHash()
-			msgs := make([]block.Block, m)
-			for j := range msgs {
-				msgs[j] = block.New(uint64(j)+100, uint64(m))
-			}
-			a, b := transport.Pipe()
-			errCh := make(chan error, 1)
-			go func() { errCh <- SendAllButOneSeeded(a, sp, h, msgs, block.New(uint64(alpha), 7)) }()
-			got, err := ReceiveAllButOne(b, rp, h, m, alpha)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := <-errCh; err != nil {
-				t.Fatal(err)
-			}
-			for j := 0; j < m; j++ {
-				if j == alpha {
-					if got[j] != (block.Block{}) {
-						t.Fatalf("m=%d alpha=%d: punctured slot not zero", m, alpha)
-					}
-					continue
-				}
-				if got[j] != msgs[j] {
-					t.Fatalf("m=%d alpha=%d: message %d mismatch", m, alpha, j)
-				}
-			}
-			// COT budget: exactly log2(m).
-			wantUsed := 0
-			for v := m; v > 1; v >>= 1 {
-				wantUsed++
-			}
-			if sp.Used() != wantUsed {
-				t.Fatalf("m=%d: consumed %d COTs, want %d", m, sp.Used(), wantUsed)
-			}
-		}
-	}
-}
-
-func TestAllButOneRejectsBadArgs(t *testing.T) {
-	sp, rp := pools(t, 8)
-	h := aesprg.NewHash()
-	a, _ := transport.Pipe()
-	if err := SendAllButOneSeeded(a, sp, h, make([]block.Block, 3), block.New(1, 2)); err == nil {
-		t.Fatal("expected error for non-power-of-two count")
-	}
-	if _, err := ReceiveAllButOne(a, rp, h, 4, 4); err == nil {
-		t.Fatal("expected error for alpha out of range")
-	}
-	if _, err := ReceiveAllButOne(a, rp, h, 0, 0); err == nil {
-		t.Fatal("expected error for m=0")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"ironman/internal/aesprg"
+	"ironman/internal/block"
 	"ironman/internal/cot"
 	"ironman/internal/ferret"
 	"ironman/internal/ggm"
@@ -107,10 +108,11 @@ func fig7(quick bool) (Result, error) {
 		if err != nil {
 			return Result{}, fmt.Errorf("SPCOT at m=%d: %w", m, err)
 		}
-		batchBytes := st.TotalBytes() * int64(trees)
-		// Deployed implementations batch the per-level OT messages of
-		// all t trees into one flight (Ferret processes trees level-
-		// synchronously), so round count does not scale with t.
+		// All t trees' puncturing is one exchange (spcot batches every
+		// tree's level messages, as Ferret does): per tree the reply
+		// section measured here, plus one correction bit per COT, in
+		// the one round trip measured here.
+		batchBytes := st.BytesSent*int64(trees) + int64(trees*spcot.COTBudget(leaves)+7)/8
 		batchFlights := st.Flights
 
 		// Latency: network + compute (compute at the software AES-equiv
@@ -139,7 +141,7 @@ func spcotTraffic(p prg.PRG, leaves int) (transport.Stats, error) {
 	a, b := transport.Pipe()
 	done := make(chan error, 1)
 	go func() {
-		_, err := spcot.Send(a, sp, h, p, leaves)
+		_, err := spcot.SendWithSeed(a, sp, h, p, leaves, block.New(uint64(leaves), uint64(p.Arity())))
 		done <- err
 	}()
 	_, err = spcot.Receive(b, rp, h, p, leaves, 1)

@@ -54,8 +54,11 @@ func checkCorrelation(t *testing.T, delta block.Block, z []block.Block, bits []b
 
 // TestBackendsCorrectAndCostExact runs both backends through the same
 // DealPair + lockstep path and asserts (a) the Δ-correlation on every
-// output and (b) the measured wire transcript against Cost's
-// ExtendBytes, byte for byte.
+// output, (b) the measured wire transcript against Cost's ExtendBytes,
+// byte for byte, and (c) each Extend's flights, counted by both
+// endpoints' transport, against Cost's Rounds. A flight is a turn of
+// the conversation, so a one-way Extend (Rounds = 1) continues the
+// previous Extend's flight; one that turns around starts afresh.
 func TestBackendsCorrectAndCostExact(t *testing.T) {
 	p := smallParams(t)
 	delta := block.New(0x1d1d, 0x2e2e)
@@ -75,7 +78,10 @@ func TestBackendsCorrectAndCostExact(t *testing.T) {
 			t.Fatalf("%s: Delta() = %v, want %v", name, got, delta)
 		}
 		batch := b.Batch(p)
+		cost := b.Cost(p, o)
+		flights := func() int { return connS.Stats().Flights + connR.Stats().Flights }
 		for it := 0; it < iters; it++ {
+			f0 := flights()
 			z, bits, y, err := ExtendLockstep(s, r)
 			if err != nil {
 				t.Fatalf("%s it=%d: %v", name, it, err)
@@ -84,8 +90,14 @@ func TestBackendsCorrectAndCostExact(t *testing.T) {
 				t.Fatalf("%s: Extend yielded %d, Batch says %d", name, len(z), batch)
 			}
 			checkCorrelation(t, delta, z, bits, y)
+			want := cost.Rounds
+			if it > 0 && cost.Rounds == 1 {
+				want = 0
+			}
+			if got := flights() - f0; got != want {
+				t.Fatalf("%s it=%d: measured %d flights, want %d (Cost.Rounds = %d)", name, it, got, want, cost.Rounds)
+			}
 		}
-		cost := b.Cost(p, o)
 		if got, want := connS.Stats().TotalBytes(), iters*cost.ExtendBytes; got != want {
 			t.Fatalf("%s: measured %d wire bytes over %d iterations, Cost models %d", name, got, iters, want)
 		}

@@ -29,37 +29,30 @@ func (ferretBackend) options(o Options) ferret.Options {
 	return fo
 }
 
-// Cost models one Extend's SPCOT puncturing traffic exactly: per tree,
-// every binary GGM level is one direct chosen OT; every m-ary level is
-// an all-but-one transfer (log2(m) gadget chosen OTs plus m masked
-// leaf blocks); plus the tree's node-recovery block. The LPN encode is
-// local. Verified byte-for-byte against the measured transcript by the
-// extend bench.
+// Cost models one Extend's SPCOT puncturing traffic exactly. All T
+// trees' puncturing is one chosen-OT exchange of T·log2ℓ block
+// instances — one per binary GGM level and log2(m) all-but-one gadget
+// OTs per m-ary level — whose reply also carries, per tree, the m
+// masked leaf blocks of every m-ary level and the node-recovery block.
+// The LPN encode is local. Verified byte-for-byte against the measured
+// transcript by the extend bench.
 func (b ferretBackend) Cost(p Params, o Options) Cost {
 	arity := 4
 	if o.BinaryAES {
 		arity = 2
 	}
-	// Every gadget chosen OT is one 128-bit instance: spcot's sequential
-	// per-tree flights always invoke cot.SendChosen that way.
-	chosenOTBytes := int64(cot.ChosenBytes(1, 128))
-	perTree := int64(block.Size) // node-recovery block
-	flights := 0
+	extra := int64(block.Size) // node-recovery block
 	for _, a := range ggm.LevelArities(p.L, arity) {
-		if a == 2 {
-			perTree += chosenOTBytes
-			flights += 2
-		} else {
-			lg := bits.TrailingZeros(uint(a))
-			perTree += int64(lg)*chosenOTBytes + int64(a)*block.Size
-			flights += 2 * lg
+		if a > 2 {
+			extra += int64(a) * block.Size
 		}
 	}
-	extend := int64(p.T) * perTree
+	ots := p.T * bits.TrailingZeros(uint(p.L))
+	extend := int64(cot.ChosenBytes(ots, 128)) + int64(p.T)*extra
 	return Cost{
 		ExtendBytes: extend,
 		BytesPerCOT: float64(extend) / float64(b.Batch(p)),
-		Rounds:      p.T * flights,
+		Rounds:      2,   // corrections out, one reply back
 		BaseOTs:     128, // IKNP init (skipped by DealPair)
 	}
 }

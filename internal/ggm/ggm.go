@@ -17,6 +17,7 @@ package ggm
 
 import (
 	"math/bits"
+	"slices"
 
 	"ironman/internal/block"
 	"ironman/internal/prg"
@@ -67,60 +68,45 @@ func Digits(alpha int, arities []int) []int {
 	return digits
 }
 
-// Tree is a fully expanded GGM tree held by the sender.
+// Tree is a fully expanded GGM tree held by the sender: its leaves and
+// every level's position sums.
 type Tree struct {
-	arities []int
-	// levels[0] is the root (1 node); levels[i] has Π_{j<i} arities[j]
-	// * arities[i-1]... i.e. levels[i] holds the nodes at depth i.
-	levels [][]block.Block
+	leaves []block.Block
+	sums   [][]block.Block
 }
 
 // Expand computes the full tree from seed with the given per-level
-// arities. Every arity must be <= p.Arity().
+// arities into fresh storage; see ExpandInto. Every arity must be
+// <= p.Arity().
 func Expand(p prg.PRG, seed block.Block, arities []int) *Tree {
-	t := &Tree{arities: arities}
-	t.levels = make([][]block.Block, len(arities)+1)
-	t.levels[0] = []block.Block{seed}
-	width := 1
+	total := 1
+	t := &Tree{sums: make([][]block.Block, len(arities))}
 	for i, a := range arities {
-		if a > p.Arity() {
-			panic("ggm: level arity exceeds PRG arity")
-		}
-		width *= a
-		next := make([]block.Block, width)
-		parents := t.levels[i]
-		for j, parent := range parents {
-			p.Expand(parent, next[j*a:(j+1)*a])
-		}
-		t.levels[i+1] = next
+		t.sums[i] = make([]block.Block, a)
+		total *= a
 	}
+	t.leaves = make([]block.Block, total)
+	ExpandInto(p, seed, arities, t.leaves, t.sums)
 	return t
 }
 
 // Depth returns the number of expansion levels.
-func (t *Tree) Depth() int { return len(t.arities) }
+func (t *Tree) Depth() int { return len(t.sums) }
 
 // Leaves returns the final level of the tree. The slice is shared with
 // the tree; callers must not modify it.
-func (t *Tree) Leaves() []block.Block { return t.levels[len(t.levels)-1] }
+func (t *Tree) Leaves() []block.Block { return t.leaves }
 
-// LevelSums computes the position-wise XOR sums of level i (1-based:
-// the children produced by expansion level i-1). sums[c] is the XOR of
-// every node at depth i whose child-position within its parent is c.
-// For a binary level these are the "even" and "odd" sums K^i_0, K^i_1
-// of §2.3.1.
+// LevelSums returns a copy of the position-wise XOR sums of level i
+// (1-based: the children produced by expansion level i-1). sums[c] is
+// the XOR of every node at depth i whose child-position within its
+// parent is c. For a binary level these are the "even" and "odd" sums
+// K^i_0, K^i_1 of §2.3.1.
 func (t *Tree) LevelSums(level int) []block.Block {
 	if level < 1 || level > t.Depth() {
 		panic("ggm: level out of range")
 	}
-	a := t.arities[level-1]
-	nodes := t.levels[level]
-	sums := make([]block.Block, a)
-	for j, n := range nodes {
-		c := j % a
-		sums[c] = sums[c].Xor(n)
-	}
-	return sums
+	return slices.Clone(t.sums[level-1])
 }
 
 // AllLevelSums returns LevelSums for every level 1..Depth.
@@ -145,6 +131,55 @@ func OpsForTree(p prg.PRG, leaves int) int {
 	return ops
 }
 
+// maxArity bounds the per-level arity of the in-place kernels (the
+// widest PRG, ChaCha8, expands 32 children per parent).
+const maxArity = 32
+
+// ExpandInto expands the tree from seed straight into leaves (len
+// Π arities) and writes every level's position sums into sums (sums[i]
+// holds arities[i] entries, as LevelSums(i+1) returns them). Every
+// level lives in the prefix of leaves: parents are expanded in
+// descending index order, so parent j's children at [j·a, (j+1)·a)
+// only overwrite parents already expanded, and the sums are
+// accumulated in the same pass.
+func ExpandInto(p prg.PRG, seed block.Block, arities []int, leaves []block.Block, sums [][]block.Block) {
+	checkInto(p, arities, leaves, sums)
+	leaves[0] = seed
+	width := 1
+	for i, a := range arities {
+		s := sums[i]
+		clear(s)
+		for j := width - 1; j >= 0; j-- {
+			kids := leaves[j*a : (j+1)*a]
+			p.Expand(leaves[j], kids)
+			for c, k := range kids {
+				s[c] = s[c].Xor(k)
+			}
+		}
+		width *= a
+	}
+}
+
+// checkInto panics unless leaves and sums fit the tree shape.
+func checkInto(p prg.PRG, arities []int, leaves []block.Block, sums [][]block.Block) {
+	if len(sums) != len(arities) {
+		panic("ggm: sums/arities length mismatch")
+	}
+	total := 1
+	for i, a := range arities {
+		if a > p.Arity() {
+			panic("ggm: level arity exceeds PRG arity")
+		}
+		if len(sums[i]) != a {
+			panic("ggm: level sums have the wrong arity")
+		}
+		total *= a
+	}
+	if len(leaves) != total {
+		panic("ggm: leaf buffer does not match the tree size")
+	}
+}
+
 // Punctured is the receiver's view of a GGM tree: every leaf except the
 // one at index Alpha, whose slot holds the zero block.
 type Punctured struct {
@@ -152,50 +187,72 @@ type Punctured struct {
 	Leaves []block.Block
 }
 
-// Reconstruct rebuilds all leaves except leaf alpha. sums must contain,
-// for every level i (0-based here), the arity_i position sums of that
-// level; the entry at the path digit position is never read and may be
-// anything (the puncturing protocol does not transfer it). This is the
-// receiver computation of steps ③ in Figure 3(b).
+// Reconstruct rebuilds all leaves except leaf alpha into a fresh
+// slice; see ReconstructInto.
 func Reconstruct(p prg.PRG, arities []int, alpha int, sums [][]block.Block) *Punctured {
-	if len(sums) != len(arities) {
-		panic("ggm: sums/arities length mismatch")
+	total := 1
+	for _, a := range arities {
+		total *= a
 	}
-	digits := Digits(alpha, arities)
+	leaves := make([]block.Block, total)
+	ReconstructInto(p, arities, alpha, sums, leaves)
+	return &Punctured{Alpha: alpha, Leaves: leaves}
+}
 
-	// known holds the current level's nodes; hole is the index of the
-	// punctured node (unknown, kept zero).
-	known := []block.Block{{}}
-	hole := 0
+// ReconstructInto rebuilds every leaf except leaf alpha straight into
+// leaves (len Π arities), with leaves[alpha] zero, and returns the XOR
+// of the rebuilt leaves. sums must contain, for every level i (0-based
+// here), the arity_i position sums of that level; the entry at the path
+// digit position is never read and may be anything (the puncturing
+// protocol does not transfer it). This is the receiver computation of
+// step ③ in Figure 3(b).
+//
+// Levels share leaves' storage as in ExpandInto. The hole — the
+// punctured node on the path to alpha — is skipped; its children off
+// the path are recovered after the level's pass as sums[i][c] ⊕ (XOR
+// of the known children at position c), and the child on the path is
+// the next level's hole, kept zero.
+func ReconstructInto(p prg.PRG, arities []int, alpha int, sums [][]block.Block, leaves []block.Block) block.Block {
+	checkInto(p, arities, leaves, sums)
+	if alpha < 0 || alpha >= len(leaves) {
+		panic("ggm: alpha out of range")
+	}
+	leaves[0] = block.Block{}
+	hole, width, below, d := 0, 1, len(leaves), 0
+	var known [maxArity]block.Block // XOR of the known children per position
 	for i, a := range arities {
-		width := len(known) * a
-		next := make([]block.Block, width)
-		// Expand every known parent.
-		for j := range known {
+		below /= a
+		d = alpha / below % a
+		clear(known[:a])
+		for j := width - 1; j >= 0; j-- {
 			if j == hole {
 				continue
 			}
-			p.Expand(known[j], next[j*a:(j+1)*a])
+			kids := leaves[j*a : (j+1)*a]
+			p.Expand(leaves[j], kids)
+			for c, k := range kids {
+				known[c] = known[c].Xor(k)
+			}
 		}
-		// Recover the hole's children at every position except the next
-		// path digit: missing = sums[i][c] ⊕ XOR of known children at
-		// position c.
-		d := digits[i]
-		for c := 0; c < a; c++ {
+		kids := leaves[hole*a : (hole+1)*a]
+		for c := range kids {
 			if c == d {
+				kids[c] = block.Block{}
 				continue
 			}
-			acc := sums[i][c]
-			for j := 0; j < len(known); j++ {
-				if j == hole {
-					continue
-				}
-				acc = acc.Xor(next[j*a+c])
-			}
-			next[hole*a+c] = acc
+			kids[c] = sums[i][c].Xor(known[c])
 		}
 		hole = hole*a + d
-		known = next
+		width *= a
 	}
-	return &Punctured{Alpha: hole, Leaves: known}
+	// Every leaf but alpha: the full sums off the path, and the known
+	// leaves at alpha's position.
+	last := sums[len(sums)-1]
+	xor := known[d]
+	for c := range last {
+		if c != d {
+			xor = xor.Xor(last[c])
+		}
+	}
+	return xor
 }

@@ -81,8 +81,10 @@ func TestExpandShapeAndDeterminism(t *testing.T) {
 	if len(tr.Leaves()) != 32 {
 		t.Fatalf("leaves = %d, want 32", len(tr.Leaves()))
 	}
-	if len(tr.levels[0]) != 1 || len(tr.levels[1]) != 4 || len(tr.levels[2]) != 16 {
-		t.Fatal("level widths wrong")
+	for i, want := range arities {
+		if got := len(tr.LevelSums(i + 1)); got != want {
+			t.Fatalf("level %d has %d position sums, want %d", i+1, got, want)
+		}
 	}
 	tr2 := Expand(p, seed, arities)
 	if !slices.Equal(tr.Leaves(), tr2.Leaves()) {
@@ -95,7 +97,7 @@ func TestLevelSumsDefinition(t *testing.T) {
 	tr := Expand(p, block.New(3, 4), []int{2, 2, 2})
 	for level := 1; level <= 3; level++ {
 		sums := tr.LevelSums(level)
-		nodes := tr.levels[level]
+		nodes := referenceLevels(p, block.New(3, 4), []int{2, 2, 2})[level]
 		var even, odd block.Block
 		for j, n := range nodes {
 			if j%2 == 0 {
@@ -271,6 +273,82 @@ func TestRandomizedLargeTree(t *testing.T) {
 				t.Fatalf("alpha=%d: leaf %d mismatch", alpha, i)
 			}
 		}
+	}
+}
+
+// referenceLevels is the textbook level-by-level expansion, one fresh
+// slice per level: levels[i] holds the nodes at depth i.
+func referenceLevels(p prg.PRG, seed block.Block, arities []int) [][]block.Block {
+	levels := [][]block.Block{{seed}}
+	for _, a := range arities {
+		parents := levels[len(levels)-1]
+		next := make([]block.Block, len(parents)*a)
+		for j, parent := range parents {
+			p.Expand(parent, next[j*a:(j+1)*a])
+		}
+		levels = append(levels, next)
+	}
+	return levels
+}
+
+// TestInPlaceKernelsMatchReference: ExpandInto and ReconstructInto,
+// which build every level inside the leaf buffer, produce the same
+// leaves and level sums as the level-by-level reference expansion, for
+// binary, 4-ary and mixed-radix trees, with the hole at either end.
+func TestInPlaceKernelsMatchReference(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		p       prg.PRG
+		arities []int
+	}{
+		{"binary", prg.New(prg.AES, 2), LevelArities(1024, 2)},
+		{"4-ary", prg.New(prg.ChaCha8, 4), LevelArities(4096, 4)},
+		{"mixed", prg.New(prg.ChaCha8, 4), LevelArities(8192, 4)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			seed := block.New(0x1ace, uint64(len(c.arities)))
+			levels := referenceLevels(c.p, seed, c.arities)
+			ref := levels[len(levels)-1]
+			want := make([][]block.Block, len(c.arities))
+			for i, a := range c.arities {
+				want[i] = make([]block.Block, a)
+				for j, n := range levels[i+1] {
+					want[i][j%a] = want[i][j%a].Xor(n)
+				}
+			}
+			leaves := make([]block.Block, len(ref))
+			sums := make([][]block.Block, len(c.arities))
+			for i, a := range c.arities {
+				sums[i] = make([]block.Block, a)
+			}
+			ExpandInto(c.p, seed, c.arities, leaves, sums)
+			if !slices.Equal(leaves, ref) {
+				t.Fatal("ExpandInto leaves differ from the reference")
+			}
+			for i := range want {
+				if !slices.Equal(sums[i], want[i]) {
+					t.Fatalf("ExpandInto level %d sums differ", i+1)
+				}
+			}
+			for _, alpha := range []int{0, len(leaves) - 1} {
+				got := make([]block.Block, len(leaves))
+				for i := range got {
+					got[i] = block.New(0xdead, uint64(i)) // stale contents
+				}
+				xor := ReconstructInto(c.p, c.arities, alpha, want, got)
+				if got[alpha] != (block.Block{}) {
+					t.Fatalf("alpha=%d: hole not zero", alpha)
+				}
+				wantLeaves := slices.Clone(ref)
+				wantLeaves[alpha] = block.Block{}
+				if !slices.Equal(got, wantLeaves) {
+					t.Fatalf("alpha=%d: ReconstructInto leaves differ from the reference", alpha)
+				}
+				if xor != block.XorAll(wantLeaves) {
+					t.Fatalf("alpha=%d: returned XOR is not the XOR of the known leaves", alpha)
+				}
+			}
+		})
 	}
 }
 

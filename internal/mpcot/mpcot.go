@@ -30,9 +30,9 @@ type Config struct {
 
 	// Trace, when non-nil, records phase spans: "spcot.expand" /
 	// "spcot.reconstruct" per worker (threads TID+1+shard) and the
-	// sequential "spcot.flights" wire phase on thread TID. Tracing
-	// observes local compute only — the wire transcript is untouched
-	// (guarded by the ferret determinism tests).
+	// "spcot.flights" wire phases on thread TID. Tracing observes local
+	// compute only — the wire transcript is untouched (guarded by the
+	// ferret determinism tests).
 	Trace *obs.Tracer
 	// TID is the trace thread id of the endpoint driving this
 	// execution (its workers get TID+1+shard).
@@ -123,14 +123,16 @@ func (c Config) RandomSeeds() ([]block.Block, error) {
 }
 
 // SendSeeded runs the sender side: t SPCOT executions whose leaves are
-// concatenated and truncated to n blocks (the vector w). Phase one
-// expands all t GGM trees locally (concurrently across up to `workers`
-// goroutines — the trees are independent, which is what makes the
-// paper's 4-ary construction embarrassingly parallel across buckets);
-// phase two runs the puncturing flights strictly sequentially in
-// bucket order, so the wire transcript is byte-identical for every
-// worker count. seeds supplies one GGM root per bucket (deterministic
-// runs pass a derived stream, others RandomSeeds).
+// concatenated and truncated to n blocks (the vector w). The puncturing
+// of all t trees is one exchange: the receiver's correction frame in,
+// then every tree expanded straight into its bucket of w and sealed
+// (concurrently across up to `workers` goroutines — the trees are
+// independent, which is what makes the paper's 4-ary construction
+// embarrassingly parallel across buckets), then one reply frame out.
+// Each tree's section sits at a fixed offset and each COT's tweak is
+// fixed by its tree and level, so the transcript is byte-identical for
+// every worker count. seeds supplies one GGM root per bucket
+// (deterministic runs pass a derived stream, others RandomSeeds).
 func SendSeeded(conn transport.Conn, pool *cot.SenderPool, h *aesprg.Hash, p prg.PRG, cfg Config, seeds []block.Block, workers int) ([]block.Block, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -138,22 +140,22 @@ func SendSeeded(conn transport.Conn, pool *cot.SenderPool, h *aesprg.Hash, p prg
 	if len(seeds) != cfg.T {
 		return nil, fmt.Errorf("mpcot: need %d seeds, got %d", cfg.T, len(seeds))
 	}
-	// Phase 1 (local, parallel): expand every bucket's tree and place
-	// its leaves. Buckets write disjoint ranges of w.
+	fl := cfg.Trace.Span("spcot.flights", "extend", cfg.TID)
+	x, err := spcot.OpenSender(conn, pool, h, p, cfg.Leaves, cfg.T)
+	fl.EndArgs(nil)
+	if err != nil {
+		return nil, fmt.Errorf("mpcot: %w", err)
+	}
+	// Local and parallel: buckets write disjoint ranges of w and of the
+	// reply.
 	expand := cfg.Trace.Span("spcot.expand", "extend", cfg.TID)
 	w := make([]block.Block, cfg.N)
-	trees := make([]*spcot.SenderTree, cfg.T)
 	parallel.ShardIndexed(workers, cfg.T, func(shard, lo, hi int) {
 		sp := cfg.Trace.Span("spcot.expand", "extend.worker", cfg.TID+1+shard)
+		sc := x.Scratch()
 		for i := lo; i < hi; i++ {
-			trees[i] = spcot.ExpandSender(p, cfg.Leaves, seeds[i])
 			blo, bhi := cfg.bucketSpan(i)
-			if bhi > blo {
-				copy(w[blo:bhi], trees[i].Leaves()[:bhi-blo])
-			}
-			// The flights need only sums/gadget/xor; holding every tree's
-			// leaves until phase 2 finishes would double peak memory.
-			trees[i].ReleaseLeaves()
+			x.Seal(i, seeds[i], w[blo:bhi], sc)
 		}
 		if sp.Live() {
 			sp.EndArgs(map[string]any{"trees": hi - lo})
@@ -162,17 +164,11 @@ func SendSeeded(conn transport.Conn, pool *cot.SenderPool, h *aesprg.Hash, p prg
 	if expand.Live() {
 		expand.EndArgs(map[string]any{"trees": cfg.T, "leaves": cfg.Leaves})
 	}
-	// Phase 2 (wire, sequential): the puncturing flights consume pool
-	// correlations in bucket order — the cursor is part of the
-	// transcript, so this phase never reorders.
-	flights := cfg.Trace.Span("spcot.flights", "extend", cfg.TID)
-	for i := 0; i < cfg.T; i++ {
-		if err := trees[i].SendFlights(conn, pool, h); err != nil {
-			return nil, fmt.Errorf("mpcot tree %d: %w", i, err)
-		}
-	}
-	if flights.Live() {
-		flights.EndArgs(map[string]any{"trees": cfg.T})
+	fl = cfg.Trace.Span("spcot.flights", "extend", cfg.TID)
+	err = x.Reply(conn)
+	fl.EndArgs(nil)
+	if err != nil {
+		return nil, fmt.Errorf("mpcot: %w", err)
 	}
 	return w, nil
 }
@@ -181,9 +177,9 @@ func SendSeeded(conn transport.Conn, pool *cot.SenderPool, h *aesprg.Hash, p prg
 // bucket. It returns v (length n); together with the one-hot positions
 // alphas the outputs satisfy w = v ⊕ u·Δ with u = Σ e_{alpha_i}.
 // Alphas beyond N are allowed (their tree output is discarded) but each
-// alphas[i] must fall inside bucket i. Phase one runs the puncturing
-// flights strictly sequentially in bucket order (matching SendSeeded's
-// wire phase); phase two reconstructs the t punctured trees locally,
+// alphas[i] must fall inside bucket i. The one exchange (every tree's
+// corrections out, the sender's reply in) comes first; then the t
+// punctured trees are reconstructed straight into their buckets of v,
 // concurrently across up to `workers` goroutines. The wire transcript
 // is byte-identical for every worker count.
 func ReceiveWorkers(conn transport.Conn, pool *cot.ReceiverPool, h *aesprg.Hash, p prg.PRG, cfg Config, alphas []int, workers int) ([]block.Block, error) {
@@ -193,40 +189,30 @@ func ReceiveWorkers(conn transport.Conn, pool *cot.ReceiverPool, h *aesprg.Hash,
 	if len(alphas) != cfg.T {
 		return nil, fmt.Errorf("mpcot: need %d alphas, got %d", cfg.T, len(alphas))
 	}
-	// Validate all positions before any traffic, so a bad input fails
-	// cleanly rather than desynchronizing the two parties.
+	// Bucket-local positions: spcot rejects one outside its bucket
+	// before any traffic, so a bad input fails cleanly rather than
+	// desynchronizing the two parties.
+	local := make([]int, cfg.T)
 	for i, a := range alphas {
-		lo := i * cfg.Leaves
-		if a < lo || a >= lo+cfg.Leaves {
-			return nil, fmt.Errorf("mpcot: alpha %d outside bucket %d", a, i)
-		}
+		local[i] = a - i*cfg.Leaves
 	}
-	// Phase 1 (wire, sequential).
 	fl := cfg.Trace.Span("spcot.flights", "extend", cfg.TID)
-	flights := make([]*spcot.ReceiverFlights, cfg.T)
-	for i := 0; i < cfg.T; i++ {
-		lo := i * cfg.Leaves
-		f, err := spcot.ReceiveFlights(conn, pool, h, p, cfg.Leaves, alphas[i]-lo)
-		if err != nil {
-			return nil, fmt.Errorf("mpcot tree %d: %w", i, err)
-		}
-		flights[i] = f
-	}
+	x, err := spcot.OpenReceiver(conn, pool, h, p, cfg.Leaves, local)
 	if fl.Live() {
 		fl.EndArgs(map[string]any{"trees": cfg.T})
 	}
-	// Phase 2 (local, parallel): reconstruct every bucket's punctured
-	// tree. Buckets write disjoint ranges of v.
+	if err != nil {
+		return nil, fmt.Errorf("mpcot: %w", err)
+	}
+	// Local and parallel: buckets write disjoint ranges of v.
 	reco := cfg.Trace.Span("spcot.reconstruct", "extend", cfg.TID)
 	v := make([]block.Block, cfg.N)
 	parallel.ShardIndexed(workers, cfg.T, func(shard, lo, hi int) {
 		sp := cfg.Trace.Span("spcot.reconstruct", "extend.worker", cfg.TID+1+shard)
+		sc := x.Scratch()
 		for i := lo; i < hi; i++ {
-			leaves := flights[i].Reconstruct(p)
 			blo, bhi := cfg.bucketSpan(i)
-			if bhi > blo {
-				copy(v[blo:bhi], leaves[:bhi-blo])
-			}
+			x.Open(i, v[blo:bhi], sc)
 		}
 		if sp.Live() {
 			sp.EndArgs(map[string]any{"trees": hi - lo})

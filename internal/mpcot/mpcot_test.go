@@ -1,8 +1,10 @@
 package mpcot
 
 import (
+	"errors"
 	"slices"
 	"testing"
+	"time"
 
 	"ironman/internal/aesprg"
 	"ironman/internal/block"
@@ -187,8 +189,8 @@ func TestCOTBudget(t *testing.T) {
 	if _, err := ReceiveWorkers(b, rp, h, p, cfg, []int{0, 16, 32, 48}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if sp.Used() != cfg.COTBudget() {
-		t.Fatalf("consumed %d, want %d", sp.Used(), cfg.COTBudget())
+	if sp.Remaining() != 0 || rp.Remaining() != 0 {
+		t.Fatalf("left %d/%d COTs of %d, want all consumed", sp.Remaining(), rp.Remaining(), cfg.COTBudget())
 	}
 }
 
@@ -222,5 +224,76 @@ func TestValidation(t *testing.T) {
 	empty := Config{N: 0, Leaves: 2, T: 1}
 	if _, err := SendSeeded(a, sp, h, p, empty, freshSeeds(t, empty), 1); err == nil {
 		t.Fatal("bad config must be rejected in SendSeeded")
+	}
+}
+
+// tamper rewrites every frame its endpoint sends.
+type tamper struct {
+	transport.Conn
+	f func([]byte) []byte
+}
+
+func (c tamper) Send(p []byte) error { return c.Conn.Send(c.f(p)) }
+
+// TestExchangeFrameErrors: a reply or correction frame of the wrong
+// length fails the side that reads it with a length error, before any
+// tree reads the frame, and closing the conn then releases the peer —
+// no panic and no hang.
+func TestExchangeFrameErrors(t *testing.T) {
+	short := func(p []byte) []byte { return p[:len(p)-1] }
+	long := func(p []byte) []byte { return append(slices.Clone(p), 0) }
+	for _, c := range []struct {
+		name   string
+		sender bool // tamper with the sender's frame (the reply)
+		f      func([]byte) []byte
+	}{
+		{"reply one byte short", true, short},
+		{"reply one byte long", true, long},
+		{"correction frame one byte short", false, short},
+		{"correction frame one byte long", false, long},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Config{N: 200, Leaves: 32, T: 8}
+			p := prg.New(prg.ChaCha8, 4)
+			s := aesprg.NewStream(block.New(0xbad, 0xf4a3e))
+			seeds := make([]block.Block, cfg.T)
+			s.Blocks(seeds)
+			alphas := cfg.AlphasFrom(s)
+			sp, rp, err := cot.PoolsFromStream(s, s.Block(), cfg.COTBudget())
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := aesprg.NewHash()
+			a, b := transport.Pipe()
+			var connS, connR transport.Conn = a, b
+			if c.sender {
+				connS = tamper{a, c.f}
+			} else {
+				connR = tamper{b, c.f}
+			}
+			sErr, rErr := make(chan error, 1), make(chan error, 1)
+			go func() { _, err := SendSeeded(connS, sp, h, p, cfg, seeds, 2); sErr <- err }()
+			go func() { _, err := ReceiveWorkers(connR, rp, h, p, cfg, alphas, 2); rErr <- err }()
+			reader, peer := rErr, sErr
+			if !c.sender {
+				reader, peer = sErr, rErr
+			}
+			deadline := time.After(10 * time.Second)
+			select {
+			case err := <-reader:
+				if err == nil || errors.Is(err, transport.ErrClosed) {
+					t.Fatalf("reader: err = %v, want a frame-length error", err)
+				}
+			case <-deadline:
+				t.Fatal("reader hung on a bad frame")
+			}
+			a.Close()
+			b.Close()
+			select {
+			case <-peer:
+			case <-deadline:
+				t.Fatal("closing the conn did not release the peer")
+			}
+		})
 	}
 }

@@ -34,9 +34,8 @@ func mustParams(name string) ferret.Params {
 // PreprocBytesFor is the (sublinear) OTE communication per produced
 // correlation under a parameter set: the ferret backend's exact wire
 // model over binary AES GGM trees, the construction the CPU model
-// prices. Per execution, each of the T trees runs log2(ℓ) one-instance
-// chosen OTs plus one node-recovery block, amortized over the
-// Usable() yield.
+// prices. Per execution, one exchange of T·log2(ℓ) chosen OTs plus
+// each tree's node-recovery block, amortized over the Usable() yield.
 func PreprocBytesFor(p ferret.Params) float64 {
 	b, err := extension.ByName("ferret")
 	if err != nil {

@@ -260,16 +260,18 @@ func TestArithCostModels(t *testing.T) {
 func TestPreprocBytesDerivation(t *testing.T) {
 	// The modeled preprocessing communication must be sublinear (well
 	// under a block per correlation), track the parameter set, and
-	// equal the per-tree count by hand: log2(ℓ) chosen OTs of a
-	// correction byte up and two blocks down, plus one block.
+	// equal the count by hand: one correction bit up per chosen OT
+	// (T·log2(ℓ) of them, in one frame), and per tree two blocks down
+	// per chosen OT plus one block.
 	for _, p := range ferret.Table4 {
 		b := PreprocBytesFor(p)
 		if b <= 0 || b >= 1 {
 			t.Fatalf("%s: preproc bytes/OT %v out of the sublinear range", p.Name, b)
 		}
-		perTree := spcot.COTBudget(p.L)*(1+2*block.Size) + block.Size
-		if want := float64(p.T) * float64(perTree) / float64(p.Usable()); b != want {
-			t.Fatalf("%s: preproc bytes/OT %v, per-tree count gives %v", p.Name, b, want)
+		ots := p.T * spcot.COTBudget(p.L)
+		wire := (ots+7)/8 + ots*2*block.Size + p.T*block.Size
+		if want := float64(wire) / float64(p.Usable()); b != want {
+			t.Fatalf("%s: preproc bytes/OT %v, hand count gives %v", p.Name, b, want)
 		}
 	}
 	if PreprocBytesPerOT != PreprocBytesFor(oteParams) {

@@ -13,20 +13,23 @@
 // the tree arity: a binary level costs one chosen OT, an m-ary level
 // costs one (m-1)-out-of-m OT which itself burns log2(m) COTs (§4.2).
 //
-// The protocol is factored into two phases so the multicore Extend
-// pipeline (internal/mpcot) can overlap the compute-bound tree work of
-// many executions while keeping their wire flights strictly sequential:
+// Every tree's puncturing OTs run as one chosen-OT exchange, however
+// many trees there are (Ferret sends all trees' level messages
+// together). The receiver's choice bits are the complemented binary
+// digits of its α values, so it sends every tree's corrections in one
+// frame before any tree is touched; the sender answers with one frame
+// holding each tree's sealed section at a fixed offset. Sealing
+// (sender) and opening (receiver) are per-tree local work:
 //
-//	sender:   ExpandSender (local)  →  (*SenderTree).SendFlights (wire)
-//	receiver: ReceiveFlights (wire) →  (*ReceiverFlights).Reconstruct (local)
+//	sender:   OpenSender (wire)   →  Seal per tree (local)  →  Reply (wire)
+//	receiver: OpenReceiver (wire) →  Open per tree (local)
 //
-// Send/Receive compose the two phases back to back; the wire transcript
-// is identical either way.
+// SendWithSeed/Receive are the one-tree case.
 package spcot
 
 import (
-	"crypto/rand"
 	"fmt"
+	"math/bits"
 
 	"ironman/internal/aesprg"
 	"ironman/internal/block"
@@ -51,163 +54,306 @@ func COTBudget(leaves int) int {
 // root; distinct domains keep the streams independent).
 var gadgetDomain = block.New(0x616231676164, 0x73706367616467)
 
-// SenderTree is the wire-ready material of one expanded GGM tree: the
-// per-level position sums the puncturing OTs transfer, the leaf vector
-// w, and the gadget seeds of the m-ary levels' all-but-one OTs.
-// Expansion is pure local compute, so many SenderTrees can be built
-// concurrently before their flights go out one at a time.
-type SenderTree struct {
-	sums      [][]block.Block
-	gadget    []block.Block // per-level all-but-one seeds (m-ary levels only)
-	leaves    []block.Block
-	xorLeaves block.Block
-}
+// gadgetPRG is the fixed PRG of the all-but-one gadget tree. A binary
+// AES PRG keeps the gadget independent of the caller's choice of tree
+// PRG (it is a different, tiny tree).
+var gadgetPRG = prg.New(prg.AES, 2)
 
-// ExpandSender runs the sender's local phase: expand a GGM tree with
-// the given leaf count from seed under p and precompute every level's
-// position sums. The m-ary levels' gadget seeds are derived from the
-// secret root with domain separation, so the subsequent SendFlights is
-// a deterministic function of (seed, pool state). Safe to call
-// concurrently (a prg.PRG is a stateless value).
-func ExpandSender(p prg.PRG, leaves int, seed block.Block) *SenderTree {
-	arities := ggm.LevelArities(leaves, p.Arity())
-	tree := ggm.Expand(p, seed, arities)
-	w := tree.Leaves()
-	gadget := make([]block.Block, len(arities))
-	var gs *aesprg.Stream
-	for i, a := range arities {
-		if a > 2 {
-			if gs == nil {
-				gs = aesprg.NewStream(seed.Xor(gadgetDomain))
-			}
-			gadget[i] = gs.Block()
-		}
-	}
-	return &SenderTree{
-		sums:      tree.AllLevelSums(),
-		gadget:    gadget,
-		leaves:    w,
-		xorLeaves: block.XorAll(w),
-	}
-}
-
-// Leaves returns the tree's leaf vector w (shared storage, do not
-// modify).
-func (t *SenderTree) Leaves() []block.Block { return t.leaves }
-
-// ReleaseLeaves drops the leaf vector once the caller has copied it
-// out. SendFlights needs only the sums, gadget seeds, and leaf XOR, so
-// a many-tree caller (mpcot holds all t trees until the flights run)
-// halves its peak memory by releasing each tree right after the copy.
-func (t *SenderTree) ReleaseLeaves() { t.leaves = nil }
-
-// SendFlights runs the sender's wire phase: one OT per level plus the
-// node-recovery message (step ④, XOR of all leaves plus Δ). Flights
-// must run in the same sequential order as the receiver's
-// ReceiveFlights calls — the pool cursor is part of the transcript.
-func (t *SenderTree) SendFlights(conn transport.Conn, pool *cot.SenderPool, h *aesprg.Hash) error {
-	for level, sums := range t.sums {
-		if len(sums) == 2 {
-			// Binary level: direct chosen OT of (K0, K1).
-			if err := cot.SendChosen(conn, pool, h, [][2]block.Block{{sums[0], sums[1]}}); err != nil {
-				return fmt.Errorf("spcot level %d: %w", level+1, err)
-			}
-			continue
-		}
-		// m-ary level: (m-1)-out-of-m OT of the m position sums.
-		if err := cot.SendAllButOneSeeded(conn, pool, h, sums, t.gadget[level]); err != nil {
-			return fmt.Errorf("spcot level %d: %w", level+1, err)
-		}
-	}
-	c := t.xorLeaves.Xor(pool.Delta)
-	return transport.SendBlocks(conn, []block.Block{c})
-}
-
-// Send runs the sender side of one SPCOT over conn: expand a GGM tree
-// with `leaves` leaves using p, transfer the punctured view, and return
-// the leaf vector w. The sender's Δ is pool.Delta.
-func Send(conn transport.Conn, pool *cot.SenderPool, h *aesprg.Hash, p prg.PRG, leaves int) ([]block.Block, error) {
-	var seedBytes [block.Size]byte
-	//ironman:allow(randsrc) the GGM tree root must be fresh system entropy per execution; the deterministic variant is SendWithSeed
-	if _, err := rand.Read(seedBytes[:]); err != nil {
-		return nil, err
-	}
-	return SendWithSeed(conn, pool, h, p, leaves, block.FromBytes(seedBytes[:]))
-}
-
-// SendWithSeed is Send with a caller-provided tree seed (deterministic
-// variant used by tests and the benchmark harness).
-func SendWithSeed(conn transport.Conn, pool *cot.SenderPool, h *aesprg.Hash, p prg.PRG, leaves int, seed block.Block) ([]block.Block, error) {
-	tree := ExpandSender(p, leaves, seed)
-	if err := tree.SendFlights(conn, pool, h); err != nil {
-		return nil, err
-	}
-	return tree.Leaves(), nil
-}
-
-// ReceiverFlights is everything the receiver's wire phase collected for
-// one execution: the level sums obtained through the puncturing OTs and
-// the node-recovery block. Reconstruction from it is pure local
-// compute.
-type ReceiverFlights struct {
+// shape is one tree's share of the exchange. Tree i owns exchange
+// instances [i·budget, (i+1)·budget), level-major, so an instance's
+// pool cursor and hash tweak depend only on its tree and level, never
+// on which worker seals it. It also owns reply blocks
+// [i·section, (i+1)·section), laid out level by level:
+//
+//	binary level:  ct0 ‖ ct1 of the level's chosen OT (2 blocks)
+//	m-ary level:   ct0 ‖ ct1 of each of the log2(m) gadget OTs, then
+//	               the m position sums masked by the gadget leaves
+//	then:          the node-recovery block XOR(w) ⊕ Δ
+type shape struct {
+	p       prg.PRG
+	leaves  int
 	arities []int
-	alpha   int
-	sums    [][]block.Block
-	c       block.Block
+	gadgets [][]int // the gadget tree's arities per m-ary level
+	budget  int
+	section int // reply blocks per tree
 }
 
-// ReceiveFlights runs the receiver's wire phase with punctured index
-// alpha: the per-level OTs plus the node-recovery message. The heavy
-// tree reconstruction is deferred to (*ReceiverFlights).Reconstruct so
-// callers with many executions can parallelize it.
-func ReceiveFlights(conn transport.Conn, pool *cot.ReceiverPool, h *aesprg.Hash, p prg.PRG, leaves, alpha int) (*ReceiverFlights, error) {
-	if alpha < 0 || alpha >= leaves {
-		return nil, fmt.Errorf("spcot: alpha %d out of range [0,%d)", alpha, leaves)
+func newShape(p prg.PRG, leaves int) (shape, error) {
+	if leaves < 2 || bits.OnesCount(uint(leaves)) != 1 {
+		return shape{}, fmt.Errorf("spcot: %d leaves, want a power of two >= 2", leaves)
 	}
-	arities := ggm.LevelArities(leaves, p.Arity())
-	digits := ggm.Digits(alpha, arities)
+	sh := shape{p: p, leaves: leaves, arities: ggm.LevelArities(leaves, p.Arity()),
+		budget: COTBudget(leaves), section: 1}
+	sh.gadgets = make([][]int, len(sh.arities))
+	for i, a := range sh.arities {
+		sh.section += 2 * bits.TrailingZeros(uint(a))
+		if a > 2 {
+			sh.gadgets[i] = ggm.LevelArities(a, 2)
+			sh.section += a
+		}
+	}
+	return sh, nil
+}
 
-	sums := make([][]block.Block, len(arities))
-	for i, a := range arities {
-		sums[i] = make([]block.Block, a)
+// Scratch is one worker's reusable buffers: the per-level position
+// sums, an ℓ-block tree for outputs shorter than ℓ, and the gadget
+// tree's leaves and sums.
+type Scratch struct {
+	sums       [][]block.Block
+	tree       []block.Block
+	gadget     []block.Block
+	gadgetSums [][]block.Block
+}
+
+// Scratch returns buffers sized for this exchange's trees.
+func (sh *shape) Scratch() *Scratch {
+	sc := &Scratch{sums: make([][]block.Block, len(sh.arities))}
+	widest := 2
+	for i, a := range sh.arities {
+		sc.sums[i] = make([]block.Block, a)
+		widest = max(widest, a)
+	}
+	sc.gadget = make([]block.Block, widest)
+	sc.gadgetSums = make([][]block.Block, COTBudget(widest))
+	for i := range sc.gadgetSums {
+		sc.gadgetSums[i] = make([]block.Block, 2)
+	}
+	return sc
+}
+
+// treeFor returns the buffer tree i is built in: out itself when it
+// holds a whole tree, otherwise the worker's ℓ-block scratch (a bucket
+// truncated at, or lying beyond, the output's end).
+func (sh *shape) treeFor(out []block.Block, sc *Scratch) []block.Block {
+	if len(out) == sh.leaves {
+		return out
+	}
+	if sc.tree == nil {
+		sc.tree = make([]block.Block, sh.leaves)
+	}
+	return sc.tree
+}
+
+// gadgetFor returns the leaf and sum buffers of a gadget tree.
+func (sc *Scratch) gadgetFor(arities []int) ([]block.Block, [][]block.Block) {
+	return sc.gadget[:1<<len(arities)], sc.gadgetSums[:len(arities)]
+}
+
+// Sender is the sender's half of one exchange over a batch of trees.
+type Sender struct {
+	shape
+	x     cot.SendExchange
+	h     *aesprg.Hash
+	delta block.Block
+	reply []block.Block
+}
+
+// OpenSender takes trees·COTBudget(leaves) COTs from pool and reads the
+// receiver's correction frame for them.
+func OpenSender(conn transport.Conn, pool *cot.SenderPool, h *aesprg.Hash, p prg.PRG, leaves, trees int) (*Sender, error) {
+	sh, err := newShape(p, leaves)
+	if err != nil {
+		return nil, err
+	}
+	x, err := pool.Open(conn, trees*sh.budget)
+	if err != nil {
+		return nil, fmt.Errorf("spcot corrections: %w", err)
+	}
+	return &Sender{shape: sh, x: x, h: h, delta: pool.Delta, reply: make([]block.Block, trees*sh.section)}, nil
+}
+
+// Seal expands tree i from its secret root seed, writes the first
+// len(out) leaves into out (len(out) <= ℓ) and seals the tree's reply
+// section. The m-ary levels' gadget seeds are derived from the root
+// with domain separation, so the section is a deterministic function of
+// (seed, pool state). Safe to call concurrently for distinct trees.
+func (s *Sender) Seal(i int, seed block.Block, out []block.Block, sc *Scratch) {
+	tree := s.treeFor(out, sc)
+	ggm.ExpandInto(s.p, seed, s.arities, tree, sc.sums)
+	if len(out) < s.leaves {
+		copy(out, tree)
+	}
+	sec := s.reply[i*s.section : (i+1)*s.section]
+	k := i * s.budget
+	var gs *aesprg.Stream
+	for level, a := range s.arities {
+		sums := sc.sums[level]
 		if a == 2 {
-			// Binary level: fetch the sum opposite the path digit.
-			got, err := cot.ReceiveChosen(conn, pool, h, []bool{digits[i] == 0})
-			if err != nil {
-				return nil, fmt.Errorf("spcot level %d: %w", i+1, err)
-			}
-			sums[i][1-digits[i]] = got[0]
+			// Binary level: direct chosen OT of (K0, K1).
+			sec, k = s.chosen(sec, k, sums[0], sums[1]), k+1
 			continue
 		}
-		got, err := cot.ReceiveAllButOne(conn, pool, h, a, digits[i])
-		if err != nil {
-			return nil, fmt.Errorf("spcot level %d: %w", i+1, err)
+		if gs == nil {
+			gs = aesprg.NewStream(seed.Xor(gadgetDomain))
 		}
-		copy(sums[i], got)
+		sec, k = s.allButOne(sec, k, sums, s.gadgets[level], gs.Block(), sc)
 	}
-	cs, err := transport.RecvBlocks(conn, 1)
+	// Node recovery (step ④): the XOR of all leaves is the XOR of the
+	// last level's position sums.
+	sec[0] = block.XorAll(sc.sums[len(s.arities)-1]).Xor(s.delta)
+}
+
+// chosen seals exchange instance k's message pair at the head of sec
+// and returns the rest of sec.
+func (s *Sender) chosen(sec []block.Block, k int, m0, m1 block.Block) []block.Block {
+	p0, p1 := s.x.Pads(s.h, k)
+	sec[0], sec[1] = m0.Xor(p0), m1.Xor(p1)
+	return sec[2:]
+}
+
+// allButOne seals an (m-1)-out-of-m OT of msgs from exchange instance k
+// on: the m-leaf gadget tree's level sums through log2(m) chosen OTs,
+// then each message masked by a hash of its gadget leaf under tweak
+// base+j, base being the pool cursor after the gadget OTs shifted into
+// the high word (domain-separate from the OT tweaks). It returns the
+// rest of sec and the next instance.
+func (s *Sender) allButOne(sec []block.Block, k int, msgs []block.Block, arities []int, seed block.Block, sc *Scratch) ([]block.Block, int) {
+	leaves, sums := sc.gadgetFor(arities)
+	ggm.ExpandInto(gadgetPRG, seed, arities, leaves, sums)
+	for _, ks := range sums {
+		sec, k = s.chosen(sec, k, ks[0], ks[1]), k+1
+	}
+	base := uint64(s.x.Pos(k)) << 32
+	for j, m := range msgs {
+		sec[j] = m.Xor(s.h.Sum(leaves[j], base+uint64(j)))
+	}
+	return sec[len(msgs):], k
+}
+
+// Reply ships the sealed sections of every tree as one frame.
+func (s *Sender) Reply(conn transport.Conn) error {
+	return transport.SendBlocks(conn, s.reply)
+}
+
+// SendWithSeed runs the sender side of one SPCOT over conn: expand a
+// GGM tree with `leaves` leaves from seed using p, transfer the
+// punctured view, and return the leaf vector w. The sender's Δ is
+// pool.Delta.
+func SendWithSeed(conn transport.Conn, pool *cot.SenderPool, h *aesprg.Hash, p prg.PRG, leaves int, seed block.Block) ([]block.Block, error) {
+	s, err := OpenSender(conn, pool, h, p, leaves, 1)
 	if err != nil {
 		return nil, err
 	}
-	return &ReceiverFlights{arities: arities, alpha: alpha, sums: sums, c: cs[0]}, nil
+	w := make([]block.Block, leaves)
+	s.Seal(0, seed, w, s.Scratch())
+	return w, s.Reply(conn)
 }
 
-// Reconstruct runs the receiver's local phase: rebuild every leaf
-// except alpha from the collected sums and recover v[alpha] from the
-// node-recovery block. Safe to call concurrently across executions.
-func (f *ReceiverFlights) Reconstruct(p prg.PRG) []block.Block {
-	rec := ggm.Reconstruct(p, f.arities, f.alpha, f.sums)
-	v := rec.Leaves
-	v[f.alpha] = f.c.Xor(block.XorAll(rec.Leaves))
-	return v
+// Receiver is the receiver's half of one exchange over a batch of
+// trees, holding the sender's reply.
+type Receiver struct {
+	shape
+	x      cot.RecvExchange
+	h      *aesprg.Hash
+	alphas []int
+	reply  []block.Block
 }
 
-// Receive runs the receiver side with punctured index alpha; it returns
-// v (length leaves) with v[alpha] = w[alpha] ⊕ Δ.
+// OpenReceiver takes len(alphas)·COTBudget(leaves) COTs from pool,
+// sends the corrections that puncture tree i at alphas[i] (in
+// [0, leaves)), and reads the sender's reply. Both frames' lengths are
+// checked before any tree reads them.
+func OpenReceiver(conn transport.Conn, pool *cot.ReceiverPool, h *aesprg.Hash, p prg.PRG, leaves int, alphas []int) (*Receiver, error) {
+	sh, err := newShape(p, leaves)
+	if err != nil {
+		return nil, err
+	}
+	for i, a := range alphas {
+		if a < 0 || a >= leaves {
+			return nil, fmt.Errorf("spcot: tree %d: alpha %d out of range [0,%d)", i, a, leaves)
+		}
+	}
+	// Instance i·budget+j picks the level sum opposite bit j of alpha_i
+	// (most significant first): mixed-radix digits of power-of-two
+	// arities are runs of alpha's binary digits, on the tree and inside
+	// each all-but-one gadget alike.
+	n := len(alphas) * sh.budget
+	choices := make([]uint64, transport.PackedLimbs(n))
+	for i, a := range alphas {
+		for j := 0; j < sh.budget; j++ {
+			if a>>(sh.budget-1-j)&1 == 0 {
+				k := i*sh.budget + j
+				choices[k/64] |= 1 << (k % 64)
+			}
+		}
+	}
+	x, err := pool.Open(conn, choices, n)
+	if err != nil {
+		return nil, fmt.Errorf("spcot corrections: %w", err)
+	}
+	reply, err := transport.RecvBlocks(conn, len(alphas)*sh.section)
+	if err != nil {
+		return nil, fmt.Errorf("spcot reply: %w", err)
+	}
+	return &Receiver{shape: sh, x: x, h: h, alphas: alphas, reply: reply}, nil
+}
+
+// Open rebuilds tree i from its reply section and writes the first
+// len(out) entries of v into out (len(out) <= ℓ): every leaf except
+// alpha_i, and v[alpha_i] = w[alpha_i] ⊕ Δ from the node-recovery
+// block. Safe to call concurrently for distinct trees.
+func (r *Receiver) Open(i int, out []block.Block, sc *Scratch) {
+	alpha := r.alphas[i]
+	sec := r.reply[i*r.section : (i+1)*r.section]
+	k := i * r.budget
+	below := r.leaves
+	for level, a := range r.arities {
+		below /= a
+		d := alpha / below % a
+		sums := sc.sums[level]
+		if a == 2 {
+			// Binary level: the sum opposite the path digit.
+			sums[1-d] = r.chosen(sec, k, 1-d)
+			sec, k = sec[2:], k+1
+			continue
+		}
+		sec, k = r.allButOne(sec, k, d, sums, r.gadgets[level], sc)
+	}
+	tree := r.treeFor(out, sc)
+	known := ggm.ReconstructInto(r.p, r.arities, alpha, sc.sums, tree)
+	tree[alpha] = sec[0].Xor(known)
+	if len(out) < r.leaves {
+		copy(out, tree)
+	}
+}
+
+// chosen unmasks message c of exchange instance k's pair at the head
+// of sec.
+func (r *Receiver) chosen(sec []block.Block, k, c int) block.Block {
+	return sec[c].Xor(r.x.Pad(r.h, k))
+}
+
+// allButOne opens Sender.allButOne's transfer into msgs: every message
+// except msgs[d], which is left as it was. It returns the rest of sec
+// and the next instance.
+func (r *Receiver) allButOne(sec []block.Block, k, d int, msgs []block.Block, arities []int, sc *Scratch) ([]block.Block, int) {
+	m := len(msgs)
+	leaves, sums := sc.gadgetFor(arities)
+	below := m
+	for _, ks := range sums {
+		below /= 2
+		c := 1 - d/below%2
+		ks[c] = r.chosen(sec, k, c)
+		sec, k = sec[2:], k+1
+	}
+	ggm.ReconstructInto(gadgetPRG, arities, d, sums, leaves)
+	base := uint64(r.x.Pos(k)) << 32
+	for j := range msgs {
+		if j != d {
+			msgs[j] = sec[j].Xor(r.h.Sum(leaves[j], base+uint64(j)))
+		}
+	}
+	return sec[m:], k
+}
+
+// Receive runs the receiver side of one SPCOT with punctured index
+// alpha; it returns v (length leaves) with v[alpha] = w[alpha] ⊕ Δ.
 func Receive(conn transport.Conn, pool *cot.ReceiverPool, h *aesprg.Hash, p prg.PRG, leaves, alpha int) ([]block.Block, error) {
-	flights, err := ReceiveFlights(conn, pool, h, p, leaves, alpha)
+	r, err := OpenReceiver(conn, pool, h, p, leaves, []int{alpha})
 	if err != nil {
 		return nil, err
 	}
-	return flights.Reconstruct(p), nil
+	v := make([]block.Block, leaves)
+	r.Open(0, v, r.Scratch())
+	return v, nil
 }

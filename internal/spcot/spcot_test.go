@@ -7,9 +7,15 @@ import (
 	"ironman/internal/aesprg"
 	"ironman/internal/block"
 	"ironman/internal/cot"
+	"ironman/internal/ggm"
 	"ironman/internal/prg"
 	"ironman/internal/transport"
 )
+
+// seedFor is a per-test GGM root.
+func seedFor(leaves, alpha int) block.Block {
+	return block.New(uint64(leaves)<<32|uint64(alpha), 0x5eed)
+}
 
 // run executes one SPCOT and returns (delta, w, v).
 func run(t *testing.T, p prg.PRG, leaves, alpha, budget int) (block.Block, []block.Block, []block.Block) {
@@ -26,7 +32,7 @@ func run(t *testing.T, p prg.PRG, leaves, alpha, budget int) (block.Block, []blo
 	}
 	ch := make(chan sres, 1)
 	go func() {
-		w, err := Send(a, sp, h, p, leaves)
+		w, err := SendWithSeed(a, sp, h, p, leaves, seedFor(leaves, alpha))
 		ch <- sres{w, err}
 	}()
 	v, err := Receive(b, rp, h, p, leaves, alpha)
@@ -95,15 +101,15 @@ func TestCOTBudgetIndependentOfArity(t *testing.T) {
 		}
 		h := aesprg.NewHash()
 		a, b := transport.Pipe()
-		go func() { _, _ = Send(a, sp, h, p, leaves) }()
+		go func() { _, _ = SendWithSeed(a, sp, h, p, leaves, seedFor(leaves, 3)) }()
 		if _, err := Receive(b, rp, h, p, leaves, 3); err != nil {
 			t.Fatal(err)
 		}
-		if sp.Used() != 8 {
-			t.Fatalf("%v: consumed %d COTs, want log2(256)=8", p, sp.Used())
+		if used := 64 - sp.Remaining(); used != 8 {
+			t.Fatalf("%v: consumed %d COTs, want log2(256)=8", p, used)
 		}
-		if rp.Used() != 8 {
-			t.Fatalf("%v: receiver consumed %d", p, rp.Used())
+		if used := 64 - rp.Remaining(); used != 8 {
+			t.Fatalf("%v: receiver consumed %d", p, used)
 		}
 	}
 }
@@ -121,7 +127,7 @@ func TestMAryCommunicationGrows(t *testing.T) {
 		a, b := transport.Pipe()
 		done := make(chan struct{})
 		go func() {
-			_, _ = Send(a, sp, h, p, leaves)
+			_, _ = SendWithSeed(a, sp, h, p, leaves, seedFor(leaves, 1))
 			close(done)
 		}()
 		if _, err := Receive(b, rp, h, p, leaves, 1); err != nil {
@@ -161,8 +167,112 @@ func TestExhaustedPoolFails(t *testing.T) {
 		b.Close()
 		a.Close()
 	}()
-	if _, err := Send(a, sp, h, p, 16); err == nil {
+	if _, err := SendWithSeed(a, sp, h, p, 16, seedFor(16, 0)); err == nil {
 		t.Fatal("expected failure on exhausted pool")
+	}
+}
+
+// TestRejectsBadLeafCount: a leaf count that is not a power of two
+// >= 2 has no GGM shape; both endpoints refuse it before any traffic.
+func TestRejectsBadLeafCount(t *testing.T) {
+	p := prg.New(prg.ChaCha8, 4)
+	sp, rp, _ := cot.RandomPools(8)
+	h := aesprg.NewHash()
+	a, _ := transport.Pipe()
+	for _, leaves := range []int{0, 1, 3, 12} {
+		if _, err := SendWithSeed(a, sp, h, p, leaves, seedFor(leaves, 0)); err == nil {
+			t.Errorf("sender accepted %d leaves", leaves)
+		}
+		if _, err := Receive(a, rp, h, p, leaves, 0); err == nil {
+			t.Errorf("receiver accepted %d leaves", leaves)
+		}
+	}
+	if sp.Remaining() != 8 || rp.Remaining() != 8 || a.Stats().MsgsSent != 0 {
+		t.Fatal("a rejected shape consumed COTs or moved bytes")
+	}
+}
+
+// allButOne runs one all-but-one gadget transfer of msgs as a whole
+// exchange and returns what the receiver, punctured at alpha, opened.
+func allButOne(t *testing.T, msgs []block.Block, alpha int, seed block.Block) ([]block.Block, *cot.SenderPool) {
+	t.Helper()
+	m := len(msgs)
+	lg := COTBudget(m)
+	arities := ggm.LevelArities(m, 2)
+	sh := shape{arities: []int{m}}
+	sp, rp, err := cot.RandomPools(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := aesprg.NewHash()
+	a, b := transport.Pipe()
+	defer a.Close()
+	defer b.Close()
+	secBlocks := 2*lg + m
+	errCh := make(chan error, 1)
+	go func() {
+		x, err := sp.Open(a, lg)
+		if err != nil {
+			errCh <- err
+			return
+		}
+		s := &Sender{x: x, h: h}
+		sec := make([]block.Block, secBlocks)
+		if rest, k := s.allButOne(sec, 0, msgs, arities, seed, sh.Scratch()); len(rest) != 0 || k != lg {
+			t.Errorf("m=%d: sender left %d blocks, used %d instances", m, len(rest), k)
+		}
+		errCh <- transport.SendBlocks(a, sec)
+	}()
+	choices := make([]uint64, 1)
+	for j := 0; j < lg; j++ {
+		if alpha>>(lg-1-j)&1 == 0 {
+			choices[0] |= 1 << j
+		}
+	}
+	x, err := rp.Open(b, choices, lg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec, err := transport.RecvBlocks(b, secBlocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]block.Block, m)
+	r := &Receiver{x: x, h: h}
+	if rest, k := r.allButOne(sec, 0, alpha, got, arities, sh.Scratch()); len(rest) != 0 || k != lg {
+		t.Errorf("m=%d: receiver left %d blocks, used %d instances", m, len(rest), k)
+	}
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+	return got, sp
+}
+
+// TestAllButOne: the (m-1)-out-of-m gadget hands over every message
+// except the punctured one for every m and alpha, burning log2(m) COTs.
+func TestAllButOne(t *testing.T) {
+	for _, m := range []int{2, 4, 8, 16} {
+		for alpha := 0; alpha < m; alpha++ {
+			msgs := make([]block.Block, m)
+			for j := range msgs {
+				msgs[j] = block.New(uint64(j)+100, uint64(m))
+			}
+			got, sp := allButOne(t, msgs, alpha, block.New(uint64(alpha), 7))
+			for j := 0; j < m; j++ {
+				if j == alpha {
+					if got[j] != (block.Block{}) {
+						t.Fatalf("m=%d alpha=%d: punctured slot touched", m, alpha)
+					}
+					continue
+				}
+				if got[j] != msgs[j] {
+					t.Fatalf("m=%d alpha=%d: message %d mismatch", m, alpha, j)
+				}
+			}
+			if used := 16 - sp.Remaining(); used != COTBudget(m) {
+				t.Fatalf("m=%d: consumed %d COTs, want %d", m, used, COTBudget(m))
+			}
+		}
 	}
 }
 
@@ -180,7 +290,7 @@ func benchSPCOT(b *testing.B, p prg.PRG, leaves int) {
 	for i := 0; i < b.N; i++ {
 		sp, rp, _ := cot.RandomPools(COTBudget(leaves))
 		x, y := transport.Pipe()
-		go func() { _, _ = Send(x, sp, h, p, leaves) }()
+		go func() { _, _ = SendWithSeed(x, sp, h, p, leaves, seedFor(leaves, i)) }()
 		if _, err := Receive(y, rp, h, p, leaves, i%leaves); err != nil {
 			b.Fatal(err)
 		}

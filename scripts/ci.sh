@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # CI gate: formatting, vet, builds (including every example and
 # command binary), live-process smokes of the dispenser and the fleet, a
-# run of every example, a repeat-run flake guard on pool close, the full
-# test suite under the race detector, bounded fuzzing of the two
+# run of every example, a repeat-run flake guard on pool close and on
+# the shared MPCOT exchange (under -race), the full test suite under the
+# race detector, bounded fuzzing of the two
 # untrusted-byte parsers, and one pass over the paper-figure registry. Measured performance is not gated here: that
 # is `go run ./benchmark`. Run from the repo root:
 #
@@ -131,13 +132,16 @@ for ex in quickstart roleswitch dispenser millionaires private-aes secure-mlp tr
     "$bindir/$ex"
 done
 
-echo "== scheduling flake guard (25 repeats of the scheduling-dependent paths) =="
+echo "== scheduling flake guard (repeats of the scheduling-dependent paths) =="
 # A closed pool must dispense nothing even with correlations buffered;
 # the session-level symptom showed up in a few percent of runs.
 go test -count=25 -run 'DrawAfterClose|LeaseExpiryTypedError|ConcurrentExpiryVsDraw' ./internal/pool ./internal/otserv/session
 # Concurrent endpoints on one shape must wait on one LPN code
 # derivation and all share its pointer.
 go test -count=25 -run 'CodeShared' ./internal/ferret
+# Every MPCOT worker reads one shared exchange (corrections, r0, Δ)
+# and writes its own trees' reply sections and buckets.
+go test -race -count=5 -run 'WorkersMatchSequential|ParallelDeterminismSmall|TranscriptGolden' ./internal/mpcot ./internal/ferret
 
 echo "== go test -race (includes the gmw + arith engines and the TCP pipeline) =="
 go test -race ./...
