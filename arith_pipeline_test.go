@@ -60,10 +60,7 @@ func TestArithPipelineOverTCP(t *testing.T) {
 	mkPools := func() (*cot.SenderPool, *cot.ReceiverPool) {
 		t.Helper()
 		connS, connR := Pipe()
-		delta, err := RandomDelta()
-		if err != nil {
-			t.Fatal(err)
-		}
+		delta := RandomDelta()
 		s, r, err := NewDealtPair(connS, connR, delta, params, opts)
 		if err != nil {
 			t.Fatal(err)

@@ -68,10 +68,7 @@ func main() {
 
 	switch *role {
 	case "sender":
-		delta, err := ironman.RandomDelta()
-		if err != nil {
-			log.Fatal(err)
-		}
+		delta := ironman.RandomDelta()
 		start := time.Now()
 		s, err := ironman.NewSender(conn, delta, params, opts)
 		if err != nil {
@@ -114,10 +111,7 @@ func main() {
 
 func runInProcess(params ironman.Params, opts ironman.Options, iters int) {
 	a, b := ironman.Pipe()
-	delta, err := ironman.RandomDelta()
-	if err != nil {
-		log.Fatal(err)
-	}
+	delta := ironman.RandomDelta()
 	s, r, err := ironman.NewDealtPair(a, b, delta, params, opts)
 	if err != nil {
 		log.Fatal(err)

@@ -21,10 +21,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	delta, err := ironman.RandomDelta()
-	if err != nil {
-		log.Fatal(err)
-	}
+	delta := ironman.RandomDelta()
 
 	// NewDealtPair skips the base-OT init (single-process demo); use
 	// NewSender/NewReceiver across a network for the real handshake.

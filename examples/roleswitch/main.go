@@ -27,14 +27,8 @@ func main() {
 	// Two connection pairs model the duplex link.
 	a1, b1 := ironman.Pipe()
 	a2, b2 := ironman.Pipe()
-	dAB, err := ironman.RandomDelta()
-	if err != nil {
-		log.Fatal(err)
-	}
-	dBA, err := ironman.RandomDelta()
-	if err != nil {
-		log.Fatal(err)
-	}
+	dAB := ironman.RandomDelta()
+	dBA := ironman.RandomDelta()
 	sAB, rAB, err := ironman.NewDealtPair(a1, b1, dAB, params, opts)
 	if err != nil {
 		log.Fatal(err)

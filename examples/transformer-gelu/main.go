@@ -47,10 +47,7 @@ func main() {
 		log.Fatal(err)
 	}
 	connS, connR := ironman.Pipe()
-	delta, err := ironman.RandomDelta()
-	if err != nil {
-		log.Fatal(err)
-	}
+	delta := ironman.RandomDelta()
 	s, r, err := ironman.NewDealtPair(connS, connR, delta, params, ironman.DefaultOptions())
 	if err != nil {
 		log.Fatal(err)

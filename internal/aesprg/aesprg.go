@@ -3,11 +3,16 @@
 // length-doubling PRG for GGM trees, an AES-CTR pseudorandom stream, and
 // the MMO-style correlation-robust hash H used to convert COT
 // correlations into chosen-message OTs.
+//
+// NewLocal is the one source of endpoint-local randomness (GGM roots,
+// punctured positions, choice bits, Δ, dealt reserves, masks): every
+// endpoint keys one stream, from a caller seed or from crypto/rand.
 package aesprg
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/rand"
 	"encoding/binary"
 
 	"ironman/internal/block"
@@ -93,6 +98,22 @@ func NewStream(seed block.Block) *Stream {
 		panic(err)
 	}
 	return &Stream{c: c, n: 16}
+}
+
+// NewLocal returns one endpoint's private randomness stream. A
+// non-zero seed keys it with seed⊕domain, so a seeded run is a pure
+// function of its seed and each role (domain) draws disjoint bytes —
+// NOT secure, for determinism checks and benchmarks. A zero seed keys
+// it with one fresh crypto/rand block; domain is then irrelevant.
+func NewLocal(seed, domain block.Block) *Stream {
+	if seed != (block.Block{}) {
+		return NewStream(seed.Xor(domain))
+	}
+	var key [block.Size]byte
+	// crypto/rand.Read never returns an error: it crashes the program
+	// instead (Go 1.24).
+	_, _ = rand.Read(key[:])
+	return NewStream(block.FromBytes(key[:]))
 }
 
 // next encrypts the next counter block into dst (16 bytes).

@@ -9,9 +9,10 @@
 //     count: no map-range order, time.Now, math/rand, or
 //     GOMAXPROCS-dependent value may influence transcript-relevant
 //     code (a call-graph walk from transport Send sites).
-//   - randsrc — math/rand is banned in internal/ protocol code and
-//     crypto/rand is restricted to setup-time call sites; mid-protocol
-//     randomness comes from the seeded aesprg streams.
+//   - randsrc — an import rule: math/rand is banned in internal/
+//     protocol code, and only aesprg, baseot and wire import
+//     crypto/rand; every endpoint draws from one aesprg.NewLocal
+//     stream, seeded or fresh.
 //   - secretleak — Δ-correlations, GGM/PRG seeds, attach tokens, and
 //     correlation block buffers must not flow into fmt/log/obs sinks.
 //   - wireerr — errors from the module's protocol calls must not be

@@ -15,7 +15,7 @@ import (
 // called inside a call tree that sends). Flagged sources: map-range
 // iteration order, time.Now/Since, math/rand, and GOMAXPROCS/NumCPU.
 // crypto/rand is deliberately not a detrange source — protocol
-// randomness is randsrc's domain, with its own setup-time policy.
+// randomness is randsrc's domain, with its own import rule.
 var Detrange = &analysis.Analyzer{
 	Name: "detrange",
 	Doc: "flag nondeterministic values (map ranges, time.Now, math/rand, GOMAXPROCS) on paths that reach a transport send\n\n" +

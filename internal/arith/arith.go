@@ -22,7 +22,6 @@
 package arith
 
 import (
-	"crypto/rand"
 	"fmt"
 
 	"ironman/internal/aesprg"
@@ -45,7 +44,8 @@ type Party struct {
 	conn transport.Conn
 	hash *aesprg.Hash
 	// prg is the local randomness source for triple shares and Gilboa
-	// masks: seeded once from crypto/rand so hot loops never syscall.
+	// masks, keyed once at construction (aesprg.NewLocal) so hot loops
+	// never syscall.
 	prg *aesprg.Stream
 	// Out: correlations where this party is the OT sender.
 	Out *cot.SenderPool
@@ -100,14 +100,10 @@ func NewParty(conn transport.Conn, out *cot.SenderPool, in *cot.ReceiverPool, fi
 	if err != nil {
 		return nil, err
 	}
-	var seed [block.Size]byte
-	if _, err := rand.Read(seed[:]); err != nil {
-		return nil, err
-	}
 	return &Party{
 		conn:  conn,
 		hash:  aesprg.NewHash(),
-		prg:   aesprg.NewStream(block.FromBytes(seed[:])),
+		prg:   aesprg.NewLocal(block.Block{}, block.Block{}),
 		Out:   out,
 		In:    in,
 		Bool:  g,

@@ -14,7 +14,6 @@
 package cot
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 
@@ -425,40 +424,23 @@ func ReceiveChosenWords(conn transport.Conn, pool *ReceiverPool, h *aesprg.Hash,
 	return out, nil
 }
 
-// RandomPools deals a correlated pair of pools from crypto/rand under a
-// fresh random Δ. This is the "trusted dealer" shortcut used by tests
-// and benchmarks that focus on post-init behaviour; production
-// initialization goes through internal/iknp (see ferret.NewSender).
+// RandomPools deals a correlated pair of pools under a random Δ, both
+// drawn from one fresh stream (aesprg.NewLocal). This is the "trusted
+// dealer" shortcut used by tests and examples that focus on post-init
+// behaviour; production initialization goes through internal/iknp (see
+// ferret.NewSender).
 func RandomPools(n int) (*SenderPool, *ReceiverPool, error) {
-	var deltaBytes [block.Size]byte
-	//ironman:allow(randsrc) trusted-dealer shortcut for tests and benchmarks; production initialization flows through internal/iknp setup
-	if _, err := rand.Read(deltaBytes[:]); err != nil {
-		return nil, nil, err
-	}
-	return RandomPoolsWithDelta(block.FromBytes(deltaBytes[:]), n)
+	s := aesprg.NewLocal(block.Block{}, block.Block{})
+	return PoolsFromStream(s, s.Block(), n)
 }
 
-// RandomPoolsWithDelta is RandomPools under a caller-chosen Δ.
-func RandomPoolsWithDelta(delta block.Block, n int) (*SenderPool, *ReceiverPool, error) {
-	buf := make([]byte, block.Size*n+(n+7)/8)
-	//ironman:allow(randsrc) trusted-dealer shortcut for tests and benchmarks; production initialization flows through internal/iknp setup
-	if _, err := rand.Read(buf); err != nil {
-		return nil, nil, err
-	}
-	return poolsFromBytes(buf, delta, n)
-}
-
-// PoolsFromStream is RandomPoolsWithDelta with the randomness drawn
-// from a deterministic stream — the dealer behind ferret.Options.Seed.
-// Correlations derived from a known seed are NOT secure; tests and
-// benchmarks only.
+// PoolsFromStream deals a correlated pair of n-COT pools under delta
+// with the randomness drawn from s — the dealer behind RandomPools and
+// ferret.DealPools. The pairs are only as secret as s (NOT secure
+// from a known seed); the dealer sees both halves.
 func PoolsFromStream(s *aesprg.Stream, delta block.Block, n int) (*SenderPool, *ReceiverPool, error) {
 	buf := make([]byte, block.Size*n+(n+7)/8)
 	s.Fill(buf)
-	return poolsFromBytes(buf, delta, n)
-}
-
-func poolsFromBytes(buf []byte, delta block.Block, n int) (*SenderPool, *ReceiverPool, error) {
 	r0 := block.SliceFromBytes(buf[:block.Size*n])
 	bitsBuf := buf[block.Size*n:]
 	bits := make([]bool, n)

@@ -20,7 +20,6 @@
 package ferret
 
 import (
-	"crypto/rand"
 	"fmt"
 	"sync"
 	"weak"
@@ -49,9 +48,10 @@ const (
 	ReceiverTID = 101
 )
 
-// Domain-separation constants for the deterministic Options.Seed
-// streams: each endpoint role derives its private randomness from an
-// independent stream so the two halves never consume the same bytes.
+// Domain-separation constants for the Options.Seed streams
+// (aesprg.NewLocal): each endpoint role derives its private randomness
+// from an independent stream so the two halves never consume the same
+// bytes.
 var (
 	seedDomainSender   = block.New(0x73656e646572, 1)
 	seedDomainReceiver = block.New(0x7265636569766572, 2)
@@ -132,11 +132,12 @@ type Options struct {
 	// wire transcript is byte-identical for every value: only local
 	// compute is sharded.
 	Workers int
-	// Seed, when non-zero, derives every endpoint-local random draw —
-	// the dealt first reserve (DealPools), per-iteration GGM tree
-	// seeds, and the receiver's noise positions — from deterministic
-	// AES-CTR streams instead of crypto/rand, making a dealt run a
-	// pure function of (delta, params, options). NOT secure; the
+	// Seed, when non-zero, keys every endpoint-local random draw — the
+	// first reserve (dealt by DealPools, or the receiver's IKNP choice
+	// bits in NewReceiver), per-iteration GGM tree seeds, and the
+	// receiver's noise positions — from one AES-CTR stream per role
+	// (aesprg.NewLocal) instead of a crypto/rand key, making a dealt
+	// run a pure function of (delta, params, options). NOT secure; the
 	// parallel-vs-sequential determinism cross-checks and the
 	// benchmark harness use it.
 	Seed block.Block
@@ -154,15 +155,6 @@ func (o *Options) fill() {
 	if o.PRG == (prg.PRG{}) {
 		o.PRG = prg.New(prg.ChaCha8, 4)
 	}
-}
-
-// stream returns the domain-separated deterministic stream for one
-// endpoint role, or nil when Seed is unset (crypto/rand randomness).
-func (o *Options) stream(domain block.Block) *aesprg.Stream {
-	if o.Seed == (block.Block{}) {
-		return nil
-	}
-	return aesprg.NewStream(o.Seed.Xor(domain))
 }
 
 // trace labels this endpoint's sequential lane in the trace viewer and
@@ -183,7 +175,7 @@ type Sender struct {
 	code    *lpn.Code
 	pool    *cot.SenderPool
 	workers int
-	rng     *aesprg.Stream // deterministic tree seeds; nil = crypto/rand
+	rng     *aesprg.Stream // GGM tree seeds
 	trace   *obs.Tracer
 	Delta   block.Block
 	// Iterations counts completed Extend calls.
@@ -199,7 +191,7 @@ type Receiver struct {
 	code       *lpn.Code
 	pool       *cot.ReceiverPool
 	workers    int
-	rng        *aesprg.Stream // deterministic noise positions; nil = crypto/rand
+	rng        *aesprg.Stream // first-reserve choices, then noise positions
 	trace      *obs.Tracer
 	Iterations int
 }
@@ -228,7 +220,7 @@ func NewSender(conn transport.Conn, delta block.Block, params Params, opts Optio
 		code:    code,
 		pool:    cot.NewSenderPool(delta, r0),
 		workers: opts.Workers,
-		rng:     opts.stream(seedDomainSender),
+		rng:     aesprg.NewLocal(opts.Seed, seedDomainSender),
 		trace:   opts.traceFor(SenderTID, "ferret.sender"),
 		Delta:   delta,
 	}, nil
@@ -245,14 +237,9 @@ func NewReceiver(conn transport.Conn, params Params, opts Options) (*Receiver, e
 	if err != nil {
 		return nil, fmt.Errorf("ferret init: %w", err)
 	}
+	rng := aesprg.NewLocal(opts.Seed, seedDomainReceiver)
 	choices := make([]bool, params.Reserve())
-	buf := make([]byte, (len(choices)+7)/8)
-	if _, err := rand.Read(buf); err != nil {
-		return nil, err
-	}
-	for i := range choices {
-		choices[i] = buf[i/8]>>uint(i%8)&1 == 1
-	}
+	rng.Bits(choices)
 	rb, err := ik.Extend(choices)
 	if err != nil {
 		return nil, fmt.Errorf("ferret init extend: %w", err)
@@ -269,7 +256,7 @@ func NewReceiver(conn transport.Conn, params Params, opts Options) (*Receiver, e
 		code:    code,
 		pool:    pool,
 		workers: opts.Workers,
-		rng:     opts.stream(seedDomainReceiver),
+		rng:     rng,
 		trace:   opts.traceFor(ReceiverTID, "ferret.receiver"),
 	}, nil
 }
@@ -293,10 +280,8 @@ func (s *Sender) Extend() ([]block.Block, error) {
 	cfg := s.mpcotConfig()
 	// Step 1: interactive SPCOT phase — parallel tree expansion, then
 	// sequential puncturing flights.
-	seeds, err := s.treeSeeds(cfg)
-	if err != nil {
-		return nil, err
-	}
+	seeds := make([]block.Block, cfg.T)
+	s.rng.Blocks(seeds)
 	w, err := mpcot.SendSeeded(s.conn, s.pool, s.hash, s.prg, cfg, seeds, s.workers)
 	if err != nil {
 		return nil, fmt.Errorf("ferret extend (spcot): %w", err)
@@ -323,17 +308,6 @@ func (s *Sender) Extend() ([]block.Block, error) {
 	return z[:usable], nil
 }
 
-// treeSeeds draws one GGM root per bucket: from the deterministic
-// stream when Options.Seed is set, from crypto/rand otherwise.
-func (s *Sender) treeSeeds(cfg mpcot.Config) ([]block.Block, error) {
-	if s.rng == nil {
-		return cfg.RandomSeeds()
-	}
-	seeds := make([]block.Block, cfg.T)
-	s.rng.Blocks(seeds)
-	return seeds, nil
-}
-
 // ReceiverOutput is one iteration's receiver-side yield: choice bits
 // and the matching r_b blocks.
 type ReceiverOutput struct {
@@ -347,16 +321,7 @@ type ReceiverOutput struct {
 func (r *Receiver) Extend() (*ReceiverOutput, error) {
 	ext := r.trace.Span("extend", "ferret", ReceiverTID)
 	cfg := r.mpcotConfig()
-	var alphas []int
-	if r.rng != nil {
-		alphas = cfg.AlphasFrom(r.rng)
-	} else {
-		var err error
-		alphas, err = cfg.RandomAlphas()
-		if err != nil {
-			return nil, err
-		}
-	}
+	alphas := cfg.AlphasFrom(r.rng)
 	v, err := mpcot.ReceiveWorkers(r.conn, r.pool, r.hash, r.prg, cfg, alphas, r.workers)
 	if err != nil {
 		return nil, fmt.Errorf("ferret extend (spcot): %w", err)
@@ -404,23 +369,16 @@ func (r *Receiver) Extend() (*ReceiverOutput, error) {
 }
 
 // DealPools is the trusted-dealer shortcut: it returns an initialized
-// Sender/Receiver pair over conn whose first reserve comes from local
-// randomness instead of base OT + IKNP. Tests and benchmarks that study
-// post-init behaviour (which is what the paper accelerates) use this to
-// skip the one-time init cost.
+// Sender/Receiver pair over conn whose first reserve comes from a
+// dealer stream (aesprg.NewLocal) instead of base OT + IKNP. Tests and
+// benchmarks that study post-init behaviour (which is what the paper
+// accelerates) use this to skip the one-time init cost.
 func DealPools(connS, connR transport.Conn, delta block.Block, params Params, opts Options) (*Sender, *Receiver, error) {
 	if err := params.Validate(); err != nil {
 		return nil, nil, err
 	}
 	opts.fill()
-	var sp *cot.SenderPool
-	var rp *cot.ReceiverPool
-	var err error
-	if dealer := opts.stream(seedDomainDealer); dealer != nil {
-		sp, rp, err = cot.PoolsFromStream(dealer, delta, params.Reserve())
-	} else {
-		sp, rp, err = cot.RandomPoolsWithDelta(delta, params.Reserve())
-	}
+	sp, rp, err := cot.PoolsFromStream(aesprg.NewLocal(opts.Seed, seedDomainDealer), delta, params.Reserve())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -428,13 +386,13 @@ func DealPools(connS, connR transport.Conn, delta block.Block, params Params, op
 	s := &Sender{
 		conn: connS, params: params, prg: opts.PRG, hash: aesprg.NewHash(),
 		code: code, pool: sp, Delta: delta,
-		workers: opts.Workers, rng: opts.stream(seedDomainSender),
+		workers: opts.Workers, rng: aesprg.NewLocal(opts.Seed, seedDomainSender),
 		trace: opts.traceFor(SenderTID, "ferret.sender"),
 	}
 	r := &Receiver{
 		conn: connR, params: params, prg: opts.PRG, hash: aesprg.NewHash(),
 		code: code, pool: rp,
-		workers: opts.Workers, rng: opts.stream(seedDomainReceiver),
+		workers: opts.Workers, rng: aesprg.NewLocal(opts.Seed, seedDomainReceiver),
 		trace: opts.traceFor(ReceiverTID, "ferret.receiver"),
 	}
 	return s, r, nil

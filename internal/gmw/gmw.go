@@ -29,7 +29,6 @@
 package gmw
 
 import (
-	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -57,8 +56,8 @@ const handshakeMagic = 'G'
 type Party struct {
 	conn transport.Conn
 	hash *aesprg.Hash
-	// prg is the local mask source: seeded once from crypto/rand at
-	// construction so the AND hot loop never syscalls.
+	// prg is the local mask source, keyed once at construction
+	// (aesprg.NewLocal) so the AND hot loop never syscalls.
 	prg *aesprg.Stream
 	// Out: correlations where this party is the OT sender.
 	Out *cot.SenderPool
@@ -123,17 +122,14 @@ func (p *Party) noteExchange(sp obs.Span, n int, preBytes int64) {
 // initiator). If both or neither claim the role, both sides fail with
 // ErrRoleConflict instead of silently computing wrong values.
 func NewParty(conn transport.Conn, out *cot.SenderPool, in *cot.ReceiverPool, first bool) (*Party, error) {
-	var seed [block.Size]byte
-	if _, err := rand.Read(seed[:]); err != nil {
-		return nil, err
-	}
-	return NewSeededParty(conn, out, in, first, block.FromBytes(seed[:]))
+	return NewSeededParty(conn, out, in, first, block.Block{})
 }
 
-// NewSeededParty is NewParty with a caller-supplied mask-PRG seed
-// instead of a crypto/rand draw, making the party's wire transcript a
-// deterministic function of (pools, inputs, protocol calls) — the
-// replay property transcript-equality tests and debugging rely on.
+// NewSeededParty is NewParty with a caller-supplied mask-PRG seed,
+// making the party's wire transcript a deterministic function of
+// (pools, inputs, protocol calls) — the replay property
+// transcript-equality tests and debugging rely on. A zero seed draws
+// a fresh key, as NewParty does.
 // The mask stream blinds this party's OT payloads, so production
 // callers must never reuse a seed across runs that share correlation
 // pools; use NewParty unless determinism is the point.
@@ -141,7 +137,7 @@ func NewSeededParty(conn transport.Conn, out *cot.SenderPool, in *cot.ReceiverPo
 	p := &Party{
 		conn:  conn,
 		hash:  aesprg.NewHash(),
-		prg:   aesprg.NewStream(maskSeed),
+		prg:   aesprg.NewLocal(maskSeed, block.Block{}),
 		Out:   out,
 		In:    in,
 		first: first,

@@ -7,9 +7,7 @@
 package mpcot
 
 import (
-	"crypto/rand"
 	"fmt"
-	"math/big"
 	"math/bits"
 
 	"ironman/internal/aesprg"
@@ -69,57 +67,22 @@ func (c Config) bucketSpan(i int) (lo, hi int) {
 	return lo, hi
 }
 
-// noiseSpan is the half-open range a bucket's punctured position is
-// drawn from: the part of the bucket inside [0, N), or — for a bucket
-// entirely beyond N, whose tree still runs for protocol symmetry — the
-// whole bucket. Shared by RandomAlphas and AlphasFrom so the two draw
-// paths can never drift apart in distribution.
-func (c Config) noiseSpan(i int) (lo, hi int) {
-	lo, hi = c.bucketSpan(i)
-	if hi <= lo {
-		lo, hi = i*c.Leaves, i*c.Leaves+c.Leaves
-	}
-	return lo, hi
-}
-
-// RandomAlphas draws one uniformly random punctured position per bucket
-// (within the part of the bucket that lies inside [0, N)).
-func (c Config) RandomAlphas() ([]int, error) {
-	alphas := make([]int, c.T)
-	for i := range alphas {
-		lo, hi := c.noiseSpan(i)
-		//ironman:allow(randsrc) the receiver's punctured positions are its secret noise and must be fresh system entropy; the seeded variant is AlphasFrom
-		v, err := rand.Int(rand.Reader, big.NewInt(int64(hi-lo)))
-		if err != nil {
-			return nil, err
-		}
-		alphas[i] = lo + int(v.Int64())
-	}
-	return alphas, nil
-}
-
-// AlphasFrom is RandomAlphas with the randomness drawn from a
-// deterministic stream instead of crypto/rand — the determinism hook
-// behind ferret.Options.Seed (tests and benchmarks only; a punctured
-// position derived from a known seed is not secret).
+// AlphasFrom draws one uniformly random punctured position per bucket
+// from s: within the part of the bucket inside [0, N), or within the
+// whole bucket for one entirely beyond N (its tree still runs for
+// protocol symmetry). The positions are the receiver's secret noise: s
+// must be its private stream (aesprg.NewLocal), fresh unless a run is
+// seeded on purpose.
 func (c Config) AlphasFrom(s *aesprg.Stream) []int {
 	alphas := make([]int, c.T)
 	for i := range alphas {
-		lo, hi := c.noiseSpan(i)
+		lo, hi := c.bucketSpan(i)
+		if hi <= lo {
+			lo, hi = i*c.Leaves, (i+1)*c.Leaves
+		}
 		alphas[i] = lo + int(s.Uint32n(uint32(hi-lo)))
 	}
 	return alphas
-}
-
-// RandomSeeds draws one fresh GGM root seed per bucket from
-// crypto/rand.
-func (c Config) RandomSeeds() ([]block.Block, error) {
-	buf := make([]byte, c.T*block.Size)
-	//ironman:allow(randsrc) fresh GGM root seeds per extend are protocol randomness by design; deterministic runs pass explicit seeds to SendSeeded and draw alphas with AlphasFrom
-	if _, err := rand.Read(buf); err != nil {
-		return nil, err
-	}
-	return block.SliceFromBytes(buf), nil
 }
 
 // SendSeeded runs the sender side: t SPCOT executions whose leaves are
@@ -131,8 +94,8 @@ func (c Config) RandomSeeds() ([]block.Block, error) {
 // embarrassingly parallel across buckets), then one reply frame out.
 // Each tree's section sits at a fixed offset and each COT's tweak is
 // fixed by its tree and level, so the transcript is byte-identical for
-// every worker count. seeds supplies one GGM root per bucket
-// (deterministic runs pass a derived stream, others RandomSeeds).
+// every worker count. seeds supplies one GGM root per bucket, drawn
+// from the sender's private stream (aesprg.NewLocal).
 func SendSeeded(conn transport.Conn, pool *cot.SenderPool, h *aesprg.Hash, p prg.PRG, cfg Config, seeds []block.Block, workers int) ([]block.Block, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -21,7 +21,7 @@ func run(t *testing.T, cfg Config, alphas []int) (block.Block, []block.Block, []
 		t.Fatal(err)
 	}
 	h := aesprg.NewHash()
-	seeds := freshSeeds(t, cfg)
+	seeds := freshSeeds(cfg)
 	a, b := transport.Pipe()
 	type sres struct {
 		w   []block.Block
@@ -43,13 +43,13 @@ func run(t *testing.T, cfg Config, alphas []int) (block.Block, []block.Block, []
 	return sp.Delta, s.w, v
 }
 
-// freshSeeds draws one GGM root per bucket from crypto/rand.
-func freshSeeds(t *testing.T, cfg Config) []block.Block {
-	t.Helper()
-	seeds, err := cfg.RandomSeeds()
-	if err != nil {
-		t.Fatal(err)
-	}
+// fresh returns an unseeded endpoint stream, as ferret's endpoints use.
+func fresh() *aesprg.Stream { return aesprg.NewLocal(block.Block{}, block.Block{}) }
+
+// freshSeeds draws one GGM root per bucket from a fresh stream.
+func freshSeeds(cfg Config) []block.Block {
+	seeds := make([]block.Block, cfg.T)
+	fresh().Blocks(seeds)
 	return seeds
 }
 
@@ -143,10 +143,7 @@ func TestBucketsEntirelyBeyondN(t *testing.T) {
 	// Regression: the 2^20 Table 4 row has t·ℓ ≈ 1.6x n, so whole
 	// buckets fall beyond the output range; Send must not slice past n.
 	cfg := Config{N: 40, Leaves: 16, T: 4} // buckets 3,4 beyond 40
-	alphas, err := cfg.RandomAlphas()
-	if err != nil {
-		t.Fatal(err)
-	}
+	alphas := cfg.AlphasFrom(fresh())
 	delta, w, v := run(t, cfg, alphas)
 	var inRange []int
 	for _, a := range alphas {
@@ -157,13 +154,10 @@ func TestBucketsEntirelyBeyondN(t *testing.T) {
 	checkMulti(t, delta, w, v, inRange)
 }
 
-func TestRandomAlphasInBuckets(t *testing.T) {
+func TestAlphasFromInBuckets(t *testing.T) {
 	cfg := Config{N: 100, Leaves: 32, T: 4}
 	for trial := 0; trial < 20; trial++ {
-		alphas, err := cfg.RandomAlphas()
-		if err != nil {
-			t.Fatal(err)
-		}
+		alphas := cfg.AlphasFrom(fresh())
 		for i, a := range alphas {
 			if a < i*cfg.Leaves || a >= (i+1)*cfg.Leaves {
 				t.Fatalf("alpha %d outside bucket %d", a, i)
@@ -183,7 +177,7 @@ func TestCOTBudget(t *testing.T) {
 	p := prg.New(prg.ChaCha8, 4)
 	sp, rp, _ := cot.RandomPools(cfg.COTBudget())
 	h := aesprg.NewHash()
-	seeds := freshSeeds(t, cfg)
+	seeds := freshSeeds(cfg)
 	a, b := transport.Pipe()
 	go func() { _, _ = SendSeeded(a, sp, h, p, cfg, seeds, 1) }()
 	if _, err := ReceiveWorkers(b, rp, h, p, cfg, []int{0, 16, 32, 48}, 1); err != nil {
@@ -222,7 +216,7 @@ func TestValidation(t *testing.T) {
 		t.Fatal("wrong alpha count must be rejected")
 	}
 	empty := Config{N: 0, Leaves: 2, T: 1}
-	if _, err := SendSeeded(a, sp, h, p, empty, freshSeeds(t, empty), 1); err == nil {
+	if _, err := SendSeeded(a, sp, h, p, empty, freshSeeds(empty), 1); err == nil {
 		t.Fatal("bad config must be rejected in SendSeeded")
 	}
 }

@@ -127,11 +127,7 @@ func (pc *proxyConn) routeHello(body []byte) []byte {
 		return wire.ErrResponse(err)
 	}
 	if req.SessionToken == "" {
-		tok, err := newRouteToken()
-		if err != nil {
-			return wire.ErrResponse(err)
-		}
-		req.SessionToken = tok
+		req.SessionToken = wire.NewToken()
 	}
 	frame, err := wire.HelloBody(req)
 	if err != nil {

@@ -1,8 +1,6 @@
 package router
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"fmt"
 	"net"
 	"sort"
@@ -366,16 +364,6 @@ func (r *Router) reattachCandidates(token string) []string {
 		return append([]string{cached}, rest...)
 	}
 	return rest
-}
-
-// newRouteToken samples a fresh fleet-wide routing token for a HELLO
-// that pinned none.
-func newRouteToken() (string, error) {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(b[:]), nil
 }
 
 // Serve accepts dispenser clients on ln until the listener fails or

@@ -26,14 +26,13 @@
 package session
 
 import (
-	"crypto/rand"
 	"crypto/subtle"
-	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
 	"time"
 
+	"ironman/internal/aesprg"
 	"ironman/internal/block"
 	"ironman/internal/extension"
 	"ironman/internal/ferret"
@@ -334,39 +333,17 @@ func halfStats(st pool.Stats) wire.HalfStats {
 	}
 }
 
-// newToken samples a capability/routing token (128-bit, hex).
-func newToken() (string, error) {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(b[:]), nil
-}
-
 // openSession constructs the in-process dealt extension pair for a resolved
 // open request and returns the unregistered session plus its refill
 // source. Called without the registry lock (pair construction runs
 // base OTs); the registry assigns the id, observers, and pool when it
 // registers the session.
 func openSession(cfg Config, name string, backend extension.Backend, params ferret.Params, req OpenRequest) (*Session, pool.DealtRefill, error) {
-	var deltaBytes [block.Size]byte
-	if _, err := rand.Read(deltaBytes[:]); err != nil {
-		return nil, nil, err
-	}
-	delta := block.FromBytes(deltaBytes[:])
-	tokenS, err := newToken()
-	if err != nil {
-		return nil, nil, err
-	}
-	tokenR, err := newToken()
-	if err != nil {
-		return nil, nil, err
-	}
+	delta := aesprg.NewLocal(block.Block{}, block.Block{}).Block()
+	tokenS, tokenR := wire.NewToken(), wire.NewToken()
 	routeToken := req.Token
 	if routeToken == "" {
-		if routeToken, err = newToken(); err != nil {
-			return nil, nil, err
-		}
+		routeToken = wire.NewToken()
 	}
 
 	eo := extension.Options{

@@ -46,7 +46,9 @@
 package wire
 
 import (
+	"crypto/rand"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -236,6 +238,17 @@ type HelloResp struct {
 	// consumer of each half.
 	SenderToken   string `json:"sender_token"`
 	ReceiverToken string `json:"receiver_token"`
+}
+
+// NewToken mints a session or capability token: 128 random bits in
+// hex, straight from crypto/rand (a token is handed to clients, so it
+// is not drawn from any endpoint's stream).
+func NewToken() string {
+	var b [16]byte
+	// crypto/rand.Read never returns an error: it crashes the program
+	// instead (Go 1.24).
+	_, _ = rand.Read(b[:])
+	return hex.EncodeToString(b[:])
 }
 
 // AttachReq joins an existing session. Exactly one of Session (the

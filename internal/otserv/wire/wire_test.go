@@ -230,3 +230,17 @@ func TestDrawRRespRoundTrip(t *testing.T) {
 		t.Fatal("truncated body must fail")
 	}
 }
+
+// TestNewToken: the one token minter (session and capability tokens
+// on shards, routing tokens on the router) gives 128 fresh bits in hex.
+func TestNewToken(t *testing.T) {
+	a, b := NewToken(), NewToken()
+	for _, tok := range []string{a, b} {
+		if raw, err := hex.DecodeString(tok); err != nil || len(raw) != 16 {
+			t.Fatalf("token %q is not 16 hex-encoded bytes (%v)", tok, err)
+		}
+	}
+	if a == b {
+		t.Fatal("two tokens are equal")
+	}
+}

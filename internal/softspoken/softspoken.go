@@ -43,7 +43,6 @@
 package softspoken
 
 import (
-	"crypto/rand"
 	"crypto/subtle"
 	"fmt"
 
@@ -75,8 +74,8 @@ const kappa = 128
 // column reduction over IKNP).
 const DefaultFieldBits = 4
 
-// Domain-separation constants for the deterministic Options.Seed
-// streams (same idiom as ferret: each role derives private randomness
+// Domain-separation constants for the Options.Seed streams
+// (aesprg.NewLocal, as in ferret: each role derives private randomness
 // from an independent stream).
 var (
 	seedDomainReceiver = block.New(0x736f6674727376, 2) // "softrsv"
@@ -102,11 +101,12 @@ type Options struct {
 	// runtime.GOMAXPROCS; 1 is strictly sequential. The wire
 	// transcript is byte-identical for every value.
 	Workers int
-	// Seed, when non-zero, derives every endpoint-local random draw —
-	// the receiver's GGM roots and per-Extend choice vectors, and the
-	// dealt setup of DealPair — from deterministic AES-CTR streams
-	// instead of crypto/rand. NOT secure; determinism cross-checks and
-	// the benchmark harness use it.
+	// Seed, when non-zero, keys every endpoint-local random draw — the
+	// receiver's GGM roots (its setup, or the dealt setup of DealPair)
+	// and per-Extend choice vectors — from one AES-CTR stream
+	// (aesprg.NewLocal) instead of a crypto/rand key. The sender draws
+	// nothing locally: its setup is the base OTs. NOT secure;
+	// determinism cross-checks and the benchmark harness use it.
 	Seed block.Block
 	// Trace, when non-nil, records one span per Extend phase
 	// ("extend" wrapping the iteration, "softspoken.expand" and
@@ -196,24 +196,16 @@ func chunkHoles(delta block.Block, k int) []int {
 	return holes
 }
 
-// newReceiverCore draws the GGM roots, expands the chunk trees and
+// newReceiverCore draws the GGM roots from the receiver's stream
+// (domain separates it under Options.Seed), expands the chunk trees and
 // seeds the leaf streams; the caller wires up the setup protocol (or,
 // for DealPair, hands the leaves to the dealt sender directly).
-func newReceiverCore(n int, opts Options) (*Receiver, []*ggm.Tree, error) {
+func newReceiverCore(n int, opts Options, domain block.Block) (*Receiver, []*ggm.Tree, error) {
 	opts.fill()
 	if err := opts.validate(n); err != nil {
 		return nil, nil, err
 	}
-	var rng *aesprg.Stream
-	if opts.Seed != (block.Block{}) {
-		rng = aesprg.NewStream(opts.Seed.Xor(seedDomainReceiver))
-	} else {
-		var seed [block.Size]byte
-		if _, err := rand.Read(seed[:]); err != nil {
-			return nil, nil, err
-		}
-		rng = aesprg.NewStream(block.FromBytes(seed[:]))
-	}
+	rng := aesprg.NewLocal(opts.Seed, domain)
 	k := opts.FieldBits
 	nc := kappa / k
 	leaves := 1 << uint(k)
@@ -241,7 +233,7 @@ func newReceiverCore(n int, opts Options) (*Receiver, []*ggm.Tree, error) {
 // must run NewSender concurrently): it serves the 128 base OTs and
 // sends one message of masked GGM level sums.
 func NewReceiver(conn transport.Conn, n int, opts Options) (*Receiver, error) {
-	r, trees, err := newReceiverCore(n, opts)
+	r, trees, err := newReceiverCore(n, opts, seedDomainReceiver)
 	if err != nil {
 		return nil, err
 	}
@@ -332,12 +324,9 @@ func NewSender(conn transport.Conn, delta block.Block, n int, opts Options) (*Se
 // (the dealer sees everything); tests and benchmarks of post-setup
 // behaviour use it, exactly like ferret.DealPools.
 func DealPair(connS, connR transport.Conn, delta block.Block, n int, opts Options) (*Sender, *Receiver, error) {
-	if opts.Seed != (block.Block{}) {
-		// Domain-shift so a DealPair and a network pair from the same
-		// caller seed cannot alias each other's streams.
-		opts.Seed = opts.Seed.Xor(seedDomainDealer)
-	}
-	r, trees, err := newReceiverCore(n, opts)
+	// Domain-shift so a DealPair and a network pair from the same
+	// caller seed cannot alias each other's streams.
+	r, trees, err := newReceiverCore(n, opts, seedDomainReceiver.Xor(seedDomainDealer))
 	if err != nil {
 		return nil, nil, err
 	}

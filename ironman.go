@@ -91,10 +91,14 @@ type Options struct {
 	// conn first (interrupting any in-flight background iteration) and
 	// then call Close.
 	Prefetch int
-	// Seed, when non-zero, derives every endpoint-local random draw
-	// from deterministic streams — NOT secure; the backend-parity and
-	// determinism tests and the benchmark harness use it to make a
-	// dealt run a pure function of (delta, params, options).
+	// Seed, when non-zero, keys every endpoint-local random draw — the
+	// dealt or IKNP-chosen first reserve, GGM roots, noise positions,
+	// choice vectors — from one stream per endpoint role
+	// (aesprg.NewLocal(Seed, role)) instead of a fresh crypto/rand key.
+	// NOT secure; the backend-parity and determinism tests and the
+	// benchmark harness use it to make a dealt run a pure function of
+	// (delta, params, options). The base OTs of a network pair stay
+	// fresh.
 	Seed Block
 }
 
@@ -237,13 +241,10 @@ func NewDealtPair(connS, connR Conn, delta Block, params Params, opts Options) (
 		newReceiver(pool.NewReceiver(er.Extend, opts.poolCfg()), connR, opts.busyFlag()), nil
 }
 
-// RandomDelta samples a fresh global correlation.
-func RandomDelta() (Block, error) {
-	sp, _, err := cot.RandomPools(0)
-	if err != nil {
-		return Block{}, err
-	}
-	return sp.Delta, nil
+// RandomDelta samples a fresh global correlation from a fresh local
+// stream (aesprg.NewLocal).
+func RandomDelta() Block {
+	return aesprg.NewLocal(Block{}, Block{}).Block()
 }
 
 // COTs returns n correlations' r0 blocks (r1 = r0 ⊕ Δ implied),

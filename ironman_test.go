@@ -12,10 +12,7 @@ import (
 func dealtPair(t testing.TB, params Params) (Conn, Conn, Block, *Sender, *Receiver) {
 	t.Helper()
 	a, b := Pipe()
-	delta, err := RandomDelta()
-	if err != nil {
-		t.Fatal(err)
-	}
+	delta := RandomDelta()
 	s, r, err := NewDealtPair(a, b, delta, params, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -87,10 +84,7 @@ func TestPrefetchOption(t *testing.T) {
 	// With Prefetch > 0 both endpoints generate on background workers;
 	// the draw API and the correlations are unchanged.
 	a, b := Pipe()
-	delta, err := RandomDelta()
-	if err != nil {
-		t.Fatal(err)
-	}
+	delta := RandomDelta()
 	opts := DefaultOptions()
 	opts.Prefetch = 2
 	s, r, err := NewDealtPair(a, b, delta, smallParams(), opts)
@@ -129,10 +123,7 @@ func TestPrefetchOption(t *testing.T) {
 // their protocol conn as before.
 func TestChosenOTRejectsBusyConn(t *testing.T) {
 	a, b := Pipe()
-	delta, err := RandomDelta()
-	if err != nil {
-		t.Fatal(err)
-	}
+	delta := RandomDelta()
 	opts := DefaultOptions()
 	opts.Prefetch = 2
 	s, r, err := NewDealtPair(a, b, delta, smallParams(), opts)
@@ -249,7 +240,7 @@ func TestVerifyCOTsRejects(t *testing.T) {
 
 func TestBinaryAESOption(t *testing.T) {
 	a, b := Pipe()
-	delta, _ := RandomDelta()
+	delta := RandomDelta()
 	opts := Options{FourAryChaCha: false}
 	s, r, err := NewDealtPair(a, b, delta, smallParams(), opts)
 	if err != nil {

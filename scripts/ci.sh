@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # CI gate: formatting, vet, builds (including every example and
 # command binary), live-process smokes of the dispenser and the fleet, a
-# run of every example, a repeat-run flake guard on pool close and on
-# the shared MPCOT exchange (under -race), the full test suite under the
+# run of every example, a repeat-run flake guard on pool close, on
+# the shared MPCOT exchange and on the seeded-stream goldens and
+# unseeded freshness (under -race), the full test suite under the
 # race detector, bounded fuzzing of the two
 # untrusted-byte parsers, and one pass over the paper-figure registry. Measured performance is not gated here: that
 # is `go run ./benchmark`. Run from the repo root:
@@ -140,8 +141,10 @@ go test -count=25 -run 'DrawAfterClose|LeaseExpiryTypedError|ConcurrentExpiryVsD
 # derivation and all share its pointer.
 go test -count=25 -run 'CodeShared' ./internal/ferret
 # Every MPCOT worker reads one shared exchange (corrections, r0, Δ)
-# and writes its own trees' reply sections and buckets.
-go test -race -count=5 -run 'WorkersMatchSequential|ParallelDeterminismSmall|TranscriptGolden' ./internal/mpcot ./internal/ferret
+# and writes its own trees' reply sections and buckets. Every seeded
+# stream is keyed by aesprg.NewLocal: the goldens pin its derivation,
+# the freshness test its unseeded keys.
+go test -race -count=5 -run 'WorkersMatchSequential|ParallelDeterminismSmall|TranscriptGolden|ExtendGolden|GoldenTranscripts|LocalRandomnessFresh' . ./internal/mpcot ./internal/ferret ./internal/softspoken
 
 echo "== go test -race (includes the gmw + arith engines and the TCP pipeline) =="
 go test -race ./...
