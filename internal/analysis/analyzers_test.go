@@ -6,16 +6,10 @@ import (
 )
 
 func TestDetrange(t *testing.T)   { runFixture(t, Detrange, "ironman/internal/detfix") }
+func TestRandsrc(t *testing.T)    { runFixture(t, Randsrc, "ironman/internal/randfix") }
 func TestSecretleak(t *testing.T) { runFixture(t, Secretleak, "ironman/internal/leakfix") }
 func TestWireerr(t *testing.T)    { runFixture(t, Wireerr, "ironman/internal/wirefix") }
 func TestLocknet(t *testing.T)    { runFixture(t, Locknet, "ironman/internal/lockfix") }
-
-// TestRandsrc runs over a protocol package, where both rand imports
-// are flagged, and over aesprg, which may import crypto/rand.
-func TestRandsrc(t *testing.T) {
-	runFixture(t, Randsrc, "ironman/internal/randfix")
-	runFixture(t, Randsrc, "ironman/internal/aesprg")
-}
 
 // TestDeadexport runs the module check over the deadmod fixture module:
 // its root package, an internal library, its test file, and an internal
