@@ -128,7 +128,6 @@ type Session struct {
 // each half (a party holding both tokens can reconstruct Δ).
 func (c *Client) NewSession(cfg SessionConfig) (*Session, error) {
 	req := wire.HelloReq{
-		V:         wire.ProtoVersion,
 		Params:    cfg.Params,
 		Backend:   cfg.Backend,
 		BinaryAES: cfg.BinaryAES,

@@ -17,13 +17,13 @@ import (
 func fuzzFrames(tb testing.TB) [][]byte {
 	tb.Helper()
 	golden, err := wire.HelloBody(wire.HelloReq{
-		V: wire.ProtoVersion, Params: "2^20", Backend: "ferret", BinaryAES: true,
+		Params: "2^20", Backend: "ferret", BinaryAES: true,
 		Depth: 2, Workers: 3, Tenant: "acme", LeaseMS: 1500, SessionToken: "aabbcc",
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	plain, err := wire.HelloBody(wire.HelloReq{V: wire.ProtoVersion})
+	plain, err := wire.HelloBody(wire.HelloReq{})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -158,6 +158,87 @@ func TestWorkersClampAndSession(t *testing.T) {
 	verify(t, delta, z, bits, y)
 }
 
+// TestHelloReachesSession opens a session through the server's
+// dispatch with every HelloReq field set and checks each effect the
+// session exposes: params, backend, tenant and lease in the HELLO
+// response and in STATS, the pinned routing token in the registry, and
+// the requested depth clamped to the registry's cap. Workers and
+// BinaryAES are set too, though they act only inside the extension
+// pair (session.TestWorkerClamp covers the workers clamp).
+func TestHelloReachesSession(t *testing.T) {
+	srv := NewServer(Config{Resolve: testResolve, ShardID: 5, MaxDepth: 2, Workers: 1})
+	t.Cleanup(func() { srv.Close() })
+	owned := make(map[uint64]*attachment)
+	call := func(req []byte, out any) {
+		t.Helper()
+		resp := srv.dispatch(req, owned)
+		if resp[0] != wire.StatusOK {
+			t.Fatalf("op 0x%02x: status %d: %s", req[0], resp[0], resp[1:])
+		}
+		if err := json.Unmarshal(resp[1:], out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body, err := wire.HelloBody(wire.HelloReq{
+		Params: "small", Backend: "softspoken", BinaryAES: true, Depth: 5, Workers: 8,
+		Tenant: "acme", LeaseMS: 60_000, SessionToken: "pinned-token",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hello wire.HelloResp
+	call(append([]byte{wire.OpHello}, body...), &hello)
+	small, _ := testResolve("small")
+	backend, err := extension.ByName("softspoken")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hello.Shard != 5 || wire.ShardOf(hello.Session) != 5 || hello.Params != "small" ||
+		hello.Backend != "softspoken" || hello.Batch != backend.Batch(small) ||
+		hello.LeaseMS != 60_000 || hello.SessionToken != "pinned-token" {
+		t.Fatalf("HELLO response %+v", hello)
+	}
+	if hello.SenderToken == "" || hello.ReceiverToken == "" || hello.DeltaLo|hello.DeltaHi == 0 {
+		t.Fatal("HELLO response lacks Δ or a capability token")
+	}
+
+	// The registry finds the session under the pinned token.
+	sess, role, err := srv.sessions.AttachByToken("pinned-token", hello.SenderToken)
+	if err != nil || sess.ID() != hello.Session || role != wire.RoleSender {
+		t.Fatalf("pinned token: session %v role %q err %v", sess, role, err)
+	}
+	srv.sessions.Detach(hello.Session, true)
+
+	// Depth 5 clamps to MaxDepth 2: prefetch settles at two batches.
+	var st wire.SessionStats
+	deadline := time.Now().Add(30 * time.Second)
+	for st.Sender.Refills < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("prefetch never reached two batches: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+		call(wire.SessionReq(wire.OpStats, hello.Session), &st)
+	}
+	time.Sleep(50 * time.Millisecond)
+	call(wire.SessionReq(wire.OpStats, hello.Session), &st)
+	if st.Sender.Refills != 2 || st.Sender.Buffered != 2*hello.Batch {
+		t.Fatalf("depth not clamped to 2: %+v", st.Sender)
+	}
+	if st.Params != "small" || st.Backend != "softspoken" || st.Tenant != "acme" || st.Refs != 1 {
+		t.Fatalf("STATS %+v", st)
+	}
+
+	// Orphaned, the session counts down the requested lease.
+	srv.sessions.Detach(hello.Session, true)
+	st, err = srv.sessions.Stats(hello.Session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Orphaned || st.ExpiresInMS <= 50_000 || st.ExpiresInMS > 60_000 {
+		t.Fatalf("orphaned session: %+v, want a 60 s lease running", st)
+	}
+}
+
 func TestAttachSplitsHalves(t *testing.T) {
 	addr, _ := startServer(t, Config{})
 	creator := dial(t, addr)
@@ -303,7 +384,7 @@ func TestBadHandshakes(t *testing.T) {
 		t.Fatal("attach to missing session must fail")
 	}
 	// Wrong protocol version.
-	if err := c.roundTripJSON(wire.OpHello, wire.HelloReq{V: 99, Params: "small"}, &wire.HelloResp{}); err == nil ||
+	if err := c.roundTripJSON(wire.OpHello, map[string]any{"v": 99, "params": "small"}, &wire.HelloResp{}); err == nil ||
 		!strings.Contains(err.Error(), "version") {
 		t.Fatalf("err = %v, want version error", err)
 	}
@@ -519,7 +600,7 @@ func TestHelloVersioning(t *testing.T) {
 	c := dial(t, addr)
 
 	// A v3 client (version byte the server does not speak).
-	body, err := json.Marshal(wire.HelloReq{V: 3, Params: "small"})
+	body, err := json.Marshal(map[string]any{"v": 3, "params": "small"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -536,7 +617,7 @@ func TestHelloVersioning(t *testing.T) {
 	}
 	// Legacy v1 (bare JSON body, no version byte): the one-release
 	// compatibility window is over; it must be refused, not served.
-	legacy, err := json.Marshal(wire.HelloReq{V: 1, Params: "small"})
+	legacy, err := json.Marshal(map[string]any{"v": 1, "params": "small"})
 	if err != nil {
 		t.Fatal(err)
 	}

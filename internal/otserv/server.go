@@ -172,34 +172,12 @@ func (s *Server) handleHello(body []byte, owned map[uint64]*attachment) []byte {
 	if err != nil {
 		return wire.ErrResponse(err)
 	}
-	sess, err := s.sessions.Open(session.OpenRequest{
-		Params:    req.Params,
-		Backend:   req.Backend,
-		BinaryAES: req.BinaryAES,
-		Depth:     req.Depth,
-		Workers:   req.Workers,
-		Tenant:    req.Tenant,
-		Lease:     time.Duration(req.LeaseMS) * time.Millisecond,
-		Token:     req.SessionToken,
-	})
+	sess, err := s.sessions.Open(req)
 	if err != nil {
 		return wire.ErrResponse(err)
 	}
 	owned[sess.ID()] = &attachment{sess: sess, sender: true, receiver: true, count: 1}
-	delta := sess.Delta()
-	return respJSON(wire.HelloResp{
-		Session:       sess.ID(),
-		Shard:         wire.ShardOf(sess.ID()),
-		Params:        sess.Params(),
-		Backend:       sess.Backend(),
-		Batch:         sess.Batch(),
-		DeltaLo:       delta.Lo,
-		DeltaHi:       delta.Hi,
-		SessionToken:  sess.Token(),
-		LeaseMS:       sess.Lease().Milliseconds(),
-		SenderToken:   sess.SenderToken(),
-		ReceiverToken: sess.ReceiverToken(),
-	})
+	return respJSON(sess.Hello())
 }
 
 func (s *Server) handleAttach(body []byte, owned map[uint64]*attachment) []byte {
@@ -231,15 +209,7 @@ func (s *Server) handleAttach(body []byte, owned map[uint64]*attachment) []byte 
 	at.count++
 	at.sender = at.sender || role == wire.RoleSender
 	at.receiver = at.receiver || role == wire.RoleReceiver
-	return respJSON(wire.AttachResp{
-		Session: sess.ID(),
-		Shard:   wire.ShardOf(sess.ID()),
-		Params:  sess.Params(),
-		Backend: sess.Backend(),
-		Batch:   sess.Batch(),
-		Role:    role,
-		LeaseMS: sess.Lease().Milliseconds(),
-	})
+	return respJSON(sess.Hello().Attach(role))
 }
 
 func (s *Server) handleDraw(op byte, body []byte, owned map[uint64]*attachment) []byte {

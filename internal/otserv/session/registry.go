@@ -50,17 +50,14 @@ type Registry struct {
 	tenants  map[string]*tenant
 	seq      uint64
 	pending  int // Opens past reservation, not yet registered
-	opened   uint64
-	closed   uint64
-	expired  uint64
-	quota    uint64 // quota sheds served
-	dry      uint64 // pool-dry sheds served
 	draining bool
 	shut     bool
 
 	stop chan struct{} // closes to stop the janitor
 	done chan struct{} // janitor exit
 
+	// The lifecycle counters; Dump reads these, so STATS and /metrics
+	// agree by construction.
 	mSessions *obs.Gauge   // ironman_otserv_sessions
 	mOpened   *obs.Counter // ironman_otserv_sessions_opened_total
 	mClosed   *obs.Counter // ironman_otserv_sessions_closed_total
@@ -171,12 +168,11 @@ func (r *Registry) Open(req OpenRequest) (*Session, error) {
 	}
 	tn := r.tenantLocked(req.Tenant)
 	if cap := r.cfg.Quota.SessionsPerTenant; cap > 0 && tn.open >= cap {
-		r.quota++
 		r.mQuota.Inc()
 		r.mu.Unlock()
 		return nil, fmt.Errorf("%w: tenant session limit %d reached", wire.ErrQuotaExceeded, cap)
 	}
-	if req.Token != "" && r.byToken[req.Token] != nil {
+	if req.SessionToken != "" && r.byToken[req.SessionToken] != nil {
 		r.mu.Unlock()
 		return nil, errTokenInUse
 	}
@@ -208,7 +204,7 @@ func (r *Registry) Open(req OpenRequest) (*Session, error) {
 		refuse = fmt.Errorf("%w: shard %d is draining", wire.ErrDraining, r.cfg.ShardID)
 	case r.shut:
 		refuse = errors.New("session: registry closed")
-	case r.byToken[sess.token] != nil:
+	case r.byToken[sess.hello.SessionToken] != nil:
 		refuse = errTokenInUse
 	}
 	if refuse != nil {
@@ -219,20 +215,18 @@ func (r *Registry) Open(req OpenRequest) (*Session, error) {
 		return nil, refuse
 	}
 	r.seq++
-	sess.id = wire.SessionID(r.cfg.ShardID, r.seq)
-	sess.labels = obs.Labels("session", fmt.Sprint(sess.id))
-	sess.obsS = pool.NewObserver(r.reg, obs.Labels(
-		"session", fmt.Sprint(sess.id), "half", "sender", "params", name))
-	sess.obsR = pool.NewObserver(r.reg, obs.Labels(
-		"session", fmt.Sprint(sess.id), "half", "receiver", "params", name))
+	id := wire.SessionID(r.cfg.ShardID, r.seq)
+	sess.hello.Session, sess.hello.Shard = id, wire.ShardOf(id)
 	// Start prefetching only once the session is registered.
 	sess.pool = pool.NewDealt(src, pool.Config{
 		Depth: depth, MaxWait: drawWait, MaxWaiters: drawWaiters,
-		Obs: sess.obsS, ObsReceiver: sess.obsR,
+		Obs: pool.NewObserver(r.reg, obs.Labels(
+			"session", fmt.Sprint(id), "half", "sender", "params", name)),
+		ObsReceiver: pool.NewObserver(r.reg, obs.Labels(
+			"session", fmt.Sprint(id), "half", "receiver", "params", name)),
 	})
-	r.sessions[sess.id] = sess
-	r.byToken[sess.token] = sess
-	r.opened++
+	r.sessions[id] = sess
+	r.byToken[sess.hello.SessionToken] = sess
 	r.mSessions.Set(int64(len(r.sessions)))
 	r.mOpened.Inc()
 	r.mu.Unlock()
@@ -303,7 +297,7 @@ func (r *Registry) Detach(id uint64, orphan bool) {
 		return
 	}
 	if orphan {
-		sess.expiresAt = r.cfg.now().Add(sess.lease)
+		sess.expiresAt = r.cfg.now().Add(time.Duration(sess.hello.LeaseMS) * time.Millisecond)
 		r.mu.Unlock()
 		return
 	}
@@ -324,7 +318,7 @@ func (r *Registry) Expire(now time.Time) int {
 			doomed = append(doomed, sess)
 		}
 	}
-	sort.Slice(doomed, func(i, j int) bool { return doomed[i].id < doomed[j].id })
+	sort.Slice(doomed, func(i, j int) bool { return doomed[i].ID() < doomed[j].ID() })
 	for _, sess := range doomed {
 		r.unregisterLocked(sess, true)
 	}
@@ -345,19 +339,17 @@ func (r *Registry) Expire(now time.Time) int {
 // tombstone and counters; the caller holds r.mu and must run teardown
 // + dropSeries after unlocking (pool.Close waits on the worker).
 func (r *Registry) unregisterLocked(sess *Session, expired bool) {
-	delete(r.sessions, sess.id)
-	delete(r.byToken, sess.token)
+	delete(r.sessions, sess.ID())
+	delete(r.byToken, sess.hello.SessionToken)
 	if len(r.tombs) >= maxTombs {
 		for t := range r.tombs {
 			delete(r.tombs, t)
 			break
 		}
 	}
-	r.tombs[sess.token] = r.cfg.now()
-	r.closed++
+	r.tombs[sess.hello.SessionToken] = r.cfg.now()
 	r.mClosed.Inc()
 	if expired {
-		r.expired++
 		r.mExpired.Inc()
 	}
 	if tn := r.tenants[sess.tenant]; tn != nil {
@@ -378,7 +370,7 @@ func teardown(sess *Session) {
 // dropSeries retires the session's metric series so registry
 // cardinality stays bounded by live sessions, not lifetime count.
 func (r *Registry) dropSeries(sess *Session) {
-	key := "{" + sess.labels + ","
+	key := "{" + obs.Labels("session", fmt.Sprint(sess.ID())) + ","
 	r.reg.Drop(func(name string) bool { return strings.Contains(name, key) })
 }
 
@@ -420,7 +412,7 @@ func (r *Registry) Close() {
 	for _, sess := range r.sessions {
 		doomed = append(doomed, sess)
 	}
-	sort.Slice(doomed, func(i, j int) bool { return doomed[i].id < doomed[j].id })
+	sort.Slice(doomed, func(i, j int) bool { return doomed[i].ID() < doomed[j].ID() })
 	for _, sess := range doomed {
 		r.unregisterLocked(sess, false)
 	}
@@ -465,11 +457,11 @@ func (r *Registry) Dump() wire.StatsDump {
 	dump := wire.StatsDump{
 		Shard:           r.cfg.ShardID,
 		Sessions:        len(r.sessions),
-		SessionsOpened:  r.opened,
-		SessionsClosed:  r.closed,
-		SessionsExpired: r.expired,
-		QuotaSheds:      r.quota,
-		DrySheds:        r.dry,
+		SessionsOpened:  r.mOpened.Value(),
+		SessionsClosed:  r.mClosed.Value(),
+		SessionsExpired: r.mExpired.Value(),
+		QuotaSheds:      r.mQuota.Value(),
+		DrySheds:        r.mDry.Value(),
 		MaxSessions:     r.cfg.MaxSessions,
 		Draining:        r.draining,
 		Backends:        r.cfg.Backends,
@@ -484,19 +476,11 @@ func (r *Registry) Dump() wire.StatsDump {
 		entries = append(entries, entry{sess, sess.refs, r.expiresInLocked(sess)})
 	}
 	r.mu.Unlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].sess.id < entries[j].sess.id })
+	sort.Slice(entries, func(i, j int) bool { return entries[i].sess.ID() < entries[j].sess.ID() })
 	for _, e := range entries {
 		dump.PerSession = append(dump.PerSession, e.sess.stats(e.refs, e.expiresIn))
 	}
 	return dump
-}
-
-// noteQuotaShed records one typed quota rejection served.
-func (r *Registry) noteQuotaShed() {
-	r.mu.Lock()
-	r.quota++
-	r.mu.Unlock()
-	r.mQuota.Inc()
 }
 
 // mapDrawErr turns pool-layer failures into the wire protocol's typed
@@ -505,9 +489,6 @@ func (r *Registry) noteQuotaShed() {
 func (r *Registry) mapDrawErr(err error) error {
 	switch {
 	case errors.Is(err, pool.ErrDry):
-		r.mu.Lock()
-		r.dry++
-		r.mu.Unlock()
 		r.mDry.Inc()
 		return fmt.Errorf("%w: %v", wire.ErrPoolDry, err)
 	case errors.Is(err, pool.ErrClosed):

@@ -85,8 +85,9 @@ type Config struct {
 	// unlimited.
 	Quota QuotaConfig
 	// Registry receives the metrics: session lifecycle counters plus
-	// one ironman_pool_* instrument set per session half. nil makes the
-	// registry create its own.
+	// one ironman_pool_* instrument set per session half. They are the
+	// registry's only counters (Dump reads them), so give each session
+	// Registry its own. nil makes the registry create one.
 	Registry *obs.Registry
 
 	// now overrides the clock in tests (in-package only).
@@ -171,50 +172,29 @@ func (c Config) workers(requested int) int {
 	return requested
 }
 
-// OpenRequest shapes one session open (a transport's parsed HELLO).
-type OpenRequest struct {
-	Params    string
-	Backend   string
-	BinaryAES bool
-	Depth     int
-	Workers   int
-	// Tenant names the accounting principal; "" is the anonymous
-	// default tenant.
-	Tenant string
-	// Lease requests the orphan grace window (0 = registry default;
-	// clamped to maxLease).
-	Lease time.Duration
-	// Token pins the fleet-wide routing token (the router injects the
-	// consistent-hash key here); "" mints a fresh one.
-	Token string
-}
+// OpenRequest shapes one session open: a transport's parsed HELLO.
+// Tenant "" is the anonymous default tenant; LeaseMS 0 selects the
+// registry's lease and larger requests clamp to maxLease; a non-empty
+// SessionToken pins the fleet-wide routing token (the router injects
+// its consistent-hash key there) instead of minting one.
+type OpenRequest = wire.HelloReq
 
 // Session is one dealt correlation stream and every fact about it that
 // must survive a transport detach: identity, capabilities, lease,
 // tenant, and the Δ-scoped prefetching pool. All mutable fields are
 // guarded by the owning Registry's mutex.
 type Session struct {
-	id          uint64
-	token       string // fleet routing token (routes, does not authorize)
-	paramsName  string
-	backendName string
-	tenant      string
-	batch       int
-	lease       time.Duration
-	delta       block.Block
-	tokenS      string // attach capability for the sender half
-	tokenR      string // attach capability for the receiver half
-	pool        *pool.Dealt
-	connA       transport.Conn // in-process pipe endpoints backing the
-	connB       transport.Conn // session's dealt extension pair
-	bucket      *bucket        // tenant quota admission
-	reg         *Registry
-	// obsS/obsR mirror the pool halves into the metrics registry; the
-	// STATS protocol serves from these (pool.Stats agrees by the
-	// Observer contract). labels is the shared per-session label set,
-	// the teardown Drop predicate's match key.
-	obsS, obsR *pool.Observer
-	labels     string
+	// hello is everything the session tells its creator — id, shard,
+	// params, backend, batch, Δ, routing token, lease and the two
+	// attach capabilities — stored once, in its wire form. The id and
+	// shard are stamped at registration; nothing changes after Open.
+	hello  wire.HelloResp
+	tenant string
+	pool   *pool.Dealt
+	connA  transport.Conn // in-process pipe endpoints backing the
+	connB  transport.Conn // session's dealt extension pair
+	bucket *bucket        // tenant quota admission
+	reg    *Registry
 
 	// Guarded by reg.mu.
 	refs      int
@@ -222,40 +202,18 @@ type Session struct {
 }
 
 // ID is the shard-scoped numeric session id.
-func (s *Session) ID() uint64 { return s.id }
+func (s *Session) ID() uint64 { return s.hello.Session }
 
-// Token is the fleet-wide routing token (consistent-hash key and
-// reconnect handle; not a capability).
-func (s *Session) Token() string { return s.token }
-
-// Params names the session's parameter set.
-func (s *Session) Params() string { return s.paramsName }
-
-// Backend names the session's negotiated extension backend.
-func (s *Session) Backend() string { return s.backendName }
-
-// Batch is the per-Extend correlation yield.
-func (s *Session) Batch() int { return s.batch }
-
-// Lease is the session's orphan grace window.
-func (s *Session) Lease() time.Duration { return s.lease }
-
-// Delta is the session's correlation Δ (the creator's secret).
-func (s *Session) Delta() block.Block { return s.delta }
-
-// SenderToken is the attach capability for the sender half.
-func (s *Session) SenderToken() string { return s.tokenS }
-
-// ReceiverToken is the attach capability for the receiver half.
-func (s *Session) ReceiverToken() string { return s.tokenR }
+// Hello is the HELLO response describing the session to its creator.
+func (s *Session) Hello() wire.HelloResp { return s.hello }
 
 // role matches a presented capability token against the session's two
 // halves in constant time; ok is false for anything else.
 func (s *Session) role(capability string) (wire.Role, bool) {
 	switch {
-	case subtle.ConstantTimeCompare([]byte(capability), []byte(s.tokenS)) == 1:
+	case subtle.ConstantTimeCompare([]byte(capability), []byte(s.hello.SenderToken)) == 1:
 		return wire.RoleSender, true
-	case subtle.ConstantTimeCompare([]byte(capability), []byte(s.tokenR)) == 1:
+	case subtle.ConstantTimeCompare([]byte(capability), []byte(s.hello.ReceiverToken)) == 1:
 		return wire.RoleReceiver, true
 	}
 	return "", false
@@ -291,28 +249,26 @@ func (s *Session) DrawReceiver(n int) ([]bool, []block.Block, error) {
 
 func (s *Session) admit(n int) error {
 	if err := s.bucket.acquire(n); err != nil {
-		s.reg.noteQuotaShed()
+		s.reg.mQuota.Inc()
 		return err
 	}
 	return nil
 }
 
-// Stats assembles the serializable per-session view from the
-// registry-backed observers (NOT pool.Stats() — the Observer contract
-// keeps the two views identical once draws quiesce, and serving from
-// the registry guarantees STATS and the admin /metrics page can never
-// disagree). refs/orphan state is passed in by the registry, which
-// holds the lock.
+// stats assembles the serializable per-session view. The pool halves'
+// Stats read the very instruments the admin /metrics page serves, so
+// STATS and a scrape cannot disagree. refs/orphan state is passed in
+// by the registry, which holds the lock.
 func (s *Session) stats(refs int, expiresIn time.Duration) wire.SessionStats {
 	st := wire.SessionStats{
-		ID:       s.id,
-		Shard:    wire.ShardOf(s.id),
-		Params:   s.paramsName,
-		Backend:  s.backendName,
+		ID:       s.hello.Session,
+		Shard:    s.hello.Shard,
+		Params:   s.hello.Params,
+		Backend:  s.hello.Backend,
 		Tenant:   s.tenant,
 		Refs:     refs,
-		Sender:   halfStats(s.obsS.Snapshot()),
-		Receiver: halfStats(s.obsR.Snapshot()),
+		Sender:   halfStats(s.pool.SenderHalf().Stats()),
+		Receiver: halfStats(s.pool.ReceiverHalf().Stats()),
 	}
 	if refs == 0 {
 		st.Orphaned = true
@@ -336,12 +292,11 @@ func halfStats(st pool.Stats) wire.HalfStats {
 // openSession constructs the in-process dealt extension pair for a resolved
 // open request and returns the unregistered session plus its refill
 // source. Called without the registry lock (pair construction runs
-// base OTs); the registry assigns the id, observers, and pool when it
-// registers the session.
+// base OTs); the registry assigns the id and pool when it registers
+// the session.
 func openSession(cfg Config, name string, backend extension.Backend, params ferret.Params, req OpenRequest) (*Session, pool.DealtRefill, error) {
 	delta := aesprg.NewLocal(block.Block{}, block.Block{}).Block()
-	tokenS, tokenR := wire.NewToken(), wire.NewToken()
-	routeToken := req.Token
+	routeToken := req.SessionToken
 	if routeToken == "" {
 		routeToken = wire.NewToken()
 	}
@@ -361,7 +316,7 @@ func openSession(cfg Config, name string, backend extension.Backend, params ferr
 		return extension.ExtendLockstep(es, er)
 	}
 
-	lease := req.Lease
+	lease := time.Duration(req.LeaseMS) * time.Millisecond
 	if lease <= 0 {
 		lease = cfg.Lease
 	}
@@ -370,18 +325,21 @@ func openSession(cfg Config, name string, backend extension.Backend, params ferr
 	}
 
 	sess := &Session{
-		token:       routeToken,
-		paramsName:  name,
-		backendName: backend.Name(),
-		tenant:      req.Tenant,
-		batch:       backend.Batch(params),
-		lease:       lease,
-		delta:       delta,
-		tokenS:      tokenS,
-		tokenR:      tokenR,
-		connA:       connA,
-		connB:       connB,
-		refs:        1,
+		hello: wire.HelloResp{
+			Params:        name,
+			Backend:       backend.Name(),
+			Batch:         backend.Batch(params),
+			DeltaLo:       delta.Lo,
+			DeltaHi:       delta.Hi,
+			SessionToken:  routeToken,
+			LeaseMS:       lease.Milliseconds(),
+			SenderToken:   wire.NewToken(),
+			ReceiverToken: wire.NewToken(),
+		},
+		tenant: req.Tenant,
+		connA:  connA,
+		connB:  connB,
+		refs:   1,
 	}
 	return sess, src, nil
 }

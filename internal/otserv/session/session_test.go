@@ -66,10 +66,10 @@ func TestOpenStampsShardScopedIDs(t *testing.T) {
 	if wire.ShardOf(sess.ID()) != 3 {
 		t.Fatalf("ShardOf(%d) = %d, want 3", sess.ID(), wire.ShardOf(sess.ID()))
 	}
-	if sess.Token() == "" || sess.SenderToken() == "" || sess.ReceiverToken() == "" {
+	if sess.hello.SessionToken == "" || sess.hello.SenderToken == "" || sess.hello.ReceiverToken == "" {
 		t.Fatal("tokens must be minted")
 	}
-	if sess.Token() == sess.SenderToken() || sess.Token() == sess.ReceiverToken() {
+	if sess.hello.SessionToken == sess.hello.SenderToken || sess.hello.SessionToken == sess.hello.ReceiverToken {
 		t.Fatal("routing token must differ from the capabilities")
 	}
 }
@@ -84,11 +84,11 @@ func TestLeaseExpiryTypedError(t *testing.T) {
 	cfg.now = func() time.Time { return now }
 	r := newTestRegistry(t, cfg)
 
-	sess, err := r.Open(OpenRequest{Lease: 50 * time.Millisecond})
+	sess, err := r.Open(OpenRequest{LeaseMS: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	token, capS := sess.Token(), sess.SenderToken()
+	token, capS := sess.hello.SessionToken, sess.hello.SenderToken
 	r.Detach(sess.ID(), true) // connection loss, not CLOSE
 
 	if n := r.Expire(now.Add(40 * time.Millisecond)); n != 0 {
@@ -124,7 +124,7 @@ func TestLeaseExpiryTypedErrorBuffered(t *testing.T) {
 	cfg.now = func() time.Time { return now }
 	r := newTestRegistry(t, cfg)
 
-	sess, err := r.Open(OpenRequest{Lease: 50 * time.Millisecond})
+	sess, err := r.Open(OpenRequest{LeaseMS: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestReconnectResumesPoolPosition(t *testing.T) {
 	cfg.now = func() time.Time { return now }
 	r := newTestRegistry(t, cfg)
 
-	sess, err := r.Open(OpenRequest{Lease: time.Minute})
+	sess, err := r.Open(OpenRequest{LeaseMS: time.Minute.Milliseconds()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestReconnectResumesPoolPosition(t *testing.T) {
 		t.Fatal("session must report orphaned while the lease clock runs")
 	}
 
-	got, role, err := r.AttachByToken(sess.Token(), sess.SenderToken())
+	got, role, err := r.AttachByToken(sess.hello.SessionToken, sess.hello.SenderToken)
 	if err != nil {
 		t.Fatalf("reconnect inside the lease window: %v", err)
 	}
@@ -242,7 +242,7 @@ func TestReconnectResumesPoolPosition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	verifyCOTs(t, sess.Delta(), append(append([]block.Block{}, z1...), z2...), bits, y)
+	verifyCOTs(t, block.Block{Lo: sess.hello.DeltaLo, Hi: sess.hello.DeltaHi}, append(append([]block.Block{}, z1...), z2...), bits, y)
 
 	st, err = r.Stats(sess.ID())
 	if err != nil {
@@ -265,7 +265,7 @@ func TestCloseIsImmediate(t *testing.T) {
 	if r.Len() != 0 {
 		t.Fatalf("%d sessions live after CLOSE", r.Len())
 	}
-	if _, _, err := r.AttachByToken(sess.Token(), sess.SenderToken()); !errors.Is(err, wire.ErrLeaseExpired) {
+	if _, _, err := r.AttachByToken(sess.hello.SessionToken, sess.hello.SenderToken); !errors.Is(err, wire.ErrLeaseExpired) {
 		t.Fatalf("reattach after CLOSE: err = %v, want ErrLeaseExpired", err)
 	}
 }
@@ -363,7 +363,7 @@ func TestConcurrentExpiryVsDraw(t *testing.T) {
 	cfg.now = func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
 	r := newTestRegistry(t, cfg)
 
-	sess, err := r.Open(OpenRequest{Lease: 10 * time.Millisecond})
+	sess, err := r.Open(OpenRequest{LeaseMS: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +462,7 @@ func TestPinnedTokenOneLiveSession(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				sess, err := r.Open(OpenRequest{Token: token})
+				sess, err := r.Open(OpenRequest{SessionToken: token})
 				mu.Lock()
 				defer mu.Unlock()
 				if err != nil {
@@ -484,7 +484,7 @@ func TestPinnedTokenOneLiveSession(t *testing.T) {
 			r.Detach(sess.ID(), false)
 		}
 		last := won[len(won)-1]
-		got, _, err := r.AttachByToken(token, last.SenderToken())
+		got, _, err := r.AttachByToken(token, last.hello.SenderToken)
 		if err != nil {
 			t.Fatalf("round %d: reconnect to the live session: %v", round, err)
 		}

@@ -18,7 +18,7 @@
 //	                                status 6 = pool dry (generation behind)
 //	                                status 7 = draining (no new sessions)
 //
-//	HELLO  op=1 body=ver:1 JSON HelloReq -> JSON HelloResp (Δ + tokens)
+//	HELLO  op=1 body=ver:1 JSON {v, HelloReq} -> JSON HelloResp (Δ + tokens)
 //	ATTACH op=2 body=JSON AttachReq  -> JSON AttachResp (role, no Δ)
 //	DRAW_S op=3 session:8 n:4        -> n*16 bytes of r0 blocks
 //	DRAW_R op=4 session:8 n:4        -> ceil(n/8) choice-bit bytes
@@ -191,9 +191,9 @@ func ShardOf(id uint64) uint64 { return id >> ShardShift }
 // transport.MaxMessage (2^21 blocks = 32 MiB + choice bits).
 const MaxDraw = 1 << 21
 
-// HelloReq is the JSON body of a HELLO (after the version byte).
+// HelloReq is the JSON body of a HELLO, after the version byte and the
+// body's own "v" field (both added by HelloBody, checked by ParseHello).
 type HelloReq struct {
-	V      int    `json:"v"`
 	Params string `json:"params,omitempty"` // "" selects the server default
 	// Backend names the extension backend the session should run on
 	// ("" = the server's default, extension.Default). The server
@@ -283,6 +283,13 @@ type AttachResp struct {
 	LeaseMS int64  `json:"lease_ms"`
 }
 
+// Attach is the ATTACH response for a party joining the session h
+// describes in the given role: no Δ, no tokens.
+func (h HelloResp) Attach(role Role) AttachResp {
+	return AttachResp{Session: h.Session, Shard: h.Shard, Params: h.Params,
+		Backend: h.Backend, Batch: h.Batch, Role: role, LeaseMS: h.LeaseMS}
+}
+
 // HalfStats is one pool half's counters as served by STATS.
 type HalfStats struct {
 	Generated    uint64 `json:"generated"`
@@ -330,10 +337,17 @@ type StatsDump struct {
 	PerSession []SessionStats `json:"per_session,omitempty"`
 }
 
+// helloJSON is the JSON body of a HELLO: the protocol version, then the
+// request's fields.
+type helloJSON struct {
+	V int `json:"v"`
+	HelloReq
+}
+
 // HelloBody frames a HELLO request body: the protocol version byte
-// followed by the JSON HelloReq.
+// followed by the JSON request, which repeats the version as "v".
 func HelloBody(req HelloReq) ([]byte, error) {
-	body, err := json.Marshal(req)
+	body, err := json.Marshal(helloJSON{ProtoVersion, req})
 	if err != nil {
 		return nil, err
 	}
@@ -341,29 +355,29 @@ func HelloBody(req HelloReq) ([]byte, error) {
 }
 
 // ParseHello decodes a HELLO body: the version byte, then the JSON
-// request. Anything else — including the legacy v1 bare-JSON framing,
-// whose one-release compatibility window is over — is an
-// ErrVersionMismatch-wrapping rejection.
+// request, whose "v" must agree. Anything else — including the legacy
+// v1 bare-JSON framing, whose one-release compatibility window is
+// over — is an ErrVersionMismatch-wrapping rejection.
 func ParseHello(body []byte) (HelloReq, error) {
-	var req HelloReq
 	if len(body) == 0 {
-		return req, fmt.Errorf("%w: empty HELLO body", ErrVersionMismatch)
+		return HelloReq{}, fmt.Errorf("%w: empty HELLO body", ErrVersionMismatch)
 	}
 	if body[0] == '{' {
 		// Legacy v1 framing: bare JSON, no version byte. The compat
 		// window closed; name the failure precisely.
-		return req, fmt.Errorf("%w: legacy v1 bare-JSON HELLO no longer accepted, server speaks v%d", ErrVersionMismatch, ProtoVersion)
+		return HelloReq{}, fmt.Errorf("%w: legacy v1 bare-JSON HELLO no longer accepted, server speaks v%d", ErrVersionMismatch, ProtoVersion)
 	}
 	if body[0] != ProtoVersion {
-		return req, fmt.Errorf("%w: client speaks v%d, server speaks v%d", ErrVersionMismatch, body[0], ProtoVersion)
+		return HelloReq{}, fmt.Errorf("%w: client speaks v%d, server speaks v%d", ErrVersionMismatch, body[0], ProtoVersion)
 	}
-	if err := json.Unmarshal(body[1:], &req); err != nil {
-		return req, fmt.Errorf("otserv: bad HELLO: %w", err)
+	var msg helloJSON
+	if err := json.Unmarshal(body[1:], &msg); err != nil {
+		return HelloReq{}, fmt.Errorf("otserv: bad HELLO: %w", err)
 	}
-	if req.V != ProtoVersion {
-		return req, fmt.Errorf("%w: frame says v%d, body says v%d", ErrVersionMismatch, ProtoVersion, req.V)
+	if msg.V != ProtoVersion {
+		return HelloReq{}, fmt.Errorf("%w: frame says v%d, body says v%d", ErrVersionMismatch, ProtoVersion, msg.V)
 	}
-	return req, nil
+	return msg.HelloReq, nil
 }
 
 // DrawReq encodes a DRAW_S/DRAW_R request.

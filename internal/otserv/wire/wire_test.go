@@ -13,7 +13,7 @@ import (
 
 func TestParseHelloRoundTrip(t *testing.T) {
 	req := HelloReq{
-		V: ProtoVersion, Params: "2^20", Backend: "ferret",
+		Params: "2^20", Backend: "ferret",
 		Tenant: "acme", LeaseMS: 1500, SessionToken: "aabbcc",
 		Depth: 3, Workers: 2,
 	}
@@ -34,7 +34,7 @@ func TestParseHelloRoundTrip(t *testing.T) {
 // compatibility window is over — it must now fail with the typed
 // version sentinel, not open a session.
 func TestParseHelloRejectsLegacyV1(t *testing.T) {
-	legacy, err := json.Marshal(HelloReq{V: 1, Params: "small"})
+	legacy, err := json.Marshal(helloJSON{1, HelloReq{Params: "small"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestParseHelloRejectsLegacyV1(t *testing.T) {
 }
 
 func TestParseHelloVersionRejections(t *testing.T) {
-	body, err := json.Marshal(HelloReq{V: 3, Params: "small"})
+	body, err := json.Marshal(helloJSON{3, HelloReq{Params: "small"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ const frameGolden = "54ce37a92282dc23522a70226d7b3929dae2a09dd5096c8821253cd4e30
 func goldenFrames(tb testing.TB) [][]byte {
 	tb.Helper()
 	hello, err := HelloBody(HelloReq{
-		V: ProtoVersion, Params: "2^20", Backend: "ferret", BinaryAES: true,
+		Params: "2^20", Backend: "ferret", BinaryAES: true,
 		Depth: 2, Workers: 3, Tenant: "acme", LeaseMS: 1500, SessionToken: "aabbcc",
 	})
 	if err != nil {

@@ -6,15 +6,13 @@ import (
 	"ironman/internal/obs"
 )
 
-// Observer mirrors one pool half's Stats counters into a metrics
-// registry, at the same mutex-held update points the internal counters
-// use — so once draws quiesce, the registry-served totals and Stats()
-// agree exactly (the otserv STATS endpoint relies on this). It also
-// feeds two latency histograms the plain counters cannot express:
-// draw-wait time and source-refill time.
-//
-// A nil *Observer is a no-op on every method, so un-observed pools pay
-// one nil check per event.
+// Observer is one pool half's instrument set, and its only counters:
+// every draw, refill and wait updates these instruments under the
+// stream's lock, and Stats reads them back under the same lock, so a
+// registry scrape and Stats() are two reads of one set of values (the
+// otserv STATS endpoint and /metrics rely on this). It also feeds two
+// latency histograms Stats cannot express: draw-wait time and
+// source-refill time.
 type Observer struct {
 	draws        *obs.Counter // ironman_pool_draws_total
 	blockedDraws *obs.Counter // ironman_pool_blocked_draws_total
@@ -30,10 +28,11 @@ type Observer struct {
 
 // NewObserver registers one pool half's instrument set under the given
 // label set (obs.Labels format; typically session and half). A nil
-// registry yields a nil Observer.
+// registry yields live instruments in a private registry nobody
+// serves: the half counts all the same, and only Stats reads it.
 func NewObserver(reg *obs.Registry, labels string) *Observer {
 	if reg == nil {
-		return nil
+		reg = obs.NewRegistry()
 	}
 	return &Observer{
 		draws:        reg.Counter(obs.Name("ironman_pool_draws_total", labels)),
@@ -49,60 +48,25 @@ func NewObserver(reg *obs.Registry, labels string) *Observer {
 	}
 }
 
-func (o *Observer) noteDraw() {
-	if o == nil {
-		return
-	}
-	o.draws.Inc()
-}
-
 func (o *Observer) noteDispensed(n, buffered int) {
-	if o == nil {
-		return
-	}
 	o.dispensed.Add(uint64(n))
 	o.buffered.Set(int64(buffered))
 }
 
 func (o *Observer) noteRefill(n, buffered int, dur time.Duration) {
-	if o == nil {
-		return
-	}
 	o.refills.Inc()
 	o.generated.Add(uint64(n))
 	o.buffered.Set(int64(buffered))
 	o.refillDur.Observe(dur.Seconds())
 }
 
-func (o *Observer) noteBlockedDraw() {
-	if o == nil {
-		return
-	}
-	o.blockedDraws.Inc()
-}
-
 func (o *Observer) noteBlockedTime(d time.Duration) {
-	if o == nil {
-		return
-	}
 	o.blockedNS.Add(uint64(d.Nanoseconds()))
 	o.drawWait.Observe(d.Seconds())
 }
 
-func (o *Observer) noteStalled() {
-	if o == nil {
-		return
-	}
-	o.stalledDraws.Inc()
-}
-
-// Snapshot reads the registry-backed totals back in Stats shape; the
-// contract with the internal counters (see the type comment) makes the
-// two views identical once concurrent draws quiesce.
-func (o *Observer) Snapshot() Stats {
-	if o == nil {
-		return Stats{}
-	}
+// snapshot reads the instruments back in Stats shape.
+func (o *Observer) snapshot() Stats {
 	return Stats{
 		Generated:    o.generated.Value(),
 		Dispensed:    o.dispensed.Value(),

@@ -97,16 +97,17 @@ type Config struct {
 	// once; a draw that would become waiter MaxWaiters+1 sheds
 	// immediately with ErrDry. 0 disables the bound.
 	MaxWaiters int
-	// Obs mirrors this pool's counters into a metrics registry (for a
-	// Dealt pool: the sender half). nil disables mirroring.
+	// Obs is the instrument set that counts this pool's draws and
+	// refills (for a Dealt pool: the sender half's). nil gives the half
+	// unregistered instruments, which only Stats reads.
 	Obs *Observer
-	// ObsReceiver is the receiver half's observer of a Dealt pool;
-	// ignored by NewSender and NewReceiver.
+	// ObsReceiver is the receiver half's instrument set of a Dealt
+	// pool; ignored by NewSender and NewReceiver.
 	ObsReceiver *Observer
 }
 
-// Stats are one pool's lifetime counters. All counts are correlations
-// unless noted.
+// Stats are one pool half's lifetime counters, read from its
+// Observer. All counts are correlations unless noted.
 type Stats struct {
 	Generated    uint64        // produced by the source
 	Dispensed    uint64        // handed to callers
@@ -147,12 +148,11 @@ func newStream(src DealtRefill, cfg Config, s, r *half) *stream {
 	return st
 }
 
-// half is one direction's draining ready buffer with its counters.
+// half is one direction's draining ready buffer with its instruments.
 type half struct {
 	blocks []block.Block
 	bits   []bool // choice bits aligned with blocks; nil on a sender half
 	head   int
-	stats  Stats
 	obs    *Observer
 	// demand is the largest unmet draw on this half, 0 when none waits.
 	// It drives refills past the water marks, and capBlocked discounts
@@ -161,15 +161,22 @@ type half struct {
 	demand int
 }
 
+// newHalf builds an empty half counting into o, or into unregistered
+// instruments when o is nil.
+func newHalf(o *Observer) *half {
+	if o == nil {
+		o = NewObserver(nil, "")
+	}
+	return &half{obs: o}
+}
+
 func (h *half) ready() int { return len(h.blocks) - h.head }
 
-// push appends one source batch; dur is how long the source ran
-// (observability only).
+// push appends one source batch; dur is how long the source ran (for
+// the refill histogram).
 func (h *half) push(blocks []block.Block, bits []bool, dur time.Duration) {
 	h.blocks = append(h.blocks, blocks...)
 	h.bits = append(h.bits, bits...)
-	h.stats.Refills++
-	h.stats.Generated += uint64(len(blocks))
 	h.obs.noteRefill(len(blocks), h.ready(), dur)
 }
 
@@ -193,15 +200,8 @@ func (h *half) pop(n int) (blocks []block.Block, bits []bool) {
 		}
 		h.head = 0
 	}
-	h.stats.Dispensed += uint64(n)
 	h.obs.noteDispensed(n, h.ready())
 	return blocks, bits
-}
-
-func (h *half) snapshot() Stats {
-	s := h.stats
-	s.Buffered = h.ready()
-	return s
 }
 
 // retentionCap resolves Config.MaxBuffered: the per-half correlation
@@ -347,9 +347,7 @@ func (st *stream) await(h *half, n int) error {
 	var timer *time.Timer
 	defer func() {
 		if blocked {
-			d := time.Since(begin)
-			h.stats.BlockedTime += d
-			h.obs.noteBlockedTime(d)
+			h.obs.noteBlockedTime(time.Since(begin))
 			st.waiters--
 			if timer != nil {
 				timer.Stop()
@@ -373,7 +371,7 @@ func (st *stream) await(h *half, n int) error {
 		if st.capBlocked() {
 			// Generation cannot proceed, so this draw can never be
 			// satisfied.
-			h.obs.noteStalled()
+			h.obs.stalledDraws.Inc()
 			return fmt.Errorf("%w (max %d buffered)", ErrRetained, st.retentionCap())
 		}
 		if st.cfg.Depth <= 0 {
@@ -384,13 +382,12 @@ func (st *stream) await(h *half, n int) error {
 		}
 		if !blocked {
 			if st.cfg.MaxWaiters > 0 && st.waiters >= st.cfg.MaxWaiters {
-				h.obs.noteStalled()
+				h.obs.stalledDraws.Inc()
 				return fmt.Errorf("%w: %d draws already waiting on generation", ErrDry, st.waiters)
 			}
 			blocked = true
 			st.waiters++
-			h.stats.BlockedDraws++
-			h.obs.noteBlockedDraw()
+			h.obs.blockedDraws.Inc()
 			begin = time.Now()
 			if st.cfg.MaxWait > 0 {
 				deadline = begin.Add(st.cfg.MaxWait)
@@ -404,7 +401,7 @@ func (st *stream) await(h *half, n int) error {
 				})
 			}
 		} else if !deadline.IsZero() && !time.Now().Before(deadline) {
-			h.obs.noteStalled()
+			h.obs.stalledDraws.Inc()
 			return fmt.Errorf("%w: draw of %d waited %v for generation", ErrDry, n, st.cfg.MaxWait)
 		}
 		st.cond.Broadcast() // wake the worker
@@ -421,21 +418,13 @@ func (st *stream) draw(h *half, n int) ([]block.Block, []bool, error) {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	h.stats.Draws++
-	h.obs.noteDraw()
+	h.obs.draws.Inc()
 	if err := st.await(h, n); err != nil {
 		return nil, nil, err
 	}
 	blocks, bits := h.pop(n)
 	st.cond.Broadcast() // the draw may have crossed the low-water mark
 	return blocks, bits, nil
-}
-
-// stats snapshots one half's counters; mu is not held.
-func (st *stream) stats(h *half) Stats {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return h.snapshot()
 }
 
 // Close stops the worker; after it no draw returns correlations,
@@ -472,8 +461,13 @@ type view struct {
 	h *half
 }
 
-// Stats snapshots the counters of the view's half.
-func (v view) Stats() Stats { return v.stats(v.h) }
+// Stats snapshots the counters of the view's half. It reads under the
+// stream's lock, so the counters agree with each other mid-draw.
+func (v view) Stats() Stats {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	return v.h.obs.snapshot()
+}
 
 // Sender draws the sender half of a correlation stream: its own
 // (NewSender) or a Dealt's (SenderHalf).
@@ -486,7 +480,7 @@ func NewSender(src SenderRefill, cfg Config) *Sender {
 		z, err := src()
 		return z, nil, nil, err
 	}
-	st := newStream(lifted, cfg, &half{obs: cfg.Obs}, nil)
+	st := newStream(lifted, cfg, newHalf(cfg.Obs), nil)
 	return &Sender{view{st, st.s}}
 }
 
@@ -508,7 +502,7 @@ func NewReceiver(src ReceiverRefill, cfg Config) *Receiver {
 		bits, y, err := src()
 		return nil, bits, y, err
 	}
-	st := newStream(lifted, cfg, nil, &half{obs: cfg.Obs})
+	st := newStream(lifted, cfg, nil, newHalf(cfg.Obs))
 	return &Receiver{view{st, st.r}}
 }
 
@@ -531,7 +525,7 @@ type Dealt struct{ *stream }
 // NewDealt builds the two-halves pool; see NewSender for Depth
 // semantics.
 func NewDealt(src DealtRefill, cfg Config) *Dealt {
-	return &Dealt{newStream(src, cfg, &half{obs: cfg.Obs}, &half{obs: cfg.ObsReceiver})}
+	return &Dealt{newStream(src, cfg, newHalf(cfg.Obs), newHalf(cfg.ObsReceiver))}
 }
 
 // SenderCOTs draws n sender-half correlations (r0 blocks).

@@ -199,25 +199,18 @@ func NewReceiver(conn Conn, params Params, opts Options) (*Receiver, error) {
 	return newReceiver(pool.NewReceiver(ext.Extend, opts.poolCfg()), conn, opts.busyFlag()), nil
 }
 
-// lockstepSource adapts extension.ExtendLockstep to the pool.Dealt
-// refill shape.
-func lockstepSource(es extension.Sender, er extension.Receiver) pool.DealtRefill {
-	return func() ([]Block, []bool, []Block, error) {
-		return extension.ExtendLockstep(es, er)
-	}
-}
-
 // NewDealtPair returns an initialized pair whose first correlations
 // come from a local trusted dealer instead of base OTs. Useful for
 // single-process examples and benchmarks of post-init behaviour.
 //
-// With Options.Prefetch > 0 the pair shares a single lockstep
-// generator (pool.Dealt): draws in any order are deadlock-free, and a
-// one-sided draw is bounded by pool's default retention cap of
-// Prefetch+8 batches (the undrawn half retains every generated batch;
-// past the cap the draw fails instead of exhausting memory). Because
-// the generator is shared, Close on either endpoint stops prefetching
-// for both.
+// The pair shares a single lockstep generator (pool.Dealt) — run
+// inline by the drawing goroutine at Prefetch 0, by a background
+// worker above it — so draws in any order are deadlock-free, and
+// either endpoint may draw alone. A one-sided draw is bounded by the
+// pool's default retention cap of (Prefetch+8) batches: the undrawn
+// half retains every generated batch, and a draw that needs more fails
+// with pool.ErrRetained instead of exhausting memory. Because the
+// generator is shared, Close on either endpoint stops it for both.
 func NewDealtPair(connS, connR Conn, delta Block, params Params, opts Options) (*Sender, *Receiver, error) {
 	b, err := opts.backend()
 	if err != nil {
@@ -227,18 +220,16 @@ func NewDealtPair(connS, connR Conn, delta Block, params Params, opts Options) (
 	if err != nil {
 		return nil, nil, err
 	}
-	if opts.Prefetch > 0 {
-		d := pool.NewDealt(lockstepSource(es, er), opts.poolCfg())
-		// One flag for the pair: closing either half stops the shared
-		// generator, so both conns become idle together.
-		busy := opts.busyFlag()
-		s := newSender(es, d.SenderHalf(), connS, busy)
-		r := newReceiver(d.ReceiverHalf(), connR, busy)
-		s.peerConn, r.peerConn = connR, connS
-		return s, r, nil
-	}
-	return newSender(es, pool.NewSender(es.Extend, opts.poolCfg()), connS, opts.busyFlag()),
-		newReceiver(pool.NewReceiver(er.Extend, opts.poolCfg()), connR, opts.busyFlag()), nil
+	d := pool.NewDealt(func() ([]Block, []bool, []Block, error) {
+		return extension.ExtendLockstep(es, er)
+	}, opts.poolCfg())
+	// One flag for the pair: closing either half stops the shared
+	// generator, so both conns become idle together.
+	busy := opts.busyFlag()
+	s := newSender(es, d.SenderHalf(), connS, busy)
+	r := newReceiver(d.ReceiverHalf(), connR, busy)
+	s.peerConn, r.peerConn = connR, connS
+	return s, r, nil
 }
 
 // RandomDelta samples a fresh global correlation from a fresh local

@@ -1,12 +1,15 @@
 package ironman
 
 import (
+	"errors"
 	"slices"
 	"testing"
+	"time"
 
 	"ironman/internal/cot"
 	"ironman/internal/ferret"
 	"ironman/internal/gmw"
+	"ironman/internal/pool"
 )
 
 func dealtPair(t testing.TB, params Params) (Conn, Conn, Block, *Sender, *Receiver) {
@@ -113,6 +116,56 @@ func TestPrefetchOption(t *testing.T) {
 	st := s.PoolStats()
 	if st.Dispensed != uint64(n) || st.Generated < st.Dispensed || st.Refills < 4 {
 		t.Fatalf("pool stats: %+v", st)
+	}
+}
+
+// TestDealtPairOneSidedDraw: at Prefetch 0 a dealt pair still shares
+// one lockstep generator, so one endpoint can draw several batches
+// alone (it once blocked forever waiting for the other endpoint's
+// Extend), the other endpoint's later draw pairs with it, and a
+// one-sided draw past the (Prefetch+8)-batch retention cap fails typed.
+func TestDealtPairOneSidedDraw(t *testing.T) {
+	a, b := Pipe()
+	delta := RandomDelta()
+	s, r, err := NewDealtPair(a, b, delta, smallParams(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Conns first: a draw wedged in Extend holds the pool until its
+	// conn fails.
+	defer func() {
+		a.Close()
+		b.Close()
+		s.Close()
+	}()
+	n := 2 * smallParams().Usable()
+	type sres struct {
+		z   []Block
+		err error
+	}
+	ch := make(chan sres, 1)
+	go func() {
+		z, err := s.COTs(n)
+		ch <- sres{z, err}
+	}()
+	var sr sres
+	select {
+	case sr = <-ch:
+	case <-time.After(30 * time.Second):
+		t.Fatal("one-sided sender draw on a Prefetch-0 dealt pair did not return")
+	}
+	if sr.err != nil {
+		t.Fatal(sr.err)
+	}
+	bits, blocks, err := r.COTs(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := VerifyCOTs(delta, sr.z, bits, blocks); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.COTs(9 * smallParams().Usable()); !errors.Is(err, pool.ErrRetained) {
+		t.Fatalf("draw past the retention cap: err = %v, want pool.ErrRetained", err)
 	}
 }
 

@@ -112,10 +112,23 @@ if echo "$fleet_metrics" | grep -q '^ironman_router_placements_total 0$'; then
     exit 1
 fi
 curl -sf http://127.0.0.1:17130/shards | grep -q '"state": "live"'
-# Per-shard surface: every shard serves its session dump.
+# Per-shard surface: every shard's session dump and scrape report the
+# same opened count (both read one counter), and the example opened at
+# least one session across the fleet.
+opened_total=0
 for port in 17131 17132 17133; do
-    curl -sf "http://127.0.0.1:$port/sessions" | grep -q '"sessions_opened"'
+    dumped=$(curl -sf "http://127.0.0.1:$port/sessions" | sed -n 's/^ *"sessions_opened": *\([0-9][0-9]*\).*/\1/p')
+    scraped=$(curl -sf "http://127.0.0.1:$port/metrics" | sed -n 's/^ironman_otserv_sessions_opened_total \([0-9][0-9]*\)$/\1/p')
+    if [ -z "$dumped" ] || [ "$dumped" != "$scraped" ]; then
+        echo "shard admin :$port: /sessions sessions_opened '$dumped' != /metrics ironman_otserv_sessions_opened_total '$scraped'" >&2
+        exit 1
+    fi
+    opened_total=$((opened_total + dumped))
 done
+if [ "$opened_total" -lt 1 ]; then
+    echo "the fleet's shards report no opened session" >&2
+    exit 1
+fi
 kill "$shard1_pid" "$shard2_pid" "$shard3_pid" "$router_pid"
 wait "$shard1_pid" "$shard2_pid" "$shard3_pid" "$router_pid" 2>/dev/null || true
 echo "fleet OK"
@@ -135,8 +148,10 @@ done
 
 echo "== scheduling flake guard (repeats of the scheduling-dependent paths) =="
 # A closed pool must dispense nothing even with correlations buffered;
-# the session-level symptom showed up in a few percent of runs.
-go test -count=25 -run 'DrawAfterClose|LeaseExpiryTypedError|ConcurrentExpiryVsDraw' ./internal/pool ./internal/otserv/session
+# the session-level symptom showed up in a few percent of runs. A draw
+# storm must leave Stats and the registry reading the same counts, and
+# one endpoint of a dealt pair must be able to draw alone at Prefetch 0.
+go test -count=25 -run 'DrawAfterClose|LeaseExpiryTypedError|ConcurrentExpiryVsDraw|ObserverMatchesStats|DealtPairOneSidedDraw' . ./internal/pool ./internal/otserv/session
 # Concurrent endpoints on one shape must wait on one LPN code
 # derivation and all share its pointer.
 go test -count=25 -run 'CodeShared' ./internal/ferret
