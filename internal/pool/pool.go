@@ -130,7 +130,8 @@ type stream struct {
 	s, r    *half // sender / receiver direction; nil when the source is one-sided
 	batch   int   // observed source batch size; 0 until the first refill
 	filling bool
-	waiters int // draws currently blocked on generation
+	running bool // the source is running, with mu released
+	waiters int  // draws currently blocked on generation
 	err     error
 	closed  bool
 	wg      sync.WaitGroup
@@ -220,7 +221,9 @@ func (st *stream) retentionCap() int {
 // capBlocked reports whether another refill would push the fuller half
 // past the retention cap. Pending draw demand is discounted: a half
 // that a blocked draw is about to drain is not "retained", so a large
-// lockstep draw on both halves never trips the cap.
+// lockstep draw on both halves never trips the cap once both draws
+// have registered. Every source run releases mu, so a concurrent draw
+// registers during the first one.
 func (st *stream) capBlocked() bool {
 	limit := st.retentionCap()
 	if limit < 0 {
@@ -290,27 +293,29 @@ func (st *stream) ingest(z []block.Block, bits []bool, y []block.Block, dur time
 }
 
 // refill runs the source once and ingests the batch, recording a
-// failure in st.err. For the worker (Depth > 0) mu is released while
-// the source — usually an interactive protocol iteration — runs, so
-// draws from the buffer proceed meanwhile; an inline refill keeps mu,
-// which is what serialises concurrent draws' iterations on the conn.
+// failure in st.err. mu is released while the source — usually an
+// interactive protocol iteration — runs, so other draws can register
+// their demand and drain the buffer meanwhile; st.running keeps a
+// second inline draw from running the source concurrently, and the
+// WaitGroup makes Close wait for the iteration as it does for the
+// worker's. It broadcasts once the batch is in.
 func (st *stream) refill() error {
-	async := st.cfg.Depth > 0
-	if async {
-		st.mu.Unlock()
-	}
+	st.running = true
+	st.wg.Add(1)
+	st.mu.Unlock()
 	begin := time.Now()
 	z, bits, y, err := st.src()
 	dur := time.Since(begin)
-	if async {
-		st.mu.Lock()
-	}
+	st.mu.Lock()
+	st.running = false
+	st.wg.Done()
 	if err == nil {
 		err = st.ingest(z, bits, y, dur)
 	}
 	if err != nil {
 		st.err = err
 	}
+	st.cond.Broadcast()
 	return err
 }
 
@@ -328,12 +333,12 @@ func (st *stream) runWorker() {
 			return
 		}
 		_ = st.refill() // a failure is in st.err, which ends the loop
-		st.cond.Broadcast()
 	}
 }
 
 // await returns once h holds n ready correlations: with Depth == 0 it
-// runs the source inline until it does, with Depth > 0 it blocks on the
+// runs the source inline (or waits out another draw's inline run)
+// until it does, with Depth > 0 it blocks on the
 // worker until it does or the backpressure bounds (Config.MaxWait /
 // MaxWaiters) shed the draw with ErrDry. It fails if the pool is closed
 // (checked first: a closed pool dispenses nothing, buffered or not),
@@ -375,7 +380,12 @@ func (st *stream) await(h *half, n int) error {
 			return fmt.Errorf("%w (max %d buffered)", ErrRetained, st.retentionCap())
 		}
 		if st.cfg.Depth <= 0 {
-			if err := st.refill(); err != nil {
+			// One draw at a time runs the source inline; the rest
+			// wait with their demand registered, so a lockstep draw
+			// on the other half is discounted from the cap.
+			if st.running {
+				st.cond.Wait()
+			} else if err := st.refill(); err != nil {
 				return err
 			}
 			continue

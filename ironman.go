@@ -82,7 +82,9 @@ type Options struct {
 	// endpoint is open would interleave frames with an in-flight
 	// iteration, and are rejected with ErrConnBusy (use a second conn
 	// for the chosen-OT exchange). Endpoints from NewDealtPair share
-	// one lockstep generator, so any draw pattern is safe. Network
+	// one lockstep generator, so no draw pattern deadlocks: concurrent
+	// draws of any size on both endpoints pair up, and a one-sided draw
+	// past the retention cap fails with pool.ErrRetained. Network
 	// endpoints (NewSender/NewReceiver) prefetch independently: give
 	// both peers the same Prefetch, and note that a single draw larger
 	// than the prefetched window still needs the peer drawing
@@ -204,12 +206,14 @@ func NewReceiver(conn Conn, params Params, opts Options) (*Receiver, error) {
 // single-process examples and benchmarks of post-init behaviour.
 //
 // The pair shares a single lockstep generator (pool.Dealt) — run
-// inline by the drawing goroutine at Prefetch 0, by a background
-// worker above it — so draws in any order are deadlock-free, and
-// either endpoint may draw alone. A one-sided draw is bounded by the
-// pool's default retention cap of (Prefetch+8) batches: the undrawn
-// half retains every generated batch, and a draw that needs more fails
-// with pool.ErrRetained instead of exhausting memory. Because the
+// inline by one drawing goroutine at a time at Prefetch 0, by a
+// background worker above it — so draws in any order are
+// deadlock-free, concurrent draws of any size on both endpoints pair
+// up, and either endpoint may draw alone. A one-sided draw — one whose
+// peer draw has not started — is bounded by the pool's default
+// retention cap of (Prefetch+8) batches: the undrawn half retains
+// every generated batch, and a draw that needs more fails with
+// pool.ErrRetained instead of exhausting memory. Because the
 // generator is shared, Close on either endpoint stops it for both.
 func NewDealtPair(connS, connR Conn, delta Block, params Params, opts Options) (*Sender, *Receiver, error) {
 	b, err := opts.backend()

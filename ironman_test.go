@@ -169,6 +169,72 @@ func TestDealtPairOneSidedDraw(t *testing.T) {
 	}
 }
 
+// gatedConn holds every Send until gate is closed (when gate is set).
+type gatedConn struct {
+	Conn
+	gate chan struct{}
+}
+
+func (c *gatedConn) Send(p []byte) error {
+	if c.gate != nil {
+		<-c.gate
+	}
+	return c.Conn.Send(p)
+}
+
+// TestDealtPairConcurrentDraw: both endpoints of a Prefetch-0 dealt
+// pair draw 10 batches at once — past the 8-batch retention cap — and
+// the draws pair up: whichever endpoint runs the shared source inline
+// releases the pool's lock while it does, so the other registers its
+// demand and the cap discounts it. The first iteration is held at its
+// first Send until both draws have had time to start, so the test
+// fails (rather than flakes) if a source run keeps the lock.
+func TestDealtPairConcurrentDraw(t *testing.T) {
+	pa, b := Pipe()
+	a := &gatedConn{Conn: pa}
+	delta := RandomDelta()
+	s, r, err := NewDealtPair(a, b, delta, smallParams(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		a.Close()
+		b.Close()
+		s.Close()
+	}()
+	a.gate = make(chan struct{})
+	n := 10 * smallParams().Usable()
+	var z, blocks []Block
+	var bits []bool
+	errs := make(chan error, 2)
+	go func() {
+		var err error
+		z, err = s.COTs(n)
+		errs <- err
+	}()
+	go func() {
+		var err error
+		bits, blocks, err = r.COTs(n)
+		errs <- err
+	}()
+	time.Sleep(50 * time.Millisecond)
+	close(a.gate)
+	deadline := time.After(30 * time.Second)
+	for range 2 {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatal("concurrent draws on a Prefetch-0 dealt pair did not return")
+		}
+	}
+	if err := VerifyCOTs(delta, z, bits, blocks); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestChosenOTRejectsBusyConn: chosen-OT calls on the conn a prefetch
 // worker is generating on must fail with ErrConnBusy instead of
 // silently interleaving frames with the background iteration. A second

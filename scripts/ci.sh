@@ -151,7 +151,7 @@ echo "== scheduling flake guard (repeats of the scheduling-dependent paths) =="
 # the session-level symptom showed up in a few percent of runs. A draw
 # storm must leave Stats and the registry reading the same counts, and
 # one endpoint of a dealt pair must be able to draw alone at Prefetch 0.
-go test -count=25 -run 'DrawAfterClose|LeaseExpiryTypedError|ConcurrentExpiryVsDraw|ObserverMatchesStats|DealtPairOneSidedDraw' . ./internal/pool ./internal/otserv/session
+go test -count=25 -run 'DrawAfterClose|LeaseExpiryTypedError|ConcurrentExpiryVsDraw|ObserverMatchesStats|DealtPairOneSidedDraw|DealtPairConcurrentDraw' . ./internal/pool ./internal/otserv/session
 # Concurrent endpoints on one shape must wait on one LPN code
 # derivation and all share its pointer.
 go test -count=25 -run 'CodeShared' ./internal/ferret
