@@ -21,6 +21,7 @@ package ferret
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"weak"
 
@@ -298,9 +299,12 @@ func (s *Sender) Extend() ([]block.Block, error) {
 	if enc.Live() {
 		enc.EndArgs(map[string]any{"rows": s.params.N, "k": s.params.K})
 	}
-	// Step 4: bootstrap the next iteration from the tail.
+	// Step 4: bootstrap the next iteration from a copy of the tail. A
+	// sub-slice would keep all N output blocks live until the next
+	// Extend has consumed the reserve (19.5 MB per endpoint at 2^20),
+	// after the caller has dropped its part.
 	usable := s.params.Usable()
-	s.pool = cot.NewSenderPool(s.Delta, z[usable:])
+	s.pool = cot.NewSenderPool(s.Delta, slices.Clone(z[usable:]))
 	s.Iterations++
 	if ext.Live() {
 		ext.EndArgs(map[string]any{"iteration": s.Iterations, "n": s.params.N})
@@ -355,8 +359,9 @@ func (r *Receiver) Extend() (*ReceiverOutput, error) {
 		noise.EndArgs(map[string]any{"rows": r.params.N, "points": len(points)})
 	}
 
+	// The next reserve is a copy of the tail, as on the sender.
 	usable := r.params.Usable()
-	pool, err := cot.NewReceiverPool(x[usable:], y[usable:])
+	pool, err := cot.NewReceiverPool(slices.Clone(x[usable:]), slices.Clone(y[usable:]))
 	if err != nil {
 		return nil, err
 	}

@@ -141,21 +141,14 @@ const maxArity = 32
 // level lives in the prefix of leaves: parents are expanded in
 // descending index order, so parent j's children at [j·a, (j+1)·a)
 // only overwrite parents already expanded, and the sums are
-// accumulated in the same pass.
+// accumulated in the same pass (prg.PRG.ExpandLevel).
 func ExpandInto(p prg.PRG, seed block.Block, arities []int, leaves []block.Block, sums [][]block.Block) {
 	checkInto(p, arities, leaves, sums)
 	leaves[0] = seed
 	width := 1
 	for i, a := range arities {
-		s := sums[i]
-		clear(s)
-		for j := width - 1; j >= 0; j-- {
-			kids := leaves[j*a : (j+1)*a]
-			p.Expand(leaves[j], kids)
-			for c, k := range kids {
-				s[c] = s[c].Xor(k)
-			}
-		}
+		clear(sums[i])
+		p.ExpandLevel(leaves, 0, width, a, sums[i])
 		width *= a
 	}
 }
@@ -208,7 +201,8 @@ func Reconstruct(p prg.PRG, arities []int, alpha int, sums [][]block.Block) *Pun
 // step ③ in Figure 3(b).
 //
 // Levels share leaves' storage as in ExpandInto. The hole — the
-// punctured node on the path to alpha — is skipped; its children off
+// punctured node on the path to alpha — is skipped: each level expands
+// the parents above it, then those below it. Its children off
 // the path are recovered after the level's pass as sums[i][c] ⊕ (XOR
 // of the known children at position c), and the child on the path is
 // the next level's hole, kept zero.
@@ -224,16 +218,8 @@ func ReconstructInto(p prg.PRG, arities []int, alpha int, sums [][]block.Block, 
 		below /= a
 		d = alpha / below % a
 		clear(known[:a])
-		for j := width - 1; j >= 0; j-- {
-			if j == hole {
-				continue
-			}
-			kids := leaves[j*a : (j+1)*a]
-			p.Expand(leaves[j], kids)
-			for c, k := range kids {
-				known[c] = known[c].Xor(k)
-			}
-		}
+		p.ExpandLevel(leaves, hole+1, width, a, known[:a])
+		p.ExpandLevel(leaves, 0, hole, a, known[:a])
 		kids := leaves[hole*a : (hole+1)*a]
 		for c := range kids {
 			if c == d {

@@ -1,6 +1,7 @@
 package ggm
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -291,10 +292,35 @@ func referenceLevels(p prg.PRG, seed block.Block, arities []int) [][]block.Block
 	return levels
 }
 
+// holeAlphas returns punctured indices whose hole sits, on every level
+// of at least eight parents, at each position mod 8 (the lane kernel's
+// group boundary), plus the two ends, where the hole is 0 or width−1 on
+// every level.
+func holeAlphas(arities []int) []int {
+	leaves := 1
+	for _, a := range arities {
+		leaves *= a
+	}
+	alphas := []int{0, leaves - 1}
+	width := 1
+	for _, a := range arities {
+		below := leaves / width
+		if width >= 8 {
+			for r := 0; r < 8; r++ {
+				hole := width/16*8 + r
+				alphas = append(alphas, hole*below+r*7919%below)
+			}
+		}
+		width *= a
+	}
+	return alphas
+}
+
 // TestInPlaceKernelsMatchReference: ExpandInto and ReconstructInto,
 // which build every level inside the leaf buffer, produce the same
 // leaves and level sums as the level-by-level reference expansion, for
-// binary, 4-ary and mixed-radix trees, with the hole at either end.
+// binary, 4-ary and mixed-radix trees, with the hole at either end and
+// at every position mod 8 of each level.
 func TestInPlaceKernelsMatchReference(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -302,6 +328,7 @@ func TestInPlaceKernelsMatchReference(t *testing.T) {
 		arities []int
 	}{
 		{"binary", prg.New(prg.AES, 2), LevelArities(1024, 2)},
+		{"binary-chacha", prg.New(prg.ChaCha8, 2), LevelArities(4096, 2)},
 		{"4-ary", prg.New(prg.ChaCha8, 4), LevelArities(4096, 4)},
 		{"mixed", prg.New(prg.ChaCha8, 4), LevelArities(8192, 4)},
 	} {
@@ -330,7 +357,7 @@ func TestInPlaceKernelsMatchReference(t *testing.T) {
 					t.Fatalf("ExpandInto level %d sums differ", i+1)
 				}
 			}
-			for _, alpha := range []int{0, len(leaves) - 1} {
+			for _, alpha := range holeAlphas(c.arities) {
 				got := make([]block.Block, len(leaves))
 				for i := range got {
 					got[i] = block.New(0xdead, uint64(i)) // stale contents
@@ -372,29 +399,63 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-func BenchmarkExpand4096(b *testing.B) {
+// benchTree holds one preallocated tree of the given shape, so the GGM
+// benchmarks time the in-place kernels alone.
+type benchTree struct {
+	p       prg.PRG
+	arities []int
+	leaves  []block.Block
+	sums    [][]block.Block
+}
+
+func newBenchTree(p prg.PRG, leaves int) *benchTree {
+	arities := LevelArities(leaves, p.Arity())
+	bt := &benchTree{p: p, arities: arities, leaves: make([]block.Block, leaves), sums: make([][]block.Block, len(arities))}
+	for i, a := range arities {
+		bt.sums[i] = make([]block.Block, a)
+	}
+	return bt
+}
+
+func reportPerLeaf(b *testing.B, leaves int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*leaves), "ns/leaf")
+}
+
+func BenchmarkExpand(b *testing.B) {
 	for _, c := range []struct {
-		name string
-		p    prg.PRG
-	}{{"AESx2", prg.New(prg.AES, 2)}, {"ChaCha8x4", prg.New(prg.ChaCha8, 4)}} {
-		p := c.p
-		b.Run(c.name, func(b *testing.B) {
-			arities := LevelArities(4096, p.Arity())
-			b.SetBytes(4096 * 16)
-			for i := 0; i < b.N; i++ {
-				Expand(p, block.New(1, uint64(i)), arities)
+		name   string
+		p      prg.PRG
+		leaves int
+	}{
+		{"AESx2", prg.New(prg.AES, 2), 4096},
+		{"ChaCha8x4", prg.New(prg.ChaCha8, 4), 4096},
+		{"ChaCha8x4", prg.New(prg.ChaCha8, 4), 8192},
+	} {
+		b.Run(fmt.Sprintf("%s/%d", c.name, c.leaves), func(b *testing.B) {
+			bt := newBenchTree(c.p, c.leaves)
+			b.SetBytes(int64(c.leaves * block.Size))
+			i := uint64(0)
+			for b.Loop() {
+				i++
+				ExpandInto(bt.p, block.New(1, i), bt.arities, bt.leaves, bt.sums)
 			}
+			reportPerLeaf(b, c.leaves)
 		})
 	}
 }
 
-func BenchmarkReconstruct4096(b *testing.B) {
-	p := prg.New(prg.ChaCha8, 4)
-	arities := LevelArities(4096, 4)
-	tr := Expand(p, block.New(1, 2), arities)
-	sums := tr.AllLevelSums()
-	b.SetBytes(4096 * 16)
-	for i := 0; i < b.N; i++ {
-		Reconstruct(p, arities, i%4096, sums)
+func BenchmarkReconstruct(b *testing.B) {
+	for _, leaves := range []int{4096, 8192} {
+		b.Run(fmt.Sprintf("ChaCha8x4/%d", leaves), func(b *testing.B) {
+			bt := newBenchTree(prg.New(prg.ChaCha8, 4), leaves)
+			ExpandInto(bt.p, block.New(1, 2), bt.arities, bt.leaves, bt.sums)
+			b.SetBytes(int64(leaves * block.Size))
+			alpha := 0
+			for b.Loop() {
+				alpha = (alpha + 7919) % leaves
+				ReconstructInto(bt.p, bt.arities, alpha, bt.sums, bt.leaves)
+			}
+			reportPerLeaf(b, leaves)
+		})
 	}
 }

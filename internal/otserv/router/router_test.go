@@ -3,6 +3,7 @@ package router
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -82,10 +83,78 @@ func dialRouter(t *testing.T, addr string) *otserv.Client {
 	return c
 }
 
-// TestPlacementBalanceAcrossShards opens sessions through the router
-// and requires every shard to hold within 2x of an even share. The
-// concurrent case is the fleet's load shape: sessions open at once over
-// a bounded set of shared client conns and alternate sender and
+// arcShares returns the fraction of the hash circle each address owns.
+// A key goes to the first virtual node at or after its hash, wrapping,
+// so each node owns the arc from its predecessor's hash (exclusive) to
+// its own; uint64 subtraction wraps the first node's arc past zero.
+func arcShares(rg ring) map[string]float64 {
+	shares := make(map[string]float64)
+	n := len(rg.entries)
+	for i, e := range rg.entries {
+		shares[e.addr] += float64(e.hash-rg.entries[(i+n-1)%n].hash) / 0x1p64
+	}
+	return shares
+}
+
+// checkArcShares fails unless every address owns within 2x of an even
+// share of the circle: the fleet's balance bar, held by the ring itself
+// rather than by a sample of random tokens.
+func checkArcShares(t *testing.T, addrs []string) map[string]float64 {
+	t.Helper()
+	shares := arcShares(buildRing(addrs))
+	even := 1 / float64(len(addrs))
+	for _, addr := range addrs {
+		if got := shares[addr]; got > 2*even || got < even/2 {
+			t.Errorf("%d shards: %s owns %.4f of the ring (beyond 2x of even %.4f)", len(addrs), addr, got, even)
+		}
+	}
+	return shares
+}
+
+// TestRingArcSharesWithin2xOfEven checks the ring's placement itself:
+// for fleets of 2 to 8 shards, on loopback ports and on host names,
+// every shard's arc share is within 2x of even.
+func TestRingArcSharesWithin2xOfEven(t *testing.T) {
+	for k := 2; k <= 8; k++ {
+		var local, named []string
+		for i := 0; i < k; i++ {
+			local = append(local, fmt.Sprintf("127.0.0.1:%d", 17121+i))
+			named = append(named, fmt.Sprintf("shard-%d.fleet:7117", i))
+		}
+		checkArcShares(t, local)
+		checkArcShares(t, named)
+	}
+}
+
+// binomialBand returns the count range [lo, hi] that a Binomial(n, p)
+// count leaves with probability at most eps: P(X < lo) <= eps/2 and
+// P(X > hi) <= eps/2.
+func binomialBand(n int, p, eps float64) (lo, hi int) {
+	lgN, _ := math.Lgamma(float64(n + 1))
+	pmf := func(k int) float64 {
+		lgK, _ := math.Lgamma(float64(k + 1))
+		lgNK, _ := math.Lgamma(float64(n - k + 1))
+		return math.Exp(lgN - lgK - lgNK + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p))
+	}
+	for tail := 0.0; lo < n && tail+pmf(lo) <= eps/2; lo++ {
+		tail += pmf(lo)
+	}
+	hi = n
+	for tail := 0.0; hi > 0 && tail+pmf(hi) <= eps/2; hi-- {
+		tail += pmf(hi)
+	}
+	return lo, hi
+}
+
+// TestPlacementBalanceAcrossShards opens sessions through the router.
+// Placement is checked without a sampling tail: the ring over the
+// shards' addresses gives each shard within 2x of an even arc share,
+// and every session lands on the ring owner of its token. Tokens are
+// random, so a shard's session count is Binomial(sessions, its arc
+// share); the count check's band leaves each shard with probability
+// <= 1e-6/3, so a correct router fails it in at most 1e-6 of runs.
+// The concurrent case is the fleet's load shape: sessions open at once
+// over a bounded set of shared client conns and alternate sender and
 // receiver draws, with no failed open, no untyped error and no hang.
 func TestPlacementBalanceAcrossShards(t *testing.T) {
 	for _, tc := range []struct {
@@ -107,6 +176,7 @@ func TestPlacementBalanceAcrossShards(t *testing.T) {
 			var (
 				mu       sync.Mutex
 				perShard = map[uint64]int{}
+				tokens   = map[string]uint64{} // session token -> shard id
 				sheds    int
 				errs     []error
 			)
@@ -133,6 +203,7 @@ func TestPlacementBalanceAcrossShards(t *testing.T) {
 					errs = append(errs, fmt.Errorf("session %d: open: %w", i, err))
 				} else {
 					perShard[wire.ShardOf(sess.ID())]++
+					tokens[sess.Token()] = wire.ShardOf(sess.ID())
 				}
 				mu.Unlock()
 				if err != nil {
@@ -187,12 +258,22 @@ func TestPlacementBalanceAcrossShards(t *testing.T) {
 			if len(perShard) != 3 {
 				t.Fatalf("placements landed on %d shards, want 3: %v", len(perShard), perShard)
 			}
-			// Acceptance bar: per-shard balance within 2x of even.
-			even := tc.sessions / 3
-			for id, got := range perShard {
-				if got > 2*even || got < even/2 {
-					t.Fatalf("shard %d holds %d of %d sessions (balance beyond 2x of even %d): %v",
-						id, got, tc.sessions, even, perShard)
+			addrs := make([]string, len(shards))
+			for i, sh := range shards {
+				addrs[i] = sh.addr
+			}
+			shares := checkArcShares(t, addrs)
+			rg := buildRing(addrs)
+			for token, id := range tokens {
+				if owner := rg.sequence(token)[0]; owner != shards[id-1].addr {
+					t.Fatalf("token %s landed on shard %d (%s), ring owner is %s", token, id, shards[id-1].addr, owner)
+				}
+			}
+			for i, sh := range shards {
+				lo, hi := binomialBand(tc.sessions, shares[sh.addr], 1e-6/3)
+				if got := perShard[uint64(i+1)]; got < lo || got > hi {
+					t.Fatalf("shard %d holds %d of %d sessions, outside [%d, %d] for arc share %.4f: %v",
+						i+1, got, tc.sessions, lo, hi, shares[sh.addr], perShard)
 				}
 			}
 		})

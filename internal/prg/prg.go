@@ -10,6 +10,17 @@
 // reports how many primitive operations (AES calls or ChaCha core calls)
 // the expansion costs, so software, the op-count analysis of Fig 7(a)
 // and the hardware pipeline model all agree on one number.
+//
+// Expand is the scalar reference, one parent at a time. ExpandLevel
+// expands a range of a GGM level. On amd64 CPUs with AVX2 it runs
+// ChaCha8 levels of arity 2 or 4 through an eight-lane kernel
+// (lanes_amd64.s). Each YMM register holds one state word of eight
+// parents, so one core pass yields the children of eight parents. On a
+// CPU, the SIMD lanes do what one 512-bit ChaCha8 core pass does in
+// the paper's hardware: one pass yields many children. CPUID and XGETBV
+// pick the kernel at start-up. Building with -tags purego, or for
+// another architecture, leaves only the per-parent path. Both paths
+// produce the same bytes.
 package prg
 
 import (
@@ -120,6 +131,38 @@ func (p PRG) Expand(parent block.Block, children []block.Block) {
 		chachaBlock(&out, &in, 8)
 		for i := 0; i < 4 && call*4+i < len(children); i++ {
 			children[call*4+i] = block.FromBytes(out[i*16:])
+		}
+	}
+}
+
+// ExpandLevel expands the parents nodes[hi-1], …, nodes[lo], in that
+// order, parent j into nodes[j*a:(j+1)*a] as Expand would, and XORs
+// each child at position c into sums[c]; 1 <= a <= Arity(). Descending
+// order lets a GGM level expand in place: from lo = 0 the children only
+// overwrite parents already expanded.
+//
+// ChaCha8 levels of arity 2 or 4 run eight parents per core pass when
+// the lane kernel is available (amd64 with AVX2, not built with -tags
+// purego); every other level, and the under-eight remainder of a range,
+// runs Expand per parent. The output is the same either way.
+func (p PRG) ExpandLevel(nodes []block.Block, lo, hi, a int, sums []block.Block) {
+	if a < 1 || a > p.arity || len(sums) < a {
+		panic("prg: level arity out of range")
+	}
+	if lo < 0 || hi < lo || hi*a > len(nodes) {
+		panic("prg: level range out of bounds")
+	}
+	j := hi
+	if expand8 != nil && p.kind == ChaCha8 && (a == 2 || a == 4) {
+		for ; j-8 >= lo; j -= 8 {
+			expand8(&nodes[(j-8)*a], &nodes[j-8], &sums[0], a)
+		}
+	}
+	for j--; j >= lo; j-- {
+		kids := nodes[j*a : (j+1)*a]
+		p.Expand(nodes[j], kids)
+		for c, k := range kids {
+			sums[c] = sums[c].Xor(k)
 		}
 	}
 }

@@ -210,6 +210,57 @@ func TestChaChaBlockRFC8439(t *testing.T) {
 	}
 }
 
+// TestExpandLevelMatchesExpand holds ExpandLevel to a per-parent Expand
+// loop, leaves and sums, on the lane kernel and on the per-parent path:
+// every range length 0..40 (so the tail covers every remainder mod 8),
+// at lo = 0, where the children overwrite their own parents, and at
+// lo > 0.
+func TestExpandLevelMatchesExpand(t *testing.T) {
+	kernel := expand8
+	t.Cleanup(func() { expand8 = kernel })
+	paths := []string{"per-parent"}
+	if kernel != nil {
+		paths = append(paths, "lanes")
+	} else {
+		t.Log("no lane kernel on this build or CPU: only the per-parent path runs")
+	}
+	for _, path := range paths {
+		expand8 = nil
+		if path == "lanes" {
+			expand8 = kernel
+		}
+		for _, p := range allPRGs() {
+			for _, a := range []int{2, 4} {
+				if a > p.Arity() {
+					continue
+				}
+				for n := 0; n <= 40; n++ {
+					for _, lo := range []int{0, 5} {
+						hi := lo + n
+						nodes := make([]block.Block, hi*a+3)
+						for i := range nodes {
+							nodes[i] = block.New(uint64(i)*0x9e3779b97f4a7c15, uint64(n)<<32|uint64(i))
+						}
+						sums := []block.Block{block.New(1, 2), block.New(3, 4), block.New(5, 6), block.New(7, 8)}
+						want, wantSums := slices.Clone(nodes), slices.Clone(sums)
+						for j := hi - 1; j >= lo; j-- {
+							kids := want[j*a : (j+1)*a]
+							p.Expand(want[j], kids)
+							for c, k := range kids {
+								wantSums[c] = wantSums[c].Xor(k)
+							}
+						}
+						p.ExpandLevel(nodes, lo, hi, a, sums)
+						if !slices.Equal(nodes, want) || !slices.Equal(sums, wantSums) {
+							t.Fatalf("%s %s a=%d lo=%d hi=%d: ExpandLevel differs from per-parent Expand", path, name(p), a, lo, hi)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // name identifies a construction in messages and benchmark names, e.g.
 // "ChaCha8x4".
 func name(p PRG) string { return fmt.Sprintf("%vx%d", p.kind, p.arity) }
@@ -220,6 +271,25 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(9).String() != "Kind(9)" {
 		t.Fatal("unknown Kind.String broken")
+	}
+}
+
+// BenchmarkExpandLevel times one 4-ary and one binary ChaCha8 level of
+// 1024 parents, the shape of a GGM tree's widest levels.
+func BenchmarkExpandLevel(b *testing.B) {
+	for _, a := range []int{2, 4} {
+		b.Run(fmt.Sprintf("ChaCha8a%d", a), func(b *testing.B) {
+			p := New(ChaCha8, 4)
+			const parents = 1024
+			nodes := make([]block.Block, parents*a)
+			sums := make([]block.Block, a)
+			b.SetBytes(int64(16 * parents * a))
+			for b.Loop() {
+				nodes[0] = block.New(1, 2)
+				p.ExpandLevel(nodes, 0, parents, a, sums)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*parents), "ns/parent")
+		})
 	}
 }
 

@@ -3,8 +3,8 @@
 # command binary), live-process smokes of the dispenser and the fleet, a
 # run of every example, a repeat-run flake guard on pool close, on
 # the shared MPCOT exchange and on the seeded-stream goldens and
-# unseeded freshness (under -race), the full test suite under the
-# race detector, bounded fuzzing of the two
+# unseeded freshness (under -race), the GGM kernels' purego fallback,
+# the full test suite under the race detector, bounded fuzzing of the two
 # untrusted-byte parsers, and one pass over the paper-figure registry. Measured performance is not gated here: that
 # is `go run ./benchmark`. Run from the repo root:
 #
@@ -161,6 +161,11 @@ go test -count=25 -run 'CodeShared' ./internal/ferret
 # the freshness test its unseeded keys.
 go test -race -count=5 -run 'WorkersMatchSequential|ParallelDeterminismSmall|TranscriptGolden|ExtendGolden|GoldenTranscripts|LocalRandomnessFresh' . ./internal/mpcot ./internal/ferret ./internal/softspoken
 
+echo "== purego fallback (the per-parent GGM path against the same goldens) =="
+# Without -tags purego the ChaCha8 GGM levels run the AVX2 lane kernel
+# on amd64; this holds the per-parent path to the same outputs.
+go test -tags purego ./internal/prg ./internal/ggm ./internal/spcot ./internal/mpcot ./internal/ferret
+
 echo "== go test -race (includes the gmw + arith engines and the TCP pipeline) =="
 go test -race ./...
 
@@ -171,9 +176,9 @@ echo "== fuzz the untrusted-byte parsers (10 s each) =="
 go test -run '^$' -fuzz '^FuzzParseHello$' -fuzztime 10s ./internal/otserv/wire
 go test -run '^$' -fuzz '^FuzzDispatch$' -fuzztime 10s ./internal/otserv
 
-echo "== kernel benchmarks: column pipeline, GGM expander, chosen OT, AES-128 circuit build (one iteration each, so they cannot rot) =="
+echo "== kernel benchmarks: column pipeline, PRG level and GGM expand/reconstruct, chosen OT, AES-128 circuit build (one iteration each, so they cannot rot) =="
 go test -run '^$' -bench 'TransposeBits|StreamFill' -benchtime 1x ./internal/block ./internal/aesprg
-go test -run '^$' -bench 'Expand' -benchtime 1x ./internal/prg ./internal/ggm
+go test -run '^$' -bench 'Expand|Reconstruct' -benchtime 1x ./internal/prg ./internal/ggm
 go test -run '^$' -bench 'Chosen' -benchtime 1x ./internal/cot
 go test -run '^$' -bench 'Build' -benchtime 1x ./internal/circuit
 
