@@ -130,15 +130,15 @@ func extendSender(s *ferret.Sender) *cot.SenderPool {
 	if err != nil {
 		log.Fatal(err)
 	}
-	return cot.NewSenderPool(s.Delta, z)
+	return cot.NewSenderPool(s.Delta(), z)
 }
 
 func extendReceiver(r *ferret.Receiver) *cot.ReceiverPool {
-	out, err := r.Extend()
+	bits, y, err := r.Extend()
 	if err != nil {
 		log.Fatal(err)
 	}
-	pool, err := cot.NewReceiverPool(out.Bits, out.Blocks)
+	pool, err := cot.NewReceiverPool(bits, y)
 	if err != nil {
 		log.Fatal(err)
 	}

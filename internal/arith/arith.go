@@ -18,7 +18,8 @@
 // Like the GMW engine, the protocol is positional: both parties must
 // issue calls in matching order with matching shapes, and every
 // batched operation is a constant number of message flights regardless
-// of element count.
+// of element count. Two-way exchanges (opens, Gilboa cross products)
+// are role-ordered by the embedded Bool party's gmw.Party.Ordered.
 package arith
 
 import (
@@ -150,24 +151,12 @@ func (p *Party) openWords(mine []uint64) ([]uint64, error) {
 	p.mOpens.Inc()
 	p.mOpenWords.Add(uint64(len(mine)))
 	var peer []uint64
-	if p.first {
-		if err := transport.SendWords(p.conn, mine); err != nil {
-			return nil, err
-		}
-		got, err := transport.RecvWords(p.conn, len(mine))
-		if err != nil {
-			return nil, err
-		}
-		peer = got
-	} else {
-		got, err := transport.RecvWords(p.conn, len(mine))
-		if err != nil {
-			return nil, err
-		}
-		if err := transport.SendWords(p.conn, mine); err != nil {
-			return nil, err
-		}
-		peer = got
+	err := p.Bool.Ordered(func() error { return transport.SendWords(p.conn, mine) }, func() (err error) {
+		peer, err = transport.RecvWords(p.conn, len(mine))
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	out := make([]uint64, len(mine))
 	for i := range out {

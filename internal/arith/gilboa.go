@@ -107,17 +107,7 @@ func (p *Party) crossProducts(a, b []uint64) ([]uint64, error) {
 		recvShare = r
 		return err
 	}
-	var err error
-	if p.first {
-		if err = send(); err == nil {
-			err = recv()
-		}
-	} else {
-		if err = recv(); err == nil {
-			err = send()
-		}
-	}
-	if err != nil {
+	if err := p.Bool.Ordered(send, recv); err != nil {
 		return nil, err
 	}
 	out := make([]uint64, len(a))

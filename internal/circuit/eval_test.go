@@ -480,16 +480,16 @@ func TestPreflightBudget(t *testing.T) {
 // TestCircuitCostExact cross-checks the circuit wire model against the
 // measured gmw.Party counters and the transport byte delta: one
 // exchange per AND level, each one n-instance 1-bit chosen-OT exchange
-// per OT direction at cot.ChosenBytes(n, 1) bytes, must match to the
-// byte. K=5 leaves most level batches at a non-multiple of 8 bits,
-// exercising the per-level ceiling.
+// per OT direction at ⌈n/8⌉ correction plus ⌈2n/8⌉ ciphertext bytes,
+// must match to the byte. K=5 leaves most level batches at a
+// non-multiple of 8 bits, exercising the per-level ceiling.
 func TestCircuitCostExact(t *testing.T) {
 	c, prog := buildAdder32(t)
 	const k = 5
 	var wantWire int64
 	for _, lv := range prog.Levels {
-		if n := len(lv.AndA); n > 0 {
-			wantWire += 2 * int64(cot.ChosenBytes(n*k, 1))
+		if n := len(lv.AndA) * k; n > 0 {
+			wantWire += 2 * int64((n+7)/8+(2*n+7)/8)
 		}
 	}
 

@@ -120,11 +120,6 @@ func (p *ReceiverPool) take(n int) (int, []bool, []block.Block, error) {
 // arguments, so SendBytes' chunked framing reassembles frames past
 // transport.MaxMessage.
 
-// ChosenBytes is the wire traffic of one exchange of n chosen OTs with
-// w-bit messages: the receiver's correction frame plus the sender's
-// ciphertext frame. Cost models price chosen OT through it.
-func ChosenBytes(n, w int) int { return packedBytes(n) + packedBytes(2*n*w) }
-
 // packedBytes is the size of an LSB-first frame of the given bit count.
 func packedBytes(bits int) int { return (bits + 7) / 8 }
 

@@ -9,11 +9,15 @@
 // backends" section has the selection guidance.
 //
 // A Backend is stateless and looked up by name; endpoints produced by
-// it carry all per-instance state. Every backend must uphold the two
-// repo-wide guarantees its consumers rely on: a byte-identical wire
-// transcript at any Options.Workers count, and an exact Cost model —
-// the extend bench asserts measured transcripts against
-// Cost().ExtendBytes byte-for-byte.
+// it carry all per-instance state. Both backends' endpoints
+// (*ferret.Sender/Receiver, *softspoken.Sender/Receiver) implement
+// Sender and Receiver themselves, so a backend only maps Options onto
+// its package's constructors; this package wraps no endpoint.
+//
+// Every backend must uphold the two repo-wide guarantees its consumers
+// rely on: a byte-identical wire transcript at any Options.Workers
+// count, and an exact Cost model — the extend bench asserts measured
+// transcripts against Cost().ExtendBytes byte-for-byte.
 package extension
 
 import (
@@ -100,6 +104,30 @@ type Backend interface {
 	// secure; tests, benchmarks, and the dispenser's in-process
 	// generator use it).
 	DealPair(connS, connR transport.Conn, delta block.Block, p Params, o Options) (Sender, Receiver, error)
+}
+
+// sender, receiver and pair return a backend package's concrete
+// endpoints as the contract's interfaces. On error they return nil
+// interfaces, not interfaces holding a nil pointer.
+func sender[S Sender](s S, err error) (Sender, error) {
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+func receiver[R Receiver](r R, err error) (Receiver, error) {
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+func pair[S Sender, R Receiver](s S, r R, err error) (Sender, Receiver, error) {
+	if err != nil {
+		return nil, nil, err
+	}
+	return s, r, nil
 }
 
 // Default is the backend used when no selection is made anywhere: the

@@ -44,25 +44,13 @@ func (b softSpokenBackend) Cost(p Params, _ Options) Cost {
 }
 
 func (b softSpokenBackend) NewSender(conn transport.Conn, delta block.Block, p Params, o Options) (Sender, error) {
-	s, err := softspoken.NewSender(conn, delta, b.Batch(p), b.options(o))
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
+	return sender(softspoken.NewSender(conn, delta, b.Batch(p), b.options(o)))
 }
 
 func (b softSpokenBackend) NewReceiver(conn transport.Conn, p Params, o Options) (Receiver, error) {
-	r, err := softspoken.NewReceiver(conn, b.Batch(p), b.options(o))
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
+	return receiver(softspoken.NewReceiver(conn, b.Batch(p), b.options(o)))
 }
 
 func (b softSpokenBackend) DealPair(connS, connR transport.Conn, delta block.Block, p Params, o Options) (Sender, Receiver, error) {
-	s, r, err := softspoken.DealPair(connS, connR, delta, b.Batch(p), b.options(o))
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, r, nil
+	return pair(softspoken.DealPair(connS, connR, delta, b.Batch(p), b.options(o)))
 }

@@ -14,6 +14,12 @@
 //  4. reserves the last Reserve() outputs to feed the next iteration
 //     and hands the caller the remaining Usable() correlations.
 //
+// *Sender and *Receiver satisfy internal/extension's Sender/Receiver
+// contract as they are. NewSender/NewReceiver (base OTs + IKNP) and
+// DealPools (a trusted dealer) differ only in how they fill the first
+// reserve: each builds its endpoints through one constructor per role.
+// Check is the one correlation verifier.
+//
 // Security model: semi-honest, 128-bit computational security; the
 // malicious-consistency check of the original paper is out of scope
 // (DESIGN.md).
@@ -123,8 +129,7 @@ func sharedCode(params Params) *lpn.Code {
 // option: it is public and fixed per parameter shape, so every
 // endpoint resolves it through the process-wide sharedCode memo.
 type Options struct {
-	// PRG is the GGM expansion PRG; the zero value selects the Ironman
-	// design point, the 4-ary ChaCha8 construction.
+	// PRG is the GGM expansion PRG; the zero value selects DefaultPRG.
 	PRG prg.PRG
 	// Workers caps the goroutines Extend's local phases use (the
 	// rank-parallel LPN encode, the concurrent GGM tree
@@ -152,9 +157,13 @@ type Options struct {
 	Trace *obs.Tracer
 }
 
+// DefaultPRG is the GGM expansion PRG of the Ironman design point, the
+// 4-ary ChaCha8 construction, used when Options.PRG is zero.
+var DefaultPRG = prg.New(prg.ChaCha8, 4)
+
 func (o *Options) fill() {
 	if o.PRG == (prg.PRG{}) {
-		o.PRG = prg.New(prg.ChaCha8, 4)
+		o.PRG = DefaultPRG
 	}
 }
 
@@ -178,7 +187,7 @@ type Sender struct {
 	workers int
 	rng     *aesprg.Stream // GGM tree seeds
 	trace   *obs.Tracer
-	Delta   block.Block
+	delta   block.Block
 	// Iterations counts completed Extend calls.
 	Iterations int
 }
@@ -197,14 +206,45 @@ type Receiver struct {
 	Iterations int
 }
 
+// newSender builds a sender whose first reserve the caller supplies;
+// params must have passed Validate.
+func newSender(conn transport.Conn, delta block.Block, params Params, opts Options) *Sender {
+	opts.fill()
+	return &Sender{
+		conn:    conn,
+		params:  params,
+		prg:     opts.PRG,
+		hash:    aesprg.NewHash(),
+		code:    sharedCode(params),
+		workers: opts.Workers,
+		rng:     aesprg.NewLocal(opts.Seed, seedDomainSender),
+		trace:   opts.traceFor(SenderTID, "ferret.sender"),
+		delta:   delta,
+	}
+}
+
+// newReceiver is newSender's receiver twin.
+func newReceiver(conn transport.Conn, params Params, opts Options) *Receiver {
+	opts.fill()
+	return &Receiver{
+		conn:    conn,
+		params:  params,
+		prg:     opts.PRG,
+		hash:    aesprg.NewHash(),
+		code:    sharedCode(params),
+		workers: opts.Workers,
+		rng:     aesprg.NewLocal(opts.Seed, seedDomainReceiver),
+		trace:   opts.traceFor(ReceiverTID, "ferret.receiver"),
+	}
+}
+
 // NewSender initializes the sender: base OTs + one IKNP extension for
 // the first reserve of correlations.
 func NewSender(conn transport.Conn, delta block.Block, params Params, opts Options) (*Sender, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	opts.fill()
-	code := sharedCode(params)
+	s := newSender(conn, delta, params, opts)
 	ik, err := iknp.NewSender(conn, delta)
 	if err != nil {
 		return nil, fmt.Errorf("ferret init: %w", err)
@@ -213,18 +253,8 @@ func NewSender(conn transport.Conn, delta block.Block, params Params, opts Optio
 	if err != nil {
 		return nil, fmt.Errorf("ferret init extend: %w", err)
 	}
-	return &Sender{
-		conn:    conn,
-		params:  params,
-		prg:     opts.PRG,
-		hash:    aesprg.NewHash(),
-		code:    code,
-		pool:    cot.NewSenderPool(delta, r0),
-		workers: opts.Workers,
-		rng:     aesprg.NewLocal(opts.Seed, seedDomainSender),
-		trace:   opts.traceFor(SenderTID, "ferret.sender"),
-		Delta:   delta,
-	}, nil
+	s.pool = cot.NewSenderPool(delta, r0)
+	return s, nil
 }
 
 // NewReceiver initializes the receiver half.
@@ -232,35 +262,25 @@ func NewReceiver(conn transport.Conn, params Params, opts Options) (*Receiver, e
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	opts.fill()
-	code := sharedCode(params)
+	r := newReceiver(conn, params, opts)
 	ik, err := iknp.NewReceiver(conn)
 	if err != nil {
 		return nil, fmt.Errorf("ferret init: %w", err)
 	}
-	rng := aesprg.NewLocal(opts.Seed, seedDomainReceiver)
 	choices := make([]bool, params.Reserve())
-	rng.Bits(choices)
+	r.rng.Bits(choices)
 	rb, err := ik.Extend(choices)
 	if err != nil {
 		return nil, fmt.Errorf("ferret init extend: %w", err)
 	}
-	pool, err := cot.NewReceiverPool(choices, rb)
-	if err != nil {
+	if r.pool, err = cot.NewReceiverPool(choices, rb); err != nil {
 		return nil, err
 	}
-	return &Receiver{
-		conn:    conn,
-		params:  params,
-		prg:     opts.PRG,
-		hash:    aesprg.NewHash(),
-		code:    code,
-		pool:    pool,
-		workers: opts.Workers,
-		rng:     rng,
-		trace:   opts.traceFor(ReceiverTID, "ferret.receiver"),
-	}, nil
+	return r, nil
 }
+
+// Delta returns the sender's global correlation.
+func (s *Sender) Delta() block.Block { return s.delta }
 
 func (s *Sender) mpcotConfig() mpcot.Config {
 	return mpcot.Config{N: s.params.N, Leaves: s.params.L, T: s.params.T,
@@ -304,7 +324,7 @@ func (s *Sender) Extend() ([]block.Block, error) {
 	// Extend has consumed the reserve (19.5 MB per endpoint at 2^20),
 	// after the caller has dropped its part.
 	usable := s.params.Usable()
-	s.pool = cot.NewSenderPool(s.Delta, slices.Clone(z[usable:]))
+	s.pool = cot.NewSenderPool(s.delta, slices.Clone(z[usable:]))
 	s.Iterations++
 	if ext.Live() {
 		ext.EndArgs(map[string]any{"iteration": s.Iterations, "n": s.params.N})
@@ -312,27 +332,21 @@ func (s *Sender) Extend() ([]block.Block, error) {
 	return z[:usable], nil
 }
 
-// ReceiverOutput is one iteration's receiver-side yield: choice bits
-// and the matching r_b blocks.
-type ReceiverOutput struct {
-	Bits   []bool
-	Blocks []block.Block
-}
-
-// Extend runs one protocol iteration on the receiver side. As on the
+// Extend runs one protocol iteration on the receiver side and returns
+// Usable() choice bits x and the matching blocks y = r_x. As on the
 // sender, local phases shard across Options.Workers goroutines without
 // touching the wire transcript.
-func (r *Receiver) Extend() (*ReceiverOutput, error) {
+func (r *Receiver) Extend() ([]bool, []block.Block, error) {
 	ext := r.trace.Span("extend", "ferret", ReceiverTID)
 	cfg := r.mpcotConfig()
 	alphas := cfg.AlphasFrom(r.rng)
 	v, err := mpcot.ReceiveWorkers(r.conn, r.pool, r.hash, r.prg, cfg, alphas, r.workers)
 	if err != nil {
-		return nil, fmt.Errorf("ferret extend (spcot): %w", err)
+		return nil, nil, fmt.Errorf("ferret extend (spcot): %w", err)
 	}
 	e, sBlocks, err := r.pool.Take(r.params.K)
 	if err != nil {
-		return nil, fmt.Errorf("ferret extend (lpn input): %w", err)
+		return nil, nil, fmt.Errorf("ferret extend (lpn input): %w", err)
 	}
 	enc := r.trace.Span("lpn.encode", "extend", ReceiverTID)
 	y := make([]block.Block, r.params.N)
@@ -353,7 +367,7 @@ func (r *Receiver) Extend() (*ReceiverOutput, error) {
 	noise := r.trace.Span("lpn.noise", "extend", ReceiverTID)
 	x := make([]bool, r.params.N)
 	if err := r.code.EncodeBitsSpans(x, e, points, r.workers, r.trace, ReceiverTID); err != nil {
-		return nil, fmt.Errorf("ferret extend (lpn noise): %w", err)
+		return nil, nil, fmt.Errorf("ferret extend (lpn noise): %w", err)
 	}
 	if noise.Live() {
 		noise.EndArgs(map[string]any{"rows": r.params.N, "points": len(points)})
@@ -363,14 +377,14 @@ func (r *Receiver) Extend() (*ReceiverOutput, error) {
 	usable := r.params.Usable()
 	pool, err := cot.NewReceiverPool(slices.Clone(x[usable:]), slices.Clone(y[usable:]))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	r.pool = pool
 	r.Iterations++
 	if ext.Live() {
 		ext.EndArgs(map[string]any{"iteration": r.Iterations, "n": r.params.N})
 	}
-	return &ReceiverOutput{Bits: x[:usable], Blocks: y[:usable]}, nil
+	return x[:usable], y[:usable], nil
 }
 
 // DealPools is the trusted-dealer shortcut: it returns an initialized
@@ -382,37 +396,25 @@ func DealPools(connS, connR transport.Conn, delta block.Block, params Params, op
 	if err := params.Validate(); err != nil {
 		return nil, nil, err
 	}
-	opts.fill()
-	sp, rp, err := cot.PoolsFromStream(aesprg.NewLocal(opts.Seed, seedDomainDealer), delta, params.Reserve())
+	s, r := newSender(connS, delta, params, opts), newReceiver(connR, params, opts)
+	var err error
+	s.pool, r.pool, err = cot.PoolsFromStream(aesprg.NewLocal(opts.Seed, seedDomainDealer), delta, params.Reserve())
 	if err != nil {
 		return nil, nil, err
-	}
-	code := sharedCode(params)
-	s := &Sender{
-		conn: connS, params: params, prg: opts.PRG, hash: aesprg.NewHash(),
-		code: code, pool: sp, Delta: delta,
-		workers: opts.Workers, rng: aesprg.NewLocal(opts.Seed, seedDomainSender),
-		trace: opts.traceFor(SenderTID, "ferret.sender"),
-	}
-	r := &Receiver{
-		conn: connR, params: params, prg: opts.PRG, hash: aesprg.NewHash(),
-		code: code, pool: rp,
-		workers: opts.Workers, rng: aesprg.NewLocal(opts.Seed, seedDomainReceiver),
-		trace: opts.traceFor(ReceiverTID, "ferret.receiver"),
 	}
 	return s, r, nil
 }
 
 // Check verifies a batch of correlations against Δ: z[i] must equal
-// y[i] ⊕ x[i]·Δ. Only tests and the examples use it (a real receiver
-// never sees Δ).
-func Check(delta block.Block, z []block.Block, out *ReceiverOutput) error {
-	if len(z) != len(out.Bits) || len(z) != len(out.Blocks) {
-		return fmt.Errorf("ferret: length mismatch %d/%d/%d", len(z), len(out.Bits), len(out.Blocks))
+// y[i] ⊕ x[i]·Δ. Only tests, diagnostics and the examples use it (a
+// real receiver never sees Δ).
+func Check(delta block.Block, z []block.Block, x []bool, y []block.Block) error {
+	if len(z) != len(x) || len(z) != len(y) {
+		return fmt.Errorf("ferret: length mismatch %d/%d/%d", len(z), len(x), len(y))
 	}
 	for i := range z {
-		want := out.Blocks[i]
-		if out.Bits[i] {
+		want := y[i]
+		if x[i] {
 			want = want.Xor(delta)
 		}
 		if z[i] != want {

@@ -18,7 +18,7 @@ func smallParams() Params { return TestParams(600, 32, 128, 8) }
 // extendLockstep runs one iteration of both endpoints of an in-process
 // pair concurrently (extension.ExtendLockstep, which this package cannot
 // import).
-func extendLockstep(s *Sender, r *Receiver) ([]block.Block, *ReceiverOutput, error) {
+func extendLockstep(s *Sender, r *Receiver) ([]block.Block, []bool, []block.Block, error) {
 	var z []block.Block
 	var serr error
 	done := make(chan struct{})
@@ -26,12 +26,12 @@ func extendLockstep(s *Sender, r *Receiver) ([]block.Block, *ReceiverOutput, err
 		z, serr = s.Extend()
 		close(done)
 	}()
-	out, rerr := r.Extend()
+	bits, y, rerr := r.Extend()
 	<-done
 	if serr != nil {
-		return nil, nil, serr
+		return nil, nil, nil, serr
 	}
-	return z, out, rerr
+	return z, bits, y, rerr
 }
 
 func runIterations(t *testing.T, params Params, opts Options, iters int) {
@@ -52,7 +52,7 @@ func runIterations(t *testing.T, params Params, opts Options, iters int) {
 			z, err := s.Extend()
 			ch <- sres{z, err}
 		}()
-		out, err := r.Extend()
+		bits, y, err := r.Extend()
 		if err != nil {
 			t.Fatalf("iter %d receiver: %v", it, err)
 		}
@@ -63,17 +63,17 @@ func runIterations(t *testing.T, params Params, opts Options, iters int) {
 		if len(sr.z) != params.Usable() {
 			t.Fatalf("iter %d: got %d outputs, want %d", it, len(sr.z), params.Usable())
 		}
-		if err := Check(delta, sr.z, out); err != nil {
+		if err := Check(delta, sr.z, bits, y); err != nil {
 			t.Fatalf("iter %d: %v", it, err)
 		}
 		// The receiver's choice bits should be roughly balanced.
 		ones := 0
-		for _, bit := range out.Bits {
+		for _, bit := range bits {
 			if bit {
 				ones++
 			}
 		}
-		frac := float64(ones) / float64(len(out.Bits))
+		frac := float64(ones) / float64(len(bits))
 		if frac < 0.3 || frac > 0.7 {
 			t.Fatalf("iter %d: choice bits badly unbalanced (%f)", it, frac)
 		}
@@ -118,16 +118,16 @@ func TestExtendGolden(t *testing.T) {
 		}
 		h := sha256.New()
 		for it := 0; it < 2; it++ {
-			z, out, err := extendLockstep(s, r)
+			z, bits, y, err := extendLockstep(s, r)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Check(delta, z, out); err != nil {
+			if err := Check(delta, z, bits, y); err != nil {
 				t.Fatal(err)
 			}
 			h.Write(block.ToBytes(z))
-			h.Write(block.ToBytes(out.Blocks))
-			for _, bit := range out.Bits {
+			h.Write(block.ToBytes(y))
+			for _, bit := range bits {
 				if bit {
 					h.Write([]byte{1})
 				} else {
@@ -185,11 +185,11 @@ func TestFullInitViaIKNP(t *testing.T) {
 		}
 		zCh <- z
 	}()
-	out, err := r.Extend()
+	bits, y, err := r.Extend()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Check(delta, <-zCh, out); err != nil {
+	if err := Check(delta, <-zCh, bits, y); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -267,15 +267,15 @@ func TestReserveAccounting(t *testing.T) {
 func TestCheckDetectsCorruption(t *testing.T) {
 	delta := block.New(1, 2)
 	z := []block.Block{block.New(3, 4)}
-	out := &ReceiverOutput{Bits: []bool{false}, Blocks: []block.Block{block.New(3, 4)}}
-	if err := Check(delta, z, out); err != nil {
+	bits, y := []bool{false}, []block.Block{block.New(3, 4)}
+	if err := Check(delta, z, bits, y); err != nil {
 		t.Fatal(err)
 	}
-	out.Bits[0] = true
-	if err := Check(delta, z, out); err == nil {
+	bits[0] = true
+	if err := Check(delta, z, bits, y); err == nil {
 		t.Fatal("corrupted bit must fail the check")
 	}
-	if err := Check(delta, z, &ReceiverOutput{Bits: []bool{false}}); err == nil {
+	if err := Check(delta, z, []bool{false}, nil); err == nil {
 		t.Fatal("length mismatch must fail")
 	}
 }
@@ -295,7 +295,7 @@ func TestCommunicationIsSublinear(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	if _, err := r.Extend(); err != nil {
+	if _, _, err := r.Extend(); err != nil {
 		t.Fatal(err)
 	}
 	total := a.Stats().TotalBytes()
@@ -322,7 +322,7 @@ func benchExtend(b *testing.B, params Params, opts Options) {
 			}
 			close(done)
 		}()
-		if _, err := r.Extend(); err != nil {
+		if _, _, err := r.Extend(); err != nil {
 			b.Fatal(err)
 		}
 		<-done

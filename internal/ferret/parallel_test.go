@@ -58,16 +58,16 @@ func runExtends(t *testing.T, params Params, workers, iters int) extendRun {
 	}
 	var run extendRun
 	for i := 0; i < iters; i++ {
-		z, out, err := extendLockstep(s, r)
+		z, bits, y, err := extendLockstep(s, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Check(delta, z, out); err != nil {
+		if err := Check(delta, z, bits, y); err != nil {
 			t.Fatalf("workers=%d iteration %d: %v", workers, i, err)
 		}
 		run.z = append(run.z, z)
-		run.bits = append(run.bits, out.Bits)
-		run.blocks = append(run.blocks, out.Blocks)
+		run.bits = append(run.bits, bits)
+		run.blocks = append(run.blocks, y)
 	}
 	run.wireS = recS.log.Bytes()
 	run.wireR = recR.log.Bytes()

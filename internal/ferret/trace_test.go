@@ -27,16 +27,16 @@ func runExtendsTraced(t *testing.T, params Params, workers, iters int, tr *obs.T
 	}
 	var run extendRun
 	for i := 0; i < iters; i++ {
-		z, out, err := extendLockstep(s, r)
+		z, bits, y, err := extendLockstep(s, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Check(delta, z, out); err != nil {
+		if err := Check(delta, z, bits, y); err != nil {
 			t.Fatalf("traced workers=%d iteration %d: %v", workers, i, err)
 		}
 		run.z = append(run.z, z)
-		run.bits = append(run.bits, out.Bits)
-		run.blocks = append(run.blocks, out.Blocks)
+		run.bits = append(run.bits, bits)
+		run.blocks = append(run.blocks, y)
 	}
 	run.wireS = recS.log.Bytes()
 	run.wireR = recR.log.Bytes()

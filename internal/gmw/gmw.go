@@ -23,9 +23,10 @@
 //
 // Both parties must issue protocol calls (AndPacked, AndPackedMany,
 // GreaterThanVec, MuxVec, ReLUVec, Reveal*) in matching order with
-// matching shapes; the engine serializes each exchange's two OT passes
-// by the negotiated first flag so the message flights interleave
-// deterministically.
+// matching shapes; Ordered serializes each exchange's two halves by
+// the negotiated first flag so the message flights interleave
+// deterministically (internal/arith orders its exchanges through the
+// same helper).
 package gmw
 
 import (
@@ -197,6 +198,21 @@ func zeroPlanes(n, width int) []PackedShare {
 	return planes
 }
 
+// Ordered runs one exchange's two halves in the order the roles fix:
+// the first party sends, then receives; its peer receives, then sends.
+// Every two-way exchange of this engine and of internal/arith (through
+// its Bool party) goes through here, so the message flights interleave
+// deterministically. It stops at the first error.
+func (p *Party) Ordered(send, recv func() error) error {
+	if !p.first {
+		send, recv = recv, send
+	}
+	if err := send(); err != nil {
+		return err
+	}
+	return recv()
+}
+
 // checkBudget fails an AND layer before any network traffic when the
 // pools cannot cover it. Both parties' pools advance in lockstep, so
 // both sides fail locally and loudly instead of deadlocking with one
@@ -304,17 +320,7 @@ func (p *Party) AndPacked(a, b PackedShare) (PackedShare, error) {
 		return nil
 	}
 
-	var err error
-	if p.first {
-		if err = send(); err == nil {
-			err = recv()
-		}
-	} else {
-		if err = recv(); err == nil {
-			err = send()
-		}
-	}
-	if err != nil {
+	if err := p.Ordered(send, recv); err != nil {
 		return PackedShare{}, err
 	}
 	if p.observing() {
@@ -358,24 +364,12 @@ func (p *Party) AndPackedMany(pairs [][2]PackedShare) ([]PackedShare, error) {
 func (p *Party) revealRaw(a PackedShare) (PackedShare, error) {
 	wire := transport.PackedToWire(a.limbs, a.n)
 	var peerMsg []byte
-	if p.first {
-		if err := p.conn.Send(wire); err != nil {
-			return PackedShare{}, err
-		}
-		m, err := p.conn.Recv()
-		if err != nil {
-			return PackedShare{}, err
-		}
-		peerMsg = m
-	} else {
-		m, err := p.conn.Recv()
-		if err != nil {
-			return PackedShare{}, err
-		}
-		if err := p.conn.Send(wire); err != nil {
-			return PackedShare{}, err
-		}
-		peerMsg = m
+	err := p.Ordered(func() error { return p.conn.Send(wire) }, func() (err error) {
+		peerMsg, err = p.conn.Recv()
+		return err
+	})
+	if err != nil {
+		return PackedShare{}, err
 	}
 	peer, err := transport.WireToPacked(peerMsg, a.n)
 	if err != nil {

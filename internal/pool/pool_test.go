@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ironman/internal/block"
+	"ironman/internal/extension"
 	"ironman/internal/ferret"
 	"ironman/internal/transport"
 )
@@ -411,22 +412,7 @@ func ferretDealtSource(tb testing.TB, params ferret.Params) (DealtRefill, block.
 		tb.Fatal(err)
 	}
 	return func() ([]block.Block, []bool, []block.Block, error) {
-		var z []block.Block
-		var serr error
-		done := make(chan struct{})
-		go func() {
-			z, serr = fs.Extend()
-			close(done)
-		}()
-		out, rerr := fr.Extend()
-		<-done
-		if serr != nil {
-			return nil, nil, nil, serr
-		}
-		if rerr != nil {
-			return nil, nil, nil, rerr
-		}
-		return z, out.Bits, out.Blocks, nil
+		return extension.ExtendLockstep(fs, fr)
 	}, delta
 }
 
@@ -456,7 +442,7 @@ func TestDealtLockstepVerifies(t *testing.T) {
 		bits = append(bits, bs...)
 		ys = append(ys, y...)
 	}
-	if err := ferret.Check(delta, zs, &ferret.ReceiverOutput{Bits: bits, Blocks: ys}); err != nil {
+	if err := ferret.Check(delta, zs, bits, ys); err != nil {
 		t.Fatal(err)
 	}
 	ss, rs := p.SenderHalf().Stats(), p.ReceiverHalf().Stats()
@@ -480,7 +466,7 @@ func TestDealtSyncMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ferret.Check(delta, z, &ferret.ReceiverOutput{Bits: bits, Blocks: y}); err != nil {
+	if err := ferret.Check(delta, z, bits, y); err != nil {
 		t.Fatal(err)
 	}
 }

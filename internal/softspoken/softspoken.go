@@ -198,9 +198,9 @@ func chunkHoles(delta block.Block, k int) []int {
 
 // newReceiverCore draws the GGM roots from the receiver's stream
 // (domain separates it under Options.Seed), expands the chunk trees and
-// seeds the leaf streams; the caller wires up the setup protocol (or,
-// for DealPair, hands the leaves to the dealt sender directly).
-func newReceiverCore(n int, opts Options, domain block.Block) (*Receiver, []*ggm.Tree, error) {
+// seeds the leaf streams; the caller runs the setup protocol (or, for
+// DealPair, hands the leaves to the dealt sender directly).
+func newReceiverCore(conn transport.Conn, n int, opts Options, domain block.Block) (*Receiver, []*ggm.Tree, error) {
 	opts.fill()
 	if err := opts.validate(n); err != nil {
 		return nil, nil, err
@@ -222,22 +222,39 @@ func newReceiverCore(n int, opts Options, domain block.Block) (*Receiver, []*ggm
 		}
 	}
 	r := &Receiver{
-		n: n, k: k, nc: nc, streams: streams, rng: rng,
+		conn: conn, n: n, k: k, nc: nc, streams: streams, rng: rng,
 		workers: opts.Workers,
 		trace:   opts.traceFor(ReceiverTID, "softspoken.receiver"),
 	}
 	return r, trees, nil
 }
 
+// newSender builds the sender of Δ with every leaf stream unset; the
+// caller seeds all but each chunk's hole (base OTs, or DealPair's
+// dealer).
+func newSender(conn transport.Conn, delta block.Block, n int, opts Options) (*Sender, error) {
+	opts.fill()
+	if err := opts.validate(n); err != nil {
+		return nil, err
+	}
+	k := opts.FieldBits
+	return &Sender{
+		conn: conn, n: n, k: k, nc: kappa / k, holes: chunkHoles(delta, k),
+		streams: make([]*aesprg.Stream, kappa/k<<uint(k)),
+		delta:   delta,
+		workers: opts.Workers,
+		trace:   opts.traceFor(SenderTID, "softspoken.sender"),
+	}, nil
+}
+
 // NewReceiver initializes the receiving endpoint over conn (the peer
 // must run NewSender concurrently): it serves the 128 base OTs and
 // sends one message of masked GGM level sums.
 func NewReceiver(conn transport.Conn, n int, opts Options) (*Receiver, error) {
-	r, trees, err := newReceiverCore(n, opts, seedDomainReceiver)
+	r, trees, err := newReceiverCore(conn, n, opts, seedDomainReceiver)
 	if err != nil {
 		return nil, err
 	}
-	r.conn = conn
 	pairs, err := baseot.Send(conn, kappa)
 	if err != nil {
 		return nil, fmt.Errorf("softspoken init: %w", err)
@@ -263,18 +280,16 @@ func NewReceiver(conn transport.Conn, n int, opts Options) (*Receiver, error) {
 // base OTs with choice digits derived from delta, unmasks one level
 // sum per tree level, and reconstructs the punctured leaf streams.
 func NewSender(conn transport.Conn, delta block.Block, n int, opts Options) (*Sender, error) {
-	opts.fill()
-	if err := opts.validate(n); err != nil {
+	s, err := newSender(conn, delta, n, opts)
+	if err != nil {
 		return nil, err
 	}
-	k := opts.FieldBits
-	nc := kappa / k
+	k := s.k
 	leaves := 1 << uint(k)
-	holes := chunkHoles(delta, k)
 	arities := ggm.LevelArities(leaves, 2)
-	digits := make([][]int, nc)
+	digits := make([][]int, s.nc)
 	choices := make([]bool, kappa)
-	for j, hole := range holes {
+	for j, hole := range s.holes {
 		digits[j] = ggm.Digits(hole, arities)
 		for l, d := range digits[j] {
 			// We must learn the level sum OPPOSITE the hole's path
@@ -294,8 +309,7 @@ func NewSender(conn transport.Conn, delta block.Block, n int, opts Options) (*Se
 		return nil, fmt.Errorf("softspoken init: masked-sum message is %d bytes, want %d", len(msg), kappa*2*block.Size)
 	}
 	p := treePRG()
-	streams := make([]*aesprg.Stream, nc*leaves)
-	for j, hole := range holes {
+	for j, hole := range s.holes {
 		sums := make([][]block.Block, k)
 		for l := 0; l < k; l++ {
 			i := j*k + l
@@ -305,17 +319,12 @@ func NewSender(conn transport.Conn, delta block.Block, n int, opts Options) (*Se
 		}
 		rec := ggm.Reconstruct(p, arities, hole, sums)
 		for a, leaf := range rec.Leaves {
-			if a == hole {
-				continue
+			if a != hole {
+				s.streams[j*leaves+a] = aesprg.NewStream(leaf)
 			}
-			streams[j*leaves+a] = aesprg.NewStream(leaf)
 		}
 	}
-	return &Sender{
-		conn: conn, n: n, k: k, nc: nc, holes: holes, streams: streams,
-		delta: delta, workers: opts.Workers,
-		trace: opts.traceFor(SenderTID, "softspoken.sender"),
-	}, nil
+	return s, nil
 }
 
 // DealPair is the trusted-dealer shortcut: both endpoints of one
@@ -326,30 +335,23 @@ func NewSender(conn transport.Conn, delta block.Block, n int, opts Options) (*Se
 func DealPair(connS, connR transport.Conn, delta block.Block, n int, opts Options) (*Sender, *Receiver, error) {
 	// Domain-shift so a DealPair and a network pair from the same
 	// caller seed cannot alias each other's streams.
-	r, trees, err := newReceiverCore(n, opts, seedDomainReceiver.Xor(seedDomainDealer))
+	r, trees, err := newReceiverCore(connR, n, opts, seedDomainReceiver.Xor(seedDomainDealer))
 	if err != nil {
 		return nil, nil, err
 	}
-	r.conn = connR
-	opts.fill()
-	k := opts.FieldBits
-	leaves := 1 << uint(k)
-	holes := chunkHoles(delta, k)
-	streams := make([]*aesprg.Stream, len(r.streams))
+	s, err := newSender(connS, delta, n, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	leaves := 1 << uint(s.k)
 	for j, tree := range trees {
 		for a, leaf := range tree.Leaves() {
-			if a == holes[j] {
-				continue
-			}
 			// Fresh stream objects: the two endpoints advance their
 			// copies independently.
-			streams[j*leaves+a] = aesprg.NewStream(leaf)
+			if a != s.holes[j] {
+				s.streams[j*leaves+a] = aesprg.NewStream(leaf)
+			}
 		}
-	}
-	s := &Sender{
-		conn: connS, n: n, k: k, nc: r.nc, holes: holes, streams: streams,
-		delta: delta, workers: opts.Workers,
-		trace: opts.traceFor(SenderTID, "softspoken.sender"),
 	}
 	return s, r, nil
 }

@@ -82,6 +82,11 @@ func newShape(p prg.PRG, leaves int) (shape, error) {
 	if leaves < 2 || bits.OnesCount(uint(leaves)) != 1 {
 		return shape{}, fmt.Errorf("spcot: %d leaves, want a power of two >= 2", leaves)
 	}
+	return layout(p, leaves), nil
+}
+
+// layout is newShape without the leaf-count check.
+func layout(p prg.PRG, leaves int) shape {
 	sh := shape{p: p, leaves: leaves, arities: ggm.LevelArities(leaves, p.Arity()),
 		budget: COTBudget(leaves), section: 1}
 	sh.gadgets = make([][]int, len(sh.arities))
@@ -92,7 +97,15 @@ func newShape(p prg.PRG, leaves int) (shape, error) {
 			sh.section += a
 		}
 	}
-	return sh, nil
+	return sh
+}
+
+// ExchangeBytes is the wire size of one exchange over trees trees of
+// `leaves` leaves (a power of two) under p: the receiver's correction
+// frame, one bit per COT, plus the sender's reply of trees sections.
+func ExchangeBytes(p prg.PRG, leaves, trees int) int64 {
+	sh := layout(p, leaves)
+	return int64((trees*sh.budget+7)/8) + int64(trees*sh.section*block.Size)
 }
 
 // Scratch is one worker's reusable buffers: the per-level position

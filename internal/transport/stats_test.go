@@ -13,7 +13,7 @@ import (
 // time. Every snapshot must be internally consistent — never torn
 // between the byte and message counters:
 //
-//   - all non-terminator frames are exactly chunkBlocks blocks (the
+//   - all non-terminator frames are exactly chunkBytes bytes (the
 //     batch size is a chunk multiple), so BytesSent is always a whole
 //     number of frames;
 //   - a message carries at most one frame, so frames <= MsgsSent;
@@ -23,10 +23,10 @@ import (
 // Run under -race this also proves Stats() takes the counter lock: an
 // unlocked read would trip the detector against noteSend.
 func TestStatsSnapshotConsistency(t *testing.T) {
-	saved := chunkBlocks
-	chunkBlocks = 8
-	defer func() { chunkBlocks = saved }()
-	frameBytes := int64(chunkBlocks * block.Size)
+	saved := chunkBytes
+	chunkBytes = 8 * block.Size
+	defer func() { chunkBytes = saved }()
+	frameBytes := int64(chunkBytes)
 
 	a, b := Pipe()
 	defer a.Close()
@@ -81,7 +81,7 @@ func TestStatsSnapshotConsistency(t *testing.T) {
 		}
 	}()
 
-	batch := make([]block.Block, frames*chunkBlocks)
+	batch := make([]block.Block, frames*chunkBytes/block.Size)
 	var sendWG sync.WaitGroup
 	for g := 0; g < senders; g++ {
 		sendWG.Add(1)

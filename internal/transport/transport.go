@@ -189,134 +189,81 @@ func (t *tcpConn) Recv() ([]byte, error) {
 func (t *tcpConn) Stats() Stats { return t.snapshot() }
 func (t *tcpConn) Close() error { return t.nc.Close() }
 
-// chunkBlocks is the largest block batch one framed message carries.
-// Batches beyond it are chunked transparently by SendBlocks/RecvBlocks:
-// before this existed, any mid-protocol block message past MaxMessage
+// chunkBytes is the largest payload one framed message carries. Larger
+// logical messages are chunked transparently by SendBytes/RecvBytes:
+// before this existed, any mid-protocol message past MaxMessage
 // (reachable by a 2^22-instance chosen-OT reply or block open) made
 // Send fail AFTER the peer had already committed to its receive,
 // leaving the two parties desynced. A var, not a const, so tests can
 // exercise the chunking without 64 MiB allocations.
-var chunkBlocks = MaxMessage / block.Size
-
-// sendChunked splits [0, n) into the deterministic chunk schedule the
-// matching recvChunked expects: n < chunk ships one frame; otherwise
-// floor(n/chunk) full frames followed by a strictly shorter terminator
-// frame of n%chunk elements (possibly empty). The terminator encodes
-// where the batch ends, so ANY disagreement about n between the peers
-// fails loudly at the first differing frame — the multi-frame
-// equivalent of the single-frame exact-length check (without it, a
-// mismatch that is an exact multiple of the chunk size would succeed
-// on the receiver and desync the stream). The boundary logic lives
-// only here and in recvChunked so the typed helpers can never drift.
-func sendChunked(n, chunk int, send func(lo, hi int) error) error {
-	if n < chunk {
-		return send(0, n)
-	}
-	lo := 0
-	for n-lo >= chunk {
-		if err := send(lo, lo+chunk); err != nil {
-			return err
-		}
-		lo += chunk
-	}
-	return send(lo, n)
-}
-
-// recvChunked drives the multi-frame reassembly (n >= chunk): firstMsg
-// is the already-received first frame; every frame is validated
-// against the schedule above and handed to decode with its element
-// offset.
-func recvChunked(c Conn, firstMsg []byte, n, chunk, elemSize int, what string, decode func(msg []byte, off, count int)) error {
-	msg := firstMsg
-	full, tail := n/chunk, n%chunk
-	filled := 0
-	for frame := 0; ; frame++ {
-		want := chunk
-		if frame == full {
-			want = tail
-		}
-		if len(msg) != want*elemSize {
-			return fmt.Errorf("transport: expected %d %s, got %d bytes", want, what, len(msg))
-		}
-		if want > 0 {
-			decode(msg, filled, want)
-			filled += want
-		}
-		if frame == full {
-			return nil
-		}
-		var err error
-		if msg, err = c.Recv(); err != nil {
-			return err
-		}
-	}
-}
-
-// chunkBytes is the raw-byte chunk cap of SendBytes/RecvBytes (a var
-// for tests, like chunkBlocks).
 var chunkBytes = MaxMessage
 
-// SendBytes transmits an arbitrary byte frame as one logical message,
-// chunking past MaxMessage. For payloads whose total size both peers
-// can compute (the cot word-OT and bit-OT ciphertext frames); the
-// receiver calls RecvBytes with that size.
+// SendBytes transmits buf as one logical message for a peer that knows
+// its length (RecvBytes with len(buf)). The chunk schedule is a
+// deterministic function of that length: len(buf) < chunkBytes ships
+// one frame; otherwise len(buf)/chunkBytes full frames follow, then a
+// strictly shorter terminator frame of the remainder (possibly empty).
+// The terminator encodes where the message ends, so ANY disagreement
+// about the length fails loudly at the first differing frame — the
+// multi-frame equivalent of the single-frame exact-length check
+// (without it, a mismatch that is an exact multiple of the chunk size
+// would succeed on the receiver and desync the stream). Consecutive
+// frames with no turnaround still count as one flight. Every typed
+// helper below encodes around this one schedule.
 func SendBytes(c Conn, buf []byte) error {
-	return sendChunked(len(buf), chunkBytes, func(lo, hi int) error {
-		return c.Send(buf[lo:hi])
-	})
+	chunk := chunkBytes
+	for len(buf) >= chunk {
+		if err := c.Send(buf[:chunk]); err != nil {
+			return err
+		}
+		buf = buf[chunk:]
+	}
+	return c.Send(buf)
 }
 
-// RecvBytes receives exactly total bytes, reassembling the chunked
-// framing of SendBytes.
+// RecvBytes receives exactly total bytes, reassembling and validating
+// SendBytes' chunk schedule frame by frame.
 func RecvBytes(c Conn, total int) ([]byte, error) {
-	msg, err := c.Recv()
-	if err != nil {
-		return nil, err
+	chunk := chunkBytes
+	full := total / chunk
+	var out []byte
+	if full > 0 {
+		out = make([]byte, 0, total)
 	}
-	if total < chunkBytes {
-		if len(msg) != total {
-			return nil, fmt.Errorf("transport: expected %d bytes, got %d", total, len(msg))
+	for frame := 0; ; frame++ {
+		msg, err := c.Recv()
+		if err != nil {
+			return nil, err
 		}
-		return msg, nil
+		want := chunk
+		if frame == full {
+			want = total % chunk
+		}
+		if len(msg) != want {
+			return nil, fmt.Errorf("transport: expected %d bytes, got %d", want, len(msg))
+		}
+		if full == 0 {
+			return msg, nil
+		}
+		out = append(out, msg...)
+		if frame == full {
+			return out, nil
+		}
 	}
-	out := make([]byte, total)
-	err = recvChunked(c, msg, total, chunkBytes, 1, "bytes", func(msg []byte, off, count int) {
-		copy(out[off:off+count], msg)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
-// SendBlocks marshals a block slice as one logical message, splitting
-// it into MaxMessage-sized frames when needed. Chunk boundaries are a
-// deterministic function of the batch size, so RecvBlocks(n) on the
-// peer always reassembles the exact frame sequence; consecutive frames
-// with no turnaround still count as one flight.
+// SendBlocks marshals a block slice as one SendBytes message.
 func SendBlocks(c Conn, blocks []block.Block) error {
-	return sendChunked(len(blocks), chunkBlocks, func(lo, hi int) error {
-		return c.Send(block.ToBytes(blocks[lo:hi]))
-	})
+	return SendBytes(c, block.ToBytes(blocks))
 }
 
-// RecvBlocks receives exactly n blocks, reassembling the chunked
-// framing of SendBlocks (a single frame in the n < chunk common case).
+// RecvBlocks receives exactly n blocks sent by SendBlocks.
 func RecvBlocks(c Conn, n int) ([]block.Block, error) {
-	msg, err := c.Recv()
+	buf, err := RecvBytes(c, n*block.Size)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]block.Block, n)
-	err = recvChunked(c, msg, n, chunkBlocks, block.Size, "blocks", func(msg []byte, off, count int) {
-		for i := 0; i < count; i++ {
-			out[off+i] = block.FromBytes(msg[i*block.Size:])
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return block.SliceFromBytes(buf), nil
 }
 
 // PackBits packs a bit slice 8 per byte, little-endian within bytes —
@@ -374,39 +321,26 @@ func WireToPacked(buf []byte, n int) ([]uint64, error) {
 	return limbs, nil
 }
 
-// chunkWords is the word-helper twin of chunkBlocks: arith reveals and
-// Beaver opens ride SendWords, so a >2^23-element open must chunk for
-// the same mid-protocol-desync reason block messages do.
-var chunkWords = MaxMessage / 8
-
-// SendWords marshals a uint64 slice as one logical message — the wire
-// layout of every Z_2^64 share vector (internal/arith reveals and
-// Beaver opens) — chunking past MaxMessage like SendBlocks.
+// SendWords marshals a uint64 slice as one SendBytes message — the
+// wire layout of every Z_2^64 share vector (internal/arith reveals and
+// Beaver opens).
 func SendWords(c Conn, v []uint64) error {
-	return sendChunked(len(v), chunkWords, func(lo, hi int) error {
-		buf := make([]byte, 8*(hi-lo))
-		for i, x := range v[lo:hi] {
-			binary.LittleEndian.PutUint64(buf[8*i:], x)
-		}
-		return c.Send(buf)
-	})
+	buf := make([]byte, 0, 8*len(v))
+	for _, x := range v {
+		buf = binary.LittleEndian.AppendUint64(buf, x)
+	}
+	return SendBytes(c, buf)
 }
 
-// RecvWords receives exactly n uint64 values, reassembling the chunked
-// framing of SendWords.
+// RecvWords receives exactly n uint64 values sent by SendWords.
 func RecvWords(c Conn, n int) ([]uint64, error) {
-	msg, err := c.Recv()
+	buf, err := RecvBytes(c, 8*n)
 	if err != nil {
 		return nil, err
 	}
 	v := make([]uint64, n)
-	err = recvChunked(c, msg, n, chunkWords, 8, "words", func(msg []byte, off, count int) {
-		for i := 0; i < count; i++ {
-			v[off+i] = binary.LittleEndian.Uint64(msg[8*i:])
-		}
-	})
-	if err != nil {
-		return nil, err
+	for i := range v {
+		v[i] = binary.LittleEndian.Uint64(buf[8*i:])
 	}
 	return v, nil
 }

@@ -310,12 +310,12 @@ func TestBlockHelpers(t *testing.T) {
 // the per-message cap: under it (one frame), at and past it (full
 // frames plus the strictly-short terminator that makes batch-size
 // disagreements detectable). Batches past MaxMessage used to fail
-// mid-protocol, desyncing the peer; lowering chunkBlocks lets the
+// mid-protocol, desyncing the peer; lowering chunkBytes lets the
 // regression run without 64 MiB allocations.
 func TestBlockChunkingBoundary(t *testing.T) {
-	saved := chunkBlocks
-	chunkBlocks = 8
-	defer func() { chunkBlocks = saved }()
+	saved := chunkBytes
+	chunkBytes = 8 * block.Size
+	defer func() { chunkBytes = saved }()
 
 	for _, tc := range []struct {
 		n    int
@@ -357,9 +357,9 @@ func TestBlockChunkingBoundary(t *testing.T) {
 // real length-prefixed TCP framing (the layer whose MaxMessage limit
 // made oversized batches fail before chunking).
 func TestBlockChunkingOverTCP(t *testing.T) {
-	saved := chunkBlocks
-	chunkBlocks = 1024
-	defer func() { chunkBlocks = saved }()
+	saved := chunkBytes
+	chunkBytes = 1024 * block.Size
+	defer func() { chunkBytes = saved }()
 
 	client, server := tcpPair(t)
 	defer client.Close()
@@ -388,9 +388,9 @@ func TestBlockChunkingOverTCP(t *testing.T) {
 // disagreements that are an exact multiple of the chunk size, which
 // only the terminator frame can expose.
 func TestBlockChunkingLengthMismatch(t *testing.T) {
-	saved := chunkBlocks
-	chunkBlocks = 4
-	defer func() { chunkBlocks = saved }()
+	saved := chunkBytes
+	chunkBytes = 4 * block.Size
+	defer func() { chunkBytes = saved }()
 
 	for _, tc := range []struct{ sent, expected int }{
 		{6, 9},
@@ -408,8 +408,8 @@ func TestBlockChunkingLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestByteChunkingBoundary: the raw-byte framing behind the cot
-// ciphertext frames chunks like the block framing.
+// TestByteChunkingBoundary: the raw-byte framing every typed helper
+// and the cot ciphertext frames ride.
 func TestByteChunkingBoundary(t *testing.T) {
 	saved := chunkBytes
 	chunkBytes = 16
@@ -446,11 +446,12 @@ func TestByteChunkingBoundary(t *testing.T) {
 }
 
 // TestWordChunkingBoundary: the word framing chunks like the block
-// framing (arith reveals/Beaver opens are the >MaxMessage users).
+// framing, at 8 words a frame (arith reveals/Beaver opens are the
+// >MaxMessage users).
 func TestWordChunkingBoundary(t *testing.T) {
-	saved := chunkWords
-	chunkWords = 8
-	defer func() { chunkWords = saved }()
+	saved := chunkBytes
+	chunkBytes = 8 * 8
+	defer func() { chunkBytes = saved }()
 
 	for _, tc := range []struct {
 		n    int

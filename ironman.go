@@ -19,7 +19,6 @@ package ironman
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"reflect"
 	"sync/atomic"
@@ -353,8 +352,5 @@ func (r *Receiver) GMWPool(n int) (*cot.ReceiverPool, error) {
 // VerifyCOTs checks z = y ⊕ x·Δ for a batch (test/diagnostic helper —
 // in a deployment the receiver never sees Δ).
 func VerifyCOTs(delta Block, z []Block, bits []bool, y []Block) error {
-	if len(z) != len(bits) || len(z) != len(y) {
-		return fmt.Errorf("ironman: length mismatch")
-	}
-	return ferret.Check(delta, z, &ferret.ReceiverOutput{Bits: bits, Blocks: y})
+	return ferret.Check(delta, z, bits, y)
 }

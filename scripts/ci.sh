@@ -158,8 +158,9 @@ go test -count=25 -run 'CodeShared' ./internal/ferret
 # Every MPCOT worker reads one shared exchange (corrections, r0, Δ)
 # and writes its own trees' reply sections and buckets. Every seeded
 # stream is keyed by aesprg.NewLocal: the goldens pin its derivation,
-# the freshness test its unseeded keys.
-go test -race -count=5 -run 'WorkersMatchSequential|ParallelDeterminismSmall|TranscriptGolden|ExtendGolden|GoldenTranscripts|LocalRandomnessFresh' . ./internal/mpcot ./internal/ferret ./internal/softspoken
+# the freshness test its unseeded keys. The gmw and arith goldens pin
+# the engines' role-ordered exchanges and word/bit framing.
+go test -race -count=5 -run 'WorkersMatchSequential|ParallelDeterminismSmall|TranscriptGolden|ExtendGolden|GoldenTranscripts|LocalRandomnessFresh' . ./internal/mpcot ./internal/ferret ./internal/softspoken ./internal/gmw ./internal/arith
 
 echo "== purego fallback (the per-parent GGM path against the same goldens) =="
 # Without -tags purego the ChaCha8 GGM levels run the AVX2 lane kernel
