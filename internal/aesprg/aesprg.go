@@ -7,11 +7,13 @@
 // NewLocal is the one source of endpoint-local randomness (GGM roots,
 // punctured positions, choice bits, Δ, dealt reserves, masks): every
 // endpoint keys one stream, from a caller seed or from crypto/rand.
+//
+// Every AES call goes through one batched entry point (kernel.go): an
+// eight-lane AES-NI kernel on amd64 CPUs that have it, crypto/aes
+// otherwise and under -tags purego. Both give the same bytes.
 package aesprg
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"crypto/rand"
 	"encoding/binary"
 
@@ -32,16 +34,13 @@ var fixedKeys = [4][16]byte{
 // child.
 const MaxArity = len(fixedKeys)
 
-// fixed holds one AES cipher per fixed key, built once and shared by
-// every expansion and hash (a cipher.Block is safe for concurrent use).
-var fixed = func() (c [MaxArity]cipher.Block) {
+// fixed holds one key per fixed key, expanded once and shared by every
+// expansion and hash (a key is read-only after construction).
+var fixed = func() (k [MaxArity]key) {
 	for i := range fixedKeys {
-		var err error
-		if c[i], err = aes.NewCipher(fixedKeys[i][:]); err != nil {
-			panic(err) // unreachable: key length is fixed at 16
-		}
+		k[i] = newKey(block.FromBytes(fixedKeys[i][:]), true)
 	}
-	return c
+	return k
 }()
 
 // Expand is the length-m-tupling PRG built from fixed-key AES: it
@@ -50,12 +49,18 @@ var fixed = func() (c [MaxArity]cipher.Block) {
 // and MaxArity. Each child costs exactly one AES call, so a full m-ary
 // expansion is m AES ops — the quantity Figures 6/7a count.
 func Expand(parent block.Block, children []block.Block) {
-	var in, out [16]byte
-	parent.Put(in[:])
+	p := [1]block.Block{parent}
 	for i := range children {
-		fixed[i].Encrypt(out[:], in[:])
-		children[i] = block.FromBytes(out[:]).Xor(parent)
+		ExpandChild(i, children[i:i+1], p[:])
 	}
+}
+
+// ExpandChild writes Expand's child c of every parent in one kernel
+// call: dst[i] = AES_{k_c}(parents[i]) ⊕ parents[i], c < MaxArity. dst
+// is at least as long as parents, and the two are the same slice or do
+// not overlap.
+func ExpandChild(c int, dst, parents []block.Block) {
+	fixed[c].blocks(dst, parents, true)
 }
 
 // Hash is the MMO correlation-robust hash H(x) = AES_k(σ(x)) ⊕ σ(x)
@@ -63,41 +68,52 @@ func Expand(parent block.Block, children []block.Block) {
 // A per-use tweak (e.g. the OT instance index) is XORed into the input
 // to give each invocation an independent random oracle.
 type Hash struct {
-	c cipher.Block
+	k *key
 }
 
 // NewHash returns the standard CRHF instance, keyed with the first
 // fixed key.
-func NewHash() *Hash { return &Hash{c: fixed[0]} }
+func NewHash() *Hash { return &Hash{k: &fixed[0]} }
 
 // Sum computes H(x ⊕ tweak).
 func (h *Hash) Sum(x block.Block, tweak uint64) block.Block {
-	s := x.Sigma()
-	s.Lo ^= tweak
-	var in, out [16]byte
-	s.Put(in[:])
-	h.c.Encrypt(out[:], in[:])
-	return block.FromBytes(out[:]).Xor(s)
+	s := [1]block.Block{x}
+	h.SumBlocks(s[:], s[:], tweak)
+	return s[0]
+}
+
+// SumBlocks sets dst[i] = Sum(src[i], tweakBase+i) for every i in one
+// kernel call. dst must be at least as long as src, and the two are
+// the same slice or do not overlap.
+func (h *Hash) SumBlocks(dst, src []block.Block, tweakBase uint64) {
+	dst = dst[:len(src)]
+	for i, x := range src {
+		s := x.Sigma()
+		s.Lo ^= tweakBase + uint64(i)
+		dst[i] = s
+	}
+	h.k.blocks(dst, dst, true)
 }
 
 // Stream is a deterministic AES-CTR pseudorandom stream seeded by a
 // block: keystream block i is AES_seed(LE64(i) ‖ 0^64). It backs the
 // IKNP and SoftSpoken column expansion and the LPN index matrix.
 type Stream struct {
-	c   cipher.Block
-	ctr uint64
-	in  [16]byte // counter block, kept here so no AES call allocates it
-	buf [16]byte
+	k   key
+	ctr uint64 // next keystream block to encrypt
+	buf [streamBuf * block.Size]byte
 	n   int // bytes of buf already consumed
 }
 
+// streamBuf is the number of keystream blocks one refill of a Stream's
+// buffer encrypts: one pass of the eight-lane kernel.
+const streamBuf = 8
+
 // NewStream returns a PRG stream keyed by seed.
 func NewStream(seed block.Block) *Stream {
-	c, err := aes.NewCipher(seed.Bytes())
-	if err != nil {
-		panic(err)
-	}
-	return &Stream{c: c, n: 16}
+	s := &Stream{k: newKey(seed, false)}
+	s.n = len(s.buf)
+	return s
 }
 
 // NewLocal returns one endpoint's private randomness stream. A
@@ -116,20 +132,27 @@ func NewLocal(seed, domain block.Block) *Stream {
 	return NewStream(block.FromBytes(key[:]))
 }
 
-// next encrypts the next counter block into dst (16 bytes).
-func (s *Stream) next(dst []byte) {
-	binary.LittleEndian.PutUint64(s.in[:8], s.ctr)
-	s.ctr++
-	s.c.Encrypt(dst, s.in[:])
+// keystream overwrites the whole blocks of p with the next keystream
+// blocks: it writes their counter blocks into p and encrypts them in
+// place.
+func (s *Stream) keystream(p []byte) {
+	for i := 0; i+block.Size <= len(p); i += block.Size {
+		c := p[i : i+block.Size]
+		binary.LittleEndian.PutUint64(c[:8], s.ctr)
+		binary.LittleEndian.PutUint64(c[8:], 0)
+		s.ctr++
+	}
+	s.k.encryptInPlace(p)
 }
 
-// read copies the next len(p) stream bytes out of the block buffer. p
-// never reaches the cipher, so the small draws' stack arrays do not
-// escape: they go through here, not through Fill.
+// read copies the next len(p) stream bytes out of the buffer, which it
+// refills streamBuf blocks at a time. p never reaches the cipher, so
+// the small draws' stack arrays do not escape: they go through here,
+// not through Fill.
 func (s *Stream) read(p []byte) {
 	for len(p) > 0 {
-		if s.n == 16 {
-			s.next(s.buf[:])
+		if s.n == len(s.buf) {
+			s.keystream(s.buf[:])
 			s.n = 0
 		}
 		n := copy(p, s.buf[s.n:])
@@ -138,15 +161,16 @@ func (s *Stream) read(p []byte) {
 	}
 }
 
-// Fill overwrites p with pseudorandom bytes, encrypting whole blocks
-// straight into p once the previous block's buffered tail is drained.
+// Fill overwrites p with pseudorandom bytes. It drains the buffer
+// first, then encrypts whole blocks straight into p, so a mix of Fill
+// and the small draws reads one byte stream.
 func (s *Stream) Fill(p []byte) {
-	head := min(16-s.n, len(p))
+	head := min(len(s.buf)-s.n, len(p))
 	s.read(p[:head])
-	for p = p[head:]; len(p) >= 16; p = p[16:] {
-		s.next(p[:16])
-	}
-	s.read(p)
+	p = p[head:]
+	whole := len(p) &^ (block.Size - 1)
+	s.keystream(p[:whole])
+	s.read(p[whole:])
 }
 
 // Uint32 returns the next pseudorandom 32-bit value.

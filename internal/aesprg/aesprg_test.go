@@ -98,16 +98,30 @@ func TestStreamGolden(t *testing.T) {
 	}
 }
 
+// TestStreamDrawsDoNotAllocate holds the stream draws to zero
+// allocations on either path, and the hash and the expansion to zero on
+// the kernel, which never hands a caller's block to an interface.
 func TestStreamDrawsDoNotAllocate(t *testing.T) {
 	s := NewStream(block.New(5, 6))
+	h := NewHash()
 	buf := make([]byte, 4096)
+	blocks := make([]block.Block, 64)
+	var kids [2]block.Block
 	var sink uint64
-	for name, draw := range map[string]func(){
+	draws := map[string]func(){
 		"Fill(4KiB)": func() { s.Fill(buf) },
 		"Uint32":     func() { sink += uint64(s.Uint32()) },
 		"Uint32n":    func() { sink += uint64(s.Uint32n(1000003)) },
 		"Block":      func() { sink += s.Block().Lo },
-	} {
+	}
+	if aesni {
+		draws["Sum"] = func() { sink += h.Sum(block.New(sink, 1), sink).Lo }
+		draws["SumBlocks"] = func() { h.SumBlocks(blocks, blocks, sink) }
+		draws["Expand"] = func() { Expand(block.New(sink, 2), kids[:]); sink += kids[1].Hi }
+	} else {
+		t.Log("no AES-NI kernel on this build or CPU: Sum, SumBlocks and Expand allocate on the crypto/aes path")
+	}
+	for name, draw := range draws {
 		if allocs := testing.AllocsPerRun(100, draw); allocs != 0 {
 			t.Errorf("%s: %v allocations per call, want 0", name, allocs)
 		}

@@ -116,16 +116,17 @@ func (p *ReceiverPool) take(n int) (int, []bool, []block.Block, error) {
 // products) differ only in how they read and write messages; spcot
 // frames its own 128-bit reply on SenderPool.Open. Each keeps its own
 // per-instance loop over the shared helpers below, so the hot loops
-// stay monomorphic. Both peers derive the frame size from their
-// arguments, so SendBytes' chunked framing reassembles frames past
-// transport.MaxMessage.
+// stay monomorphic; the pads come padSpan instances at a time, one
+// Hash.SumBlocks kernel call per side. Both peers derive the frame size
+// from their arguments, so SendBytes' chunked framing reassembles
+// frames past transport.MaxMessage.
 
 // packedBytes is the size of an LSB-first frame of the given bit count.
 func packedBytes(bits int) int { return (bits + 7) / 8 }
 
 // SendExchange is the sender's state of one exchange once the
 // receiver's corrections arrived: steps 1 and 2 above. The caller
-// masks instance i's pair with Pads(h, i) and ships the reply frame.
+// masks instance i's pair with its Pads and ships the reply frame.
 type SendExchange struct {
 	off   int
 	r0    []block.Block
@@ -151,20 +152,45 @@ func (p *SenderPool) Open(conn transport.Conn, n int) (SendExchange, error) {
 // Pos is the pool cursor of instance i — its hash tweak.
 func (x *SendExchange) Pos(i int) int { return x.off + i }
 
-// Pads returns the pads H(r_{d_i}) and H(r_{1-d_i}) that mask m0_i and
-// m1_i.
-func (x *SendExchange) Pads(h *aesprg.Hash, i int) (block.Block, block.Block) {
-	r, rn := x.r0[i], x.r0[i].Xor(x.delta)
-	if bit(x.ds, i) == 1 {
-		r, rn = rn, r
+// Pads writes the pads of instances lo, …, lo+len(p0)-1: p0[j] =
+// H(r_{d_i}) masks m0_i and p1[j] = H(r_{1-d_i}) masks m1_i, i = lo+j.
+// p1 is as long as p0.
+func (x *SendExchange) Pads(h *aesprg.Hash, lo int, p0, p1 []block.Block) {
+	p1 = p1[:len(p0)]
+	for j := range p0 {
+		r := x.r0[lo+j]
+		if bit(x.ds, lo+j) == 1 {
+			r = r.Xor(x.delta)
+		}
+		p0[j], p1[j] = r, r.Xor(x.delta)
 	}
-	t := uint64(x.Pos(i))
-	return h.Sum(r, t), h.Sum(rn, t)
+	t := uint64(x.Pos(lo))
+	h.SumBlocks(p0, p0, t)
+	h.SumBlocks(p1, p1, t)
+}
+
+// padSpan bounds the instances one Pads call covers in the chosen-OT
+// loops, so their pad buffer is at most 2·padSpan blocks (16 KiB)
+// whatever n is.
+const padSpan = 512
+
+// spans calls f on the exchange's instances padSpan at a time, with the
+// span's pads from one reused buffer: p0[j] and p1[j] are instance
+// lo+j's.
+func (x *SendExchange) spans(h *aesprg.Hash, f func(lo int, p0, p1 []block.Block)) {
+	n := len(x.r0)
+	w := min(n, padSpan)
+	buf := make([]block.Block, 2*w)
+	for lo := 0; lo < n; lo += w {
+		m := min(w, n-lo)
+		p0, p1 := buf[:m], buf[w:w+m]
+		x.Pads(h, lo, p0, p1)
+		f(lo, p0, p1)
+	}
 }
 
 // RecvExchange is the receiver's state of one exchange once its
-// corrections are sent. Pad(h, i) unmasks instance i's chosen
-// ciphertext.
+// corrections are sent. Its Pads unmask the chosen ciphertexts.
 type RecvExchange struct {
 	off int
 	rb  []block.Block
@@ -195,9 +221,23 @@ func (p *ReceiverPool) Open(conn transport.Conn, choices []uint64, n int) (RecvE
 // Pos is the pool cursor of instance i — its hash tweak.
 func (x *RecvExchange) Pos(i int) int { return x.off + i }
 
-// Pad returns H(r_{b_i}), which unmasks instance i's chosen ciphertext.
-func (x *RecvExchange) Pad(h *aesprg.Hash, i int) block.Block {
-	return h.Sum(x.rb[i], uint64(x.Pos(i)))
+// Pads writes H(r_{b_i}) into p[j] for i = lo+j: the pad that unmasks
+// instance i's chosen ciphertext.
+func (x *RecvExchange) Pads(h *aesprg.Hash, lo int, p []block.Block) {
+	h.SumBlocks(p, x.rb[lo:lo+len(p)], uint64(x.Pos(lo)))
+}
+
+// spans is SendExchange.spans for the receiver: p[j] is instance
+// lo+j's pad.
+func (x *RecvExchange) spans(h *aesprg.Hash, f func(lo int, p []block.Block)) {
+	n := len(x.rb)
+	w := min(n, padSpan)
+	buf := make([]block.Block, w)
+	for lo := 0; lo < n; lo += w {
+		p := buf[:min(w, n-lo)]
+		x.Pads(h, lo, p)
+		f(lo, p)
+	}
 }
 
 // bit reads bit i of a limb-packed vector.
@@ -259,14 +299,16 @@ func SendChosen(conn transport.Conn, pool *SenderPool, h *aesprg.Hash, msgs [][2
 		return err
 	}
 	f := make([]uint64, 4*n)
-	for i, m := range msgs {
-		p0, p1 := x.Pads(h, i)
-		ct0, ct1 := m[0].Xor(p0), m[1].Xor(p1)
-		putField(f, 256*i, ct0.Lo, 64)
-		putField(f, 256*i+64, ct0.Hi, 64)
-		putField(f, 256*i+128, ct1.Lo, 64)
-		putField(f, 256*i+192, ct1.Hi, 64)
-	}
+	x.spans(h, func(lo int, p0, p1 []block.Block) {
+		for j, m := range msgs[lo : lo+len(p0)] {
+			i := lo + j
+			ct0, ct1 := m[0].Xor(p0[j]), m[1].Xor(p1[j])
+			putField(f, 256*i, ct0.Lo, 64)
+			putField(f, 256*i+64, ct0.Hi, 64)
+			putField(f, 256*i+128, ct1.Lo, 64)
+			putField(f, 256*i+192, ct1.Hi, 64)
+		}
+	})
 	return sendFrame(conn, f, 256*n)
 }
 
@@ -289,11 +331,14 @@ func ReceiveChosen(conn transport.Conn, pool *ReceiverPool, h *aesprg.Hash, choi
 		return nil, err
 	}
 	out := make([]block.Block, n)
-	for i := range out {
-		off := 256*i + 128*int(bit(cs, i))
-		ct := block.New(getField(f, off, 64), getField(f, off+64, 64))
-		out[i] = ct.Xor(x.Pad(h, i))
-	}
+	x.spans(h, func(lo int, p []block.Block) {
+		for j, pad := range p {
+			i := lo + j
+			off := 256*i + 128*int(bit(cs, i))
+			ct := block.New(getField(f, off, 64), getField(f, off+64, 64))
+			out[i] = ct.Xor(pad)
+		}
+	})
 	return out, nil
 }
 
@@ -311,11 +356,13 @@ func SendChosenBits(conn transport.Conn, pool *SenderPool, h *aesprg.Hash, m0, m
 		return err
 	}
 	f := make([]uint64, transport.PackedLimbs(2*n))
-	for i := 0; i < n; i++ {
-		p0, p1 := x.Pads(h, i)
-		putField(f, 2*i, bit(m0, i)^p0.Lo, 1)
-		putField(f, 2*i+1, bit(m1, i)^p1.Lo, 1)
-	}
+	x.spans(h, func(lo int, p0, p1 []block.Block) {
+		for j := range p0 {
+			i := lo + j
+			putField(f, 2*i, bit(m0, i)^p0[j].Lo, 1)
+			putField(f, 2*i+1, bit(m1, i)^p1[j].Lo, 1)
+		}
+	})
 	return sendFrame(conn, f, 2*n)
 }
 
@@ -336,10 +383,13 @@ func ReceiveChosenBits(conn transport.Conn, pool *ReceiverPool, h *aesprg.Hash, 
 		return nil, err
 	}
 	out := make([]uint64, limbs)
-	for i := 0; i < n; i++ {
-		ct := getField(f, 2*i+int(bit(choices, i)), 1)
-		setBit(out, i, ct^x.Pad(h, i).Lo&1)
-	}
+	x.spans(h, func(lo int, p []block.Block) {
+		for j, pad := range p {
+			i := lo + j
+			ct := getField(f, 2*i+int(bit(choices, i)), 1)
+			setBit(out, i, ct^pad.Lo&1)
+		}
+	})
 	return out, nil
 }
 
@@ -379,12 +429,14 @@ func SendChosenWords(conn transport.Conn, pool *SenderPool, h *aesprg.Hash, m0, 
 	}
 	f := make([]uint64, transport.PackedLimbs(2*bits))
 	off := 0
-	for i, w := range widths {
-		p0, p1 := x.Pads(h, i)
-		putField(f, off, m0[i]^p0.Lo, w)
-		putField(f, off+w, m1[i]^p1.Lo, w)
-		off += 2 * w
-	}
+	x.spans(h, func(lo int, p0, p1 []block.Block) {
+		for j, w := range widths[lo : lo+len(p0)] {
+			i := lo + j
+			putField(f, off, m0[i]^p0[j].Lo, w)
+			putField(f, off+w, m1[i]^p1[j].Lo, w)
+			off += 2 * w
+		}
+	})
 	return sendFrame(conn, f, 2*bits)
 }
 
@@ -411,11 +463,14 @@ func ReceiveChosenWords(conn transport.Conn, pool *ReceiverPool, h *aesprg.Hash,
 	}
 	out := make([]uint64, n)
 	off := 0
-	for i, w := range widths {
-		ct := getField(f, off+int(bit(choices, i))*w, w)
-		out[i] = ct ^ x.Pad(h, i).Lo&mask(w)
-		off += 2 * w
-	}
+	x.spans(h, func(lo int, p []block.Block) {
+		for j, pad := range p {
+			i, w := lo+j, widths[lo+j]
+			ct := getField(f, off+int(bit(choices, i))*w, w)
+			out[i] = ct ^ pad.Lo&mask(w)
+			off += 2 * w
+		}
+	})
 	return out, nil
 }
 
@@ -434,10 +489,10 @@ func RandomPools(n int) (*SenderPool, *ReceiverPool, error) {
 // ferret.DealPools. The pairs are only as secret as s (NOT secure
 // from a known seed); the dealer sees both halves.
 func PoolsFromStream(s *aesprg.Stream, delta block.Block, n int) (*SenderPool, *ReceiverPool, error) {
-	buf := make([]byte, block.Size*n+(n+7)/8)
-	s.Fill(buf)
-	r0 := block.SliceFromBytes(buf[:block.Size*n])
-	bitsBuf := buf[block.Size*n:]
+	r0 := make([]block.Block, n)
+	s.Blocks(r0)
+	bitsBuf := make([]byte, (n+7)/8)
+	s.Fill(bitsBuf)
 	bits := make([]bool, n)
 	rb := make([]block.Block, n)
 	for i := 0; i < n; i++ {

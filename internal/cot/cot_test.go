@@ -466,3 +466,57 @@ func TestChosenWordOTInterleavesWithBlocksAndBits(t *testing.T) {
 		t.Fatalf("bit batch wrong: got %x", bits[0])
 	}
 }
+
+// TestChosenAcrossPadSpans runs block and word chosen OTs over more
+// than two pad spans, with a short last span, so every span's pads
+// must line up with their instances and tweaks on both sides.
+func TestChosenAcrossPadSpans(t *testing.T) {
+	const n = 2*padSpan + 3
+	sp, rp := pools(t, 2*n)
+	h := aesprg.NewHash()
+	rng := rand.New(rand.NewSource(11))
+	msgs := make([][2]block.Block, n)
+	m0, m1 := make([]uint64, n), make([]uint64, n)
+	widths := make([]int, n)
+	choices := make([]bool, n)
+	packed := make([]uint64, transport.PackedLimbs(n))
+	for i := range msgs {
+		msgs[i] = [2]block.Block{block.New(rng.Uint64(), rng.Uint64()), block.New(rng.Uint64(), rng.Uint64())}
+		m0[i], m1[i], widths[i] = rng.Uint64(), rng.Uint64(), i%65
+		if choices[i] = rng.Intn(2) == 1; choices[i] {
+			packed[i/64] |= 1 << uint(i%64)
+		}
+	}
+	a, b := transport.Pipe()
+	errCh := make(chan error, 1)
+	go func() {
+		if err := SendChosen(a, sp, h, msgs); err != nil {
+			errCh <- err
+			return
+		}
+		errCh <- SendChosenWords(a, sp, h, m0, m1, widths)
+	}()
+	blocks, err := ReceiveChosen(b, rp, h, choices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words, err := ReceiveChosenWords(b, rp, h, packed, widths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range choices {
+		wantBlock, wantWord := msgs[i][0], m0[i]
+		if c {
+			wantBlock, wantWord = msgs[i][1], m1[i]
+		}
+		if blocks[i] != wantBlock {
+			t.Fatalf("block OT %d: wrong message", i)
+		}
+		if words[i] != wantWord&mask(widths[i]) {
+			t.Fatalf("word OT %d (width %d): got %x want %x", i, widths[i], words[i], wantWord&mask(widths[i]))
+		}
+	}
+}

@@ -2,7 +2,10 @@
 
 package prg
 
-import "ironman/internal/block"
+import (
+	"ironman/internal/aesprg"
+	"ironman/internal/block"
+)
 
 // expand8 is the eight-lane ChaCha8 kernel, or nil when the CPU lacks
 // AVX2. Tests swap it out to run the per-parent path.
@@ -18,24 +21,21 @@ var expand8 = func() func(dst, src, sums *block.Block, arity int) {
 //go:noescape
 func chacha8x8AVX2(dst, src, sums *block.Block, arity int)
 
-func cpuid(leaf, sub uint32) (a, b, c, d uint32)
-
-func xgetbv() (xcr0 uint32)
-
 // hasAVX2 reports whether the CPU executes AVX2 and the OS saves the
 // YMM registers: CPUID.1:ECX OSXSAVE and AVX, XCR0 bits 1 and 2 (SSE
-// and AVX state), and CPUID.7:EBX bit 5.
+// and AVX state), and CPUID.7:EBX bit 5, read through aesprg's CPUID
+// and XGETBV stubs.
 func hasAVX2() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+	if maxLeaf, _, _, _ := aesprg.CPUID(0, 0); maxLeaf < 7 {
 		return false
 	}
 	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+	if _, _, ecx, _ := aesprg.CPUID(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
 		return false
 	}
-	if xgetbv()&6 != 6 {
+	if aesprg.XGETBV()&6 != 6 {
 		return false
 	}
-	_, ebx, _, _ := cpuid(7, 0)
+	_, ebx, _, _ := aesprg.CPUID(7, 0)
 	return ebx&(1<<5) != 0
 }

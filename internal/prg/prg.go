@@ -12,15 +12,16 @@
 // and the hardware pipeline model all agree on one number.
 //
 // Expand is the scalar reference, one parent at a time. ExpandLevel
-// expands a range of a GGM level. On amd64 CPUs with AVX2 it runs
+// expands a range of a GGM level: AES levels eight parents per call of
+// aesprg's batched kernel and child key, and, on amd64 CPUs with AVX2,
 // ChaCha8 levels of arity 2 or 4 through an eight-lane kernel
 // (lanes_amd64.s). Each YMM register holds one state word of eight
 // parents, so one core pass yields the children of eight parents. On a
 // CPU, the SIMD lanes do what one 512-bit ChaCha8 core pass does in
 // the paper's hardware: one pass yields many children. CPUID and XGETBV
 // pick the kernel at start-up. Building with -tags purego, or for
-// another architecture, leaves only the per-parent path. Both paths
-// produce the same bytes.
+// another architecture, leaves ChaCha8 on the per-parent path and AES
+// on crypto/aes. Both paths produce the same bytes.
 package prg
 
 import (
@@ -141,10 +142,11 @@ func (p PRG) Expand(parent block.Block, children []block.Block) {
 // order lets a GGM level expand in place: from lo = 0 the children only
 // overwrite parents already expanded.
 //
-// ChaCha8 levels of arity 2 or 4 run eight parents per core pass when
-// the lane kernel is available (amd64 with AVX2, not built with -tags
-// purego); every other level, and the under-eight remainder of a range,
-// runs Expand per parent. The output is the same either way.
+// AES levels run eight parents per aesprg.ExpandChild call. ChaCha8
+// levels of arity 2 or 4 run eight parents per core pass when the lane
+// kernel is available (amd64 with AVX2, not built with -tags purego);
+// every other level, and the under-eight remainder of a range, runs
+// Expand per parent. The output is the same either way.
 func (p PRG) ExpandLevel(nodes []block.Block, lo, hi, a int, sums []block.Block) {
 	if a < 1 || a > p.arity || len(sums) < a {
 		panic("prg: level arity out of range")
@@ -153,7 +155,22 @@ func (p PRG) ExpandLevel(nodes []block.Block, lo, hi, a int, sums []block.Block)
 		panic("prg: level range out of bounds")
 	}
 	j := hi
-	if expand8 != nil && p.kind == ChaCha8 && (a == 2 || a == 4) {
+	switch {
+	case p.kind == AES:
+		// The eight parents are copied out before their children are
+		// stored, so the children may overwrite them.
+		var par, kid [8]block.Block
+		for ; j-8 >= lo; j -= 8 {
+			copy(par[:], nodes[j-8:j])
+			for c := range a {
+				aesprg.ExpandChild(c, kid[:], par[:])
+				for q, k := range kid {
+					nodes[(j-8+q)*a+c] = k
+					sums[c] = sums[c].Xor(k)
+				}
+			}
+		}
+	case expand8 != nil && p.kind == ChaCha8 && (a == 2 || a == 4):
 		for ; j-8 >= lo; j -= 8 {
 			expand8(&nodes[(j-8)*a], &nodes[j-8], &sums[0], a)
 		}

@@ -274,12 +274,15 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// BenchmarkExpandLevel times one 4-ary and one binary ChaCha8 level of
-// 1024 parents, the shape of a GGM tree's widest levels.
+// BenchmarkExpandLevel times 4-ary and binary levels of 1024 parents,
+// the shape of a GGM tree's widest levels, for ChaCha8 and AES.
 func BenchmarkExpandLevel(b *testing.B) {
-	for _, a := range []int{2, 4} {
-		b.Run(fmt.Sprintf("ChaCha8a%d", a), func(b *testing.B) {
-			p := New(ChaCha8, 4)
+	for _, c := range []struct {
+		p PRG
+		a int
+	}{{New(ChaCha8, 4), 2}, {New(ChaCha8, 4), 4}, {New(AES, 2), 2}, {New(AES, 4), 4}} {
+		p, a := c.p, c.a
+		b.Run(fmt.Sprintf("%va%d", p.kind, a), func(b *testing.B) {
 			const parents = 1024
 			nodes := make([]block.Block, parents*a)
 			sums := make([]block.Block, a)

@@ -209,8 +209,8 @@ func (s *Sender) Seal(i int, seed block.Block, out []block.Block, sc *Scratch) {
 // chosen seals exchange instance k's message pair at the head of sec
 // and returns the rest of sec.
 func (s *Sender) chosen(sec []block.Block, k int, m0, m1 block.Block) []block.Block {
-	p0, p1 := s.x.Pads(s.h, k)
-	sec[0], sec[1] = m0.Xor(p0), m1.Xor(p1)
+	s.x.Pads(s.h, k, sec[:1], sec[1:2])
+	sec[0], sec[1] = m0.Xor(sec[0]), m1.Xor(sec[1])
 	return sec[2:]
 }
 
@@ -218,17 +218,17 @@ func (s *Sender) chosen(sec []block.Block, k int, m0, m1 block.Block) []block.Bl
 // on: the m-leaf gadget tree's level sums through log2(m) chosen OTs,
 // then each message masked by a hash of its gadget leaf under tweak
 // base+j, base being the pool cursor after the gadget OTs shifted into
-// the high word (domain-separate from the OT tweaks). It returns the
-// rest of sec and the next instance.
+// the high word (domain-separate from the OT tweaks), all m hashed in
+// one SumBlocks call. It returns the rest of sec and the next instance.
 func (s *Sender) allButOne(sec []block.Block, k int, msgs []block.Block, arities []int, seed block.Block, sc *Scratch) ([]block.Block, int) {
 	leaves, sums := sc.gadgetFor(arities)
 	ggm.ExpandInto(gadgetPRG, seed, arities, leaves, sums)
 	for _, ks := range sums {
 		sec, k = s.chosen(sec, k, ks[0], ks[1]), k+1
 	}
-	base := uint64(s.x.Pos(k)) << 32
+	s.h.SumBlocks(leaves, leaves, uint64(s.x.Pos(k))<<32)
 	for j, m := range msgs {
-		sec[j] = m.Xor(s.h.Sum(leaves[j], base+uint64(j)))
+		sec[j] = m.Xor(leaves[j])
 	}
 	return sec[len(msgs):], k
 }
@@ -333,7 +333,9 @@ func (r *Receiver) Open(i int, out []block.Block, sc *Scratch) {
 // chosen unmasks message c of exchange instance k's pair at the head
 // of sec.
 func (r *Receiver) chosen(sec []block.Block, k, c int) block.Block {
-	return sec[c].Xor(r.x.Pad(r.h, k))
+	var pad [1]block.Block
+	r.x.Pads(r.h, k, pad[:])
+	return sec[c].Xor(pad[0])
 }
 
 // allButOne opens Sender.allButOne's transfer into msgs: every message
@@ -350,10 +352,10 @@ func (r *Receiver) allButOne(sec []block.Block, k, d int, msgs []block.Block, ar
 		sec, k = sec[2:], k+1
 	}
 	ggm.ReconstructInto(gadgetPRG, arities, d, sums, leaves)
-	base := uint64(r.x.Pos(k)) << 32
+	r.h.SumBlocks(leaves, leaves, uint64(r.x.Pos(k))<<32)
 	for j := range msgs {
 		if j != d {
-			msgs[j] = sec[j].Xor(r.h.Sum(leaves[j], base+uint64(j)))
+			msgs[j] = sec[j].Xor(leaves[j])
 		}
 	}
 	return sec[m:], k

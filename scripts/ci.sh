@@ -162,10 +162,12 @@ go test -count=25 -run 'CodeShared' ./internal/ferret
 # the engines' role-ordered exchanges and word/bit framing.
 go test -race -count=5 -run 'WorkersMatchSequential|ParallelDeterminismSmall|TranscriptGolden|ExtendGolden|GoldenTranscripts|LocalRandomnessFresh' . ./internal/mpcot ./internal/ferret ./internal/softspoken ./internal/gmw ./internal/arith
 
-echo "== purego fallback (the per-parent GGM path against the same goldens) =="
-# Without -tags purego the ChaCha8 GGM levels run the AVX2 lane kernel
-# on amd64; this holds the per-parent path to the same outputs.
-go test -tags purego ./internal/prg ./internal/ggm ./internal/spcot ./internal/mpcot ./internal/ferret
+echo "== purego fallback (crypto/aes and the per-parent GGM path against the same goldens) =="
+# Without -tags purego every AES call runs the AES-NI kernel
+# (internal/aesprg/kernel_amd64.s) and the ChaCha8 GGM levels the AVX2
+# lane kernel on amd64; this holds the crypto/aes and per-parent paths
+# to the same outputs.
+go test -tags purego ./internal/aesprg ./internal/prg ./internal/ggm ./internal/spcot ./internal/mpcot ./internal/ferret ./internal/cot ./internal/softspoken ./internal/iknp ./internal/gmw ./internal/circuit
 
 echo "== go test -race (includes the gmw + arith engines and the TCP pipeline) =="
 go test -race ./...
@@ -177,8 +179,8 @@ echo "== fuzz the untrusted-byte parsers (10 s each) =="
 go test -run '^$' -fuzz '^FuzzParseHello$' -fuzztime 10s ./internal/otserv/wire
 go test -run '^$' -fuzz '^FuzzDispatch$' -fuzztime 10s ./internal/otserv
 
-echo "== kernel benchmarks: column pipeline, PRG level and GGM expand/reconstruct, chosen OT, AES-128 circuit build (one iteration each, so they cannot rot) =="
-go test -run '^$' -bench 'TransposeBits|StreamFill' -benchtime 1x ./internal/block ./internal/aesprg
+echo "== kernel benchmarks: column pipeline, batched CRHF, PRG level and GGM expand/reconstruct, chosen OT, AES-128 circuit build (one iteration each, so they cannot rot) =="
+go test -run '^$' -bench 'TransposeBits|StreamFill|SumBlocks' -benchtime 1x ./internal/block ./internal/aesprg
 go test -run '^$' -bench 'Expand|Reconstruct' -benchtime 1x ./internal/prg ./internal/ggm
 go test -run '^$' -bench 'Chosen' -benchtime 1x ./internal/cot
 go test -run '^$' -bench 'Build' -benchtime 1x ./internal/circuit
