@@ -16,6 +16,7 @@ package aesprg
 import (
 	"crypto/rand"
 	"encoding/binary"
+	"math/bits"
 
 	"ironman/internal/block"
 )
@@ -102,7 +103,15 @@ type Stream struct {
 	k   key
 	ctr uint64 // next keystream block to encrypt
 	buf [streamBuf * block.Size]byte
-	n   int // bytes of buf already consumed
+	n   int     // bytes of buf already consumed
+	mod modulus // the divisor of the last Uint32n call
+}
+
+// modulus is one Uint32n divisor with what its draws reuse: the
+// rejection threshold and the fastmod reciprocal.
+type modulus struct {
+	n, limit uint32
+	m        uint64
 }
 
 // streamBuf is the number of keystream blocks one refill of a Stream's
@@ -175,6 +184,11 @@ func (s *Stream) Fill(p []byte) {
 
 // Uint32 returns the next pseudorandom 32-bit value.
 func (s *Stream) Uint32() uint32 {
+	if s.n <= len(s.buf)-4 {
+		v := binary.LittleEndian.Uint32(s.buf[s.n:])
+		s.n += 4
+		return v
+	}
 	var b [4]byte
 	s.read(b[:])
 	return binary.LittleEndian.Uint32(b[:])
@@ -188,19 +202,36 @@ func (s *Stream) Uint64() uint64 {
 }
 
 // Uint32n returns a pseudorandom value in [0, n) using rejection
-// sampling, so the distribution is exactly uniform.
+// sampling, so the distribution is exactly uniform. The threshold and
+// reciprocal are computed when n differs from the last call's, so a
+// run of draws with one n (lpn.New's) costs no division.
 func (s *Stream) Uint32n(n uint32) uint32 {
 	if n == 0 {
 		panic("aesprg: Uint32n(0)")
 	}
-	// Rejection threshold: largest multiple of n that fits in 2^32.
-	limit := -n % n // (2^32 - n) % n == (2^32 % n)
+	if n != s.mod.n {
+		// Rejection threshold: values below 2^32 mod n would bias the
+		// remainder. (2^32 - n) % n == 2^32 % n.
+		s.mod = modulus{n: n, limit: -n % n, m: reciprocal(n)}
+	}
 	for {
-		v := s.Uint32()
-		if v >= limit {
-			return v % n
+		if v := s.Uint32(); v >= s.mod.limit {
+			return fastmod(v, s.mod.m, n)
 		}
 	}
+}
+
+// reciprocal returns ⌊(2^64 − 1)/n⌋ + 1, the multiplier fastmod
+// reduces by n with (Lemire, Kaser and Kurz, "Faster remainder by
+// direct computation", 2019). It wraps to 0 for n = 1.
+func reciprocal(n uint32) uint64 { return ^uint64(0)/uint64(n) + 1 }
+
+// fastmod returns v % n for m = reciprocal(n): the low 64 bits of m·v
+// are the fraction v/n scaled by 2^64, and times n its high word is
+// the remainder. It is exact for every 32-bit v and n ≥ 1.
+func fastmod(v uint32, m uint64, n uint32) uint32 {
+	hi, _ := bits.Mul64(m*uint64(v), uint64(n))
+	return uint32(hi)
 }
 
 // Block returns the next pseudorandom block.

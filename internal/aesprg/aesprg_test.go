@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -141,6 +142,25 @@ func TestUint32nUniformBounds(t *testing.T) {
 		// Expected 10000 per bucket; allow 10% slack.
 		if c < 9000 || c > 11000 {
 			t.Fatalf("bucket %d has %d draws, outside [9000,11000]", v, c)
+		}
+	}
+}
+
+// TestFastmodMatchesRemainder holds the reciprocal remainder Uint32n
+// reduces with to % at the edges of the divisor and dividend ranges
+// and at random dividends.
+func TestFastmodMatchesRemainder(t *testing.T) {
+	r := rand.New(rand.NewPCG(35, 36))
+	for _, n := range []uint32{1, 2, 3, 10, 168000, 1<<31 - 1, 1 << 31, 1<<32 - 1} {
+		m := reciprocal(n)
+		vs := []uint32{0, 1, n - 1, n, 1<<32 - 1}
+		for range 1000 {
+			vs = append(vs, r.Uint32())
+		}
+		for _, v := range vs {
+			if got, want := fastmod(v, m, n), v%n; got != want {
+				t.Fatalf("fastmod(%d, %d) = %d, want %d", v, n, got, want)
+			}
 		}
 	}
 }

@@ -33,7 +33,8 @@ const DefaultD = 10
 type Code struct {
 	N, K, D int
 	// idx holds the column indices row-major: row i uses
-	// idx[i*D : (i+1)*D].
+	// idx[i*D : (i+1)*D]. Only New writes it, and every value is < K:
+	// the row kernels (gather.go) read their inputs here unchecked.
 	idx []uint32
 }
 
@@ -70,7 +71,7 @@ func New(seed block.Block, n, k, d int) *Code {
 // have length N and r length K. Rows are independent (each writes only
 // out[i] and reads the shared r/w), so the output is identical for any
 // worker count; workers <= 0 selects runtime.GOMAXPROCS, 1 is the
-// sequential path.
+// sequential path. Each shard runs the row kernel (gather.go).
 func (c *Code) EncodeBlocksParallel(out, r, w []block.Block, workers int) {
 	c.EncodeBlocksSpans(out, r, w, workers, nil, 0)
 }
@@ -90,17 +91,11 @@ func (c *Code) EncodeBlocksSpans(out, r, w []block.Block, workers int, tr *obs.T
 	}
 	parallel.ShardIndexed(workers, c.N, func(shard, lo, hi int) {
 		sp := tr.Span("lpn.encode", "extend.worker", tidBase+1+shard)
-		for i := lo; i < hi; i++ {
-			var acc block.Block
-			for _, j := range c.idx[i*c.D : (i+1)*c.D] {
-				acc.Lo ^= r[j].Lo
-				acc.Hi ^= r[j].Hi
-			}
-			if w != nil {
-				acc = acc.Xor(w[i])
-			}
-			out[i] = acc
+		ws := w
+		if w != nil {
+			ws = w[lo:hi]
 		}
+		gatherBlocks(out[lo:hi], ws, r, c.idx[lo*c.D:hi*c.D], c.D)
 		if sp.Live() {
 			sp.EndArgs(map[string]any{"rows": hi - lo, "lo": lo})
 		}
@@ -133,13 +128,7 @@ func (c *Code) EncodeBitsSpans(out, e []bool, points []int, workers int, tr *obs
 	}
 	parallel.ShardIndexed(workers, c.N, func(shard, lo, hi int) {
 		sp := tr.Span("lpn.noise", "extend.worker", tidBase+1+shard)
-		for i := lo; i < hi; i++ {
-			acc := false
-			for _, j := range c.idx[i*c.D : (i+1)*c.D] {
-				acc = acc != e[j]
-			}
-			out[i] = acc
-		}
+		gatherBits(out[lo:hi], e, c.idx[lo*c.D:hi*c.D], c.D)
 		if sp.Live() {
 			sp.EndArgs(map[string]any{"rows": hi - lo, "lo": lo})
 		}

@@ -1,8 +1,13 @@
 package lpn
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"ironman/internal/block"
@@ -10,6 +15,8 @@ import (
 
 func testCode(n, k int) *Code { return New(block.New(1, 2), n, k, DefaultD) }
 
+// TestNewCodeRegular also holds New to the invariant the row kernel's
+// unchecked gathers rest on: every index is < K.
 func TestNewCodeRegular(t *testing.T) {
 	c := testCode(500, 200)
 	if len(c.idx) != 500*DefaultD {
@@ -49,6 +56,93 @@ func TestNewDeterministic(t *testing.T) {
 	if same {
 		t.Fatal("different seeds should give different codes")
 	}
+}
+
+// TestNewPinned2to20 pins a hash of the whole index matrix of the 2^20
+// parameter set's code (N 1,221,516, K 168,000, d 10, ferret's
+// DefaultCodeSeed): both parties derive it independently, so any change
+// to New or to the stream draws behind it breaks the protocol.
+func TestNewPinned2to20(t *testing.T) {
+	c := New(block.New(0x69726f6e6d616e21, 0x6c706e2d636f6465), realN, realK, DefaultD)
+	buf := make([]byte, 0, 4*len(c.idx))
+	for _, v := range c.idx {
+		buf = binary.LittleEndian.AppendUint32(buf, v)
+	}
+	const want = "7fbfb3ad10b1e2d3b0c26056ff394e62739b6c5e0192cc442326b9d2a8393217"
+	if got := sha256.Sum256(buf); hex.EncodeToString(got[:]) != want {
+		t.Fatalf("2^20 index matrix hash = %x, want %s", got, want)
+	}
+}
+
+// onEachPath runs f on the pure-Go rows and, when this build has it, on
+// the SSE2 row kernel, in one test binary.
+func onEachPath(t testing.TB, f func(path string)) {
+	k := kernel
+	t.Cleanup(func() { kernel = k })
+	kernel = false
+	f("go")
+	if !k {
+		t.Log("no row kernel in this build: only the pure-Go rows run")
+		return
+	}
+	kernel = true
+	f("sse2")
+}
+
+// TestGatherMatchesReference holds both row paths to a plain per-row
+// loop, blocks and bits, for several row weights, every row count
+// around the edges, with and without w, at every worker count 1..5.
+func TestGatherMatchesReference(t *testing.T) {
+	const k = 64
+	rng := rand.New(rand.NewSource(35))
+	r := make([]block.Block, k)
+	e := make([]bool, k)
+	for i := range r {
+		r[i] = block.New(rng.Uint64(), rng.Uint64())
+		e[i] = rng.Intn(2) == 1
+	}
+	onEachPath(t, func(path string) {
+		for _, d := range []int{1, 2, 4, 10, 16} {
+			for _, n := range []int{0, 1, 2, 7, 8, 9, 1000} {
+				w := make([]block.Block, n)
+				for i := range w {
+					w[i] = block.New(rng.Uint64(), rng.Uint64())
+				}
+				c := &Code{N: n, K: k, D: d, idx: make([]uint32, n*d)}
+				if n > 0 {
+					c = New(block.New(uint64(d), uint64(n)), n, k, d)
+				}
+				for _, withW := range []bool{false, true} {
+					ws := w
+					if !withW {
+						ws = nil
+					}
+					wantB := make([]block.Block, n)
+					wantX := make([]bool, n)
+					for i := 0; i < n; i++ {
+						if ws != nil {
+							wantB[i] = ws[i]
+						}
+						for _, j := range c.idx[i*d : (i+1)*d] {
+							wantB[i] = wantB[i].Xor(r[j])
+							wantX[i] = wantX[i] != e[j]
+						}
+					}
+					for workers := 1; workers <= 5; workers++ {
+						gotB := make([]block.Block, n)
+						gotX := make([]bool, n)
+						c.EncodeBlocksParallel(gotB, r, ws, workers)
+						if err := c.EncodeBitsParallel(gotX, e, nil, workers); err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(gotB, wantB) || !slices.Equal(gotX, wantX) {
+							t.Fatalf("%s d=%d n=%d w=%v workers=%d: rows differ from the reference", path, d, n, withW, workers)
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestEncodeLinearity: encoding is linear over GF(2)^128, so
@@ -253,10 +347,73 @@ func TestPanicsOnBadDims(t *testing.T) {
 	}
 }
 
+// realN and realK are the 2^20 parameter set's code shape: r is 2.7 MB,
+// past the small caches the arms at k = 2^14 stay in.
+const realN, realK = 1221516, 168000
+
+var realCode = sync.OnceValue(func() *Code { return New(block.New(1, 2), realN, realK, DefaultD) })
+
+// filledBlocks returns n distinct non-zero blocks. Benchmark inputs
+// must be written: an untouched allocation maps the zero page, and
+// gathers from it all hit one cached page.
+func filledBlocks(n int) []block.Block {
+	s := make([]block.Block, n)
+	for i := range s {
+		s[i] = block.New(uint64(i)*0x9e3779b97f4a7c15, uint64(i)+1)
+	}
+	return s
+}
+
+// BenchmarkEncodeReal times the row kernels at the 2^20 shape on each
+// path: one block encode and one bit encode on one worker, and the
+// ferret-extend shape, both endpoints' block encodes at once on two
+// workers each. ns/block is per gathered block.
+func BenchmarkEncodeReal(b *testing.B) {
+	c := realCode()
+	r, w := filledBlocks(realK), filledBlocks(realN)
+	e := make([]bool, realK)
+	for i := range e {
+		e[i] = i%3 == 0
+	}
+	outs := [2][]block.Block{make([]block.Block, realN), make([]block.Block, realN)}
+	x := make([]bool, realN)
+	gathered := float64(realN * DefaultD)
+	onEachPath(b, func(path string) {
+		b.Run("blocks/"+path, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.EncodeBlocksParallel(outs[0], r, w, 1)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/gathered, "ns/block")
+		})
+		b.Run("bits/"+path, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := c.EncodeBitsParallel(x, e, nil, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/gathered, "ns/block")
+		})
+		b.Run("both-endpoints/"+path, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				for _, out := range outs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						c.EncodeBlocksParallel(out, r, w, 2)
+					}()
+				}
+				wg.Wait()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(2*gathered), "ns/block")
+		})
+	})
+}
+
 func BenchmarkEncodeBlocks(b *testing.B) {
 	const n, k = 1 << 16, 1 << 14
 	c := testCode(n, k)
-	r := make([]block.Block, k)
+	r := filledBlocks(k)
 	out := make([]block.Block, n)
 	b.SetBytes(int64(n * DefaultD * block.Size))
 	b.ResetTimer()
@@ -268,7 +425,7 @@ func BenchmarkEncodeBlocks(b *testing.B) {
 func BenchmarkEncodeBlocksParallel(b *testing.B) {
 	const n, k = 1 << 18, 1 << 15
 	c := testCode(n, k)
-	r := make([]block.Block, k)
+	r := filledBlocks(k)
 	out := make([]block.Block, n)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -199,8 +199,7 @@ func BenchmarkSortedEncode(b *testing.B) {
 	const n, k = 1 << 16, 1 << 14
 	c := testCode(n, k)
 	s := c.Sort(DefaultSort())
-	r := make([]block.Block, k)
-	rp := s.PermuteInput(r)
+	rp := s.PermuteInput(filledBlocks(k))
 	out := make([]block.Block, n)
 	b.SetBytes(int64(n * DefaultD * block.Size))
 	b.ResetTimer()

@@ -162,12 +162,13 @@ go test -count=25 -run 'CodeShared' ./internal/ferret
 # the engines' role-ordered exchanges and word/bit framing.
 go test -race -count=5 -run 'WorkersMatchSequential|ParallelDeterminismSmall|TranscriptGolden|ExtendGolden|GoldenTranscripts|LocalRandomnessFresh' . ./internal/mpcot ./internal/ferret ./internal/softspoken ./internal/gmw ./internal/arith
 
-echo "== purego fallback (crypto/aes and the per-parent GGM path against the same goldens) =="
+echo "== purego fallback (crypto/aes, the per-parent GGM path and the Go LPN rows against the same goldens) =="
 # Without -tags purego every AES call runs the AES-NI kernel
-# (internal/aesprg/kernel_amd64.s) and the ChaCha8 GGM levels the AVX2
-# lane kernel on amd64; this holds the crypto/aes and per-parent paths
-# to the same outputs.
-go test -tags purego ./internal/aesprg ./internal/prg ./internal/ggm ./internal/spcot ./internal/mpcot ./internal/ferret ./internal/cot ./internal/softspoken ./internal/iknp ./internal/gmw ./internal/circuit
+# (internal/aesprg/kernel_amd64.s), the ChaCha8 GGM levels the AVX2
+# lane kernel and both LPN encoders the SSE2 row kernel
+# (internal/lpn/gather_amd64.s) on amd64; this holds the crypto/aes,
+# per-parent and pure-Go row paths to the same outputs.
+go test -tags purego ./internal/aesprg ./internal/prg ./internal/ggm ./internal/spcot ./internal/mpcot ./internal/lpn ./internal/ferret ./internal/cot ./internal/softspoken ./internal/iknp ./internal/gmw ./internal/circuit
 
 echo "== go test -race (includes the gmw + arith engines and the TCP pipeline) =="
 go test -race ./...
@@ -179,8 +180,9 @@ echo "== fuzz the untrusted-byte parsers (10 s each) =="
 go test -run '^$' -fuzz '^FuzzParseHello$' -fuzztime 10s ./internal/otserv/wire
 go test -run '^$' -fuzz '^FuzzDispatch$' -fuzztime 10s ./internal/otserv
 
-echo "== kernel benchmarks: column pipeline, batched CRHF, PRG level and GGM expand/reconstruct, chosen OT, AES-128 circuit build (one iteration each, so they cannot rot) =="
+echo "== kernel benchmarks: column pipeline, batched CRHF, PRG level and GGM expand/reconstruct, LPN encode, chosen OT, AES-128 circuit build (one iteration each, so they cannot rot) =="
 go test -run '^$' -bench 'TransposeBits|StreamFill|SumBlocks' -benchtime 1x ./internal/block ./internal/aesprg
+go test -run '^$' -bench 'Encode' -benchtime 1x ./internal/lpn
 go test -run '^$' -bench 'Expand|Reconstruct' -benchtime 1x ./internal/prg ./internal/ggm
 go test -run '^$' -bench 'Chosen' -benchtime 1x ./internal/cot
 go test -run '^$' -bench 'Build' -benchtime 1x ./internal/circuit
