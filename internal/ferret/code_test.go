@@ -2,6 +2,7 @@ package ferret
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"weak"
@@ -104,5 +105,42 @@ func TestCodeReleased(t *testing.T) {
 	runtime.GC()
 	if ref.Value() != nil {
 		t.Fatal("code still live after every endpoint was dropped: the memo pins it")
+	}
+}
+
+// TestCodeRederivedAfterCleanup: a code whose endpoints were dropped
+// after an Extend is collected, and its index matrix (mapped outside
+// the Go heap by lpn.New) released by its cleanup; the next pair on
+// the shape derives the code again through sharedCode, and its Extend
+// verifies and repeats the first one's outputs.
+func TestCodeRederivedAfterCleanup(t *testing.T) {
+	params := TestParams(580, 32, 126, 8)
+	delta := block.New(5, 6)
+	extend := func() ([]block.Block, weak.Pointer[lpn.Code]) {
+		a, b := transport.Pipe()
+		defer a.Close()
+		defer b.Close()
+		s, r, err := DealPools(a, b, delta, params, Options{Workers: 2, Seed: block.New(7, 8)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		z, x, y, err := extendLockstep(s, r)
+		if err == nil {
+			err = Check(delta, z, x, y)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return z, weak.Make(s.code)
+	}
+	want, ref := extend()
+	runtime.GC()
+	runtime.GC()
+	if ref.Value() != nil {
+		t.Fatal("code still live after every endpoint was dropped")
+	}
+	got, _ := extend()
+	if !slices.Equal(got, want) {
+		t.Fatal("an Extend on the re-derived code differs from the first")
 	}
 }

@@ -48,10 +48,10 @@ import (
 // worker count while staying deterministic across runs.
 const (
 	// SenderTID is the trace lane of the sender's sequential phases;
-	// its phase workers occupy SenderTID+1+shard.
+	// its phase workers occupy SenderTID+1+worker.
 	SenderTID = 1
 	// ReceiverTID is the trace lane of the receiver's sequential
-	// phases; its workers occupy ReceiverTID+1+shard.
+	// phases; its workers occupy ReceiverTID+1+worker.
 	ReceiverTID = 101
 )
 
@@ -312,9 +312,11 @@ func (s *Sender) Extend() ([]block.Block, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ferret extend (lpn input): %w", err)
 	}
-	// Step 3: local LPN encoding, z = r·A ⊕ w (rank-parallel).
+	// Step 3: local LPN encoding, z = r·A ⊕ w (rank-parallel), written
+	// over w: w is this Extend's own, and each row reads w[i] before it
+	// stores z[i].
 	enc := s.trace.Span("lpn.encode", "extend", SenderTID)
-	z := make([]block.Block, s.params.N)
+	z := w
 	s.code.EncodeBlocksSpans(z, r, w, s.workers, s.trace, SenderTID)
 	if enc.Live() {
 		enc.EndArgs(map[string]any{"rows": s.params.N, "k": s.params.K})
@@ -348,8 +350,9 @@ func (r *Receiver) Extend() ([]bool, []block.Block, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("ferret extend (lpn input): %w", err)
 	}
+	// y = s·A ⊕ v, written over v as the sender writes z over w.
 	enc := r.trace.Span("lpn.encode", "extend", ReceiverTID)
-	y := make([]block.Block, r.params.N)
+	y := v
 	r.code.EncodeBlocksSpans(y, sBlocks, v, r.workers, r.trace, ReceiverTID)
 	if enc.Live() {
 		enc.EndArgs(map[string]any{"rows": r.params.N, "k": r.params.K})

@@ -3,19 +3,22 @@ package lpn
 import "ironman/internal/block"
 
 // gatherBlocks sets out[i] = w[i] ⊕ XOR_j r[idx[i*d+j]] for every row i
-// of one shard; a nil w reads as zero. It runs the SSE2 kernel on amd64
+// of one chunk; a nil w reads as zero. out may be exactly w: both paths
+// read w[i] before they store out[i]. It runs the SSE2 kernel on amd64
 // and the pure-Go loop elsewhere and under -tags purego.
 //
 // The kernel reads r[idx[...]] without a bounds check. That is safe
 // only because of the Code invariant: idx is unexported, written only
 // by New with every value < K, and the encode entry points check
-// len(r) == K, len(out) == N and len(w) == N before slicing a shard.
-// len(idx) is len(out)*d by construction of the shard.
+// len(r) == K, len(out) == N and len(w) == N before slicing a chunk.
+// len(idx) is len(out)*d by construction of the chunk. idx may lie
+// outside the Go heap, where nothing here keeps it mapped: the entry
+// points hold the Code alive with runtime.KeepAlive until every chunk
+// has returned.
 //
-// One call covers the whole shard, and the runtime cannot preempt
-// assembly: a stop-the-world (a GC phase) waits for the shard, tens of
-// milliseconds at 2^20. DESIGN ("Sharding strategy") says what
-// splitting the call cost before it is tried again.
+// The runtime cannot preempt assembly, so one call is one chunk
+// (encodeChunk rows, about 0.13 ms at 2^20): a stop-the-world (a GC
+// phase) waits for at most the chunks in flight.
 func gatherBlocks(out, w, r []block.Block, idx []uint32, d int) {
 	if len(out) == 0 {
 		return
@@ -42,7 +45,7 @@ func gatherBlocks(out, w, r []block.Block, idx []uint32, d int) {
 }
 
 // gatherBits sets out[i] = XOR_j e[idx[i*d+j]] for every row i of one
-// shard, under the same invariant as gatherBlocks with len(e) == K.
+// chunk, under the same invariant as gatherBlocks with len(e) == K.
 func gatherBits(out, e []bool, idx []uint32, d int) {
 	if len(out) == 0 {
 		return

@@ -6,9 +6,15 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"os"
+	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"time"
+	"unsafe"
 
 	"ironman/internal/block"
 )
@@ -62,16 +68,124 @@ func TestNewDeterministic(t *testing.T) {
 // parameter set's code (N 1,221,516, K 168,000, d 10, ferret's
 // DefaultCodeSeed): both parties derive it independently, so any change
 // to New or to the stream draws behind it breaks the protocol.
+// It runs on both index storages (onEachStorage).
 func TestNewPinned2to20(t *testing.T) {
-	c := New(block.New(0x69726f6e6d616e21, 0x6c706e2d636f6465), realN, realK, DefaultD)
-	buf := make([]byte, 0, 4*len(c.idx))
-	for _, v := range c.idx {
-		buf = binary.LittleEndian.AppendUint32(buf, v)
+	onEachStorage(t, func(storage string) {
+		c := New(block.New(0x69726f6e6d616e21, 0x6c706e2d636f6465), realN, realK, DefaultD)
+		buf := make([]byte, 0, 4*len(c.idx))
+		for _, v := range c.idx {
+			buf = binary.LittleEndian.AppendUint32(buf, v)
+		}
+		runtime.KeepAlive(c)
+		const want = "7fbfb3ad10b1e2d3b0c26056ff394e62739b6c5e0192cc442326b9d2a8393217"
+		if got := sha256.Sum256(buf); hex.EncodeToString(got[:]) != want {
+			t.Fatalf("%s: 2^20 index matrix hash = %x, want %s", storage, got, want)
+		}
+	})
+}
+
+// onEachStorage runs f with New's index matrix from make and, when this
+// build maps it, from an anonymous mapping outside the Go heap, in one
+// test binary.
+func onEachStorage(t testing.TB, f func(storage string)) {
+	m := offHeap
+	t.Cleanup(func() { offHeap = m })
+	offHeap = false
+	f("make")
+	if !m {
+		t.Log("no off-heap index storage in this build: only make runs")
+		return
 	}
-	const want = "7fbfb3ad10b1e2d3b0c26056ff394e62739b6c5e0192cc442326b9d2a8393217"
-	if got := sha256.Sum256(buf); hex.EncodeToString(got[:]) != want {
-		t.Fatalf("2^20 index matrix hash = %x, want %s", got, want)
+	offHeap = true
+	f("mmap")
+}
+
+// TestCodeUnmappedOnCollect: a mapped index matrix is unmapped once its
+// Code is collected, and a code derived afterwards encodes as before.
+func TestCodeUnmappedOnCollect(t *testing.T) {
+	if _, err := os.ReadFile("/proc/self/maps"); !offHeap || err != nil {
+		t.Skip("no mapped index storage or no /proc/self/maps here")
 	}
+	r := filledBlocks(64)
+	encode := func() (out []block.Block, addr uint64) {
+		c := New(block.New(3, 4), 5000, 64, DefaultD)
+		out = make([]block.Block, c.N)
+		c.EncodeBlocksParallel(out, r, nil, 2)
+		return out, uint64(uintptr(unsafe.Pointer(&c.idx[0])))
+	}
+	want, addr := encode()
+	if !mapped(t, addr) {
+		t.Fatalf("index matrix at %#x is in no mapping", addr)
+	}
+	for i := 0; mapped(t, addr); i++ {
+		if i == 100 {
+			t.Fatalf("index matrix at %#x still mapped after %d collections", addr, i)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got, _ := encode(); !slices.Equal(got, want) {
+		t.Fatal("a code derived after the first was unmapped encodes differently")
+	}
+}
+
+// mapped reports whether addr lies in one of the process's mappings.
+func mapped(t *testing.T, addr uint64) bool {
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for line := range strings.Lines(string(maps)) {
+		span, _, _ := strings.Cut(line, " ")
+		lo, hi, _ := strings.Cut(span, "-")
+		l, err1 := strconv.ParseUint(lo, 16, 64)
+		h, err2 := strconv.ParseUint(hi, 16, 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("unparsed /proc/self/maps line %q", line)
+		}
+		if l <= addr && addr < h {
+			return true
+		}
+	}
+	return false
+}
+
+// TestEncodeYieldsToGC: the row kernel cannot be preempted, so a
+// stop-the-world waits for the kernel calls in flight. Ten collections
+// beside a looping 2^20 encode on one worker must pause for less than
+// 200 ms in total: a chunked encode waits about 0.13 ms per pause,
+// while one call per shard read 768–987 ms.
+func TestEncodeYieldsToGC(t *testing.T) {
+	c := realCode()
+	r, w := filledBlocks(realK), filledBlocks(realN)
+	out := make([]block.Block, realN)
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			c.EncodeBlocksParallel(out, r, w, 1)
+		}
+	}()
+	time.Sleep(10 * time.Millisecond)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 10 {
+		runtime.GC()
+	}
+	runtime.ReadMemStats(&after)
+	close(stop)
+	<-done
+	pause := time.Duration(after.PauseTotalNs - before.PauseTotalNs)
+	if pause >= 200*time.Millisecond {
+		t.Fatalf("ten collections beside a 2^20 encode paused %v in total, want < 200ms", pause)
+	}
+	t.Logf("ten collections paused %v in total", pause)
 }
 
 // onEachPath runs f on the pure-Go rows and, when this build has it, on
@@ -91,7 +205,9 @@ func onEachPath(t testing.TB, f func(path string)) {
 
 // TestGatherMatchesReference holds both row paths to a plain per-row
 // loop, blocks and bits, for several row weights, every row count
-// around the edges, with and without w, at every worker count 1..5.
+// around the edges and one that spans several claimed chunks, with and
+// without w, out of place and in place (out == w), at every worker
+// count 1..5.
 func TestGatherMatchesReference(t *testing.T) {
 	const k = 64
 	rng := rand.New(rand.NewSource(35))
@@ -103,7 +219,7 @@ func TestGatherMatchesReference(t *testing.T) {
 	}
 	onEachPath(t, func(path string) {
 		for _, d := range []int{1, 2, 4, 10, 16} {
-			for _, n := range []int{0, 1, 2, 7, 8, 9, 1000} {
+			for _, n := range []int{0, 1, 2, 7, 8, 9, 1000, 3*encodeChunk + 7} {
 				w := make([]block.Block, n)
 				for i := range w {
 					w[i] = block.New(rng.Uint64(), rng.Uint64())
@@ -137,6 +253,13 @@ func TestGatherMatchesReference(t *testing.T) {
 						}
 						if !slices.Equal(gotB, wantB) || !slices.Equal(gotX, wantX) {
 							t.Fatalf("%s d=%d n=%d w=%v workers=%d: rows differ from the reference", path, d, n, withW, workers)
+						}
+						if withW {
+							inPlace := slices.Clone(ws)
+							c.EncodeBlocksSpans(inPlace, r, inPlace, workers, nil, 0)
+							if !slices.Equal(inPlace, gotB) {
+								t.Fatalf("%s d=%d n=%d workers=%d: in-place rows differ from out of place", path, d, n, workers)
+							}
 						}
 					}
 				}

@@ -20,7 +20,11 @@
 // order in which independent output rows are produced.
 package lpn
 
-import "ironman/internal/block"
+import (
+	"runtime"
+
+	"ironman/internal/block"
+)
 
 // Sorted is a compile-time-sorted view of a Code.
 type Sorted struct {
@@ -101,6 +105,7 @@ func (c *Code) Sort(opts SortOptions) *Sorted {
 	for i, j := range c.idx {
 		permIdx[i] = s.ColPerm[j]
 	}
+	runtime.KeepAlive(c) // the last read of c.idx (see Code.idx)
 
 	// Row look-ahead: greedy cache-aware ordering.
 	s.Rowidx = make([]uint32, c.N)

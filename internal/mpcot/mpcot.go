@@ -8,6 +8,7 @@ package mpcot
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 
 	"ironman/internal/aesprg"
@@ -27,13 +28,13 @@ type Config struct {
 	T      int // number of trees / noise positions
 
 	// Trace, when non-nil, records phase spans: "spcot.expand" /
-	// "spcot.reconstruct" per worker (threads TID+1+shard) and the
+	// "spcot.reconstruct" per worker (threads TID+1+worker) and the
 	// "spcot.flights" wire phases on thread TID. Tracing observes local
 	// compute only — the wire transcript is untouched (guarded by the
 	// ferret determinism tests).
 	Trace *obs.Tracer
 	// TID is the trace thread id of the endpoint driving this
-	// execution (its workers get TID+1+shard).
+	// execution (its workers get TID+1+worker).
 	TID int
 }
 
@@ -89,9 +90,10 @@ func (c Config) AlphasFrom(s *aesprg.Stream) []int {
 // concatenated and truncated to n blocks (the vector w). The puncturing
 // of all t trees is one exchange: the receiver's correction frame in,
 // then every tree expanded straight into its bucket of w and sealed
-// (concurrently across up to `workers` goroutines — the trees are
-// independent, which is what makes the paper's 4-ary construction
-// embarrassingly parallel across buckets), then one reply frame out.
+// (by up to `workers` goroutines claiming one tree at a time — the
+// trees are independent, which is what makes the paper's 4-ary
+// construction embarrassingly parallel across buckets), then one reply
+// frame out.
 // Each tree's section sits at a fixed offset and each COT's tweak is
 // fixed by its tree and level, so the transcript is byte-identical for
 // every worker count. seeds supplies one GGM root per bucket, drawn
@@ -113,15 +115,17 @@ func SendSeeded(conn transport.Conn, pool *cot.SenderPool, h *aesprg.Hash, p prg
 	// reply.
 	expand := cfg.Trace.Span("spcot.expand", "extend", cfg.TID)
 	w := make([]block.Block, cfg.N)
-	parallel.ShardIndexed(workers, cfg.T, func(shard, lo, hi int) {
-		sp := cfg.Trace.Span("spcot.expand", "extend.worker", cfg.TID+1+shard)
+	parallel.Chunks(workers, cfg.T, 1, func(worker int, trees iter.Seq2[int, int]) {
+		sp := cfg.Trace.Span("spcot.expand", "extend.worker", cfg.TID+1+worker)
 		sc := x.Scratch()
-		for i := lo; i < hi; i++ {
+		n := 0
+		for i := range trees {
 			blo, bhi := cfg.bucketSpan(i)
 			x.Seal(i, seeds[i], w[blo:bhi], sc)
+			n++
 		}
 		if sp.Live() {
-			sp.EndArgs(map[string]any{"trees": hi - lo})
+			sp.EndArgs(map[string]any{"trees": n})
 		}
 	})
 	if expand.Live() {
@@ -143,8 +147,8 @@ func SendSeeded(conn transport.Conn, pool *cot.SenderPool, h *aesprg.Hash, p prg
 // alphas[i] must fall inside bucket i. The one exchange (every tree's
 // corrections out, the sender's reply in) comes first; then the t
 // punctured trees are reconstructed straight into their buckets of v,
-// concurrently across up to `workers` goroutines. The wire transcript
-// is byte-identical for every worker count.
+// by up to `workers` goroutines claiming one tree at a time. The wire
+// transcript is byte-identical for every worker count.
 func ReceiveWorkers(conn transport.Conn, pool *cot.ReceiverPool, h *aesprg.Hash, p prg.PRG, cfg Config, alphas []int, workers int) ([]block.Block, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -170,15 +174,17 @@ func ReceiveWorkers(conn transport.Conn, pool *cot.ReceiverPool, h *aesprg.Hash,
 	// Local and parallel: buckets write disjoint ranges of v.
 	reco := cfg.Trace.Span("spcot.reconstruct", "extend", cfg.TID)
 	v := make([]block.Block, cfg.N)
-	parallel.ShardIndexed(workers, cfg.T, func(shard, lo, hi int) {
-		sp := cfg.Trace.Span("spcot.reconstruct", "extend.worker", cfg.TID+1+shard)
+	parallel.Chunks(workers, cfg.T, 1, func(worker int, trees iter.Seq2[int, int]) {
+		sp := cfg.Trace.Span("spcot.reconstruct", "extend.worker", cfg.TID+1+worker)
 		sc := x.Scratch()
-		for i := lo; i < hi; i++ {
+		n := 0
+		for i := range trees {
 			blo, bhi := cfg.bucketSpan(i)
 			x.Open(i, v[blo:bhi], sc)
+			n++
 		}
 		if sp.Live() {
-			sp.EndArgs(map[string]any{"trees": hi - lo})
+			sp.EndArgs(map[string]any{"trees": n})
 		}
 	})
 	if reco.Live() {

@@ -19,10 +19,10 @@ import (
 // Span taxonomy (see DESIGN.md "Observability"): names are
 // dot-separated phase identifiers ("spcot.expand", "lpn.encode"), the
 // category groups them ("extend" for main-thread phase spans,
-// "extend.worker" for per-worker shards, "gmw"/"arith"/"pool" for the
+// "extend.worker" for per-worker spans, "gmw"/"arith"/"pool" for the
 // engines). Thread ids (tids) separate concurrent actors: protocol
 // endpoints get a base tid (NameThread labels it) and their workers
-// base+1+shard.
+// base+1+worker.
 type Tracer struct {
 	mu      sync.Mutex
 	base    time.Time

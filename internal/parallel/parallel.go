@@ -1,16 +1,25 @@
-// Package parallel provides the worker-sharding primitive behind the
-// multicore Extend pipeline: contiguous-range sharding for row-parallel
-// kernels (the software analog of the paper's rank-parallel LPN encode)
-// and for independent tree expansions.
+// Package parallel provides the worker primitive behind the multicore
+// Extend pipeline: a few workers claim chunks of an index range from
+// one shared counter, for row-parallel kernels (the software analog of
+// the paper's rank-parallel LPN encode), independent tree expansions
+// and transpose tiles.
 //
-// The unit of work runs inline when a single worker (or a single item)
-// makes goroutine fan-out pure overhead, so a Workers=1 pipeline is
-// exactly the sequential code path.
+// Claiming in chunks rather than handing each worker one fixed share
+// keeps every worker busy until the range runs out, whichever worker
+// the scheduler or a cache slowed down. Every caller's index writes
+// only its own output slot, so results do not depend on which worker
+// claimed what.
+//
+// The unit of work runs inline when a single worker (or a single
+// chunk) makes goroutine fan-out pure overhead, so a Workers=1
+// pipeline is exactly the sequential code path.
 package parallel
 
 import (
+	"iter"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Workers resolves a worker-count knob: values <= 0 select
@@ -22,41 +31,48 @@ func Workers(requested int) int {
 	return requested
 }
 
-// ShardIndexed splits [0, n) into at most `workers` contiguous
-// half-open ranges and runs f(shard, lo, hi) on each, one goroutine per
-// range, waiting for all of them. Ranges differ in size by at most one
-// element, so regular workloads (LPN rows, hash batches) stay balanced.
-// With workers <= 1 or n <= 1 the single range runs inline on the
-// caller. The shard index is a stable 0-based worker id — the hook
-// per-worker observability spans hang off: it is a deterministic
-// function of (workers, n), never of goroutine scheduling, so a trace's
-// worker lanes line up across iterations.
-func ShardIndexed(workers, n int, f func(shard, lo, hi int)) {
+// Chunks covers [0, n) with half-open ranges of chunk indices (the
+// last one shorter) and runs f once per worker, on
+// w = min(Workers(workers), ⌈n/chunk⌉) workers, waiting for all of
+// them. Each worker ranges over its ranges sequence, which claims the
+// worker's next [lo, hi) from one atomic counter until none is left;
+// f must range over it to the end. Every index is claimed exactly
+// once. worker is a 0-based id < w, so per-worker state (scratch
+// buffers, trace lanes) hangs off it; which ranges a worker gets
+// depends on scheduling. With w == 1, f runs inline on the caller.
+func Chunks(workers, n, chunk int, f func(worker int, ranges iter.Seq2[int, int])) {
 	if n <= 0 {
 		return
 	}
-	w := Workers(workers)
-	if w > n {
-		w = n
+	if chunk < 1 {
+		panic("parallel: Chunks chunk < 1")
 	}
+	claims := (n + chunk - 1) / chunk
+	var next atomic.Int64
+	ranges := func(yield func(lo, hi int) bool) {
+		for {
+			c := int(next.Add(1) - 1)
+			if c >= claims {
+				return
+			}
+			lo := c * chunk
+			if !yield(lo, min(lo+chunk, n)) {
+				return
+			}
+		}
+	}
+	w := min(Workers(workers), claims)
 	if w <= 1 {
-		f(0, 0, n)
+		f(0, ranges)
 		return
 	}
 	var wg sync.WaitGroup
 	wg.Add(w)
-	chunk, rem := n/w, n%w
-	lo := 0
-	for i := 0; i < w; i++ {
-		hi := lo + chunk
-		if i < rem {
-			hi++
-		}
-		go func(i, lo, hi int) {
+	for i := range w {
+		go func() {
 			defer wg.Done()
-			f(i, lo, hi)
-		}(i, lo, hi)
-		lo = hi
+			f(i, ranges)
+		}()
 	}
 	wg.Wait()
 }

@@ -45,6 +45,7 @@ package softspoken
 import (
 	"crypto/subtle"
 	"fmt"
+	"iter"
 
 	"ironman/internal/aesprg"
 	"ironman/internal/baseot"
@@ -372,6 +373,10 @@ type planes [][][]byte
 
 const stripBytes = 8 << 10
 
+// transposeClaim is the 64-row tiles one transpose worker claims at a
+// time.
+const transposeClaim = 16
+
 // xorCol XORs src into column c.
 func (p planes) xorCol(c int, src []byte) {
 	for s, strip := range p {
@@ -383,7 +388,8 @@ func (p planes) xorCol(c int, src []byte) {
 // chunk's leaves into its k column planes: leaf a is XORed into plane b
 // for every set bit b of a⊕holes[j]. A nil stream (the sender's
 // punctured leaf) is skipped. With sums non-nil, all leaves of chunk j
-// are also XORed into sums[j·mb:(j+1)·mb]. Chunks shard across workers.
+// are also XORed into sums[j·mb:(j+1)·mb]. Workers claim one chunk at
+// a time; chunk j writes only its own k columns and sums section.
 func expandCols(streams []*aesprg.Stream, holes []int, k, mb, workers int, sums []byte, tr *obs.Tracer, tid int) planes {
 	exp := tr.Span("softspoken.expand", "extend", tid)
 	cols := make(planes, (mb+stripBytes-1)/stripBytes)
@@ -396,10 +402,12 @@ func expandCols(streams []*aesprg.Stream, holes []int, k, mb, workers int, sums 
 		}
 	}
 	leaves := 1 << uint(k)
-	parallel.ShardIndexed(workers, len(holes), func(shard, lo, hi int) {
-		sp := tr.Span("softspoken.expand", "extend.worker", tid+1+shard)
+	parallel.Chunks(workers, len(holes), 1, func(worker int, chunks iter.Seq2[int, int]) {
+		sp := tr.Span("softspoken.expand", "extend.worker", tid+1+worker)
 		buf := make([]byte, mb)
-		for j := lo; j < hi; j++ {
+		n := 0
+		for j := range chunks {
+			n++
 			for a, st := range streams[j*leaves : (j+1)*leaves] {
 				if st == nil {
 					continue
@@ -416,7 +424,7 @@ func expandCols(streams []*aesprg.Stream, holes []int, k, mb, workers int, sums 
 			}
 		}
 		if sp.Live() {
-			sp.EndArgs(map[string]any{"chunks": hi - lo})
+			sp.EndArgs(map[string]any{"chunks": n})
 		}
 	})
 	if exp.Live() {
@@ -427,17 +435,22 @@ func expandCols(streams []*aesprg.Stream, holes []int, k, mb, workers int, sums 
 
 // transposeRows bit-transposes the column planes into dst (row t bit c
 // = bit t of column c) strip by strip, dropping each strip once its
-// rows exist. A strip shards over block.TransposeBits' 64-row tiles,
-// so the result is independent of the worker count.
+// rows exist. Workers claim a strip's block.TransposeBits 64-row tiles
+// transposeClaim at a time; each tile writes only its own rows, so the
+// result is independent of the worker count.
 func transposeRows(dst []block.Block, cols planes, workers int, tr *obs.Tracer, tid int) {
 	sp := tr.Span("softspoken.transpose", "extend", tid)
 	for s, strip := range cols {
 		rows := dst[s*8*stripBytes : min((s+1)*8*stripBytes, len(dst))]
-		parallel.ShardIndexed(workers, (len(rows)+63)/64, func(shard, tlo, thi int) {
-			w := tr.Span("softspoken.transpose", "extend.worker", tid+1+shard)
-			block.TransposeBits(rows, strip, tlo*64, min(thi*64, len(rows)))
+		parallel.Chunks(workers, (len(rows)+63)/64, transposeClaim, func(worker int, tiles iter.Seq2[int, int]) {
+			w := tr.Span("softspoken.transpose", "extend.worker", tid+1+worker)
+			n := 0
+			for tlo, thi := range tiles {
+				block.TransposeBits(rows, strip, tlo*64, min(thi*64, len(rows)))
+				n += thi - tlo
+			}
 			if w.Live() {
-				w.EndArgs(map[string]any{"tiles": thi - tlo})
+				w.EndArgs(map[string]any{"tiles": n})
 			}
 		})
 		cols[s] = nil
@@ -449,7 +462,7 @@ func transposeRows(dst []block.Block, cols planes, workers int, tr *obs.Tracer, 
 
 // Extend runs one iteration on the receiver side and returns n choice
 // bits x and blocks y with z = y ⊕ x·Δ held by the sender. Local
-// phases shard across Options.Workers goroutines; the single outgoing
+// phases run on Options.Workers goroutines; the single outgoing
 // message is byte-identical for every worker count.
 func (r *Receiver) Extend() ([]bool, []block.Block, error) {
 	ext := r.trace.Span("extend", "softspoken", ReceiverTID)

@@ -153,14 +153,18 @@ echo "== scheduling flake guard (repeats of the scheduling-dependent paths) =="
 # one endpoint of a dealt pair must be able to draw alone at Prefetch 0.
 go test -count=25 -run 'DrawAfterClose|LeaseExpiryTypedError|ConcurrentExpiryVsDraw|ObserverMatchesStats|DealtPairOneSidedDraw|DealtPairConcurrentDraw' . ./internal/pool ./internal/otserv/session
 # Concurrent endpoints on one shape must wait on one LPN code
-# derivation and all share its pointer.
-go test -count=25 -run 'CodeShared' ./internal/ferret
+# derivation and all share its pointer; a dropped code's off-heap index
+# matrix is unmapped by its cleanup and the shape derived again.
+go test -count=25 -run 'CodeShared|CodeRederivedAfterCleanup' ./internal/ferret
 # Every MPCOT worker reads one shared exchange (corrections, r0, Δ)
 # and writes its own trees' reply sections and buckets. Every seeded
 # stream is keyed by aesprg.NewLocal: the goldens pin its derivation,
 # the freshness test its unseeded keys. The gmw and arith goldens pin
-# the engines' role-ordered exchanges and word/bit framing.
-go test -race -count=5 -run 'WorkersMatchSequential|ParallelDeterminismSmall|TranscriptGolden|ExtendGolden|GoldenTranscripts|LocalRandomnessFresh' . ./internal/mpcot ./internal/ferret ./internal/softspoken ./internal/gmw ./internal/arith
+# the engines' role-ordered exchanges and word/bit framing. Workers
+# claim chunks from one counter (parallel.Chunks): every index exactly
+# once, and both LPN row paths match the reference across several
+# chunks and in place.
+go test -race -count=5 -run 'WorkersMatchSequential|ParallelDeterminismSmall|TranscriptGolden|ExtendGolden|GoldenTranscripts|LocalRandomnessFresh|Chunks|GatherMatchesReference' . ./internal/mpcot ./internal/ferret ./internal/softspoken ./internal/gmw ./internal/arith ./internal/parallel ./internal/lpn
 
 echo "== purego fallback (crypto/aes, the per-parent GGM path and the Go LPN rows against the same goldens) =="
 # Without -tags purego every AES call runs the AES-NI kernel
