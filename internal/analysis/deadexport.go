@@ -60,7 +60,7 @@ func deadExports(fset *token.FileSet, modPath string, pkgs []*loadedPackage) []F
 				continue
 			}
 			pos := fset.Position(d.ident.Pos())
-			msg := d.name + " is exported but no non-test file references it; delete it or add //ironman:allow(deadexport) <reason>"
+			msg := d.name + " is exported but no non-test file references it; delete it"
 			if msg, ok := idx.filter(pos, msg); ok {
 				findings = append(findings, Finding{deadexport, pos, msg})
 			}

@@ -30,11 +30,10 @@ func (softSpokenBackend) options(o Options) softspoken.Options {
 }
 
 // Cost: one receiver→sender message per Extend, sized exactly by
-// softspoken.WireBytes at the default subfield size (asserted
-// byte-for-byte by the extend bench).
+// softspoken.WireBytes (asserted byte-for-byte by the extend bench).
 func (b softSpokenBackend) Cost(p Params, _ Options) Cost {
 	n := b.Batch(p)
-	extend := softspoken.WireBytes(n, softspoken.DefaultFieldBits)
+	extend := softspoken.WireBytes(n)
 	return Cost{
 		ExtendBytes: extend,
 		BytesPerCOT: float64(extend) / float64(n),

@@ -441,7 +441,7 @@ func TestEncodeParallelDeterminism(t *testing.T) {
 func TestAccessTraceLength(t *testing.T) {
 	c := testCode(100, 40)
 	count := 0
-	c.Sort(DefaultSort()).AccessTrace(func(col uint32) {
+	c.Sort(designSort).AccessTrace(func(col uint32) {
 		if col >= 40 {
 			t.Fatalf("trace column %d out of range", col)
 		}

@@ -17,18 +17,15 @@
 // is compensated by permuting the input vector (legitimate under the
 // LPN assumption — the input is uniformly random either way, and both
 // parties permute consistently), and row look-ahead only changes the
-// order in which independent output rows are produced.
+// order in which independent output rows are produced. The software
+// encoders keep the natural layout; the view is the address stream the
+// near-memory model in internal/sim/nmp replays.
 package lpn
 
-import (
-	"runtime"
-
-	"ironman/internal/block"
-)
+import "runtime"
 
 // Sorted is a compile-time-sorted view of a Code.
 type Sorted struct {
-	code *Code
 	// ColPerm maps original column -> permuted position. The permuted
 	// input vector is rPerm[ColPerm[j]] = r[j].
 	ColPerm []uint32
@@ -54,24 +51,10 @@ type SortOptions struct {
 	LineWords  int
 }
 
-// DefaultSort is the configuration the Ironman design point uses: both
-// transforms on, a 16-row window, scored against a 256 KB cache with
-// 64-byte lines.
-//
-//ironman:allow(deadexport) the sorted encoder awaits wiring into ferret's Extend; sort_test holds it to the unsorted output
-func DefaultSort() SortOptions {
-	return SortOptions{
-		ColumnSwap:      true,
-		LookaheadWindow: 16,
-		CacheLines:      256 * 1024 / 64,
-		LineWords:       4,
-	}
-}
-
 // Sort produces the sorted view. The pass is deterministic, so the two
 // protocol parties derive identical views from the shared code.
 func (c *Code) Sort(opts SortOptions) *Sorted {
-	s := &Sorted{code: c}
+	s := &Sorted{}
 
 	// Column swapping: relabel columns in first-use order.
 	s.ColPerm = make([]uint32, c.K)
@@ -206,55 +189,6 @@ func (c *clockCache) touch(line uint32) {
 	c.ring[c.hand] = line
 	c.lines[line] = true
 	c.hand = (c.hand + 1) % c.cap
-}
-
-// PermuteInput produces the column-swapped copy of an input vector:
-// out[ColPerm[j]] = in[j]. Both parties apply this to their LPN inputs
-// before running the sorted encoder.
-//
-//ironman:allow(deadexport) the sorted encoder awaits wiring into ferret's Extend; sort_test holds it to the unsorted output
-func (s *Sorted) PermuteInput(in []block.Block) []block.Block {
-	out := make([]block.Block, len(in))
-	for j, v := range in {
-		out[s.ColPerm[j]] = v
-	}
-	return out
-}
-
-// PermuteInputBits is PermuteInput for the receiver's bit vector e.
-//
-//ironman:allow(deadexport) the sorted encoder awaits wiring into ferret's Extend; sort_test holds it to the unsorted output
-func (s *Sorted) PermuteInputBits(in []bool) []bool {
-	out := make([]bool, len(in))
-	for j, v := range in {
-		out[s.ColPerm[j]] = v
-	}
-	return out
-}
-
-// EncodeBlocks runs the encoder over the sorted layout: rows are
-// processed in look-ahead order against the permuted input, and Rowidx
-// routes each result to its true output slot. The result is bit-for-bit
-// identical to Code.EncodeBlocksParallel on the unsorted layout.
-//
-//ironman:allow(deadexport) the sorted encoder awaits wiring into ferret's Extend; sort_test holds it to the unsorted output
-func (s *Sorted) EncodeBlocks(out, rPerm, w []block.Block) {
-	c := s.code
-	if len(out) != c.N || len(rPerm) != c.K {
-		panic("lpn: Sorted.EncodeBlocks dimension mismatch")
-	}
-	for i := 0; i < c.N; i++ {
-		var acc block.Block
-		for _, j := range s.idx[i*c.D : (i+1)*c.D] {
-			acc.Lo ^= rPerm[j].Lo
-			acc.Hi ^= rPerm[j].Hi
-		}
-		row := s.Rowidx[i]
-		if w != nil {
-			acc = acc.Xor(w[row])
-		}
-		out[row] = acc
-	}
 }
 
 // AccessTrace invokes f for every permuted input access in processing

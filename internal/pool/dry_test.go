@@ -5,42 +5,27 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"ironman/internal/block"
 )
 
-// slowDealtSource produces tiny batches with an artificial delay, so
-// draws larger than the buffered stock reliably block on generation.
-func slowDealtSource(batch int, delay time.Duration) DealtRefill {
-	var ctr uint64
-	return func() ([]block.Block, []bool, []block.Block, error) {
-		time.Sleep(delay)
-		z := make([]block.Block, batch)
-		bits := make([]bool, batch)
-		y := make([]block.Block, batch)
-		for i := range z {
-			ctr++
-			z[i] = block.Block{Lo: ctr}
-			y[i] = block.Block{Lo: ctr}
-		}
-		return z, bits, y, nil
-	}
-}
+// The backpressure tests run on one-half streams (NewSender): their
+// tiny batches, slowed by seqSource's delay, make draws larger than the
+// buffered stock reliably block on generation, and a single half has no
+// retention cap to trip first.
 
 // TestMaxWaitShedsWithErrDry: a draw that generation cannot satisfy
 // within MaxWait fails typed instead of waiting forever, and the pool
 // stays usable for draws generation can keep up with.
 func TestMaxWaitShedsWithErrDry(t *testing.T) {
-	p := NewDealt(slowDealtSource(8, 20*time.Millisecond), Config{
-		Depth: 1, MaxWait: 60 * time.Millisecond, MaxBuffered: -1,
+	p := NewSender(seqSource(8, 20*time.Millisecond), Config{
+		Depth: 1, MaxWait: 60 * time.Millisecond,
 	})
 	defer p.Close()
 	// 10 batches' worth cannot materialize in three batch times.
-	if _, err := p.SenderCOTs(8 * 10); !errors.Is(err, ErrDry) {
+	if _, err := p.COTs(8 * 10); !errors.Is(err, ErrDry) {
 		t.Fatalf("oversized draw err = %v, want ErrDry", err)
 	}
 	// A batch-sized draw succeeds afterwards: the shed consumed nothing.
-	z, err := p.SenderCOTs(8)
+	z, err := p.COTs(8)
 	if err != nil {
 		t.Fatalf("post-shed draw: %v", err)
 	}
@@ -53,8 +38,8 @@ func TestMaxWaitShedsWithErrDry(t *testing.T) {
 // concurrently blocked draw sheds immediately with ErrDry while the
 // first eventually completes.
 func TestMaxWaitersShedsExcessDraws(t *testing.T) {
-	p := NewDealt(slowDealtSource(4, 30*time.Millisecond), Config{
-		Depth: 1, MaxWaiters: 1, MaxBuffered: -1,
+	p := NewSender(seqSource(4, 30*time.Millisecond), Config{
+		Depth: 1, MaxWaiters: 1,
 	})
 	defer p.Close()
 
@@ -65,7 +50,7 @@ func TestMaxWaitersShedsExcessDraws(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			// Each draw wants several batches, so most of them block.
-			_, errs[i] = p.SenderCOTs(4 * 3)
+			_, errs[i] = p.COTs(4 * 3)
 		}(i)
 	}
 	wg.Wait()
@@ -91,9 +76,9 @@ func TestMaxWaitersShedsExcessDraws(t *testing.T) {
 // TestUnboundedWaitStillBlocks: without MaxWait/MaxWaiters the old
 // semantics hold — a blocked draw waits for generation and succeeds.
 func TestUnboundedWaitStillBlocks(t *testing.T) {
-	p := NewDealt(slowDealtSource(16, time.Millisecond), Config{Depth: 1, MaxBuffered: -1})
+	p := NewSender(seqSource(16, time.Millisecond), Config{Depth: 1})
 	defer p.Close()
-	z, err := p.SenderCOTs(16 * 6)
+	z, err := p.COTs(16 * 6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,17 +30,20 @@ func TestObserverMatchesStats(t *testing.T) {
 	reg := obs.NewRegistry()
 	obsS := NewObserver(reg, obs.Labels("half", "sender"))
 	obsR := NewObserver(reg, obs.Labels("half", "receiver"))
-	// No retention cap: on a loaded box one half's goroutines can all
-	// finish before the other half's are scheduled, and this test is
-	// about counter consistency, not pacing.
 	p := NewDealt(dealtSlowSource(256, 200*time.Microsecond), Config{
-		Depth: 2, Obs: obsS, ObsReceiver: obsR, MaxBuffered: -1,
+		Depth: 2, Obs: obsS, ObsReceiver: obsR,
 	})
 	defer p.Close()
 
+	// Each goroutine draws both halves in lockstep: were the halves
+	// drawn by separate goroutines, on a loaded box one half's could all
+	// finish before the other's are scheduled and trip the retention
+	// cap. Here the halves differ by at most 8 draws of 100, far inside
+	// (Depth+8)·256, and the test stays about counter consistency, not
+	// pacing.
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
-		wg.Add(2)
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
@@ -48,11 +51,6 @@ func TestObserverMatchesStats(t *testing.T) {
 					t.Error(err)
 					return
 				}
-			}
-		}()
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
 				if _, _, err := p.ReceiverCOTs(100); err != nil {
 					t.Error(err)
 					return

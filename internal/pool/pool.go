@@ -78,15 +78,6 @@ type Config struct {
 	// background worker: draws run the source inline on the calling
 	// goroutine, which is the synchronous seed behaviour.
 	Depth int
-	// MaxBuffered caps how many ready correlations either half of a
-	// two-half stream (NewDealt and its views) may retain: correlations
-	// are pairwise, so a consumer that drains only one half grows the
-	// other with every refill. When the cap blocks generation, draws on
-	// the starved half fail with ErrRetained instead of exhausting
-	// memory. 0 selects (Depth+8) batches; negative disables the cap. A
-	// stream with one half (NewSender, NewReceiver) has nothing to
-	// retain — its buffer is bounded by the demand on it.
-	MaxBuffered int
 	// MaxWait bounds how long one blocked draw waits for generation
 	// before shedding with ErrDry; 0 waits forever. A serving layer
 	// sets this so a draw storm degrades into typed rejections instead
@@ -205,15 +196,16 @@ func (h *half) pop(n int) (blocks []block.Block, bits []bool) {
 	return blocks, bits
 }
 
-// retentionCap resolves Config.MaxBuffered: the per-half correlation
-// limit, or -1 while unlimited/unknown. Only a stream with two halves
-// can retain: a single buffer is bounded by the demand on it.
+// retentionCap is the per-half correlation limit of a two-half stream,
+// (Depth+8) batches, or -1 while unknown or unneeded. Correlations are
+// pairwise, so a consumer that drains only one half grows the other
+// with every refill; when the cap blocks generation, draws on the
+// starved half fail with ErrRetained instead of exhausting memory. A
+// stream with one half (NewSender, NewReceiver) has nothing to retain:
+// its buffer is bounded by the demand on it.
 func (st *stream) retentionCap() int {
-	if st.s == nil || st.r == nil || st.cfg.MaxBuffered < 0 || st.batch == 0 {
+	if st.s == nil || st.r == nil || st.batch == 0 {
 		return -1
-	}
-	if st.cfg.MaxBuffered > 0 {
-		return st.cfg.MaxBuffered
 	}
 	return (st.cfg.Depth + 8) * st.batch
 }
@@ -527,9 +519,9 @@ func (p *Receiver) COTs(n int) ([]bool, []block.Block, error) {
 // proceed at independent rates without desynchronizing the two
 // protocol endpoints. Refills trigger on the more depleted half.
 // Correlations are pairwise, so an undrawn half retains every refill;
-// Config.MaxBuffered bounds that growth, failing draws on the starved
-// half with ErrRetained once the cap blocks generation (see
-// DESIGN.md).
+// a cap of (Depth+8) batches per half bounds that growth, failing
+// draws on the starved half with ErrRetained once the cap blocks
+// generation (see DESIGN.md).
 type Dealt struct{ *stream }
 
 // NewDealt builds the two-halves pool; see NewSender for Depth

@@ -487,10 +487,14 @@ func dealtSeqSource(batch int) DealtRefill {
 	}
 }
 
+// TestDealtRetentionCap: a two-half stream retains at most (Depth+8)
+// batches per half, and reaches exactly that before a starved draw
+// fails.
 func TestDealtRetentionCap(t *testing.T) {
 	const batch = 100
 	for _, depth := range []int{0, 1} {
-		p := NewDealt(dealtSeqSource(batch), Config{Depth: depth, MaxBuffered: 3 * batch})
+		p := NewDealt(dealtSeqSource(batch), Config{Depth: depth})
+		capN := (depth + 8) * batch
 		// Drain only the sender half: the receiver half retains every
 		// refill until the cap stops generation and the starved draw
 		// fails instead of growing memory without bound.
@@ -504,14 +508,14 @@ func TestDealtRetentionCap(t *testing.T) {
 		if !errors.Is(err, ErrRetained) {
 			t.Fatalf("depth %d: err = %v after %d draws, want ErrRetained", depth, err, draws)
 		}
-		if draws < 2 {
-			t.Fatalf("depth %d: cap tripped after only %d draws", depth, draws)
+		if draws*batch != capN {
+			t.Fatalf("depth %d: cap tripped after %d draws of %d, want %d correlations", depth, draws, batch, capN)
 		}
 		p.mu.Lock()
 		retained := p.r.ready()
 		p.mu.Unlock()
-		if retained > 3*batch {
-			t.Fatalf("depth %d: receiver half retained %d > cap", depth, retained)
+		if retained != capN {
+			t.Fatalf("depth %d: receiver half retained %d, want the cap %d", depth, retained, capN)
 		}
 		// Draining the fat half unblocks generation.
 		if _, _, err := p.ReceiverCOTs(retained); err != nil {

@@ -11,6 +11,16 @@ import (
 
 var seed = block.New(1, 2)
 
+// designSort is the Ironman design point's §5.3 sort: both transforms
+// on, a 16-row window, scored against a 256 KB cache with 64-byte
+// lines.
+var designSort = lpn.SortOptions{
+	ColumnSwap:      true,
+	LookaheadWindow: 16,
+	CacheLines:      256 * 1024 / 64,
+	LineWords:       4,
+}
+
 // fastCfg keeps simulation samples small for unit tests.
 func fastCfg(ranks, cacheBytes int) Config {
 	c := DefaultConfig(ranks, cacheBytes)
@@ -24,7 +34,7 @@ func TestLPNMoreRanksFaster(t *testing.T) {
 	params := set20()
 	var prev float64
 	for i, ranks := range []int{2, 4, 8, 16} {
-		st, err := SimulateLPN(fastCfg(ranks, 256<<10), params, lpn.DefaultSort(), seed)
+		st, err := SimulateLPN(fastCfg(ranks, 256<<10), params, designSort, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -40,11 +50,11 @@ func TestLPNMoreRanksFaster(t *testing.T) {
 
 func TestLPNBiggerCacheFaster(t *testing.T) {
 	params := set20()
-	small, err := SimulateLPN(fastCfg(16, 64<<10), params, lpn.DefaultSort(), seed)
+	small, err := SimulateLPN(fastCfg(16, 64<<10), params, designSort, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := SimulateLPN(fastCfg(16, 1<<20), params, lpn.DefaultSort(), seed)
+	big, err := SimulateLPN(fastCfg(16, 1<<20), params, designSort, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +73,7 @@ func TestSortingImprovesLPN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := SimulateLPN(cfg, params, lpn.DefaultSort(), seed)
+	sorted, err := SimulateLPN(cfg, params, designSort, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +128,7 @@ func TestFigure13bSPCOTBelowLPN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lp, err := SimulateLPN(cfg, params, lpn.DefaultSort(), seed)
+		lp, err := SimulateLPN(cfg, params, designSort, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,12 +144,12 @@ func TestOverlapHelps(t *testing.T) {
 	p := prg.New(prg.ChaCha8, 4)
 	// One full execution's worth of OTs (the nominal 2^20 is a hair
 	// above Usable(), which would round up to two executions).
-	over, err := SimulateOTE(cfg, params, p, lpn.DefaultSort(), params.Usable())
+	over, err := SimulateOTE(cfg, params, p, designSort, params.Usable())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Overlap = false
-	seq, err := SimulateOTE(cfg, params, p, lpn.DefaultSort(), params.Usable())
+	seq, err := SimulateOTE(cfg, params, p, designSort, params.Usable())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +164,7 @@ func TestOverlapHelps(t *testing.T) {
 func TestExecutionsCount(t *testing.T) {
 	params := set20()
 	cfg := fastCfg(16, 1<<20)
-	res, err := SimulateOTE(cfg, params, prg.New(prg.ChaCha8, 4), lpn.DefaultSort(), 1<<25)
+	res, err := SimulateOTE(cfg, params, prg.New(prg.ChaCha8, 4), designSort, 1<<25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +178,7 @@ func TestExecutionsCount(t *testing.T) {
 
 func TestBadConfigRejected(t *testing.T) {
 	params := set20()
-	if _, err := SimulateLPN(Config{}, params, lpn.DefaultSort(), seed); err == nil {
+	if _, err := SimulateLPN(Config{}, params, designSort, seed); err == nil {
 		t.Fatal("expected config error")
 	}
 	if _, err := SimulateSPCOT(Config{}, prg.New(prg.AES, 2), 16, 1); err == nil {

@@ -4,7 +4,8 @@
 // chunks the 128-bit global correlation Δ into 128/k field elements of
 // k bits each and derives the VOLE columns from punctured GGM PRGs.
 //
-// Construction (one instance, parameters n and k with k | 128):
+// Construction (one instance of batch n, with the subfield size fixed
+// at k = 4):
 //
 //   - Setup. Split Δ into nc = 128/k chunks Δ_j of k bits. The
 //     extension RECEIVER expands nc binary GGM trees of 2^k leaves and
@@ -35,9 +36,9 @@
 //     malicious-security consistency check of the paper is out of
 //     scope, as for ferret (see DESIGN.md).
 //
-// Wire profile: one receiver→sender message of (128/k)·(n+128)/8 +
-// 16 + 2048 bytes per Extend — k-fold fewer column bytes than
-// IKNP-style full-width transfer — against ferret's many small
+// Wire profile: one receiver→sender message of 32·(n+128)/8 + 16 +
+// 2048 bytes per Extend — 4-fold fewer column bytes than IKNP-style
+// full-width transfer — against ferret's many small
 // puncturing flights. WireBytes is that count exactly; the extension
 // bench asserts the measured transcript against it byte-for-byte.
 package softspoken
@@ -70,10 +71,15 @@ const (
 // base-OT count, and the number of sacrificed check rows per Extend.
 const kappa = 128
 
-// DefaultFieldBits is the default subfield size k: 4-bit chunks, the
-// wire/compute balance point (2^4 leaf streams per chunk for a 4-fold
+// k is the subfield size: Δ is processed in nc = 128/k chunks of k
+// bits, each backed by a GGM tree of 2^k leaf streams. 4 is the
+// wire/compute balance point (16 leaf streams per chunk for a 4-fold
 // column reduction over IKNP).
-const DefaultFieldBits = 4
+const (
+	k      = 4
+	nc     = kappa / k
+	leaves = 1 << k
+)
 
 // Domain-separation constants for the Options.Seed streams
 // (aesprg.NewLocal, as in ferret: each role derives private randomness
@@ -91,12 +97,6 @@ var ErrConsistency = fmt.Errorf("softspoken: check rows broke the correlation (t
 
 // Options configures a protocol instance.
 type Options struct {
-	// FieldBits is the subfield size k: Δ is processed in 128/k chunks
-	// of k bits, each backed by a GGM tree of 2^k leaf streams. Larger
-	// k trades PRG compute (2^k/k times the stream bytes) for a k-fold
-	// column-transfer reduction. Must divide 128 and keep the trees
-	// sane: 1, 2, 4 or 8. 0 selects DefaultFieldBits.
-	FieldBits int
 	// Workers caps the goroutines Extend's local phases use (leaf
 	// stream expansion, the bit transpose). 0 selects
 	// runtime.GOMAXPROCS; 1 is strictly sequential. The wire
@@ -115,18 +115,7 @@ type Options struct {
 	Trace *obs.Tracer
 }
 
-func (o *Options) fill() {
-	if o.FieldBits == 0 {
-		o.FieldBits = DefaultFieldBits
-	}
-}
-
-func (o *Options) validate(n int) error {
-	switch o.FieldBits {
-	case 1, 2, 4, 8:
-	default:
-		return fmt.Errorf("softspoken: FieldBits must be 1, 2, 4 or 8, got %d", o.FieldBits)
-	}
+func validate(n int) error {
 	if n <= 0 || n%8 != 0 {
 		return fmt.Errorf("softspoken: batch size must be a positive multiple of 8, got %d", n)
 	}
@@ -144,12 +133,12 @@ func (o *Options) traceFor(tid int, name string) *obs.Tracer {
 // fixed-key leaf derivation the leaf streams (AES-CTR) assume.
 func treePRG() prg.PRG { return prg.New(prg.AES, 2) }
 
-// WireBytes is the exact per-Extend transcript size for batch n and
-// subfield k: 128/k correction columns of (n+128)/8 bytes plus the
-// 16-byte x and 2048-byte y check-row sections, in one message.
-func WireBytes(n, k int) int64 {
+// WireBytes is the exact per-Extend transcript size for batch n: 32
+// correction columns of (n+128)/8 bytes plus the 16-byte x and
+// 2048-byte y check-row sections, in one message.
+func WireBytes(n int) int64 {
 	mb := int64(n+kappa) / 8
-	return int64(kappa/k)*mb + block.Size + kappa*block.Size
+	return nc*mb + block.Size + kappa*block.Size
 }
 
 // Sender is the extension sender: holder of the global Δ, consumer of
@@ -157,8 +146,6 @@ func WireBytes(n, k int) int64 {
 type Sender struct {
 	conn    transport.Conn
 	n       int
-	k       int
-	nc      int
 	holes   []int            // Δ_j per chunk: the leaf index it cannot expand
 	streams []*aesprg.Stream // nc·2^k leaf streams, nil at each chunk's hole
 	delta   block.Block
@@ -173,8 +160,6 @@ type Sender struct {
 type Receiver struct {
 	conn    transport.Conn
 	n       int
-	k       int
-	nc      int
 	streams []*aesprg.Stream // nc·2^k leaf streams, all present
 	rng     *aesprg.Stream   // GGM roots at setup, then per-Extend x draws
 	workers int
@@ -183,10 +168,10 @@ type Receiver struct {
 	Iterations int
 }
 
-// chunkHoles splits delta into 128/k k-bit chunk values, LSB-first
+// chunkHoles splits delta into nc k-bit chunk values, LSB-first
 // within each chunk: Δ_j = Σ_b bit(j·k+b) · 2^b.
-func chunkHoles(delta block.Block, k int) []int {
-	holes := make([]int, kappa/k)
+func chunkHoles(delta block.Block) []int {
+	holes := make([]int, nc)
 	for j := range holes {
 		v := 0
 		for b := 0; b < k; b++ {
@@ -202,14 +187,10 @@ func chunkHoles(delta block.Block, k int) []int {
 // seeds the leaf streams; the caller runs the setup protocol (or, for
 // DealPair, hands the leaves to the dealt sender directly).
 func newReceiverCore(conn transport.Conn, n int, opts Options, domain block.Block) (*Receiver, []*ggm.Tree, error) {
-	opts.fill()
-	if err := opts.validate(n); err != nil {
+	if err := validate(n); err != nil {
 		return nil, nil, err
 	}
 	rng := aesprg.NewLocal(opts.Seed, domain)
-	k := opts.FieldBits
-	nc := kappa / k
-	leaves := 1 << uint(k)
 	roots := make([]block.Block, nc)
 	rng.Blocks(roots)
 	p := treePRG()
@@ -223,7 +204,7 @@ func newReceiverCore(conn transport.Conn, n int, opts Options, domain block.Bloc
 		}
 	}
 	r := &Receiver{
-		conn: conn, n: n, k: k, nc: nc, streams: streams, rng: rng,
+		conn: conn, n: n, streams: streams, rng: rng,
 		workers: opts.Workers,
 		trace:   opts.traceFor(ReceiverTID, "softspoken.receiver"),
 	}
@@ -234,14 +215,12 @@ func newReceiverCore(conn transport.Conn, n int, opts Options, domain block.Bloc
 // caller seeds all but each chunk's hole (base OTs, or DealPair's
 // dealer).
 func newSender(conn transport.Conn, delta block.Block, n int, opts Options) (*Sender, error) {
-	opts.fill()
-	if err := opts.validate(n); err != nil {
+	if err := validate(n); err != nil {
 		return nil, err
 	}
-	k := opts.FieldBits
 	return &Sender{
-		conn: conn, n: n, k: k, nc: kappa / k, holes: chunkHoles(delta, k),
-		streams: make([]*aesprg.Stream, kappa/k<<uint(k)),
+		conn: conn, n: n, holes: chunkHoles(delta),
+		streams: make([]*aesprg.Stream, nc*leaves),
 		delta:   delta,
 		workers: opts.Workers,
 		trace:   opts.traceFor(SenderTID, "softspoken.sender"),
@@ -264,9 +243,9 @@ func NewReceiver(conn transport.Conn, n int, opts Options) (*Receiver, error) {
 	// unmasks exactly the sum its base-OT choice paid for.
 	msg := make([]byte, kappa*2*block.Size)
 	for j, tree := range trees {
-		for l := 1; l <= r.k; l++ {
+		for l := 1; l <= k; l++ {
 			sums := tree.LevelSums(l)
-			i := j*r.k + l - 1
+			i := j*k + l - 1
 			sums[0].Xor(pairs[i][0]).Put(msg[i*2*block.Size:])
 			sums[1].Xor(pairs[i][1]).Put(msg[(i*2+1)*block.Size:])
 		}
@@ -285,10 +264,8 @@ func NewSender(conn transport.Conn, delta block.Block, n int, opts Options) (*Se
 	if err != nil {
 		return nil, err
 	}
-	k := s.k
-	leaves := 1 << uint(k)
 	arities := ggm.LevelArities(leaves, 2)
-	digits := make([][]int, s.nc)
+	digits := make([][]int, nc)
 	choices := make([]bool, kappa)
 	for j, hole := range s.holes {
 		digits[j] = ggm.Digits(hole, arities)
@@ -344,7 +321,6 @@ func DealPair(connS, connR transport.Conn, delta block.Block, n int, opts Option
 	if err != nil {
 		return nil, nil, err
 	}
-	leaves := 1 << uint(s.k)
 	for j, tree := range trees {
 		for a, leaf := range tree.Leaves() {
 			// Fresh stream objects: the two endpoints advance their
@@ -390,7 +366,7 @@ func (p planes) xorCol(c int, src []byte) {
 // punctured leaf) is skipped. With sums non-nil, all leaves of chunk j
 // are also XORed into sums[j·mb:(j+1)·mb]. Workers claim one chunk at
 // a time; chunk j writes only its own k columns and sums section.
-func expandCols(streams []*aesprg.Stream, holes []int, k, mb, workers int, sums []byte, tr *obs.Tracer, tid int) planes {
+func expandCols(streams []*aesprg.Stream, holes []int, mb, workers int, sums []byte, tr *obs.Tracer, tid int) planes {
 	exp := tr.Span("softspoken.expand", "extend", tid)
 	cols := make(planes, (mb+stripBytes-1)/stripBytes)
 	for s := range cols {
@@ -401,7 +377,6 @@ func expandCols(streams []*aesprg.Stream, holes []int, k, mb, workers int, sums 
 			cols[s][c] = strip[c*sb : (c+1)*sb]
 		}
 	}
-	leaves := 1 << uint(k)
 	parallel.Chunks(workers, len(holes), 1, func(worker int, chunks iter.Seq2[int, int]) {
 		sp := tr.Span("softspoken.expand", "extend.worker", tid+1+worker)
 		buf := make([]byte, mb)
@@ -472,16 +447,16 @@ func (r *Receiver) Extend() ([]bool, []block.Block, error) {
 	r.rng.Fill(xb)
 	// Correction columns c_j = (⊕_a r_a) ⊕ x, folded straight into
 	// their slots of the single outgoing message.
-	msg := make([]byte, r.nc*mb+block.Size+kappa*block.Size)
-	cols := expandCols(r.streams, make([]int, r.nc), r.k, mb, r.workers, msg[:r.nc*mb], r.trace, ReceiverTID)
-	for j := 0; j < r.nc; j++ {
+	msg := make([]byte, nc*mb+block.Size+kappa*block.Size)
+	cols := expandCols(r.streams, make([]int, nc), mb, r.workers, msg[:nc*mb], r.trace, ReceiverTID)
+	for j := 0; j < nc; j++ {
 		xorInto(msg[j*mb:(j+1)*mb], xb)
 	}
 	y := make([]block.Block, m)
 	transposeRows(y, cols, r.workers, r.trace, ReceiverTID)
 	// Check-row sections: the last 128 rows' x bits and y blocks let
 	// the sender verify the correlation before trusting the batch.
-	off := r.nc * mb
+	off := nc * mb
 	copy(msg[off:], xb[r.n/8:])
 	copy(msg[off+block.Size:], block.ToBytes(y[r.n:]))
 	if err := r.conn.Send(msg); err != nil {
@@ -509,24 +484,24 @@ func (s *Sender) Extend() ([]block.Block, error) {
 	// Folding by the offset a⊕Δ_j lines the columns up as v^(b) ⊕
 	// bit_b(Δ_j)·x once the correction is added below (the hole term
 	// has offset 0, no bits).
-	cols := expandCols(s.streams, s.holes, s.k, mb, s.workers, nil, s.trace, SenderTID)
+	cols := expandCols(s.streams, s.holes, mb, s.workers, nil, s.trace, SenderTID)
 	msg, err := s.conn.Recv()
 	if err != nil {
 		return nil, fmt.Errorf("softspoken extend: %w", err)
 	}
-	want := s.nc*mb + block.Size + kappa*block.Size
+	want := nc*mb + block.Size + kappa*block.Size
 	if len(msg) != want {
 		return nil, fmt.Errorf("softspoken extend: correction message is %d bytes, want %d", len(msg), want)
 	}
 	for c := 0; c < kappa; c++ {
 		if s.delta.Bit(c) == 1 {
-			cols.xorCol(c, msg[c/s.k*mb:][:mb])
+			cols.xorCol(c, msg[c/k*mb:][:mb])
 		}
 	}
 	z := make([]block.Block, m)
 	transposeRows(z, cols, s.workers, s.trace, SenderTID)
-	xchk := msg[s.nc*mb : s.nc*mb+block.Size]
-	ychk := block.SliceFromBytes(msg[s.nc*mb+block.Size:])
+	xchk := msg[nc*mb : nc*mb+block.Size]
+	ychk := block.SliceFromBytes(msg[nc*mb+block.Size:])
 	for t := 0; t < kappa; t++ {
 		wantZ := ychk[t]
 		if xchk[t>>3]>>(uint(t)&7)&1 == 1 {

@@ -45,6 +45,18 @@ echo "== ironman-vet (protocol-invariant analysis suite) =="
 # the "Enforced invariants" section of DESIGN.md.
 go vet -vettool="$bindir/ironman-vet" ./...
 
+echo "== no deadexport allow directive =="
+# deadexport admits no audited exception: an exported name with no
+# non-test caller is deleted, not allowed. A directive is a comment
+# whose text starts with ironman:allow( and names deadexport, on a line
+# of its own or after code; the analyzer's testdata fixtures, which the
+# go tool does not build, are the only place one may appear.
+if grep -rnE --include='*.go' --exclude-dir=vendor --exclude-dir=testdata \
+    '^[^"/]*//[[:space:]]*ironman:allow\([^)]*deadexport' .; then
+    echo "deadexport allow directive found (delete the dead export instead)" >&2
+    exit 1
+fi
+
 echo "== otd admin endpoint smoke test =="
 # Boot the dispenser with its admin listener on loopback, then hit the
 # observability surface end-to-end: liveness, Prometheus exposition
@@ -151,7 +163,10 @@ echo "== scheduling flake guard (repeats of the scheduling-dependent paths) =="
 # the session-level symptom showed up in a few percent of runs. A draw
 # storm must leave Stats and the registry reading the same counts, and
 # one endpoint of a dealt pair must be able to draw alone at Prefetch 0.
-go test -count=25 -run 'DrawAfterClose|LeaseExpiryTypedError|ConcurrentExpiryVsDraw|ObserverMatchesStats|DealtPairOneSidedDraw|DealtPairConcurrentDraw' . ./internal/pool ./internal/otserv/session
+# The backpressure bounds (MaxWait, MaxWaiters) must shed, or wait,
+# against a slowed source, and a one-sided drain must stop at exactly
+# the (Depth+8)-batch retention cap.
+go test -count=25 -run 'DrawAfterClose|LeaseExpiryTypedError|ConcurrentExpiryVsDraw|ObserverMatchesStats|DealtPairOneSidedDraw|DealtPairConcurrentDraw|MaxWaitShedsWithErrDry|MaxWaitersShedsExcessDraws|UnboundedWaitStillBlocks|DealtRetentionCap' . ./internal/pool ./internal/otserv/session
 # Concurrent endpoints on one shape must wait on one LPN code
 # derivation and all share its pointer; a dropped code's off-heap index
 # matrix is unmapped by its cleanup and the shape derived again.
