@@ -111,9 +111,9 @@ func main() {
 	}
 	wg.Wait()
 
-	// Fleet-era session semantics: sessions carry a tenant (the quota
-	// principal) and a routing token. A dropped connection orphans its
-	// sessions into a lease window instead of tearing them down — a new
+	// Fleet-era session semantics: sessions carry a tenant label (STATS
+	// reports it back) and a routing token. A dropped connection orphans
+	// its sessions into a lease window instead of tearing them down — a new
 	// connection resumes the SAME session, and the same pool position,
 	// with AttachToken. Against the fleet router the token also pins
 	// the session's shard, so the reconnect lands where the state lives.

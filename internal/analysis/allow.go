@@ -22,7 +22,8 @@ import (
 // with a note instead — so every silenced invariant violation carries
 // its audit trail in the source. A directive that suppresses nothing is
 // itself reported by the analyzer it names, so a stale reason cannot
-// outlive the finding it excused.
+// outlive the finding it excused. The deadexport module check honours
+// no directive: it reports every one naming it.
 const allowPrefix = "ironman:allow("
 
 var allowRe = regexp.MustCompile(`^ironman:allow\(([^)]*)\)[ \t]*(.*)$`)

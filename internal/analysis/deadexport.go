@@ -33,9 +33,9 @@ type exportDecl struct {
 }
 
 // deadExports runs the check over the loaded packages of the module
-// whose path is modPath and returns its findings, including every
-// //ironman:allow(deadexport) directive that suppressed nothing, sorted
-// by position.
+// whose path is modPath and returns its findings sorted by position. A
+// directive cannot suppress a dead export: every
+// //ironman:allow(deadexport) directive is itself a finding.
 func deadExports(fset *token.FileSet, modPath string, pkgs []*loadedPackage) []Finding {
 	enc := new(objectpath.Encoder)
 	used := make(map[objKey]bool)
@@ -59,11 +59,8 @@ func deadExports(fset *token.FileSet, modPath string, pkgs []*loadedPackage) []F
 			if used[d.key] || d.method != nil && implements(d.method, ifaces) {
 				continue
 			}
-			pos := fset.Position(d.ident.Pos())
-			msg := d.name + " is exported but no non-test file references it; delete it"
-			if msg, ok := idx.filter(pos, msg); ok {
-				findings = append(findings, Finding{deadexport, pos, msg})
-			}
+			findings = append(findings, Finding{deadexport, fset.Position(d.ident.Pos()),
+				d.name + " is exported but no non-test file references it; delete it"})
 		}
 		stale, msg := idx.unused()
 		for _, pos := range stale {

@@ -29,11 +29,14 @@ func OnlyTest() {} // want "OnlyTest is exported but no non-test file references
 
 func OnlyMain() {}
 
-//ironman:allow(deadexport) fixture: kept for a caller that lands later
-func Kept() {}
+// A directive suppresses no dead export, with or without a reason: both
+// it and the export are reported.
 
-//ironman:allow(deadexport)
-func NoReason() {} // want "must carry a reason"
+//ironman:allow(deadexport) fixture: kept for a caller that lands later // want "ironman:allow\(deadexport\) suppresses nothing"
+func Kept() {} // want "Kept is exported but no non-test file references it"
+
+//ironman:allow(deadexport) // want "ironman:allow\(deadexport\) suppresses nothing"
+func NoReason() {} // want "NoReason is exported but no non-test file references it"
 
 //ironman:allow(deadexport) fixture: stale, Used has a caller // want "ironman:allow\(deadexport\) suppresses nothing"
 func Used() {}

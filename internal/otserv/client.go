@@ -102,8 +102,8 @@ type SessionConfig struct {
 	// Workers requests an Extend worker-goroutine cap for the session's
 	// refills (0 = server default; the server clamps to its own cap).
 	Workers int
-	// Tenant names the accounting principal the session draws under
-	// ("" = the anonymous default tenant). Quotas key off it.
+	// Tenant is a free-form label the server reports back in the
+	// session's STATS; nothing is counted or limited per tenant.
 	Tenant string
 	// Lease requests how long the session survives a dropped
 	// connection before the server reclaims it (0 = server default;

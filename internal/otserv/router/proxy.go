@@ -242,7 +242,6 @@ func (pc *proxyConn) mergedStats() []byte {
 		merged.SessionsOpened += dump.SessionsOpened
 		merged.SessionsClosed += dump.SessionsClosed
 		merged.SessionsExpired += dump.SessionsExpired
-		merged.QuotaSheds += dump.QuotaSheds
 		merged.DrySheds += dump.DrySheds
 		merged.MaxSessions += dump.MaxSessions
 		merged.PerSession = append(merged.PerSession, dump.PerSession...)

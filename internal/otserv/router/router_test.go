@@ -187,8 +187,7 @@ func TestPlacementBalanceAcrossShards(t *testing.T) {
 				defer mu.Unlock()
 				switch {
 				case err == nil:
-				case errors.Is(err, wire.ErrQuotaExceeded), errors.Is(err, wire.ErrPoolDry),
-					errors.Is(err, wire.ErrLeaseExpired):
+				case errors.Is(err, wire.ErrPoolDry), errors.Is(err, wire.ErrLeaseExpired):
 					sheds++
 				default:
 					errs = append(errs, fmt.Errorf("session %d: untyped error: %w", i, err))

@@ -1,6 +1,6 @@
 // Package otserv is the OT dispenser's transport layer: it frames the
 // wire protocol (package wire) over transport.Conn connections and
-// delegates everything stateful — sessions, leases, quotas, pools — to
+// delegates everything stateful — sessions, leases, pools — to
 // the session layer (package session). The split is load-bearing for
 // fleet mode: a shard is exactly this server around a shard-scoped
 // session.Registry, and the router (package router) proxies the same

@@ -26,19 +26,11 @@ const maxTombs = 4096
 // session.
 var errTokenInUse = errors.New("session: routing token already in use")
 
-// tenant is one accounting principal's shard-local state: its open
-// session count (sessions-per-tenant cap) and its draw-rate bucket,
-// shared across the tenant's sessions.
-type tenant struct {
-	open   int
-	bucket *bucket
-}
-
 // Registry owns every session on one shard. It is the session layer's
 // root object: transports call Open/Attach*/Detach/Close around their
 // connection lifecycles and draw through the *Session they get back;
-// the registry runs the lease janitor, enforces per-tenant quotas, and
-// serves serializable stats snapshots.
+// the registry runs the lease janitor, bounds the shard's open
+// sessions, and serves serializable stats snapshots.
 type Registry struct {
 	cfg Config
 	reg *obs.Registry
@@ -47,7 +39,6 @@ type Registry struct {
 	sessions map[uint64]*Session
 	byToken  map[string]*Session
 	tombs    map[string]time.Time // routing token -> teardown instant
-	tenants  map[string]*tenant
 	seq      uint64
 	pending  int // Opens past reservation, not yet registered
 	draining bool
@@ -62,7 +53,6 @@ type Registry struct {
 	mOpened   *obs.Counter // ironman_otserv_sessions_opened_total
 	mClosed   *obs.Counter // ironman_otserv_sessions_closed_total
 	mExpired  *obs.Counter // ironman_otserv_sessions_expired_total
-	mQuota    *obs.Counter // ironman_otserv_quota_sheds_total
 	mDry      *obs.Counter // ironman_otserv_dry_sheds_total
 }
 
@@ -80,14 +70,12 @@ func NewRegistry(cfg Config) *Registry {
 		sessions:  make(map[uint64]*Session),
 		byToken:   make(map[string]*Session),
 		tombs:     make(map[string]time.Time),
-		tenants:   make(map[string]*tenant),
 		stop:      make(chan struct{}),
 		done:      make(chan struct{}),
 		mSessions: reg.Gauge("ironman_otserv_sessions"),
 		mOpened:   reg.Counter("ironman_otserv_sessions_opened_total"),
 		mClosed:   reg.Counter("ironman_otserv_sessions_closed_total"),
 		mExpired:  reg.Counter("ironman_otserv_sessions_expired_total"),
-		mQuota:    reg.Counter("ironman_otserv_quota_sheds_total"),
 		mDry:      reg.Counter("ironman_otserv_dry_sheds_total"),
 	}
 	go r.janitor()
@@ -114,20 +102,9 @@ func (r *Registry) janitor() {
 	}
 }
 
-// tenantLocked returns (creating if needed) a tenant's state; callers
-// hold r.mu.
-func (r *Registry) tenantLocked(name string) *tenant {
-	tn := r.tenants[name]
-	if tn == nil {
-		tn = &tenant{bucket: newBucket(r.cfg.Quota, r.cfg.now)}
-		r.tenants[name] = tn
-	}
-	return tn
-}
-
-// Open mints a session: backend negotiation and tenant admission first
-// (zero state exists when they refuse), then the dealt extension pair,
-// then registration under a shard-scoped id. The caller holds the
+// Open mints a session: backend negotiation and the capacity check
+// first (zero state exists when they refuse), then the dealt extension
+// pair, then registration under a shard-scoped id. The caller holds the
 // creator reference (refcount 1).
 func (r *Registry) Open(req OpenRequest) (*Session, error) {
 	backend, err := r.cfg.backend(req.Backend)
@@ -150,9 +127,9 @@ func (r *Registry) Open(req OpenRequest) (*Session, error) {
 		depth = r.cfg.MaxDepth
 	}
 
-	// Reserve a slot: capacity and tenant admission are charged before
-	// the expensive pair construction so a rejected open is cheap, and
-	// concurrent opens cannot oversubscribe MaxSessions.
+	// Reserve a slot: capacity is charged before the expensive pair
+	// construction so a rejected open is cheap, and concurrent opens
+	// cannot oversubscribe MaxSessions.
 	r.mu.Lock()
 	if r.shut {
 		r.mu.Unlock()
@@ -166,29 +143,20 @@ func (r *Registry) Open(req OpenRequest) (*Session, error) {
 		r.mu.Unlock()
 		return nil, fmt.Errorf("session: session limit %d reached", r.cfg.MaxSessions)
 	}
-	tn := r.tenantLocked(req.Tenant)
-	if cap := r.cfg.Quota.SessionsPerTenant; cap > 0 && tn.open >= cap {
-		r.mQuota.Inc()
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w: tenant session limit %d reached", wire.ErrQuotaExceeded, cap)
-	}
 	if req.SessionToken != "" && r.byToken[req.SessionToken] != nil {
 		r.mu.Unlock()
 		return nil, errTokenInUse
 	}
-	tn.open++
 	r.pending++
 	r.mu.Unlock()
 
 	sess, src, err := openSession(r.cfg, name, backend, params, req)
 	if err != nil {
 		r.mu.Lock()
-		tn.open--
 		r.pending--
 		r.mu.Unlock()
 		return nil, err
 	}
-	sess.bucket = tn.bucket
 	sess.reg = r
 
 	// Registration re-checks everything the pair construction ran
@@ -208,7 +176,6 @@ func (r *Registry) Open(req OpenRequest) (*Session, error) {
 		refuse = errTokenInUse
 	}
 	if refuse != nil {
-		tn.open--
 		r.mu.Unlock()
 		_ = sess.connA.Close()
 		_ = sess.connB.Close()
@@ -352,9 +319,6 @@ func (r *Registry) unregisterLocked(sess *Session, expired bool) {
 	if expired {
 		r.mExpired.Inc()
 	}
-	if tn := r.tenants[sess.tenant]; tn != nil {
-		tn.open--
-	}
 	r.mSessions.Set(int64(len(r.sessions)))
 }
 
@@ -460,7 +424,6 @@ func (r *Registry) Dump() wire.StatsDump {
 		SessionsOpened:  r.mOpened.Value(),
 		SessionsClosed:  r.mClosed.Value(),
 		SessionsExpired: r.mExpired.Value(),
-		QuotaSheds:      r.mQuota.Value(),
 		DrySheds:        r.mDry.Value(),
 		MaxSessions:     r.cfg.MaxSessions,
 		Draining:        r.draining,

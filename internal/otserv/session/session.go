@@ -2,8 +2,8 @@
 // dispenser: it owns every per-session fact — the fleet-wide routing
 // token, the Δ-scoped prefetching pool, the lease that keeps a
 // disconnected client's pool position alive, the per-half capability
-// tokens and draw roles, the tenant, and the refcount — and none of
-// the wire framing or connection handling. Transports (the otserv
+// tokens and draw roles, the tenant label, and the refcount — and none
+// of the wire framing or connection handling. Transports (the otserv
 // server, the fleet router's shards) attach and detach freely; the
 // state they share lives here, shard-local, and every externally
 // visible view of it (wire.SessionStats / wire.StatsDump) is a plain
@@ -19,10 +19,10 @@
 // out, leaving a tombstone so a late reconnect gets the typed
 // wire.ErrLeaseExpired instead of a generic miss.
 //
-// Backpressure is two-layered and typed, never a deadlock: per-tenant
-// token-bucket draw quotas admit or shed requests up front
-// (wire.ErrQuotaExceeded), and admitted draws that outrun correlation
-// generation shed on the pool's bounded wait (wire.ErrPoolDry).
+// Backpressure is typed, never a deadlock: a draw that outruns
+// correlation generation sheds on the pool's bounded wait
+// (wire.ErrPoolDry). The tenant is a label only: STATS reports it, and
+// nothing is counted or limited per tenant.
 package session
 
 import (
@@ -81,9 +81,6 @@ type Config struct {
 	Lease time.Duration
 	// Sweep is the janitor's lease-expiry scan interval. Default 500 ms.
 	Sweep time.Duration
-	// Quota shapes the per-tenant admission control; the zero value is
-	// unlimited.
-	Quota QuotaConfig
 	// Registry receives the metrics: session lifecycle counters plus
 	// one ironman_pool_* instrument set per session half. They are the
 	// registry's only counters (Dump reads them), so give each session
@@ -173,7 +170,7 @@ func (c Config) workers(requested int) int {
 }
 
 // OpenRequest shapes one session open: a transport's parsed HELLO.
-// Tenant "" is the anonymous default tenant; LeaseMS 0 selects the
+// Tenant is a label STATS reports back; LeaseMS 0 selects the
 // registry's lease and larger requests clamp to maxLease; a non-empty
 // SessionToken pins the fleet-wide routing token (the router injects
 // its consistent-hash key there) instead of minting one.
@@ -193,7 +190,6 @@ type Session struct {
 	pool   *pool.Dealt
 	connA  transport.Conn // in-process pipe endpoints backing the
 	connB  transport.Conn // session's dealt extension pair
-	bucket *bucket        // tenant quota admission
 	reg    *Registry
 
 	// Guarded by reg.mu.
@@ -219,14 +215,10 @@ func (s *Session) role(capability string) (wire.Role, bool) {
 	return "", false
 }
 
-// DrawSender draws n sender-half correlations (r0 blocks) through the
-// tenant quota: shed requests fail typed (wire.ErrQuotaExceeded before
-// any correlations move, wire.ErrPoolDry when generation is behind)
-// and consume nothing.
+// DrawSender draws n sender-half correlations (r0 blocks). A draw
+// shed because generation is behind fails with wire.ErrPoolDry and
+// consumes nothing.
 func (s *Session) DrawSender(n int) ([]block.Block, error) {
-	if err := s.admit(n); err != nil {
-		return nil, err
-	}
 	z, err := s.pool.SenderCOTs(n)
 	if err != nil {
 		return nil, s.reg.mapDrawErr(err)
@@ -235,24 +227,13 @@ func (s *Session) DrawSender(n int) ([]block.Block, error) {
 }
 
 // DrawReceiver draws n receiver-half correlations (choice bits and r_b
-// blocks); same quota and shed semantics as DrawSender.
+// blocks); same shed semantics as DrawSender.
 func (s *Session) DrawReceiver(n int) ([]bool, []block.Block, error) {
-	if err := s.admit(n); err != nil {
-		return nil, nil, err
-	}
 	bits, blocks, err := s.pool.ReceiverCOTs(n)
 	if err != nil {
 		return nil, nil, s.reg.mapDrawErr(err)
 	}
 	return bits, blocks, nil
-}
-
-func (s *Session) admit(n int) error {
-	if err := s.bucket.acquire(n); err != nil {
-		s.reg.mQuota.Inc()
-		return err
-	}
-	return nil
 }
 
 // stats assembles the serializable per-session view. The pool halves'

@@ -270,64 +270,6 @@ func TestCloseIsImmediate(t *testing.T) {
 	}
 }
 
-// TestTenantSessionCap: the per-tenant session quota sheds typed and
-// frees up when a session closes; other tenants are unaffected.
-func TestTenantSessionCap(t *testing.T) {
-	cfg := testConfig()
-	cfg.Quota.SessionsPerTenant = 2
-	r := newTestRegistry(t, cfg)
-
-	a1, err := r.Open(OpenRequest{Tenant: "acme"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Open(OpenRequest{Tenant: "acme"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Open(OpenRequest{Tenant: "acme"}); !errors.Is(err, wire.ErrQuotaExceeded) {
-		t.Fatalf("third acme session: err = %v, want ErrQuotaExceeded", err)
-	}
-	if _, err := r.Open(OpenRequest{Tenant: "globex"}); err != nil {
-		t.Fatalf("other tenant blocked by acme's quota: %v", err)
-	}
-	r.Detach(a1.ID(), false)
-	if _, err := r.Open(OpenRequest{Tenant: "acme"}); err != nil {
-		t.Fatalf("quota slot not reclaimed on close: %v", err)
-	}
-	if dump := r.Dump(); dump.QuotaSheds == 0 {
-		t.Fatal("quota shed not counted")
-	}
-}
-
-// TestDrawRateQuotaSheds: a draw whose token-bucket reservation would
-// mature past MaxWait sheds with wire.ErrQuotaExceeded up front and
-// consumes nothing; in-budget draws keep working.
-func TestDrawRateQuotaSheds(t *testing.T) {
-	cfg := testConfig()
-	cfg.Quota.DrawPerSec = 1000
-	cfg.Quota.Burst = 128
-	cfg.Quota.MaxWait = 10 * time.Millisecond
-	r := newTestRegistry(t, cfg)
-
-	sess, err := r.Open(OpenRequest{Tenant: "acme"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.DrawSender(64); err != nil {
-		t.Fatalf("in-burst draw: %v", err)
-	}
-	// 4096 over a ~64-token balance needs ~4 s of budget at 1000/s.
-	if _, err := sess.DrawSender(4096); !errors.Is(err, wire.ErrQuotaExceeded) {
-		t.Fatalf("over-rate draw: err = %v, want ErrQuotaExceeded", err)
-	}
-	if _, err := sess.DrawSender(16); err != nil {
-		t.Fatalf("draw after shed: %v", err)
-	}
-	if dump := r.Dump(); dump.QuotaSheds == 0 {
-		t.Fatal("rate shed not counted")
-	}
-}
-
 // TestDrainRefusesOpens: a draining shard sheds HELLOs typed while
 // existing sessions keep drawing.
 func TestDrainRefusesOpens(t *testing.T) {

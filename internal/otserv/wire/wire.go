@@ -13,7 +13,7 @@
 //	                                status 1 = error string
 //	                                status 2 = version mismatch
 //	                                status 3 = backend unsupported
-//	                                status 4 = tenant quota exceeded
+//	                                status 4 = quota exceeded (reserved)
 //	                                status 5 = session lease expired/lost
 //	                                status 6 = pool dry (generation behind)
 //	                                status 7 = draining (no new sessions)
@@ -85,8 +85,8 @@ const (
 	// StatusErrBackend rejects a HELLO naming an extension backend the
 	// server does not serve. Sent before any session state exists.
 	StatusErrBackend byte = 3
-	// StatusErrQuota sheds a request the tenant's draw quota cannot
-	// admit within its bounded wait.
+	// StatusErrQuota keeps its v2 slot for a quota shed. No server in
+	// this tree sends it; clients still map it to ErrQuotaExceeded.
 	StatusErrQuota byte = 4
 	// StatusErrLease rejects an operation on a session whose lease
 	// expired (or whose shard is gone, in fleet mode).
@@ -110,10 +110,9 @@ var ErrVersionMismatch = errors.New("otserv: protocol version mismatch")
 // a misnegotiated backend; match with errors.Is.
 var ErrBackendUnsupported = errors.New("otserv: backend unsupported")
 
-// ErrQuotaExceeded is the typed shed for a request the tenant's draw
-// quota cannot admit: the token bucket is empty and the bounded wait
-// queue is full (or the wait would exceed its cap). The request did
-// not consume correlations; retry with backoff.
+// ErrQuotaExceeded is the typed error StatusErrQuota maps to. No
+// server in this tree produces it: the v2 format keeps the slot so a
+// peer that sends status 4 still decodes to a typed shed.
 var ErrQuotaExceeded = errors.New("otserv: tenant quota exceeded")
 
 // ErrLeaseExpired is the typed rejection for operations on a session
@@ -206,9 +205,9 @@ type HelloReq struct {
 	// the server default. Requests are clamped to the server's cap so
 	// one greedy session cannot oversubscribe the host.
 	Workers int `json:"workers,omitempty"`
-	// Tenant names the accounting principal the session draws under;
-	// "" is the anonymous default tenant. Quotas and the per-tenant
-	// metric series key off it.
+	// Tenant is a free-form label the server stores with the session
+	// and reports back in SessionStats. Nothing is counted or limited
+	// per tenant.
 	Tenant string `json:"tenant,omitempty"`
 	// LeaseMS requests how long the session survives with no attached
 	// client (milliseconds); 0 selects the server default, larger
@@ -327,7 +326,8 @@ type StatsDump struct {
 	// SessionsExpired counts teardowns by lease expiry (a subset of
 	// SessionsClosed).
 	SessionsExpired uint64 `json:"sessions_expired"`
-	// QuotaSheds / DrySheds count typed rejections served.
+	// QuotaSheds keeps its v2 slot and is always 0: no server in this
+	// tree sheds on a quota. DrySheds counts wire.ErrPoolDry sheds.
 	QuotaSheds  uint64 `json:"quota_sheds"`
 	DrySheds    uint64 `json:"dry_sheds"`
 	MaxSessions int    `json:"max_sessions"`

@@ -78,6 +78,7 @@ metrics=$(curl -sf http://127.0.0.1:17118/metrics)
 echo "$metrics" | grep -q '^ironman_otserv_sessions 0$'
 echo "$metrics" | grep -q '^ironman_otserv_sessions_opened_total 0$'
 echo "$metrics" | grep -q '^ironman_otserv_sessions_closed_total 0$'
+echo "$metrics" | grep -q '^ironman_otserv_dry_sheds_total 0$'
 curl -sf http://127.0.0.1:17118/sessions | grep -q '"sessions"'
 kill "$otd_pid"
 wait "$otd_pid" 2>/dev/null || true
