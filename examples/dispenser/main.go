@@ -36,15 +36,15 @@ func main() {
 		addr = os.Args[1]
 		fmt.Printf("dispenser at %s\n", addr)
 	} else {
-		// An in-process dispenser on a loopback port, sharing a
-		// metrics registry with this process — the same registry otd
-		// exposes on its -admin /metrics endpoint.
+		// An in-process dispenser on a loopback port. Its session
+		// registry's metrics are the same registry otd exposes on its
+		// -admin /metrics endpoint.
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			log.Fatal(err)
 		}
-		reg = obs.NewRegistry()
-		srv := otserv.NewServer(otserv.Config{DefaultParams: "2^20", Depth: 2, Registry: reg})
+		srv := otserv.NewServer(otserv.Config{DefaultParams: "2^20", Depth: 2})
+		reg = srv.Sessions().Obs()
 		go func() {
 			// Serve returns nil once Close shuts the listener down.
 			if err := srv.Serve(ln); err != nil {

@@ -50,6 +50,14 @@ func ParseAllow(text string) (names []string, reason string, ok bool) {
 	return names, strings.TrimSpace(m[2]), true
 }
 
+// commentAllow parses one comment, in either comment syntax, with
+// ParseAllow.
+func commentAllow(c *ast.Comment) (names []string, reason string, ok bool) {
+	text := strings.TrimPrefix(c.Text, "//")
+	text = strings.TrimPrefix(text, "/*")
+	return ParseAllow(strings.TrimSuffix(text, "*/"))
+}
+
 // allowDirective is one parsed directive naming the index's analyzer.
 type allowDirective struct {
 	reason string
@@ -79,10 +87,7 @@ func newAllowIndex(fset *token.FileSet, files []*ast.File, analyzer string, read
 		var src []byte
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimPrefix(text, "/*")
-				text = strings.TrimSuffix(text, "*/")
-				names, reason, ok := ParseAllow(text)
+				names, reason, ok := commentAllow(c)
 				if !ok || !slices.Contains(names, analyzer) {
 					continue
 				}

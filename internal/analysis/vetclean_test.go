@@ -1,8 +1,12 @@
 package analysis
 
 import (
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -60,6 +64,54 @@ func TestModuleVetClean(t *testing.T) {
 func TestModuleNoDeadExports(t *testing.T) {
 	m := loadedModule(t)
 	failFindings(t, deadExports(m.fset, modulePath, m.pkgs), "dead export(s)")
+}
+
+// TestNoDeadExportAllow holds the rule that a dead export is deleted,
+// never allowed, in every module .go file outside vendor/ and
+// testdata/: test files, cmd/, examples/ and benchmark/ included, which
+// TestModuleNoDeadExports does not scan. No comment there may be an
+// ironman:allow directive naming deadexport; the analyzer's testdata
+// fixtures, which the go tool does not build, are the only place one
+// may appear.
+func TestNoDeadExportAllow(t *testing.T) {
+	const root = "../.."
+	fset := token.NewFileSet()
+	files := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		name := d.Name()
+		if d.IsDir() {
+			if path != root && (name == "vendor" || name == "testdata" ||
+				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(name, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files++
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if names, _, ok := commentAllow(c); ok && slices.Contains(names, deadexport) {
+					t.Errorf("%s: %s: delete the dead export instead", fset.Position(c.Pos()), c.Text)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files == 0 {
+		t.Fatal("found no .go file to scan")
+	}
 }
 
 // TestOneMeasurementPath keeps the pre-ledger benchmark stack from

@@ -136,11 +136,11 @@ func TestStatsDrawStormConsistency(t *testing.T) {
 		wg.Add(2)
 		// Each drawer gets its own protocol conn so draws truly race
 		// inside the server, not in a client-side mutex.
-		snd, err := attach(dial(t, addr), sess.ID(), sess.SenderToken())
+		snd, err := dial(t, addr).AttachToken(sess.Token(), sess.SenderToken())
 		if err != nil {
 			t.Fatal(err)
 		}
-		rcv, err := attach(dial(t, addr), sess.ID(), sess.ReceiverToken())
+		rcv, err := dial(t, addr).AttachToken(sess.Token(), sess.ReceiverToken())
 		if err != nil {
 			t.Fatal(err)
 		}

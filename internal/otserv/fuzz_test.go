@@ -12,8 +12,9 @@ import (
 
 // fuzzFrames is the frame set wire.TestFrameGolden hashes, rebuilt
 // here because a test helper cannot cross packages, plus two real
-// HELLO requests: the golden body, which names a set the fuzz server
-// does not serve, and one that opens a session on its default set.
+// HELLO requests (the golden body, which names a set the fuzz server
+// does not serve, and one that opens a session on its default set) and
+// an ATTACH in the retired by-id form, which names no routing token.
 func fuzzFrames(tb testing.TB) [][]byte {
 	tb.Helper()
 	golden, err := wire.HelloBody(wire.HelloReq{
@@ -54,7 +55,8 @@ func fuzzFrames(tb testing.TB) [][]byte {
 	}
 	return append(frames,
 		append([]byte{wire.OpHello}, golden...),
-		append([]byte{wire.OpHello}, plain...))
+		append([]byte{wire.OpHello}, plain...),
+		append([]byte{wire.OpAttach}, `{"session":2199023255559,"token":"s-tok"}`...))
 }
 
 // FuzzDispatch feeds arbitrary request frames to a server that serves

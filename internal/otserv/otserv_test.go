@@ -61,16 +61,6 @@ func dial(t *testing.T, addr string) *Client {
 	return c
 }
 
-// attach joins session id with one of its attach tokens (ATTACH by id;
-// clients reconnect with AttachToken).
-func attach(c *Client, id uint64, token string) (*Session, error) {
-	var resp wire.AttachResp
-	if err := c.roundTripJSON(wire.OpAttach, wire.AttachReq{Session: id, Token: token}, &resp); err != nil {
-		return nil, err
-	}
-	return &Session{c: c, id: resp.Session}, nil
-}
-
 // verify checks a drawn batch under its session's Δ with the public
 // API's VerifyCOTs.
 func verify(t *testing.T, delta block.Block, z []block.Block, bits []bool, y []block.Block) {
@@ -249,7 +239,7 @@ func TestAttachSplitsHalves(t *testing.T) {
 	delta, _ := sess.Delta()
 
 	other := dial(t, addr)
-	attached, err := attach(other, sess.ID(), sess.ReceiverToken())
+	attached, err := other.AttachToken(sess.Token(), sess.ReceiverToken())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,8 +327,8 @@ func TestDrawRequiresAttachment(t *testing.T) {
 		!strings.Contains(err.Error(), "not attached") {
 		t.Fatalf("err = %v, want attachment error", err)
 	}
-	// A guessed session id without a token gets nothing.
-	if _, err := attach(stranger, sess.ID(), "deadbeef"); err == nil {
+	// The routing token without the right capability gets nothing.
+	if _, err := stranger.AttachToken(sess.Token(), "deadbeef"); err == nil {
 		t.Fatal("attach without the right token must fail")
 	}
 }
@@ -352,7 +342,7 @@ func TestDuplicateHandlesCountReferences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := attach(c, s1.ID(), s1.ReceiverToken())
+	s2, err := c.AttachToken(s1.Token(), s1.ReceiverToken())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,8 +370,8 @@ func TestBadHandshakes(t *testing.T) {
 	if _, err := c.NewSession(SessionConfig{Params: "nope"}); err == nil {
 		t.Fatal("unknown params must fail")
 	}
-	if _, err := attach(c, 9999, "deadbeef"); err == nil {
-		t.Fatal("attach to missing session must fail")
+	if _, err := c.AttachToken("never-issued", "deadbeef"); !errors.Is(err, wire.ErrLeaseExpired) {
+		t.Fatalf("attach to a never-issued token: err = %v, want ErrLeaseExpired", err)
 	}
 	// Wrong protocol version.
 	if err := c.roundTripJSON(wire.OpHello, map[string]any{"v": 99, "params": "small"}, &wire.HelloResp{}); err == nil ||
@@ -390,10 +380,40 @@ func TestBadHandshakes(t *testing.T) {
 	}
 }
 
+// TestAttachWithoutTokenRejected: an ATTACH that names no routing
+// token, such as the retired by-id form, is malformed input and gets a
+// plain error, not a lease error that would tell the client its
+// session died; the session's references do not move.
+func TestAttachWithoutTokenRejected(t *testing.T) {
+	srv := NewServer(Config{Resolve: testResolve, DefaultParams: "small"})
+	t.Cleanup(func() { srv.Close() })
+	sess, err := srv.sessions.Open(wire.HelloReq{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello := sess.Hello()
+	owned := make(map[uint64]*attachment)
+	byID := fmt.Sprintf(`{"session":%d,"token":%q}`, hello.Session, hello.SenderToken)
+	resp := srv.dispatch(append([]byte{wire.OpAttach}, byID...), owned)
+	if resp[0] != wire.StatusErr || !strings.Contains(string(resp[1:]), "session_token") {
+		t.Fatalf("by-id ATTACH: status %d %q, want a plain error naming session_token", resp[0], resp[1:])
+	}
+	if len(owned) != 0 {
+		t.Fatalf("rejected ATTACH left an attachment: %v", owned)
+	}
+	st, err := srv.sessions.Stats(hello.Session)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Refs != 1 {
+		t.Fatalf("refs = %d after a rejected ATTACH, want 1", st.Refs)
+	}
+}
+
 func TestStatsAndTeardown(t *testing.T) {
-	// Short lease + fast sweep: a dropped client's session is reclaimed
-	// quickly instead of riding out the default 15 s orphan window.
-	addr, _ := startServer(t, Config{Lease: 50 * time.Millisecond, Sweep: 10 * time.Millisecond})
+	// Short lease: a dropped client's session is reclaimed quickly
+	// instead of riding out the default 15 s orphan window.
+	addr, _ := startServer(t, Config{Lease: 50 * time.Millisecond})
 	watcher := dial(t, addr)
 
 	c := dial(t, addr)
@@ -432,8 +452,8 @@ func TestStatsAndTeardown(t *testing.T) {
 		t.Fatalf("err = %v, want attachment requirement", err)
 	}
 
-	// Dropping the only client orphans the session; the janitor tears
-	// it down once the lease runs out.
+	// Dropping the only client orphans the session; its lease timer
+	// tears it down once the lease runs out.
 	c.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -546,7 +566,7 @@ func TestBackendNegotiation(t *testing.T) {
 		if st.Backend != name {
 			t.Fatalf("session stats backend = %q, want %q", st.Backend, name)
 		}
-		attached, err := attach(c, sess.ID(), sess.ReceiverToken())
+		attached, err := c.AttachToken(sess.Token(), sess.ReceiverToken())
 		if err != nil {
 			t.Fatal(err)
 		}

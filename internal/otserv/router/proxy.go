@@ -119,8 +119,7 @@ func (pc *proxyConn) route(msg []byte) []byte {
 }
 
 // routeHello places a new session: hash the routing token onto the
-// ring, walk the candidate sequence past draining or dead shards, and
-// cache the winning placement for reconnects.
+// ring and walk the candidate sequence past draining or dead shards.
 func (pc *proxyConn) routeHello(body []byte) []byte {
 	req, err := wire.ParseHello(body)
 	if err != nil {
@@ -151,7 +150,6 @@ func (pc *proxyConn) routeHello(body []byte) []byte {
 			continue
 		}
 		if len(resp) >= 1 && resp[0] == wire.StatusOK {
-			pc.r.recordToken(req.SessionToken, addr)
 			pc.r.mPlacements.Inc()
 		}
 		return resp
@@ -159,18 +157,15 @@ func (pc *proxyConn) routeHello(body []byte) []byte {
 	return noShards()
 }
 
-// routeAttach forwards an ATTACH. With a session token it is a
-// reconnect: try the cached placement, then every routable shard —
-// the session lives on exactly one, and a restarted shard answers
-// with a typed lease error rather than silence. Without a token it is
-// a same-fleet second party joining by id.
+// routeAttach forwards an ATTACH, which names its session by routing
+// token: walk the shards reattachCandidates orders until one answers
+// other than "lease expired". The session lives on at most one shard,
+// and a shard without it (new on the token's arc, or restarted)
+// answers with the typed lease error rather than silence.
 func (pc *proxyConn) routeAttach(msg, body []byte) []byte {
 	var req wire.AttachReq
 	if err := json.Unmarshal(body, &req); err != nil {
 		return wire.ErrResponse(fmt.Errorf("router: bad attach: %w", err))
-	}
-	if req.SessionToken == "" {
-		return pc.routeByID(req.Session, msg)
 	}
 	var lastLease []byte
 	for _, addr := range pc.r.reattachCandidates(req.SessionToken) {
@@ -182,12 +177,8 @@ func (pc *proxyConn) routeAttach(msg, body []byte) []byte {
 			lastLease = resp
 			continue
 		}
-		if len(resp) >= 1 && resp[0] == wire.StatusOK {
-			pc.r.recordToken(req.SessionToken, addr)
-		}
 		return resp
 	}
-	pc.r.dropToken(req.SessionToken)
 	pc.r.mLeaseErrs.Inc()
 	if lastLease != nil {
 		return lastLease

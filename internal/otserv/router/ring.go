@@ -2,10 +2,10 @@
 // router that places new sessions (HELLOs) onto shard processes by
 // their fleet-wide routing token and proxies every subsequent request
 // to the owning shard, derived statelessly from the shard-scoped
-// session id (wire.ShardOf). The router holds no session state — a
-// shard is exactly a standalone otserv.Server — so it can restart
-// without losing anything but its token-placement cache, which
-// rebuilds lazily from reconnects.
+// session id (wire.ShardOf). A token reconnect walks the same ring
+// sequence the HELLO walked. The router holds no session state and
+// caches no placements — a shard is exactly a standalone
+// otserv.Server — so it can restart without losing anything.
 package router
 
 import (

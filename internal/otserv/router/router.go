@@ -49,8 +49,8 @@ type shard struct {
 
 // Config tunes the fleet router. The router owns its metrics registry
 // (served on its admin /metrics) and fixes the rest: 256 virtual nodes
-// per shard on the hash ring, a 2 s upstream dial timeout, and a
-// token-placement cache of at most 1<<16 entries.
+// per shard on the hash ring and a 2 s upstream dial timeout. It
+// caches no placements: a reconnect walks the ring again.
 type Config struct {
 	// Shards is the initial membership (dispenser listen addresses).
 	// Unreachable shards start dead and join when the health loop
@@ -61,12 +61,8 @@ type Config struct {
 	Probe time.Duration
 }
 
-const (
-	// dialTimeout bounds upstream connection attempts.
-	dialTimeout = 2 * time.Second
-	// maxTokens bounds the token-placement cache.
-	maxTokens = 1 << 16
-)
+// dialTimeout bounds upstream connection attempts.
+const dialTimeout = 2 * time.Second
 
 // Router fronts a dispenser fleet: it speaks the same wire protocol as
 // a shard, places HELLOs by consistent hash of the session's routing
@@ -81,7 +77,6 @@ type Router struct {
 	shards map[string]*shard
 	byID   map[uint64]*shard
 	ring   ring
-	tokens map[string]string // routing token -> owning shard addr
 	loop   otserv.Loop
 
 	stop chan struct{}
@@ -107,7 +102,6 @@ func New(cfg Config) *Router {
 		reg:         reg,
 		shards:      make(map[string]*shard),
 		byID:        make(map[uint64]*shard),
-		tokens:      make(map[string]string),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 		mShardsLive: reg.Gauge("ironman_router_shards_live"),
@@ -314,56 +308,22 @@ func (r *Router) addrForShard(id uint64) (string, bool) {
 	return sh.addr, true
 }
 
-// recordToken caches a session token's placement for reconnect
-// routing. The cache is bounded; when full it is dropped wholesale —
-// forgotten tokens degrade to the try-all-shards reconnect path, not
-// to an error.
-func (r *Router) recordToken(token, addr string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.tokens) >= maxTokens {
-		r.tokens = make(map[string]string)
-	}
-	r.tokens[token] = addr
-}
-
-// dropToken forgets a cached placement (the shard said the lease is
-// gone).
-func (r *Router) dropToken(token string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.tokens, token)
-}
-
 // reattachCandidates orders the shards to try for a token reconnect:
-// the cached placement first, then every routable shard (live or
-// draining — a draining shard still serves its leases) in address
-// order. The list is built under r.mu: setState writes shard state
-// there.
+// the placement sequence HELLO walked (placement), then the draining
+// shards in address order, since a draining shard is off the ring but
+// still serves its leases. The list is built under r.mu: setState
+// writes shard state and the ring there.
 func (r *Router) reattachCandidates(token string) []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cached, hasCached := r.tokens[token]
-	var all []*shard
+	var draining []string
 	for _, sh := range r.shards {
-		all = append(all, sh)
-	}
-	if hasCached {
-		if sh, ok := r.shards[cached]; !ok || sh.state == shardDead {
-			hasCached = false
+		if sh.state == shardDraining {
+			draining = append(draining, sh.addr)
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].addr < all[j].addr })
-	var rest []string
-	for _, sh := range all {
-		if sh.state != shardDead && sh.addr != cached {
-			rest = append(rest, sh.addr)
-		}
-	}
-	if hasCached {
-		return append([]string{cached}, rest...)
-	}
-	return rest
+	sort.Strings(draining)
+	return append(r.ring.sequence(token), draining...)
 }
 
 // Serve accepts dispenser clients on ln until the listener fails or

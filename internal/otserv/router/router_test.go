@@ -590,6 +590,90 @@ func TestDrainShardStopsPlacementServesLeases(t *testing.T) {
 	if _, err := byShard[1].SenderCOTs(32); err != nil {
 		t.Fatalf("draw on draining shard: %v", err)
 	}
+
+	// A token reconnect finds the session there too: the draining shard
+	// is off the ring but follows it in the reconnect order.
+	re, err := dialRouter(t, addr).AttachToken(byShard[1].Token(), byShard[1].SenderToken())
+	if err != nil {
+		t.Fatalf("reconnect to a session on the draining shard: %v", err)
+	}
+	if re.ID() != byShard[1].ID() {
+		t.Fatalf("reconnect landed on session %d, want %d", re.ID(), byShard[1].ID())
+	}
+	if _, err := re.SenderCOTs(32); err != nil {
+		t.Fatalf("draw after reconnect on draining shard: %v", err)
+	}
+}
+
+// TestReconnectAfterShardAdded: a live AddShard moves arcs of the ring,
+// so a session's token can come to hash onto the new shard, which never
+// held it. A token reconnect walks on past it to the shard that does
+// and resumes the same session mid-stream.
+func TestReconnectAfterShardAdded(t *testing.T) {
+	shards := []*testShard{startShard(t, 1), startShard(t, 2), startShard(t, 3)}
+	added := startShard(t, 4)
+	r, addr := startRouter(t, shards...)
+	grown := buildRing([]string{shards[0].addr, shards[1].addr, shards[2].addr, added.addr})
+
+	// Open sessions until one's token moves to the added shard.
+	c1 := dialRouter(t, addr)
+	var sess *otserv.Session
+	for i := 0; sess == nil; i++ {
+		if i == 200 {
+			t.Fatal("no token of 200 sessions moves to the added shard")
+		}
+		s, err := c1.NewSession(otserv.SessionConfig{Params: "tiny", Depth: 512})
+		if err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		if grown.sequence(s.Token())[0] == added.addr {
+			sess = s
+		} else if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	delta, _ := sess.Delta()
+	z1, err := sess.SenderCOTs(64)
+	if err != nil {
+		t.Fatalf("first draw: %v", err)
+	}
+
+	r.AddShard(added.addr)
+	if owner := r.placement(sess.Token())[0]; owner != added.addr {
+		t.Fatalf("after AddShard the token's ring owner is %s, want the added shard %s", owner, added.addr)
+	}
+	c1.Close()
+
+	c2 := dialRouter(t, addr)
+	re, err := c2.AttachToken(sess.Token(), sess.SenderToken())
+	if err != nil {
+		t.Fatalf("reconnect after AddShard: %v", err)
+	}
+	if re.ID() != sess.ID() {
+		t.Fatalf("reconnect landed on session %d, want %d", re.ID(), sess.ID())
+	}
+	z2, err := re.SenderCOTs(64)
+	if err != nil {
+		t.Fatalf("post-reconnect draw: %v", err)
+	}
+	rx, err := c2.AttachToken(sess.Token(), sess.ReceiverToken())
+	if err != nil {
+		t.Fatalf("receiver reconnect: %v", err)
+	}
+	bits, y, err := rx.ReceiverCOTs(128)
+	if err != nil {
+		t.Fatalf("receiver draw: %v", err)
+	}
+	z := append(append([]block.Block{}, z1...), z2...)
+	for i := range z {
+		want := y[i]
+		if bits[i] {
+			want = want.Xor(delta)
+		}
+		if z[i] != want {
+			t.Fatalf("resumed stream broke correlation at %d", i)
+		}
+	}
 }
 
 func TestMergedStatsSpansShards(t *testing.T) {
@@ -633,11 +717,12 @@ func TestRouterAllShardsDownTypedError(t *testing.T) {
 }
 
 // TestReattachCandidatesRacesStateFlips reads the candidate list while
-// another goroutine flips a shard between dead and live, the interleaving
-// a health probe and a token reconnect produce. Under -race it fails if
-// reattachCandidates reads shard state outside the router's lock; in any
-// mode the list must hold each routable shard once, the cached one first
-// whenever it is routable.
+// another goroutine cycles a shard through dead, live and draining, the
+// interleaving a health probe, a drain and a token reconnect produce.
+// Under -race it fails if reattachCandidates reads shard state or the
+// ring outside the router's lock; in any mode each list must be the
+// ring sequence for one of b's states, holding each routable shard
+// exactly once, a draining b after the ring.
 func TestReattachCandidatesRacesStateFlips(t *testing.T) {
 	r := New(Config{Probe: time.Hour})
 	t.Cleanup(func() { r.Close() })
@@ -645,43 +730,40 @@ func TestReattachCandidatesRacesStateFlips(t *testing.T) {
 	for _, addr := range []string{"a", "b", "c"} {
 		r.shards[addr] = &shard{addr: addr, state: shardLive}
 	}
-	r.tokens["tok"] = "b"
+	r.rebuildLocked()
 	r.mu.Unlock()
 
+	withoutB := buildRing([]string{"a", "c"}).sequence("tok")
+	want := map[string]bool{
+		fmt.Sprint(withoutB): true, // b dead
+		fmt.Sprint(buildRing([]string{"a", "b", "c"}).sequence("tok")): true, // b live
+		fmt.Sprint(append(withoutB, "b")):                              true, // b draining
+	}
 	stop := make(chan struct{})
 	flipped := make(chan struct{})
 	go func() {
 		defer close(flipped)
+		states := []shardState{shardDead, shardLive, shardDraining}
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			st := shardLive
-			if i%2 == 0 {
-				st = shardDead
-			}
-			r.setState("b", st, 0, false)
+			r.setState("b", states[i%len(states)], 0, false)
 		}
 	}()
 	defer func() {
 		close(stop)
 		<-flipped
 	}()
+	seen := map[string]bool{}
 	for i := 0; i < 2000; i++ {
-		got := r.reattachCandidates("tok")
-		switch len(got) {
-		case 2:
-			if got[0] != "a" || got[1] != "c" {
-				t.Fatalf("candidates %v with b dead, want [a c]", got)
-			}
-		case 3:
-			if got[0] != "b" || got[1] != "a" || got[2] != "c" {
-				t.Fatalf("candidates %v with b live, want [b a c]", got)
-			}
-		default:
-			t.Fatalf("candidates %v", got)
+		got := fmt.Sprint(r.reattachCandidates("tok"))
+		if !want[got] {
+			t.Fatalf("candidates %s, want one of %v", got, want)
 		}
+		seen[got] = true
 	}
+	t.Logf("saw %d of the 3 candidate lists", len(seen))
 }

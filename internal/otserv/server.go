@@ -185,19 +185,13 @@ func (s *Server) handleAttach(body []byte, owned map[uint64]*attachment) []byte 
 	if err := json.Unmarshal(body, &req); err != nil {
 		return wire.ErrResponse(fmt.Errorf("otserv: bad ATTACH: %w", err))
 	}
-	var (
-		sess *session.Session
-		role wire.Role
-		err  error
-	)
-	if req.SessionToken != "" {
-		// The reconnect path: the routing token names the session
-		// fleet-wide, so a client that lost its conn (and maybe its
-		// numeric id) can resume inside the lease window.
-		sess, role, err = s.sessions.AttachByToken(req.SessionToken, req.Token)
-	} else {
-		sess, role, err = s.sessions.AttachByID(req.Session, req.Token)
+	// The routing token names the session fleet-wide, so a client that
+	// lost its conn (and its numeric id) can resume inside the lease
+	// window. A request without one is malformed, not a dead lease.
+	if req.SessionToken == "" {
+		return wire.ErrResponse(errors.New("otserv: ATTACH names no session_token"))
 	}
+	sess, role, err := s.sessions.AttachByToken(req.SessionToken, req.Token)
 	if err != nil {
 		return wire.ErrResponse(err)
 	}

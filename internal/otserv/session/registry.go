@@ -13,24 +13,15 @@ import (
 	"ironman/internal/pool"
 )
 
-// tombTTL is how long an expired session's token is remembered so a
-// late reconnect gets the typed lease error instead of a generic miss.
-const tombTTL = 5 * time.Minute
-
-// maxTombs bounds the tombstone map; beyond it arbitrary entries are
-// evicted (a reconnect evicted early degrades to the same typed error
-// with less detail, never to a hang).
-const maxTombs = 4096
-
 // errTokenInUse refuses an open that pins the routing token of a live
 // session.
 var errTokenInUse = errors.New("session: routing token already in use")
 
 // Registry owns every session on one shard. It is the session layer's
-// root object: transports call Open/Attach*/Detach/Close around their
-// connection lifecycles and draw through the *Session they get back;
-// the registry runs the lease janitor, bounds the shard's open
-// sessions, and serves serializable stats snapshots.
+// root object: transports call Open/AttachByToken/Detach/Close around
+// their connection lifecycles and draw through the *Session they get
+// back; the registry arms each orphan's lease timer, bounds the
+// shard's open sessions, and serves serializable stats snapshots.
 type Registry struct {
 	cfg Config
 	reg *obs.Registry
@@ -38,14 +29,10 @@ type Registry struct {
 	mu       sync.Mutex
 	sessions map[uint64]*Session
 	byToken  map[string]*Session
-	tombs    map[string]time.Time // routing token -> teardown instant
 	seq      uint64
 	pending  int // Opens past reservation, not yet registered
 	draining bool
 	shut     bool
-
-	stop chan struct{} // closes to stop the janitor
-	done chan struct{} // janitor exit
 
 	// The lifecycle counters; Dump reads these, so STATS and /metrics
 	// agree by construction.
@@ -56,29 +43,22 @@ type Registry struct {
 	mDry      *obs.Counter // ironman_otserv_dry_sheds_total
 }
 
-// NewRegistry builds a session registry and starts its lease janitor.
-// Close stops the janitor and tears down every session.
+// NewRegistry builds a session registry with its own metrics registry
+// (Obs). Close tears down every session.
 func NewRegistry(cfg Config) *Registry {
 	cfg = cfg.withDefaults()
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	r := &Registry{
 		cfg:       cfg,
 		reg:       reg,
 		sessions:  make(map[uint64]*Session),
 		byToken:   make(map[string]*Session),
-		tombs:     make(map[string]time.Time),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
 		mSessions: reg.Gauge("ironman_otserv_sessions"),
 		mOpened:   reg.Counter("ironman_otserv_sessions_opened_total"),
 		mClosed:   reg.Counter("ironman_otserv_sessions_closed_total"),
 		mExpired:  reg.Counter("ironman_otserv_sessions_expired_total"),
 		mDry:      reg.Counter("ironman_otserv_dry_sheds_total"),
 	}
-	go r.janitor()
 	return r
 }
 
@@ -87,20 +67,6 @@ func (r *Registry) ShardID() uint64 { return r.cfg.ShardID }
 
 // Obs is the metrics registry the sessions report into.
 func (r *Registry) Obs() *obs.Registry { return r.reg }
-
-func (r *Registry) janitor() {
-	defer close(r.done)
-	tick := time.NewTicker(r.cfg.Sweep)
-	defer tick.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-tick.C:
-			r.Expire(r.cfg.now())
-		}
-	}
-}
 
 // Open mints a session: backend negotiation and the capacity check
 // first (zero state exists when they refuse), then the dealt extension
@@ -200,41 +166,17 @@ func (r *Registry) Open(req OpenRequest) (*Session, error) {
 	return sess, nil
 }
 
-// AttachByID joins a session by its shard-scoped numeric id. A missing
-// session and a bad capability produce one indistinguishable error, so
-// probing cannot map live session ids.
-func (r *Registry) AttachByID(id uint64, capability string) (*Session, wire.Role, error) {
-	r.mu.Lock()
-	sess := r.sessions[id]
-	var role wire.Role
-	ok := sess != nil
-	if ok {
-		role, ok = sess.role(capability)
-	}
-	if !ok {
-		r.mu.Unlock()
-		return nil, "", fmt.Errorf("session: no session %d for that token", id)
-	}
-	sess.refs++
-	sess.expiresAt = time.Time{}
-	r.mu.Unlock()
-	return sess, role, nil
-}
-
-// AttachByToken joins a session by its fleet-wide routing token — the
-// reconnect path. An expired (or simply unknown) token fails with the
-// typed wire.ErrLeaseExpired so a client of a dead or restarted shard
-// always gets a actionable rejection, never a hang or a generic miss.
+// AttachByToken joins a session by its fleet-wide routing token, the
+// one way to join a session after HELLO. A token with no live session
+// (expired, closed, or never issued here) fails with the typed
+// wire.ErrLeaseExpired, so a client of a dead or restarted shard always
+// gets an actionable rejection, never a hang or a generic miss.
 func (r *Registry) AttachByToken(token, capability string) (*Session, wire.Role, error) {
 	r.mu.Lock()
 	sess := r.byToken[token]
 	if sess == nil {
-		_, tombed := r.tombs[token]
 		r.mu.Unlock()
-		if tombed {
-			return nil, "", fmt.Errorf("%w: session lease expired; open a new session", wire.ErrLeaseExpired)
-		}
-		return nil, "", fmt.Errorf("%w: unknown session token on shard %d", wire.ErrLeaseExpired, r.cfg.ShardID)
+		return nil, "", fmt.Errorf("%w: no live session for that token on shard %d; open a new session", wire.ErrLeaseExpired, r.cfg.ShardID)
 	}
 	role, ok := sess.role(capability)
 	if !ok {
@@ -250,7 +192,9 @@ func (r *Registry) AttachByToken(token, capability string) (*Session, wire.Role,
 // Detach drops one reference. At refcount zero the session either
 // tears down immediately (orphan=false: the client said CLOSE) or
 // starts its lease clock (orphan=true: the connection just died and
-// the client may reconnect-with-token inside the window).
+// the client may reconnect-with-token inside the window). An orphan's
+// lease timer runs Expire when the window closes; a reconnect inside
+// it clears the deadline, so that Expire passes the session over.
 func (r *Registry) Detach(id uint64, orphan bool) {
 	r.mu.Lock()
 	sess := r.sessions[id]
@@ -264,8 +208,10 @@ func (r *Registry) Detach(id uint64, orphan bool) {
 		return
 	}
 	if orphan {
-		sess.expiresAt = r.cfg.now().Add(time.Duration(sess.hello.LeaseMS) * time.Millisecond)
+		lease := time.Duration(sess.hello.LeaseMS) * time.Millisecond
+		sess.expiresAt = r.cfg.now().Add(lease)
 		r.mu.Unlock()
+		time.AfterFunc(lease, func() { r.Expire(r.cfg.now()) })
 		return
 	}
 	r.unregisterLocked(sess, false)
@@ -274,9 +220,10 @@ func (r *Registry) Detach(id uint64, orphan bool) {
 	r.dropSeries(sess)
 }
 
-// Expire tears down every orphan whose lease ran out as of now,
-// leaving tombstones. The janitor calls this each sweep; tests call it
-// directly with a pinned clock.
+// Expire tears down every orphan whose lease ran out as of now and
+// returns how many. It is the one teardown path for orphans: each
+// orphan's lease timer calls it, and tests call it directly with a
+// pinned clock.
 func (r *Registry) Expire(now time.Time) int {
 	r.mu.Lock()
 	var doomed []*Session
@@ -289,11 +236,6 @@ func (r *Registry) Expire(now time.Time) int {
 	for _, sess := range doomed {
 		r.unregisterLocked(sess, true)
 	}
-	for token, at := range r.tombs {
-		if now.Sub(at) > tombTTL {
-			delete(r.tombs, token)
-		}
-	}
 	r.mu.Unlock()
 	for _, sess := range doomed {
 		teardown(sess)
@@ -303,18 +245,11 @@ func (r *Registry) Expire(now time.Time) int {
 }
 
 // unregisterLocked removes a session from the maps and records the
-// tombstone and counters; the caller holds r.mu and must run teardown
-// + dropSeries after unlocking (pool.Close waits on the worker).
+// counters; the caller holds r.mu and must run teardown + dropSeries
+// after unlocking (pool.Close waits on the worker).
 func (r *Registry) unregisterLocked(sess *Session, expired bool) {
 	delete(r.sessions, sess.ID())
 	delete(r.byToken, sess.hello.SessionToken)
-	if len(r.tombs) >= maxTombs {
-		for t := range r.tombs {
-			delete(r.tombs, t)
-			break
-		}
-	}
-	r.tombs[sess.hello.SessionToken] = r.cfg.now()
 	r.mClosed.Inc()
 	if expired {
 		r.mExpired.Inc()
@@ -362,13 +297,13 @@ func (r *Registry) Len() int {
 	return len(r.sessions)
 }
 
-// Close stops the janitor and tears down every session in id order.
-// Safe to call more than once.
+// Close tears down every session in id order, with no lease grace; a
+// lease timer that fires afterwards finds nothing to expire. Safe to
+// call more than once.
 func (r *Registry) Close() {
 	r.mu.Lock()
 	if r.shut {
 		r.mu.Unlock()
-		<-r.done
 		return
 	}
 	r.shut = true
@@ -381,12 +316,10 @@ func (r *Registry) Close() {
 		r.unregisterLocked(sess, false)
 	}
 	r.mu.Unlock()
-	close(r.stop)
 	for _, sess := range doomed {
 		teardown(sess)
 		r.dropSeries(sess)
 	}
-	<-r.done
 }
 
 // Stats serves one session's serializable view, or an error if the id

@@ -9,15 +9,16 @@
 // visible view of it (wire.SessionStats / wire.StatsDump) is a plain
 // serializable value.
 //
-// Lifecycle: Open mints a session (refcount 1). Attach presents a
-// capability token and bumps the refcount. Detach drops one reference;
-// an explicit protocol CLOSE tears the session down at refcount zero,
-// while a connection loss instead *orphans* it — the lease clock
-// starts, and a client that re-Attaches with the session token inside
-// the window resumes its draws byte-identically at the same pool
-// position. The registry's janitor expires orphans whose lease ran
-// out, leaving a tombstone so a late reconnect gets the typed
-// wire.ErrLeaseExpired instead of a generic miss.
+// Lifecycle: Open mints a session (refcount 1). AttachByToken names
+// the session by its routing token, presents a capability token and
+// bumps the refcount. Detach drops one reference; an explicit protocol
+// CLOSE tears the session down at refcount zero, while a connection
+// loss instead *orphans* it — its lease timer starts, and a client
+// that re-attaches with the session token inside the window resumes
+// its draws byte-identically at the same pool position. When the
+// timer fires, Expire tears the orphan down; from then on its token
+// gets the typed wire.ErrLeaseExpired, the same answer as a token the
+// shard never issued.
 //
 // Backpressure is typed, never a deadlock: a draw that outruns
 // correlation generation sheds on the pool's bounded wait
@@ -36,7 +37,6 @@ import (
 	"ironman/internal/block"
 	"ironman/internal/extension"
 	"ironman/internal/ferret"
-	"ironman/internal/obs"
 	"ironman/internal/otserv/wire"
 	"ironman/internal/parallel"
 	"ironman/internal/pool"
@@ -76,16 +76,9 @@ type Config struct {
 	// from the id alone. 0 is the standalone dispenser.
 	ShardID uint64
 	// Lease is how long an orphaned session (refcount zero by
-	// connection loss, not CLOSE) keeps its pool position before the
-	// janitor expires it. Default 15 s.
+	// connection loss, not CLOSE) keeps its pool position before its
+	// lease timer expires it. Default 15 s.
 	Lease time.Duration
-	// Sweep is the janitor's lease-expiry scan interval. Default 500 ms.
-	Sweep time.Duration
-	// Registry receives the metrics: session lifecycle counters plus
-	// one ironman_pool_* instrument set per session half. They are the
-	// registry's only counters (Dump reads them), so give each session
-	// Registry its own. nil makes the registry create one.
-	Registry *obs.Registry
 
 	// now overrides the clock in tests (in-package only).
 	now func() time.Time
@@ -126,9 +119,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Lease <= 0 {
 		c.Lease = 15 * time.Second
-	}
-	if c.Sweep <= 0 {
-		c.Sweep = 500 * time.Millisecond
 	}
 	if c.ShardID > wire.MaxShardID {
 		c.ShardID = wire.MaxShardID

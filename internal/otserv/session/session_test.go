@@ -27,7 +27,6 @@ func testConfig() Config {
 		Resolve:       tinyResolve,
 		DefaultParams: "tiny",
 		MaxSessions:   32,
-		Sweep:         time.Hour, // tests drive Expire by hand
 	}
 }
 
@@ -99,9 +98,6 @@ func TestLeaseExpiryTypedError(t *testing.T) {
 	}
 	if _, _, err := r.AttachByToken(token, capS); !errors.Is(err, wire.ErrLeaseExpired) {
 		t.Fatalf("reconnect after expiry: err = %v, want ErrLeaseExpired", err)
-	}
-	if _, _, err := r.AttachByID(sess.ID(), capS); err == nil {
-		t.Fatal("attach by id after expiry must fail")
 	}
 	if _, err := sess.DrawSender(8); !errors.Is(err, wire.ErrLeaseExpired) {
 		t.Fatalf("draw on expired session: err = %v, want ErrLeaseExpired", err)
@@ -253,6 +249,42 @@ func TestReconnectResumesPoolPosition(t *testing.T) {
 	}
 }
 
+// TestLeaseTimerExpiresOrphan: on the real clock, an orphan's own
+// lease timer tears it down with no Expire call from outside, and a
+// reconnect inside the window keeps the session past the first
+// orphaning's timer.
+func TestLeaseTimerExpiresOrphan(t *testing.T) {
+	r := newTestRegistry(t, testConfig())
+	const lease = 30 * time.Millisecond
+	sess, err := r.Open(OpenRequest{LeaseMS: lease.Milliseconds()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	token, capS := sess.hello.SessionToken, sess.hello.SenderToken
+	r.Detach(sess.ID(), true)
+	if _, _, err := r.AttachByToken(token, capS); err != nil {
+		t.Fatalf("reconnect inside the lease window: %v", err)
+	}
+	time.Sleep(3 * lease)
+	if r.Len() != 1 {
+		t.Fatal("an attached session expired on an earlier orphaning's timer")
+	}
+	r.Detach(sess.ID(), true)
+	deadline := time.Now().Add(10 * time.Second)
+	for r.Len() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("orphan still live 10 s after its lease ran out")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, _, err := r.AttachByToken(token, capS); !errors.Is(err, wire.ErrLeaseExpired) {
+		t.Fatalf("reconnect after the timer: err = %v, want ErrLeaseExpired", err)
+	}
+	if dump := r.Dump(); dump.SessionsExpired != 1 {
+		t.Fatalf("SessionsExpired = %d, want 1", dump.SessionsExpired)
+	}
+}
+
 // TestCloseIsImmediate: an explicit CLOSE (orphan=false) tears the
 // session down with no lease window.
 func TestCloseIsImmediate(t *testing.T) {
@@ -295,9 +327,9 @@ func TestDrainRefusesOpens(t *testing.T) {
 }
 
 // TestConcurrentExpiryVsDraw: goroutines hammer draws while the
-// janitor expires the session under them. Run under -race: every draw
-// either succeeds or fails with a typed sentinel — no hang, no panic,
-// no data race.
+// session expires under them. Run under -race: every draw either
+// succeeds or fails with a typed sentinel — no hang, no panic, no data
+// race.
 func TestConcurrentExpiryVsDraw(t *testing.T) {
 	var mu sync.Mutex
 	now := time.Unix(1000, 0)
@@ -341,7 +373,9 @@ func TestConcurrentExpiryVsDraw(t *testing.T) {
 	mu.Lock()
 	now = now.Add(20 * time.Millisecond)
 	mu.Unlock()
-	for r.Expire(cfg.now()) == 0 {
+	// The session's own lease timer fires after 10 ms of real time and
+	// may expire it before this loop does; either teardown ends it.
+	for r.Len() != 0 && r.Expire(cfg.now()) == 0 {
 		time.Sleep(time.Millisecond)
 		mu.Lock()
 		now = now.Add(time.Millisecond)

@@ -19,7 +19,9 @@
 //	                                status 7 = draining (no new sessions)
 //
 //	HELLO  op=1 body=ver:1 JSON {v, HelloReq} -> JSON HelloResp (Δ + tokens)
-//	ATTACH op=2 body=JSON AttachReq  -> JSON AttachResp (role, no Δ)
+//	ATTACH op=2 body=JSON AttachReq  -> JSON AttachResp (role, no Δ);
+//	                                    AttachReq names the session by
+//	                                    its routing token only
 //	DRAW_S op=3 session:8 n:4        -> n*16 bytes of r0 blocks
 //	DRAW_R op=4 session:8 n:4        -> ceil(n/8) choice-bit bytes
 //	                                    followed by n*16 r_b blocks
@@ -250,12 +252,11 @@ func NewToken() string {
 	return hex.EncodeToString(b[:])
 }
 
-// AttachReq joins an existing session. Exactly one of Session (the
-// shard-scoped numeric id) or SessionToken (the fleet-wide routing
-// token — the reconnect path) names the session; Token is the
-// capability that authorizes a half.
+// AttachReq joins an existing session, from a second party or on
+// reconnect. SessionToken (the fleet-wide routing token HELLO returned)
+// names the session and is required; Token is the capability that
+// authorizes a half.
 type AttachReq struct {
-	Session      uint64 `json:"session,omitempty"`
 	SessionToken string `json:"session_token,omitempty"`
 	Token        string `json:"token"`
 }

@@ -41,21 +41,11 @@ echo "== ironman-vet (protocol-invariant analysis suite) =="
 # check, deadexport (an exported name under internal/ or in the root
 # ironman package that no non-test file references), needs the whole
 # module at once, so it is not a vet analyzer: it runs in
-# `go test ./internal/analysis`, which the race step below includes. See
-# the "Enforced invariants" section of DESIGN.md.
+# `go test ./internal/analysis`, which the race step below includes,
+# beside TestNoDeadExportAllow (no deadexport directive anywhere in the
+# module: a dead export is deleted, never allowed). See the "Enforced
+# invariants" section of DESIGN.md.
 go vet -vettool="$bindir/ironman-vet" ./...
-
-echo "== no deadexport allow directive =="
-# deadexport admits no audited exception: an exported name with no
-# non-test caller is deleted, not allowed. A directive is a comment
-# whose text starts with ironman:allow( and names deadexport, on a line
-# of its own or after code; the analyzer's testdata fixtures, which the
-# go tool does not build, are the only place one may appear.
-if grep -rnE --include='*.go' --exclude-dir=vendor --exclude-dir=testdata \
-    '^[^"/]*//[[:space:]]*ironman:allow\([^)]*deadexport' .; then
-    echo "deadexport allow directive found (delete the dead export instead)" >&2
-    exit 1
-fi
 
 echo "== otd admin endpoint smoke test =="
 # Boot the dispenser with its admin listener on loopback, then hit the
