@@ -172,23 +172,27 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// On exit, dump the registry the in-process server maintained: the
-	// server-wide lifecycle series plus every live session's pool
-	// counters and draw-latency quantiles — the in-process view of what
-	// a Prometheus scrape of `otd -admin` would collect.
+	// On exit, print the Prometheus exposition the in-process server
+	// maintains — what a scrape of `otd -admin`'s /metrics would
+	// collect — trimmed to the server-wide lifecycle series, every live
+	// session's draw/dispense counters and each histogram's _count and
+	// _sum.
 	if reg == nil {
 		return
 	}
+	var prom strings.Builder
+	if err := reg.WritePrometheus(&prom); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nregistry metrics at exit:")
-	for _, m := range reg.Snapshot() {
-		switch {
-		case m.Type == "histogram":
-			fmt.Printf("  %-72s count=%d p50=%.6fs p99=%.6fs\n",
-				m.Name, m.Hist.Count, m.Hist.P50, m.Hist.P99)
-		case strings.Contains(m.Name, "_draws_total") ||
-			strings.Contains(m.Name, "_dispensed_total") ||
-			strings.HasPrefix(m.Name, "ironman_otserv_"):
-			fmt.Printf("  %-72s %.0f\n", m.Name, m.Value)
+	for _, line := range strings.Split(prom.String(), "\n") {
+		name, value, _ := strings.Cut(line, " ")
+		family, _, _ := strings.Cut(name, "{")
+		if strings.HasSuffix(family, "_count") || strings.HasSuffix(family, "_sum") ||
+			strings.Contains(family, "_draws_total") ||
+			strings.Contains(family, "_dispensed_total") ||
+			strings.HasPrefix(family, "ironman_otserv_") {
+			fmt.Printf("  %-72s %s\n", name, value)
 		}
 	}
 }

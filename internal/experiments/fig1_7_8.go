@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ironman/internal/aesprg"
-	"ironman/internal/block"
-	"ironman/internal/cot"
 	"ironman/internal/ferret"
 	"ironman/internal/ggm"
 	"ironman/internal/prg"
@@ -14,7 +11,6 @@ import (
 	"ironman/internal/sim/roofline"
 	"ironman/internal/simnet"
 	"ironman/internal/spcot"
-	"ironman/internal/transport"
 )
 
 // ---------------------------------------------------------------------
@@ -86,13 +82,15 @@ func renderFig1c(pts []roofline.Point) string {
 type Fig7Row struct {
 	M          int
 	Ops        int     // PRG core calls for the whole batch (Fig 7a)
-	CommBytes  int64   // measured SPCOT traffic for the batch (Fig 7b)
+	CommBytes  int64   // SPCOT wire bytes for the batch (Fig 7b)
 	WANSeconds float64 // Fig 7c
 	LANSeconds float64
 }
 
-// fig7 measures the real SPCOT protocol traffic at each arity and
-// prices it on the two networks (plus the NMP compute time).
+// fig7 states the SPCOT exchange's wire bytes at each arity
+// (spcot.ExchangeBytes, which spcot's tests pin against a measured
+// exchange) and prices them on the two networks (plus the compute
+// time).
 func fig7(quick bool) (Result, error) {
 	const leaves = 4096
 	trees := 480
@@ -104,16 +102,12 @@ func fig7(quick bool) (Result, error) {
 		p := prg.New(prg.ChaCha8, m)
 		ops := trees * ggm.OpsForTree(p, leaves)
 
-		st, err := spcotTraffic(p, leaves)
-		if err != nil {
-			return Result{}, fmt.Errorf("SPCOT at m=%d: %w", m, err)
-		}
 		// All t trees' puncturing is one exchange (spcot batches every
-		// tree's level messages, as Ferret does): per tree the reply
-		// section measured here, plus one correction bit per COT, in
-		// the one round trip measured here.
-		batchBytes := st.BytesSent*int64(trees) + int64(trees*spcot.COTBudget(leaves)+7)/8
-		batchFlights := st.Flights
+		// tree's level messages, as Ferret does), so the batch is one
+		// round trip: the receiver's correction bits out, the sender's
+		// reply sections back.
+		batchBytes := spcot.ExchangeBytes(p, leaves, trees)
+		const batchFlights = 1
 
 		// Latency: network + compute (compute at the software AES-equiv
 		// rate so the trend matches Fig 7c's protocol-latency curves).
@@ -128,30 +122,6 @@ func fig7(quick bool) (Result, error) {
 	}
 	return Result{rows, renderFig7(rows), Headline{"m4-op-reduction-x", float64(rows[0].Ops) / float64(rows[1].Ops),
 		"2.99x fewer PRG calls at m=4 than m=2"}}, nil
-}
-
-// spcotTraffic runs one real SPCOT over a pipe and returns the sending
-// endpoint's traffic and flight counters.
-func spcotTraffic(p prg.PRG, leaves int) (transport.Stats, error) {
-	sp, rp, err := cot.RandomPools(spcot.COTBudget(leaves))
-	if err != nil {
-		return transport.Stats{}, err
-	}
-	h := aesprg.NewHash()
-	a, b := transport.Pipe()
-	done := make(chan error, 1)
-	go func() {
-		_, err := spcot.SendWithSeed(a, sp, h, p, leaves, block.New(uint64(leaves), uint64(p.Arity())))
-		done <- err
-	}()
-	_, err = spcot.Receive(b, rp, h, p, leaves, 1)
-	if err != nil {
-		_ = a.Close() // the sender may be parked on a reply that will never come
-	}
-	if sendErr := <-done; err == nil {
-		err = sendErr
-	}
-	return a.Stats(), err
 }
 
 func renderFig7(rows []Fig7Row) string {

@@ -1,6 +1,7 @@
 // Package obs is the unified observability layer: a concurrent
-// metrics registry (counters, gauges, bounded-bucket latency
-// histograms) and span-based phase tracing that emits Chrome
+// metrics registry (counters, gauges, fixed-bucket latency
+// histograms) whose one export is the Prometheus text exposition
+// (prom.go), and span-based phase tracing that emits Chrome
 // trace-event JSON (trace.go). It exists to reproduce, from measured
 // software, the phase-breakdown methodology the paper starts from —
 // profile OT extension into its phases (base OT, GGM/SPCOT expansion,
@@ -78,35 +79,26 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// DefLatencyBuckets are the default histogram bounds, in seconds:
+// latencyBuckets are every histogram's upper bounds, in seconds:
 // exponential (x4) from 1 µs to 16 s — wide enough for a sub-µs warm
 // pool draw and a multi-second cold 2^24 Extend refill in one
 // histogram, bounded at 14 buckets so a registry of many series stays
 // small.
-var DefLatencyBuckets = []float64{
+var latencyBuckets = [...]float64{
 	1e-6, 4e-6, 16e-6, 64e-6, 256e-6,
 	1e-3, 4e-3, 16e-3, 64e-3, 256e-3,
 	1, 4, 16,
 }
 
-// Histogram is a bounded-bucket histogram with cumulative-bucket
-// quantile estimation. Observations above the last bound land in an
-// implicit +Inf bucket. A nil *Histogram is a no-op sink.
+// Histogram is a bounded-bucket latency histogram over latencyBuckets,
+// exposed as cumulative Prometheus buckets. Observations above the
+// last bound land in an implicit +Inf bucket. The zero value is ready
+// to use; a nil *Histogram is a no-op sink.
 type Histogram struct {
 	mu      sync.Mutex
-	bounds  []float64 // upper bounds, ascending
-	buckets []uint64  // len(bounds)+1; last is +Inf
+	buckets [len(latencyBuckets) + 1]uint64 // last is +Inf
 	count   uint64
 	sum     float64
-}
-
-// NewHistogram builds a histogram over the given ascending upper
-// bounds (nil selects DefLatencyBuckets).
-func NewHistogram(bounds []float64) *Histogram {
-	if bounds == nil {
-		bounds = DefLatencyBuckets
-	}
-	return &Histogram{bounds: bounds, buckets: make([]uint64, len(bounds)+1)}
 }
 
 // Observe records one sample.
@@ -114,7 +106,7 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
+	i := sort.SearchFloat64s(latencyBuckets[:], v)
 	h.mu.Lock()
 	h.buckets[i]++
 	h.count++
@@ -122,70 +114,10 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// HistSnapshot is one histogram's point-in-time view, with the
-// quantiles the paper-style phase breakdowns and SLO reporting want.
-type HistSnapshot struct {
-	Count uint64  `json:"count"`
-	Sum   float64 `json:"sum"`
-	P50   float64 `json:"p50"`
-	P95   float64 `json:"p95"`
-	P99   float64 `json:"p99"`
-}
-
-// Snapshot returns counts, sum and interpolated p50/p95/p99.
-func (h *Histogram) Snapshot() HistSnapshot {
-	if h == nil {
-		return HistSnapshot{}
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return HistSnapshot{
-		Count: h.count,
-		Sum:   h.sum,
-		P50:   h.quantileLocked(0.50),
-		P95:   h.quantileLocked(0.95),
-		P99:   h.quantileLocked(0.99),
-	}
-}
-
-// quantileLocked estimates the q-quantile (0 < q < 1) by linear
-// interpolation within the covering bucket; samples in the +Inf bucket
-// report the last finite bound (a floor, clearly marked by saturating
-// there). h.mu must be held.
-func (h *Histogram) quantileLocked(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	rank := q * float64(h.count)
-	cum := uint64(0)
-	for i, c := range h.buckets {
-		prev := cum
-		cum += c
-		if float64(cum) < rank || c == 0 {
-			continue
-		}
-		if i >= len(h.bounds) { // +Inf bucket: saturate at last bound
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		frac := (rank - float64(prev)) / float64(c)
-		if frac < 0 {
-			frac = 0
-		} else if frac > 1 {
-			frac = 1
-		}
-		return lo + (hi-lo)*frac
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
-// snapshotBuckets returns (bounds, cumulative counts, count, sum) for
-// the Prometheus exposition.
-func (h *Histogram) snapshotBuckets() ([]float64, []uint64, uint64, float64) {
+// snapshotBuckets returns (cumulative counts, count, sum) for the
+// Prometheus exposition; cum[i] counts samples <= latencyBuckets[i],
+// and the last entry is the +Inf bucket.
+func (h *Histogram) snapshotBuckets() ([]uint64, uint64, float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	cum := make([]uint64, len(h.buckets))
@@ -194,7 +126,7 @@ func (h *Histogram) snapshotBuckets() ([]float64, []uint64, uint64, float64) {
 		running += c
 		cum[i] = running
 	}
-	return h.bounds, cum, h.count, h.sum
+	return cum, h.count, h.sum
 }
 
 // Labels formats alternating key/value pairs into the Prometheus
@@ -283,7 +215,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 }
 
 // Histogram returns the histogram registered under name, creating it
-// with DefLatencyBuckets on first use.
+// over latencyBuckets on first use.
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
@@ -292,7 +224,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		h = NewHistogram(nil)
+		h = &Histogram{}
 		r.hists[name] = h
 	}
 	return h
@@ -328,45 +260,4 @@ func (r *Registry) Drop(pred func(name string) bool) int {
 		}
 	}
 	return n
-}
-
-// Metric is one series in a registry snapshot (the JSON view the
-// admin /sessions-style dumps and examples print).
-type Metric struct {
-	Name  string        `json:"name"`
-	Type  string        `json:"type"` // "counter" | "gauge" | "histogram"
-	Value float64       `json:"value,omitempty"`
-	Hist  *HistSnapshot `json:"histogram,omitempty"`
-}
-
-// Snapshot returns every registered series, sorted by name.
-func (r *Registry) Snapshot() []Metric {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	type hentry struct {
-		name string
-		h    *Histogram
-	}
-	out := make([]Metric, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	hists := make([]hentry, 0, len(r.hists))
-	for name, c := range r.counters {
-		out = append(out, Metric{Name: name, Type: "counter", Value: float64(c.Value())})
-	}
-	for name, g := range r.gauges {
-		out = append(out, Metric{Name: name, Type: "gauge", Value: float64(g.Value())})
-	}
-	for name, h := range r.hists {
-		hists = append(hists, hentry{name, h})
-	}
-	r.mu.Unlock()
-	// Histogram snapshots take the histogram mutex; do it outside the
-	// registry lock.
-	for _, e := range hists {
-		s := e.h.Snapshot()
-		out = append(out, Metric{Name: e.name, Type: "histogram", Hist: &s})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

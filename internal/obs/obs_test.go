@@ -33,55 +33,15 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil counter must stay 0")
 	}
 	r.Gauge("b").Set(2)
+	if h := r.Histogram("c"); h != nil {
+		t.Fatal("nil registry must hand out a nil histogram")
+	}
 	r.Histogram("c").Observe(1)
-	if got := r.Histogram("c").Snapshot(); got.Count != 0 {
-		t.Fatal("nil histogram must stay empty")
-	}
-	if r.Snapshot() != nil {
-		t.Fatal("nil registry snapshot must be nil")
-	}
 	if err := r.WritePrometheus(nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := r.Drop(func(string) bool { return true }); n != 0 {
 		t.Fatal("nil registry drop must be 0")
-	}
-}
-
-func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4, 8})
-	// 100 samples uniform in bucket (1,2].
-	for i := 0; i < 100; i++ {
-		h.Observe(1.5)
-	}
-	s := h.Snapshot()
-	if s.Count != 100 {
-		t.Fatalf("count = %d", s.Count)
-	}
-	if s.P50 < 1 || s.P50 > 2 {
-		t.Fatalf("p50 = %v, want within (1,2]", s.P50)
-	}
-	if s.P99 < 1 || s.P99 > 2 {
-		t.Fatalf("p99 = %v, want within (1,2]", s.P99)
-	}
-	// Overflow samples saturate at the last bound.
-	h2 := NewHistogram([]float64{1, 2})
-	h2.Observe(100)
-	if got := h2.Snapshot().P50; got != 2 {
-		t.Fatalf("overflow quantile = %v, want saturation at 2", got)
-	}
-	// Split population: half at 0.5, half at 3 → p50 in first bucket,
-	// p95 in the (2,∞) overflow.
-	h3 := NewHistogram([]float64{1, 2})
-	for i := 0; i < 50; i++ {
-		h3.Observe(0.5)
-		h3.Observe(3)
-	}
-	if got := h3.quantileLocked(0.25); got > 1 {
-		t.Fatalf("p25 = %v, want <= 1", got)
-	}
-	if got := h3.Snapshot().P95; got != 2 {
-		t.Fatalf("p95 = %v, want overflow saturation 2", got)
 	}
 }
 
@@ -126,6 +86,7 @@ func TestWritePrometheus(t *testing.T) {
 		"# TYPE ironman_pool_draw_wait_seconds histogram",
 		`ironman_pool_draw_wait_seconds_bucket{half="sender",le="0.004"} 1`,
 		`ironman_pool_draw_wait_seconds_bucket{half="sender",le="+Inf"} 2`,
+		`ironman_pool_draw_wait_seconds_sum{half="sender"} 0.502`,
 		`ironman_pool_draw_wait_seconds_count{half="sender"} 2`,
 	} {
 		if !strings.Contains(out, want) {
@@ -147,9 +108,12 @@ func TestRegistryDrop(t *testing.T) {
 	if n != 2 {
 		t.Fatalf("dropped %d series, want 2", n)
 	}
-	snap := r.Snapshot()
-	if len(snap) != 1 || snap[0].Name != `a_total{session="2"}` {
-		t.Fatalf("unexpected survivors: %+v", snap)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# TYPE a_total counter\n" + `a_total{session="2"} 1` + "\n"; b.String() != want {
+		t.Fatalf("survivors:\n%s\nwant:\n%s", b.String(), want)
 	}
 }
 
@@ -171,7 +135,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := r.Counter("c_total").Value(); got != 8000 {
 		t.Fatalf("counter = %d, want 8000", got)
 	}
-	if got := r.Histogram("h_seconds").Snapshot().Count; got != 8000 {
+	if _, got, _ := r.Histogram("h_seconds").snapshotBuckets(); got != 8000 {
 		t.Fatalf("histogram count = %d, want 8000", got)
 	}
 }

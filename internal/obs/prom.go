@@ -57,10 +57,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 	for _, e := range hists {
 		fam, labels := splitName(e.name)
-		bounds, cum, count, sum := e.h.snapshotBuckets()
+		cum, count, sum := e.h.snapshotBuckets()
 		fams[fam] = "histogram"
 		byFam[fam] = append(byFam[fam], series{labels, func(fam, labels string, w io.Writer) error {
-			for i, b := range bounds {
+			for i, b := range latencyBuckets {
 				le := Labels("le", formatBound(b))
 				all := le
 				if labels != "" {

@@ -49,16 +49,18 @@ type shard struct {
 
 // Config tunes the fleet router. The router owns its metrics registry
 // (served on its admin /metrics) and fixes the rest: 256 virtual nodes
-// per shard on the hash ring and a 2 s upstream dial timeout. It
-// caches no placements: a reconnect walks the ring again.
+// per shard on the hash ring, a 2 s upstream dial timeout and a 1 s
+// health-loop cadence for re-probing dead shards and detecting drains.
+// It caches no placements: a reconnect walks the ring again.
 type Config struct {
 	// Shards is the initial membership (dispenser listen addresses).
 	// Unreachable shards start dead and join when the health loop
 	// reaches them.
 	Shards []string
-	// Probe is the health loop's re-probe interval for dead shards and
-	// drain detection. Default 1 s.
-	Probe time.Duration
+
+	// probe overrides the health loop's 1 s cadence in tests
+	// (in-package only).
+	probe time.Duration
 }
 
 // dialTimeout bounds upstream connection attempts.
@@ -93,8 +95,8 @@ type Router struct {
 // health loop. Shards that answer a probe join the ring immediately;
 // the rest start dead and join when they come up.
 func New(cfg Config) *Router {
-	if cfg.Probe <= 0 {
-		cfg.Probe = time.Second
+	if cfg.probe <= 0 {
+		cfg.probe = time.Second
 	}
 	reg := obs.NewRegistry()
 	r := &Router{
@@ -264,7 +266,7 @@ func (r *Router) deadShards() []string {
 
 func (r *Router) health() {
 	defer close(r.done)
-	tick := time.NewTicker(r.cfg.Probe)
+	tick := time.NewTicker(r.cfg.probe)
 	defer tick.Stop()
 	for {
 		select {

@@ -63,7 +63,7 @@ func startRouter(t *testing.T, shards ...*testShard) (*Router, string) {
 	for i, sh := range shards {
 		addrs[i] = sh.addr
 	}
-	r := New(Config{Shards: addrs, Probe: 50 * time.Millisecond})
+	r := New(Config{Shards: addrs, probe: 50 * time.Millisecond})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatalf("router listen: %v", err)
@@ -314,7 +314,7 @@ func TestStalledShardProbeTimesOut(t *testing.T) {
 
 	const bound = dialTimeout + 3*time.Second
 	built := make(chan *Router, 1)
-	go func() { built <- New(Config{Shards: []string{ln.Addr().String()}, Probe: 50 * time.Millisecond}) }()
+	go func() { built <- New(Config{Shards: []string{ln.Addr().String()}, probe: 50 * time.Millisecond}) }()
 	var r *Router
 	select {
 	case r = <-built:
@@ -724,7 +724,7 @@ func TestRouterAllShardsDownTypedError(t *testing.T) {
 // ring sequence for one of b's states, holding each routable shard
 // exactly once, a draining b after the ring.
 func TestReattachCandidatesRacesStateFlips(t *testing.T) {
-	r := New(Config{Probe: time.Hour})
+	r := New(Config{probe: time.Hour})
 	t.Cleanup(func() { r.Close() })
 	r.mu.Lock()
 	for _, addr := range []string{"a", "b", "c"} {

@@ -115,32 +115,45 @@ func TestCOTBudgetIndependentOfArity(t *testing.T) {
 }
 
 // TestMAryCommunicationGrows reproduces the trend of Figure 7(b):
-// larger arity lowers op count but raises online communication.
+// larger arity lowers op count but raises online communication. It
+// measures one 4096-leaf exchange at every Fig. 7 arity (and AES×2)
+// and pins each to ExchangeBytes, which Fig. 7 reports instead of
+// running the protocol.
 func TestMAryCommunicationGrows(t *testing.T) {
 	const leaves = 4096
-	bytesFor := func(p prg.PRG) int64 {
-		sp, rp, err := cot.RandomPools(64)
+	bytesFor := func(kind prg.Kind, m int) int64 {
+		p := prg.New(kind, m)
+		sp, rp, err := cot.RandomPools(COTBudget(leaves))
 		if err != nil {
 			t.Fatal(err)
 		}
 		h := aesprg.NewHash()
 		a, b := transport.Pipe()
-		done := make(chan struct{})
+		done := make(chan error, 1)
 		go func() {
-			_, _ = SendWithSeed(a, sp, h, p, leaves, seedFor(leaves, 1))
-			close(done)
+			_, err := SendWithSeed(a, sp, h, p, leaves, seedFor(leaves, 1))
+			done <- err
 		}()
 		if _, err := Receive(b, rp, h, p, leaves, 1); err != nil {
 			t.Fatal(err)
 		}
-		<-done
-		return a.Stats().TotalBytes()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		got := a.Stats().TotalBytes()
+		if want := ExchangeBytes(p, leaves, 1); got != want {
+			t.Fatalf("%v×%d: measured %d bytes, ExchangeBytes says %d", kind, m, got, want)
+		}
+		return got
 	}
-	b2 := bytesFor(prg.New(prg.ChaCha8, 2))
-	b4 := bytesFor(prg.New(prg.ChaCha8, 4))
-	b16 := bytesFor(prg.New(prg.ChaCha8, 16))
-	if !(b2 < b4 && b4 < b16) {
-		t.Fatalf("communication should grow with arity: m=2:%d m=4:%d m=16:%d", b2, b4, b16)
+	bytesFor(prg.AES, 2)
+	prev := int64(0)
+	for _, m := range []int{2, 4, 8, 16, 32} {
+		got := bytesFor(prg.ChaCha8, m)
+		if got <= prev {
+			t.Fatalf("communication should grow with arity: m=%d:%d <= %d", m, got, prev)
+		}
+		prev = got
 	}
 }
 

@@ -143,10 +143,22 @@ echo "== examples end-to-end (all seven) =="
 # reconnect), millionaires (parallel-prefix comparison over Ferret-fed
 # pools), private-aes (threshold AES over real TCP through the circuit
 # frontend, against crypto/aes), secure-mlp and transformer-gelu
-# (fixed-point arith + GMW layers against plaintext).
+# (fixed-point arith + GMW layers against plaintext). The in-process
+# dispenser run prints its server's Prometheus exposition at exit; with
+# sessions open, it is the one check that the per-session pool
+# histograms and the lifecycle counters still reach /metrics (the otd
+# admin smoke above scrapes a server with no sessions).
 for ex in quickstart roleswitch dispenser millionaires private-aes secure-mlp transformer-gelu; do
     echo "-- $ex"
-    "$bindir/$ex"
+    if [ "$ex" = dispenser ]; then
+        "$bindir/$ex" > "$bindir/dispenser.out"
+        cat "$bindir/dispenser.out"
+        for series in 'ironman_pool_refill_seconds_count{session=' ironman_otserv_sessions_opened_total; do
+            grep -qF "$series" "$bindir/dispenser.out" || { echo "dispenser exit dump lacks $series"; exit 1; }
+        done
+    else
+        "$bindir/$ex"
+    fi
 done
 
 echo "== scheduling flake guard (repeats of the scheduling-dependent paths) =="
