@@ -54,8 +54,7 @@ func TestArithPipelineOverTCP(t *testing.T) {
 	// Pool-fed correlations: one prefetching dealt pair per OT
 	// direction, drawn through the async pool layer.
 	params := ferret.TestParams(60_000, 1024, 6000, 32)
-	opts := DefaultOptions()
-	opts.Prefetch = 2
+	opts := Options{Prefetch: 2}
 	budget := 64*m*k + 900*m
 	mkPools := func() (*cot.SenderPool, *cot.ReceiverPool) {
 		t.Helper()

@@ -24,8 +24,7 @@ import (
 func parityParams() Params { return ferret.TestParams(60_000, 1024, 6000, 32) }
 
 func parityOpts(backend string, seed uint64) Options {
-	o := DefaultOptions()
-	o.Backend = backend
+	o := Options{Backend: backend}
 	o.Seed = Block{Lo: 0x706172697479, Hi: seed} // "parity"
 	// Prefetch > 0 gives the dealt pair its shared lockstep generator,
 	// so the workloads below may draw the two halves in any order.

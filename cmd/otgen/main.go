@@ -26,18 +26,15 @@ func main() {
 	paramName := flag.String("params", "2^20", "Table 4 parameter set")
 	iters := flag.Int("iters", 1, "Extend iterations")
 	inproc := flag.Bool("inproc", false, "run both parties in-process")
-	binary := flag.Bool("binary-aes", false, "use the classic 2-ary AES GGM construction")
 	flag.Parse()
 
 	params, err := ironman.ParamsByName(*paramName)
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := ironman.DefaultOptions()
-	opts.FourAryChaCha = !*binary
 
 	if *inproc {
-		runInProcess(params, opts, *iters)
+		runInProcess(params, *iters)
 		return
 	}
 
@@ -70,7 +67,7 @@ func main() {
 	case "sender":
 		delta := ironman.RandomDelta()
 		start := time.Now()
-		s, err := ironman.NewSender(conn, delta, params, opts)
+		s, err := ironman.NewSender(conn, delta, params, ironman.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -88,7 +85,7 @@ func main() {
 		fmt.Printf("traffic: %v\n", conn.Stats())
 	case "receiver":
 		start := time.Now()
-		r, err := ironman.NewReceiver(conn, params, opts)
+		r, err := ironman.NewReceiver(conn, params, ironman.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -109,10 +106,10 @@ func main() {
 	}
 }
 
-func runInProcess(params ironman.Params, opts ironman.Options, iters int) {
+func runInProcess(params ironman.Params, iters int) {
 	a, b := ironman.Pipe()
 	delta := ironman.RandomDelta()
-	s, r, err := ironman.NewDealtPair(a, b, delta, params, opts)
+	s, r, err := ironman.NewDealtPair(a, b, delta, params, ironman.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

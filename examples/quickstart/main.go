@@ -25,7 +25,7 @@ func main() {
 
 	// NewDealtPair skips the base-OT init (single-process demo); use
 	// NewSender/NewReceiver across a network for the real handshake.
-	sender, receiver, err := ironman.NewDealtPair(connS, connR, delta, params, ironman.DefaultOptions())
+	sender, receiver, err := ironman.NewDealtPair(connS, connR, delta, params, ironman.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

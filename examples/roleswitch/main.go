@@ -21,7 +21,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	opts := ironman.DefaultOptions()
+	var opts ironman.Options
 
 	// Direction 1: A sends, B receives. Direction 2: roles swapped.
 	// Two connection pairs model the duplex link.

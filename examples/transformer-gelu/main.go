@@ -48,7 +48,7 @@ func main() {
 	}
 	connS, connR := ironman.Pipe()
 	delta := ironman.RandomDelta()
-	s, r, err := ironman.NewDealtPair(connS, connR, delta, params, ironman.DefaultOptions())
+	s, r, err := ironman.NewDealtPair(connS, connR, delta, params, ironman.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

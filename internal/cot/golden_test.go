@@ -120,8 +120,7 @@ func goldenIronman(t *testing.T) (string, int64) {
 	connS, connR := ironman.Pipe()
 	defer connS.Close()
 	defer connR.Close()
-	opts := ironman.DefaultOptions()
-	opts.Seed = block.New(0x676f6c64656e, 1) // "golden"
+	opts := ironman.Options{Seed: block.New(0x676f6c64656e, 1)} // "golden"
 	delta := block.New(0x0123456789abcdef, 0xfedcba9876543210)
 	snd, rcv, err := ironman.NewDealtPair(connS, connR, delta, ferret.TestParams(600, 32, 128, 8), opts)
 	if err != nil {

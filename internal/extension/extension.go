@@ -49,10 +49,6 @@ type Options struct {
 	Seed block.Block
 	// Trace records the backend's Extend phase spans when non-nil.
 	Trace *obs.Tracer
-	// BinaryAES selects the classic binary AES GGM construction on
-	// backends with an m-ary tree choice (ferret; SoftSpoken's trees
-	// are always binary AES).
-	BinaryAES bool
 }
 
 // Cost is a backend's exact per-Extend wire model plus its setup
@@ -92,7 +88,9 @@ type Backend interface {
 	Name() string
 	// Batch is the usable correlations one Extend yields under p.
 	Batch(p Params) int
-	// Cost is the exact wire model for one Extend under (p, o).
+	// Cost is the exact wire model for one Extend under p. No
+	// backend's wire depends on o; the parameter stays for the
+	// benchmark harness, which passes its endpoint options.
 	Cost(p Params, o Options) Cost
 	// NewSender initializes the sending endpoint over conn; the peer
 	// must run NewReceiver concurrently (base OTs + setup flights).

@@ -3,7 +3,6 @@ package extension
 import (
 	"ironman/internal/block"
 	"ironman/internal/ferret"
-	"ironman/internal/prg"
 	"ironman/internal/spcot"
 	"ironman/internal/transport"
 )
@@ -20,21 +19,16 @@ func (ferretBackend) Name() string { return "ferret" }
 // next iteration.
 func (ferretBackend) Batch(p Params) int { return p.Usable() }
 
-// options maps o onto ferret's: ferret's default trees, or binary AES
-// trees under BinaryAES.
+// options maps o onto ferret's.
 func (ferretBackend) options(o Options) ferret.Options {
-	fo := ferret.Options{PRG: ferret.DefaultPRG, Workers: o.Workers, Seed: o.Seed, Trace: o.Trace}
-	if o.BinaryAES {
-		fo.PRG = prg.New(prg.AES, 2)
-	}
-	return fo
+	return ferret.Options{Workers: o.Workers, Seed: o.Seed, Trace: o.Trace}
 }
 
 // Cost: an Extend's only traffic is its T trees' SPCOT puncturing, one
 // chosen-OT exchange sized by spcot; the LPN encode is local. Verified
 // byte-for-byte against the measured transcript by the extend bench.
-func (b ferretBackend) Cost(p Params, o Options) Cost {
-	extend := spcot.ExchangeBytes(b.options(o).PRG, p.L, p.T)
+func (b ferretBackend) Cost(p Params, _ Options) Cost {
+	extend := spcot.ExchangeBytes(ferret.TreePRG, p.L, p.T)
 	return Cost{
 		ExtendBytes: extend,
 		BytesPerCOT: float64(extend) / float64(b.Batch(p)),

@@ -129,8 +129,6 @@ func sharedCode(params Params) *lpn.Code {
 // option: it is public and fixed per parameter shape, so every
 // endpoint resolves it through the process-wide sharedCode memo.
 type Options struct {
-	// PRG is the GGM expansion PRG; the zero value selects DefaultPRG.
-	PRG prg.PRG
 	// Workers caps the goroutines Extend's local phases use (the
 	// rank-parallel LPN encode, the concurrent GGM tree
 	// expansion/reconstruction). 0 — the default — selects
@@ -157,15 +155,9 @@ type Options struct {
 	Trace *obs.Tracer
 }
 
-// DefaultPRG is the GGM expansion PRG of the Ironman design point, the
-// 4-ary ChaCha8 construction, used when Options.PRG is zero.
-var DefaultPRG = prg.New(prg.ChaCha8, 4)
-
-func (o *Options) fill() {
-	if o.PRG == (prg.PRG{}) {
-		o.PRG = DefaultPRG
-	}
-}
+// TreePRG is the GGM expansion PRG of every SPCOT tree: the Ironman
+// design point's 4-ary ChaCha8 construction (§4.1, Fig. 6).
+var TreePRG = prg.New(prg.ChaCha8, 4)
 
 // trace labels this endpoint's sequential lane in the trace viewer and
 // returns the (possibly nil) tracer for the endpoint struct.
@@ -180,7 +172,6 @@ func (o *Options) traceFor(tid int, name string) *obs.Tracer {
 type Sender struct {
 	conn    transport.Conn
 	params  Params
-	prg     prg.PRG
 	hash    *aesprg.Hash
 	code    *lpn.Code
 	pool    *cot.SenderPool
@@ -196,7 +187,6 @@ type Sender struct {
 type Receiver struct {
 	conn       transport.Conn
 	params     Params
-	prg        prg.PRG
 	hash       *aesprg.Hash
 	code       *lpn.Code
 	pool       *cot.ReceiverPool
@@ -209,11 +199,9 @@ type Receiver struct {
 // newSender builds a sender whose first reserve the caller supplies;
 // params must have passed Validate.
 func newSender(conn transport.Conn, delta block.Block, params Params, opts Options) *Sender {
-	opts.fill()
 	return &Sender{
 		conn:    conn,
 		params:  params,
-		prg:     opts.PRG,
 		hash:    aesprg.NewHash(),
 		code:    sharedCode(params),
 		workers: opts.Workers,
@@ -225,11 +213,9 @@ func newSender(conn transport.Conn, delta block.Block, params Params, opts Optio
 
 // newReceiver is newSender's receiver twin.
 func newReceiver(conn transport.Conn, params Params, opts Options) *Receiver {
-	opts.fill()
 	return &Receiver{
 		conn:    conn,
 		params:  params,
-		prg:     opts.PRG,
 		hash:    aesprg.NewHash(),
 		code:    sharedCode(params),
 		workers: opts.Workers,
@@ -303,7 +289,7 @@ func (s *Sender) Extend() ([]block.Block, error) {
 	// sequential puncturing flights.
 	seeds := make([]block.Block, cfg.T)
 	s.rng.Blocks(seeds)
-	w, err := mpcot.SendSeeded(s.conn, s.pool, s.hash, s.prg, cfg, seeds, s.workers)
+	w, err := mpcot.SendSeeded(s.conn, s.pool, s.hash, TreePRG, cfg, seeds, s.workers)
 	if err != nil {
 		return nil, fmt.Errorf("ferret extend (spcot): %w", err)
 	}
@@ -342,7 +328,7 @@ func (r *Receiver) Extend() ([]bool, []block.Block, error) {
 	ext := r.trace.Span("extend", "ferret", ReceiverTID)
 	cfg := r.mpcotConfig()
 	alphas := cfg.AlphasFrom(r.rng)
-	v, err := mpcot.ReceiveWorkers(r.conn, r.pool, r.hash, r.prg, cfg, alphas, r.workers)
+	v, err := mpcot.ReceiveWorkers(r.conn, r.pool, r.hash, TreePRG, cfg, alphas, r.workers)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ferret extend (spcot): %w", err)
 	}

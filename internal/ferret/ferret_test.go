@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"ironman/internal/block"
-	"ironman/internal/prg"
 	"ironman/internal/transport"
 )
 
@@ -87,62 +86,51 @@ func TestExtendWithDealerSmall(t *testing.T) {
 	runIterations(t, smallParams(), Options{}, 3)
 }
 
-func TestExtendBinaryAESMatchesProtocol(t *testing.T) {
-	// The classic Ferret configuration: binary trees, AES PRG.
-	runIterations(t, smallParams(), Options{PRG: prg.New(prg.AES, 2)}, 2)
-}
-
-// TestExtendGolden pins a seeded dealt run byte for byte under both
-// ends of the Figure 6 design space: SHA-256 of z‖y‖x over two
-// lockstep Extends, and the traffic through the sender's conn. The
-// hashes were recorded while the PRG was still an interface with one
-// implementation per primitive. The byte counts were re-recorded when
-// each MPCOT's puncturing became one exchange: 8 trees × 5 one-byte
-// correction frames per Extend became one 5-byte frame, 35 bytes less
-// per Extend. Before: 4944 (ChaCha8×4) and 2896 (AES×2).
+// TestExtendGolden pins a seeded dealt run byte for byte on the one
+// live tree, ChaCha8×4: SHA-256 of z‖y‖x over two lockstep Extends, and
+// the traffic through the sender's conn. The hash was recorded while
+// the PRG was still an interface with one implementation per
+// primitive. The byte count was re-recorded when each MPCOT's
+// puncturing became one exchange: 8 trees × 5 one-byte correction
+// frames per Extend became one 5-byte frame, 35 bytes less per Extend.
+// Before: 4944. The AES×2 tree is pinned by mpcot's transcript golden.
 func TestExtendGolden(t *testing.T) {
-	for _, g := range []struct {
-		prg   prg.PRG
-		hash  string
-		bytes int64
-	}{
-		{prg.New(prg.ChaCha8, 4), "abc7dd6fb44a6bc31b0ef4adf5735c0b39259fe7fc053d79fecb7b1cfbf55e95", 4874},
-		{prg.New(prg.AES, 2), "a76feabfc6bdbb3b2afad7c969cb752d97f58f797a4044420d8ce1421d74ee7b", 2826},
-	} {
-		connS, connR := transport.Pipe()
-		delta := block.New(0x0123456789abcdef, 0xfedcba9876543210)
-		opts := Options{PRG: g.prg, Workers: 3, Seed: determinismSeed}
-		s, r, err := DealPools(connS, connR, delta, smallParams(), opts)
+	const (
+		wantHash  = "abc7dd6fb44a6bc31b0ef4adf5735c0b39259fe7fc053d79fecb7b1cfbf55e95"
+		wantBytes = 4874
+	)
+	connS, connR := transport.Pipe()
+	defer connS.Close()
+	defer connR.Close()
+	delta := block.New(0x0123456789abcdef, 0xfedcba9876543210)
+	s, r, err := DealPools(connS, connR, delta, smallParams(), Options{Workers: 3, Seed: determinismSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for it := 0; it < 2; it++ {
+		z, bits, y, err := extendLockstep(s, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := sha256.New()
-		for it := 0; it < 2; it++ {
-			z, bits, y, err := extendLockstep(s, r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := Check(delta, z, bits, y); err != nil {
-				t.Fatal(err)
-			}
-			h.Write(block.ToBytes(z))
-			h.Write(block.ToBytes(y))
-			for _, bit := range bits {
-				if bit {
-					h.Write([]byte{1})
-				} else {
-					h.Write([]byte{0})
-				}
+		if err := Check(delta, z, bits, y); err != nil {
+			t.Fatal(err)
+		}
+		h.Write(block.ToBytes(z))
+		h.Write(block.ToBytes(y))
+		for _, bit := range bits {
+			if bit {
+				h.Write([]byte{1})
+			} else {
+				h.Write([]byte{0})
 			}
 		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != g.hash {
-			t.Errorf("%v: sha256(z‖y‖x) = %s, want %s", g.prg, got, g.hash)
-		}
-		if got := connS.Stats().TotalBytes(); got != g.bytes {
-			t.Errorf("%v: sender conn carried %d bytes, want %d", g.prg, got, g.bytes)
-		}
-		connS.Close()
-		connR.Close()
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != wantHash {
+		t.Errorf("sha256(z‖y‖x) = %s, want %s", got, wantHash)
+	}
+	if got := connS.Stats().TotalBytes(); got != wantBytes {
+		t.Errorf("sender conn carried %d bytes, want %d", got, wantBytes)
 	}
 }
 
@@ -333,8 +321,4 @@ func benchExtend(b *testing.B, params Params, opts Options) {
 // Table 4 row — the software baseline datapoint of Figure 1(b).
 func BenchmarkExtend2to20(b *testing.B) {
 	benchExtend(b, Table4[0], Options{})
-}
-
-func BenchmarkExtend2to20BinaryAES(b *testing.B) {
-	benchExtend(b, Table4[0], Options{PRG: prg.New(prg.AES, 2)})
 }

@@ -48,8 +48,8 @@ func (c *Client) Close() error {
 }
 
 // roundTrip sends one request and decodes the status byte. Typed
-// failures (quota, lease, dry, draining, version, backend) come back
-// as errors matching the wire sentinels under errors.Is.
+// failures (lease, dry, draining, version, backend) come back as
+// errors matching the wire sentinels under errors.Is.
 func (c *Client) roundTrip(req []byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -93,9 +93,6 @@ type SessionConfig struct {
 	// ErrBackendUnsupported-wrapping error before the server creates
 	// any session state.
 	Backend string
-	// BinaryAES selects the classic 2-ary AES GGM construction for
-	// this session instead of the Ironman 4-ary ChaCha8 one.
-	BinaryAES bool
 	// Depth requests a prefetch depth in batches (0 = server default;
 	// the server caps it).
 	Depth int
@@ -128,13 +125,12 @@ type Session struct {
 // each half (a party holding both tokens can reconstruct Δ).
 func (c *Client) NewSession(cfg SessionConfig) (*Session, error) {
 	req := wire.HelloReq{
-		Params:    cfg.Params,
-		Backend:   cfg.Backend,
-		BinaryAES: cfg.BinaryAES,
-		Depth:     cfg.Depth,
-		Workers:   cfg.Workers,
-		Tenant:    cfg.Tenant,
-		LeaseMS:   cfg.Lease.Milliseconds(),
+		Params:  cfg.Params,
+		Backend: cfg.Backend,
+		Depth:   cfg.Depth,
+		Workers: cfg.Workers,
+		Tenant:  cfg.Tenant,
+		LeaseMS: cfg.Lease.Milliseconds(),
 	}
 	// HELLO carries the v2 framing (version byte before the JSON), so
 	// it cannot go through roundTripJSON.

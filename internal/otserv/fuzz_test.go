@@ -18,7 +18,7 @@ import (
 func fuzzFrames(tb testing.TB) [][]byte {
 	tb.Helper()
 	golden, err := wire.HelloBody(wire.HelloReq{
-		Params: "2^20", Backend: "ferret", BinaryAES: true,
+		Params: "2^20", Backend: "ferret",
 		Depth: 2, Workers: 3, Tenant: "acme", LeaseMS: 1500, SessionToken: "aabbcc",
 	})
 	if err != nil {

@@ -152,9 +152,9 @@ func TestWorkersClampAndSession(t *testing.T) {
 // dispatch with every HelloReq field set and checks each effect the
 // session exposes: params, backend, tenant and lease in the HELLO
 // response and in STATS, the pinned routing token in the registry, and
-// the requested depth clamped to the registry's cap. Workers and
-// BinaryAES are set too, though they act only inside the extension
-// pair (session.TestWorkerClamp covers the workers clamp).
+// the requested depth clamped to the registry's cap. Workers is set
+// too, though it acts only inside the extension pair
+// (session.TestWorkerClamp covers the workers clamp).
 func TestHelloReachesSession(t *testing.T) {
 	srv := NewServer(Config{Resolve: testResolve, ShardID: 5, MaxDepth: 2, Workers: 1})
 	t.Cleanup(func() { srv.Close() })
@@ -170,7 +170,7 @@ func TestHelloReachesSession(t *testing.T) {
 		}
 	}
 	body, err := wire.HelloBody(wire.HelloReq{
-		Params: "small", Backend: "softspoken", BinaryAES: true, Depth: 5, Workers: 8,
+		Params: "small", Backend: "softspoken", Depth: 5, Workers: 8,
 		Tenant: "acme", LeaseMS: 60_000, SessionToken: "pinned-token",
 	})
 	if err != nil {

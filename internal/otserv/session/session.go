@@ -272,10 +272,7 @@ func openSession(cfg Config, name string, backend extension.Backend, params ferr
 		routeToken = wire.NewToken()
 	}
 
-	eo := extension.Options{
-		Workers:   cfg.workers(req.Workers),
-		BinaryAES: req.BinaryAES,
-	}
+	eo := extension.Options{Workers: cfg.workers(req.Workers)}
 	connA, connB := transport.Pipe()
 	es, er, err := backend.DealPair(connA, connB, delta, params, eo)
 	if err != nil {

@@ -200,9 +200,8 @@ type HelloReq struct {
 	// ("" = the server's default, extension.Default). The server
 	// advertises what it serves in StatsDump.Backends and rejects
 	// unsupported names with StatusErrBackend before opening anything.
-	Backend   string `json:"backend,omitempty"`
-	BinaryAES bool   `json:"binary_aes,omitempty"`
-	Depth     int    `json:"depth,omitempty"` // prefetch batches; 0 = server default
+	Backend string `json:"backend,omitempty"`
+	Depth   int    `json:"depth,omitempty"` // prefetch batches; 0 = server default
 	// Workers is the session's Extend worker-goroutine cap; 0 selects
 	// the server default. Requests are clamped to the server's cap so
 	// one greedy session cannot oversubscribe the host.

@@ -30,6 +30,26 @@ func TestParseHelloRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseHelloIgnoresRetiredTreeField: v2 clients from before the
+// GGM tree option went may still send its field. It only ever chose
+// the tree of the server's own dealt pair, so the server serves such a
+// HELLO exactly as it serves the body without the field.
+func TestParseHelloIgnoresRetiredTreeField(t *testing.T) {
+	const fields = `"v":2,"params":"2^20","backend":"ferret","depth":2,"tenant":"acme"`
+	legacy, err := ParseHello(append([]byte{2}, `{`+fields+`,"binary_aes":true}`...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := ParseHello(append([]byte{2}, `{`+fields+`}`...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := HelloReq{Params: "2^20", Backend: "ferret", Depth: 2, Tenant: "acme"}
+	if legacy != plain || plain != want {
+		t.Fatalf("legacy body parses to %+v, plain body to %+v, want %+v", legacy, plain, want)
+	}
+}
+
 // TestParseHelloRejectsLegacyV1: the bare-JSON v1 framing's one-release
 // compatibility window is over — it must now fail with the typed
 // version sentinel, not open a session.
@@ -132,7 +152,13 @@ func TestDrawFraming(t *testing.T) {
 // frameGolden is sha256 over the length-prefixed frames TestFrameGolden
 // builds. A change to it is a wire change: bump ProtoVersion or explain
 // why old peers still interoperate.
-const frameGolden = "54ce37a92282dc23522a70226d7b3929dae2a09dd5096c8821253cd4e3044bbb"
+//
+// Re-recorded without a version bump when HELLO lost its GGM tree
+// field (before: 54ce37a9…3044bbb). The field only chose the tree of
+// the server's own dealt pair, never anything the client sees, so a v2
+// client that still sends it is served exactly as before: JSON
+// decoding ignores the field (TestParseHelloIgnoresRetiredTreeField).
+const frameGolden = "805ddc650830fdd1172f5db4594c89a1ef8f113f816bf904801cc56d7611d8ba"
 
 // goldenFrames builds every frame a session lifetime carries (HELLO
 // body -> DRAW_S/DRAW_R -> STATS/CLOSE, and the OK and typed error
@@ -140,7 +166,7 @@ const frameGolden = "54ce37a92282dc23522a70226d7b3929dae2a09dd5096c8821253cd4e30
 func goldenFrames(tb testing.TB) [][]byte {
 	tb.Helper()
 	hello, err := HelloBody(HelloReq{
-		Params: "2^20", Backend: "ferret", BinaryAES: true,
+		Params: "2^20", Backend: "ferret",
 		Depth: 2, Workers: 3, Tenant: "acme", LeaseMS: 1500, SessionToken: "aabbcc",
 	})
 	if err != nil {

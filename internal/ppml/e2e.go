@@ -3,13 +3,13 @@ package ppml
 import (
 	"fmt"
 
-	"ironman/internal/extension"
 	"ironman/internal/ferret"
 	"ironman/internal/prg"
 	"ironman/internal/sim/cpu"
 	"ironman/internal/sim/gpu"
 	"ironman/internal/sim/nmp"
 	"ironman/internal/simnet"
+	"ironman/internal/spcot"
 )
 
 // OTBackend prices the OT-extension preprocessing phase.
@@ -32,16 +32,12 @@ func mustParams(name string) ferret.Params {
 }
 
 // PreprocBytesFor is the (sublinear) OTE communication per produced
-// correlation under a parameter set: the ferret backend's exact wire
-// model over binary AES GGM trees, the construction the CPU model
-// prices. Per execution, one exchange of T·log2(ℓ) chosen OTs plus
-// each tree's node-recovery block, amortized over the Usable() yield.
+// correlation under a parameter set: SPCOT's exact wire over binary
+// AES GGM trees, the construction the CPU model prices. Per execution,
+// one exchange of T·log2(ℓ) chosen OTs plus each tree's node-recovery
+// block, amortized over the Usable() yield.
 func PreprocBytesFor(p ferret.Params) float64 {
-	b, err := extension.ByName("ferret")
-	if err != nil {
-		panic(err)
-	}
-	return b.Cost(p, extension.Options{BinaryAES: true}).BytesPerCOT
+	return float64(spcot.ExchangeBytes(prg.New(prg.AES, 2), p.L, p.T)) / float64(p.Usable())
 }
 
 // PreprocBytesPerOT is PreprocBytesFor at the parameter set all

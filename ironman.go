@@ -50,7 +50,8 @@ type Params = ferret.Params
 // ParamsByName resolves a set by name.
 func ParamsByName(name string) (Params, error) { return ferret.ParamsByName(name) }
 
-// Options tunes a protocol endpoint.
+// Options tunes a protocol endpoint. The zero value is the Ironman
+// design point: the ferret backend on 4-ary ChaCha8 GGM trees.
 type Options struct {
 	// Backend selects the OT-extension protocol family by name:
 	// "ferret" (PCG-style LPN, the paper's design point and the
@@ -60,10 +61,10 @@ type Options struct {
 	// DESIGN.md for the trade-offs and internal/extension for the
 	// contract.
 	Backend string
-	// FourAryChaCha selects the Ironman tree construction (default);
-	// set to false for the classic binary AES construction (on the
-	// softspoken backend trees are always binary AES and this is
-	// ignored).
+	// FourAryChaCha is ignored: every ferret endpoint expands the
+	// Ironman 4-ary ChaCha8 tree.
+	//
+	// Deprecated: leave it unset; the zero Options is the design point.
 	FourAryChaCha bool
 	// Workers caps the goroutines the Extend hot path's local phases
 	// use — the rank-parallel LPN encode and concurrent GGM tree
@@ -104,7 +105,7 @@ type Options struct {
 }
 
 func (o Options) extOpts() extension.Options {
-	return extension.Options{Workers: o.Workers, Seed: o.Seed, BinaryAES: !o.FourAryChaCha}
+	return extension.Options{Workers: o.Workers, Seed: o.Seed}
 }
 
 // backend resolves Options.Backend against the registry.
@@ -115,9 +116,6 @@ func (o Options) backend() (extension.Backend, error) {
 func (o Options) poolCfg() pool.Config {
 	return pool.Config{Depth: o.Prefetch}
 }
-
-// DefaultOptions is the Ironman design point.
-func DefaultOptions() Options { return Options{FourAryChaCha: true} }
 
 // PoolStats is one endpoint's correlation-buffer counters: how many
 // correlations the protocol generated and dispensed, how many Extend

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"ironman/internal/cot"
+	"ironman/internal/extension"
 	"ironman/internal/ferret"
 	"ironman/internal/gmw"
 	"ironman/internal/pool"
@@ -16,7 +17,7 @@ func dealtPair(t testing.TB, params Params) (Conn, Conn, Block, *Sender, *Receiv
 	t.Helper()
 	a, b := Pipe()
 	delta := RandomDelta()
-	s, r, err := NewDealtPair(a, b, delta, params, DefaultOptions())
+	s, r, err := NewDealtPair(a, b, delta, params, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +89,7 @@ func TestPrefetchOption(t *testing.T) {
 	// the draw API and the correlations are unchanged.
 	a, b := Pipe()
 	delta := RandomDelta()
-	opts := DefaultOptions()
-	opts.Prefetch = 2
+	opts := Options{Prefetch: 2}
 	s, r, err := NewDealtPair(a, b, delta, smallParams(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,7 @@ func TestPrefetchOption(t *testing.T) {
 func TestDealtPairOneSidedDraw(t *testing.T) {
 	a, b := Pipe()
 	delta := RandomDelta()
-	s, r, err := NewDealtPair(a, b, delta, smallParams(), DefaultOptions())
+	s, r, err := NewDealtPair(a, b, delta, smallParams(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestDealtPairConcurrentDraw(t *testing.T) {
 	pa, b := Pipe()
 	a := &gatedConn{Conn: pa}
 	delta := RandomDelta()
-	s, r, err := NewDealtPair(a, b, delta, smallParams(), DefaultOptions())
+	s, r, err := NewDealtPair(a, b, delta, smallParams(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,8 +243,7 @@ func TestDealtPairConcurrentDraw(t *testing.T) {
 func TestChosenOTRejectsBusyConn(t *testing.T) {
 	a, b := Pipe()
 	delta := RandomDelta()
-	opts := DefaultOptions()
-	opts.Prefetch = 2
+	opts := Options{Prefetch: 2}
 	s, r, err := NewDealtPair(a, b, delta, smallParams(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -294,9 +293,7 @@ func TestWorkersOptionEndToEnd(t *testing.T) {
 	var ref []Block
 	for _, workers := range []int{1, 2, 4} {
 		a, b := Pipe()
-		opts := DefaultOptions()
-		opts.Workers = workers
-		opts.Seed = Block{Lo: 0x776f726b657273} // "workers"
+		opts := Options{Workers: workers, Seed: Block{Lo: 0x776f726b657273}} // "workers"
 		s, r, err := NewDealtPair(a, b, delta, smallParams(), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -357,28 +354,54 @@ func TestVerifyCOTsRejects(t *testing.T) {
 	}
 }
 
-func TestBinaryAESOption(t *testing.T) {
-	a, b := Pipe()
-	delta := RandomDelta()
-	opts := Options{FourAryChaCha: false}
-	s, r, err := NewDealtPair(a, b, delta, smallParams(), opts)
+// TestZeroOptionsRunDesignPoint: the zero Options is the Ironman
+// design point. Seeded dealt pairs under Options{} and under either
+// spelling of the deprecated FourAryChaCha yield identical COTs, and
+// the sender conn carries exactly the ferret backend's modelled
+// ExtendBytes per Extend, the ChaCha8×4 tree's wire.
+func TestZeroOptionsRunDesignPoint(t *testing.T) {
+	const iters = 2
+	params := smallParams()
+	b, err := extension.ByName("ferret")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := make(chan []Block, 1)
-	go func() {
-		z, err := s.COTs(100)
+	want := iters * b.Cost(params, extension.Options{}).ExtendBytes
+	delta := Block{Lo: 0x7a65726f, Hi: 0x6f707473}
+	n := iters * params.Usable()
+	var ref []Block
+	for _, opts := range []Options{{}, {FourAryChaCha: true}, {FourAryChaCha: false}} {
+		opts.Seed = Block{Lo: 0x5eed}
+		a, c := Pipe()
+		s, r, err := NewDealtPair(a, c, delta, params, opts)
 		if err != nil {
-			t.Error(err)
+			t.Fatal(err)
 		}
-		ch <- z
-	}()
-	bits, blocks, err := r.COTs(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyCOTs(delta, <-ch, bits, blocks); err != nil {
-		t.Fatal(err)
+		z, err := s.COTs(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits, blocks, err := r.COTs(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := VerifyCOTs(delta, z, bits, blocks); err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		if ref == nil {
+			ref = z
+		} else if !slices.Equal(z, ref) {
+			t.Fatalf("%+v: COTs differ from Options{}", opts)
+		}
+		if got := s.PoolStats().Refills; got != iters {
+			t.Fatalf("%+v: %d Extends, want %d", opts, got, iters)
+		}
+		if got := a.Stats().TotalBytes(); got != want {
+			t.Fatalf("%+v: sender conn carried %d bytes over %d Extends, want %d", opts, got, iters, want)
+		}
+		s.Close()
+		a.Close()
+		c.Close()
 	}
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # CI gate: formatting, vet, builds (including every example and
 # command binary), live-process smokes of the dispenser and the fleet, a
-# run of every example, a repeat-run flake guard on pool close, on
+# run of every example and one verified in-process otgen Extend at
+# 2^20, a repeat-run flake guard on pool close, on
 # the shared MPCOT exchange and on the seeded-stream goldens and
 # unseeded freshness (under -race), the GGM kernels' purego fallback,
 # the full test suite under the race detector, bounded fuzzing of the two
@@ -136,7 +137,7 @@ kill "$shard1_pid" "$shard2_pid" "$shard3_pid" "$router_pid"
 wait "$shard1_pid" "$shard2_pid" "$shard3_pid" "$router_pid" 2>/dev/null || true
 echo "fleet OK"
 
-echo "== examples end-to-end (all seven) =="
+echo "== examples end-to-end (all seven, then otgen -inproc) =="
 # Every example checks its own result and exits non-zero when it is
 # wrong: quickstart (COTs under Δ, chosen OTs), roleswitch (both OT
 # directions under their own Δ), dispenser (four otserv sessions plus a
@@ -147,7 +148,9 @@ echo "== examples end-to-end (all seven) =="
 # dispenser run prints its server's Prometheus exposition at exit; with
 # sessions open, it is the one check that the per-session pool
 # histograms and the lifecycle counters still reach /metrics (the otd
-# admin smoke above scrapes a server with no sessions).
+# admin smoke above scrapes a server with no sessions). otgen -inproc
+# then runs one 2^20 Extend of the real protocol on a dealt pair and
+# exits non-zero unless every COT verifies under Δ.
 for ex in quickstart roleswitch dispenser millionaires private-aes secure-mlp transformer-gelu; do
     echo "-- $ex"
     if [ "$ex" = dispenser ]; then
@@ -160,6 +163,8 @@ for ex in quickstart roleswitch dispenser millionaires private-aes secure-mlp tr
         "$bindir/$ex"
     fi
 done
+echo "-- otgen -inproc"
+"$bindir/otgen" -inproc -iters 1
 
 echo "== scheduling flake guard (repeats of the scheduling-dependent paths) =="
 # A closed pool must dispense nothing even with correlations buffered;
