@@ -96,7 +96,7 @@ func fig12(quick bool) (Result, error) {
 			for _, params := range ferret.Table4 {
 				cfg := nmp.DefaultConfig(ranks, cacheKB<<10)
 				cfg.SampleRows = sampleRows(quick)
-				res, err := nmp.SimulateOTE(cfg, params, prg.New(prg.ChaCha8, 4), nmp.SortFor(cfg), totalOTs)
+				res, err := nmp.SimulateOTE(cfg, params, totalOTs)
 				if err != nil {
 					return Result{}, err
 				}
@@ -195,7 +195,7 @@ func fig13(quick bool) (Result, error) {
 	for _, ranks := range []int{2, 4, 8, 16} {
 		cfg := nmp.DefaultConfig(ranks, 256<<10)
 		cfg.SampleRows = sampleRows(quick)
-		lp, err := nmp.SimulateLPN(cfg, params, nmp.SortFor(cfg), ferret.DefaultCodeSeed)
+		lp, err := nmp.SimulateLPN(cfg, params)
 		if err != nil {
 			return Result{}, err
 		}
@@ -255,7 +255,7 @@ func fig14(quick bool) (Result, error) {
 		for _, params := range sets {
 			cfg := nmp.DefaultConfig(16, kb<<10)
 			cfg.SampleRows = sampleRows(quick)
-			lp, err := nmp.SimulateLPN(cfg, params, nmp.SortFor(cfg), ferret.DefaultCodeSeed)
+			lp, err := nmp.SimulateLPN(cfg, params)
 			if err != nil {
 				return Result{}, err
 			}

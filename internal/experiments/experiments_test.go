@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -63,6 +66,94 @@ func TestRegistry(t *testing.T) {
 	if len(All) != len(want) {
 		t.Errorf("All has %d entries, the paper's evaluation has %d", len(All), len(want))
 	}
+}
+
+// TestQuickGolden pins every experiment's quick rows and headline to
+// testdata/quick.json, so a model change that moves any figure fails
+// here instead of passing unnoticed. The file has the shape of
+// `ironman-bench -quick -json`'s experiments, keeping "data" and
+// "headline" and dropping "seconds"; after an intended change,
+// re-record only the experiments that moved. Floats compare at 1e-9
+// relative, so a platform that fuses multiply-adds still passes.
+func TestQuickGolden(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "quick.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]struct {
+		Data     any      `json:"data"`
+		Headline Headline `json:"headline"`
+	}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	if len(golden) != len(All) {
+		t.Errorf("golden has %d experiments, All has %d", len(golden), len(All))
+	}
+	for _, e := range All {
+		want, ok := golden[e.Name]
+		if !ok {
+			t.Errorf("%s: no golden entry", e.Name)
+			continue
+		}
+		r := quickResult(t, e.Name)
+		data, err := json.Marshal(r.Rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got any
+		if err := json.Unmarshal(data, &got); err != nil {
+			t.Fatal(err)
+		}
+		if err := sameJSON(got, want.Data, "data"); err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+		}
+		h, wh := r.Headline, want.Headline
+		if h.Metric != wh.Metric || h.Paper != wh.Paper || !closeFloat(h.Value, wh.Value) {
+			t.Errorf("%s: headline %+v, golden %+v", e.Name, h, wh)
+		}
+	}
+}
+
+// closeFloat reports a and b equal to 1e-9 relative.
+func closeFloat(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
+}
+
+// sameJSON compares two decoded JSON values, floats by closeFloat,
+// naming the path of the first difference.
+func sameJSON(got, want any, path string) error {
+	switch w := want.(type) {
+	case map[string]any:
+		g, ok := got.(map[string]any)
+		if !ok || len(g) != len(w) {
+			return fmt.Errorf("%s: got %v, golden %v", path, got, want)
+		}
+		for k, wv := range w {
+			if err := sameJSON(g[k], wv, path+"."+k); err != nil {
+				return err
+			}
+		}
+	case []any:
+		g, ok := got.([]any)
+		if !ok || len(g) != len(w) {
+			return fmt.Errorf("%s: got %v, golden %v", path, got, want)
+		}
+		for i, wv := range w {
+			if err := sameJSON(g[i], wv, fmt.Sprintf("%s[%d]", path, i)); err != nil {
+				return err
+			}
+		}
+	case float64:
+		if g, ok := got.(float64); !ok || !closeFloat(g, w) {
+			return fmt.Errorf("%s: got %v, golden %v", path, got, want)
+		}
+	default:
+		if got != want {
+			return fmt.Errorf("%s: got %v, golden %v", path, got, want)
+		}
+	}
+	return nil
 }
 
 func BenchmarkPaper(b *testing.B) {

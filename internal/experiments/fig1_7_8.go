@@ -8,6 +8,7 @@ import (
 	"ironman/internal/ggm"
 	"ironman/internal/prg"
 	"ironman/internal/sim/cpu"
+	"ironman/internal/sim/nmp"
 	"ironman/internal/sim/roofline"
 	"ironman/internal/simnet"
 	"ironman/internal/spcot"
@@ -29,7 +30,7 @@ type Fig1bRow struct {
 func fig1b(bool) (Result, error) {
 	var rows []Fig1bRow
 	for _, p := range ferret.Table4 {
-		b := cpu.Xeon5220R.OTELatency(p, prg.AES, 2, 1, true)
+		b := cpu.Xeon5220R.OTELatency(p, 1, true)
 		rows = append(rows, Fig1bRow{ParamSet: p.Name, Init: b.Init, SPCOT: b.SPCOT, LPN: b.LPN})
 	}
 	last := rows[len(rows)-1]
@@ -107,7 +108,7 @@ func fig7(quick bool) (Result, error) {
 		// round trip: the receiver's correction bits out, the sender's
 		// reply sections back.
 		batchBytes := spcot.ExchangeBytes(p, leaves, trees)
-		const batchFlights = 1
+		const batchRoundTrips = 1
 
 		// Latency: network + compute (compute at the software AES-equiv
 		// rate so the trend matches Fig 7c's protocol-latency curves).
@@ -116,8 +117,8 @@ func fig7(quick bool) (Result, error) {
 			M:          m,
 			Ops:        ops,
 			CommBytes:  batchBytes,
-			WANSeconds: simnet.WAN.Latency(batchBytes, batchFlights) + compute,
-			LANSeconds: simnet.LAN.Latency(batchBytes, batchFlights) + compute,
+			WANSeconds: simnet.WAN.Latency(batchBytes, batchRoundTrips) + compute,
+			LANSeconds: simnet.LAN.Latency(batchBytes, batchRoundTrips) + compute,
 		})
 	}
 	return Result{rows, renderFig7(rows), Headline{"m4-op-reduction-x", float64(rows[0].Ops) / float64(rows[1].Ops),
@@ -143,7 +144,7 @@ func renderFig7(rows []Fig7Row) string {
 type Fig8Row struct {
 	Schedule string
 	Trees    int
-	ggm.PipelineStats
+	nmp.PipelineStats
 }
 
 // fig8 compares the three schedules on a batch of 4-ary trees.
@@ -152,10 +153,10 @@ func fig8(bool) (Result, error) {
 	var rows []Fig8Row
 	var util float64
 	for _, trees := range []int{1, 4, 16} {
-		for _, s := range []ggm.Schedule{ggm.DepthFirst, ggm.BreadthFirst, ggm.Hybrid} {
-			st := ggm.SimulateSchedule(ggm.PipelineConfig{Stages: 8, Arities: arities, Trees: trees}, s)
+		for _, s := range []nmp.Schedule{nmp.DepthFirst, nmp.BreadthFirst, nmp.Hybrid} {
+			st := nmp.SimulateSchedule(nmp.PipelineConfig{Arities: arities, Trees: trees}, s)
 			rows = append(rows, Fig8Row{Schedule: s.String(), Trees: trees, PipelineStats: st})
-			if s == ggm.Hybrid && trees == 16 {
+			if s == nmp.Hybrid && trees == 16 {
 				util = st.Utilization
 			}
 		}

@@ -97,7 +97,7 @@ func (c *Code) Sort(opts SortOptions) *Sorted {
 			s.Rowidx[i] = uint32(i)
 		}
 	} else {
-		s.Rowidx = lookaheadOrder(permIdx, c.N, c.D, opts)
+		s.Rowidx = lookaheadOrder(permIdx, c.N, c.K, c.D, opts)
 	}
 
 	// Materialize processing-order indices.
@@ -110,14 +110,14 @@ func (c *Code) Sort(opts SortOptions) *Sorted {
 
 // lookaheadOrder simulates the memory-side cache and, at every step,
 // issues the pending row (within the window) whose indices hit the most
-// resident lines.
-func lookaheadOrder(permIdx []uint32, n, d int, opts SortOptions) []uint32 {
+// resident lines. Every permuted column is below k.
+func lookaheadOrder(permIdx []uint32, n, k, d int, opts SortOptions) []uint32 {
 	order := make([]uint32, 0, n)
-	cache := newClockCache(opts.CacheLines)
 	lw := uint32(opts.LineWords)
 	if lw == 0 {
 		lw = 4
 	}
+	cache := newClockCache(opts.CacheLines, (k+int(lw)-1)/int(lw))
 	window := opts.LookaheadWindow
 
 	// pending rows kept as a sliding window over natural order.
@@ -158,19 +158,22 @@ func lookaheadOrder(permIdx []uint32, n, d int, opts SortOptions) []uint32 {
 
 // clockCache is a cheap fully-associative line set with CLOCK eviction,
 // good enough for scheduling decisions (the precise simulator lives in
-// internal/sim/cache).
+// internal/sim/cache). Residency is a flat flag per line of the input
+// vector, which a lookup reads without hashing.
 type clockCache struct {
 	cap   int
-	lines map[uint32]bool
+	lines []bool // lines[l]: line l is resident
 	ring  []uint32
 	hand  int
 }
 
-func newClockCache(capacity int) *clockCache {
+// newClockCache holds capacity lines out of numLines, the line count of
+// the input vector.
+func newClockCache(capacity, numLines int) *clockCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &clockCache{cap: capacity, lines: make(map[uint32]bool, capacity)}
+	return &clockCache{cap: capacity, lines: make([]bool, numLines)}
 }
 
 func (c *clockCache) contains(line uint32) bool { return c.lines[line] }
@@ -184,8 +187,7 @@ func (c *clockCache) touch(line uint32) {
 		c.lines[line] = true
 		return
 	}
-	victim := c.ring[c.hand]
-	delete(c.lines, victim)
+	c.lines[c.ring[c.hand]] = false
 	c.ring[c.hand] = line
 	c.lines[line] = true
 	c.hand = (c.hand + 1) % c.cap

@@ -157,7 +157,7 @@ func TestLookaheadImprovesCacheHits(t *testing.T) {
 	const n, k = 4000, 3000
 	c := New(block.New(8, 1), n, k, DefaultD)
 	hitRate := func(trace func(func(uint32))) float64 {
-		cache := newClockCache(64) // tiny cache: 64 lines
+		cache := newClockCache(64, (k+3)/4) // tiny cache: 64 of the vector's lines
 		hits, total := 0, 0
 		trace(func(col uint32) {
 			line := col / 4

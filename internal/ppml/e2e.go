@@ -59,8 +59,8 @@ func (b CPUBackend) Seconds(n int64) float64 {
 	if execs < 1 {
 		execs = 1
 	}
-	per := b.Model.OTELatency(oteParams, prg.AES, 2, b.Threads, false).Total()
-	init := b.Model.OTELatency(oteParams, prg.AES, 2, b.Threads, true).Init
+	per := b.Model.OTELatency(oteParams, b.Threads, false).Total()
+	init := b.Model.OTELatency(oteParams, b.Threads, true).Init
 	return init + float64(execs)*per
 }
 
@@ -91,8 +91,7 @@ func (b *IronmanBackend) Name() string {
 
 func (b *IronmanBackend) Seconds(n int64) float64 {
 	if b.perExec == 0 {
-		res, err := nmp.SimulateOTE(b.Cfg, oteParams, prg.New(prg.ChaCha8, 4),
-			nmp.SortFor(b.Cfg), oteParams.Usable())
+		res, err := nmp.SimulateOTE(b.Cfg, oteParams, oteParams.Usable())
 		if err != nil {
 			panic(err)
 		}

@@ -59,27 +59,30 @@ func SRAMAreaMM2(bytes int) float64 {
 	return sramMM2PerMB * float64(bytes) / (1 << 20)
 }
 
-// Ironman is one Ironman-NMP processing unit configuration.
+// rankModules is the Rank-NMP module count of one PU (Figure 9), each
+// with its own memory-side cache.
+const rankModules = 2
+
+// Ironman is one Ironman-NMP processing unit configuration: the fixed
+// logic base plus rankModules caches of the given size.
 type Ironman struct {
-	CacheBytes  int // memory-side cache per rank module
-	RankModules int // per PU (2 in the paper)
-	ChaChaCores int
+	CacheBytes int // memory-side cache per rank module
 }
 
 // Default256K and Default1M are the two Table 6 design points.
 var (
-	Default256K = Ironman{CacheBytes: 256 << 10, RankModules: 2, ChaChaCores: 4}
-	Default1M   = Ironman{CacheBytes: 1 << 20, RankModules: 2, ChaChaCores: 4}
+	Default256K = Ironman{CacheBytes: 256 << 10}
+	Default1M   = Ironman{CacheBytes: 1 << 20}
 )
 
 // TotalAreaMM2 estimates the PU area.
 func (ir Ironman) TotalAreaMM2() float64 {
-	return logicBaseMM2 + float64(ir.RankModules)*SRAMAreaMM2(ir.CacheBytes)
+	return logicBaseMM2 + rankModules*SRAMAreaMM2(ir.CacheBytes)
 }
 
 // TotalPowerW estimates the PU power.
 func (ir Ironman) TotalPowerW() float64 {
-	return logicBaseW + float64(ir.RankModules)*sramWPerMB*float64(ir.CacheBytes)/(1<<20)
+	return logicBaseW + rankModules*sramWPerMB*float64(ir.CacheBytes)/(1<<20)
 }
 
 // Reference envelopes from Table 6 for context.

@@ -6,10 +6,11 @@
 // The model prices the two protocol phases separately, mirroring the
 // Figure 1(b) breakdown:
 //
-//   - SPCOT is compute-bound: per AES call we charge an *effective* cycle
-//     cost that folds in the tree bookkeeping, level-sum XORs and OT
-//     message handling that a software GGM implementation pays around
-//     the raw AES-NI instruction.
+//   - SPCOT is compute-bound: over Ferret's binary AES trees, per AES
+//     call we charge an *effective* cycle cost that folds in the tree
+//     bookkeeping, level-sum XORs and OT message handling that a
+//     software GGM implementation pays around the raw AES-NI
+//     instruction.
 //   - LPN is memory-bound: each of the n·d random vector accesses pays a
 //     latency determined by where the k-element vector lives (L2 / LLC /
 //     DRAM), divided by an achievable memory-level-parallelism factor,
@@ -121,29 +122,24 @@ func (m Model) gatherResidency(params ferret.Params) (latencyNs, concCap float64
 	}
 }
 
-// OTELatency estimates one protocol execution (Extend) of params using
-// the given GGM PRG across `threads` cores. includeInit adds the
-// one-time initialization (only the first execution pays it).
-func (m Model) OTELatency(params ferret.Params, kind prg.Kind, arity int, threads int, includeInit bool) Breakdown {
+// baselinePRG is the software baseline's GGM tree: Ferret's binary
+// trees on AES-NI, the construction AESCycles is calibrated against.
+var baselinePRG = prg.New(prg.AES, 2)
+
+// OTELatency estimates one protocol execution (Extend) of params on the
+// baseline's binary AES trees across `threads` cores. includeInit adds
+// the one-time initialization (only the first execution pays it).
+func (m Model) OTELatency(params ferret.Params, threads int, includeInit bool) Breakdown {
 	if threads < 1 {
 		threads = 1
 	}
 	if threads > m.Cores {
 		threads = m.Cores
 	}
-	p := prg.New(kind, arity)
 
 	// SPCOT: t trees, both local expansion and the per-level OT work.
-	ops := float64(params.T * ggm.OpsForTree(p, params.L))
-	// A software ChaCha8 512-bit core call costs ~7x an effective
-	// AES-NI call (scalar rounds, no hardware assist); this is why CPUs
-	// stick to AES (§2.3.1) and the ChaCha choice only pays off in
-	// custom hardware, where Table 2 reverses the ratio.
-	opCycles := m.AESCycles
-	if kind == prg.ChaCha8 {
-		opCycles = m.AESCycles * 7
-	}
-	spcot := ops * opCycles / (m.FreqGHz * 1e9)
+	ops := float64(params.T * ggm.OpsForTree(baselinePRG, params.L))
+	spcot := ops * m.AESCycles / (m.FreqGHz * 1e9)
 	// Amdahl-style thread scaling: the first thread is full speed,
 	// extra threads contribute at ThreadEff.
 	spcot /= 1 + float64(threads-1)*m.ThreadEff
@@ -177,7 +173,7 @@ func (m Model) TotalOTsLatency(params ferret.Params, totalOTs int) float64 {
 	if execs < 1 {
 		execs = 1
 	}
-	first := m.OTELatency(params, prg.AES, 2, m.Cores, true)
-	rest := m.OTELatency(params, prg.AES, 2, m.Cores, false)
+	first := m.OTELatency(params, m.Cores, true)
+	rest := m.OTELatency(params, m.Cores, false)
 	return first.Total() + float64(execs-1)*rest.Total()
 }

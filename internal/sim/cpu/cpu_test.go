@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ironman/internal/ferret"
-	"ironman/internal/prg"
 )
 
 func params(name string) ferret.Params {
@@ -23,7 +22,7 @@ func TestFigure1bShape(t *testing.T) {
 	m := Xeon5220R
 	var prev float64
 	for _, name := range []string{"2^20", "2^21", "2^22", "2^23", "2^24"} {
-		b := m.OTELatency(params(name), prg.AES, 2, 1, true)
+		b := m.OTELatency(params(name), 1, true)
 		total := b.Total()
 		if total <= prev {
 			t.Fatalf("%s: latency %.3f not increasing (prev %.3f)", name, total, prev)
@@ -33,7 +32,7 @@ func TestFigure1bShape(t *testing.T) {
 		}
 		prev = total
 	}
-	big := m.OTELatency(params("2^24"), prg.AES, 2, 1, true)
+	big := m.OTELatency(params("2^24"), 1, true)
 	if big.SPCOT+big.LPN < 3*big.Init {
 		t.Fatalf("at 2^24 compute must dominate init: %+v", big)
 	}
@@ -42,7 +41,7 @@ func TestFigure1bShape(t *testing.T) {
 // TestSPCOTAndLPNComparable: on CPU both phases matter (Fig 1(b) shows
 // both as major components); neither should be >20x the other.
 func TestSPCOTAndLPNComparable(t *testing.T) {
-	b := Xeon5220R.OTELatency(params("2^22"), prg.AES, 2, 1, false)
+	b := Xeon5220R.OTELatency(params("2^22"), 1, false)
 	ratio := b.SPCOT / b.LPN
 	if ratio < 0.05 || ratio > 20 {
 		t.Fatalf("SPCOT/LPN = %.2f, phases should be comparable", ratio)
@@ -52,8 +51,8 @@ func TestSPCOTAndLPNComparable(t *testing.T) {
 func TestThreadScaling(t *testing.T) {
 	m := Xeon5220R
 	p := params("2^20")
-	one := m.OTELatency(p, prg.AES, 2, 1, false)
-	all := m.OTELatency(p, prg.AES, 2, 24, false)
+	one := m.OTELatency(p, 1, false)
+	all := m.OTELatency(p, 24, false)
 	if all.SPCOT >= one.SPCOT {
 		t.Fatal("threads must speed up SPCOT")
 	}
@@ -62,21 +61,9 @@ func TestThreadScaling(t *testing.T) {
 		t.Fatalf("SPCOT thread speedup %.1f implausible", speedup)
 	}
 	// Requesting more threads than cores clamps.
-	over := m.OTELatency(p, prg.AES, 2, 1000, false)
+	over := m.OTELatency(p, 1000, false)
 	if over.SPCOT != all.SPCOT {
 		t.Fatal("thread count must clamp to core count")
-	}
-}
-
-// TestChaChaSlowerOnCPU: §2.3.1 — software sticks to AES-NI; the
-// ChaCha-based PRG only wins on custom hardware.
-func TestChaChaSlowerOnCPU(t *testing.T) {
-	m := Xeon5220R
-	p := params("2^20")
-	aes := m.OTELatency(p, prg.AES, 2, 24, false)
-	chacha := m.OTELatency(p, prg.ChaCha8, 4, 24, false)
-	if chacha.SPCOT <= aes.SPCOT {
-		t.Fatalf("ChaCha on CPU (%.4f) should not beat AES-NI (%.4f)", chacha.SPCOT, aes.SPCOT)
 	}
 }
 

@@ -5,11 +5,10 @@ import (
 
 	"ironman/internal/ferret"
 	"ironman/internal/lpn"
-	"ironman/internal/prg"
 )
 
 // Ablation benches for the design choices DESIGN.md calls out. Each
-// reports the modeled LPN or OTE latency as a custom metric so the
+// reports the modeled LPN latency as a custom metric so the
 // bench harness records the effect size.
 
 func ablCfg() Config {
@@ -24,7 +23,7 @@ func ablParams() ferret.Params { p, _ := ferret.ParamsByName("2^20"); return p }
 func BenchmarkAblationSortingOff(b *testing.B) {
 	var sec float64
 	for i := 0; i < b.N; i++ {
-		st, err := SimulateLPN(ablCfg(), ablParams(), lpn.SortOptions{}, ferret.DefaultCodeSeed)
+		st, err := simulateLPN(ablCfg(), ablParams(), lpn.SortOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -37,7 +36,7 @@ func BenchmarkAblationSortingOff(b *testing.B) {
 func BenchmarkAblationColumnSwapOnly(b *testing.B) {
 	var sec float64
 	for i := 0; i < b.N; i++ {
-		st, err := SimulateLPN(ablCfg(), ablParams(), lpn.SortOptions{ColumnSwap: true}, ferret.DefaultCodeSeed)
+		st, err := simulateLPN(ablCfg(), ablParams(), lpn.SortOptions{ColumnSwap: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -49,38 +48,14 @@ func BenchmarkAblationColumnSwapOnly(b *testing.B) {
 // BenchmarkAblationFullSort: column swap + row look-ahead (Fig 11(c)).
 func BenchmarkAblationFullSort(b *testing.B) {
 	var sec float64
-	cfg := ablCfg()
 	for i := 0; i < b.N; i++ {
-		st, err := SimulateLPN(cfg, ablParams(), SortFor(cfg), ferret.DefaultCodeSeed)
+		st, err := SimulateLPN(ablCfg(), ablParams())
 		if err != nil {
 			b.Fatal(err)
 		}
 		sec = st.Seconds
 	}
 	b.ReportMetric(sec*1e3, "lpn-ms")
-}
-
-// BenchmarkAblationOverlap: SPCOT/LPN decoupling on vs off (§5.1).
-func BenchmarkAblationOverlap(b *testing.B) {
-	for _, overlap := range []bool{false, true} {
-		name := "off"
-		if overlap {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := ablCfg()
-			cfg.Overlap = overlap
-			var sec float64
-			for i := 0; i < b.N; i++ {
-				res, err := SimulateOTE(cfg, ablParams(), prg.New(prg.ChaCha8, 4), SortFor(cfg), ablParams().Usable())
-				if err != nil {
-					b.Fatal(err)
-				}
-				sec = res.ExecSeconds
-			}
-			b.ReportMetric(sec*1e3, "exec-ms")
-		})
-	}
 }
 
 // BenchmarkAblationRowWeight sweeps the LPN row weight d around the
@@ -93,7 +68,7 @@ func BenchmarkAblationRowWeight(b *testing.B) {
 			cfg := ablCfg()
 			var sec float64
 			for i := 0; i < b.N; i++ {
-				st, err := SimulateLPN(cfg, p, SortFor(cfg), ferret.DefaultCodeSeed)
+				st, err := SimulateLPN(cfg, p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -105,19 +80,19 @@ func BenchmarkAblationRowWeight(b *testing.B) {
 }
 
 // TestAblationOrdering pins the expected effect directions: each
-// sorting stage helps, and overlap helps.
+// sorting stage helps.
 func TestAblationOrdering(t *testing.T) {
 	cfg := ablCfg()
 	p := ablParams()
-	none, err := SimulateLPN(cfg, p, lpn.SortOptions{}, ferret.DefaultCodeSeed)
+	none, err := simulateLPN(cfg, p, lpn.SortOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	swap, err := SimulateLPN(cfg, p, lpn.SortOptions{ColumnSwap: true}, ferret.DefaultCodeSeed)
+	swap, err := simulateLPN(cfg, p, lpn.SortOptions{ColumnSwap: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := SimulateLPN(cfg, p, SortFor(cfg), ferret.DefaultCodeSeed)
+	full, err := SimulateLPN(cfg, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,11 +5,12 @@
 // to the DRAM devices).
 //
 // The LPN half replays the *actual* access trace of the protocol's LPN
-// code — optionally sorted by the §5.3 algorithm — through the
-// set-associative cache model and the DDR4 rank timing model, so cache
-// hit rates and row-buffer behaviour are measured, not assumed. The
-// SPCOT half costs the PRG op count of the chosen tree construction on
-// the pipelined ChaCha cores under the hybrid schedule of §4.3.
+// code — sorted by the §5.3 algorithm — through the set-associative
+// cache model and the DDR4 rank timing model, so cache hit rates and
+// row-buffer behaviour are measured, not assumed. The SPCOT half costs
+// the PRG op count of the chosen tree construction on the pipelined
+// ChaCha core under the hybrid schedule of §4.3 (schedule.go, the
+// Figure 8 simulator).
 package nmp
 
 import (
@@ -24,65 +25,51 @@ import (
 	"ironman/internal/sim/dram"
 )
 
-// Config describes one Ironman deployment.
-type Config struct {
-	Ranks        int // active Rank-NMP modules (the Fig 12 x-axis)
-	RanksPerDIMM int // 2 in the Table 3 system
+// The fixed Ironman-NMP design point (Table 3, §5): every figure
+// varies only the rank count and cache size (Config) and, in Fig. 13,
+// the tree PRG (SimulateSPCOT's parameter).
+const (
+	cacheWays      = 8    // memory-side cache associativity
+	lineBytes      = 64   // cache line and DRAM burst
+	chachaCores    = 1    // per PU: Table 6 prices a single ChaCha8 core
+	pipelineStages = 8    // ChaCha8 core depth
+	logicFreqMHz   = 1200 // buffer-chip logic clock
 
-	CacheBytes int // memory-side cache per rank module
-	CacheWays  int
-	LineBytes  int
-
-	ChaChaCores    int // per DIMM module
-	PipelineStages int // ChaCha8 core depth
-	LogicFreqMHz   int // buffer-chip logic clock
-
-	// ElemsPerCycle is how many 16-byte vector elements the rank XOR
+	// elemsPerCycle is how many 16-byte vector elements the rank XOR
 	// tree consumes per cycle on cache hits (a 64 B SRAM port feeds 4).
-	ElemsPerCycle int
+	elemsPerCycle = 4
+)
 
-	// Overlap enables the SPCOT/LPN decoupling of §5.1 (the two phases
-	// proceed concurrently; total = max instead of sum).
-	Overlap bool
+// Config is what the paper's sweeps vary over the fixed design point.
+type Config struct {
+	Ranks      int // active Rank-NMP modules (the Fig 12 x-axis)
+	CacheBytes int // memory-side cache per rank module (the Fig 14 x-axis)
 
 	// SampleRows caps the number of matrix rows replayed per rank; the
 	// measured cycles are scaled to the full row count. 0 = exact.
 	SampleRows int
 }
 
-// DefaultConfig is the paper's preferred design point for the given
-// rank count and cache size.
+// DefaultConfig is the paper's design point for the given rank count
+// and cache size.
 func DefaultConfig(ranks, cacheBytes int) Config {
-	return Config{
-		Ranks:          ranks,
-		RanksPerDIMM:   2,
-		CacheBytes:     cacheBytes,
-		CacheWays:      8,
-		LineBytes:      64,
-		ChaChaCores:    1, // Table 6 prices a single ChaCha8 core per PU
-		PipelineStages: 8,
-		LogicFreqMHz:   1200,
-		ElemsPerCycle:  4,
-		Overlap:        true,
-		SampleRows:     200_000,
-	}
+	return Config{Ranks: ranks, CacheBytes: cacheBytes, SampleRows: 200_000}
 }
 
-// SortFor returns the §5.3 sorting configuration matched to this
+// sortFor returns the §5.3 sorting configuration matched to this
 // design point: the compile-time pass scores candidate rows against a
 // simulated copy of the *actual* memory-side cache.
-func SortFor(cfg Config) lpn.SortOptions {
+func sortFor(cfg Config) lpn.SortOptions {
 	return lpn.SortOptions{
 		ColumnSwap:      true,
 		LookaheadWindow: 32,
-		CacheLines:      cfg.CacheBytes / cfg.LineBytes,
-		LineWords:       cfg.LineBytes / block.Size,
+		CacheLines:      cfg.CacheBytes / lineBytes,
+		LineWords:       lineBytes / block.Size,
 	}
 }
 
 func (c Config) validate() error {
-	if c.Ranks < 1 || c.RanksPerDIMM < 1 || c.CacheBytes < c.LineBytes ||
-		c.ChaChaCores < 1 || c.LogicFreqMHz < 1 || c.ElemsPerCycle < 1 {
+	if c.Ranks < 1 || c.CacheBytes < lineBytes {
 		return fmt.Errorf("nmp: bad config %+v", c)
 	}
 	return nil
@@ -98,11 +85,17 @@ type LPNStats struct {
 	Seconds       float64
 }
 
-// SimulateLPN replays the LPN access pattern of params through one rank
+// SimulateLPN replays the LPN access pattern of params' protocol code
+// (ferret.DefaultCodeSeed), sorted by the §5.3 pass, through one rank
 // module and scales to the configured rank count (rows are partitioned
 // evenly across ranks, §5.1; each rank holds a broadcast copy of the
 // input vector).
-func SimulateLPN(cfg Config, params ferret.Params, sortOpts lpn.SortOptions, codeSeed block.Block) (LPNStats, error) {
+func SimulateLPN(cfg Config, params ferret.Params) (LPNStats, error) {
+	return simulateLPN(cfg, params, sortFor(cfg))
+}
+
+// simulateLPN is SimulateLPN under any sort, for the §5.3 ablations.
+func simulateLPN(cfg Config, params ferret.Params, sortOpts lpn.SortOptions) (LPNStats, error) {
 	if err := cfg.validate(); err != nil {
 		return LPNStats{}, err
 	}
@@ -111,20 +104,20 @@ func SimulateLPN(cfg Config, params ferret.Params, sortOpts lpn.SortOptions, cod
 	if cfg.SampleRows > 0 && simRows > cfg.SampleRows {
 		simRows = cfg.SampleRows
 	}
-	code := lpn.New(codeSeed, simRows, params.K, params.D)
+	code := lpn.New(ferret.DefaultCodeSeed, simRows, params.K, params.D)
 	sorted := code.Sort(sortOpts)
 
-	c := cache.New(cfg.CacheBytes, cfg.LineBytes, cfg.CacheWays)
+	c := cache.New(cfg.CacheBytes, lineBytes, cacheWays)
 	rank := dram.NewRank(dram.DDR4_2400, dram.DefaultGeometry)
 
 	// The index arrays (Colidx + Rowidx) stream sequentially from a
 	// dedicated region; they bypass the cache (§5.3) and cost one line
-	// read per LineBytes of index data.
+	// read per line of index data.
 	idxBytesPerRow := int64(params.D*4 + 4)
 	var idxAddr uint64 = 1 << 40
 	var idxPending int64
 
-	// Hit-path cycles: ElemsPerCycle elements per cycle through the
+	// Hit-path cycles: elemsPerCycle elements per cycle through the
 	// XOR tree.
 	var hitElems int64
 	var misses int64
@@ -142,12 +135,12 @@ func SimulateLPN(cfg Config, params ferret.Params, sortOpts lpn.SortOptions, cod
 	idxPending = int64(simRows) * idxBytesPerRow
 	for idxPending > 0 {
 		rank.Read(idxAddr)
-		idxAddr += uint64(cfg.LineBytes)
-		idxPending -= int64(cfg.LineBytes)
+		idxAddr += lineBytes
+		idxPending -= lineBytes
 	}
 
 	dramCycles := rank.Cycles()
-	hitCycles := hitElems / int64(cfg.ElemsPerCycle)
+	hitCycles := hitElems / elemsPerCycle
 	// The rank module pipelines hit processing against DRAM service;
 	// the slower of the two streams bounds throughput.
 	cycles := dramCycles
@@ -163,7 +156,7 @@ func SimulateLPN(cfg Config, params ferret.Params, sortOpts lpn.SortOptions, cod
 		CacheHitRate:  c.HitRate(),
 		RowHitRate:    rank.RowHitRate(),
 		CyclesPerRank: scaled,
-		Seconds:       float64(scaled) / (float64(cfg.LogicFreqMHz) * 1e6),
+		Seconds:       float64(scaled) / (logicFreqMHz * 1e6),
 	}, nil
 }
 
@@ -186,17 +179,16 @@ func SimulateSPCOT(cfg Config, p prg.PRG, leaves, trees int) (SPCOTStats, error)
 
 	// Pipeline utilization from the schedule simulator on a small
 	// representative batch (enough trees to fill the pipeline).
-	batch := cfg.PipelineStages * 2
+	batch := pipelineStages * 2
 	if batch > trees {
 		batch = trees
 	}
 	util := 1.0
 	if batch >= 1 {
-		st := ggm.SimulateSchedule(ggm.PipelineConfig{
-			Stages:  cfg.PipelineStages,
+		st := SimulateSchedule(PipelineConfig{
 			Arities: ggm.LevelArities(leaves, p.Arity()),
 			Trees:   batch,
-		}, ggm.Hybrid)
+		}, Hybrid)
 		util = st.Utilization
 	}
 
@@ -204,13 +196,12 @@ func SimulateSPCOT(cfg Config, p prg.PRG, leaves, trees int) (SPCOTStats, error)
 	// outputs must reach the rank modules' LPN inputs, so SPCOT runs on
 	// the PU's ChaCha cores rather than fanning out across DIMMs
 	// (Figure 9: one GGM-tree expansion unit per Ironman-NMP PU).
-	units := cfg.ChaChaCores
-	cycles := int64(float64(totalOps)/(float64(units)*util)) + int64(cfg.PipelineStages)
+	cycles := int64(float64(totalOps)/(chachaCores*util)) + pipelineStages
 	return SPCOTStats{
 		Ops:         totalOps,
 		Utilization: util,
 		Cycles:      cycles,
-		Seconds:     float64(cycles) / (float64(cfg.LogicFreqMHz) * 1e6),
+		Seconds:     float64(cycles) / (logicFreqMHz * 1e6),
 	}, nil
 }
 
@@ -225,30 +216,24 @@ type Result struct {
 }
 
 // SimulateOTE estimates the latency of producing totalOTs correlations
-// with the given parameter set: ceil(totalOTs/usable) executions, each
-// costing max(SPCOT, LPN) when overlapped (§5.1) or their sum when not.
-func SimulateOTE(cfg Config, params ferret.Params, p prg.PRG, sortOpts lpn.SortOptions, totalOTs int) (Result, error) {
+// with the given parameter set on the protocol's trees (ferret.TreePRG):
+// ceil(totalOTs/usable) executions, each costing max(SPCOT, LPN), since
+// the decoupled PU runs the two phases concurrently (§5.1). Result
+// carries both phases, so the serial cost is their sum.
+func SimulateOTE(cfg Config, params ferret.Params, totalOTs int) (Result, error) {
 	execs := (totalOTs + params.Usable() - 1) / params.Usable()
 	if execs < 1 {
 		execs = 1
 	}
-	sp, err := SimulateSPCOT(cfg, p, params.L, params.T)
+	sp, err := SimulateSPCOT(cfg, ferret.TreePRG, params.L, params.T)
 	if err != nil {
 		return Result{}, err
 	}
-	lp, err := SimulateLPN(cfg, params, sortOpts, ferret.DefaultCodeSeed)
+	lp, err := SimulateLPN(cfg, params)
 	if err != nil {
 		return Result{}, err
 	}
-	var exec float64
-	if cfg.Overlap {
-		exec = sp.Seconds
-		if lp.Seconds > exec {
-			exec = lp.Seconds
-		}
-	} else {
-		exec = sp.Seconds + lp.Seconds
-	}
+	exec := max(sp.Seconds, lp.Seconds)
 	return Result{
 		Executions:   execs,
 		SPCOT:        sp,

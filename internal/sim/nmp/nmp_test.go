@@ -3,23 +3,10 @@ package nmp
 import (
 	"testing"
 
-	"ironman/internal/block"
 	"ironman/internal/ferret"
 	"ironman/internal/lpn"
 	"ironman/internal/prg"
 )
-
-var seed = block.New(1, 2)
-
-// designSort is the Ironman design point's §5.3 sort: both transforms
-// on, a 16-row window, scored against a 256 KB cache with 64-byte
-// lines.
-var designSort = lpn.SortOptions{
-	ColumnSwap:      true,
-	LookaheadWindow: 16,
-	CacheLines:      256 * 1024 / 64,
-	LineWords:       4,
-}
 
 // fastCfg keeps simulation samples small for unit tests.
 func fastCfg(ranks, cacheBytes int) Config {
@@ -34,7 +21,7 @@ func TestLPNMoreRanksFaster(t *testing.T) {
 	params := set20()
 	var prev float64
 	for i, ranks := range []int{2, 4, 8, 16} {
-		st, err := SimulateLPN(fastCfg(ranks, 256<<10), params, designSort, seed)
+		st, err := SimulateLPN(fastCfg(ranks, 256<<10), params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,11 +37,11 @@ func TestLPNMoreRanksFaster(t *testing.T) {
 
 func TestLPNBiggerCacheFaster(t *testing.T) {
 	params := set20()
-	small, err := SimulateLPN(fastCfg(16, 64<<10), params, designSort, seed)
+	small, err := SimulateLPN(fastCfg(16, 64<<10), params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := SimulateLPN(fastCfg(16, 1<<20), params, designSort, seed)
+	big, err := SimulateLPN(fastCfg(16, 1<<20), params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +56,11 @@ func TestLPNBiggerCacheFaster(t *testing.T) {
 func TestSortingImprovesLPN(t *testing.T) {
 	params := set20()
 	cfg := fastCfg(16, 256<<10)
-	unsorted, err := SimulateLPN(cfg, params, lpn.SortOptions{}, seed)
+	unsorted, err := simulateLPN(cfg, params, lpn.SortOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sorted, err := SimulateLPN(cfg, params, designSort, seed)
+	sorted, err := SimulateLPN(cfg, params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +115,7 @@ func TestFigure13bSPCOTBelowLPN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lp, err := SimulateLPN(cfg, params, designSort, seed)
+		lp, err := SimulateLPN(cfg, params)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,33 +125,32 @@ func TestFigure13bSPCOTBelowLPN(t *testing.T) {
 	}
 }
 
+// TestOverlapHelps: the decoupled PU runs SPCOT and LPN concurrently
+// (§5.1), so an execution costs the slower phase, below their sum.
 func TestOverlapHelps(t *testing.T) {
 	params := set20()
-	cfg := fastCfg(16, 256<<10)
-	p := prg.New(prg.ChaCha8, 4)
 	// One full execution's worth of OTs (the nominal 2^20 is a hair
 	// above Usable(), which would round up to two executions).
-	over, err := SimulateOTE(cfg, params, p, designSort, params.Usable())
+	res, err := SimulateOTE(fastCfg(16, 256<<10), params, params.Usable())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Overlap = false
-	seq, err := SimulateOTE(cfg, params, p, designSort, params.Usable())
-	if err != nil {
-		t.Fatal(err)
+	if res.Executions != 1 {
+		t.Fatalf("one execution expected, got %d", res.Executions)
 	}
-	if over.TotalSeconds >= seq.TotalSeconds {
-		t.Fatalf("overlap %.4f should beat sequential %.4f", over.TotalSeconds, seq.TotalSeconds)
+	sp, lp := res.SPCOT.Seconds, res.LPN.Seconds
+	if res.ExecSeconds != max(sp, lp) {
+		t.Fatalf("exec %.4f, want max(SPCOT %.4f, LPN %.4f)", res.ExecSeconds, sp, lp)
 	}
-	if over.Executions != 1 || seq.Executions != 1 {
-		t.Fatalf("one execution expected, got %d", over.Executions)
+	if res.TotalSeconds >= sp+lp {
+		t.Fatalf("overlapped %.4f should beat sequential %.4f", res.TotalSeconds, sp+lp)
 	}
 }
 
 func TestExecutionsCount(t *testing.T) {
 	params := set20()
 	cfg := fastCfg(16, 1<<20)
-	res, err := SimulateOTE(cfg, params, prg.New(prg.ChaCha8, 4), designSort, 1<<25)
+	res, err := SimulateOTE(cfg, params, 1<<25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +164,7 @@ func TestExecutionsCount(t *testing.T) {
 
 func TestBadConfigRejected(t *testing.T) {
 	params := set20()
-	if _, err := SimulateLPN(Config{}, params, designSort, seed); err == nil {
+	if _, err := SimulateLPN(Config{}, params); err == nil {
 		t.Fatal("expected config error")
 	}
 	if _, err := SimulateSPCOT(Config{}, prg.New(prg.AES, 2), 16, 1); err == nil {

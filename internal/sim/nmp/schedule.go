@@ -1,6 +1,10 @@
-// GGM-tree expansion scheduling on a pipelined PRG core (Figure 8 of
-// the paper). A fully pipelined ChaCha8 core accepts one expansion per
-// cycle and delivers the result Stages cycles later; an expansion can
+package nmp
+
+import "fmt"
+
+// GGM-tree expansion scheduling on the PU's pipelined ChaCha8 core
+// (Figure 8 of the paper). The core accepts one expansion per cycle and
+// delivers the result pipelineStages cycles later; an expansion can
 // only be issued once its parent's expansion has completed. The three
 // schedules differ in the order expansions are issued:
 //
@@ -11,9 +15,6 @@
 //   - Hybrid: the paper's strategy — breadth-first within a level plus
 //     inter-tree parallelism, so bubbles are filled with other trees'
 //     ops while keeping per-tree buffering shallow.
-package ggm
-
-import "fmt"
 
 // Schedule selects the expansion order.
 type Schedule int
@@ -37,9 +38,8 @@ func (s Schedule) String() string {
 	}
 }
 
-// PipelineConfig describes the hardware and workload of a schedule run.
+// PipelineConfig describes the workload of a schedule run.
 type PipelineConfig struct {
-	Stages  int   // pipeline depth of the PRG core (8 for ChaCha8)
 	Arities []int // per-level arities of each tree
 	Trees   int   // number of trees expanded in the batch
 }
@@ -60,13 +60,13 @@ type op struct {
 
 // SimulateSchedule runs an in-order issue simulation of the given
 // schedule and returns its pipeline statistics. The model: one op may
-// issue per cycle; an op's parent must have completed (issue + Stages
-// cycles) before the op can issue; ops issue strictly in schedule
+// issue per cycle; an op's parent must have completed (issue +
+// pipelineStages cycles) before the op can issue; ops issue strictly in schedule
 // order, so a stalled op blocks everything behind it (in-order issue,
 // matching a hardware FIFO in front of the core).
 func SimulateSchedule(cfg PipelineConfig, s Schedule) PipelineStats {
-	if cfg.Stages < 1 || cfg.Trees < 1 || len(cfg.Arities) == 0 {
-		panic("ggm: bad pipeline config")
+	if cfg.Trees < 1 || len(cfg.Arities) == 0 {
+		panic("nmp: bad pipeline config")
 	}
 	order := scheduleOrder(cfg, s)
 
@@ -90,9 +90,9 @@ func SimulateSchedule(cfg PipelineConfig, s Schedule) PipelineStats {
 		if firstIssue < 0 {
 			firstIssue = now
 		}
-		done[op{o.tree, o.level, o.node}] = now + cfg.Stages
-		if now+cfg.Stages > lastDone {
-			lastDone = now + cfg.Stages
+		done[op{o.tree, o.level, o.node}] = now + pipelineStages
+		if now+pipelineStages > lastDone {
+			lastDone = now + pipelineStages
 		}
 		lastIssue = now
 		now++
@@ -143,7 +143,7 @@ func scheduleOrder(cfg PipelineConfig, s Schedule) []op {
 			width *= cfg.Arities[l]
 		}
 	default:
-		panic("ggm: unknown schedule")
+		panic("nmp: unknown schedule")
 	}
 	return order
 }

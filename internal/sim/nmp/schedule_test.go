@@ -1,4 +1,4 @@
-package ggm
+package nmp
 
 import "testing"
 
@@ -6,7 +6,7 @@ import "testing"
 // two-level binary tree on an 8-stage pipeline leaves 7 bubbles between
 // the root expansion and its children's expansions.
 func TestFigure8aDepthFirstBubbles(t *testing.T) {
-	cfg := PipelineConfig{Stages: 8, Arities: []int{2, 2}, Trees: 1}
+	cfg := PipelineConfig{Arities: []int{2, 2}, Trees: 1}
 	st := SimulateSchedule(cfg, DepthFirst)
 	if st.Ops != 3 {
 		t.Fatalf("Ops = %d, want 3", st.Ops)
@@ -20,7 +20,7 @@ func TestFigure8aDepthFirstBubbles(t *testing.T) {
 // binary trees under the hybrid schedule leave only 4 bubbles (the gap
 // between issuing the 4 roots and the first root completing).
 func TestFigure8bHybridBubbles(t *testing.T) {
-	cfg := PipelineConfig{Stages: 8, Arities: []int{2, 2}, Trees: 4}
+	cfg := PipelineConfig{Arities: []int{2, 2}, Trees: 4}
 	st := SimulateSchedule(cfg, Hybrid)
 	if st.Ops != 12 {
 		t.Fatalf("Ops = %d, want 12", st.Ops)
@@ -30,10 +30,10 @@ func TestFigure8bHybridBubbles(t *testing.T) {
 	}
 }
 
-// TestHybridFullUtilizationWithEnoughTrees: with >= Stages trees the
-// hybrid schedule reaches 100% pipeline utilization (§4.3).
+// TestHybridFullUtilizationWithEnoughTrees: with >= pipelineStages
+// trees the hybrid schedule reaches 100% pipeline utilization (§4.3).
 func TestHybridFullUtilizationWithEnoughTrees(t *testing.T) {
-	cfg := PipelineConfig{Stages: 8, Arities: []int{4, 4, 4}, Trees: 8}
+	cfg := PipelineConfig{Arities: []int{4, 4, 4}, Trees: 8}
 	st := SimulateSchedule(cfg, Hybrid)
 	if st.Bubbles != 0 {
 		t.Fatalf("Bubbles = %d, want 0", st.Bubbles)
@@ -46,7 +46,7 @@ func TestHybridFullUtilizationWithEnoughTrees(t *testing.T) {
 func TestScheduleOrdering(t *testing.T) {
 	// Depth-first must beat breadth-first on buffer, lose on bubbles for
 	// a deep single tree.
-	cfg := PipelineConfig{Stages: 8, Arities: []int{2, 2, 2, 2, 2, 2, 2, 2}, Trees: 1}
+	cfg := PipelineConfig{Arities: []int{2, 2, 2, 2, 2, 2, 2, 2}, Trees: 1}
 	df := SimulateSchedule(cfg, DepthFirst)
 	bf := SimulateSchedule(cfg, BreadthFirst)
 	if df.PeakBuffer >= bf.PeakBuffer {
@@ -60,7 +60,7 @@ func TestScheduleOrdering(t *testing.T) {
 func TestHybridBuffersBelowBFS(t *testing.T) {
 	// For a batch of trees, hybrid utilization must be >= breadth-first
 	// per-tree-sequential utilization, with far fewer bubbles than DFS.
-	cfg := PipelineConfig{Stages: 8, Arities: []int{4, 4, 4, 4}, Trees: 16}
+	cfg := PipelineConfig{Arities: []int{4, 4, 4, 4}, Trees: 16}
 	hy := SimulateSchedule(cfg, Hybrid)
 	df := SimulateSchedule(cfg, DepthFirst)
 	if hy.Bubbles >= df.Bubbles {
@@ -73,7 +73,7 @@ func TestHybridBuffersBelowBFS(t *testing.T) {
 
 func TestOpsCountInvariant(t *testing.T) {
 	// All schedules perform exactly the same number of expansions.
-	cfg := PipelineConfig{Stages: 8, Arities: []int{4, 4, 2}, Trees: 3}
+	cfg := PipelineConfig{Arities: []int{4, 4, 2}, Trees: 3}
 	want := 3 * (1 + 4 + 16)
 	for _, s := range []Schedule{DepthFirst, BreadthFirst, Hybrid} {
 		st := SimulateSchedule(cfg, s)
@@ -98,5 +98,5 @@ func TestBadConfigPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	SimulateSchedule(PipelineConfig{Stages: 0, Arities: []int{2}, Trees: 1}, Hybrid)
+	SimulateSchedule(PipelineConfig{Arities: []int{2}, Trees: 0}, Hybrid)
 }

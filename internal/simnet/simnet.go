@@ -1,8 +1,10 @@
 // Package simnet models the network between the two protocol parties.
 // The paper evaluates two settings (§6.5, following Cheetah): a LAN
 // (3 Gbps, 0.15 ms RTT) and a WAN (400 Mbps, 20 ms RTT). Protocol wire
-// time is bytes/bandwidth + flights*RTT, computed from the transport
-// statistics of a real run or from a modeled byte count.
+// time is bytes/bandwidth + roundTrips*RTT, from a modeled byte count or
+// the transport statistics of a real run. One round trip is one flight
+// from each endpoint: two transport.Stats.Flights summed over the pair,
+// or one on the endpoint that opens each exchange.
 package simnet
 
 // Network is a bandwidth/latency pair.
@@ -19,7 +21,7 @@ var (
 )
 
 // Latency returns the wire time of a protocol that moves the given
-// bytes in the given number of flights (direction changes).
-func (n Network) Latency(bytes int64, flights int) float64 {
-	return float64(bytes)*8/n.BandwidthBps + float64(flights)*n.RTTSeconds
+// bytes in the given number of round trips, each paying one RTT.
+func (n Network) Latency(bytes int64, roundTrips int) float64 {
+	return float64(bytes)*8/n.BandwidthBps + float64(roundTrips)*n.RTTSeconds
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestLatencyFormula(t *testing.T) {
-	// 3 Gbps, 0.15 ms: 375 MB in one flight = 1 s + 0.15 ms.
+	// 3 Gbps, 0.15 ms: 375 MB in one round trip = 1 s + 0.15 ms.
 	got := LAN.Latency(375_000_000, 1)
 	if math.Abs(got-1.00015) > 1e-9 {
 		t.Fatalf("LAN latency = %f", got)
@@ -17,10 +17,10 @@ func TestLatencyFormula(t *testing.T) {
 	chatty := WAN.Latency(1000, 100)
 	bulk := WAN.Latency(1000_000, 1)
 	if chatty < 100*WAN.RTTSeconds {
-		t.Fatal("flights must each pay an RTT")
+		t.Fatal("round trips must each pay an RTT")
 	}
 	if chatty < bulk {
-		t.Fatal("100 WAN round trips should beat 1 MB in one flight... inverted")
+		t.Fatal("100 WAN round trips should beat 1 MB in one round trip... inverted")
 	}
 }
 
@@ -42,7 +42,8 @@ func TestLatencyOfStats(t *testing.T) {
 	_, _ = a.Recv()
 	st := a.Stats()
 	// A finished run is priced from its transport stats: both
-	// directions' bytes and its flights.
+	// directions' bytes and its round trips, which are the flights of
+	// the endpoint that opens each exchange.
 	if st.TotalBytes() != 1500 {
 		t.Fatalf("stats count %d bytes, want 1500", st.TotalBytes())
 	}

@@ -6,8 +6,10 @@
 # the shared MPCOT exchange and on the seeded-stream goldens and
 # unseeded freshness (under -race), the GGM kernels' purego fallback,
 # the full test suite under the race detector, bounded fuzzing of the two
-# untrusted-byte parsers, and one pass over the paper-figure registry. Measured performance is not gated here: that
-# is `go run ./benchmark`. Run from the repo root:
+# untrusted-byte parsers, one iteration of each kernel benchmark and of
+# the near-memory model's ablations, and one pass over the paper-figure
+# registry. Measured performance is not gated here: that is
+# `go run ./benchmark`. Run from the repo root:
 #
 #   ./scripts/ci.sh
 set -eu
@@ -207,12 +209,13 @@ echo "== fuzz the untrusted-byte parsers (10 s each) =="
 go test -run '^$' -fuzz '^FuzzParseHello$' -fuzztime 10s ./internal/otserv/wire
 go test -run '^$' -fuzz '^FuzzDispatch$' -fuzztime 10s ./internal/otserv
 
-echo "== kernel benchmarks: column pipeline, batched CRHF, PRG level and GGM expand/reconstruct, LPN encode, chosen OT, AES-128 circuit build (one iteration each, so they cannot rot) =="
+echo "== kernel benchmarks: column pipeline, batched CRHF, PRG level and GGM expand/reconstruct, LPN encode, chosen OT, AES-128 circuit build, NMP sort and row-weight ablations (one iteration each, so they cannot rot) =="
 go test -run '^$' -bench 'TransposeBits|StreamFill|SumBlocks' -benchtime 1x ./internal/block ./internal/aesprg
 go test -run '^$' -bench 'Encode' -benchtime 1x ./internal/lpn
 go test -run '^$' -bench 'Expand|Reconstruct' -benchtime 1x ./internal/prg ./internal/ggm
 go test -run '^$' -bench 'Chosen' -benchtime 1x ./internal/cot
 go test -run '^$' -bench 'Build' -benchtime 1x ./internal/circuit
+go test -run '^$' -bench Ablation -benchtime 1x ./internal/sim/nmp
 
 echo "== paper-figure registry (ironman-bench -quick -exp all, so it cannot rot) =="
 go run ./cmd/ironman-bench -quick -exp all -json > /dev/null
