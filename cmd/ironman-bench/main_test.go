@@ -54,6 +54,53 @@ func TestRun(t *testing.T) {
 	}
 }
 
+// TestRunPrice pins -price's whole breakdown on each OT backend, the
+// one place the CPU, GPU and Ironman cost models meet a user.
+func TestRunPrice(t *testing.T) {
+	for _, tc := range []struct{ spec, out string }{
+		{"Cheetah,ResNet50,lan,cpu", "" +
+			"Cheetah / ResNet50 on LAN(3Gbps,0.15ms) with OT backend CPU(4 threads)\n" +
+			"  nonlinear elements: 9.4 M, OT correlations: 0.80 G\n" +
+			"  linear (HE)          10.2 s\n" +
+			"  OT extension         65.2 s\n" +
+			"  communication        23.0 s\n" +
+			"  other                 5.0 s\n" +
+			"  total               103.4 s  (OTE share 63.0%)\n"},
+		{"Cheetah,ResNet50,lan,gpu", "" +
+			"Cheetah / ResNet50 on LAN(3Gbps,0.15ms) with OT backend GPU(A6000)\n" +
+			"  nonlinear elements: 9.4 M, OT correlations: 0.80 G\n" +
+			"  linear (HE)          10.2 s\n" +
+			"  OT extension          4.7 s\n" +
+			"  communication        23.0 s\n" +
+			"  other                 5.0 s\n" +
+			"  total                42.9 s  (OTE share 10.8%)\n"},
+		{"Cheetah,ResNet50,lan,ironman", "" +
+			"Cheetah / ResNet50 on LAN(3Gbps,0.15ms) with OT backend Ironman(16ranks,1024KB)\n" +
+			"  nonlinear elements: 9.4 M, OT correlations: 0.80 G\n" +
+			"  linear (HE)          10.2 s\n" +
+			"  OT extension          4.2 s\n" +
+			"  communication        23.0 s\n" +
+			"  other                 5.0 s\n" +
+			"  total                42.5 s  (OTE share 10.0%)\n"},
+		{"Bolt,BERT-Large,wan,gpu", "" +
+			"Bolt / BERT-Large on WAN(400Mbps,20ms) with OT backend GPU(A6000)\n" +
+			"  nonlinear elements: 25.3 M, OT correlations: 6.18 G\n" +
+			"  linear (HE)          63.1 s\n" +
+			"  OT extension         35.7 s\n" +
+			"  communication       783.3 s\n" +
+			"  other               101.6 s\n" +
+			"  total               983.8 s  (OTE share 3.6%)\n"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(fake, []string{"-price", tc.spec}, &stdout, &stderr); code != 0 {
+			t.Errorf("%s: exit %d (stderr %q)", tc.spec, code, stderr.String())
+		}
+		if stdout.String() != tc.out {
+			t.Errorf("%s: stdout\n%s\nwant\n%s", tc.spec, stdout.String(), tc.out)
+		}
+	}
+}
+
 func TestRunJSON(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run(fake, []string{"-quick", "-json", "-exp", "ok"}, &stdout, &stderr); code != 0 {

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"ironman/internal/ppml"
-	"ironman/internal/sim/gpu"
 	"ironman/internal/simnet"
 )
 
@@ -52,9 +51,9 @@ func price(spec string, stdout, stderr io.Writer) int {
 	var ot ppml.OTBackend
 	switch fields[3] {
 	case "cpu":
-		ot = ppml.DefaultCPUBaseline()
+		ot = ppml.CPUBackend{}
 	case "gpu":
-		ot = ppml.GPUBackend{Host: ppml.DefaultCPUBaseline().Model, GPU: gpu.A6000}
+		ot = ppml.GPUBackend{}
 	case "ironman":
 		ot = ppml.DefaultIronman()
 	default:

@@ -32,7 +32,7 @@ func main() {
 	fmt.Printf("  -> %0.2f G COT correlations to preprocess\n", float64(totalOTs)/1e9)
 
 	// Project preprocessing time on the two backends.
-	cpuB := ppml.DefaultCPUBaseline()
+	cpuB := ppml.CPUBackend{}
 	ironB := ppml.DefaultIronman()
 	cpuSec := cpuB.Seconds(totalOTs)
 	ironSec := ironB.Seconds(totalOTs)

@@ -15,7 +15,6 @@ import (
 	"ironman/internal/prg"
 	"ironman/internal/sim/area"
 	"ironman/internal/sim/cpu"
-	"ironman/internal/sim/gpu"
 	"ironman/internal/sim/nmp"
 )
 
@@ -90,7 +89,6 @@ type Fig12Row struct {
 func fig12(quick bool) (Result, error) {
 	const totalOTs = 1 << 25
 	var rows []Fig12Row
-	host := cpu.Xeon5220R
 	for _, cacheKB := range []int{256, 1024} {
 		for _, ranks := range []int{2, 4, 8, 16} {
 			for _, params := range ferret.Table4 {
@@ -100,13 +98,13 @@ func fig12(quick bool) (Result, error) {
 				if err != nil {
 					return Result{}, err
 				}
-				cpuSec := host.TotalOTsLatency(params, totalOTs)
+				cpuSec := cpu.TotalOTsLatency(params, cpu.Cores, totalOTs)
 				rows = append(rows, Fig12Row{
 					CacheKB:    cacheKB,
 					Ranks:      ranks,
 					ParamSet:   params.Name,
 					CPUSec:     cpuSec,
-					GPUSec:     cpuSec / gpu.A6000.SpeedupOverCPU,
+					GPUSec:     cpuSec / cpu.A6000Speedup,
 					NMPSec:     res.TotalSeconds,
 					SpeedupCPU: cpuSec / res.TotalSeconds,
 					HitRate:    res.LPN.CacheHitRate,

@@ -30,7 +30,7 @@ type Fig1bRow struct {
 func fig1b(bool) (Result, error) {
 	var rows []Fig1bRow
 	for _, p := range ferret.Table4 {
-		b := cpu.Xeon5220R.OTELatency(p, 1, true)
+		b := cpu.OTELatency(p, 1, true)
 		rows = append(rows, Fig1bRow{ParamSet: p.Name, Init: b.Init, SPCOT: b.SPCOT, LPN: b.LPN})
 	}
 	last := rows[len(rows)-1]
@@ -110,9 +110,11 @@ func fig7(quick bool) (Result, error) {
 		batchBytes := spcot.ExchangeBytes(p, leaves, trees)
 		const batchRoundTrips = 1
 
-		// Latency: network + compute (compute at the software AES-equiv
-		// rate so the trend matches Fig 7c's protocol-latency curves).
-		compute := float64(ops) * 58 / 2.2e9
+		// Latency: network + compute (compute at the software
+		// baseline's per-AES rate, each ChaCha8 core call charged as one
+		// AES call, so the trend matches Fig 7c's protocol-latency
+		// curves).
+		compute := float64(ops) * cpu.AESCycles / (cpu.FreqGHz * 1e9)
 		rows = append(rows, Fig7Row{
 			M:          m,
 			Ops:        ops,

@@ -25,7 +25,7 @@ type Fig1aRow struct {
 // fig1a reproduces the breakdown study on the LAN with the CPU OT
 // backend (the configuration whose OTE share motivates the paper).
 func fig1a(bool) (Result, error) {
-	base := ppml.DefaultCPUBaseline()
+	base := ppml.CPUBackend{}
 	var rows []Fig1aRow
 	add := func(f ppml.Framework, models ...ppml.Model) {
 		for _, m := range models {
@@ -77,7 +77,7 @@ type Fig15Row struct {
 // and Bolt, CPU vs Ironman OT backends.
 func fig15(quick bool) (Result, error) {
 	const elems = 1 << 20
-	base := ppml.DefaultCPUBaseline()
+	base := ppml.CPUBackend{}
 	iron := ppml.DefaultIronman()
 	iron.Cfg.SampleRows = sampleRows(quick)
 	var rows []Fig15Row
@@ -171,7 +171,7 @@ type Table5Row struct {
 
 // table5 generates the full table.
 func table5(quick bool) (Result, error) {
-	base := ppml.DefaultCPUBaseline()
+	base := ppml.CPUBackend{}
 	iron := ppml.DefaultIronman()
 	iron.Cfg.SampleRows = sampleRows(quick)
 	var rows []Table5Row

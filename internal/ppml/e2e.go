@@ -4,9 +4,7 @@ import (
 	"fmt"
 
 	"ironman/internal/ferret"
-	"ironman/internal/prg"
 	"ironman/internal/sim/cpu"
-	"ironman/internal/sim/gpu"
 	"ironman/internal/sim/nmp"
 	"ironman/internal/simnet"
 	"ironman/internal/spcot"
@@ -33,11 +31,11 @@ func mustParams(name string) ferret.Params {
 
 // PreprocBytesFor is the (sublinear) OTE communication per produced
 // correlation under a parameter set: SPCOT's exact wire over binary
-// AES GGM trees, the construction the CPU model prices. Per execution,
-// one exchange of T·log2(ℓ) chosen OTs plus each tree's node-recovery
-// block, amortized over the Usable() yield.
+// AES GGM trees (cpu.BaselinePRG), the construction the CPU model
+// prices. Per execution, one exchange of T·log2(ℓ) chosen OTs plus each
+// tree's node-recovery block, amortized over the Usable() yield.
 func PreprocBytesFor(p ferret.Params) float64 {
-	return float64(spcot.ExchangeBytes(prg.New(prg.AES, 2), p.L, p.T)) / float64(p.Usable())
+	return float64(spcot.ExchangeBytes(cpu.BaselinePRG, p.L, p.T)) / float64(p.Usable())
 }
 
 // PreprocBytesPerOT is PreprocBytesFor at the parameter set all
@@ -45,36 +43,28 @@ func PreprocBytesFor(p ferret.Params) float64 {
 // active parameter set instead of a hardcoded constant.
 var PreprocBytesPerOT = PreprocBytesFor(oteParams)
 
-// CPUBackend is the software baseline. Threads reflects how many cores
-// the framework dedicates to OT extension alongside its other work.
-type CPUBackend struct {
-	Model   cpu.Model
-	Threads int
+// otThreads is how many of the host's cores the frameworks dedicate to
+// OT extension alongside their other work (their multithreaded OT
+// workers).
+const otThreads = 4
+
+// CPUBackend is the software baseline: sim/cpu's host on otThreads.
+type CPUBackend struct{}
+
+func (CPUBackend) Name() string { return fmt.Sprintf("CPU(%d threads)", otThreads) }
+
+func (CPUBackend) Seconds(n int64) float64 {
+	return cpu.TotalOTsLatency(oteParams, otThreads, n)
 }
 
-func (b CPUBackend) Name() string { return fmt.Sprintf("CPU(%d threads)", b.Threads) }
+// GPUBackend prices OT extension on the paper's A6000: the full-thread
+// host divided by cpu.A6000Speedup.
+type GPUBackend struct{}
 
-func (b CPUBackend) Seconds(n int64) float64 {
-	execs := (n + int64(oteParams.Usable()) - 1) / int64(oteParams.Usable())
-	if execs < 1 {
-		execs = 1
-	}
-	per := b.Model.OTELatency(oteParams, b.Threads, false).Total()
-	init := b.Model.OTELatency(oteParams, b.Threads, true).Init
-	return init + float64(execs)*per
-}
+func (GPUBackend) Name() string { return "GPU(A6000)" }
 
-// GPUBackend prices OT extension on the A6000 model.
-type GPUBackend struct {
-	Host cpu.Model
-	GPU  gpu.Model
-}
-
-func (b GPUBackend) Name() string { return "GPU(A6000)" }
-
-func (b GPUBackend) Seconds(n int64) float64 {
-	full := CPUBackend{Model: b.Host, Threads: b.Host.Cores}
-	return full.Seconds(n) / b.GPU.SpeedupOverCPU
+func (GPUBackend) Seconds(n int64) float64 {
+	return cpu.TotalOTsLatency(oteParams, cpu.Cores, n) / cpu.A6000Speedup
 }
 
 // IronmanBackend prices OT extension on the NMP simulator. Results are
@@ -90,6 +80,9 @@ func (b *IronmanBackend) Name() string {
 }
 
 func (b *IronmanBackend) Seconds(n int64) float64 {
+	if n <= 0 {
+		return 0
+	}
 	if b.perExec == 0 {
 		res, err := nmp.SimulateOTE(b.Cfg, oteParams, oteParams.Usable())
 		if err != nil {
@@ -98,14 +91,8 @@ func (b *IronmanBackend) Seconds(n int64) float64 {
 		b.perExec = res.ExecSeconds
 	}
 	execs := (n + int64(oteParams.Usable()) - 1) / int64(oteParams.Usable())
-	if execs < 1 {
-		execs = 1
-	}
 	return float64(execs) * b.perExec
 }
-
-// DefaultCPUBaseline reflects the frameworks' multithreaded OT workers.
-func DefaultCPUBaseline() CPUBackend { return CPUBackend{Model: cpu.Xeon5220R, Threads: 4} }
 
 // DefaultIronman is the 16-rank, 1 MB design point.
 func DefaultIronman() *IronmanBackend {
@@ -125,8 +112,7 @@ type Latency struct {
 func (l Latency) Total() float64 { return l.Linear + l.OTE + l.OnlineComm + l.Other }
 
 // OTEFraction is the Figure 1(a) headline number. A zero-cost latency
-// (e.g. a zero-element OperatorBench) has no OTE share: the fraction
-// is 0, not NaN.
+// (the zero Latency) has no OTE share: the fraction is 0, not NaN.
 func (l Latency) OTEFraction() float64 {
 	t := l.Total()
 	if t == 0 {

@@ -9,8 +9,10 @@
 // LayerNorm activations) and linear-layer MACs; each framework prices
 // those elements in OT correlations consumed, online bytes, and rounds
 // (constants documented in frameworks.go). The OT-extension
-// preprocessing time then comes from a pluggable backend: the CPU
-// model, the GPU model, or the Ironman NMP simulator.
+// preprocessing time then comes from a pluggable backend: sim/cpu's
+// software baseline on the frameworks' OT threads, the A6000 as
+// sim/cpu's full-thread host divided by cpu.A6000Speedup (a ratio, not
+// a GPU model), or the Ironman NMP simulator.
 package ppml
 
 // Op enumerates the nonlinear operators the paper benchmarks.

@@ -7,7 +7,6 @@ import (
 	"ironman/internal/block"
 	"ironman/internal/ferret"
 	"ironman/internal/gmw"
-	"ironman/internal/sim/gpu"
 	"ironman/internal/sim/nmp"
 	"ironman/internal/simnet"
 	"ironman/internal/spcot"
@@ -78,7 +77,7 @@ func TestFrameworkCosts(t *testing.T) {
 // extension accounts for roughly half to two-thirds of baseline
 // end-to-end time across frameworks and models.
 func TestFig1aOTEFraction(t *testing.T) {
-	base := DefaultCPUBaseline()
+	base := CPUBackend{}
 	cases := []struct {
 		f Framework
 		m Model
@@ -102,7 +101,7 @@ func TestFig1aOTEFraction(t *testing.T) {
 // becomes the bottleneck on slow links); Transformer gains exceed CNN
 // gains (heavier nonlinear protocols).
 func TestTable5SpeedupStructure(t *testing.T) {
-	base := DefaultCPUBaseline()
+	base := CPUBackend{}
 	iron := testIronman()
 
 	_, _, lanCNN := Speedup(Cheetah, ResNet50, simnet.LAN, base, iron)
@@ -129,7 +128,7 @@ func TestTable5SpeedupStructure(t *testing.T) {
 
 // TestFig15OperatorSpeedups: the ~4x operator-level reductions.
 func TestFig15OperatorSpeedups(t *testing.T) {
-	base := DefaultCPUBaseline()
+	base := CPUBackend{}
 	iron := testIronman()
 	for _, op := range []Op{LayerNorm, GELU, Softmax, ReLU} {
 		b := OperatorBench(SiRNN, op, 1<<20, simnet.LAN, base)
@@ -157,8 +156,8 @@ func TestFig16MatMul(t *testing.T) {
 func TestBackendsOrdering(t *testing.T) {
 	// For a large budget: CPU > GPU > Ironman.
 	const n = 1 << 28
-	cpuB := DefaultCPUBaseline()
-	gpuB := GPUBackend{Host: cpuB.Model, GPU: gpu.A6000}
+	cpuB := CPUBackend{}
+	gpuB := GPUBackend{}
 	iron := testIronman()
 	c, g, i := cpuB.Seconds(n), gpuB.Seconds(n), iron.Seconds(n)
 	if !(c > g && g > i) {
@@ -175,11 +174,11 @@ func TestUnsupportedPanics(t *testing.T) {
 			t.Fatal("expected panic for unsupported model")
 		}
 	}()
-	EndToEnd(Bolt, ResNet50, simnet.LAN, DefaultCPUBaseline())
+	EndToEnd(Bolt, ResNet50, simnet.LAN, CPUBackend{})
 }
 
-// TestOTEFractionZeroTotal: regression — a zero-cost latency (such as
-// a zero-element OperatorBench on a free backend) used to yield NaN.
+// TestOTEFractionZeroTotal: regression — a zero-cost latency (the zero
+// Latency) used to yield NaN.
 func TestOTEFractionZeroTotal(t *testing.T) {
 	var l Latency
 	if frac := l.OTEFraction(); frac != 0 {
@@ -187,6 +186,26 @@ func TestOTEFractionZeroTotal(t *testing.T) {
 	}
 	if math.IsNaN((Latency{OTE: 1}).OTEFraction()) {
 		t.Fatal("nonzero latency must not be NaN")
+	}
+}
+
+// TestZeroCorrelationsCostNothing: no backend charges an execution (or
+// the CPU's init) for zero correlations, so a zero-element operator
+// batch has no OTE share; one correlation still costs a whole execution.
+func TestZeroCorrelationsCostNothing(t *testing.T) {
+	for _, b := range []OTBackend{CPUBackend{}, GPUBackend{}, testIronman()} {
+		for _, n := range []int64{0, -1} {
+			if s := b.Seconds(n); s != 0 {
+				t.Errorf("%s: Seconds(%d) = %v, want 0", b.Name(), n, s)
+			}
+		}
+		if b.Seconds(1) <= 0 {
+			t.Errorf("%s: one correlation must cost an execution", b.Name())
+		}
+		lat := OperatorBench(SiRNN, GELU, 0, simnet.LAN, b)
+		if lat.OTE != 0 || lat.OTEFraction() != 0 {
+			t.Errorf("%s: zero-element GELU batch: OTE %v s, share %v", b.Name(), lat.OTE, lat.OTEFraction())
+		}
 	}
 }
 
@@ -231,7 +250,7 @@ func TestOperatorBenchUnknownOpPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	OperatorBench(CrypTFlow2, GELU, 100, simnet.LAN, DefaultCPUBaseline())
+	OperatorBench(CrypTFlow2, GELU, 100, simnet.LAN, CPUBackend{})
 }
 
 func TestArithCostModels(t *testing.T) {

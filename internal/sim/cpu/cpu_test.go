@@ -19,10 +19,9 @@ func params(name string) ferret.Params {
 // to a few seconds), with SPCOT+LPN dominating over Init at the large
 // end.
 func TestFigure1bShape(t *testing.T) {
-	m := Xeon5220R
 	var prev float64
 	for _, name := range []string{"2^20", "2^21", "2^22", "2^23", "2^24"} {
-		b := m.OTELatency(params(name), 1, true)
+		b := OTELatency(params(name), 1, true)
 		total := b.Total()
 		if total <= prev {
 			t.Fatalf("%s: latency %.3f not increasing (prev %.3f)", name, total, prev)
@@ -32,7 +31,7 @@ func TestFigure1bShape(t *testing.T) {
 		}
 		prev = total
 	}
-	big := m.OTELatency(params("2^24"), 1, true)
+	big := OTELatency(params("2^24"), 1, true)
 	if big.SPCOT+big.LPN < 3*big.Init {
 		t.Fatalf("at 2^24 compute must dominate init: %+v", big)
 	}
@@ -41,7 +40,7 @@ func TestFigure1bShape(t *testing.T) {
 // TestSPCOTAndLPNComparable: on CPU both phases matter (Fig 1(b) shows
 // both as major components); neither should be >20x the other.
 func TestSPCOTAndLPNComparable(t *testing.T) {
-	b := Xeon5220R.OTELatency(params("2^22"), 1, false)
+	b := OTELatency(params("2^22"), 1, false)
 	ratio := b.SPCOT / b.LPN
 	if ratio < 0.05 || ratio > 20 {
 		t.Fatalf("SPCOT/LPN = %.2f, phases should be comparable", ratio)
@@ -49,29 +48,27 @@ func TestSPCOTAndLPNComparable(t *testing.T) {
 }
 
 func TestThreadScaling(t *testing.T) {
-	m := Xeon5220R
 	p := params("2^20")
-	one := m.OTELatency(p, 1, false)
-	all := m.OTELatency(p, 24, false)
+	one := OTELatency(p, 1, false)
+	all := OTELatency(p, Cores, false)
 	if all.SPCOT >= one.SPCOT {
 		t.Fatal("threads must speed up SPCOT")
 	}
 	speedup := one.SPCOT / all.SPCOT
-	if speedup < 10 || speedup > 24 {
+	if speedup < 10 || speedup > Cores {
 		t.Fatalf("SPCOT thread speedup %.1f implausible", speedup)
 	}
 	// Requesting more threads than cores clamps.
-	over := m.OTELatency(p, 1000, false)
+	over := OTELatency(p, 1000, false)
 	if over.SPCOT != all.SPCOT {
 		t.Fatal("thread count must clamp to core count")
 	}
 }
 
 func TestTotalOTsLatencyAccumulates(t *testing.T) {
-	m := Xeon5220R
 	p := params("2^20")
-	one := m.TotalOTsLatency(p, 1<<20)
-	many := m.TotalOTsLatency(p, 1<<25)
+	one := TotalOTsLatency(p, Cores, 1<<20)
+	many := TotalOTsLatency(p, Cores, 1<<25)
 	if many <= one {
 		t.Fatal("more OTs must take longer")
 	}
@@ -88,16 +85,15 @@ func TestTotalOTsLatencyAccumulates(t *testing.T) {
 }
 
 func TestGatherResidency(t *testing.T) {
-	m := Xeon5220R
 	// 2^20 set: vector 2.7 MB, index matrix 48 MB — LLC-resident.
-	latSmall, concSmall := m.gatherResidency(params("2^20"))
-	if latSmall != m.LLCLatencyNs || concSmall != m.LLCConcCap {
+	latSmall, concSmall := gatherResidency(params("2^20"))
+	if latSmall != llcLatencyNs || concSmall != llcConcCap {
 		t.Fatalf("2^20 should gather from LLC, got %f/%f", latSmall, concSmall)
 	}
 	// 2^24 set: index matrix ~690 MB pollutes the LLC — DRAM-latency
 	// gathers (concurrency preserved across banks).
-	latBig, concBig := m.gatherResidency(params("2^24"))
-	if latBig != m.DRAMLatencyNs || concBig != m.LLCConcCap {
+	latBig, concBig := gatherResidency(params("2^24"))
+	if latBig != dramLatencyNs || concBig != llcConcCap {
 		t.Fatalf("2^24 should gather at DRAM latency, got %f/%f", latBig, concBig)
 	}
 	if !(latSmall < latBig) {

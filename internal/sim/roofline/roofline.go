@@ -3,13 +3,15 @@
 // versus "operational intensity (AES per byte of DRAM traffic)" shows
 // SPCOT pinned at the compute peak (compute-bound) and LPN far down the
 // bandwidth slope (memory-bound) — the observation that motivates the
-// split accelerator design.
+// split accelerator design. The paper's host, Xeon5220R, is derived
+// from sim/cpu's constants and SPCOT counts cpu.BaselinePRG's calls, so
+// the roofline and the CPU model state one host.
 package roofline
 
 import (
 	"ironman/internal/ferret"
 	"ironman/internal/ggm"
-	"ironman/internal/prg"
+	"ironman/internal/sim/cpu"
 )
 
 // Machine is the roofline envelope of the host.
@@ -20,13 +22,14 @@ type Machine struct {
 	MemBandwidth float64
 }
 
-// Xeon5220R: AES-128 is 10 AESENC rounds; with the pipelined AES-NI
-// unit retiring one AESENC per cycle per core, a core sustains one full
-// AES per 10 cycles. 24 cores x 2.2 GHz / 10 = 5.28 G AES/s, against
-// ~60 GB/s of sustainable DRAM bandwidth.
+// Xeon5220R is sim/cpu's Table 3 host. AES-128 is 10 AESENC rounds;
+// with the pipelined AES-NI unit retiring one AESENC per cycle per
+// core, a core sustains one full AES per 10 cycles: 24 cores x 2.2 GHz
+// / 10 = 5.28 G AES/s, against cpu.StreamBW (~60 GB/s) of sustainable
+// DRAM bandwidth.
 var Xeon5220R = Machine{
-	PeakAESPerSec: 24 * 2.2e9 / 10,
-	MemBandwidth:  60e9,
+	PeakAESPerSec: cpu.Cores * cpu.FreqGHz * 1e9 / 10,
+	MemBandwidth:  cpu.StreamBW,
 }
 
 // Point is one kernel on the roofline.
@@ -54,12 +57,12 @@ func (m Machine) RidgeIntensity() float64 {
 	return m.PeakAESPerSec / m.MemBandwidth
 }
 
-// SPCOTPoint places one SPCOT execution on the roofline: the kernel
-// performs t·OpsForTree AES calls while writing the t·ℓ leaf blocks
-// once (the tree levels live in cache).
+// SPCOTPoint places one SPCOT execution on the roofline: over the
+// baseline's binary AES trees (cpu.BaselinePRG) the kernel performs
+// t·OpsForTree AES calls while writing the t·ℓ leaf blocks once (the
+// tree levels live in cache).
 func SPCOTPoint(m Machine, params ferret.Params) Point {
-	p := prg.New(prg.AES, 2)
-	ops := float64(params.T * ggm.OpsForTree(p, params.L))
+	ops := float64(params.T * ggm.OpsForTree(cpu.BaselinePRG, params.L))
 	bytes := float64(params.T*params.L) * 16 // leaf writeback
 	return newPoint(m, "SPCOT/"+params.Name, ops/bytes)
 }
