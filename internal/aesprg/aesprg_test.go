@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -107,6 +108,7 @@ func TestStreamDrawsDoNotAllocate(t *testing.T) {
 	h := NewHash()
 	buf := make([]byte, 4096)
 	blocks := make([]block.Block, 64)
+	drawn := make([]block.Block, 37)
 	var kids [2]block.Block
 	var sink uint64
 	draws := map[string]func(){
@@ -114,6 +116,7 @@ func TestStreamDrawsDoNotAllocate(t *testing.T) {
 		"Uint32":     func() { sink += uint64(s.Uint32()) },
 		"Uint32n":    func() { sink += uint64(s.Uint32n(1000003)) },
 		"Block":      func() { sink += s.Block().Lo },
+		"Blocks":     func() { s.Blocks(drawn); sink += drawn[36].Hi },
 	}
 	if aesni {
 		draws["Sum"] = func() { sink += h.Sum(block.New(sink, 1), sink).Lo }
@@ -198,12 +201,18 @@ func BenchmarkHash(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamFill fills 4 KiB and 131,088 bytes, the length of
+// one softspoken leaf stream per Extend.
 func BenchmarkStreamFill(b *testing.B) {
-	s := NewStream(block.New(1, 2))
-	buf := make([]byte, 4096)
-	b.SetBytes(4096)
-	for i := 0; i < b.N; i++ {
-		s.Fill(buf)
+	for _, size := range []int{4096, 131088} {
+		b.Run(fmt.Sprint(size), func(b *testing.B) {
+			s := NewStream(block.New(1, 2))
+			buf := make([]byte, size)
+			b.SetBytes(int64(size))
+			for b.Loop() {
+				s.Fill(buf)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size/block.Size), "ns/block")
+		})
 	}
-	b.ReportMetric(float64(b.N)*4096/1e9/b.Elapsed().Seconds(), "GB/s")
 }

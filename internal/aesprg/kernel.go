@@ -3,6 +3,7 @@ package aesprg
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"encoding/binary"
 	"math/bits"
 	"unsafe"
 
@@ -10,10 +11,11 @@ import (
 )
 
 // key is one AES-128 key in the two forms the package encrypts with:
-// the round keys the batched AES-NI kernel reads, and a crypto/aes
-// block for the fallback (other architectures, CPUs without AES-NI,
-// -tags purego). Every AES call in the package goes through blocks or
-// encryptInPlace, eight blocks per kernel pass.
+// the round keys the batched kernel reads, and a crypto/aes block for
+// the fallback (other architectures, CPUs without AES-NI, -tags
+// purego). Every AES call in the package goes through blocks, ctr or
+// encryptInPlace: sixteen blocks per kernel pass on the VAES arm,
+// eight on the AES-NI arm.
 type key struct {
 	rk [176]byte    // round keys 0..10, FIPS-197 byte order
 	c  cipher.Block // nil when the key was built for the kernel alone
@@ -64,6 +66,25 @@ func (k *key) blocksGo(dst, src []block.Block, mmo bool) {
 		}
 		dst[i] = y
 	}
+}
+
+// ctr overwrites the whole blocks of p with AES_k(LE64(c+i) ‖ 0^64),
+// i = 0, 1, .... The VAES arm builds the counters of whole
+// sixteen-block passes in registers; the remaining blocks' counters are
+// written into p and encrypted in place.
+func (k *key) ctr(p []byte, c uint64) {
+	n := len(p) / block.Size
+	i := 0
+	if vaes && n >= 16 {
+		i = n &^ 15
+		ctrVAES(&k.rk, (*block.Block)(unsafe.Pointer(&p[0])), c, i)
+	}
+	for j := i; j < n; j++ {
+		b := p[j*block.Size : (j+1)*block.Size]
+		binary.LittleEndian.PutUint64(b[:8], c+uint64(j))
+		binary.LittleEndian.PutUint64(b[8:], 0)
+	}
+	k.encryptInPlace(p[i*block.Size : n*block.Size])
 }
 
 // encryptInPlace encrypts the whole 16-byte blocks of p in place.

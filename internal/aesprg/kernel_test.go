@@ -11,23 +11,39 @@ import (
 	"ironman/internal/block"
 )
 
-// onEachPath runs f on the crypto/aes path and, when this build and
-// CPU have it, on the AES-NI kernel, in one test binary.
+// onEachPath runs f on each arm of the kernel this build and CPU
+// have, in one test binary: crypto/aes always, the eight-lane AES-NI
+// arm and the sixteen-block VAES arm when the CPU executes them.
 func onEachPath(t *testing.T, f func(t *testing.T)) {
-	kernel := aesni
-	t.Cleanup(func() { aesni = kernel })
-	t.Run("crypto-aes", func(t *testing.T) {
-		aesni = false
-		f(t)
-	})
-	if !kernel {
-		t.Log("no AES-NI kernel on this build or CPU: only the crypto/aes path runs")
-		return
+	hasAESNI, hasVAES := aesni, vaes
+	t.Cleanup(func() { aesni, vaes = hasAESNI, hasVAES })
+	for _, arm := range []struct {
+		name        string
+		aesni, vaes bool
+		present     bool
+	}{
+		{"crypto-aes", false, false, true},
+		{"aes-ni", true, false, hasAESNI},
+		{"vaes", true, true, hasVAES},
+	} {
+		if !arm.present {
+			t.Logf("no %s arm on this build or CPU", arm.name)
+			continue
+		}
+		t.Run(arm.name, func(t *testing.T) {
+			aesni, vaes = arm.aesni, arm.vaes
+			f(t)
+		})
 	}
-	t.Run("aes-ni", func(t *testing.T) {
-		aesni = true
-		f(t)
-	})
+}
+
+// freshRand returns a generator seeded afresh on every run, so repeated
+// runs (-count) draw new keys, inputs and lengths; a failing run's seed
+// is in its log.
+func freshRand(t *testing.T) *rand.Rand {
+	seed := rand.Uint64()
+	t.Logf("seed %#x", seed)
+	return rand.New(rand.NewPCG(seed, 0))
 }
 
 func randBlocks(r *rand.Rand, n int) []block.Block {
@@ -61,7 +77,7 @@ func TestExpandKeyFIPS197(t *testing.T) {
 // 4096, into a separate slice and in place.
 func TestBlocksMatchCryptoAES(t *testing.T) {
 	onEachPath(t, func(t *testing.T) {
-		r := rand.New(rand.NewPCG(1, 2))
+		r := freshRand(t)
 		ns := []int{}
 		for n := 0; n <= 17; n++ {
 			ns = append(ns, n)
@@ -118,7 +134,7 @@ func TestSumBlocksMatchesSum(t *testing.T) {
 	}
 	onEachPath(t, func(t *testing.T) {
 		h := NewHash()
-		r := rand.New(rand.NewPCG(3, 4))
+		r := freshRand(t)
 		for _, base := range []uint64{0, 1<<32 - 5, 7<<32 - 1} {
 			for _, n := range []int{1, 9, 40} {
 				src := randBlocks(r, n)
@@ -138,22 +154,69 @@ func TestSumBlocksMatchesSum(t *testing.T) {
 	})
 }
 
+// TestCTRMatchesCryptoAES holds the counter-mode entry behind every
+// stream draw to crypto/aes run over the counter blocks LE64(c+i) ‖
+// 0^64: at every count up to 40 and at 8,191, 8,192 and 8,193 blocks
+// (8,193 is softspoken's 131,088-byte leaf stream), from a random
+// counter and from counters whose low 32 bits, and whose 64 bits, wrap
+// inside a pass.
+func TestCTRMatchesCryptoAES(t *testing.T) {
+	onEachPath(t, func(t *testing.T) {
+		r := freshRand(t)
+		ns := []int{8191, 8192, 131088 / block.Size}
+		for n := 0; n <= 40; n++ {
+			ns = append(ns, n)
+		}
+		for _, n := range ns {
+			for _, c := range []uint64{r.Uint64(), 1<<32 - 7, 5<<40 - 9, 1<<64 - 3} {
+				seed := block.New(r.Uint64(), r.Uint64())
+				k := newKey(seed, false)
+				ref, err := aes.NewCipher(seed.Bytes())
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Five trailing bytes past the whole blocks must come
+				// back untouched.
+				want := make([]byte, n*block.Size+5)
+				for i := range want[n*block.Size:] {
+					want[n*block.Size+i] = 0xaa
+				}
+				for i := 0; i < n; i++ {
+					b := want[i*block.Size : (i+1)*block.Size]
+					binary.LittleEndian.PutUint64(b, c+uint64(i))
+					ref.Encrypt(b, b)
+				}
+				got := make([]byte, len(want))
+				copy(got[n*block.Size:], want[n*block.Size:])
+				k.ctr(got, c)
+				if !bytes.Equal(got, want) {
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("n=%d ctr=%#x: byte %d (block %d) differs from AES-CTR", n, c, i, i/block.Size)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // TestStreamMixedDraws reads one stream through random mixes of Fill
-// (lengths that start and end inside the buffer and span it), Uint32,
-// Block and Bits, and holds the bytes to keystream blocks computed with
-// crypto/aes directly.
+// and Blocks (lengths that start and end inside the buffer and span
+// it), Uint32, Block and Bits, and holds the bytes to keystream blocks
+// computed with crypto/aes directly.
 func TestStreamMixedDraws(t *testing.T) {
 	onEachPath(t, func(t *testing.T) {
-		seed := block.New(0x0123456789abcdef, 0xfedcba9876543210)
+		r := freshRand(t)
+		seed := block.New(r.Uint64(), r.Uint64())
 		ref, err := aes.NewCipher(seed.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := rand.New(rand.NewPCG(5, 6))
 		s := NewStream(seed)
 		var got []byte
 		for len(got) < 64<<10 {
-			switch r.IntN(4) {
+			switch r.IntN(5) {
 			case 0:
 				p := make([]byte, r.IntN(3*streamBuf*block.Size))
 				s.Fill(p)
@@ -173,6 +236,12 @@ func TestStreamMixedDraws(t *testing.T) {
 						}
 					}
 					got = append(got, b)
+				}
+			case 4:
+				blocks := make([]block.Block, r.IntN(3*streamBuf))
+				s.Blocks(blocks)
+				for _, b := range blocks {
+					got = append(got, b.Bytes()...)
 				}
 			}
 		}

@@ -54,8 +54,10 @@ func (c Config) Validate() error {
 func (c Config) COTBudget() int { return c.T * spcot.COTBudget(c.Leaves) }
 
 // bucketSpan returns the half-open output range [lo, hi) of bucket i,
-// clamped to [0, N): buckets at or beyond N come back empty (their
-// trees still run for protocol symmetry but contribute no output).
+// clamped to [0, N): buckets at or beyond N come back empty. The
+// sender still expands and seals their trees, whose reply sections are
+// on the wire; the receiver skips reconstructing them, since they
+// write no output.
 func (c Config) bucketSpan(i int) (lo, hi int) {
 	lo = i * c.Leaves
 	hi = lo + c.Leaves
@@ -70,8 +72,8 @@ func (c Config) bucketSpan(i int) (lo, hi int) {
 
 // AlphasFrom draws one uniformly random punctured position per bucket
 // from s: within the part of the bucket inside [0, N), or within the
-// whole bucket for one entirely beyond N (its tree still runs for
-// protocol symmetry). The positions are the receiver's secret noise: s
+// whole bucket for one entirely beyond N (the sender still seals its
+// tree, and its correction bits are still on the wire). The positions are the receiver's secret noise: s
 // must be its private stream (aesprg.NewLocal), fresh unless a run is
 // seeded on purpose.
 func (c Config) AlphasFrom(s *aesprg.Stream) []int {
@@ -179,9 +181,13 @@ func ReceiveWorkers(conn transport.Conn, pool *cot.ReceiverPool, h *aesprg.Hash,
 		sc := x.Scratch()
 		n := 0
 		for i := range trees {
-			blo, bhi := cfg.bucketSpan(i)
-			x.Open(i, v[blo:bhi], sc)
-			n++
+			// A bucket wholly beyond N writes nothing: its reply
+			// section is already read, and opening it would only
+			// rebuild a tree to copy none of its leaves.
+			if blo, bhi := cfg.bucketSpan(i); blo < bhi {
+				x.Open(i, v[blo:bhi], sc)
+				n++
+			}
 		}
 		if sp.Live() {
 			sp.EndArgs(map[string]any{"trees": n})

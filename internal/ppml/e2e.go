@@ -143,11 +143,16 @@ func Speedup(f Framework, m Model, net simnet.Network, base, accel OTBackend) (b
 }
 
 // OperatorBench is the Figure 15 microbenchmark: a batch of one
-// nonlinear operator evaluated under a framework.
+// nonlinear operator evaluated under a framework. An empty batch
+// (elems ≤ 0) runs no protocol, so it costs nothing, round trips
+// included.
 func OperatorBench(f Framework, op Op, elems int64, net simnet.Network, ot OTBackend) Latency {
 	c, ok := f.Costs[op]
 	if !ok {
 		panic(fmt.Sprintf("ppml: %s has no %v protocol", f.Name, op))
+	}
+	if elems <= 0 {
+		return Latency{}
 	}
 	ots := int64(float64(elems) * c.OTs)
 	ote := ot.Seconds(ots)

@@ -190,8 +190,9 @@ func TestOTEFractionZeroTotal(t *testing.T) {
 }
 
 // TestZeroCorrelationsCostNothing: no backend charges an execution (or
-// the CPU's init) for zero correlations, so a zero-element operator
-// batch has no OTE share; one correlation still costs a whole execution.
+// the CPU's init) for zero correlations, and an empty operator batch
+// costs nothing at all, round trips included; one correlation still
+// costs a whole execution.
 func TestZeroCorrelationsCostNothing(t *testing.T) {
 	for _, b := range []OTBackend{CPUBackend{}, GPUBackend{}, testIronman()} {
 		for _, n := range []int64{0, -1} {
@@ -202,9 +203,11 @@ func TestZeroCorrelationsCostNothing(t *testing.T) {
 		if b.Seconds(1) <= 0 {
 			t.Errorf("%s: one correlation must cost an execution", b.Name())
 		}
-		lat := OperatorBench(SiRNN, GELU, 0, simnet.LAN, b)
-		if lat.OTE != 0 || lat.OTEFraction() != 0 {
-			t.Errorf("%s: zero-element GELU batch: OTE %v s, share %v", b.Name(), lat.OTE, lat.OTEFraction())
+		for _, n := range []int64{0, -1} {
+			lat := OperatorBench(SiRNN, GELU, n, simnet.LAN, b)
+			if lat.Total() != 0 || lat.OTEFraction() != 0 {
+				t.Errorf("%s: %d-element GELU batch: %+v, share %v", b.Name(), n, lat, lat.OTEFraction())
+			}
 		}
 	}
 }

@@ -18,8 +18,8 @@
 // (lanes_amd64.s). Each YMM register holds one state word of eight
 // parents, so one core pass yields the children of eight parents. On a
 // CPU, the SIMD lanes do what one 512-bit ChaCha8 core pass does in
-// the paper's hardware: one pass yields many children. CPUID and XGETBV
-// pick the kernel at start-up. Building with -tags purego, or for
+// the paper's hardware: one pass yields many children. aesprg.AVX2
+// picks the kernel at start-up. Building with -tags purego, or for
 // another architecture, leaves ChaCha8 on the per-parent path and AES
 // on crypto/aes. Both paths produce the same bytes.
 package prg

@@ -4,7 +4,8 @@
 # run of every example and one verified in-process otgen Extend at
 # 2^20, a repeat-run flake guard on pool close, on
 # the shared MPCOT exchange and on the seeded-stream goldens and
-# unseeded freshness (under -race), the GGM kernels' purego fallback,
+# unseeded freshness (under -race), the AES kernel's arms against
+# crypto/aes on fresh keys, the GGM kernels' purego fallback,
 # the full test suite under the race detector, bounded fuzzing of the two
 # untrusted-byte parsers, one iteration of each kernel benchmark and of
 # the near-memory model's ablations, and one pass over the paper-figure
@@ -191,8 +192,14 @@ go test -count=25 -run 'CodeShared|CodeRederivedAfterCleanup' ./internal/ferret
 # chunks and in place.
 go test -race -count=5 -run 'WorkersMatchSequential|ParallelDeterminismSmall|TranscriptGolden|ExtendGolden|GoldenTranscripts|LocalRandomnessFresh|Chunks|GatherMatchesReference' . ./internal/mpcot ./internal/ferret ./internal/softspoken ./internal/gmw ./internal/arith ./internal/parallel ./internal/lpn
 
+echo "== AES kernel arms (VAES, AES-NI and crypto/aes in one binary) against crypto/aes =="
+# Each parity test runs every arm the CPU has by swapping the kernel's
+# flags, and draws fresh keys, inputs and lengths per run (the seed is
+# in a failing run's log), so twenty runs cover twenty draws.
+go test -count=20 -run 'CryptoAES|SumBlocksMatchesSum|StreamMixedDraws' ./internal/aesprg
+
 echo "== purego fallback (crypto/aes, the per-parent GGM path and the Go LPN rows against the same goldens) =="
-# Without -tags purego every AES call runs the AES-NI kernel
+# Without -tags purego every AES call runs the AES-NI/VAES kernel
 # (internal/aesprg/kernel_amd64.s), the ChaCha8 GGM levels the AVX2
 # lane kernel and both LPN encoders the SSE2 row kernel
 # (internal/lpn/gather_amd64.s) on amd64; this holds the crypto/aes,
