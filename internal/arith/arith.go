@@ -8,8 +8,9 @@
 // A value x is shared as x = x_A + x_B (mod 2^64). Addition and
 // scaling by public constants are local; multiplication consumes
 // Beaver triples generated from correlated OT via Gilboa's
-// bit-decomposition product (gilboa.go), so triple preprocessing draws
-// on the same correlation pools — and the same two-directional
+// bit-decomposition product (gilboa.go), one correlated word OT per
+// multiplier bit (cot.SendCorrelatedWords), so triple preprocessing
+// draws on the same correlation pools — and the same two-directional
 // role-switched OT layout (§5.2) — as the GMW engine. Share
 // conversions A2B/B2A (convert.go) bridge into internal/gmw over the
 // SAME conn and the SAME pools, so one session runs linear algebra
@@ -44,9 +45,8 @@ type Share []uint64
 type Party struct {
 	conn transport.Conn
 	hash *aesprg.Hash
-	// prg is the local randomness source for triple shares and Gilboa
-	// masks, keyed once at construction (aesprg.NewLocal) so hot loops
-	// never syscall.
+	// prg is the local randomness source for triple shares, keyed once
+	// at construction (aesprg.NewLocal) so hot loops never syscall.
 	prg *aesprg.Stream
 	// Out: correlations where this party is the OT sender.
 	Out *cot.SenderPool

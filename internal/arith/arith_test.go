@@ -151,13 +151,13 @@ func TestMatMul(t *testing.T) {
 		t.Fatalf("counter wrong: %d triples, %d mults", a.Triples, a.Mults)
 	}
 	// Measured cost of a scalar triple against the ppml.ArithTripleCost
-	// model: 128 COTs (64 per direction) and 1056 B on the wire, the
-	// latter plus at most 5% of transport framing.
+	// model: 128 COTs (64 per direction) and exactly 536 B on the wire
+	// (per direction, 64 correction bits and 2080 ciphertext bits).
 	if used := pooled - a.Out.Remaining() - a.In.Remaining(); used != 128*prods {
 		t.Fatalf("%d COTs for %d triples, want 128 per triple", used, prods)
 	}
-	if per := float64(tripleWire) / prods; per < 1056 || per > 1.05*1056 {
-		t.Fatalf("%.1f wire bytes per triple, want within [1056, 1.05*1056]", per)
+	if tripleWire != 536*prods {
+		t.Fatalf("%d wire bytes for %d triples, want 536 per triple", tripleWire, prods)
 	}
 }
 

@@ -19,11 +19,12 @@ import (
 //     element in gmw.AdderExchanges(width) exchanges.
 //
 //   - B2A converts XOR-shared bit-planes back to additive shares with
-//     one word OT per bit per element (single direction, the first
-//     party sending): b = b_A ⊕ b_B = b_A + b_B - 2·b_A·b_B, and the
-//     product b_A·b_B costs one OT with messages (s, s + b_A) mod
-//     2^(width-j-1) for plane j — the top plane's product term
-//     vanishes mod 2^64 when width = 64, costing no OT at all.
+//     one correlated word OT per bit per element (single direction,
+//     the first party sending): b = b_A ⊕ b_B = b_A + b_B - 2·b_A·b_B,
+//     and the product b_A·b_B costs one OT with correlation b_A mod
+//     2^(64-j-1) for plane j (the sender gets s, the receiver
+//     s + b_A·b_B) — the top plane's product term vanishes mod 2^64
+//     when width = 64, costing no OT at all.
 //
 // Both directions consume the same pools as everything else; A2B
 // draws on both directions (GMW AND gates), B2A only on the
@@ -60,8 +61,8 @@ func b2aWidths(width int) []int {
 }
 
 // B2A converts XOR-shared bit-planes (width = len(planes) <= 64) into
-// additive shares of the same values. One batched word-OT exchange,
-// first party as sender.
+// additive shares of the same values. One batched correlated word-OT
+// exchange, first party as sender.
 func (p *Party) B2A(planes []gmw.PackedShare) (Share, error) {
 	width := len(planes)
 	if width < 1 || width > 64 {
@@ -93,10 +94,23 @@ func (p *Party) B2A(planes []gmw.PackedShare) (Share, error) {
 	}
 	out := make(Share, n)
 	if p.first {
-		// Sender: messages (s, s + b_A) per instance; my share gains
+		// Sender: correlation b_A per instance, output s; my share gains
 		// b_A·2^j + s·2^(j+1) (the -2t split: t = v - s at the peer).
-		m0 := make([]uint64, need)
-		m1 := make([]uint64, need)
+		x := make([]uint64, need)
+		idx := 0
+		for e := 0; e < n; e++ {
+			for j := 0; j < width; j++ {
+				if 64-j-1 <= 0 {
+					continue
+				}
+				x[idx] = vals[e] >> uint(j) & 1
+				idx++
+			}
+		}
+		s, err := cot.SendCorrelatedWords(p.conn, p.Out, p.hash, x, widths)
+		if err != nil {
+			return nil, err
+		}
 		for e := 0; e < n; e++ {
 			var acc uint64
 			idx := e * cnt
@@ -106,16 +120,10 @@ func (p *Party) B2A(planes []gmw.PackedShare) (Share, error) {
 				if 64-j-1 <= 0 {
 					continue
 				}
-				s := p.prg.Uint64()
-				m0[idx] = s
-				m1[idx] = s + bit
-				acc += s << uint(j+1)
+				acc += s[idx] << uint(j+1)
 				idx++
 			}
 			out[e] = acc
-		}
-		if err := cot.SendChosenWords(p.conn, p.Out, p.hash, m0, m1, widths); err != nil {
-			return nil, err
 		}
 	} else {
 		// Receiver: choice bits are my share bits; v = s + b_A·b_B, and
@@ -131,7 +139,7 @@ func (p *Party) B2A(planes []gmw.PackedShare) (Share, error) {
 				idx++
 			}
 		}
-		vs, err := cot.ReceiveChosenWords(p.conn, p.In, p.hash, choices, widths)
+		vs, err := cot.ReceiveCorrelatedWords(p.conn, p.In, p.hash, choices, widths)
 		if err != nil {
 			return nil, err
 		}

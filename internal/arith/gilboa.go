@@ -9,12 +9,13 @@ import (
 // Gilboa bit-decomposition products (gilboa.go): the COT-to-triple
 // conversion. A product x·y where this party holds x and the peer
 // holds y decomposes as x·y = sum_i y_i·x·2^i: for every bit y_i of
-// the peer's operand the parties run one chosen-message word OT
-// (cot.SendChosenWords) whose messages are (s_i, s_i + x) mod
-// 2^(64-i) under a fresh PRG mask s_i. The sender's product share is
-// -sum_i s_i·2^i, the receiver's sum_i v_i·2^i — and because bit i of
-// the product only matters mod 2^(64-i), instance i ships only 64-i
-// bits per ciphertext (2080 of the naive 4096 bits per side).
+// the peer's operand the parties run one correlated word OT
+// (cot.SendCorrelatedWords) with correlation x mod 2^(64-i): the
+// sender gets a pad-derived s_i, the receiver s_i + y_i·x. The
+// sender's product share is -sum_i s_i·2^i, the receiver's
+// sum_i v_i·2^i — and because bit i of the product only matters mod
+// 2^(64-i), instance i ships only 64-i ciphertext bits (2080 of the
+// naive 4096 bits per side).
 //
 // A Beaver triple (a, b, c = a·b) combines one Gilboa product per OT
 // direction (the two cross terms a_A·b_B and a_B·b_A) with the local
@@ -37,21 +38,23 @@ func gilboaWidths(n int) []int {
 // the peer's mulRecv, returning this party's additive product shares.
 func (p *Party) mulSend(a []uint64, widths []int) ([]uint64, error) {
 	n := len(a)
-	m0 := make([]uint64, 64*n)
-	m1 := make([]uint64, 64*n)
-	share := make([]uint64, n)
+	x := make([]uint64, 64*n)
 	for j, aj := range a {
+		for i := 0; i < 64; i++ {
+			x[64*j+i] = aj
+		}
+	}
+	s, err := cot.SendCorrelatedWords(p.conn, p.Out, p.hash, x, widths)
+	if err != nil {
+		return nil, err
+	}
+	share := make([]uint64, n)
+	for j := range share {
 		var acc uint64
 		for i := 0; i < 64; i++ {
-			s := p.prg.Uint64()
-			m0[64*j+i] = s
-			m1[64*j+i] = s + aj
-			acc -= s << uint(i)
+			acc -= s[64*j+i] << uint(i)
 		}
 		share[j] = acc
-	}
-	if err := cot.SendChosenWords(p.conn, p.Out, p.hash, m0, m1, widths); err != nil {
-		return nil, err
 	}
 	return share, nil
 }
@@ -61,7 +64,7 @@ func (p *Party) mulSend(a []uint64, widths []int) ([]uint64, error) {
 // is the limb-packed choice vector.
 func (p *Party) mulRecv(b []uint64, widths []int) ([]uint64, error) {
 	n := len(b)
-	vs, err := cot.ReceiveChosenWords(p.conn, p.In, p.hash, b, widths)
+	vs, err := cot.ReceiveCorrelatedWords(p.conn, p.In, p.hash, b, widths)
 	if err != nil {
 		return nil, err
 	}

@@ -27,11 +27,11 @@ func (t tap) Send(p []byte) error {
 	return t.Conn.Send(p)
 }
 
-// seededParty builds a Party whose triple shares, Gilboa masks and
-// Boolean masks all come from seed, so its transcript is a pure
-// function of (seed, pools, inputs).
+// seededParty builds a Party whose triple shares come from seed (its
+// Gilboa and Boolean masks come from the pools' pads), so its
+// transcript is a pure function of (seed, pools, inputs).
 func seededParty(conn transport.Conn, out *cot.SenderPool, in *cot.ReceiverPool, first bool, seed block.Block) (*Party, error) {
-	g, err := gmw.NewSeededParty(conn, out, in, first, seed)
+	g, err := gmw.NewParty(conn, out, in, first)
 	if err != nil {
 		return nil, err
 	}
@@ -51,10 +51,17 @@ func seededParty(conn transport.Conn, out *cot.SenderPool, in *cot.ReceiverPool,
 // full 64-bit width, B2A back and a Reveal — by the SHA-256 of both
 // directions' frames and of every share and opened value each party
 // holds.
+//
+// Gilboa products, B2A and the AND layers used to ship chosen OTs
+// (s, s + x) under PRG masks; they now ship one correlated-OT
+// ciphertext per OT, with s taken from the sender's pad. Before:
+//
+//	transcript 2572160f318ed8596ed1765c8567ed6022808315926f9e0d4b885e636d80a140
+//	outputs    3ddf5f2ac2d7fe0ba7dfccb963a2a045c5ea712317fd9906364f6bed86a0fcc9
 func TestTranscriptGolden(t *testing.T) {
 	const (
-		transcriptWant = "2572160f318ed8596ed1765c8567ed6022808315926f9e0d4b885e636d80a140"
-		outputsWant    = "3ddf5f2ac2d7fe0ba7dfccb963a2a045c5ea712317fd9906364f6bed86a0fcc9"
+		transcriptWant = "17983f8476b463b2b8b0b888cff0ba52f2ac6f228c236b336c7371591aad9e8d"
+		outputsWant    = "afd695dfa126b47b0be2816cbb277eea8852a49ada74c1ea24a1795541cee2fb"
 		m, k, n        = 2, 3, 2
 		budget         = 1 << 13
 	)

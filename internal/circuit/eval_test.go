@@ -371,7 +371,8 @@ func (c *recordingConn) Send(p []byte) error {
 }
 
 // transcriptRun executes one fully deterministic packed evaluation —
-// seeded parties, stream-dealt pools — and returns the opened outputs
+// stream-dealt pools, from which the parties take every mask — and
+// returns the opened outputs
 // with both endpoints' wire transcripts.
 func transcriptRun(t *testing.T, c *circuit.Circuit, prog *circuit.Program, insts [][][]bool) ([][]bool, []byte, []byte) {
 	t.Helper()
@@ -393,10 +394,10 @@ func transcriptRun(t *testing.T, c *circuit.Circuit, prog *circuit.Program, inst
 	}
 	ch := make(chan res, 1)
 	go func() {
-		p, err := gmw.NewSeededParty(recA, sAB, rBA, true, block.New(0x51, 0x52))
+		p, err := gmw.NewParty(recA, sAB, rBA, true)
 		ch <- res{p, err}
 	}()
-	b, err := gmw.NewSeededParty(recB, sBA, rAB, false, block.New(0x53, 0x54))
+	b, err := gmw.NewParty(recB, sBA, rAB, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,8 +410,8 @@ func transcriptRun(t *testing.T, c *circuit.Circuit, prog *circuit.Program, inst
 	return outs, recA.log.Bytes(), recB.log.Bytes()
 }
 
-// TestTranscriptDeterminism pins the whole stack: two identical seeded
-// packed runs must produce byte-identical wire transcripts in both
+// TestTranscriptDeterminism pins the whole stack: two identical
+// stream-dealt packed runs must produce byte-identical wire transcripts in both
 // directions (and identical outputs). Any nondeterminism in the
 // compiler's schedule, the packing layout, or the engine's wire format
 // shows up here as a transcript diff.
@@ -479,9 +480,9 @@ func TestPreflightBudget(t *testing.T) {
 
 // TestCircuitCostExact cross-checks the circuit wire model against the
 // measured gmw.Party counters and the transport byte delta: one
-// exchange per AND level, each one n-instance 1-bit chosen-OT exchange
-// per OT direction at ⌈n/8⌉ correction plus ⌈2n/8⌉ ciphertext bytes,
-// must match to the byte. K=5 leaves most level batches at a
+// exchange per AND level, each one n-instance 1-bit correlated-OT
+// exchange per OT direction at ⌈n/8⌉ correction plus ⌈n/8⌉ ciphertext
+// bytes, must match to the byte. K=5 leaves most level batches at a
 // non-multiple of 8 bits, exercising the per-level ceiling.
 func TestCircuitCostExact(t *testing.T) {
 	c, prog := buildAdder32(t)
@@ -489,7 +490,7 @@ func TestCircuitCostExact(t *testing.T) {
 	var wantWire int64
 	for _, lv := range prog.Levels {
 		if n := len(lv.AndA) * k; n > 0 {
-			wantWire += 2 * int64((n+7)/8+(2*n+7)/8)
+			wantWire += 2 * 2 * int64((n+7)/8)
 		}
 	}
 

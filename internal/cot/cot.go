@@ -7,7 +7,10 @@
 // correlations into chosen-message 1-out-of-2 OT with block, bit or
 // word messages (SendChosen, SendChosenBits, SendChosenWords and their
 // receive twins): one exchange, the classic Beaver derandomization plus
-// a correlation-robust hash, at every message width. The exchange
+// a correlation-robust hash, at every message width. Its correlated
+// mode (SendCorrelatedWords, SendCorrelatedBits and their twins) serves
+// the pairs (s, s + x) of Gilboa products, B2A and GMW AND gates with
+// one ciphertext per OT, s being the sender's own pad. The exchange
 // itself (SenderPool.Open, ReceiverPool.Open) is exported for
 // protocols that frame their own reply, such as spcot's batched
 // puncturing.
@@ -112,8 +115,8 @@ func (p *ReceiverPool) take(n int) (int, []bool, []block.Block, error) {
 //     exactly ct_{c_i}.
 //
 // SendChosen (w = 128: the endpoints' chosen OT), SendChosenBits
-// (w = 1: GMW AND gates) and SendChosenWords (w_i ≤ 64: Gilboa
-// products) differ only in how they read and write messages; spcot
+// (w = 1) and SendChosenWords (w_i ≤ 64) differ only in how they read
+// and write messages, and so do the correlated mode's two (below); spcot
 // frames its own 128-bit reply on SenderPool.Open. Each keeps its own
 // per-instance loop over the shared helpers below, so the hot loops
 // stay monomorphic; the pads come padSpan instances at a time, one
@@ -285,7 +288,7 @@ func sendFrame(conn transport.Conn, f []uint64, bits int) error {
 func recvFrame(conn transport.Conn, bits int) ([]uint64, error) {
 	buf, err := transport.RecvBytes(conn, packedBytes(bits))
 	if err != nil {
-		return nil, fmt.Errorf("cot: chosen-OT frame: %w", err)
+		return nil, fmt.Errorf("cot: OT reply frame: %w", err)
 	}
 	return transport.WireToPacked(buf, bits)
 }
@@ -345,8 +348,7 @@ func ReceiveChosen(conn transport.Conn, pool *ReceiverPool, h *aesprg.Hash, choi
 // SendChosenBits runs the sender side of n chosen OTs with 1-bit
 // messages: m0 and m1 are limb-packed bit vectors (64 bits per uint64,
 // LSB-first) whose bit i is instance i's message pair. Against
-// SendChosen's 256 ciphertext bits per instance the reply carries 2,
-// which is what makes GMW AND gates cheap on the wire.
+// SendChosen's 256 ciphertext bits per instance the reply carries 2.
 func SendChosenBits(conn transport.Conn, pool *SenderPool, h *aesprg.Hash, m0, m1 []uint64, n int) error {
 	if limbs := transport.PackedLimbs(n); len(m0) < limbs || len(m1) < limbs {
 		return fmt.Errorf("cot: SendChosenBits needs %d limbs for %d bits, got %d/%d", limbs, n, len(m0), len(m1))
@@ -408,8 +410,8 @@ func wordBits(widths []int) (int, error) {
 
 // SendChosenWords runs the sender side of len(widths) chosen OTs whose
 // messages are uint64 words taken mod 2^widths[i], widths[i] in
-// [0, 64]. Callers whose high message bits are irrelevant (Gilboa
-// multiplication: bit i of the multiplier only needs the product mod
+// [0, 64]. Callers whose high message bits are irrelevant (in a Gilboa
+// product, bit i of the multiplier only needs the product mod
 // 2^(64-i)) pay only for the bits that matter — at widths 64..1 that
 // is 2x less payload than fixed 64-bit words and 3.9x less than
 // SendChosen's 128-bit blocks. A width of 0 is legal: the instance
@@ -471,6 +473,148 @@ func ReceiveChosenWords(conn transport.Conn, pool *ReceiverPool, h *aesprg.Hash,
 			off += 2 * w
 		}
 	})
+	return out, nil
+}
+
+// Correlated OT (C-OT; Asharov, Lindell, Schneider and Zohner,
+// CCS'13) is the exchange above for pairs of the form (s_i, s_i + x_i)
+// whose s_i is any random value — the cross terms of a Gilboa product,
+// a B2A plane or a GMW AND gate. The sender does not choose s_i: it
+// takes its own pad, s_i = H(r_{d_i}, off+i) mod 2^w_i, which the
+// receiver holds exactly when c_i = 0, and ships only the second
+// ciphertext, w_i bits at a running bit offset (⌈Σw_i/8⌉ bytes),
+//
+//	ct_i = (H(r_{1-d_i}, off+i) − s_i − x_i) mod 2^w_i
+//
+// (over XOR for bits, one bit per instance: ⌈n/8⌉ bytes). A receiver
+// with c_i = 1 holds H(r_{1-d_i}, off+i) and recovers s_i + x_i from
+// ct_i. Pools, tweaks and the correction frame are the chosen
+// exchange's; the reply carries one ciphertext per OT instead of two.
+
+// SendCorrelatedWords runs the sender side of len(widths) correlated
+// OTs over Z_2^widths[i], widths[i] in [0, 64]: x[i] is instance i's
+// correlation. It returns the sender's outputs s, each reduced mod
+// 2^widths[i]; the peer's ReceiveCorrelatedWords yields s[i] + c_i·x[i]
+// mod 2^widths[i].
+func SendCorrelatedWords(conn transport.Conn, pool *SenderPool, h *aesprg.Hash, x []uint64, widths []int) ([]uint64, error) {
+	n := len(widths)
+	if len(x) != n {
+		return nil, fmt.Errorf("cot: SendCorrelatedWords needs %d correlations, got %d", n, len(x))
+	}
+	bits, err := wordBits(widths)
+	if err != nil {
+		return nil, err
+	}
+	ex, err := pool.Open(conn, n)
+	if err != nil {
+		return nil, err
+	}
+	s := make([]uint64, n)
+	f := make([]uint64, transport.PackedLimbs(bits))
+	off := 0
+	ex.spans(h, func(lo int, p0, p1 []block.Block) {
+		for j, w := range widths[lo : lo+len(p0)] {
+			i := lo + j
+			s[i] = p0[j].Lo & mask(w)
+			putField(f, off, p1[j].Lo-s[i]-x[i], w)
+			off += w
+		}
+	})
+	if err := sendFrame(conn, f, bits); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// ReceiveCorrelatedWords runs the receiver side of SendCorrelatedWords:
+// choices is a limb-packed choice-bit vector, and the result is
+// s_i + c_i·x_i mod 2^widths[i] for each instance.
+func ReceiveCorrelatedWords(conn transport.Conn, pool *ReceiverPool, h *aesprg.Hash, choices []uint64, widths []int) ([]uint64, error) {
+	n := len(widths)
+	if limbs := transport.PackedLimbs(n); len(choices) < limbs {
+		return nil, fmt.Errorf("cot: ReceiveCorrelatedWords needs %d limbs for %d choices, got %d", limbs, n, len(choices))
+	}
+	bits, err := wordBits(widths)
+	if err != nil {
+		return nil, err
+	}
+	ex, err := pool.Open(conn, choices, n)
+	if err != nil {
+		return nil, err
+	}
+	f, err := recvFrame(conn, bits)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]uint64, n)
+	off := 0
+	ex.spans(h, func(lo int, p []block.Block) {
+		for j, pad := range p {
+			i, w := lo+j, widths[lo+j]
+			out[i] = (pad.Lo - bit(choices, i)*getField(f, off, w)) & mask(w)
+			off += w
+		}
+	})
+	return out, nil
+}
+
+// SendCorrelatedBits runs the sender side of n correlated OTs over
+// XOR: bit i of the limb-packed x is instance i's correlation. It
+// returns the sender's output bits s in the same packing (trailing
+// bits past n are zero); the peer's ReceiveCorrelatedBits yields
+// s_i ⊕ c_i·x_i. One reply bit per instance is what makes a GMW AND
+// gate cost 2 wire bits per OT.
+func SendCorrelatedBits(conn transport.Conn, pool *SenderPool, h *aesprg.Hash, x []uint64, n int) ([]uint64, error) {
+	limbs := transport.PackedLimbs(n)
+	if len(x) < limbs {
+		return nil, fmt.Errorf("cot: SendCorrelatedBits needs %d limbs for %d bits, got %d", limbs, n, len(x))
+	}
+	ex, err := pool.Open(conn, n)
+	if err != nil {
+		return nil, err
+	}
+	s := make([]uint64, limbs)
+	f := make([]uint64, limbs)
+	ex.spans(h, func(lo int, p0, p1 []block.Block) {
+		for j := range p0 {
+			i := lo + j
+			s0 := p0[j].Lo & 1
+			setBit(s, i, s0)
+			setBit(f, i, (p1[j].Lo^s0^bit(x, i))&1)
+		}
+	})
+	if err := sendFrame(conn, f, n); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// ReceiveCorrelatedBits runs the receiver side of SendCorrelatedBits:
+// choices is a limb-packed choice-bit vector, and the result is
+// s_i ⊕ c_i·x_i in the same packing (trailing bits past n are zero).
+func ReceiveCorrelatedBits(conn transport.Conn, pool *ReceiverPool, h *aesprg.Hash, choices []uint64, n int) ([]uint64, error) {
+	limbs := transport.PackedLimbs(n)
+	if len(choices) < limbs {
+		return nil, fmt.Errorf("cot: ReceiveCorrelatedBits needs %d limbs for %d bits, got %d", limbs, n, len(choices))
+	}
+	ex, err := pool.Open(conn, choices, n)
+	if err != nil {
+		return nil, err
+	}
+	f, err := recvFrame(conn, n)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]uint64, limbs)
+	ex.spans(h, func(lo int, p []block.Block) {
+		for j, pad := range p {
+			setBit(out, lo+j, pad.Lo&1)
+		}
+	})
+	// f is zero past n (recvFrame), so the tail stays clear.
+	for k := range out {
+		out[k] ^= choices[k] & f[k]
+	}
 	return out, nil
 }
 

@@ -134,6 +134,21 @@ func TestPoolExhaustion(t *testing.T) {
 				_, err := ReceiveChosenWords(c, p, h, two, []int{64, 1})
 				return err
 			}},
+		{"correlated bits",
+			func(c transport.Conn, p *SenderPool) error { _, err := SendCorrelatedBits(c, p, h, two, 2); return err },
+			func(c transport.Conn, p *ReceiverPool) error {
+				_, err := ReceiveCorrelatedBits(c, p, h, two, 2)
+				return err
+			}},
+		{"correlated words",
+			func(c transport.Conn, p *SenderPool) error {
+				_, err := SendCorrelatedWords(c, p, h, two, []int{64, 1})
+				return err
+			},
+			func(c transport.Conn, p *ReceiverPool) error {
+				_, err := ReceiveCorrelatedWords(c, p, h, two, []int{64, 1})
+				return err
+			}},
 	} {
 		sp, rp := pools(t, 1)
 		a, b := transport.Pipe()
@@ -154,8 +169,8 @@ func TestPoolExhaustion(t *testing.T) {
 }
 
 // TestChosenWordsRejectsBadWidths: a word width outside [0, 64] is an
-// error on both sides, raised before the pools move or any byte is
-// sent.
+// error on both sides, in the chosen and the correlated mode, raised
+// before the pools move or any byte is sent.
 func TestChosenWordsRejectsBadWidths(t *testing.T) {
 	h := aesprg.NewHash()
 	for _, widths := range [][]int{{-8}, {65}, {100}, {3, -1}, {64, 128}} {
@@ -172,6 +187,12 @@ func TestChosenWordsRejectsBadWidths(t *testing.T) {
 		}
 		if _, err := ReceiveChosenWords(b, rp, h, words, widths); err == nil || errors.Is(err, transport.ErrClosed) {
 			t.Errorf("widths %v: receiver err = %v, want a width error", widths, err)
+		}
+		if _, err := SendCorrelatedWords(a, sp, h, words, widths); err == nil || errors.Is(err, transport.ErrClosed) {
+			t.Errorf("widths %v: correlated sender err = %v, want a width error", widths, err)
+		}
+		if _, err := ReceiveCorrelatedWords(b, rp, h, words, widths); err == nil || errors.Is(err, transport.ErrClosed) {
+			t.Errorf("widths %v: correlated receiver err = %v, want a width error", widths, err)
 		}
 		if sp.used != 0 || rp.used != 0 {
 			t.Errorf("widths %v: rejected exchange moved the pools to %d/%d", widths, sp.used, rp.used)
@@ -341,26 +362,69 @@ func BenchmarkChosen(b *testing.B) {
 				return err
 			}},
 	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				sp, rp, err := RandomPools(n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				x, y := transport.Pipe()
-				b.StartTimer()
-				errCh := make(chan error, 1)
-				go func() { errCh <- bc.send(x, sp) }()
-				if err := bc.recv(y, rp); err != nil {
-					b.Fatal(err)
-				}
-				if err := <-errCh; err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/OT")
-		})
+		b.Run(bc.name, func(b *testing.B) { benchExchange(b, n, bc.send, bc.recv) })
+	}
+}
+
+// benchExchange times one n-instance exchange per iteration, both
+// parties over a pipe with pools dealt outside the timing, and reports
+// the cost per OT.
+func benchExchange(b *testing.B, n int, send func(transport.Conn, *SenderPool) error, recv func(transport.Conn, *ReceiverPool) error) {
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sp, rp, err := RandomPools(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		x, y := transport.Pipe()
+		b.StartTimer()
+		errCh := make(chan error, 1)
+		go func() { errCh <- send(x, sp) }()
+		if err := recv(y, rp); err != nil {
+			b.Fatal(err)
+		}
+		if err := <-errCh; err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/OT")
+}
+
+// BenchmarkCorrelated is BenchmarkChosen for the correlated mode: one
+// exchange of 2^16 correlated OTs per payload width, both parties over
+// a pipe, reporting the cost per OT.
+func BenchmarkCorrelated(b *testing.B) {
+	const n = 1 << 16
+	h := aesprg.NewHash()
+	rng := rand.New(rand.NewSource(1))
+	x, choices := make([]uint64, n), make([]uint64, n)
+	ladder := make([]int, n)
+	for i := range x {
+		x[i], choices[i] = rng.Uint64(), rng.Uint64()
+		ladder[i] = 64 - i%64 // one Gilboa product's widths
+	}
+	for _, bc := range []struct {
+		name string
+		send func(transport.Conn, *SenderPool) error
+		recv func(transport.Conn, *ReceiverPool) error
+	}{
+		{"w=1",
+			func(c transport.Conn, p *SenderPool) error { _, err := SendCorrelatedBits(c, p, h, x, n); return err },
+			func(c transport.Conn, p *ReceiverPool) error {
+				_, err := ReceiveCorrelatedBits(c, p, h, choices, n)
+				return err
+			}},
+		{"w=64..1",
+			func(c transport.Conn, p *SenderPool) error {
+				_, err := SendCorrelatedWords(c, p, h, x, ladder)
+				return err
+			},
+			func(c transport.Conn, p *ReceiverPool) error {
+				_, err := ReceiveCorrelatedWords(c, p, h, choices, ladder)
+				return err
+			}},
+	} {
+		b.Run(bc.name, func(b *testing.B) { benchExchange(b, n, bc.send, bc.recv) })
 	}
 }
 
@@ -518,5 +582,169 @@ func TestChosenAcrossPadSpans(t *testing.T) {
 		if words[i] != wantWord&mask(widths[i]) {
 			t.Fatalf("word OT %d (width %d): got %x want %x", i, widths[i], words[i], wantWord&mask(widths[i]))
 		}
+	}
+}
+
+// frames records the length of every frame its endpoint sends.
+type frames struct {
+	transport.Conn
+	sizes *[]int
+}
+
+func (f frames) Send(p []byte) error {
+	*f.sizes = append(*f.sizes, len(p))
+	return f.Conn.Send(p)
+}
+
+// runPair runs send and recv over a fresh pipe, failing the test on
+// either side's error, and returns the sizes of the frames each side
+// sent.
+func runPair(t *testing.T, send func(transport.Conn) error, recv func(transport.Conn) error) (sent, recvd []int) {
+	t.Helper()
+	a, b := transport.Pipe()
+	errCh := make(chan error, 1)
+	go func() { errCh <- send(frames{a, &sent}) }()
+	if err := recv(frames{b, &recvd}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
+	}
+	return sent, recvd
+}
+
+// checkFrames requires the correlated exchange's two frames, byte for
+// byte: ⌈n/8⌉ correction bytes from the receiver, then one reply of
+// replyBytes from the sender.
+func checkFrames(t *testing.T, sent, recvd []int, n, replyBytes int) {
+	t.Helper()
+	if len(recvd) != 1 || recvd[0] != (n+7)/8 {
+		t.Errorf("n=%d: receiver sent frames %v, want one of %d bytes", n, recvd, (n+7)/8)
+	}
+	if len(sent) != 1 || sent[0] != replyBytes {
+		t.Errorf("n=%d: sender sent frames %v, want one of %d bytes", n, sent, replyBytes)
+	}
+}
+
+// TestCorrelatedWords runs correlated word OTs at every width 0..64
+// over more than two pad spans: the receiver must get s + c·x mod 2^w,
+// with s the sender's output, for both choice values at every width,
+// and the reply must carry one w-bit ciphertext per instance.
+func TestCorrelatedWords(t *testing.T) {
+	const n = 2*padSpan + 3
+	sp, rp := pools(t, n)
+	h := aesprg.NewHash()
+	rng := rand.New(rand.NewSource(13))
+	x := make([]uint64, n)
+	widths := make([]int, n)
+	choices := make([]uint64, transport.PackedLimbs(n))
+	bits := 0
+	for i := range x {
+		x[i], widths[i] = rng.Uint64(), i%65
+		choices[i/64] |= uint64(rng.Intn(2)) << uint(i%64)
+		bits += widths[i]
+	}
+	var s, got []uint64
+	sent, recvd := runPair(t, func(c transport.Conn) (err error) {
+		s, err = SendCorrelatedWords(c, sp, h, x, widths)
+		return err
+	}, func(c transport.Conn) (err error) {
+		got, err = ReceiveCorrelatedWords(c, rp, h, choices, widths)
+		return err
+	})
+	var seen [65][2]bool
+	for i, w := range widths {
+		c := bit(choices, i)
+		seen[w][c] = true
+		if s[i]&^mask(w) != 0 {
+			t.Fatalf("instance %d (width %d): sender output %x not reduced", i, w, s[i])
+		}
+		if want := (s[i] + c*x[i]) & mask(w); got[i] != want {
+			t.Fatalf("instance %d (width %d, choice %d): got %x want %x", i, w, c, got[i], want)
+		}
+	}
+	for w, both := range seen {
+		if !both[0] || !both[1] {
+			t.Fatalf("width %d did not see both choice values", w)
+		}
+	}
+	if sp.Remaining() != 0 || rp.Remaining() != 0 {
+		t.Fatal("correlated word OT must consume one COT per instance, width 0 included")
+	}
+	checkFrames(t, sent, recvd, n, (bits+7)/8)
+}
+
+// TestCorrelatedBits runs correlated bit OTs, up to more than two pad
+// spans, with garbage past bit n in every input limb: the receiver
+// must get s ⊕ c·x, both outputs must be zero past n, and the reply
+// must carry one bit per instance.
+func TestCorrelatedBits(t *testing.T) {
+	for _, n := range []int{1, 7, 64, 65, 2*padSpan + 3, 4096} {
+		sp, rp := pools(t, n)
+		h := aesprg.NewHash()
+		rng := rand.New(rand.NewSource(int64(n)))
+		limbs := transport.PackedLimbs(n)
+		x, choices := make([]uint64, limbs), make([]uint64, limbs)
+		for i := range x {
+			x[i], choices[i] = rng.Uint64(), rng.Uint64()
+		}
+		var s, got []uint64
+		sent, recvd := runPair(t, func(c transport.Conn) (err error) {
+			s, err = SendCorrelatedBits(c, sp, h, x, n)
+			return err
+		}, func(c transport.Conn) (err error) {
+			got, err = ReceiveCorrelatedBits(c, rp, h, choices, n)
+			return err
+		})
+		var seen [2]bool
+		for i := 0; i < n; i++ {
+			c := bit(choices, i)
+			seen[c] = true
+			if want := bit(s, i) ^ c&bit(x, i); bit(got, i) != want {
+				t.Fatalf("n=%d: bit %d (choice %d) = %d, want %d", n, i, c, bit(got, i), want)
+			}
+		}
+		if n > 64 && (!seen[0] || !seen[1]) {
+			t.Fatalf("n=%d: did not see both choice values", n)
+		}
+		if r := uint(n % 64); r != 0 {
+			if tail := (s[limbs-1] | got[limbs-1]) >> r; tail != 0 {
+				t.Fatalf("n=%d: outputs carry bits past n: %x", n, tail)
+			}
+		}
+		if sp.used != n || rp.used != n {
+			t.Fatalf("n=%d: pools must advance by one per OT", n)
+		}
+		checkFrames(t, sent, recvd, n, (n+7)/8)
+	}
+}
+
+// TestCorrelatedRejectsBadShapes: a correlation vector of the wrong
+// length and a short limb slice are errors on both sides, raised
+// before the pools move or any byte is sent (bad widths:
+// TestChosenWordsRejectsBadWidths).
+func TestCorrelatedRejectsBadShapes(t *testing.T) {
+	h := aesprg.NewHash()
+	sp, rp := pools(t, 130)
+	a, b := transport.Pipe()
+	a.Close()
+	b.Close()
+	check := func(name string, err error) {
+		if err == nil || errors.Is(err, transport.ErrClosed) {
+			t.Errorf("%s: err = %v, want a shape error", name, err)
+		}
+	}
+	_, err := SendCorrelatedWords(a, sp, h, make([]uint64, 2), []int{1, 2, 3})
+	check("words x short", err)
+	_, err = SendCorrelatedWords(a, sp, h, make([]uint64, 4), []int{1, 2, 3})
+	check("words x long", err)
+	_, err = ReceiveCorrelatedWords(b, rp, h, make([]uint64, 2), make([]int, 130))
+	check("words choices short", err)
+	_, err = SendCorrelatedBits(a, sp, h, make([]uint64, 1), 65)
+	check("bits x short", err)
+	_, err = ReceiveCorrelatedBits(b, rp, h, nil, 1)
+	check("bits choices short", err)
+	if sp.used != 0 || rp.used != 0 {
+		t.Errorf("rejected exchanges moved the pools to %d/%d", sp.used, rp.used)
 	}
 }

@@ -114,6 +114,35 @@ func goldenBits(t *testing.T, n int) (string, int64) {
 		func(c transport.Conn) error { _, err := cot.ReceiveChosenBits(c, rp, h, choices, n); return err })
 }
 
+func goldenCorrelatedWords(t *testing.T, n int) (string, int64) {
+	s, sp, rp := seededPools(t, n)
+	x := uint64s(s, n)
+	choices := uint64s(s, transport.PackedLimbs(n))
+	widths := make([]int, n)
+	for i := range widths {
+		widths[i] = i % 65
+	}
+	h := aesprg.NewHash()
+	return transcript(t,
+		func(c transport.Conn) error { _, err := cot.SendCorrelatedWords(c, sp, h, x, widths); return err },
+		func(c transport.Conn) error {
+			_, err := cot.ReceiveCorrelatedWords(c, rp, h, choices, widths)
+			return err
+		})
+}
+
+func goldenCorrelatedBits(t *testing.T, n int) (string, int64) {
+	s, sp, rp := seededPools(t, n)
+	limbs := transport.PackedLimbs(n)
+	// Limbs carry garbage past bit n: only the low n bits may reach the
+	// wire.
+	x, choices := uint64s(s, limbs), uint64s(s, limbs)
+	h := aesprg.NewHash()
+	return transcript(t,
+		func(c transport.Conn) error { _, err := cot.SendCorrelatedBits(c, sp, h, x, n); return err },
+		func(c transport.Conn) error { _, err := cot.ReceiveCorrelatedBits(c, rp, h, choices, n); return err })
+}
+
 // goldenIronman runs two back-to-back 16-instance chosen-OT batches
 // between the endpoints of a seeded dealt pair, over a dedicated conn.
 func goldenIronman(t *testing.T) (string, int64) {
@@ -164,8 +193,9 @@ func goldenIronman(t *testing.T) (string, int64) {
 }
 
 // TestChosenGolden pins the chosen-OT wire format of every payload
-// width, and of the root package's endpoint chosen OT, by the SHA-256
-// of seeded transcripts and their byte counts.
+// width, the correlated mode's word and bit frames, and the root
+// package's endpoint chosen OT, by the SHA-256 of seeded transcripts
+// and their byte counts.
 func TestChosenGolden(t *testing.T) {
 	for _, g := range []struct {
 		name  string
@@ -184,6 +214,10 @@ func TestChosenGolden(t *testing.T) {
 		{"bits/n=1", func(t *testing.T) (string, int64) { return goldenBits(t, 1) }, "89269259d349d59d0adac25b40103cc30ec9a7ead7ea8862e658a040917be3eb", 2},
 		{"bits/n=65", func(t *testing.T) (string, int64) { return goldenBits(t, 65) }, "d7d29f8e9376f82f25ae37f135bae1cf3d8db056586d91d4aa6fa4f53d085fa4", 26},
 		{"bits/n=4096", func(t *testing.T) (string, int64) { return goldenBits(t, 4096) }, "f173787e3ee083658642238d2a7abe8307a3e71c50fe484272c644e5d72fac16", 1536},
+		{"correlated-words/n=130", func(t *testing.T) (string, int64) { return goldenCorrelatedWords(t, 130) }, "b21bfe403b5d9ac335d7dafcd5786da128f57fa9e121d9b6ff3dde46a98c50b7", 537},
+		{"correlated-bits/n=1", func(t *testing.T) (string, int64) { return goldenCorrelatedBits(t, 1) }, "62849509e26efb8f89eae2bce8759ff4fe385cb8b642d8befd79dbe504bfd6dc", 2},
+		{"correlated-bits/n=65", func(t *testing.T) (string, int64) { return goldenCorrelatedBits(t, 65) }, "e6e8d889d407f35460c2d1697e7d638c72fd6f2f9dabcf6a2d10922a57d2e227", 18},
+		{"correlated-bits/n=4096", func(t *testing.T) (string, int64) { return goldenCorrelatedBits(t, 4096) }, "8d27e5c1529b800e43f689492929a09b7ff105fca371df871e7a87d19a0c9938", 1024},
 		// The endpoint chosen OT used to hash under a per-endpoint
 		// running counter; it now draws one pool per call, whose tweaks
 		// restart at 0, so the second batch's ciphertexts changed (the

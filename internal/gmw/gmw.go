@@ -6,7 +6,8 @@
 //
 // An AND gate on shares x = x_A ⊕ x_B, y = y_A ⊕ y_B needs the two
 // cross terms x_A·y_B and x_B·y_A. Each cross term costs one 1-of-2
-// chosen OT — and the two terms need OTs in *opposite directions*,
+// correlated OT (the sender's output is a random bit s, the receiver's
+// s ⊕ y·x) — and the two terms need OTs in *opposite directions*,
 // which is exactly the role-switching requirement that motivates the
 // paper's unified sender/receiver architecture (§5.2): each party runs
 // one OT-extension instance as sender and one as receiver.
@@ -16,10 +17,10 @@
 // The engine is round-batched: every independent AND gate of a circuit
 // level should be evaluated in ONE two-flight OT exchange. Shares are
 // word-packed PackedShare bit vectors, and AndPacked/AndPackedMany
-// gates ride bit-packed OT frames (cot.SendChosenBits, ~3 bits of wire
-// per OT). Multi-level circuits like GreaterThanVec are built as
-// parallel-prefix networks so depth — and therefore network flights —
-// is logarithmic in the operand width.
+// gates ride bit-packed correlated-OT frames (cot.SendCorrelatedBits,
+// 2 bits of wire per OT). Multi-level circuits like GreaterThanVec are
+// built as parallel-prefix networks so depth — and therefore network
+// flights — is logarithmic in the operand width.
 //
 // Both parties must issue protocol calls (AndPacked, AndPackedMany,
 // GreaterThanVec, MuxVec, ReLUVec, Reveal*) in matching order with
@@ -30,13 +31,11 @@
 package gmw
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
 
 	"ironman/internal/aesprg"
-	"ironman/internal/block"
 	"ironman/internal/cot"
 	"ironman/internal/obs"
 	"ironman/internal/transport"
@@ -57,9 +56,6 @@ const handshakeMagic = 'G'
 type Party struct {
 	conn transport.Conn
 	hash *aesprg.Hash
-	// prg is the local mask source, keyed once at construction
-	// (aesprg.NewLocal) so the AND hot loop never syscalls.
-	prg *aesprg.Stream
 	// Out: correlations where this party is the OT sender.
 	Out *cot.SenderPool
 	// In: correlations where this party is the OT receiver.
@@ -121,24 +117,14 @@ func (p *Party) noteExchange(sp obs.Span, n int, preBytes int64) {
 // runs a one-round role handshake with the peer: exactly one of the
 // two parties must set first=true (by convention the protocol
 // initiator). If both or neither claim the role, both sides fail with
-// ErrRoleConflict instead of silently computing wrong values.
+// ErrRoleConflict instead of silently computing wrong values. A party
+// draws no local randomness: its AND masks come from the OT pads, so
+// its wire transcript is a pure function of (pools, inputs, protocol
+// calls).
 func NewParty(conn transport.Conn, out *cot.SenderPool, in *cot.ReceiverPool, first bool) (*Party, error) {
-	return NewSeededParty(conn, out, in, first, block.Block{})
-}
-
-// NewSeededParty is NewParty with a caller-supplied mask-PRG seed,
-// making the party's wire transcript a deterministic function of
-// (pools, inputs, protocol calls) — the replay property
-// transcript-equality tests and debugging rely on. A zero seed draws
-// a fresh key, as NewParty does.
-// The mask stream blinds this party's OT payloads, so production
-// callers must never reuse a seed across runs that share correlation
-// pools; use NewParty unless determinism is the point.
-func NewSeededParty(conn transport.Conn, out *cot.SenderPool, in *cot.ReceiverPool, first bool, maskSeed block.Block) (*Party, error) {
 	p := &Party{
 		conn:  conn,
 		hash:  aesprg.NewHash(),
-		prg:   aesprg.NewLocal(maskSeed, block.Block{}),
 		Out:   out,
 		In:    in,
 		first: first,
@@ -257,21 +243,9 @@ func (p *Party) Preflight(b Budget) error {
 	return nil
 }
 
-// maskLimbs draws n fresh mask bits from the party's PRG, packed.
-func (p *Party) maskLimbs(n int) []uint64 {
-	limbs := make([]uint64, transport.PackedLimbs(n))
-	buf := make([]byte, 8*len(limbs))
-	p.prg.Fill(buf)
-	for i := range limbs {
-		limbs[i] = binary.LittleEndian.Uint64(buf[8*i:])
-	}
-	maskTail(limbs, n)
-	return limbs
-}
-
 // AndPacked evaluates element-wise AND over packed shares in a single
-// two-flight OT exchange, consuming two bit-payload chosen OTs per bit
-// (one in each direction, ~6 bits of wire per AND gate total).
+// two-flight OT exchange, consuming two bit-payload correlated OTs per
+// bit (one in each direction, 4 bits of wire per AND gate total).
 func (p *Party) AndPacked(a, b PackedShare) (PackedShare, error) {
 	if a.n != b.n {
 		return PackedShare{}, fmt.Errorf("gmw: AndPacked length mismatch: %d vs %d", a.n, b.n)
@@ -296,21 +270,18 @@ func (p *Party) AndPacked(a, b PackedShare) (PackedShare, error) {
 	}
 
 	send := func() error {
-		masks := p.maskLimbs(n)
-		m1 := make([]uint64, len(masks))
-		for i := range m1 {
-			m1[i] = masks[i] ^ a.limbs[i]
-		}
-		if err := cot.SendChosenBits(p.conn, p.Out, p.hash, masks, m1, n); err != nil {
+		// Cross term a_mine·b_peer: the peer's output is s ⊕ b_peer·a_mine.
+		s, err := cot.SendCorrelatedBits(p.conn, p.Out, p.hash, a.limbs, n)
+		if err != nil {
 			return err
 		}
 		for i := range out.limbs {
-			out.limbs[i] ^= masks[i]
+			out.limbs[i] ^= s[i]
 		}
 		return nil
 	}
 	recv := func() error {
-		got, err := cot.ReceiveChosenBits(p.conn, p.In, p.hash, b.limbs, n)
+		got, err := cot.ReceiveCorrelatedBits(p.conn, p.In, p.hash, b.limbs, n)
 		if err != nil {
 			return err
 		}

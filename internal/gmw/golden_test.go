@@ -41,12 +41,19 @@ func appendShare(h []byte, s PackedShare) []byte {
 // GreaterThanVec over 100 pairs and a RevealVec of both operands'
 // planes — by the SHA-256 of both directions' frames and of every
 // share and opened value each party holds. Both parties draw from
-// dealer pools over one fixed stream and mask with fixed seeds, so the
-// whole session is a pure function of those seeds.
+// dealer pools over one fixed stream and take every AND mask from the
+// pools' pads, so the whole session is a pure function of that stream.
+//
+// The AND layers used to ship chosen bit OTs (s, s ⊕ a) under a
+// per-party mask PRG; they now ship one correlated-OT ciphertext bit
+// per OT. Before:
+//
+//	transcript 60a95c30a229e57cc09a49205ebef168b22e0b0b3c3cd043ee4c1e939fe17452
+//	outputs    e119fa53b20591b07588e1244b018f4a202bca68e6068de7e9264e7306d7deb1
 func TestTranscriptGolden(t *testing.T) {
 	const (
-		transcriptWant = "60a95c30a229e57cc09a49205ebef168b22e0b0b3c3cd043ee4c1e939fe17452"
-		outputsWant    = "e119fa53b20591b07588e1244b018f4a202bca68e6068de7e9264e7306d7deb1"
+		transcriptWant = "7cac9ec8582d430274ea96d528ff2f9ee54df281a18d84beaf3ed8b11cefc776"
+		outputsWant    = "a41ebaa50a6b8fad2ad5e157c84bb2feb212d0386feacca675abe421bd7b30c7"
 		n, width       = 100, 8
 		budget         = 4096
 	)
@@ -83,8 +90,8 @@ func TestTranscriptGolden(t *testing.T) {
 	// session runs one party's half and returns its output digest
 	// input (the AND-layer shares, the comparator share and both
 	// opened vectors) and its comparator share.
-	session := func(conn transport.Conn, out *cot.SenderPool, in *cot.ReceiverPool, first bool, seed block.Block) ([]byte, PackedShare, error) {
-		p, err := NewSeededParty(conn, out, in, first, seed)
+	session := func(conn transport.Conn, out *cot.SenderPool, in *cot.ReceiverPool, first bool) ([]byte, PackedShare, error) {
+		p, err := NewParty(conn, out, in, first)
 		if err != nil {
 			return nil, PackedShare{}, err
 		}
@@ -125,10 +132,10 @@ func TestTranscriptGolden(t *testing.T) {
 	var outA, outB []byte
 	var gtA, gtB PackedShare
 	run2(t, func() (err error) {
-		outA, gtA, err = session(tap{connA, &logA}, sAB, rBA, true, block.New(0xa, 1))
+		outA, gtA, err = session(tap{connA, &logA}, sAB, rBA, true)
 		return err
 	}, func() (err error) {
-		outB, gtB, err = session(tap{connB, &logB}, sBA, rAB, false, block.New(0xb, 2))
+		outB, gtB, err = session(tap{connB, &logB}, sBA, rAB, false)
 		return err
 	})
 	for i := range xs {

@@ -337,13 +337,13 @@ func TestPoolExhaustionBatchedLayer(t *testing.T) {
 
 // TestPackedWireEfficiency pins the bytes one AndPacked layer of n
 // gates moves through the first party's conn, both directions, handshake
-// excluded: two bit-payload OT exchanges of 3·⌈n/8⌉ bytes each, so
-// 0.75 B/AND once n fills whole bytes.
+// excluded: two bit-payload correlated-OT exchanges of 2·⌈n/8⌉ bytes
+// each, so 0.5 B/AND once n fills whole bytes.
 func TestPackedWireEfficiency(t *testing.T) {
 	for _, tc := range []struct {
 		n     int
 		bytes int64
-	}{{1, 4}, {65, 52}, {4096, 3072}} {
+	}{{1, 4}, {65, 36}, {4096, 2048}} {
 		a, b := parties(t, tc.n)
 		base := a.conn.Stats().TotalBytes()
 		run2(t, func() error {

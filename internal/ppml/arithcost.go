@@ -7,13 +7,13 @@ import "ironman/internal/gmw"
 // wire format of internal/arith, the way GMWLayerCost does for the
 // Boolean engine. Constants mirror the implemented protocol exactly:
 //
-//   - A Gilboa product is 64 word OTs in one direction; instance i
-//     ships one correction bit and two ciphertexts of 64-i bits, so a
-//     product costs 64 + 2·2080 = 4224 wire bits (528 B).
+//   - A Gilboa product is 64 correlated word OTs in one direction;
+//     instance i ships one correction bit and one ciphertext of 64-i
+//     bits, so a product costs 64 + 2080 = 2144 wire bits (268 B).
 //   - A Beaver triple is one Gilboa product per direction (128 COTs,
-//     1056 B); a matrix triple is m·k·n of them.
-//   - B2A ships one word OT per sub-top bit plane per element, plane j
-//     at width 64-j-1.
+//     536 B); a matrix triple is m·k·n of them.
+//   - B2A ships one correlated word OT per sub-top bit plane per
+//     element, plane j at width 64-j-1.
 type ArithCost struct {
 	Products  int64 // scalar Gilboa products (64 COTs per direction each)
 	COTs      int64 // COT correlations consumed, both directions
@@ -22,9 +22,9 @@ type ArithCost struct {
 }
 
 // gilboaProductBits is the wire cost of ONE Gilboa product in one
-// direction: 64 correction bits plus 2·sum_{i=0..63}(64-i) ciphertext
+// direction: 64 correction bits plus sum_{i=0..63}(64-i) ciphertext
 // bits.
-const gilboaProductBits = 64 + 2*2080
+const gilboaProductBits = 64 + 2080
 
 // ArithTripleCost prices generating n scalar Beaver triples (the scalar
 // products arith.NewMatTriple batches).
@@ -45,15 +45,15 @@ func ArithMatTripleCost(m, k, n int) ArithCost {
 }
 
 // ArithB2ACost prices converting elems width-bit Boolean vectors to
-// arithmetic shares (arith.B2A): per element, one word OT per plane j
-// with payload width 64-j-1 (zero-width planes cost nothing), single
-// direction.
+// arithmetic shares (arith.B2A): per element, one correlated word OT
+// per plane j with payload width 64-j-1 (zero-width planes cost
+// nothing), single direction.
 func ArithB2ACost(elems int64, width int) ArithCost {
 	var ots, bits int64
 	for j := 0; j < width; j++ {
 		if w := 64 - j - 1; w > 0 {
 			ots++
-			bits += 1 + 2*int64(w)
+			bits += 1 + int64(w)
 		}
 	}
 	return ArithCost{

@@ -5,8 +5,8 @@ import "ironman/internal/gmw"
 // GMWLayerCost prices one batched nonlinear layer under the bitsliced
 // GMW engine (internal/gmw): the operator-level plumbing that connects
 // the Figure 15 style cost models to the engine's actual wire format.
-// Every AND gate costs 2 bit-payload chosen OTs, and every OT moves 3
-// bits of online traffic (1 correction bit + 2 ciphertext bits); a
+// Every AND gate costs 2 bit-payload correlated OTs, and every OT moves
+// 2 bits of online traffic (1 correction bit + 1 ciphertext bit); a
 // batched layer is one two-flight exchange regardless of element count.
 type GMWLayerCost struct {
 	ANDGates  int64
@@ -15,8 +15,8 @@ type GMWLayerCost struct {
 	Exchanges int   // batched two-flight OT exchanges (network rounds)
 }
 
-// gmwWireBits is the online traffic per bit-payload chosen OT.
-const gmwWireBits = 3
+// gmwWireBits is the online traffic per bit-payload correlated OT.
+const gmwWireBits = 2
 
 func gmwCost(ands int64, exchanges int) GMWLayerCost {
 	ots := 2 * ands

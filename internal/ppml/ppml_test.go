@@ -213,7 +213,7 @@ func TestZeroCorrelationsCostNothing(t *testing.T) {
 }
 
 // TestGMWLayerCosts checks the engine-derived operator plumbing against
-// the measured wire format: 2 OTs per AND, 3 bits per OT, log-depth
+// the measured wire format: 2 OTs per AND, 2 bits per OT, log-depth
 // comparison rounds.
 func TestGMWLayerCosts(t *testing.T) {
 	c := GMWComparisonCost(4096, 64)
@@ -226,10 +226,10 @@ func TestGMWLayerCosts(t *testing.T) {
 	if c.Exchanges != 7 {
 		t.Fatalf("64-bit comparison exchanges %d, want 7", c.Exchanges)
 	}
-	// 6 bits per AND gate -> 0.75 B/AND (two bit-payload chosen OTs
-	// of 3 wire bits each).
-	if bpa := c.BytesPerAND(); bpa < 0.7 || bpa > 0.8 {
-		t.Fatalf("bytes/AND %.3f outside the bit-packed band", bpa)
+	// 4 bits per AND gate -> 0.5 B/AND (two bit-payload correlated
+	// OTs of 2 wire bits each).
+	if bpa := c.BytesPerAND(); bpa != 0.5 {
+		t.Fatalf("bytes/AND %.3f, want 0.5", bpa)
 	}
 	if GMWComparisonCost(1, 1).Exchanges != 1 {
 		t.Fatal("width-1 comparison is a single layer")
@@ -261,16 +261,18 @@ func TestArithCostModels(t *testing.T) {
 	if tr.COTs != 128_000 || tr.Exchanges != 1 {
 		t.Fatalf("triple cost %+v", tr)
 	}
-	// 528 B per product per direction.
-	if got := tr.WireBytes; got != 1000*1056 {
-		t.Fatalf("wire bytes = %v, want 1056 per triple", got)
+	// 268 B per product per direction.
+	if got := tr.WireBytes; got != 1000*536 {
+		t.Fatalf("wire bytes = %v, want 536 per triple", got)
 	}
 	mt := ArithMatTripleCost(8, 16, 4)
 	if mt.Products != 8*16*4 {
 		t.Fatalf("mat triple products %+v", mt)
 	}
 	b2a := ArithB2ACost(100, 64)
-	if b2a.COTs != 100*63 {
+	// Per element: 63 correction bits plus 63+62+…+1 = 2016 ciphertext
+	// bits.
+	if b2a.COTs != 100*63 || b2a.WireBytes != (100*(63+2016)+7)/8 {
 		t.Fatalf("b2a cost %+v", b2a)
 	}
 	a2b := ArithA2BCost(100, 64)

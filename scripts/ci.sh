@@ -186,11 +186,12 @@ go test -count=25 -run 'CodeShared|CodeRederivedAfterCleanup' ./internal/ferret
 # and writes its own trees' reply sections and buckets. Every seeded
 # stream is keyed by aesprg.NewLocal: the goldens pin its derivation,
 # the freshness test its unseeded keys. The gmw and arith goldens pin
-# the engines' role-ordered exchanges and word/bit framing. Workers
+# the engines' role-ordered exchanges and word/bit framing, and cot's
+# correlated-mode tests the one-ciphertext frames under them. Workers
 # claim chunks from one counter (parallel.Chunks): every index exactly
 # once, and both LPN row paths match the reference across several
 # chunks and in place.
-go test -race -count=5 -run 'WorkersMatchSequential|ParallelDeterminismSmall|TranscriptGolden|ExtendGolden|GoldenTranscripts|LocalRandomnessFresh|Chunks|GatherMatchesReference' . ./internal/mpcot ./internal/ferret ./internal/softspoken ./internal/gmw ./internal/arith ./internal/parallel ./internal/lpn
+go test -race -count=5 -run 'WorkersMatchSequential|ParallelDeterminismSmall|TranscriptGolden|ExtendGolden|GoldenTranscripts|LocalRandomnessFresh|Chunks|GatherMatchesReference|Correlated' . ./internal/mpcot ./internal/ferret ./internal/softspoken ./internal/cot ./internal/gmw ./internal/arith ./internal/parallel ./internal/lpn
 
 echo "== AES kernel arms (VAES, AES-NI and crypto/aes in one binary) against crypto/aes =="
 # Each parity test runs every arm the CPU has by swapping the kernel's
@@ -204,7 +205,7 @@ echo "== purego fallback (crypto/aes, the per-parent GGM path and the Go LPN row
 # lane kernel and both LPN encoders the SSE2 row kernel
 # (internal/lpn/gather_amd64.s) on amd64; this holds the crypto/aes,
 # per-parent and pure-Go row paths to the same outputs.
-go test -tags purego ./internal/aesprg ./internal/prg ./internal/ggm ./internal/spcot ./internal/mpcot ./internal/lpn ./internal/ferret ./internal/cot ./internal/softspoken ./internal/iknp ./internal/gmw ./internal/circuit
+go test -tags purego ./internal/aesprg ./internal/prg ./internal/ggm ./internal/spcot ./internal/mpcot ./internal/lpn ./internal/ferret ./internal/cot ./internal/softspoken ./internal/iknp ./internal/gmw ./internal/arith ./internal/circuit
 
 echo "== go test -race (includes the gmw + arith engines and the TCP pipeline) =="
 go test -race ./...
@@ -216,11 +217,11 @@ echo "== fuzz the untrusted-byte parsers (10 s each) =="
 go test -run '^$' -fuzz '^FuzzParseHello$' -fuzztime 10s ./internal/otserv/wire
 go test -run '^$' -fuzz '^FuzzDispatch$' -fuzztime 10s ./internal/otserv
 
-echo "== kernel benchmarks: column pipeline, batched CRHF, PRG level and GGM expand/reconstruct, LPN encode, chosen OT, AES-128 circuit build, NMP sort and row-weight ablations (one iteration each, so they cannot rot) =="
+echo "== kernel benchmarks: column pipeline, batched CRHF, PRG level and GGM expand/reconstruct, LPN encode, chosen and correlated OT, AES-128 circuit build, NMP sort and row-weight ablations (one iteration each, so they cannot rot) =="
 go test -run '^$' -bench 'TransposeBits|StreamFill|SumBlocks' -benchtime 1x ./internal/block ./internal/aesprg
 go test -run '^$' -bench 'Encode' -benchtime 1x ./internal/lpn
 go test -run '^$' -bench 'Expand|Reconstruct' -benchtime 1x ./internal/prg ./internal/ggm
-go test -run '^$' -bench 'Chosen' -benchtime 1x ./internal/cot
+go test -run '^$' -bench 'Chosen|Correlated' -benchtime 1x ./internal/cot
 go test -run '^$' -bench 'Build' -benchtime 1x ./internal/circuit
 go test -run '^$' -bench Ablation -benchtime 1x ./internal/sim/nmp
 
